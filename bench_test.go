@@ -425,7 +425,7 @@ func BenchmarkHeterogeneousRuntimes(b *testing.B) {
 		}
 		pol := &agent.RooflineOptimal{
 			Specs:     []agent.AppSpec{{AI: 0.5}, {AI: 10}},
-			Objective: roofline.MinAppGFLOPS,
+			Objective: roofline.ObjMaxMinGFLOPS,
 		}
 		agent.New(o, agent.Config{Period: 10 * des.Millisecond}, pol, ocr, tbb).Start()
 		eng.RunUntil(1)

@@ -5,17 +5,19 @@
 //   - any benchmark present in the baseline is missing from the fresh
 //     run (a silently-deleted benchmark would otherwise hide a
 //     regression forever), or
-//   - any benchmark's fresh ns/op exceeds the baseline by more than
-//     -max-regress (default 0.25, i.e. 25%), or
 //   - any benchmark's fresh allocs/op exceeds the baseline by more than
-//     the same budget — including a zero-alloc baseline growing any
-//     allocations at all (the fleet placement hot path is tracked at 0
-//     allocs/op; "0 -> 2" is a regression a ns/op ratio can hide).
+//     -max-regress (default 0.25, i.e. 25%) — including a zero-alloc
+//     baseline growing any allocations at all (the fleet placement hot
+//     path is tracked at 0 allocs/op).
 //
-// New benchmarks (fresh-only) and improvements are reported but never
-// fail the run. `make bench-guard` wires this against the HEAD-committed
-// BENCH_solver.json / BENCH_fleet.json so CI catches perf regressions
-// the same way it catches test failures.
+// Only what is exact across machines is gated. ns/op is printed but
+// never fails the run: the baselines were committed from another
+// machine, and raw timings on a shared box spread 13-24% run to run.
+// Timing claims go through coopbench (bench/), which normalises to a
+// kernel measured in the same run. New benchmarks (fresh-only) and
+// improvements are reported but never fail the run. `make bench-guard`
+// wires this against the HEAD-committed BENCH_solver.json /
+// BENCH_fleet.json.
 //
 // Usage:
 //
@@ -44,7 +46,7 @@ type diffLine struct {
 	failed bool
 }
 
-// compare evaluates fresh against baseline under the regression budget.
+// compare evaluates fresh against baseline under the allocs/op budget.
 // Every baseline benchmark yields exactly one line; fresh-only
 // benchmarks are appended as informational "new" lines.
 func compare(baseline, fresh map[string]benchResult, maxRegress float64) []diffLine {
@@ -66,22 +68,8 @@ func compare(baseline, fresh map[string]benchResult, maxRegress float64) []diffL
 			})
 			continue
 		}
-		if base.NsPerOp <= 0 {
-			lines = append(lines, diffLine{name: n, detail: "baseline ns/op is zero; skipping ratio check"})
-			continue
-		}
-		ratio := got.NsPerOp/base.NsPerOp - 1
-		detail := fmt.Sprintf("%.0f -> %.0f ns/op (%+.1f%%)", base.NsPerOp, got.NsPerOp, 100*ratio)
-		if ratio > maxRegress {
-			lines = append(lines, diffLine{
-				name:   n,
-				detail: fmt.Sprintf("REGRESSION %s exceeds budget %+.0f%%", detail, 100*maxRegress),
-				failed: true,
-			})
-			continue
-		}
-		// Allocation gate: a zero-alloc baseline must stay zero-alloc,
-		// and a nonzero one gets the same relative budget as ns/op.
+		// A zero-alloc baseline must stay zero-alloc; a nonzero one gets
+		// the relative budget.
 		switch {
 		case base.AllocsPerOp == 0 && got.AllocsPerOp > 0:
 			lines = append(lines, diffLine{
@@ -99,7 +87,11 @@ func compare(baseline, fresh map[string]benchResult, maxRegress float64) []diffL
 			})
 			continue
 		}
-		lines = append(lines, diffLine{name: n, detail: detail})
+		lines = append(lines, diffLine{
+			name: n,
+			detail: fmt.Sprintf("%.0f -> %.0f allocs/op (%.0f -> %.0f ns/op, not gated)",
+				base.AllocsPerOp, got.AllocsPerOp, base.NsPerOp, got.NsPerOp),
+		})
 	}
 
 	extra := make([]string, 0)
@@ -112,7 +104,7 @@ func compare(baseline, fresh map[string]benchResult, maxRegress float64) []diffL
 	for _, n := range extra {
 		lines = append(lines, diffLine{
 			name:   n,
-			detail: fmt.Sprintf("new benchmark: %.0f ns/op", fresh[n].NsPerOp),
+			detail: fmt.Sprintf("new benchmark: %.0f allocs/op", fresh[n].AllocsPerOp),
 		})
 	}
 	return lines
@@ -133,7 +125,7 @@ func loadResults(path string) (map[string]benchResult, error) {
 func main() {
 	baselinePath := flag.String("baseline", "", "committed benchmark JSON (benchjson output)")
 	freshPath := flag.String("fresh", "", "freshly-measured benchmark JSON to check")
-	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated ns/op regression as a fraction (0.25 = 25%)")
+	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated allocs/op regression as a fraction (0.25 = 25%)")
 	flag.Parse()
 	if *baselinePath == "" || *freshPath == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -fresh are required")

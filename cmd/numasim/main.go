@@ -187,7 +187,7 @@ func buildAllocation(m *machine.Machine, rows [][]int, nApps int) (roofline.Allo
 }
 
 func runOptimize(m *machine.Machine, apps []roofline.App) {
-	counts, _, best, err := roofline.BestPerNodeCounts(m, apps, nil)
+	counts, _, best, err := new(roofline.Search).BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		fail(err)
 	}

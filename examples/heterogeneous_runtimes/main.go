@@ -53,7 +53,7 @@ func main() {
 	// the rest (the roofline model's Table I insight).
 	pol := &agent.RooflineOptimal{
 		Specs:     []agent.AppSpec{{AI: 0.5}, {AI: 10}},
-		Objective: roofline.MinAppGFLOPS,
+		Objective: roofline.ObjMaxMinGFLOPS,
 	}
 	ag := agent.New(o, agent.Config{Period: 10 * des.Millisecond}, pol, ocr, tbb)
 	ag.Start()

@@ -29,14 +29,7 @@ func (p FairShare) Decide(_ des.Time, m *machine.Machine, infos []Info) []Comman
 	}
 	var cmds []Command
 	if p.PerNode {
-		for i := 0; i < n; i++ {
-			counts := make([]int, m.NumNodes())
-			for j, nd := range m.Nodes {
-				counts[j] = nd.Cores / n
-				if r := nd.Cores % n; i < r {
-					counts[j]++
-				}
-			}
+		for i, counts := range roofline.FairShareFirst(m, n).Threads {
 			cmds = append(cmds, Command{Client: i, PerNode: counts})
 		}
 		return cmds
@@ -138,18 +131,16 @@ type AppSpec struct {
 type RooflineOptimal struct {
 	// Specs describe the clients, in agent client order.
 	Specs []AppSpec
-	// Objective scores allocations; nil means total GFLOPS.
-	Objective roofline.Objective
+	// Objective scores allocations; nil means roofline.ObjTotalGFLOPS.
+	Objective roofline.ObjectiveSpec
 	// MinPerNode guarantees every client at least this many threads on
 	// every node (no starvation: under pure throughput maximization a
 	// memory-bound app's threads contribute nothing once bandwidth is
 	// saturated and would be handed to compute-bound neighbours). 0
 	// applies no floor; 1 reproduces the paper's Table I optimum.
 	MinPerNode int
-	// Search, when set, runs the solve through a shared roofline.Search
-	// (pooled evaluators); nil uses the package-level default.
-	Search *roofline.Search
 
+	search roofline.Search
 	counts []int
 	failed bool
 }
@@ -167,13 +158,11 @@ func (p *RooflineOptimal) Decide(_ des.Time, m *machine.Machine, infos []Info) [
 		for i, s := range p.Specs {
 			apps[i] = roofline.App{Name: infos[i].Name, AI: s.AI, Placement: s.Placement, HomeNode: s.HomeNode}
 		}
-		var counts []int
-		var err error
-		if p.Search != nil {
-			counts, _, _, err = p.Search.BestPerNodeCountsFloor(m, apps, p.Objective, p.MinPerNode)
-		} else {
-			counts, _, _, err = roofline.BestPerNodeCountsFloor(m, apps, p.Objective, p.MinPerNode)
+		spec := p.Objective
+		if spec == nil {
+			spec = roofline.ObjTotalGFLOPS
 		}
+		counts, _, _, err := p.search.BestPerNodeCountsFloorSpec(spec, nil, m, apps, p.MinPerNode)
 		if err != nil {
 			p.failed = true
 			return nil
@@ -214,10 +203,8 @@ type AdaptiveRoofline struct {
 	// Placements optionally supplies NUMA placements per client
 	// (default: all NUMA-perfect). AI is always estimated.
 	Placements []AppSpec
-	// Search, when set, runs re-optimizations through a shared
-	// roofline.Search; nil uses the package-level default.
-	Search *roofline.Search
 
+	search   roofline.Search
 	ticks    int
 	sumAI    []float64
 	nAI      []int
@@ -296,13 +283,7 @@ func (p *AdaptiveRoofline) Decide(_ des.Time, m *machine.Machine, infos []Info) 
 		// Reset accumulators so re-optimization sees fresh data.
 		p.sumAI[i], p.nAI[i] = 0, 0
 	}
-	var counts []int
-	var err error
-	if p.Search != nil {
-		counts, _, _, err = p.Search.BestPerNodeCounts(m, apps, nil)
-	} else {
-		counts, _, _, err = roofline.BestPerNodeCounts(m, apps, nil)
-	}
+	counts, _, _, err := p.search.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -27,28 +26,6 @@ type AppSpec struct {
 	Placement  roofline.Placement
 	HomeNode   machine.NodeID
 	MaxThreads int // 0: uncapped
-}
-
-// appendDemandKey appends the spec's canonical demand key — the form
-// the solver caches by. Two apps with equal keys are interchangeable to
-// the solver, so the cache key is the sorted multiset of demand keys
-// (names excluded on purpose). Append-style so the solver's hot path
-// builds keys into a reused buffer without fmt or string concatenation.
-func appendDemandKey(b []byte, s *AppSpec) []byte {
-	b = append(b, "ai="...)
-	b = strconv.AppendFloat(b, s.AI, 'g', -1, 64)
-	b = append(b, "|pl="...)
-	b = strconv.AppendInt(b, int64(s.Placement), 10)
-	b = append(b, "|home="...)
-	b = strconv.AppendInt(b, int64(s.HomeNode), 10)
-	b = append(b, "|max="...)
-	b = strconv.AppendInt(b, int64(s.MaxThreads), 10)
-	return b
-}
-
-// demandKey is appendDemandKey as a string, for tests and diagnostics.
-func (s AppSpec) demandKey() string {
-	return string(appendDemandKey(nil, &s))
 }
 
 // FittedModel is an online-fitted demand model (internal/adapt) that

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,23 +94,37 @@ type serveScratch struct {
 	alloc AppAllocation
 }
 
-// endpointStats meters one endpoint: request count, error count, and a
-// latency series whose Stats() provide the quantiles for /metricsz.
+// latWindow is how many of an endpoint's most recent request latencies
+// /metricsz computes its quantiles over. The window is a ring that
+// stops growing at this size, so a daemon's memory does not grow with
+// the requests it has served.
+const latWindow = 1024
+
+// endpointStats meters one endpoint: request count, error count, the
+// all-time maximum latency and a ring of the last latWindow latencies
+// (milliseconds) for the /metricsz quantiles.
 type endpointStats struct {
 	mu     sync.Mutex
 	count  uint64
 	errors uint64
-	lat    *metrics.Series
+	maxMs  float64
+	lat    []float64 // ring once len reaches latWindow
 	shed   *Shedder
 }
 
 func (e *endpointStats) record(d time.Duration, isErr bool) {
+	ms := d.Seconds() * 1e3
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Sample index as the series time keeps appends monotonic under
-	// concurrency (wall clocks may tie or regress between goroutines).
-	e.lat.Add(float64(e.count), d.Seconds()*1e3)
+	if len(e.lat) < latWindow {
+		e.lat = append(e.lat, ms)
+	} else {
+		e.lat[e.count%latWindow] = ms
+	}
 	e.count++
+	if ms > e.maxMs {
+		e.maxMs = ms
+	}
 	if isErr {
 		e.errors++
 	}
@@ -117,16 +132,13 @@ func (e *endpointStats) record(d time.Duration, isErr bool) {
 
 func (e *endpointStats) view() EndpointMetrics {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.lat.Stats()
-	return EndpointMetrics{
-		Count:  e.count,
-		Errors: e.errors,
-		P50Ms:  st.P50,
-		P95Ms:  st.P95,
-		MaxMs:  st.Max,
-		Shed:   e.shed.Shed(),
-	}
+	recent := append([]float64(nil), e.lat...) // sorted outside the lock
+	m := EndpointMetrics{Count: e.count, Errors: e.errors, MaxMs: e.maxMs, Shed: e.shed.Shed()}
+	e.mu.Unlock()
+	sort.Float64s(recent)
+	m.P50Ms = metrics.Percentile(recent, 0.50)
+	m.P95Ms = metrics.Percentile(recent, 0.95)
+	return m
 }
 
 // NewServer validates the configuration and builds the server.
@@ -251,10 +263,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // instrument wraps a handler with request metering and a trace span
 // (one lane per request; pid = endpoint name).
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := &endpointStats{
-		lat:  metrics.NewSeries(name + ".latency_ms"),
-		shed: NewShedder(s.cfg.MaxInFlight),
-	}
+	ep := &endpointStats{shed: NewShedder(s.cfg.MaxInFlight)}
 	s.epMu.Lock()
 	s.eps[name] = ep
 	s.epMu.Unlock()

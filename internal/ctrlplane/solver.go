@@ -1,17 +1,12 @@
 package ctrlplane
 
 import (
-	"bytes"
-	"container/list"
 	"fmt"
-	"math"
-	"strconv"
 	"sync"
 
-	"repro/internal/agent"
-	"repro/internal/des"
 	"repro/internal/machine"
 	"repro/internal/roofline"
+	"repro/internal/solvecache"
 )
 
 // Policy names accepted by NewSolver.
@@ -42,10 +37,11 @@ type Solution struct {
 	FromCache bool
 }
 
-// cachedSolution stores a solve keyed by the sorted demand multiset;
-// counts and rates are per demand slot, so any permutation of
-// equivalent apps maps onto it. Immutable once inserted (concurrent
-// readers copy out of it without the lock).
+// cachedSolution is the solver's cache value: counts and rates per
+// demand slot (the key's sorted segment order), so any permutation of
+// equivalent apps maps onto it, plus the aggregate and the paper's
+// baselines. Immutable once inserted (concurrent readers copy out of it
+// without a lock).
 type cachedSolution struct {
 	counts [][]int
 	gflops []float64
@@ -54,76 +50,47 @@ type cachedSolution struct {
 	npa    float64
 }
 
-// cacheEntry is one LRU cell: the key is kept so eviction can delete
-// the map entry.
-type cacheEntry struct {
-	key string
-	sol *cachedSolution
-}
-
-// flightCall is one in-progress solve; followers of the same key block
-// on done instead of re-running the solve (singleflight).
-type flightCall struct {
-	done chan struct{}
-	sol  *cachedSolution
-	err  error
-}
-
-// solveScratch is the per-request working memory of Solve, pooled so a
-// steady-state (cache-hit) solve allocates nothing: demand-key segments
-// for every app, the app order, and the assembled cache key.
-type solveScratch struct {
-	order  []int
-	offs   []int // offs[i]:offs[i+1] frames app i's segment in segBuf
-	segBuf []byte
-	key    []byte
-}
-
-// Solver computes per-NUMA-node allocations through the agent's
-// policies and memoizes results behind an LRU cache with singleflight
-// collapsing of concurrent identical solves. It is safe for concurrent
-// use.
+// Solver computes per-NUMA-node allocations and memoizes them in a
+// solvecache.Cache (bounded LRU, singleflight collapsing of concurrent
+// identical solves). It is safe for concurrent use.
 type Solver struct {
 	policy string
-	search *roofline.Search
+	// tag names what cached values were solved under. The roofline
+	// policy is the total-GFLOPS objective, so it carries that
+	// objective's name and coopd and fleetd derive the same key for the
+	// same demand set.
+	tag    string
+	search roofline.Search
+	cache  *solvecache.Cache[*cachedSolution]
 
-	mu        sync.Mutex
-	entries   map[string]*list.Element // -> *cacheEntry
-	lru       *list.List               // front: most recently used
-	flight    map[string]*flightCall
-	hits      uint64
-	misses    uint64
-	coalesced uint64
-	topoPtr   *machine.Machine // last hashed machine (pointer identity)
-	topoHash  uint64
-
-	scratch sync.Pool // *solveScratch
+	// keys pools the per-request key builders, so a steady-state
+	// (cache-hit) solve allocates nothing.
+	keys sync.Pool // *solvecache.Key
 
 	// testSolveDelay, when set, runs between claiming a flight slot and
 	// solving; tests use it to hold the leader while followers pile up.
 	testSolveDelay func()
 }
 
-// maxCacheEntries bounds the memo; past it the least-recently-used
-// entry is evicted, so a demand mix cycling past the bound keeps its
-// working set instead of periodically losing everything to a flush.
+// maxCacheEntries bounds the memo (see solvecache.New).
 const maxCacheEntries = 256
 
 // NewSolver creates a solver for the named policy (PolicyRoofline or
 // PolicyFairShare).
 func NewSolver(policy string) (*Solver, error) {
+	tag := policy
 	switch policy {
-	case PolicyRoofline, PolicyFairShare:
+	case PolicyRoofline:
+		tag = roofline.ObjTotalGFLOPS.Name()
+	case PolicyFairShare:
 	default:
 		return nil, fmt.Errorf("ctrlplane: unknown policy %q", policy)
 	}
 	return &Solver{
-		policy:  policy,
-		search:  &roofline.Search{},
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
-		flight:  map[string]*flightCall{},
-		scratch: sync.Pool{New: func() any { return &solveScratch{} }},
+		policy: policy,
+		tag:    tag,
+		cache:  solvecache.New[*cachedSolution](maxCacheEntries),
+		keys:   sync.Pool{New: func() any { return &solvecache.Key{} }},
 	}, nil
 }
 
@@ -131,67 +98,38 @@ func NewSolver(policy string) (*Solver, error) {
 func (s *Solver) Policy() string { return s.policy }
 
 // Metrics returns cache hit/miss/coalesce counters and the entry count.
-func (s *Solver) Metrics() SolverMetrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SolverMetrics{Hits: s.hits, Misses: s.misses, Coalesced: s.coalesced, Entries: len(s.entries)}
+func (s *Solver) Metrics() SolverMetrics { return s.cache.Counters() }
+
+// TopologyHash is solvecache.TopologyHash, the machine fingerprint
+// solutions are keyed by.
+func TopologyHash(m *machine.Machine) uint64 { return solvecache.TopologyHash(m) }
+
+// rooflineApp is the spec as the roofline model sees it.
+func (s *AppSpec) rooflineApp() roofline.App {
+	return roofline.App{Name: s.Name, AI: s.AI, Placement: s.Placement, HomeNode: s.HomeNode}
 }
 
-// TopologyHash fingerprints a machine for cache keying; two machines
-// with identical topologies (name, nodes, links) share solutions. The
-// hash walks the fields directly (FNV-64a) so keying allocates nothing.
-func TopologyHash(m *machine.Machine) uint64 {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+// demandKey builds the cache key of (m, apps) into k and returns it
+// with the slot order: slot i of a cached solution belongs to
+// apps[order[i]]. Apps with equal demand are interchangeable, so the
+// lower ID takes the earlier slot to keep the mapping deterministic.
+func (s *Solver) demandKey(k *solvecache.Key, m *machine.Machine, apps []AppState) (key []byte, order []int) {
+	k.Reset(s.cache.TopologyHash(m), s.tag)
+	for i := range apps {
+		// Effective spec: a fitted (recalibrated) AI replaces the declared
+		// one here, so a confirmed drift changes the cache key and the
+		// next lookup is naturally a fresh solve.
+		spec := apps[i].EffectiveSpec()
+		app := spec.rooflineApp()
+		k.Add(&app, spec.MaxThreads)
 	}
-	for i := 0; i < len(m.Name); i++ {
-		h ^= uint64(m.Name[i])
-		h *= prime64
-	}
-	mix(uint64(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		mix(uint64(n.Cores))
-		mix(math.Float64bits(n.PeakGFLOPS))
-		mix(math.Float64bits(n.MemBandwidth))
-	}
-	if m.LinkBandwidth == nil {
-		mix(0)
-		return h
-	}
-	mix(1)
-	for _, row := range m.LinkBandwidth {
-		for _, bw := range row {
-			mix(math.Float64bits(bw))
-		}
-	}
-	return h
+	return k.Sort(func(i, j int) bool { return apps[i].ID < apps[j].ID })
 }
 
-// topologyHashCached returns TopologyHash, memoized by machine pointer:
-// the server passes the same *Machine for its whole lifetime, so the
-// steady state never re-hashes.
-func (s *Solver) topologyHashCached(m *machine.Machine) uint64 {
-	s.mu.Lock()
-	if s.topoPtr == m {
-		h := s.topoHash
-		s.mu.Unlock()
-		return h
-	}
-	s.mu.Unlock()
-	h := TopologyHash(m)
-	s.mu.Lock()
-	s.topoPtr, s.topoHash = m, h
-	s.mu.Unlock()
-	return h
+// Key returns the cache key Solve files (m, apps) under.
+func (s *Solver) Key(m *machine.Machine, apps []AppState) []byte {
+	key, _ := s.demandKey(&solvecache.Key{}, m, apps)
+	return key
 }
 
 // Solve computes the allocation for the registered applications on the
@@ -205,8 +143,8 @@ func (s *Solver) Solve(m *machine.Machine, apps []AppState) (*Solution, error) {
 }
 
 // SolveInto computes the allocation for the registered applications on
-// the machine, reusing sol's slices. Apps with identical demand keys
-// are interchangeable, so the cache lookup sorts the demand set;
+// the machine, reusing sol's slices. Apps with identical demand are
+// interchangeable, so the cache is keyed by the sorted demand set;
 // results are mapped back to the callers' order. A cache-hit solve into
 // a warm Solution performs no heap allocations.
 func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) error {
@@ -217,60 +155,20 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 		return nil
 	}
 
-	sc := s.scratch.Get().(*solveScratch)
-	defer s.scratch.Put(sc)
-
-	n := len(apps)
-	// Build every app's demand-key segment once into one buffer.
-	sc.segBuf = sc.segBuf[:0]
-	sc.offs = resizeInts(sc.offs, n+1)
-	sc.offs[0] = 0
-	for i := range apps {
-		// Effective spec: a fitted (recalibrated) AI replaces the declared
-		// one here, so a confirmed drift changes the cache key and the
-		// next lookup is naturally a fresh solve.
-		spec := apps[i].EffectiveSpec()
-		sc.segBuf = appendDemandKey(sc.segBuf, &spec)
-		sc.offs[i+1] = len(sc.segBuf)
-	}
-	seg := func(i int) []byte { return sc.segBuf[sc.offs[i]:sc.offs[i+1]] }
-
-	// Sort app indices into demand-slot order (ID tie-break keeps the
-	// mapping deterministic). Insertion sort: no allocation, and the
-	// registry's mixes are small and mostly pre-sorted.
-	sc.order = resizeInts(sc.order, n)
-	for i := range sc.order {
-		sc.order[i] = i
-	}
-	for a := 1; a < n; a++ {
-		x := sc.order[a]
-		b := a
-		for b > 0 {
-			p := sc.order[b-1]
-			if c := bytes.Compare(seg(p), seg(x)); c < 0 || (c == 0 && apps[p].ID <= apps[x].ID) {
-				break
-			}
-			sc.order[b] = p
-			b--
+	k := s.keys.Get().(*solvecache.Key)
+	defer s.keys.Put(k)
+	key, order := s.demandKey(k, m, apps)
+	cached, fromCache, err := s.cache.Do(key, func() (*cachedSolution, error) {
+		if s.testSolveDelay != nil {
+			s.testSolveDelay()
 		}
-		sc.order[b] = x
-	}
-
-	sc.key = sc.key[:0]
-	sc.key = append(sc.key, "topo="...)
-	sc.key = strconv.AppendUint(sc.key, s.topologyHashCached(m), 16)
-	sc.key = append(sc.key, "|policy="...)
-	sc.key = append(sc.key, s.policy...)
-	for _, idx := range sc.order {
-		sc.key = append(sc.key, '|')
-		sc.key = append(sc.key, seg(idx)...)
-	}
-
-	cached, fromCache, err := s.lookupOrSolve(m, apps, sc)
+		return s.solveSlots(m, apps, order)
+	})
 	if err != nil {
 		return err
 	}
 
+	n := len(apps)
 	sol.TotalGFLOPS = cached.total
 	sol.EvenGFLOPS = cached.even
 	sol.NodePerAppGFLOPS = cached.npa
@@ -280,7 +178,7 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 	} else {
 		sol.PerApp = sol.PerApp[:n]
 	}
-	for slot, idx := range sc.order {
+	for slot, idx := range order {
 		pa := &sol.PerApp[idx]
 		pa.ID = apps[idx].ID
 		pa.Name = apps[idx].Spec.Name
@@ -290,129 +188,35 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 	return nil
 }
 
-// lookupOrSolve serves sc.key from the LRU, joins an in-flight solve
-// for the same key, or becomes the leader and solves.
-func (s *Solver) lookupOrSolve(m *machine.Machine, apps []AppState, sc *solveScratch) (*cachedSolution, bool, error) {
-	s.mu.Lock()
-	if el, ok := s.entries[string(sc.key)]; ok {
-		s.lru.MoveToFront(el)
-		s.hits++
-		cs := el.Value.(*cacheEntry).sol
-		s.mu.Unlock()
-		return cs, true, nil
-	}
-	if fc, ok := s.flight[string(sc.key)]; ok {
-		// A solve for this exact key is running; wait for its result
-		// instead of duplicating the work (heartbeat storms after a
-		// restart all carry the same demand set).
-		s.coalesced++
-		s.mu.Unlock()
-		<-fc.done
-		return fc.sol, fc.err == nil, fc.err
-	}
-	s.misses++
-	key := string(sc.key) // the one per-distinct-miss allocation
-	fc := &flightCall{done: make(chan struct{})}
-	s.flight[key] = fc
-	delay := s.testSolveDelay
-	s.mu.Unlock()
-
-	if delay != nil {
-		delay()
-	}
-	cs, err := s.solveSlots(m, apps, sc.order)
-
-	s.mu.Lock()
-	if err == nil {
-		s.insertLocked(key, cs)
-	}
-	delete(s.flight, key)
-	s.mu.Unlock()
-	fc.sol, fc.err = cs, err
-	close(fc.done)
-	return cs, false, err
-}
-
-// insertLocked adds a cache entry at the LRU front, evicting from the
-// back past maxCacheEntries. Caller holds s.mu.
-func (s *Solver) insertLocked(key string, cs *cachedSolution) {
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).sol = cs
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, sol: cs})
-	for len(s.entries) > maxCacheEntries {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.entries, back.Value.(*cacheEntry).key)
-	}
-}
-
-func resizeInts(v []int, n int) []int {
-	if cap(v) < n {
-		return make([]int, n)
-	}
-	return v[:n]
-}
-
-// solveSlots runs the agent policy over the demand slots (apps in
-// order) and evaluates the result with the roofline model.
+// solveSlots solves the demand slots (apps in order) under the policy
+// and evaluates the result with the roofline model.
 func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*cachedSolution, error) {
 	n := len(order)
 	rapps := make([]roofline.App, n)
-	aspecs := make([]agent.AppSpec, n)
-	infos := make([]agent.Info, n)
 	for slot, idx := range order {
 		spec := apps[idx].EffectiveSpec()
-		rapps[slot] = roofline.App{
-			Name:      spec.Name,
-			AI:        spec.AI,
-			Placement: spec.Placement,
-			HomeNode:  spec.HomeNode,
-		}
-		aspecs[slot] = agent.AppSpec{AI: spec.AI, Placement: spec.Placement, HomeNode: spec.HomeNode}
-		infos[slot] = agent.Info{Name: spec.Name}
+		rapps[slot] = spec.rooflineApp()
 	}
 
-	var cmds []agent.Command
-	switch s.policy {
-	case PolicyFairShare:
-		cmds = agent.FairShare{PerNode: true}.Decide(des.Time(0), m, infos)
-	default:
-		// Floor 1 guarantees every cooperating app a thread on every
-		// node (no starvation) and reproduces the paper's Table I
-		// optimum; when the floors alone over-subscribe a node (more
-		// apps than cores per node), fall back to the unfloored solve.
-		cmds = (&agent.RooflineOptimal{Specs: aspecs, MinPerNode: 1, Search: s.search}).Decide(des.Time(0), m, infos)
-		if len(cmds) == 0 {
-			cmds = (&agent.RooflineOptimal{Specs: aspecs, Search: s.search}).Decide(des.Time(0), m, infos)
+	var al roofline.Allocation
+	if s.policy == PolicyFairShare {
+		al = roofline.FairShareFirst(m, n)
+	} else {
+		var err error
+		if _, al, _, _, err = s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps); err != nil {
+			return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, n, err)
 		}
 	}
-	if len(cmds) == 0 {
-		return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps", s.policy, n)
-	}
-	counts := make([][]int, n)
-	for _, cmd := range cmds {
-		if cmd.Client < 0 || cmd.Client >= n || cmd.PerNode == nil {
-			return nil, fmt.Errorf("ctrlplane: policy %s produced an invalid command", s.policy)
-		}
-		counts[cmd.Client] = append([]int(nil), cmd.PerNode...)
-	}
-	for slot := range counts {
-		if counts[slot] == nil {
-			counts[slot] = make([]int, m.NumNodes())
-		}
-		trimToCap(counts[slot], apps[order[slot]].Spec.MaxThreads)
+	for slot, idx := range order {
+		trimToCap(al.Threads[slot], apps[idx].Spec.MaxThreads)
 	}
 
-	al := roofline.Allocation{Threads: counts}
 	res, err := roofline.Evaluate(m, rapps, al)
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: evaluating allocation: %w", err)
 	}
 	cs := &cachedSolution{
-		counts: counts,
+		counts: al.Threads,
 		gflops: append([]float64(nil), res.AppGFLOPS...),
 		total:  res.TotalGFLOPS,
 	}

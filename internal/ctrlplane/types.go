@@ -2,15 +2,15 @@
 // server (stdlib only) where cooperating applications register their
 // roofline profile (arithmetic intensity, NUMA placement), heartbeat
 // execution statistics, and receive per-NUMA-node thread allocations
-// computed by the internal/agent policies over a configured
-// internal/machine topology.
+// solved by internal/roofline over a configured internal/machine
+// topology.
 //
 // It turns the paper's Fig. 1 in-process agent into a service: the
 // registry tracks live applications (heartbeat-liveness eviction frees
 // a silent application's cores), the solver runs the roofline
-// optimization behind a cache keyed by (topology hash, sorted demand
-// set), and every register/heartbeat/allocate request is metered
-// (internal/metrics) and traced (internal/trace).
+// optimization behind the shared internal/solvecache (keyed by topology
+// hash and sorted demand set), and every register/heartbeat/allocate
+// request is metered and traced (internal/trace).
 //
 // The wire protocol is JSON over HTTP:
 //
@@ -29,7 +29,10 @@
 // See internal/ctrlplane/client for the typed Go client.
 package ctrlplane
 
-import "repro/internal/machine"
+import (
+	"repro/internal/machine"
+	"repro/internal/solvecache"
+)
 
 // Placement names used on the wire (roofline.Placement as a string).
 const (
@@ -263,14 +266,7 @@ type EndpointMetrics struct {
 }
 
 // SolverMetrics summarizes the allocation cache.
-type SolverMetrics struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Coalesced counts solves that joined an identical in-flight solve
-	// (singleflight) instead of running their own.
-	Coalesced uint64 `json:"coalesced,omitempty"`
-	Entries   int    `json:"entries"`
-}
+type SolverMetrics = solvecache.Counters
 
 // PersistMetrics summarizes the daemon's crash-recovery store.
 type PersistMetrics struct {

@@ -64,9 +64,9 @@ func groupOf(name string) string {
 
 // classKey returns the candidate's equivalence-class key, caching it on
 // the candidate until the next commit changes the demand set.
-func (c *candidate) classKey(sc *Scorer) []byte {
+func (c *candidate) classKey(sc *Scorer, s *scoreScratch) []byte {
 	if len(c.keyBuf) == 0 {
-		c.keyBuf = appendSolveKey(c.keyBuf[:0], sc.topoHash(c.topo), c.demand)
+		c.keyBuf = append(c.keyBuf, sc.demandKey(&s.key, c.topo, c.demand)...)
 	}
 	return c.keyBuf
 }
@@ -160,8 +160,8 @@ type Decision struct {
 // FloorCapacity is the largest demand-set size the machine can host
 // floor-feasibly: floor-1 solves give every app at least one thread on
 // every node, so the smallest node's core count is the exact bound —
-// one more app and the fleet solve falls back to floor 0 (see
-// Scorer.solveDemand).
+// one more app and the solve falls back to floor 0 (see
+// roofline.Search.Solve).
 func FloorCapacity(m *machine.Machine) int {
 	c := m.Nodes[0].Cores
 	for _, n := range m.Nodes[1:] {
@@ -225,7 +225,7 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		if spec.numaBad() && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
 			continue // home node does not exist on this machine
 		}
-		key := c.classKey(sc)
+		key := c.classKey(sc, s)
 		if sc.DomainSpread {
 			// Under spread the decision-level class includes the domain:
 			// two machines with identical (topology, demand) but different
@@ -238,7 +238,8 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		}
 		r, ok := classes[string(key)] // byte-to-string map lookup: no alloc
 		if !ok {
-			r = sc.scoreClass(c.topo, c.demand, app, s)
+			score, after, err := sc.marginal(c.topo, c.demand, app, s)
+			r = classResult{score: score, after: after, failed: err != nil}
 			if classes == nil {
 				classes = make(map[string]classResult, 4)
 			}

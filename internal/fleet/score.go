@@ -1,65 +1,38 @@
 package fleet
 
 import (
-	"bytes"
-	"container/list"
-	"encoding/binary"
-	"errors"
-	"math"
 	"sync"
 
-	"repro/internal/ctrlplane"
 	"repro/internal/machine"
 	"repro/internal/roofline"
+	"repro/internal/solvecache"
 )
 
-const (
-	// appSegBytes is the fixed width of one app's demand-key segment:
-	// 8-byte AI float bits, 1 placement byte, 4-byte home node, 8-byte
-	// objective weight bits — the fields a solve's optimum can depend
-	// on (names and MaxThreads excluded on purpose, see SolveTotal).
-	// Weight participates even under the default objective — it is
-	// zero for batch apps, so priority-free fleets key exactly as they
-	// would without it, while a weighted-objective Scorer can never
-	// alias two demand sets differing only in class.
-	appSegBytes = 21
-	// maxSolveCacheEntries bounds the fleet-wide solve memo. 4096
-	// distinct (topology, demand multiset) classes is far beyond what a
-	// steady fleet produces in one planning horizon; the LRU keeps the
-	// hot classes resident across Placer decisions and Rebalancer
-	// rounds.
-	maxSolveCacheEntries = 4096
-	// maxTopoEntries bounds the pointer-keyed topology-hash memo; past
-	// it the map is simply dropped (hashes recompute in microseconds).
-	maxTopoEntries = 8192
-)
+// maxSolveCacheEntries bounds the fleet-wide solve memo. 4096 distinct
+// (topology, demand multiset) classes is far beyond what a steady fleet
+// produces in one planning horizon; the LRU keeps the hot classes
+// resident across Placer decisions and Rebalancer rounds.
+const maxSolveCacheEntries = 4096
 
 // solveOutcome is one memoized fleet-semantics solve: the aggregate and
 // the optimum per-node counts, kept as the warm-start hint for the ±1
-// neighbour solves Marginal and decide run next.
+// neighbour solves marginal runs next.
 type solveOutcome struct {
 	total  float64
 	counts []int
 }
 
-type solveEntry struct {
-	key string
-	out solveOutcome
-}
-
 // scoreScratch is the per-call reusable state of the scoring hot path:
-// the key build buffer and the demand+app slice, pooled so a placement
+// the key builder and the demand+app slice, pooled so a placement
 // decision allocates nothing for either.
 type scoreScratch struct {
-	key  []byte
+	key  solvecache.Key
 	with []roofline.App
 }
 
-// Scorer computes placement scores with the same solve semantics the
-// coopd allocator uses, so the fleet's predicted aggregate matches what
-// the machines actually serve: BestPerNodeCountsFloor with a floor of
-// one thread per app per node (no starvation), falling back to floor
-// zero when the floors alone over-subscribe a node.
+// Scorer computes placement scores through the same solve the coopd
+// allocator runs (roofline.Search.Solve), so the fleet's predicted
+// aggregate matches what the machines actually serve.
 //
 // Solves are memoized fleet-wide by machine equivalence class — the
 // pair (topology hash, sorted demand-key multiset). Two machines with
@@ -70,9 +43,8 @@ type scoreScratch struct {
 // demand multiset and therefore its key, so no explicit invalidation
 // exists or is needed — stale classes simply age out of the bounded
 // LRU. Cache misses warm-start the branch-and-bound from the memoized
-// optimum of the ±1-app neighbour when one is at hand
-// (roofline.BestPerNodeCountsFloorFrom), which cannot change the
-// result. One Scorer is safe for concurrent use.
+// optimum of the ±1-app neighbour when one is at hand, which cannot
+// change the result. One Scorer is safe for concurrent use.
 type Scorer struct {
 	// DomainSpread enables the failure-domain anti-affinity tie-break:
 	// when several machines tie on marginal GFLOPS, the decision prefers
@@ -97,27 +69,20 @@ type Scorer struct {
 	// before use; not safe to flip concurrently with decisions.
 	Objective roofline.ObjectiveSpec
 
-	search roofline.Search
-
-	mu      sync.Mutex
-	topo    map[*machine.Machine]uint64
-	entries map[string]*list.Element
-	lru     *list.List // of *solveEntry, front = most recent
-	hits    uint64
-	misses  uint64
-
+	search  roofline.Search
+	cache   *solvecache.Cache[solveOutcome]
 	scratch sync.Pool // of *scoreScratch
 }
 
 // NewScorer returns a ready Scorer.
-func NewScorer() *Scorer { return &Scorer{} }
+func NewScorer() *Scorer {
+	return &Scorer{cache: solvecache.New[solveOutcome](maxSolveCacheEntries)}
+}
 
-// CacheStats reports the solve memo's cumulative hit/miss counters —
-// the dedup observability hook for tests and benchmarks.
+// CacheStats reports the solve memo's cumulative hit/miss counters.
 func (sc *Scorer) CacheStats() (hits, misses uint64) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.hits, sc.misses
+	c := sc.cache.Counters()
+	return c.Hits, c.Misses
 }
 
 func (sc *Scorer) getScratch() *scoreScratch {
@@ -129,141 +94,50 @@ func (sc *Scorer) getScratch() *scoreScratch {
 
 func (sc *Scorer) putScratch(s *scoreScratch) { sc.scratch.Put(s) }
 
-// topoHash returns ctrlplane.TopologyHash memoized by machine pointer:
-// inventory snapshots hand the same *Machine to every scoring call
-// until a re-poll replaces it, so the steady state never re-hashes.
-func (sc *Scorer) topoHash(m *machine.Machine) uint64 {
-	sc.mu.Lock()
-	if h, ok := sc.topo[m]; ok {
-		sc.mu.Unlock()
-		return h
+// objective is the spec every solve of this Scorer runs under.
+func (sc *Scorer) objective() roofline.ObjectiveSpec {
+	if sc.Objective == nil {
+		return roofline.ObjTotalGFLOPS
 	}
-	sc.mu.Unlock()
-	h := ctrlplane.TopologyHash(m)
-	sc.mu.Lock()
-	if sc.topo == nil {
-		sc.topo = make(map[*machine.Machine]uint64)
-	} else if len(sc.topo) >= maxTopoEntries {
-		clear(sc.topo)
-	}
-	sc.topo[m] = h
-	sc.mu.Unlock()
-	return h
+	return sc.Objective
 }
 
-// appendAppSeg appends app's fixed-width demand-key segment.
-func appendAppSeg(b []byte, a *roofline.App) []byte {
-	var seg [appSegBytes]byte
-	binary.BigEndian.PutUint64(seg[0:8], math.Float64bits(a.AI))
-	seg[8] = byte(a.Placement)
-	binary.BigEndian.PutUint32(seg[9:13], uint32(int32(a.HomeNode)))
-	binary.BigEndian.PutUint64(seg[13:21], math.Float64bits(a.Weight))
-	return append(b, seg[:]...)
-}
-
-// sortAppSegs sorts concatenated fixed-width segments in place
-// (insertion sort: demand sets are small and arrive mostly sorted, and
-// fixed-width chunks need no offset bookkeeping).
-func sortAppSegs(b []byte) {
-	n := len(b) / appSegBytes
-	var tmp [appSegBytes]byte
-	for i := 1; i < n; i++ {
-		copy(tmp[:], b[i*appSegBytes:])
-		j := i
-		for j > 0 && bytes.Compare(b[(j-1)*appSegBytes:j*appSegBytes], tmp[:]) > 0 {
-			copy(b[j*appSegBytes:], b[(j-1)*appSegBytes:j*appSegBytes])
-			j--
-		}
-		copy(b[j*appSegBytes:], tmp[:])
-	}
-}
-
-// appendSolveKey appends the canonical equivalence-class key of
-// (machine, demand): the topology hash followed by the demand segments
-// in sorted order. Apps with equal segments are interchangeable to the
-// solver, and the solved aggregate is order-independent, so permuted
-// demand sets deliberately collide.
-func appendSolveKey(dst []byte, topoHash uint64, demand []roofline.App) []byte {
-	var h [8]byte
-	binary.BigEndian.PutUint64(h[:], topoHash)
-	dst = append(dst, h[:]...)
+// demandKey builds the equivalence-class key of (machine, demand) into
+// k, tagged with the objective. The fleet scores the uncapped optimum
+// (see SolveTotal), so every segment carries thread cap 0.
+func (sc *Scorer) demandKey(k *solvecache.Key, m *machine.Machine, demand []roofline.App) []byte {
+	k.Reset(sc.cache.TopologyHash(m), sc.objective().Name())
 	for i := range demand {
-		dst = appendAppSeg(dst, &demand[i])
+		k.Add(&demand[i], 0)
 	}
-	sortAppSegs(dst[8:])
-	return dst
-}
-
-// lookup fetches the memoized outcome for key, refreshing its LRU slot.
-func (sc *Scorer) lookup(key []byte) (solveOutcome, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if el, ok := sc.entries[string(key)]; ok {
-		sc.lru.MoveToFront(el)
-		sc.hits++
-		return el.Value.(*solveEntry).out, true
-	}
-	sc.misses++
-	return solveOutcome{}, false
-}
-
-// store memoizes out under key, evicting the coldest entries past the
-// bound.
-func (sc *Scorer) store(key []byte, out solveOutcome) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.entries == nil {
-		sc.entries = make(map[string]*list.Element)
-		sc.lru = list.New()
-	}
-	if el, ok := sc.entries[string(key)]; ok {
-		el.Value.(*solveEntry).out = out
-		sc.lru.MoveToFront(el)
-		return
-	}
-	k := string(key)
-	sc.entries[k] = sc.lru.PushFront(&solveEntry{key: k, out: out})
-	for sc.lru.Len() > maxSolveCacheEntries {
-		el := sc.lru.Back()
-		sc.lru.Remove(el)
-		delete(sc.entries, el.Value.(*solveEntry).key)
-	}
+	key, _ := k.Sort(nil)
+	return key
 }
 
 // solveDemand is the memoized fleet-semantics solve. hint, when
 // non-nil, warm-starts a cache miss from a ±1-app neighbour's optimum
-// (it cannot change the result — see BestPerNodeCountsFloorFrom).
-// Errors are not cached: they are rare (invalid demand) and re-solving
-// keeps the memo free of negative entries.
+// (it cannot change the result — see
+// roofline.Search.BestPerNodeCountsFloorSpec).
 func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, hint []int, s *scoreScratch) (solveOutcome, error) {
 	if len(demand) == 0 {
 		return solveOutcome{}, nil
 	}
-	s.key = appendSolveKey(s.key[:0], sc.topoHash(m), demand)
-	if out, ok := sc.lookup(s.key); ok {
-		return out, nil
-	}
-	spec := sc.Objective
-	if spec == nil {
-		spec = roofline.ObjTotalGFLOPS
-	}
-	counts, _, res, err := sc.search.BestPerNodeCountsFloorSpec(spec, hint, m, demand, 1)
-	if errors.Is(err, roofline.ErrNoAllocation) {
-		counts, _, res, err = sc.search.BestPerNodeCountsFloorSpec(spec, hint, m, demand, 0)
-	}
-	if err != nil {
-		return solveOutcome{}, err
-	}
-	total := res.TotalGFLOPS
-	if spec != roofline.ObjTotalGFLOPS {
-		// Non-default objectives score in their own units (weighted
-		// GFLOPS, min-app GFLOPS); the default path never builds the
-		// closure.
-		total = spec.Objective(demand)(res)
-	}
-	out := solveOutcome{total: total, counts: append([]int(nil), counts...)}
-	sc.store(s.key, out)
-	return out, nil
+	out, _, err := sc.cache.Do(sc.demandKey(&s.key, m, demand), func() (solveOutcome, error) {
+		spec := sc.objective()
+		counts, _, res, _, err := sc.search.Solve(spec, hint, m, demand)
+		if err != nil {
+			return solveOutcome{}, err
+		}
+		total := res.TotalGFLOPS
+		if spec != roofline.ObjTotalGFLOPS {
+			// Non-default objectives score in their own units (weighted
+			// GFLOPS, min-app GFLOPS); the default path never builds the
+			// closure.
+			total = spec.Objective(demand)(res)
+		}
+		return solveOutcome{total: total, counts: counts}, nil
+	})
+	return out, err
 }
 
 // SolveTotal returns the machine's aggregate GFLOPS for the demand set
@@ -287,6 +161,12 @@ func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64
 func (sc *Scorer) Marginal(m *machine.Machine, demand []roofline.App, app roofline.App) (marginal, after float64, err error) {
 	s := sc.getScratch()
 	defer sc.putScratch(s)
+	return sc.marginal(m, demand, app, s)
+}
+
+// marginal is Marginal on the caller's scratch; decide scores one
+// representative per equivalence class through it.
+func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, app roofline.App, s *scoreScratch) (marginal, after float64, err error) {
 	before, err := sc.solveDemand(m, demand, nil, s)
 	if err != nil {
 		return 0, 0, err
@@ -307,18 +187,4 @@ type classResult struct {
 	score  float64
 	after  float64
 	failed bool
-}
-
-// scoreClass computes one class representative's marginal for app.
-func (sc *Scorer) scoreClass(m *machine.Machine, demand []roofline.App, app roofline.App, s *scoreScratch) classResult {
-	before, err := sc.solveDemand(m, demand, nil, s)
-	if err != nil {
-		return classResult{failed: true}
-	}
-	s.with = append(append(s.with[:0], demand...), app)
-	after, err := sc.solveDemand(m, s.with, before.counts, s)
-	if err != nil {
-		return classResult{failed: true}
-	}
-	return classResult{score: after.total - before.total, after: after.total}
 }

@@ -13,6 +13,8 @@ package fleet
 // Errors reuse ctrlplane.ErrorResponse so the coopd client-side
 // decoding conventions carry over unchanged.
 
+import "repro/internal/solvecache"
+
 // Member status strings reported in MachineView.
 const (
 	StatusHealthy = "healthy"
@@ -103,6 +105,9 @@ type FleetHealthResponse struct {
 	Quarantined int    `json:"quarantined,omitempty"`
 	Draining    int    `json:"draining"`
 	Apps        int    `json:"apps"`
+	// SolveCache is the Scorer's solve-memo counters — the same struct
+	// coopd serves as its /metricsz "solver" section.
+	SolveCache solvecache.Counters `json:"solve_cache"`
 }
 
 // UpgradeRequest drives the rolling-upgrade controller

@@ -198,13 +198,15 @@ func (s *Series) Stats() Stats {
 		Min:    vals[0],
 		Max:    vals[n-1],
 		Mean:   mean,
-		P50:    percentile(vals, 0.50),
-		P95:    percentile(vals, 0.95),
+		P50:    Percentile(vals, 0.50),
+		P95:    Percentile(vals, 0.95),
 		StdDev: math.Sqrt(varsum / float64(n)),
 	}
 }
 
-func percentile(sorted []float64, q float64) float64 {
+// Percentile returns the q-quantile (0..1) of an ascending-sorted
+// sample by linear interpolation, or 0 for an empty one.
+func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -125,3 +125,20 @@ func FairShare(m *machine.Machine, nApps int) Allocation {
 	}
 	return al
 }
+
+// FairShareFirst is FairShare without the rotation: on every node the
+// remainder cores go one each to the first apps. This is the split the
+// agent's per-node fair-share policy and coopd's fairshare policy serve
+// (the paper's option 3).
+func FairShareFirst(m *machine.Machine, nApps int) Allocation {
+	al := NewAllocation(nApps, m.NumNodes())
+	for j, n := range m.Nodes {
+		for i := 0; i < nApps; i++ {
+			al.Threads[i][j] = n.Cores / nApps
+			if i < n.Cores%nApps {
+				al.Threads[i][j]++
+			}
+		}
+	}
+	return al
+}

@@ -29,7 +29,7 @@ func TestAnnealFindsAsymmetricOptimum(t *testing.T) {
 		{Name: "mem", AI: 1.0 / 32},
 		{Name: "bad", AI: 1.0 / 16, Placement: NUMABad, HomeNode: 0},
 	}
-	counts, _, uniformRes, err := BestPerNodeCounts(m, apps, nil)
+	counts, _, uniformRes, err := new(Search).BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ var (
 	// ObjTotalGFLOPS maximizes machine-wide throughput. Its bound is
 	// the greedy fractional relaxation of the bandwidth pool (see
 	// greedyBound); solves through it are bit-identical to the
-	// historical Search (objective_test.go pins this differentially).
+	// exhaustive enumeration (search_test.go pins this differentially).
 	ObjTotalGFLOPS ObjectiveSpec = totalGFLOPSSpec{}
 	// ObjWeightedPriority maximizes Σ wᵢ·gᵢ with wᵢ = App.Weight
 	// (0 or negative means 1). The bound generalizes the greedy
@@ -105,9 +105,10 @@ func (maxMinSpec) Name() string                            { return "max-min" }
 func (maxMinSpec) Objective([]App) Objective               { return MinAppGFLOPS }
 func (maxMinSpec) Bound(*machine.Machine, []App) BoundFunc { return nil }
 
-// boundFreeSpec adapts a bare Objective into a bound-free spec; it is
-// how the legacy BestPerNodeCountsFloor(obj) entry points preserve
-// their exact historical prune semantics (prune only for TotalGFLOPS).
+// BoundFree adapts a bare Objective into a bound-free spec: Search
+// enumerates unpruned under it, which is exact for any objective.
+func BoundFree(obj Objective) ObjectiveSpec { return boundFreeSpec{obj} }
+
 type boundFreeSpec struct{ obj Objective }
 
 func (boundFreeSpec) Name() string                            { return "custom" }

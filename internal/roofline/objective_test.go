@@ -10,8 +10,7 @@ import (
 
 // checkSpecMatches solves (m, apps, floor) through spec and through a
 // reference path and demands bit-identical counts and Results (or the
-// same error). ref is typically the legacy Objective entry point (for
-// the total-GFLOPS identity) or the same spec stripped of its bound
+// same error). ref is typically the same spec stripped of its bound
 // (for bound-admissibility: pruned and unpruned search must agree).
 func checkSpecMatches(t *testing.T, label string, s *Search, spec ObjectiveSpec,
 	m *machine.Machine, apps []App, floor int,
@@ -54,37 +53,6 @@ func TestObjectiveSpecByName(t *testing.T) {
 	}
 }
 
-// TestTotalSpecBitIdenticalToLegacySearch pins the tentpole refactor:
-// routing the total-GFLOPS objective through the ObjectiveSpec
-// interface returns exactly what the historical Search entry points
-// return, on every paper fixture and floor.
-func TestTotalSpecBitIdenticalToLegacySearch(t *testing.T) {
-	var s Search
-	cases := []struct {
-		name string
-		m    *machine.Machine
-		apps []App
-	}{
-		{"paper-model", machine.PaperModel(), paperApps()},
-		{"paper-model-bad", machine.PaperModelNUMABad(), numaBadApps()},
-		{"skylake", machine.SkylakeQuad(), tableIIIApps()},
-		{"skylake-bad", machine.SkylakeQuad(), tableIIIBadApps()},
-	}
-	for _, c := range cases {
-		for _, floor := range []int{0, 1, 2} {
-			label := fmt.Sprintf("%s/floor=%d", c.name, floor)
-			checkSpecMatches(t, label, &s, ObjTotalGFLOPS, c.m, c.apps, floor,
-				func() ([]int, Allocation, *Result, error) {
-					return s.BestPerNodeCountsFloor(c.m, c.apps, TotalGFLOPS, floor)
-				})
-			checkSpecMatches(t, label+"/nil-obj", &s, ObjTotalGFLOPS, c.m, c.apps, floor,
-				func() ([]int, Allocation, *Result, error) {
-					return s.BestPerNodeCountsFloor(c.m, c.apps, nil, floor)
-				})
-		}
-	}
-}
-
 // TestWeightedBoundAdmissiblePaperFixtures checks the weighted-priority
 // bound differentially: the pruned solve must return exactly what the
 // unpruned enumeration of the same objective returns. A single
@@ -119,7 +87,8 @@ func TestWeightedBoundAdmissiblePaperFixtures(t *testing.T) {
 }
 
 // TestMaxMinSpecMatchesLegacyObjective: the bound-free max-min spec
-// must land exactly where the legacy unpruned MinAppGFLOPS search does.
+// must land exactly where the bare MinAppGFLOPS objective does through
+// BoundFree.
 func TestMaxMinSpecMatchesLegacyObjective(t *testing.T) {
 	var s Search
 	m := machine.PaperModel()
@@ -127,7 +96,7 @@ func TestMaxMinSpecMatchesLegacyObjective(t *testing.T) {
 	for _, floor := range []int{0, 1} {
 		checkSpecMatches(t, fmt.Sprintf("max-min/floor=%d", floor), &s, ObjMaxMinGFLOPS, m, apps, floor,
 			func() ([]int, Allocation, *Result, error) {
-				return s.BestPerNodeCountsFloor(m, apps, MinAppGFLOPS, floor)
+				return s.BestPerNodeCountsFloorSpec(BoundFree(MinAppGFLOPS), nil, m, apps, floor)
 			})
 	}
 }
@@ -166,9 +135,9 @@ func TestWeightedBoundAdmissibleRandomized(t *testing.T) {
 
 // objectiveRound is one randomized objective-equivalence check, also
 // wired into FuzzEvaluatorEquivalence so the checked-in corpus replays
-// it: (1) total-GFLOPS through the spec interface vs the legacy entry
-// point, (2) weighted-priority pruned vs unpruned, (3) max-min spec vs
-// legacy MinAppGFLOPS — all bit-identical. Machines stay small so the
+// it: (1) total-GFLOPS vs the naive exhaustive scan, (2)
+// weighted-priority pruned vs unpruned, (3) max-min spec vs the bare
+// MinAppGFLOPS objective — all bit-identical. Machines stay small so the
 // unpruned references stay cheap.
 func objectiveRound(t *testing.T, r *rand.Rand) {
 	t.Helper()
@@ -196,16 +165,13 @@ func objectiveRound(t *testing.T, r *rand.Rand) {
 	}
 	floor := r.Intn(2)
 	var s Search
-	checkSpecMatches(t, fmt.Sprintf("rand/total floor=%d", floor), &s, ObjTotalGFLOPS, m, apps, floor,
-		func() ([]int, Allocation, *Result, error) {
-			return s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, floor)
-		})
+	checkSearchMatchesNaive(t, fmt.Sprintf("rand/total floor=%d", floor), &s, m, apps, ObjTotalGFLOPS, floor)
 	checkSpecMatches(t, fmt.Sprintf("rand/weighted floor=%d", floor), &s, ObjWeightedPriority, m, apps, floor,
 		func() ([]int, Allocation, *Result, error) {
 			return s.BestPerNodeCountsFloorSpec(strippedSpec{ObjWeightedPriority}, nil, m, apps, floor)
 		})
 	checkSpecMatches(t, fmt.Sprintf("rand/max-min floor=%d", floor), &s, ObjMaxMinGFLOPS, m, apps, floor,
 		func() ([]int, Allocation, *Result, error) {
-			return s.BestPerNodeCountsFloor(m, apps, MinAppGFLOPS, floor)
+			return s.BestPerNodeCountsFloorSpec(BoundFree(MinAppGFLOPS), nil, m, apps, floor)
 		})
 }

@@ -245,23 +245,3 @@ func EnumeratePerNodeCountsFloor(m *machine.Machine, nApps, floor int, fn func(c
 	rec(0, capCores)
 	return nil
 }
-
-// defaultSearch backs the package-level Best* helpers; sharing it lets
-// every caller reuse one Evaluator pool.
-var defaultSearch Search
-
-// BestPerNodeCounts exhaustively searches uniform per-node allocations
-// and returns the best one under obj.
-func BestPerNodeCounts(m *machine.Machine, apps []App, obj Objective) ([]int, Allocation, *Result, error) {
-	return defaultSearch.BestPerNodeCounts(m, apps, obj)
-}
-
-// BestPerNodeCountsFloor is BestPerNodeCounts with every app guaranteed
-// at least floor threads per node. It returns ErrNoAllocation when the
-// floors alone over-subscribe a node (more apps than cores). The search
-// runs through Search: memoized per-node evaluation, a branch-and-bound
-// prune for the total-GFLOPS objective, and parallel top-level branches
-// — returning exactly the allocation the exhaustive scan would.
-func BestPerNodeCountsFloor(m *machine.Machine, apps []App, obj Objective, floor int) ([]int, Allocation, *Result, error) {
-	return defaultSearch.BestPerNodeCountsFloor(m, apps, obj, floor)
-}

@@ -328,7 +328,7 @@ func TestOptimizerBeatsEven(t *testing.T) {
 func TestBestPerNodeCounts(t *testing.T) {
 	m := machine.PaperModel()
 	apps := paperApps()
-	counts, _, res, err := BestPerNodeCounts(m, apps, nil)
+	counts, _, res, err := new(Search).BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,10 @@ func intsEqual(a, b []int) bool {
 
 // checkSearchMatchesNaive runs both searches and demands identical
 // counts and bitwise-identical results (or the same error).
-func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.Machine, apps []App, obj Objective, floor int) {
+func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.Machine, apps []App, spec ObjectiveSpec, floor int) {
 	t.Helper()
-	wantCounts, wantRes, wantErr := naiveBestPerNodeCountsFloor(m, apps, obj, floor)
-	gotCounts, _, gotRes, gotErr := s.BestPerNodeCountsFloor(m, apps, obj, floor)
+	wantCounts, wantRes, wantErr := naiveBestPerNodeCountsFloor(m, apps, spec.Objective(apps), floor)
+	gotCounts, _, gotRes, gotErr := s.BestPerNodeCountsFloorSpec(spec, nil, m, apps, floor)
 	if wantErr != nil || gotErr != nil {
 		if !errors.Is(gotErr, ErrNoAllocation) || !errors.Is(wantErr, ErrNoAllocation) {
 			t.Fatalf("%s: error mismatch: naive %v, search %v", label, wantErr, gotErr)
@@ -95,9 +95,9 @@ func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.M
 }
 
 // TestSearchMatchesNaivePaperFixtures pins the pruned search to the
-// naive exhaustive scan on every paper fixture, with and without the
-// no-starvation floor, under both the pruned (TotalGFLOPS, nil) and
-// unpruned (MinAppGFLOPS) objectives.
+// naive exhaustive scan on every paper fixture at floors 0-2, under
+// the pruned specs (total-gflops, weighted-priority with unset weights)
+// and unpruned ones (max-min, bare objectives through BoundFree).
 func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 	var s Search
 	cases := []struct {
@@ -110,20 +110,17 @@ func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 		{"skylake", machine.SkylakeQuad(), tableIIIApps()},
 		{"skylake-bad", machine.SkylakeQuad(), tableIIIBadApps()},
 	}
-	objs := []struct {
-		name string
-		obj  Objective
-	}{
-		{"total", TotalGFLOPS},
-		{"nil", nil},
-		{"min-app", MinAppGFLOPS},
-		{"weighted", WeightedAppGFLOPS([]float64{3, 1, 1, 1})},
+	specs := []ObjectiveSpec{
+		ObjTotalGFLOPS,
+		ObjWeightedPriority,
+		ObjMaxMinGFLOPS,
+		BoundFree(WeightedAppGFLOPS([]float64{3, 1, 1, 1})),
 	}
 	for _, c := range cases {
-		for _, o := range objs {
-			for _, floor := range []int{0, 1} {
-				checkSearchMatchesNaive(t, fmt.Sprintf("%s/%s/floor=%d", c.name, o.name, floor),
-					&s, c.m, c.apps, o.obj, floor)
+		for _, spec := range specs {
+			for _, floor := range []int{0, 1, 2} {
+				checkSearchMatchesNaive(t, fmt.Sprintf("%s/%s/floor=%d", c.name, spec.Name(), floor),
+					&s, c.m, c.apps, spec, floor)
 			}
 		}
 	}
@@ -134,7 +131,7 @@ func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 // uneven split (1,1,1,5) at 254 GFLOPS.
 func TestSearchTableIOptimum(t *testing.T) {
 	var s Search
-	counts, _, res, err := s.BestPerNodeCountsFloor(machine.PaperModel(), paperApps(), TotalGFLOPS, 1)
+	counts, _, res, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, machine.PaperModel(), paperApps(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,24 +150,18 @@ func TestSearchMatchesNaiveRandomized(t *testing.T) {
 		m := randomMachine(r)
 		apps := randomApps(r, m)
 		floor := r.Intn(3)
-		var obj Objective
-		switch r.Intn(3) {
-		case 0:
-			obj = TotalGFLOPS
-		case 1:
-			obj = nil
-		default:
-			obj = MinAppGFLOPS
+		spec := ObjTotalGFLOPS
+		if r.Intn(3) == 2 {
+			spec = BoundFree(MinAppGFLOPS)
 		}
-		checkSearchMatchesNaive(t, fmt.Sprintf("seed=%d", seed), &s, m, apps, obj, floor)
+		checkSearchMatchesNaive(t, fmt.Sprintf("seed=%d", seed), &s, m, apps, spec, floor)
 	}
 }
 
 // floorSearchRound is the fuzz limb behind the fleet placer's scoring
 // path: a small random machine and a demand set with a guaranteed
 // NUMA-bad app, solved under a no-starvation floor >= 1 (the
-// BestPerNodeCountsFloor configuration fleetd scores every placement
-// with) and checked against the naive exhaustive reference. Machines
+// configuration fleetd scores every placement with) and checked against the naive exhaustive reference. Machines
 // stay small (<= 3 nodes, <= 6 cores) so the naive recursion is cheap
 // inside the fuzz loop.
 func floorSearchRound(t *testing.T, r *rand.Rand) {
@@ -205,13 +196,13 @@ func floorSearchRound(t *testing.T, r *rand.Rand) {
 	bad := r.Intn(nApps)
 	apps[bad].Placement = NUMABad
 	apps[bad].HomeNode = machine.NodeID(r.Intn(nNodes))
-	obj := Objective(TotalGFLOPS)
+	spec := ObjTotalGFLOPS
 	if r.Intn(3) == 0 {
-		obj = MinAppGFLOPS
+		spec = ObjMaxMinGFLOPS
 	}
 	floor := 1 + r.Intn(2)
 	var s Search
-	checkSearchMatchesNaive(t, fmt.Sprintf("floor=%d numa-bad=%d", floor, bad), &s, m, apps, obj, floor)
+	checkSearchMatchesNaive(t, fmt.Sprintf("floor=%d numa-bad=%d", floor, bad), &s, m, apps, spec, floor)
 }
 
 // TestSearchParallelDeterministic forces the parallel fan-out path
@@ -236,7 +227,7 @@ func TestSearchParallelDeterministic(t *testing.T) {
 	for _, par := range []int{0, 1, 3, 8} {
 		s := Search{Parallelism: par}
 		for run := 0; run < 2; run++ {
-			gotCounts, _, gotRes, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, 1)
+			gotCounts, _, gotRes, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 1)
 			if err != nil {
 				t.Fatalf("par=%d run=%d: %v", par, run, err)
 			}
@@ -256,11 +247,11 @@ func TestSearchNoAllocation(t *testing.T) {
 	var s Search
 	m := machine.PaperModel() // 8 cores per node
 	apps := paperApps()       // 4 apps; floor 3 needs 12 cores per node
-	if _, _, _, err := s.BestPerNodeCountsFloor(m, apps, TotalGFLOPS, 3); !errors.Is(err, ErrNoAllocation) {
+	if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 3); !errors.Is(err, ErrNoAllocation) {
 		t.Errorf("over-subscribing floor: err = %v, want ErrNoAllocation", err)
 	}
 	bad := []App{{Name: "neg", AI: -2}}
-	if _, _, _, err := s.BestPerNodeCountsFloor(m, bad, TotalGFLOPS, 0); !errors.Is(err, ErrNoAllocation) {
+	if _, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, bad, 0); !errors.Is(err, ErrNoAllocation) {
 		t.Errorf("invalid app: err = %v, want ErrNoAllocation", err)
 	}
 }

@@ -1,0 +1,261 @@
+// Package solvecache is the one content-addressed memo between a demand
+// set and its solved optimum. coopd's ctrlplane.Solver and fleetd's
+// fleet.Scorer both key their solves through Key and store them in a
+// Cache; nothing else in the repository encodes demand keys, bounds an
+// LRU or memoizes topology hashes.
+//
+// Key layout: 8-byte big-endian topology hash, one tag-length byte and
+// the caller's tag (the policy or objective the values were solved
+// under), then one SegBytes-wide segment per app in sorted order. Apps
+// with equal segments are interchangeable to the solver, so permuted or
+// renamed demand sets deliberately collide; any change to the demand
+// multiset changes the key, so entries are never invalidated — stale
+// ones age out of the LRU.
+package solvecache
+
+import (
+	"bytes"
+	"container/list"
+	"encoding/binary"
+	"math"
+	"sync"
+
+	"repro/internal/machine"
+	"repro/internal/roofline"
+)
+
+// SegBytes is the fixed width of one app's key segment: 8-byte AI float
+// bits, 1 placement byte, 4-byte home node, 8-byte objective weight
+// bits, 4-byte thread cap — every per-app field a cached value can
+// depend on (names excluded on purpose).
+const SegBytes = 25
+
+// maxTopoEntries bounds the pointer-keyed topology-hash memo; past it
+// the map is simply dropped (hashes recompute in microseconds).
+const maxTopoEntries = 8192
+
+// TopologyHash fingerprints a machine for cache keying; two machines
+// with identical topologies (name, nodes, links) share solutions. The
+// hash walks the fields directly (FNV-64a) so keying allocates nothing.
+func TopologyHash(m *machine.Machine) uint64 {
+	const (
+		offset64 = 0xcbf29ce484222325
+		prime64  = 0x100000001b3
+	)
+	h := uint64(offset64)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime64
+			v >>= 8
+		}
+	}
+	for i := 0; i < len(m.Name); i++ {
+		h ^= uint64(m.Name[i])
+		h *= prime64
+	}
+	mix(uint64(len(m.Nodes)))
+	for _, n := range m.Nodes {
+		mix(uint64(n.Cores))
+		mix(math.Float64bits(n.PeakGFLOPS))
+		mix(math.Float64bits(n.MemBandwidth))
+	}
+	if m.LinkBandwidth == nil {
+		mix(0)
+		return h
+	}
+	mix(1)
+	for _, row := range m.LinkBandwidth {
+		for _, bw := range row {
+			mix(math.Float64bits(bw))
+		}
+	}
+	return h
+}
+
+// Key builds one demand set's cache key in a reused buffer: Reset, one
+// Add per app, then Sort. The zero value is ready to use.
+type Key struct {
+	buf  []byte
+	segs int // offset of the first segment in buf
+	perm []int
+}
+
+// Reset starts a key for a machine with the given topology hash, solved
+// under tag (at most 255 bytes).
+func (k *Key) Reset(topoHash uint64, tag string) {
+	k.buf = binary.BigEndian.AppendUint64(k.buf[:0], topoHash)
+	k.buf = append(k.buf, byte(len(tag)))
+	k.buf = append(k.buf, tag...)
+	k.segs = len(k.buf)
+}
+
+// Add appends one app's segment; maxThreads 0 means uncapped.
+func (k *Key) Add(a *roofline.App, maxThreads int) {
+	k.buf = binary.BigEndian.AppendUint64(k.buf, math.Float64bits(a.AI))
+	k.buf = append(k.buf, byte(a.Placement))
+	k.buf = binary.BigEndian.AppendUint32(k.buf, uint32(int32(a.HomeNode)))
+	k.buf = binary.BigEndian.AppendUint64(k.buf, math.Float64bits(a.Weight))
+	k.buf = binary.BigEndian.AppendUint32(k.buf, uint32(maxThreads))
+}
+
+// Sort puts the segments into canonical order and returns the finished
+// key with the permutation that produced it: slot s of the key holds
+// the perm[s]-th added app. Both slices are valid until the next Reset.
+// Apps with equal segments keep their Add order unless before (which
+// may be nil) says app i must precede app j. Insertion sort: demand
+// sets are small and arrive mostly sorted, and it allocates nothing.
+func (k *Key) Sort(before func(i, j int) bool) (key []byte, perm []int) {
+	segs := k.buf[k.segs:]
+	n := len(segs) / SegBytes
+	if cap(k.perm) < n {
+		k.perm = make([]int, n)
+	}
+	k.perm = k.perm[:n]
+	for i := range k.perm {
+		k.perm[i] = i
+	}
+	var x [SegBytes]byte
+	for i := 1; i < n; i++ {
+		copy(x[:], segs[i*SegBytes:])
+		j := i
+		for ; j > 0; j-- {
+			prev := segs[(j-1)*SegBytes : j*SegBytes]
+			c := bytes.Compare(prev, x[:])
+			if c < 0 || (c == 0 && (before == nil || !before(i, k.perm[j-1]))) {
+				break
+			}
+			copy(segs[j*SegBytes:], prev)
+			k.perm[j] = k.perm[j-1]
+		}
+		copy(segs[j*SegBytes:], x[:])
+		k.perm[j] = i
+	}
+	return k.buf, k.perm
+}
+
+// Counters are a Cache's cumulative hit/miss/coalesce counts and its
+// current size, in the form both daemons serve them.
+type Counters struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Coalesced counts solves that joined an identical in-flight solve
+	// (singleflight) instead of running their own.
+	Coalesced uint64 `json:"coalesced,omitempty"`
+	Entries   int    `json:"entries"`
+}
+
+type entry[V any] struct {
+	key string
+	val V
+}
+
+// call is one in-progress solve; followers of the same key block on
+// done instead of re-running it.
+type call[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// Cache is a bounded LRU from Key bytes to solved values with
+// singleflight collapsing of concurrent identical solves. Values must
+// be treated as immutable once returned. Safe for concurrent use.
+type Cache[V any] struct {
+	capacity int
+
+	mu        sync.Mutex
+	entries   map[string]*list.Element // -> *entry[V]
+	lru       list.List                // front: most recently used
+	flight    map[string]*call[V]
+	topo      map[*machine.Machine]uint64
+	hits      uint64
+	misses    uint64
+	coalesced uint64
+}
+
+// New returns a cache holding at most capacity entries; past it the
+// least-recently-used entry is evicted, so a demand mix cycling past the
+// bound keeps its working set.
+func New[V any](capacity int) *Cache[V] {
+	return &Cache[V]{
+		capacity: capacity,
+		entries:  map[string]*list.Element{},
+		flight:   map[string]*call[V]{},
+		topo:     map[*machine.Machine]uint64{},
+	}
+}
+
+// Counters returns the cache's counters.
+func (c *Cache[V]) Counters() Counters {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Counters{Hits: c.hits, Misses: c.misses, Coalesced: c.coalesced, Entries: len(c.entries)}
+}
+
+// TopologyHash is TopologyHash memoized by machine pointer: callers pass
+// the same *Machine until a re-poll or restart replaces it, so the
+// steady state never re-hashes.
+func (c *Cache[V]) TopologyHash(m *machine.Machine) uint64 {
+	c.mu.Lock()
+	h, ok := c.topo[m]
+	c.mu.Unlock()
+	if ok {
+		return h
+	}
+	h = TopologyHash(m)
+	c.mu.Lock()
+	if len(c.topo) >= maxTopoEntries {
+		clear(c.topo)
+	}
+	c.topo[m] = h
+	c.mu.Unlock()
+	return h
+}
+
+// Do returns the value cached under key, joins an in-flight solve of
+// the same key, or runs solve and caches its result. hit reports that
+// this call did not run solve itself. Errors are returned to the leader
+// and every follower but never cached: they are rare (invalid demand)
+// and re-solving keeps the memo free of negative entries. A hit
+// allocates nothing; key may be reused as soon as Do returns.
+func (c *Cache[V]) Do(key []byte, solve func() (V, error)) (val V, hit bool, err error) {
+	c.mu.Lock()
+	if el, ok := c.entries[string(key)]; ok {
+		c.lru.MoveToFront(el)
+		c.hits++
+		val = el.Value.(*entry[V]).val
+		c.mu.Unlock()
+		return val, true, nil
+	}
+	if fc, ok := c.flight[string(key)]; ok {
+		// A solve for this exact key is running; wait for its result
+		// instead of duplicating the work (heartbeat storms after a
+		// restart all carry the same demand set).
+		c.coalesced++
+		c.mu.Unlock()
+		<-fc.done
+		return fc.val, fc.err == nil, fc.err
+	}
+	c.misses++
+	k := string(key) // the one per-distinct-miss allocation
+	fc := &call[V]{done: make(chan struct{})}
+	c.flight[k] = fc
+	c.mu.Unlock()
+
+	fc.val, fc.err = solve()
+
+	c.mu.Lock()
+	if fc.err == nil {
+		c.entries[k] = c.lru.PushFront(&entry[V]{key: k, val: fc.val})
+		for len(c.entries) > c.capacity {
+			back := c.lru.Back()
+			c.lru.Remove(back)
+			delete(c.entries, back.Value.(*entry[V]).key)
+		}
+	}
+	delete(c.flight, k)
+	c.mu.Unlock()
+	close(fc.done)
+	return fc.val, false, fc.err
+}

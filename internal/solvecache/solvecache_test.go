@@ -1,0 +1,107 @@
+package solvecache
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"repro/internal/roofline"
+)
+
+// TestKeySortCanonical: any Add order of the same demand multiset
+// yields the same key, perm maps slots back to Add order, equal
+// segments keep Add order unless before reorders them, and every keyed
+// field (and the tag) separates keys.
+func TestKeySortCanonical(t *testing.T) {
+	apps := []roofline.App{
+		{Name: "c", AI: 10},
+		{Name: "m1", AI: 0.5},
+		{Name: "bad", AI: 0.5, Placement: roofline.NUMABad, HomeNode: 2},
+		{Name: "m2", AI: 0.5},
+	}
+	build := func(tag string, order []int, before func(i, j int) bool) ([]byte, []int) {
+		var k Key
+		k.Reset(42, tag)
+		for _, i := range order {
+			k.Add(&apps[i], 0)
+		}
+		key, perm := k.Sort(before)
+		return append([]byte(nil), key...), append([]int(nil), perm...)
+	}
+	want, perm := build("t", []int{0, 1, 2, 3}, nil)
+	if got := []int{1, 3, 2, 0}; !equalInts(perm, got) {
+		t.Errorf("perm = %v, want %v (AI 0.5 perfect ×2 in Add order, then the NUMA-bad one, then AI 10)", perm, got)
+	}
+	key, perm := build("t", []int{3, 2, 1, 0}, nil)
+	if !bytes.Equal(key, want) {
+		t.Errorf("permuted Add order changed the key")
+	}
+	if got := []int{0, 2, 1, 3}; !equalInts(perm, got) {
+		t.Errorf("permuted perm = %v, want %v", perm, got)
+	}
+	// before: the later-added of the two equal apps claims the earlier slot.
+	_, perm = build("t", []int{0, 1, 2, 3}, func(i, j int) bool { return i > j })
+	if got := []int{3, 1, 2, 0}; !equalInts(perm, got) {
+		t.Errorf("tie-broken perm = %v, want %v", perm, got)
+	}
+	if other, _ := build("u", []int{0, 1, 2, 3}, nil); bytes.Equal(other, want) {
+		t.Error("tag does not separate keys")
+	}
+
+	base := roofline.App{AI: 1}
+	variants := []struct {
+		app roofline.App
+		cap int
+	}{
+		{roofline.App{AI: 2}, 0},
+		{roofline.App{AI: 1, Placement: roofline.NUMABad}, 0},
+		{roofline.App{AI: 1, HomeNode: 1}, 0},
+		{roofline.App{AI: 1, Weight: 4}, 0},
+		{base, 3},
+	}
+	var k Key
+	k.Reset(1, "")
+	k.Add(&base, 0)
+	ref, _ := k.Sort(nil)
+	ref = append([]byte(nil), ref...)
+	for i, v := range variants {
+		k.Reset(1, "")
+		k.Add(&v.app, v.cap)
+		if got, _ := k.Sort(nil); bytes.Equal(got, ref) {
+			t.Errorf("variant %d aliases the base key", i)
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDoErrorsAreNotCached: a failed solve is reported, counted as a
+// miss and retried by the next caller; the success that follows is
+// served from the cache.
+func TestDoErrorsAreNotCached(t *testing.T) {
+	c := New[int](2)
+	boom := errors.New("boom")
+	key := []byte("k")
+	if _, hit, err := c.Do(key, func() (int, error) { return 0, boom }); hit || !errors.Is(err, boom) {
+		t.Fatalf("failed solve: hit=%v err=%v", hit, err)
+	}
+	if v, hit, err := c.Do(key, func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
+		t.Fatalf("retry: v=%d hit=%v err=%v", v, hit, err)
+	}
+	if v, hit, err := c.Do(key, func() (int, error) { t.Fatal("solved a cached key"); return 0, nil }); v != 7 || !hit || err != nil {
+		t.Fatalf("cached: v=%d hit=%v err=%v", v, hit, err)
+	}
+	if got, want := c.Counters(), (Counters{Hits: 1, Misses: 2, Entries: 1}); got != want {
+		t.Errorf("counters = %+v, want %+v", got, want)
+	}
+}
