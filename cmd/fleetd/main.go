@@ -77,17 +77,17 @@ func main() {
 	poll := flag.Duration("poll", 2*time.Second, "inventory poll interval")
 	rebalance := flag.Duration("rebalance", 10*time.Second, "rebalance round interval")
 	failAfter := flag.Int("fail-after", 3, "consecutive failed polls before a machine is declared dead")
-	maxMoves := flag.Int("max-moves", 4, "max app moves per rebalance round")
-	threshold := flag.Float64("threshold", 0.9, "rebalance when fleet GFLOPS falls below this fraction of the re-pack optimum")
+	maxMoves := flag.Int("max-moves", fleet.DefaultMaxMovesPerRound, "max app moves per rebalance round")
+	threshold := flag.Float64("threshold", fleet.DefaultThreshold, "rebalance when fleet GFLOPS falls below this fraction of the re-pack optimum")
 	spread := flag.Bool("spread", false, "spread cooperating app groups across failure domains on score ties")
 	objective := flag.String("objective", "", "placement objective: total-gflops (default), weighted-priority, or max-min")
 	noPreempt := flag.Bool("no-preempt", false, "disable priority preemption (inversion repair and gang-admission eviction)")
-	stormFraction := flag.Float64("storm-fraction", 0, "down-member fraction that trips degraded-mode triage (0: default 0.25)")
+	stormFraction := flag.Float64("storm-fraction", fleet.DefaultStormFraction, "down-member fraction that trips degraded-mode triage")
 	stormBudget := flag.Int("storm-budget", 0, "max urgent moves per degraded round (0: max-moves)")
-	admissionCap := flag.Int("admission-cap", 0, "max storm evacuations one survivor admits per round (0: default 2)")
-	flapCount := flag.Int("flap-count", 0, "alive<->dead transitions inside the flap window before quarantine (0: default 4, negative: disabled)")
-	flapWindow := flag.Duration("flap-window", 0, "flap detector sliding window (0: default 1m)")
-	quarantineBackoff := flag.Duration("quarantine-backoff", 0, "first quarantine re-admission backoff, doubling per repeat (0: default 30s)")
+	admissionCap := flag.Int("admission-cap", fleet.DefaultAdmissionCap, "max storm evacuations one survivor admits per round")
+	flapCount := flag.Int("flap-count", fleet.DefaultFlapCount, "alive<->dead transitions inside the flap window before quarantine (negative: disabled)")
+	flapWindow := flag.Duration("flap-window", fleet.DefaultFlapWindow, "flap detector sliding window")
+	quarantineBackoff := flag.Duration("quarantine-backoff", fleet.DefaultQuarantineBackoff, "first quarantine re-admission backoff, doubling per repeat")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty: disabled)")
 	flag.Parse()
 

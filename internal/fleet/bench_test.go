@@ -95,7 +95,7 @@ func BenchmarkPlacementWarm100Machines(b *testing.B) {
 	members := benchMembers(100)
 	sc := NewScorer()
 	spec := AppSpec{Name: "incoming", AI: 2}
-	cands := candidatesFrom(members)
+	cands := new(candidateSet).reset(members, true, false)
 	if _, _, err := sc.decide(spec, cands); err != nil {
 		b.Fatal(err)
 	}

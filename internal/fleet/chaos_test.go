@@ -34,7 +34,7 @@ func TestChaosFleetMachineKillAndRevival(t *testing.T) {
 	inv.Poll(ctx)
 	sc := NewScorer()
 	pl := &Placer{Inv: inv, Scorer: sc, Logf: t.Logf}
-	reb := &Rebalancer{Inv: inv, Placer: pl, Scorer: sc, MaxMovesPerRound: 4, Logf: t.Logf}
+	reb := &Rebalancer{Inv: inv, Scorer: sc, MaxMovesPerRound: 4, Logf: t.Logf}
 
 	for _, spec := range tableIMixSpecs() {
 		if _, _, err := pl.Place(ctx, spec); err != nil {

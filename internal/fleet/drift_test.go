@@ -76,7 +76,6 @@ func TestRebalanceMovesDriftedApp(t *testing.T) {
 	sc := NewScorer()
 	reb := &Rebalancer{
 		Inv:              inv,
-		Placer:           &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 		Scorer:           sc,
 		MaxMovesPerRound: 4,
 		Logf:             t.Logf,
@@ -169,7 +168,6 @@ func TestPlanDriftStaysPutWhenNoGain(t *testing.T) {
 	sc := NewScorer()
 	reb := &Rebalancer{
 		Inv:              inv,
-		Placer:           &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 		Scorer:           sc,
 		MaxMovesPerRound: 4,
 		Logf:             t.Logf,

@@ -12,7 +12,11 @@
 //
 //   - Inventory polls member machines' coopd endpoints (topology,
 //     registered apps, solved allocation) and tracks health; a member
-//     that fails several consecutive polls is declared dead.
+//     that fails several consecutive polls is declared dead. It also
+//     holds the fleet's name-keyed soft state (priority classes, stale
+//     re-homed IDs, the cooldown clock) and the executor — register,
+//     deregister, relocate — the only code that changes what is
+//     registered where.
 //   - Placer scores an incoming app against every healthy member and
 //     registers it on the best bin, with anti-affinity for NUMA-bad
 //     apps (two all-data-on-one-node demand sets on one machine fight
@@ -24,12 +28,18 @@
 //     exceeds a threshold. Moves per round are capped so a rebalance
 //     never storms the fleet.
 //
+// All planning — a placement, a gang, each rebalancer pass — runs in a
+// session (session.go): built from one inventory snapshot, it owns the
+// candidates, the filtered-decision primitive (pick), and the ledger
+// every Move is recorded and budgeted through; it does no I/O. The
+// executor applies what a session planned.
+//
 // On top of single-app placement sit gangs — all-or-nothing replica
 // sets with pack/spread/strict-spread policies (gang.go) — and
 // priority classes (system > latency > batch, priority.go): a higher
 // class that cannot be admitted floor-feasibly preempts the cheapest
-// lower-class apps (preempt.go), and the placement objective itself is
-// pluggable (Scorer.Objective, roofline.ObjectiveSpec).
+// lower-class apps (session.evict), and the placement objective itself
+// is pluggable (Scorer.Objective, roofline.ObjectiveSpec).
 //
 // cmd/fleetd serves the subsystem over HTTP (/v1/fleet/place,
 // /v1/fleet/gang, /v1/fleet/machines, /v1/fleet/plan, /v1/fleet/drain)
@@ -221,6 +231,22 @@ func (m *Member) Healthy() bool { return !m.Dead && !m.Quarantined && m.Topology
 // like stale-duplicate cleanup and drain-style deregistration.
 func (m *Member) Alive() bool { return !m.Dead && m.Topology != nil }
 
+// status is the member's one-word health, as /v1/fleet/machines and
+// /healthz report it.
+func (m *Member) status() string {
+	switch {
+	case m.Quarantined:
+		return StatusQuarantined
+	case m.Dead:
+		return StatusDead
+	case m.Topology == nil:
+		return StatusUnknown
+	case m.Failures > 0:
+		return StatusSuspect
+	}
+	return StatusHealthy
+}
+
 // NUMABadApps counts the member's numa-bad registrations — the
 // anti-affinity input.
 func (m *Member) NUMABadApps() int {
@@ -231,25 +257,4 @@ func (m *Member) NUMABadApps() int {
 		}
 	}
 	return n
-}
-
-// appendDemandSet appends the apps' scoring form to dst — the
-// append-style core of Member.demandSet, so hot paths (candidate
-// resets, rebalancer passes) rebuild demand sets into reused backing
-// arrays. Apps with specs the model rejects (should not happen — coopd
-// validated them) are skipped.
-func appendDemandSet(dst []roofline.App, apps []PlacedApp) []roofline.App {
-	for _, a := range apps {
-		ra, err := a.EffectiveSpec().rooflineApp()
-		if err != nil {
-			continue
-		}
-		dst = append(dst, ra)
-	}
-	return dst
-}
-
-// demandSet converts the member's apps for scoring into a fresh slice.
-func (m *Member) demandSet() []roofline.App {
-	return appendDemandSet(make([]roofline.App, 0, len(m.Apps)), m.Apps)
 }

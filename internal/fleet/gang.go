@@ -120,7 +120,7 @@ type gangMember struct {
 //
 // Higher-class gangs preempt: when the best bin for a member would
 // over-subscribe its floor capacity, the cheapest lower-class apps
-// there are re-homed (see planEvictions) before the member lands.
+// there are re-homed (see session.evict) before the member lands.
 func (p *Placer) PlaceGang(ctx context.Context, g GangSpec) (*GangResult, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -132,70 +132,48 @@ func (p *Placer) PlaceGang(ctx context.Context, g GangSpec) (*GangResult, error)
 	return p.executeGang(ctx, g, plan)
 }
 
-// planGang decides every member (and any preemption) against a
-// simulated candidate set without touching any machine.
+// planGang decides every member (and any preemption) in one planning
+// session, without touching any machine.
 func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
-	members := p.Inv.Snapshot()
 	policy := g.policy()
 	// Domain state is needed whenever the policy spreads, even if the
 	// scorer's global domain tie-break is off.
 	spread := p.Scorer.DomainSpread || policy != GangPack
-	cs := candSets.Get().(*candidateSet)
-	defer candSets.Put(cs)
-	cands := cs.reset(members, true, spread)
-	if len(cands) == 0 {
+	s := openSession(p.Scorer, p.Inv, spread)
+	defer s.close()
+	if len(s.cands) == 0 {
 		return nil, ErrNoCandidate
 	}
-	appsByID := make(map[string][]PlacedApp, len(members))
-	for i := range members {
-		appsByID[members[i].ID] = members[i].Apps
-	}
 	rank := ClassRank(g.App.Priority)
-	var ranks map[string]int
 
 	plan := &gangPlan{}
 	chosen := make(map[string]bool, g.Replicas) // member IDs hosting the gang
 	domUsed := make(map[string]int, g.Replicas) // gang members per domain
-	pool := make([]*candidate, 0, len(cands))   // per-member filtered view
 	for i := 0; i < g.Replicas; i++ {
 		spec := g.member(i)
-		pool = pool[:0]
+		var keep func(*candidate) bool
 		switch policy {
 		case GangPack:
-			for _, c := range cands {
-				if chosen[c.id] {
-					pool = append(pool, c)
-				}
-			}
+			keep = func(c *candidate) bool { return chosen[c.id] }
 		case GangSpread:
 			// Prefer untouched domains; once every domain hosts a member,
 			// prefer the least-loaded ones.
-			minUsed := -1
-			for _, c := range cands {
-				if minUsed < 0 || domUsed[c.domain] < minUsed {
-					minUsed = domUsed[c.domain]
-				}
+			minUsed := domUsed[s.cands[0].domain]
+			for _, c := range s.cands {
+				minUsed = min(minUsed, domUsed[c.domain])
 			}
-			for _, c := range cands {
-				if domUsed[c.domain] == minUsed {
-					pool = append(pool, c)
-				}
-			}
+			keep = func(c *candidate) bool { return domUsed[c.domain] == minUsed }
 		case GangStrictSpread:
-			for _, c := range cands {
-				if domUsed[c.domain] == 0 {
-					pool = append(pool, c)
-				}
-			}
-			if len(pool) == 0 {
-				return nil, fmt.Errorf("fleet: gang %s: no unused failure domain for member %d of %d (strict-spread)",
-					g.Name, i+1, g.Replicas)
-			}
+			keep = func(c *candidate) bool { return domUsed[c.domain] == 0 }
 		}
-		d, c, err := p.Scorer.decide(spec, pool)
-		if err != nil && policy == GangPack {
+		d, c, err := s.pick(spec, keep)
+		switch {
+		case err != nil && policy == GangPack:
 			// Packed bins full (or none yet): spill to the whole fleet.
-			d, c, err = p.Scorer.decide(spec, cands)
+			d, c, err = s.pick(spec, nil)
+		case policy == GangStrictSpread && len(s.pool) == 0:
+			return nil, fmt.Errorf("fleet: gang %s: no unused failure domain for member %d of %d (strict-spread)",
+				g.Name, i+1, g.Replicas)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fleet: gang %s: member %d of %d: %w", g.Name, i+1, g.Replicas, err)
@@ -203,24 +181,21 @@ func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
 		if d.Starved && rank > 0 && !p.DisablePreemption {
 			// Make floor room: evict the cheapest lower-class apps from
 			// the chosen bin, then re-take the decision against it.
-			if ranks == nil {
-				ranks = hostRanks(members)
-			}
 			need := len(c.demand) + 1 - FloorCapacity(c.topo)
-			if moves := p.Scorer.planEvictions(c, appsByID[c.id], rank, need, cands, ranks, nil); len(moves) > 0 {
-				plan.victims = append(plan.victims, moves...)
-				if d2, c2, err2 := p.Scorer.decide(spec, []*candidate{c}); err2 == nil {
-					d, c = d2, c2
+			if len(s.evict(c, rank, need)) > 0 {
+				if d2, _, err := s.pick(spec, func(cc *candidate) bool { return cc == c }); err == nil {
+					d = d2
 				}
 			}
 		}
-		c.commit(spec)
+		c.commit(spec, "")
 		chosen[c.id] = true
 		if spread {
 			domUsed[c.domain]++
 		}
 		plan.members = append(plan.members, gangMember{spec: spec, member: d.Member, score: d.Score})
 	}
+	plan.victims = s.moves
 	return plan, nil
 }
 
@@ -230,76 +205,43 @@ func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
 func (p *Placer) executeGang(ctx context.Context, g GangSpec, plan *gangPlan) (*GangResult, error) {
 	res := &GangResult{Name: g.Name, Policy: g.policy()}
 	for _, mv := range plan.victims {
-		src, err := p.Inv.Client(mv.From)
-		if err != nil {
-			continue
-		}
-		if err := src.Deregister(ctx, mv.AppID); err != nil {
+		if _, err := p.Inv.relocate(ctx, mv); err != nil {
 			// The victim stays put; the gang proceeds (possibly starved)
 			// and the rebalancer's repair pass retries next round.
-			p.logf("fleet: gang %s: draining victim %s from %s: %v", g.Name, mv.AppID, mv.From, err)
+			p.logf("fleet: gang %s: victim: %v", g.Name, err)
 			continue
-		}
-		p.Inv.noteDeregistered(mv.From, mv.AppID)
-		dst, err := p.Inv.Client(mv.To)
-		if err != nil {
-			continue
-		}
-		resp, err := dst.Register(ctx, mv.App.registerRequest())
-		if err != nil {
-			p.logf("fleet: gang %s: re-homing victim %s to %s: %v", g.Name, mv.AppID, mv.To, err)
-			continue
-		}
-		p.Inv.noteRegistered(mv.To, mv.App.placed(resp.ID))
-		if p.OnMoved != nil {
-			p.OnMoved(mv.App.Name)
 		}
 		res.Preempted = append(res.Preempted, mv)
 		p.logf("fleet: gang %s: preempted %s (%s) %s -> %s", g.Name, mv.AppID, mv.App.Priority, mv.From, mv.To)
 	}
 
-	registered := make([]GangPlacement, 0, len(plan.members))
-	rollback := func(cause error) error {
-		for _, gp := range registered {
-			cli, err := p.Inv.Client(gp.Member)
-			if err == nil {
-				err = cli.Deregister(ctx, gp.App.ID)
-			}
-			if err != nil {
-				// Unreachable mid-rollback: mark the orphan stale so the
-				// rebalancer's duplicate cleanup removes it when the
-				// machine answers again.
-				p.Inv.noteStale(gp.Member, gp.App.ID)
-				p.logf("fleet: gang %s: rollback of %s on %s failed (marked stale): %v",
-					g.Name, gp.App.ID, gp.Member, err)
-			}
-			p.Inv.noteDeregistered(gp.Member, gp.App.ID)
-		}
-		return fmt.Errorf("fleet: gang %s: admission failed, rolled back %d registered members: %w",
-			g.Name, len(registered), cause)
-	}
 	for _, m := range plan.members {
-		cli, err := p.Inv.Client(m.member)
+		placed, err := p.Inv.register(ctx, m.member, m.spec)
 		if err != nil {
-			return nil, rollback(err)
+			return nil, p.rollbackGang(ctx, g, res.Placements,
+				fmt.Errorf("registering %q on %s: %w", m.spec.Name, m.member, err))
 		}
-		resp, err := cli.Register(ctx, m.spec.registerRequest())
-		if err != nil {
-			return nil, rollback(fmt.Errorf("registering %q on %s: %w", m.spec.Name, m.member, err))
-		}
-		placed := m.spec.placed(resp.ID)
-		p.Inv.noteRegistered(m.member, placed)
-		registered = append(registered, GangPlacement{App: placed, Member: m.member, Score: m.score})
+		res.Placements = append(res.Placements, GangPlacement{App: placed, Member: m.member, Score: m.score})
 	}
-	res.Placements = registered
 	for _, gp := range res.Placements {
 		p.logf("fleet: gang %s: %s on %s (marginal %+.1f GFLOPS)", g.Name, gp.App.ID, gp.Member, gp.Score)
 	}
 	return res, nil
 }
 
-func (p *Placer) logf(format string, args ...any) {
-	if p.Logf != nil {
-		p.Logf(format, args...)
+// rollbackGang deregisters the members admitted before cause, so no
+// partial gang survives.
+func (p *Placer) rollbackGang(ctx context.Context, g GangSpec, registered []GangPlacement, cause error) error {
+	for _, gp := range registered {
+		if err := p.Inv.deregister(ctx, gp.Member, gp.App.ID); err != nil {
+			// Unreachable mid-rollback: mark the orphan stale so the
+			// rebalancer's duplicate cleanup removes it when the
+			// machine answers again.
+			p.Inv.noteStale(gp.Member, gp.App.ID)
+			p.logf("fleet: gang %s: rollback of %s on %s failed (marked stale): %v",
+				g.Name, gp.App.ID, gp.Member, err)
+		}
 	}
+	return fmt.Errorf("fleet: gang %s: admission failed, rolled back %d registered members: %w",
+		g.Name, len(registered), cause)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,25 +47,35 @@ type InventoryConfig struct {
 	Clock func() time.Time
 	// FlapCount is the flap detector's trigger: this many alive<->dead
 	// transitions within FlapWindow quarantine the member instead of
-	// letting it oscillate against the rebalancer. 0 selects the default
-	// (4, i.e. two full die/revive cycles); negative disables
+	// letting it oscillate against the rebalancer. 0 selects
+	// DefaultFlapCount (two full die/revive cycles); negative disables
 	// quarantining entirely — only for A/B regression experiments.
 	FlapCount int
-	// FlapWindow is the flap detector's sliding window (default 60s).
+	// FlapWindow is the flap detector's sliding window (0:
+	// DefaultFlapWindow).
 	FlapWindow time.Duration
 	// QuarantineBackoff is the first quarantine's re-admission backoff;
 	// each consecutive quarantine doubles it, capped at
-	// QuarantineMaxBackoff. Defaults 30s and 10m.
+	// QuarantineMaxBackoff. Defaults DefaultQuarantineBackoff and 10m.
 	QuarantineBackoff    time.Duration
 	QuarantineMaxBackoff time.Duration
 	// Logf, when set, receives state-transition logs.
 	Logf func(format string, args ...any)
 }
 
+// Flap-detector defaults (fleetd's flag help prints them).
+const (
+	DefaultFlapCount         = 4
+	DefaultFlapWindow        = time.Minute
+	DefaultQuarantineBackoff = 30 * time.Second
+)
+
 // Inventory tracks the fleet's member machines: their topology, demand
-// set, and health, refreshed by polling each member's coopd API. All
-// methods are safe for concurrent use; Poll holds no lock during
-// network calls, so reads stay fast while a member times out.
+// set, and health, refreshed by polling each member's coopd API — plus
+// the fleet's name-keyed soft state no member knows: priority classes,
+// stale re-homed IDs, and the cooldown clock. All methods are safe for
+// concurrent use; Poll holds no lock during network calls, so reads
+// stay fast while a member times out.
 type Inventory struct {
 	cfg InventoryConfig
 
@@ -80,6 +91,12 @@ type Inventory struct {
 	// map is bounded by the number of distinct app names the fleet has
 	// ever placed with a non-default class.
 	priorities map[string]string
+
+	// round counts executed rebalance rounds; lastMove records, per app
+	// name, the round in which its last cooldown-starting move executed
+	// (see noteMoved).
+	round    uint64
+	lastMove map[string]uint64
 }
 
 // member is the mutable record behind a Member snapshot.
@@ -131,13 +148,13 @@ func NewInventory(cfg InventoryConfig) *Inventory {
 		cfg.Clock = time.Now
 	}
 	if cfg.FlapCount == 0 {
-		cfg.FlapCount = 4
+		cfg.FlapCount = DefaultFlapCount
 	}
 	if cfg.FlapWindow <= 0 {
-		cfg.FlapWindow = time.Minute
+		cfg.FlapWindow = DefaultFlapWindow
 	}
 	if cfg.QuarantineBackoff <= 0 {
-		cfg.QuarantineBackoff = 30 * time.Second
+		cfg.QuarantineBackoff = DefaultQuarantineBackoff
 	}
 	if cfg.QuarantineMaxBackoff <= 0 {
 		cfg.QuarantineMaxBackoff = 10 * time.Minute
@@ -452,9 +469,89 @@ func (inv *Inventory) RecordPriority(name, priority string) error {
 	return nil
 }
 
-// noteRegistered records an app the fleet just placed on a member, so
-// scoring between polls sees it. The next poll overwrites the cache
-// with the machine's authoritative registry.
+// The executor: the only code that changes what is registered where.
+// Every planner's output — a single placement, a gang's members and
+// victims, a rebalance round's moves — is applied through these three,
+// which keep the cached demand sets, the stale lists and the cooldown
+// clock in step with what the member coopds were told.
+
+// register registers spec on the member's coopd and records the
+// placement, so scoring between polls sees it.
+func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec) (PlacedApp, error) {
+	cli, err := inv.Client(member)
+	if err != nil {
+		return PlacedApp{}, err
+	}
+	resp, err := cli.Register(ctx, spec.registerRequest())
+	if err != nil {
+		return PlacedApp{}, err
+	}
+	placed := spec.placed(resp.ID)
+	inv.noteRegistered(member, placed)
+	return placed, nil
+}
+
+// deregister drops an app from the member's coopd, its cached demand
+// set, and its stale list.
+func (inv *Inventory) deregister(ctx context.Context, member, appID string) error {
+	cli, err := inv.Client(member)
+	if err != nil {
+		return err
+	}
+	if err := cli.Deregister(ctx, appID); err != nil {
+		return err
+	}
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	if m, ok := inv.members[member]; ok {
+		m.dropApp(appID)
+		m.stale = slices.DeleteFunc(m.stale, func(id string) bool { return id == appID })
+	}
+	return nil
+}
+
+// relocate executes one planned move as drain-then-place — deregister
+// from a live source before registering on the target, so the app never
+// counts twice. A lost or quarantined source cannot be drained (it is
+// unreachable, or untrusted mid-flap): those moves register on the
+// target first and record the old ID as stale, to be cleaned up when —
+// or while — the member answers again. If the target refuses an app
+// already drained off its source, the app is put back where it came
+// from rather than left registered nowhere. A drift, rebalance or
+// preempt move starts the app's cooldown.
+func (inv *Inventory) relocate(ctx context.Context, mv Move) (PlacedApp, error) {
+	lost := mv.Reason == ReasonMachineLost || mv.Reason == ReasonQuarantine
+	if !lost {
+		if err := inv.deregister(ctx, mv.From, mv.AppID); err != nil {
+			// The source refused the drain; skip the move rather than
+			// double-register the app. Next round re-plans.
+			return PlacedApp{}, fmt.Errorf("fleet: draining %s from %s: %w", mv.AppID, mv.From, err)
+		}
+	}
+	placed, err := inv.register(ctx, mv.To, mv.App)
+	if err != nil {
+		err = fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err)
+		if !lost {
+			if back, rerr := inv.register(ctx, mv.From, mv.App); rerr != nil {
+				inv.logf("fleet: %s is registered nowhere: restoring it on %s: %v", mv.App.Name, mv.From, rerr)
+			} else {
+				inv.logf("fleet: restored %s on %s as %s", mv.App.Name, mv.From, back.ID)
+			}
+		}
+		return PlacedApp{}, err
+	}
+	switch mv.Reason {
+	case ReasonMachineLost, ReasonQuarantine:
+		inv.noteStale(mv.From, mv.AppID)
+	case ReasonDrift, ReasonRebalance, ReasonPreempt:
+		inv.noteMoved(mv.App.Name)
+	}
+	return placed, nil
+}
+
+// noteRegistered records an app the fleet just placed on a member. The
+// next poll overwrites the cache with the machine's authoritative
+// registry.
 func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
@@ -471,44 +568,65 @@ func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
 	sort.Slice(m.apps, func(a, b int) bool { return m.apps[a].ID < m.apps[b].ID })
 }
 
-// noteDeregistered drops an app from a member's cached demand set.
-func (inv *Inventory) noteDeregistered(id, appID string) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	m, ok := inv.members[id]
-	if !ok {
-		return
-	}
-	for i, a := range m.apps {
-		if a.ID == appID {
-			m.apps = append(m.apps[:i], m.apps[i+1:]...)
-			break
-		}
-	}
+// dropApp removes an app from the cached demand set. Caller holds
+// inv.mu.
+func (m *member) dropApp(appID string) {
+	m.apps = slices.DeleteFunc(m.apps, func(a PlacedApp) bool { return a.ID == appID })
 }
 
-// noteStale records an app ID that was re-homed off a dead member; if
-// the member revives, the old registration is a duplicate to clean up.
+// noteStale records a registration the fleet no longer counts but could
+// not remove — an app re-homed off a dead or quarantined member, or a
+// gang rollback that did not get through. It leaves the cached demand
+// set at once; the rebalancer deregisters the duplicate when the member
+// answers again.
 func (inv *Inventory) noteStale(id, appID string) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	if m, ok := inv.members[id]; ok {
+		m.dropApp(appID)
 		m.stale = append(m.stale, appID)
 	}
 }
 
-// clearStale drops a cleaned-up stale ID.
-func (inv *Inventory) clearStale(id, appID string) {
+// The cooldown clock: anti-thrash state keyed by app name, because a
+// move re-registers the app under a fresh machine-local ID. Moved in
+// round k with a cooldown of cd rounds => blocked for rounds k+1..k+cd.
+
+// noteMoved starts the app's cooldown.
+func (inv *Inventory) noteMoved(name string) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	m, ok := inv.members[id]
-	if !ok {
-		return
+	if inv.lastMove == nil {
+		inv.lastMove = map[string]uint64{}
 	}
-	for i, s := range m.stale {
-		if s == appID {
-			m.stale = append(m.stale[:i], m.stale[i+1:]...)
-			return
+	inv.lastMove[name] = inv.round
+}
+
+// endRound advances the cooldown clock; only executed rebalance rounds
+// do, so inspecting a plan has no side effects.
+func (inv *Inventory) endRound() {
+	inv.mu.Lock()
+	inv.round++
+	inv.mu.Unlock()
+}
+
+// cooldownView snapshots the cooldowns still active under a cd-round
+// guard as app name -> rounds left (including the next planning round),
+// pruning expired entries. cd 0 disables the guard.
+func (inv *Inventory) cooldownView(cd int) map[string]int {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	var out map[string]int
+	for name, last := range inv.lastMove {
+		age := int(inv.round - last)
+		if age > cd || cd == 0 {
+			delete(inv.lastMove, name)
+			continue
 		}
+		if out == nil {
+			out = map[string]int{}
+		}
+		out[name] = cd - age + 1
 	}
+	return out
 }

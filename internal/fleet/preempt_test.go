@@ -72,7 +72,6 @@ func preemptFleet(t *testing.T) (*Inventory, *Rebalancer) {
 	sc := NewScorer()
 	reb := &Rebalancer{
 		Inv:              inv,
-		Placer:           &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 		Scorer:           sc,
 		MaxMovesPerRound: 4,
 		Threshold:        0.01,
@@ -103,7 +102,7 @@ func TestPreemptRepairsPriorityInversion(t *testing.T) {
 	if mv.App.Priority != "" && mv.App.Priority != PriorityBatch {
 		t.Fatalf("preempted the %s-class app %s, want a batch victim", mv.App.Priority, mv.App.Name)
 	}
-	if !reb.onCooldown(mv.App.Name) {
+	if inv.cooldownView(DefaultCooldownRounds)[mv.App.Name] == 0 {
 		t.Fatalf("victim %s not cooling down after its preemption", mv.App.Name)
 	}
 
@@ -228,7 +227,6 @@ func TestEvacTriagePrefersHigherClasses(t *testing.T) {
 			sc := NewScorer()
 			reb := &Rebalancer{
 				Inv:               inv,
-				Placer:            &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 				Scorer:            sc,
 				MaxMovesPerRound:  1,
 				DisableStormBrake: !tc.storm,

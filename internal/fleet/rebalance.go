@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-
-	"repro/internal/roofline"
 )
 
 // Move reasons, stable strings carried on the wire.
@@ -53,7 +52,7 @@ type Move struct {
 // on a dead, quarantined, or draining member.
 type evacApp struct {
 	member string
-	app    PlacedApp
+	app    *PlacedApp
 	reason string
 }
 
@@ -95,23 +94,33 @@ type Plan struct {
 	StormActive bool `json:"storm_active,omitempty"`
 }
 
+// Rebalancer defaults: what a zero knob selects (fleetd's flag help
+// prints them).
+const (
+	DefaultMaxMovesPerRound = 4
+	DefaultThreshold        = 0.9
+	DefaultStormFraction    = 0.25
+	DefaultAdmissionCap     = 2
+	DefaultCooldownRounds   = 2
+)
+
 // Rebalancer turns inventory drift — dead machines, draining members,
-// imbalance — into bounded move plans and executes them.
+// imbalance — into bounded move plans and executes them. The knobs are
+// resolved once, on the first Plan; set them before that.
 type Rebalancer struct {
 	Inv    *Inventory
-	Placer *Placer
 	Scorer *Scorer
-	// MaxMovesPerRound bounds churn per round (default 4). The bound is
-	// global: urgent evacuation, drift re-placement, and the imbalance
-	// re-pack all draw from the same per-round budget. A negative value
-	// is a misconfiguration (it would disable churn limiting) and falls
-	// back to the default with a logged warning.
+	// MaxMovesPerRound bounds churn per round (0: the default). The
+	// bound is global: urgent evacuation, preemption, drift re-placement,
+	// and the imbalance re-pack all draw from the same per-round ledger.
+	// A negative value is a misconfiguration (it would disable churn
+	// limiting) and falls back to the default with a logged warning.
 	MaxMovesPerRound int
 	// Threshold triggers the imbalance pass when the current aggregate
-	// falls below Threshold x the greedy re-pack (default 0.9). Values
-	// outside (0, 1] are misconfigurations — negative or > 1 would arm
-	// the re-pack permanently — and fall back to the default with a
-	// logged warning.
+	// falls below Threshold x the greedy re-pack (0: the default).
+	// Values outside (0, 1] are misconfigurations — negative or > 1
+	// would arm the re-pack permanently — and fall back to the default
+	// with a logged warning.
 	Threshold float64
 	// StormFraction arms the storm brake: when the fraction of members
 	// that are down (dead or quarantined) while still carrying
@@ -121,8 +130,8 @@ type Rebalancer struct {
 	// survivor admits more than AdmissionCap storm moves per round.
 	// Degraded mode is detected statelessly from the snapshot (Plan
 	// stays a side-effect-free dry run) and therefore persists until
-	// the evacuation backlog drains. 0 selects the default (0.25);
-	// values outside (0, 1] fall back with a logged warning.
+	// the evacuation backlog drains. 0 selects the default; values
+	// outside (0, 1] fall back with a logged warning.
 	StormFraction float64
 	// StormBudget caps urgent moves per degraded round (it can only
 	// tighten the global budget, never exceed it). 0 selects the global
@@ -131,7 +140,7 @@ type Rebalancer struct {
 	// AdmissionCap bounds how many storm evacuations a single surviving
 	// member admits per round, so a mass failure cannot crush the
 	// remaining machines under simultaneous re-registrations. 0 selects
-	// the default (2); negative falls back with a logged warning.
+	// the default; negative falls back with a logged warning.
 	AdmissionCap int
 	// DisablePreemption turns the priority-inversion repair pass off:
 	// lower-class apps are never evicted to give a higher class a
@@ -146,163 +155,55 @@ type Rebalancer struct {
 	// regression, never for production use.
 	DisableStormBrake bool
 	// CooldownRounds is the anti-thrash guard: an app moved by the
-	// drift or imbalance pass may not be moved by those passes again
-	// for this many following rounds, and is excluded from the
-	// imbalance re-pack's move list while cooling down. Urgent
-	// evacuation (machine lost, drain) is never blocked. 0 selects the
-	// default (2); negative disables the guard entirely — only for A/B
-	// stability experiments such as the fleetsim oscillation
-	// regression, never for production use.
+	// preempt, drift or imbalance pass may not be moved by those passes
+	// again for this many following rounds (the clock lives in the
+	// Inventory). Urgent evacuation (machine lost, drain) is never
+	// blocked. 0 selects the default; negative disables the guard
+	// entirely — only for A/B stability experiments such as the
+	// fleetsim oscillation regression, never for production use.
 	CooldownRounds int
 	// Logf, when set, receives move logs.
 	Logf func(format string, args ...any)
 
-	// planMu serializes Plan calls: planning reuses the candidate sets
-	// and demand buffer below, and Plan (dry-run over HTTP) may race
-	// the background Round loop.
-	planMu sync.Mutex
-	// cands and fresh are the round's reusable candidate sets (current
-	// state and the imbalance pass's from-scratch re-pack); demandBuf
-	// backs the drift and imbalance passes' per-member demand rebuilds.
-	// All three keep their backing arrays across rounds.
-	cands     candidateSet
-	fresh     candidateSet
-	demandBuf []roofline.App
-
-	// mu guards the anti-thrash state below; Plan (dry-run over HTTP)
-	// and Round (background loop) may run concurrently.
-	mu sync.Mutex
-	// round counts completed Round calls; lastMove records, per app
-	// name, the round in which its last drift/imbalance move executed.
-	// Names key the map because a move re-registers the app under a
-	// fresh machine-local ID.
-	round    uint64
-	lastMove map[string]uint64
-	warned   map[string]bool
+	tuneOnce sync.Once
+	tuned    tuning
 }
 
-func (r *Rebalancer) maxMoves() int {
-	if r.MaxMovesPerRound > 0 {
-		return r.MaxMovesPerRound
-	}
-	if r.MaxMovesPerRound < 0 {
-		r.warnOnce("max-moves", "fleet: MaxMovesPerRound %d would disable the churn bound; using default 4",
-			r.MaxMovesPerRound)
-	}
-	return 4
+// tuning is the Rebalancer's numeric knobs after defaults.
+type tuning struct {
+	maxMoves, stormBudget, admissionCap, cooldown int
+	threshold, stormFraction                      float64
 }
 
-func (r *Rebalancer) threshold() float64 {
-	if r.Threshold > 0 && r.Threshold <= 1 {
-		return r.Threshold
-	}
-	if r.Threshold != 0 {
-		r.warnOnce("threshold", "fleet: Threshold %g outside (0, 1] would mis-arm the imbalance pass; using default 0.9",
-			r.Threshold)
-	}
-	return 0.9
-}
-
-func (r *Rebalancer) stormFraction() float64 {
-	if r.StormFraction > 0 && r.StormFraction <= 1 {
-		return r.StormFraction
-	}
-	if r.StormFraction != 0 {
-		r.warnOnce("storm-fraction", "fleet: StormFraction %g outside (0, 1] would mis-arm the storm brake; using default 0.25",
-			r.StormFraction)
-	}
-	return 0.25
-}
-
-func (r *Rebalancer) stormBudget() int {
-	if r.StormBudget > 0 {
-		return r.StormBudget
-	}
-	if r.StormBudget < 0 {
-		r.warnOnce("storm-budget", "fleet: StormBudget %d would disable degraded-mode churn limiting; using the global budget",
-			r.StormBudget)
-	}
-	return r.maxMoves()
-}
-
-func (r *Rebalancer) admissionCap() int {
-	if r.AdmissionCap > 0 {
-		return r.AdmissionCap
-	}
-	if r.AdmissionCap < 0 {
-		r.warnOnce("admission-cap", "fleet: AdmissionCap %d would disable survivor admission control; using default 2",
-			r.AdmissionCap)
-	}
-	return 2
-}
-
-func (r *Rebalancer) cooldownRounds() int {
-	switch {
-	case r.CooldownRounds > 0:
-		return r.CooldownRounds
-	case r.CooldownRounds < 0:
-		return 0 // explicitly disabled
-	}
-	return 2
-}
-
-// warnOnce logs a misconfiguration warning a single time per key.
-func (r *Rebalancer) warnOnce(key, format string, args ...any) {
-	r.mu.Lock()
-	if r.warned == nil {
-		r.warned = map[string]bool{}
-	}
-	logged := r.warned[key]
-	r.warned[key] = true
-	r.mu.Unlock()
-	if !logged {
-		r.logf(format, args...)
-	}
-}
-
-// onCooldown reports whether the app's last drift/imbalance move is
-// recent enough that moving it again would be churn.
-func (r *Rebalancer) onCooldown(name string) bool {
-	cd := uint64(r.cooldownRounds())
-	if cd == 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	last, ok := r.lastMove[name]
-	// Moved in round k => blocked for rounds k+1 .. k+cd.
-	return ok && r.round-last <= cd
-}
-
-// noteMoved starts the app's cooldown (called when a drift/imbalance
-// move executes).
-func (r *Rebalancer) noteMoved(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lastMove == nil {
-		r.lastMove = map[string]uint64{}
-	}
-	r.lastMove[name] = r.round
-}
-
-// cooldownView snapshots active cooldowns as app name -> rounds left
-// (including the next planning round), pruning expired entries.
-func (r *Rebalancer) cooldownView() map[string]int {
-	cd := uint64(r.cooldownRounds())
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out map[string]int
-	for name, last := range r.lastMove {
-		if cd == 0 || r.round-last > cd {
-			delete(r.lastMove, name)
-			continue
+// tuning resolves the knobs on first use. One rule covers every row: a
+// value in (0, hi] is taken as is, zero silently selects the default,
+// and anything else is a misconfiguration that logs what it would have
+// broken — once, since this runs once — and falls back to the default.
+func (r *Rebalancer) tuning() tuning {
+	r.tuneOnce.Do(func() {
+		knob := func(name string, v, hi, def float64, wouldBreak string) float64 {
+			if v > 0 && v <= hi {
+				return v
+			}
+			if v != 0 {
+				r.logf("fleet: %s %g would %s; using default %g", name, v, wouldBreak, def)
+			}
+			return def
 		}
-		if out == nil {
-			out = map[string]int{}
+		inf, t := math.Inf(1), &r.tuned
+		t.maxMoves = int(knob("MaxMovesPerRound", float64(r.MaxMovesPerRound), inf, DefaultMaxMovesPerRound, "disable the churn bound"))
+		t.threshold = knob("Threshold", r.Threshold, 1, DefaultThreshold, "mis-arm the imbalance pass")
+		t.stormFraction = knob("StormFraction", r.StormFraction, 1, DefaultStormFraction, "mis-arm the storm brake")
+		t.stormBudget = int(knob("StormBudget", float64(r.StormBudget), inf, float64(t.maxMoves), "disable degraded-mode churn limiting"))
+		t.admissionCap = int(knob("AdmissionCap", float64(r.AdmissionCap), inf, DefaultAdmissionCap, "disable survivor admission control"))
+		// The one knob whose negative range is meaningful: it disables
+		// the guard instead of warning.
+		t.cooldown = max(r.CooldownRounds, 0)
+		if r.CooldownRounds == 0 {
+			t.cooldown = DefaultCooldownRounds
 		}
-		out[name] = int(cd - (r.round - last) + 1)
-	}
-	return out
+	})
+	return r.tuned
 }
 
 func (r *Rebalancer) logf(format string, args ...any) {
@@ -312,236 +213,160 @@ func (r *Rebalancer) logf(format string, args ...any) {
 }
 
 // Plan computes one round's moves from the current inventory snapshot
-// without executing anything. Priority order: lost and quarantined
-// machines first (their apps are getting no trustworthy cores at all),
-// then draining members, then — only when nothing urgent is pending —
-// the drift and imbalance passes. When enough members are down at once
-// the round degrades into storm-braked triage (see planStorm). Every
-// target decision runs against a simulated candidate set that
-// accumulates the round's earlier moves, so a plan never over-commits
-// one machine.
+// without executing anything: one planning session, whose ledger every
+// pass draws on. Priority order: lost and quarantined machines first
+// (their apps are getting no trustworthy cores at all), then draining
+// members, then — only when nothing urgent is pending — the quiet
+// passes. When enough members are down at once the urgent pass degrades
+// into storm-braked triage (see planUrgent). Every target decision runs
+// against the session's candidates, which accumulate the round's
+// earlier moves, so a plan never over-commits one machine.
 func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
-	r.planMu.Lock()
-	defer r.planMu.Unlock()
-	members := r.Inv.Snapshot()
-	cands := r.cands.reset(members, true, r.Scorer.DomainSpread)
-	plan := &Plan{Budget: r.maxMoves(), Cooldowns: r.cooldownView()}
-
-	// Duplicate cleanup on revived members: app IDs re-homed while the
-	// member was dead (or quarantined — its coopd still answers, so the
-	// duplicate can be deregistered) that its registry still carries.
-	for i := range members {
-		m := &members[i]
-		if !m.Alive() || len(m.Stale) == 0 {
-			continue
-		}
-		live := map[string]bool{}
-		for _, a := range m.Apps {
-			live[a.ID] = true
-		}
-		for _, id := range m.Stale {
-			if live[id] {
-				plan.StaleDeregs = append(plan.StaleDeregs, StaleDereg{Member: m.ID, AppID: id})
-			}
-		}
-	}
-
-	// Staleness-aware demand: apps listed in StaleDeregs are duplicates,
-	// excluded from move planning and the imbalance aggregate.
-	dup := map[string]bool{}
-	for _, sd := range plan.StaleDeregs {
-		dup[sd.Member+"/"+sd.AppID] = true
-	}
+	t := r.tuning()
+	s := openSession(r.Scorer, r.Inv, r.Scorer.DomainSpread)
+	defer s.close()
+	s.budget = t.maxMoves
+	s.cooling = r.Inv.cooldownView(t.cooldown)
+	plan := &Plan{Budget: t.maxMoves, Cooldowns: s.cooling, StaleDeregs: s.staleDuplicates()}
 
 	// Collect the round's evacuations — apps on dead, quarantined, or
 	// draining members — and detect a failure storm: the fraction of
 	// members down (dead or quarantined) with un-evacuated apps.
 	var evacs []evacApp
 	downBacklog := 0
-	for i := range members {
-		m := &members[i]
-		if (m.Dead || m.Quarantined) && len(m.Apps) > 0 {
-			downBacklog++
-		}
-		evacuate := m.Dead || m.Quarantined || (m.Healthy() && m.Draining)
-		if !evacuate {
-			continue
-		}
-		reason := ReasonDrain
+	for i := range s.members {
+		m := &s.members[i]
+		reason := ""
 		switch {
 		case m.Dead:
 			reason = ReasonMachineLost
 		case m.Quarantined:
 			reason = ReasonQuarantine
+		case m.Healthy() && m.Draining:
+			reason = ReasonDrain
+		default:
+			continue
 		}
-		for _, app := range m.Apps {
-			if dup[m.ID+"/"+app.ID] {
-				continue
+		if reason != ReasonDrain && len(m.Apps) > 0 {
+			downBacklog++
+		}
+		for j := range m.Apps {
+			if !s.dup[appKey{m.ID, m.Apps[j].ID}] {
+				evacs = append(evacs, evacApp{member: m.ID, app: &m.Apps[j], reason: reason})
 			}
-			evacs = append(evacs, evacApp{member: m.ID, app: app, reason: reason})
 		}
 	}
-	storm := !r.DisableStormBrake && len(members) > 0 &&
-		float64(downBacklog) > r.stormFraction()*float64(len(members))
-	plan.StormActive = storm
-
-	// Higher classes evacuate first: under a tight budget the latency
-	// app is re-homed before the batch backlog consumes the round. The
-	// sort is stable, so all-batch fleets keep the historical order.
-	sort.SliceStable(evacs, func(a, b int) bool {
-		return ClassRank(evacs[a].app.Priority) > ClassRank(evacs[b].app.Priority)
-	})
-
-	urgent := 0
-	if !storm {
-		for _, e := range evacs {
-			spec := e.app.EffectiveSpec()
-			d, c, err := r.Scorer.decide(spec, cands)
-			if err != nil {
-				r.logf("fleet: cannot re-home %s from %s: %v", e.app.ID, e.member, err)
-				continue
-			}
-			plan.Moves = append(plan.Moves, Move{
-				AppID: e.app.ID, App: spec, From: e.member, To: d.Member,
-				Reason: e.reason, Score: d.Score,
-			})
-			c.commit(spec)
-			urgent++
-		}
-	} else {
-		urgent = r.planStorm(plan, evacs, cands, downBacklog, len(members))
+	plan.StormActive = !r.DisableStormBrake && len(s.members) > 0 &&
+		float64(downBacklog) > t.stormFraction*float64(len(s.members))
+	if plan.StormActive {
+		r.logf("fleet: storm brake engaged: %d/%d members down with %d apps pending; triaging (budget %d, admission cap %d)",
+			downBacklog, len(s.members), len(evacs), min(t.maxMoves, t.stormBudget), t.admissionCap)
 	}
+	r.planUrgent(s, evacs, plan.StormActive, t)
 
-	if urgent == 0 && !storm {
-		// Quiet-round passes in priority order, all drawing from one
-		// global budget: inversion repair first (a higher class starved
-		// under its floor is worse than any efficiency gap), then drift
+	if len(s.moves) == 0 && !plan.StormActive {
+		// Quiet-round passes in priority order, all drawing from the one
+		// ledger: inversion repair first (a higher class starved under
+		// its floor is worse than any efficiency gap), then drift
 		// re-placement, then the imbalance re-pack. Each pass runs only
 		// when the ones before it planned nothing, so a round stays
-		// single-purpose and the combined moves never exceed the bound.
-		budget := plan.Budget
-		if r.planPreempt(plan, members, dup, cands, &budget) == 0 {
-			if r.planDrift(plan, members, dup, cands, &budget) == 0 {
-				r.planImbalance(plan, members, dup, &budget)
-			}
+		// single-purpose.
+		if r.planPreempt(s) == 0 && r.planDrift(s) == 0 {
+			r.planImbalance(s, plan, t.threshold)
 		}
 	}
-
-	if limit := plan.Budget; len(plan.Moves) > limit {
-		plan.Deferred += len(plan.Moves) - limit
-		plan.Moves = plan.Moves[:limit]
-	}
-	plan.BudgetSpent = len(plan.Moves)
+	plan.Moves, plan.Deferred, plan.BudgetSpent = s.moves, s.deferred, len(s.moves)
 	return plan, ctx.Err()
 }
 
-// planStorm is the degraded-mode urgent pass: a correlated failure has
-// taken down enough of the fleet that evacuating everything at once
-// would crush the survivors. Evacuations are triaged by the aggregate
-// GFLOPS their re-placement recovers (a pre-score against the current
-// candidates), then admitted in that order under two limits — the
-// storm budget (never above the round's global budget) and a
-// per-survivor admission cap. Everything past the limits is deferred
-// to later rounds; the backlog-based storm detection keeps degraded
-// mode active until it drains. Returns the number of moves planned.
-func (r *Rebalancer) planStorm(plan *Plan, evacs []evacApp, cands []*candidate, downBacklog, total int) int {
-	budget := plan.Budget
-	if sb := r.stormBudget(); sb < budget {
-		budget = sb
+// planUrgent re-homes the round's evacuations in order. Higher classes
+// go first: under a tight budget the latency app is re-homed before the
+// batch backlog consumes the round (the sort is stable, so all-batch
+// fleets keep registration order). Once the ledger is spent the rest is
+// deferred undecided.
+//
+// storm is the degraded mode: a correlated failure has taken down
+// enough of the fleet that evacuating everything at once would crush
+// the survivors. The ledger is clamped to the storm budget, evacuations
+// are triaged within a class by the aggregate GFLOPS their re-placement
+// recovers (a pre-score against the current candidates), and no
+// survivor admits more than the admission cap; an evacuation no capped
+// survivor can take is deferred too. The backlog-based storm detection
+// keeps degraded mode active until the backlog drains.
+func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool, t tuning) {
+	if len(evacs) == 0 {
+		return
 	}
-	capN := r.admissionCap()
-	r.logf("fleet: storm brake engaged: %d/%d members down with %d apps pending; triaging (budget %d, admission cap %d)",
-		downBacklog, total, len(evacs), budget, capN)
-
-	// Triage order: highest marginal recovery first; (member, app ID)
-	// breaks ties deterministically.
-	scores := make([]float64, len(evacs))
-	for i := range evacs {
-		if d, _, err := r.Scorer.decide(evacs[i].app.EffectiveSpec(), cands); err == nil {
-			scores[i] = d.Score
-		} else {
-			scores[i] = math.Inf(-1)
-		}
-	}
-	order := make([]int, len(evacs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		// Class outranks recovered GFLOPS: a latency app is triaged
-		// ahead of any batch app, whatever their marginal scores.
-		ra, rb := ClassRank(evacs[ia].app.Priority), ClassRank(evacs[ib].app.Priority)
-		if ra != rb {
-			return ra > rb
-		}
-		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib]
-		}
-		if evacs[ia].member != evacs[ib].member {
-			return evacs[ia].member < evacs[ib].member
-		}
-		return evacs[ia].app.ID < evacs[ib].app.ID
-	})
-
-	moves := 0
+	var admit func(*candidate) bool
 	inbound := map[string]int{}
-	pool := make([]*candidate, 0, len(cands))
-	for _, idx := range order {
-		e := evacs[idx]
-		if budget <= 0 {
-			plan.Deferred++
-			continue
-		}
-		// Survivors at their admission cap leave the pool; the decision
+	if !storm {
+		sort.SliceStable(evacs, func(a, b int) bool {
+			return ClassRank(evacs[a].app.Priority) > ClassRank(evacs[b].app.Priority)
+		})
+	} else {
+		s.budget = min(s.budget, t.stormBudget)
+		// Survivors at their admission cap leave the pool; each decision
 		// re-runs against the committed state, so earlier admissions are
 		// visible.
-		pool = pool[:0]
-		for _, c := range cands {
-			if inbound[c.id] < capN {
-				pool = append(pool, c)
+		admit = func(c *candidate) bool { return inbound[c.id] < t.admissionCap }
+		scores := make(map[*PlacedApp]float64, len(evacs))
+		for _, e := range evacs {
+			scores[e.app] = math.Inf(-1)
+			if d, _, err := s.pick(e.app.EffectiveSpec(), nil); err == nil {
+				scores[e.app] = d.Score
 			}
 		}
-		spec := e.app.EffectiveSpec()
-		d, c, err := r.Scorer.decide(spec, pool)
-		if err != nil {
-			plan.Deferred++
+		// Class outranks recovered GFLOPS: a latency app is triaged ahead
+		// of any batch app, whatever their marginal scores; (member, app
+		// ID) breaks ties deterministically.
+		sort.Slice(evacs, func(a, b int) bool {
+			ea, eb := evacs[a], evacs[b]
+			if ra, rb := ClassRank(ea.app.Priority), ClassRank(eb.app.Priority); ra != rb {
+				return ra > rb
+			}
+			if sa, sb := scores[ea.app], scores[eb.app]; sa != sb {
+				return sa > sb
+			}
+			if ea.member != eb.member {
+				return ea.member < eb.member
+			}
+			return ea.app.ID < eb.app.ID
+		})
+	}
+	for _, e := range evacs {
+		if s.exhausted() {
 			continue
 		}
-		plan.Moves = append(plan.Moves, Move{
-			AppID: e.app.ID, App: spec, From: e.member, To: d.Member,
-			Reason: e.reason, Score: d.Score,
-		})
-		c.commit(spec)
-		inbound[d.Member]++
-		budget--
-		moves++
+		d, c, err := s.pick(e.app.EffectiveSpec(), admit)
+		switch {
+		case err == nil:
+			s.move(e.app, e.member, e.reason, c, d.Score)
+			inbound[c.id]++
+		case storm:
+			s.deferred++
+		default:
+			r.logf("fleet: cannot re-home %s from %s: %v", e.app.ID, e.member, err)
+		}
 	}
-	return moves
 }
 
 // planPreempt is the priority-inversion repair pass: a healthy member
 // hosting a higher-class app with more apps than its floor capacity
 // (some app there is starved of its guaranteed core) gets its cheapest
 // lower-class apps evicted until the demand set fits — or until the
-// round budget, the victim supply, or cooldowns stop it. Victims are
-// re-homed, never dropped, by planEvictions; partial relief is fine
-// because evicting every lower-class app already removes the
+// ledger, the victim supply, or cooldowns stop it. Victims are
+// re-homed, never dropped, by the session's evict; partial relief is
+// fine because evicting every lower-class app already removes the
 // *inversion* even if starvation among equals remains. Returns the
 // number of moves planned.
-func (r *Rebalancer) planPreempt(plan *Plan, members []Member, dup map[string]bool, cands []*candidate, budget *int) int {
+func (r *Rebalancer) planPreempt(s *session) int {
 	if r.DisablePreemption {
 		return 0
 	}
-	byID := make(map[string]*candidate, len(cands))
-	for _, c := range cands {
-		byID[c.id] = c
-	}
-	var ranks map[string]int
-	moves := 0
-	for i := range members {
-		m := &members[i]
-		c := byID[m.ID]
+	planned := len(s.moves)
+	for i := range s.members {
+		m := &s.members[i]
+		c := s.cand(m.ID)
 		if c == nil {
 			continue // not a placement candidate (dead, draining, ...)
 		}
@@ -549,99 +374,57 @@ func (r *Rebalancer) planPreempt(plan *Plan, members []Member, dup map[string]bo
 		if over <= 0 {
 			continue
 		}
-		top := 0
-		for _, a := range m.Apps {
-			if rk := ClassRank(a.Priority); rk > top {
-				top = rk
-			}
-		}
+		top := s.rank(m.ID)
 		if top == 0 {
 			continue // starved, but all one class: nothing to repair
 		}
-		if *budget <= 0 {
-			plan.Deferred++
+		if s.exhausted() {
 			continue
 		}
-		need := over
-		if need > *budget {
-			need = *budget
-		}
-		if ranks == nil {
-			ranks = hostRanks(members)
-		}
-		skip := func(a PlacedApp) bool {
-			return dup[m.ID+"/"+a.ID] || r.onCooldown(a.Name)
-		}
-		planned := r.Scorer.planEvictions(c, m.Apps, top, need, cands, ranks, skip)
-		for _, mv := range planned {
-			plan.Moves = append(plan.Moves, mv)
-			*budget--
-			moves++
+		for _, mv := range s.evict(c, top, min(over, s.budget)) {
 			r.logf("fleet: preempting %s (%s) off %s -> %s to unstarve class rank %d",
 				mv.AppID, mv.App.Priority, mv.From, mv.To, top)
 		}
 	}
-	return moves
+	return len(s.moves) - planned
 }
 
 // planDrift emits bounded moves for apps whose member coopd confirmed
 // drift (fitted model applied). Each drifted app's placement decision
 // is re-taken with its effective (fitted) spec against the other
 // members; a move is planned only when the fleet-wide gain — the
-// destination's marginal minus what the source loses by releasing the
-// app — is meaningfully positive. Apps inside their post-move cooldown
-// are skipped (anti-thrash), and each planned move debits the shared
-// round budget; candidates past the budget are deferred, not planned.
-// Returns the number of moves planned.
-func (r *Rebalancer) planDrift(plan *Plan, members []Member, dup map[string]bool, cands []*candidate, budget *int) int {
-	moves := 0
-	for i := range members {
-		m := &members[i]
-		if !m.Healthy() || m.Draining {
+// destination's marginal minus what the source, valued on its polled
+// demand set, loses by releasing the app — is meaningfully positive.
+// Frozen apps are skipped, and candidates past the ledger are deferred,
+// not planned. Returns the number of moves planned.
+func (r *Rebalancer) planDrift(s *session) int {
+	planned := len(s.moves)
+	for i := range s.members {
+		m := &s.members[i]
+		c := s.cand(m.ID)
+		if c == nil {
 			continue
 		}
-		for _, app := range m.Apps {
-			if !app.Drifted || app.FittedAI <= 0 || dup[m.ID+"/"+app.ID] {
+		for j := range m.Apps {
+			app := &m.Apps[j]
+			if !app.Drifted || app.FittedAI <= 0 || s.frozen(m.ID, app) || s.exhausted() {
 				continue
 			}
-			if r.onCooldown(app.Name) {
-				continue
-			}
-			if *budget <= 0 {
-				plan.Deferred++
-				continue
-			}
-			spec := app.EffectiveSpec()
-			r.demandBuf = appendDemandSet(r.demandBuf[:0], m.Apps)
-			withApp, err := r.Scorer.SolveTotal(m.Topology, r.demandBuf)
+			polled := c.demand[:c.snap]
+			withApp, err := r.Scorer.SolveTotal(c.topo, polled)
 			if err != nil {
 				r.logf("fleet: scoring %s: %v", m.ID, err)
 				continue
 			}
-			// Same member minus the drifted app, rebuilt into the same
-			// reused buffer (SolveTotal never retains the demand slice).
-			r.demandBuf = r.demandBuf[:0]
-			for _, a := range m.Apps {
-				if a.ID == app.ID {
-					continue
-				}
-				if ra, err := a.EffectiveSpec().rooflineApp(); err == nil {
-					r.demandBuf = append(r.demandBuf, ra)
-				}
+			at := slices.Index(c.ids[:c.snap], app.ID)
+			if at < 0 {
+				continue
 			}
-			without, err := r.Scorer.SolveTotal(m.Topology, r.demandBuf)
+			without, err := s.without(c.topo, polled, at)
 			if err != nil {
 				continue
 			}
-			// Candidate pool excludes the source (pointers shared with the
-			// round's other passes, so commits accumulate).
-			pool := make([]*candidate, 0, len(cands)-1)
-			for _, c := range cands {
-				if c.id != m.ID {
-					pool = append(pool, c)
-				}
-			}
-			d, c, err := r.Scorer.decide(spec, pool)
+			d, dst, err := s.pick(app.EffectiveSpec(), func(cc *candidate) bool { return cc != c })
 			if err != nil {
 				continue
 			}
@@ -649,18 +432,12 @@ func (r *Rebalancer) planDrift(plan *Plan, members []Member, dup map[string]bool
 			if gain <= 0.01*withApp {
 				continue // not worth the churn
 			}
-			plan.Moves = append(plan.Moves, Move{
-				AppID: app.ID, App: spec, From: m.ID, To: d.Member,
-				Reason: ReasonDrift, Score: d.Score,
-			})
-			c.commit(spec)
-			moves++
-			*budget--
+			s.move(app, m.ID, ReasonDrift, dst, d.Score)
 			r.logf("fleet: drift re-placement of %s (fitted AI %.3g vs declared %.3g): %s -> %s, gain %+.1f GFLOPS",
 				app.ID, app.FittedAI, app.AI, m.ID, d.Member, gain)
 		}
 	}
-	return moves
+	return len(s.moves) - planned
 }
 
 // planImbalance compares the fleet's current solved aggregate with a
@@ -669,31 +446,33 @@ func (r *Rebalancer) planDrift(plan *Plan, members []Member, dup map[string]bool
 // differs from their current machine. Apps inside their post-move
 // cooldown are excluded from the move list (oscillation damping: an
 // app the previous round just re-homed must not immediately bounce
-// back because the load shifted again), and moves stop once the shared
-// round budget is spent.
-func (r *Rebalancer) planImbalance(plan *Plan, members []Member, dup map[string]bool, budget *int) {
+// back because the load shifted again), and moves stop once the ledger
+// is spent.
+func (r *Rebalancer) planImbalance(s *session, plan *Plan, threshold float64) {
 	type owned struct {
 		member string
-		app    PlacedApp
+		app    *PlacedApp
+		to     *candidate // where the re-pack homes it
 	}
 	var apps []owned
 	current := 0.0
-	for i := range members {
-		m := &members[i]
-		if !m.Healthy() || m.Draining {
+	for i := range s.members {
+		m := &s.members[i]
+		if s.cand(m.ID) == nil {
 			continue
 		}
-		r.demandBuf = r.demandBuf[:0]
-		for _, a := range m.Apps {
-			if dup[m.ID+"/"+a.ID] {
+		s.demand = s.demand[:0]
+		for j := range m.Apps {
+			a := &m.Apps[j]
+			if s.dup[appKey{m.ID, a.ID}] {
 				continue
 			}
 			apps = append(apps, owned{member: m.ID, app: a})
 			if ra, err := a.EffectiveSpec().rooflineApp(); err == nil {
-				r.demandBuf = append(r.demandBuf, ra)
+				s.demand = append(s.demand, ra)
 			}
 		}
-		total, err := r.Scorer.SolveTotal(m.Topology, r.demandBuf)
+		total, err := r.Scorer.SolveTotal(m.Topology, s.demand)
 		if err != nil {
 			r.logf("fleet: scoring %s: %v", m.ID, err)
 			return
@@ -706,22 +485,20 @@ func (r *Rebalancer) planImbalance(plan *Plan, members []Member, dup map[string]
 	}
 
 	// Greedy re-pack: fresh candidates (empty demand), every app placed
-	// from scratch in deterministic (member ID, app ID) order. The set
-	// (and its demand backing) is reused across rounds.
-	fresh := r.fresh.reset(members, false, r.Scorer.DomainSpread)
-	// The re-pack scores with EffectiveSpec — the fitted model when an
-	// app has drifted — matching demandSet above. Mixing declared AI
-	// into the repack while the current aggregate reflects measured
-	// behaviour would mis-arm the trigger in both directions.
-	target := map[string]string{} // "member/appID" -> repack member
-	for _, o := range apps {
-		spec := o.app.EffectiveSpec()
+	// from scratch in deterministic (member ID, app ID) order. It scores
+	// with EffectiveSpec — the fitted model when an app has drifted —
+	// matching the current aggregate above. Mixing declared AI into the
+	// re-pack while the current aggregate reflects measured behaviour
+	// would mis-arm the trigger in both directions.
+	fresh := s.fresh.reset(s.members, false, r.Scorer.DomainSpread)
+	for i := range apps {
+		spec := apps[i].app.EffectiveSpec()
 		d, c, err := r.Scorer.decide(spec, fresh)
 		if err != nil {
 			return
 		}
-		target[o.member+"/"+o.app.ID] = d.Member
-		c.commit(spec)
+		apps[i].to = s.cand(d.Member)
+		c.commit(spec, "")
 	}
 	repack := 0.0
 	for _, c := range fresh {
@@ -732,7 +509,7 @@ func (r *Rebalancer) planImbalance(plan *Plan, members []Member, dup map[string]
 		repack += total
 	}
 	plan.RepackGFLOPS = repack
-	if current >= r.threshold()*repack {
+	if current >= threshold*repack {
 		return
 	}
 
@@ -740,90 +517,38 @@ func (r *Rebalancer) planImbalance(plan *Plan, members []Member, dup map[string]
 	// Targets come from the re-pack simulation itself, so the moves land
 	// the fleet at (a bounded prefix of) the re-packed assignment.
 	for _, o := range apps {
-		to := target[o.member+"/"+o.app.ID]
-		if to == o.member {
+		// Damped while cooling down: just moved, let the fleet settle.
+		if o.to.id == o.member || s.cooling[o.app.Name] > 0 || s.exhausted() {
 			continue
 		}
-		if r.onCooldown(o.app.Name) {
-			continue // damped: just moved, let the fleet settle first
-		}
-		if *budget <= 0 {
-			plan.Deferred++
-			continue
-		}
-		plan.Moves = append(plan.Moves, Move{
-			AppID: o.app.ID, App: o.app.EffectiveSpec(), From: o.member, To: to,
-			Reason: ReasonRebalance,
-		})
-		*budget--
+		s.move(o.app, o.member, ReasonRebalance, o.to, 0)
 	}
 }
 
-// Execute applies a plan: duplicate cleanups first, then each move as
-// drain-then-place — deregister from a live source before registering
-// on the target, so the app never counts twice. A lost machine cannot
-// be drained; its moves register on the target first and record the old
-// ID as stale for cleanup if the machine revives.
+// Execute applies a plan through the executor: duplicate cleanups
+// first, then each move (see Inventory.relocate).
 func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 	var firstErr error
 	keep := func(err error) {
-		if err != nil && firstErr == nil {
+		if firstErr == nil {
 			firstErr = err
 		}
 	}
 	for _, sd := range plan.StaleDeregs {
-		cli, err := r.Inv.Client(sd.Member)
-		if err != nil {
-			keep(err)
-			continue
-		}
-		if err := cli.Deregister(ctx, sd.AppID); err != nil {
+		if err := r.Inv.deregister(ctx, sd.Member, sd.AppID); err != nil {
 			keep(fmt.Errorf("fleet: cleaning stale %s on %s: %w", sd.AppID, sd.Member, err))
 			continue
 		}
-		r.Inv.clearStale(sd.Member, sd.AppID)
-		r.Inv.noteDeregistered(sd.Member, sd.AppID)
 		r.logf("fleet: cleaned stale duplicate %s on revived %s", sd.AppID, sd.Member)
 	}
 	for _, mv := range plan.Moves {
-		// Machine-lost and quarantine moves register on the target first:
-		// the source is unreachable (lost) or untrusted mid-flap
-		// (quarantine), so its copy is marked stale and cleaned up when —
-		// or while — the member answers again.
-		if mv.Reason != ReasonMachineLost && mv.Reason != ReasonQuarantine {
-			cli, err := r.Inv.Client(mv.From)
-			if err != nil {
-				keep(err)
-				continue
-			}
-			if err := cli.Deregister(ctx, mv.AppID); err != nil {
-				// The source refused the drain; skip the move rather than
-				// double-register the app. Next round re-plans.
-				keep(fmt.Errorf("fleet: draining %s from %s: %w", mv.AppID, mv.From, err))
-				continue
-			}
-			r.Inv.noteDeregistered(mv.From, mv.AppID)
-		}
-		cli, err := r.Inv.Client(mv.To)
+		placed, err := r.Inv.relocate(ctx, mv)
 		if err != nil {
 			keep(err)
 			continue
 		}
-		resp, err := cli.Register(ctx, mv.App.registerRequest())
-		if err != nil {
-			keep(fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err))
-			continue
-		}
-		if mv.Reason == ReasonMachineLost || mv.Reason == ReasonQuarantine {
-			r.Inv.noteDeregistered(mv.From, mv.AppID)
-			r.Inv.noteStale(mv.From, mv.AppID)
-		}
-		r.Inv.noteRegistered(mv.To, mv.App.placed(resp.ID))
-		if mv.Reason == ReasonDrift || mv.Reason == ReasonRebalance || mv.Reason == ReasonPreempt {
-			r.noteMoved(mv.App.Name)
-		}
 		r.logf("fleet: moved %s: %s -> %s as %s (%s, score %+.1f)",
-			mv.AppID, mv.From, mv.To, resp.ID, mv.Reason, mv.Score)
+			mv.AppID, mv.From, mv.To, placed.ID, mv.Reason, mv.Score)
 	}
 	return firstErr
 }
@@ -838,11 +563,6 @@ func (r *Rebalancer) Round(ctx context.Context) (*Plan, error) {
 		return plan, err
 	}
 	err = r.Execute(ctx, plan)
-	r.mu.Lock()
-	r.round++
-	r.mu.Unlock()
-	if err != nil {
-		return plan, err
-	}
-	return plan, nil
+	r.Inv.endRound()
+	return plan, err
 }

@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/faultinject"
 )
 
@@ -36,7 +40,6 @@ func twoMachineFleet(t *testing.T, maxMoves int) (*Inventory, *Rebalancer) {
 	sc := NewScorer()
 	reb := &Rebalancer{
 		Inv:              inv,
-		Placer:           &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 		Scorer:           sc,
 		MaxMovesPerRound: maxMoves,
 		Logf:             t.Logf,
@@ -134,7 +137,7 @@ func TestRebalanceDrainsMarkedMember(t *testing.T) {
 		t.Fatalf("survivor hosts %d apps, want 4", n)
 	}
 	// The drained member receives no new placements while draining.
-	pl := reb.Placer
+	pl := &Placer{Inv: inv, Scorer: reb.Scorer}
 	if d, err := pl.Decide(memSpec("fresh")); err != nil {
 		t.Fatal(err)
 	} else if d.Member != "b" {
@@ -152,15 +155,16 @@ func TestRebalanceMisconfigDefaults(t *testing.T) {
 		MaxMovesPerRound: -3,
 		Threshold:        1.7,
 		Logf: func(format string, args ...any) {
-			warnings = append(warnings, format)
+			warnings = append(warnings, fmt.Sprintf(format, args...))
 		},
 	}
 	for i := 0; i < 3; i++ {
-		if got := r.maxMoves(); got != 4 {
-			t.Fatalf("maxMoves() = %d with negative config, want default 4", got)
+		tn := r.tuning()
+		if tn.maxMoves != DefaultMaxMovesPerRound {
+			t.Fatalf("maxMoves = %d with negative config, want default %d", tn.maxMoves, DefaultMaxMovesPerRound)
 		}
-		if got := r.threshold(); got != 0.9 {
-			t.Fatalf("threshold() = %g with out-of-range config, want default 0.9", got)
+		if tn.threshold != DefaultThreshold {
+			t.Fatalf("threshold = %g with out-of-range config, want default %g", tn.threshold, DefaultThreshold)
 		}
 	}
 	if len(warnings) != 2 {
@@ -173,11 +177,13 @@ func TestRebalanceMisconfigDefaults(t *testing.T) {
 	r2 := &Rebalancer{Logf: func(format string, args ...any) {
 		warnings = append(warnings, format)
 	}}
-	if got := r2.maxMoves(); got != 4 {
-		t.Fatalf("zero maxMoves() = %d, want 4", got)
+	want := tuning{
+		maxMoves: DefaultMaxMovesPerRound, stormBudget: DefaultMaxMovesPerRound,
+		admissionCap: DefaultAdmissionCap, cooldown: DefaultCooldownRounds,
+		threshold: DefaultThreshold, stormFraction: DefaultStormFraction,
 	}
-	if got := r2.threshold(); got != 0.9 {
-		t.Fatalf("zero threshold() = %g, want 0.9", got)
+	if got := r2.tuning(); got != want {
+		t.Fatalf("zero-value tuning = %+v, want %+v", got, want)
 	}
 	if len(warnings) != 0 {
 		t.Fatalf("zero-value defaults logged warnings: %q", warnings)
@@ -185,55 +191,48 @@ func TestRebalanceMisconfigDefaults(t *testing.T) {
 
 	// Negative Threshold also warns (would disable the imbalance pass
 	// silently); -1 CooldownRounds disables cooldowns without warning —
-	// it is the documented A/B knob.
-	r3 := &Rebalancer{Threshold: -0.5, CooldownRounds: -1}
-	if got := r3.threshold(); got != 0.9 {
-		t.Fatalf("negative threshold() = %g, want default 0.9", got)
+	// it is the documented A/B knob. StormBudget defaults to whatever
+	// MaxMovesPerRound resolved to.
+	warnings = nil
+	r3 := &Rebalancer{MaxMovesPerRound: 7, Threshold: -0.5, CooldownRounds: -1, Logf: r.Logf}
+	tn := r3.tuning()
+	if tn.threshold != DefaultThreshold {
+		t.Fatalf("negative threshold = %g, want default %g", tn.threshold, DefaultThreshold)
 	}
-	if got := r3.cooldownRounds(); got != 0 {
-		t.Fatalf("cooldownRounds() = %d with -1, want 0 (disabled)", got)
+	if tn.cooldown != 0 {
+		t.Fatalf("cooldown = %d with -1, want 0 (disabled)", tn.cooldown)
 	}
-	if got := (&Rebalancer{}).cooldownRounds(); got != 2 {
-		t.Fatalf("default cooldownRounds() = %d, want 2", got)
+	if tn.maxMoves != 7 || tn.stormBudget != 7 {
+		t.Fatalf("maxMoves %d / stormBudget %d, want 7 / 7", tn.maxMoves, tn.stormBudget)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "Threshold") {
+		t.Fatalf("warnings %q, want exactly the Threshold one", warnings)
 	}
 }
 
 // TestRebalanceCooldownBlocksRepeatMoves: an app moved by the
-// drift/imbalance passes in round k is excluded from those passes for
-// rounds k+1..k+CooldownRounds, then becomes movable again. Plan (the
-// dry run) must not advance the cooldown clock — only Round does.
+// preempt/drift/imbalance passes in round k is excluded from those
+// passes for rounds k+1..k+CooldownRounds, then becomes movable again.
+// The clock lives in the Inventory and only executed rounds advance it.
 func TestRebalanceCooldownBlocksRepeatMoves(t *testing.T) {
-	r := &Rebalancer{CooldownRounds: 2}
-	r.noteMoved("app")
-	r.mu.Lock()
-	r.round++ // the move's round completes
-	r.mu.Unlock()
+	inv := NewInventory(InventoryConfig{})
+	inv.noteMoved("app")
+	inv.endRound() // the move's round completes
 	for i := 1; i <= 2; i++ {
-		if !r.onCooldown("app") {
-			t.Fatalf("round +%d: app escaped its cooldown early", i)
-		}
-		if cds := r.cooldownView(); cds["app"] != 2-i+1 {
+		if cds := inv.cooldownView(2); cds["app"] != 2-i+1 {
 			t.Fatalf("round +%d: cooldownView = %v, want app -> %d", i, cds, 2-i+1)
 		}
-		r.mu.Lock()
-		r.round++
-		r.mu.Unlock()
+		inv.endRound()
 	}
-	if r.onCooldown("app") {
-		t.Fatal("app still on cooldown after CooldownRounds elapsed")
-	}
-	if cds := r.cooldownView(); len(cds) != 0 {
-		t.Fatalf("expired cooldowns not pruned: %v", cds)
+	if cds := inv.cooldownView(2); len(cds) != 0 {
+		t.Fatalf("app still on cooldown after CooldownRounds elapsed: %v", cds)
 	}
 
 	// Disabled guard: nothing is ever on cooldown.
-	off := &Rebalancer{CooldownRounds: -1}
-	off.noteMoved("app")
-	off.mu.Lock()
-	off.round++
-	off.mu.Unlock()
-	if off.onCooldown("app") {
-		t.Fatal("disabled cooldown still blocks moves")
+	inv.noteMoved("app")
+	inv.endRound()
+	if cds := inv.cooldownView(0); len(cds) != 0 {
+		t.Fatalf("disabled cooldown still blocks moves: %v", cds)
 	}
 }
 
@@ -292,28 +291,99 @@ func TestRebalanceCooldownDampsImmediateBounce(t *testing.T) {
 	}
 }
 
-// TestRebalanceBudgetSharedAcrossPasses: the plan reports the global
-// budget and its consumption, and the moves never exceed it even when
-// urgent evacuation already claimed part of the round.
+// TestRebalanceBudgetSharedAcrossPasses: every pass plans through the
+// one ledger. Each case hands one pass more work than the round's
+// budget; the plan carries exactly Budget moves of that pass's reason,
+// reports the remainder as deferred, and accounts for what it spent.
 func TestRebalanceBudgetSharedAcrossPasses(t *testing.T) {
 	ctx := context.Background()
-	inv, reb := twoMachineFleet(t, 3)
-	if err := inv.SetDraining("a", true); err != nil {
-		t.Fatalf("SetDraining failed: %v", err)
-	}
-	plan, err := reb.Plan(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Budget != 3 {
-		t.Fatalf("plan budget %d, want 3", plan.Budget)
-	}
-	if len(plan.Moves) != 3 || plan.Deferred != 1 {
-		t.Fatalf("moves %d / deferred %d, want 3 / 1 (4 drain candidates, budget 3)",
-			len(plan.Moves), plan.Deferred)
-	}
-	if plan.BudgetSpent != 3 {
-		t.Fatalf("budget spent %d, want 3", plan.BudgetSpent)
+	for _, tc := range []struct {
+		pass     string
+		reason   string
+		budget   int
+		deferred int
+		fleet    func(t *testing.T) *Rebalancer
+	}{
+		{"urgent", ReasonDrain, 3, 1, func(t *testing.T) *Rebalancer {
+			inv, reb := twoMachineFleet(t, 3) // four apps on a
+			if err := inv.SetDraining("a", true); err != nil {
+				t.Fatal(err)
+			}
+			return reb
+		}},
+		{"storm", ReasonMachineLost, 2, 1, func(t *testing.T) *Rebalancer {
+			inv, part, hosts, reb := stormFleet(t) // three apps on a
+			part.Isolate(hosts[0])
+			inv.Poll(ctx)
+			return reb
+		}},
+		{"preempt", ReasonPreempt, 2, 1, func(t *testing.T) *Rebalancer {
+			// a, b and c each starve a latency app one slot over their
+			// floor; d and e have room for the victims.
+			inv, _, _ := tinyFleet(t, "a", "b", "c", "d", "e")
+			for _, id := range []string{"a", "b", "c"} {
+				lat := memSpec("lat-" + id)
+				lat.Priority = PriorityLatency
+				registerWithPriority(t, inv, id, lat)
+				registerWithPriority(t, inv, id, memSpec("batch-"+id+"-1"))
+				registerWithPriority(t, inv, id, memSpec("batch-"+id+"-2"))
+			}
+			return &Rebalancer{Inv: inv, Scorer: NewScorer(), MaxMovesPerRound: 2, Logf: t.Logf}
+		}},
+		{"drift", ReasonDrift, 1, 1, func(t *testing.T) *Rebalancer {
+			// Two wolves on a declare memory-bound and measure
+			// compute-bound; b and c are empty.
+			inv := NewInventory(InventoryConfig{NewClient: fastClients(nil), FailAfter: 2})
+			for id, hs := range map[string]*httptest.Server{"a": newRecalCoopd(t), "b": newCoopd(t), "c": newCoopd(t)} {
+				if err := inv.Add(id, hs.URL); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cli, err := inv.Client("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range []AppSpec{memSpec("mem-a"), memSpec("mem-b"), memSpec("wolf-1"), memSpec("wolf-2")} {
+				resp, err := cli.Register(ctx, spec.registerRequest())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 10 && spec.Name[0] == 'w'; i++ {
+					if _, err := cli.Report(ctx, ctrlplane.ReportRequest{
+						ID:      resp.ID,
+						Samples: []ctrlplane.ReportSample{{GFLOPS: 290, GBps: 29, Threads: 29}},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return &Rebalancer{Inv: inv, Scorer: NewScorer(), MaxMovesPerRound: 1, Logf: t.Logf}
+		}},
+		{"imbalance", ReasonRebalance, 1, 1, func(t *testing.T) *Rebalancer {
+			_, reb := twoMachineFleet(t, 1) // the re-pack wants two moves
+			return reb
+		}},
+	} {
+		t.Run(tc.pass, func(t *testing.T) {
+			reb := tc.fleet(t)
+			reb.Inv.Poll(ctx)
+			plan, err := reb.Plan(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Budget != tc.budget || len(plan.Moves) != tc.budget || plan.BudgetSpent != len(plan.Moves) {
+				t.Fatalf("budget %d, %d moves, spent %d; want all three = %d",
+					plan.Budget, len(plan.Moves), plan.BudgetSpent, tc.budget)
+			}
+			if plan.Deferred != tc.deferred {
+				t.Fatalf("deferred %d, want the remainder %d", plan.Deferred, tc.deferred)
+			}
+			for _, mv := range plan.Moves {
+				if mv.Reason != tc.reason {
+					t.Fatalf("move %+v, want only %s moves", mv, tc.reason)
+				}
+			}
+		})
 	}
 }
 
@@ -357,7 +427,6 @@ func stormFleet(t *testing.T) (*Inventory, *faultinject.Partition, []string, *Re
 	sc := NewScorer()
 	reb := &Rebalancer{
 		Inv:              inv,
-		Placer:           &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 		Scorer:           sc,
 		MaxMovesPerRound: 2,
 		AdmissionCap:     1,

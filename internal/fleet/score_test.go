@@ -136,7 +136,7 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 		// Naive reference: independent solves per candidate, identical
 		// selection rule.
 		app := mustRoofline(t, spec)
-		cands := candidatesFrom(members)
+		cands := new(candidateSet).reset(members, true, false)
 		pool := cands
 		if spec.numaBad() {
 			var clean []*candidate
@@ -172,7 +172,7 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 
 		sc := NewScorer()
 		for pass := 0; pass < 2; pass++ { // pass 1 runs fully memoized
-			d, _, err := sc.decide(spec, candidatesFrom(members))
+			d, _, err := sc.decide(spec, new(candidateSet).reset(members, true, false))
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", spec.Name, pass, err)
 			}
@@ -198,14 +198,14 @@ func TestScorerClassDedup(t *testing.T) {
 	}
 	sc := NewScorer()
 	spec := AppSpec{Name: "incoming", AI: 2}
-	if _, _, err := sc.decide(spec, candidatesFrom(members)); err != nil {
+	if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, false)); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := sc.CacheStats()
 	if misses != 2 { // one before-solve, one after-solve for the single class
 		t.Errorf("first decision: %d memo misses, want 2 (hits %d)", misses, hits)
 	}
-	if _, _, err := sc.decide(spec, candidatesFrom(members)); err != nil {
+	if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, false)); err != nil {
 		t.Fatal(err)
 	}
 	hits2, misses2 := sc.CacheStats()

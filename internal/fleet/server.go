@@ -91,13 +91,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	sc.Objective = spec
-	pl := &Placer{Inv: cfg.Inventory, Scorer: sc, DisablePreemption: cfg.DisablePreemption, Logf: cfg.Logf}
 	s := &Server{
 		cfg: cfg,
 		inv: cfg.Inventory,
-		pl:  pl,
+		pl:  &Placer{Inv: cfg.Inventory, Scorer: sc, DisablePreemption: cfg.DisablePreemption, Logf: cfg.Logf},
 		reb: &Rebalancer{
-			Inv: cfg.Inventory, Placer: pl, Scorer: sc,
+			Inv: cfg.Inventory, Scorer: sc,
 			MaxMovesPerRound: cfg.MaxMovesPerRound, Threshold: cfg.Threshold,
 			StormFraction: cfg.StormFraction, StormBudget: cfg.StormBudget,
 			AdmissionCap:      cfg.AdmissionCap,
@@ -109,9 +108,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	// Gang-admission preemption victims share the rebalancer's cooldown
-	// clock, so an evicted app is damped against follow-up churn.
-	pl.OnMoved = s.reb.noteMoved
 	s.mux.HandleFunc("/v1/fleet/place", s.handlePlace)
 	s.mux.HandleFunc("/v1/fleet/gang", s.handleGang)
 	s.mux.HandleFunc("/v1/fleet/machines", s.handleMachines)
@@ -272,7 +268,7 @@ func (s *Server) machines() *MachinesResponse {
 			Apps: m.Apps, NUMABadApps: m.NUMABadApps(),
 			TotalGFLOPS: m.TotalGFLOPS, Generation: m.Generation,
 			Failures: m.Failures, StaleApps: m.Stale,
-			SinceSeenMillis: -1,
+			SinceSeenMillis: -1, Status: m.status(),
 		}
 		if v.Apps == nil {
 			v.Apps = []PlacedApp{}
@@ -283,22 +279,10 @@ func (s *Server) machines() *MachinesResponse {
 		if !m.LastSeen.IsZero() {
 			v.SinceSeenMillis = now.Sub(m.LastSeen).Milliseconds()
 		}
-		switch {
-		case m.Quarantined:
-			v.Status = StatusQuarantined
-			if left := m.QuarantineUntil.Sub(now); left > 0 {
-				v.QuarantinedForMillis = left.Milliseconds()
-			}
-		case m.Dead:
-			v.Status = StatusDead
-		case m.Topology == nil:
-			v.Status = StatusUnknown
-		case m.Failures > 0:
-			v.Status = StatusSuspect
-		default:
-			v.Status = StatusHealthy
+		if left := m.QuarantineUntil.Sub(now); m.Quarantined && left > 0 {
+			v.QuarantinedForMillis = left.Milliseconds()
 		}
-		if v.Status == StatusHealthy || v.Status == StatusSuspect {
+		if m.Healthy() {
 			resp.FleetGFLOPS += m.TotalGFLOPS
 		}
 		resp.Machines = append(resp.Machines, v)
@@ -316,9 +300,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
-	}
-	if plan.Moves == nil {
-		plan.Moves = []Move{}
 	}
 	writeJSON(w, http.StatusOK, plan)
 }
@@ -386,12 +367,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := FleetHealthResponse{Status: "ok", SolveCache: s.pl.Scorer.cache.Counters()}
 	for _, m := range s.inv.Snapshot() {
 		resp.Machines++
-		switch {
-		case m.Quarantined:
+		switch m.status() {
+		case StatusQuarantined:
 			resp.Quarantined++
-		case m.Dead:
+		case StatusDead:
 			resp.Dead++
-		case m.Healthy():
+		case StatusHealthy, StatusSuspect:
 			resp.Healthy++
 		}
 		if m.Draining {

@@ -1,0 +1,422 @@
+package fleet
+
+import (
+	"math"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+
+	"repro/internal/machine"
+	"repro/internal/roofline"
+)
+
+// candidate is one member's scoring state during a planning session.
+// Decisions accumulate: each chosen app is committed so later decisions
+// in the same session see the earlier simulated moves.
+type candidate struct {
+	id     string
+	member int // index in the session's snapshot
+	topo   *machine.Machine
+	demand []roofline.App
+	// ids parallels demand: the member-local app ID behind each entry
+	// ("" for apps committed during the session). snap counts the
+	// leading entries loaded from the snapshot, so demand[:snap] is the
+	// member's polled demand set whatever the session committed since.
+	ids  []string
+	snap int
+	apps int
+	bad  int // numa-bad registrations
+
+	// domain and groups exist only under domain-spread: the member's
+	// failure domain and its per-cooperating-group app counts (group =
+	// app name with the trailing "-<n>" replica suffix stripped). nil
+	// groups means spread is off and the candidate carries zero extra
+	// state.
+	domain string
+	groups map[string]int
+
+	// keyBuf holds the candidate's equivalence-class key (topology hash
+	// + sorted demand segments), built lazily into a reused backing
+	// array and truncated on commit — the only invalidation the
+	// content-addressed scheme needs. Empty means unset (a real key is
+	// never shorter than the 8 topology-hash bytes).
+	keyBuf []byte
+}
+
+// groupOf derives an app's cooperating-group label from its name: one
+// trailing "-<digits>" replica suffix is stripped, so web-0..web-9 form
+// group "web". A name without the suffix is its own group.
+func groupOf(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
+// classKey returns the candidate's equivalence-class key, caching it on
+// the candidate until the next commit changes the demand set.
+func (c *candidate) classKey(sc *Scorer, s *scoreScratch) []byte {
+	if len(c.keyBuf) == 0 {
+		c.keyBuf = append(c.keyBuf, sc.demandKey(&s.key, c.topo, c.demand)...)
+	}
+	return c.keyBuf
+}
+
+// commit folds an app into the candidate so subsequent decisions
+// against it see the app; id is its member-local ID when it is already
+// registered there. A spec the model rejects (should not happen — coopd
+// validated it) still counts as an app but adds no demand. The cached
+// class key is dropped: the demand multiset changed, so the candidate
+// naturally re-keys into its new equivalence class.
+func (c *candidate) commit(spec AppSpec, id string) {
+	if app, err := spec.rooflineApp(); err == nil {
+		c.demand = append(c.demand, app)
+		c.ids = append(c.ids, id)
+	}
+	c.apps++
+	if spec.numaBad() {
+		c.bad++
+	}
+	if c.groups != nil {
+		c.groups[groupOf(spec.Name)]++
+	}
+	c.keyBuf = c.keyBuf[:0]
+}
+
+// remove is commit's inverse for evictions: it drops the demand entry
+// at index i (the spec describes the app backing it).
+func (c *candidate) remove(i int, spec AppSpec) {
+	c.demand = slices.Delete(c.demand, i, i+1)
+	c.ids = slices.Delete(c.ids, i, i+1)
+	if i < c.snap {
+		c.snap--
+	}
+	c.apps--
+	if spec.numaBad() {
+		c.bad--
+	}
+	if c.groups != nil {
+		g := groupOf(spec.Name)
+		if n := c.groups[g]; n > 1 {
+			c.groups[g] = n - 1
+		} else {
+			delete(c.groups, g)
+		}
+	}
+	c.keyBuf = c.keyBuf[:0]
+}
+
+// candidateSet owns reusable scoring candidates: reset rebuilds the set
+// from a member snapshot while keeping the candidate structs and their
+// demand backing arrays, so the per-decision (and per-rebalance-round)
+// allocation cost is amortized to zero. Not safe for concurrent use;
+// every session owns its own.
+type candidateSet struct {
+	all []*candidate // grown monotonically; structs and demand reused
+	out []*candidate
+}
+
+// reset rebuilds the set from healthy, non-draining members (ID order
+// preserved from the snapshot). withDemand=false leaves every
+// candidate's demand set empty — the imbalance re-pack's from-scratch
+// starting state. spread additionally loads each candidate's failure
+// domain and per-group app counts for the domain-spread tie-break;
+// with it off the candidates carry no domain state at all.
+func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*candidate {
+	cs.out = cs.out[:0]
+	for i := range members {
+		m := &members[i]
+		if !m.Healthy() || m.Draining {
+			continue
+		}
+		var c *candidate
+		if n := len(cs.out); n < len(cs.all) {
+			c = cs.all[n]
+		} else {
+			c = &candidate{}
+			cs.all = append(cs.all, c)
+		}
+		c.id, c.member, c.topo = m.ID, i, m.Topology
+		c.demand, c.ids, c.keyBuf = c.demand[:0], c.ids[:0], c.keyBuf[:0]
+		c.apps, c.bad = 0, 0
+		c.domain, c.groups = "", nil
+		if spread {
+			c.domain = m.Domain
+			if c.domain == "" {
+				c.domain = m.ID // every machine its own domain by default
+			}
+			c.groups = map[string]int{}
+		}
+		if withDemand {
+			for _, a := range m.Apps {
+				c.commit(a.EffectiveSpec(), a.ID)
+			}
+		}
+		c.snap = len(c.demand)
+		cs.out = append(cs.out, c)
+	}
+	return cs.out
+}
+
+// keepCands appends the candidates keep admits to dst.
+func keepCands(dst, cands []*candidate, keep func(*candidate) bool) []*candidate {
+	for _, c := range cands {
+		if keep(c) {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// appKey names one registration fleet-wide: app IDs are machine-local.
+type appKey struct{ member, app string }
+
+// session is one planning pass over one Inventory.Snapshot(). It owns
+// what every planner — single placement, gang admission, the
+// rebalancer's passes — works on: the member view with its
+// stale-duplicate set, the candidate set and its by-ID index, host
+// class ranks, the cooldown view, the pool and demand scratch, and the
+// move ledger. Planning through a session does no I/O and touches no
+// inventory state; the result is a list of Moves for the executor
+// (Inventory.relocate). Sessions are pooled, so a decision on a warm
+// fleet allocates nothing for them. Not safe for concurrent use.
+type session struct {
+	sc      *Scorer
+	members []Member
+	cur     candidateSet
+	cands   []*candidate // healthy, non-draining members, ID order
+
+	// dup marks stale duplicates (see staleDuplicates) and cooling maps
+	// app names inside their post-move cooldown to rounds left; both stay
+	// empty outside a rebalance round. byID and ranks are built on first
+	// use.
+	dup     map[appKey]bool
+	cooling map[string]int
+	byID    map[string]*candidate
+	ranks   map[string]int
+
+	fresh  candidateSet   // the imbalance pass's from-scratch re-pack
+	pool   []*candidate   // pick's filtered view
+	demand []roofline.App // demand-rebuild scratch
+
+	// The ledger: every planned move lands in moves through move, which
+	// debits budget; exhausted counts what the budget pushed out.
+	moves    []Move
+	deferred int
+	budget   int
+}
+
+var sessions = sync.Pool{New: func() any { return new(session) }}
+
+// openSession starts a planning session over the inventory's current
+// snapshot with an unlimited ledger. spread loads failure-domain state
+// into the candidates. Callers must close the session.
+func openSession(sc *Scorer, inv *Inventory, spread bool) *session {
+	s := sessions.Get().(*session)
+	s.sc, s.members = sc, inv.Snapshot()
+	s.cands = s.cur.reset(s.members, true, spread)
+	s.budget = math.MaxInt
+	return s
+}
+
+// close returns the session to the pool, dropping everything that
+// references the snapshot or was handed to the caller.
+func (s *session) close() {
+	s.members, s.dup, s.cooling, s.byID, s.ranks = nil, nil, nil, nil, nil
+	s.moves, s.deferred = nil, 0
+	sessions.Put(s)
+}
+
+// cand returns the candidate for a member ID, nil when the member is
+// not a placement target (dead, quarantined, draining, never polled).
+func (s *session) cand(id string) *candidate {
+	if s.byID == nil {
+		s.byID = make(map[string]*candidate, len(s.cands))
+		for _, c := range s.cands {
+			s.byID[c.id] = c
+		}
+	}
+	return s.byID[id]
+}
+
+// rank returns a member's highest hosted class rank in the snapshot —
+// the inversion test for a starved machine, and the inversion-avoidance
+// input for victim destinations: pushing a machine that hosts a class
+// above the victim's over its floor capacity would only move the
+// inversion, not fix it.
+func (s *session) rank(id string) int {
+	if s.ranks == nil {
+		s.ranks = make(map[string]int, len(s.members))
+		for i := range s.members {
+			top := 0
+			for _, a := range s.members[i].Apps {
+				top = max(top, ClassRank(a.Priority))
+			}
+			s.ranks[s.members[i].ID] = top
+		}
+	}
+	return s.ranks[id]
+}
+
+// staleDuplicates lists the registrations revived members still carry
+// for apps that were re-homed while the member was dead (or quarantined
+// — its coopd still answers, so the duplicate can be deregistered), and
+// marks them in dup: duplicates are excluded from move planning and the
+// imbalance aggregate.
+func (s *session) staleDuplicates() []StaleDereg {
+	var out []StaleDereg
+	for i := range s.members {
+		m := &s.members[i]
+		if !m.Alive() {
+			continue
+		}
+		for _, id := range m.Stale {
+			if slices.ContainsFunc(m.Apps, func(a PlacedApp) bool { return a.ID == id }) {
+				out = append(out, StaleDereg{Member: m.ID, AppID: id})
+				if s.dup == nil {
+					s.dup = map[appKey]bool{}
+				}
+				s.dup[appKey{m.ID, id}] = true
+			}
+		}
+	}
+	return out
+}
+
+// frozen reports whether the quiet passes must leave the app alone: a
+// stale duplicate awaiting cleanup, or inside its post-move cooldown.
+func (s *session) frozen(member string, a *PlacedApp) bool {
+	return s.dup[appKey{member, a.ID}] || s.cooling[a.Name] > 0
+}
+
+// pick decides spec against the candidates keep admits (nil: all of
+// them). The filtered view stays in s.pool until the next pick, so a
+// caller can tell an empty pool from a failed decision.
+func (s *session) pick(spec AppSpec, keep func(*candidate) bool) (*Decision, *candidate, error) {
+	if keep == nil {
+		return s.sc.decide(spec, s.cands)
+	}
+	s.pool = keepCands(s.pool[:0], s.cands, keep)
+	return s.sc.decide(spec, s.pool)
+}
+
+// exhausted reports whether the ledger is spent, counting the move the
+// caller was about to plan as deferred when it is.
+func (s *session) exhausted() bool {
+	if s.budget > 0 {
+		return false
+	}
+	s.deferred++
+	return true
+}
+
+// move is the ledger's one entry point: it records the relocation of a
+// registered app, commits it to its destination candidate so later
+// decisions see it, and debits the budget.
+func (s *session) move(app *PlacedApp, from, reason string, to *candidate, score float64) {
+	spec := app.EffectiveSpec()
+	s.moves = append(s.moves, Move{
+		AppID: app.ID, App: spec, From: from, To: to.id, Reason: reason, Score: score,
+	})
+	to.commit(spec, "")
+	s.budget--
+}
+
+// without solves demand minus its entry i — what the machine keeps if
+// that app leaves.
+func (s *session) without(topo *machine.Machine, demand []roofline.App, i int) (float64, error) {
+	s.demand = append(append(s.demand[:0], demand[:i]...), demand[i+1:]...)
+	return s.sc.SolveTotal(topo, s.demand)
+}
+
+// evict is preemption's shared machinery. When a higher-class app (or
+// gang member) cannot be admitted floor-feasibly, the fleet evicts the
+// cheapest lower-class victims — by lost aggregate GFLOPS per freed
+// floor slot — and re-homes them where they cannot cause a priority
+// inversion. Two clients use it: the Rebalancer's planPreempt pass
+// repairs inversions the urgent evacuation left behind (a latency app
+// re-homed onto a full machine during a loss), and gang admission makes
+// room for a high-class gang member before anything registers. Victim
+// moves carry ReasonPreempt, go through the ledger like every other
+// move, and start the moved app's cooldown when executed.
+//
+// evict frees up to need floor slots on candidate c by evicting its
+// cheapest victims below rank among the apps the snapshot shows there;
+// apps the session froze, already evicted, or committed during the
+// session are never chosen. Cheapest means smallest aggregate loss
+// on c, measured by re-solving c's demand without each eligible victim
+// — one-shot, not re-ranked between evictions; the solve memo makes
+// each measurement one cached ±1 solve. Each victim is re-homed by an
+// ordinary decision over the other candidates, restricted — when
+// possible — to machines that either have free floor capacity or host
+// nothing above the victim's own class. Returns the planned moves (nil
+// when no eviction is possible).
+func (s *session) evict(c *candidate, rank, need int) []Move {
+	if need <= 0 || rank <= 0 {
+		return nil
+	}
+	type victim struct {
+		app  *PlacedApp
+		at   int // its entry in c.demand while nothing is evicted yet
+		loss float64
+	}
+	var victims []victim
+	apps := s.members[c.member].Apps
+	for i := range apps {
+		a := &apps[i]
+		if at := slices.Index(c.ids, a.ID); at >= 0 && ClassRank(a.Priority) < rank && !s.frozen(c.id, a) {
+			victims = append(victims, victim{app: a, at: at})
+		}
+	}
+	if len(victims) == 0 {
+		return nil
+	}
+	base, err := s.sc.SolveTotal(c.topo, c.demand)
+	if err != nil {
+		return nil
+	}
+	scored := victims[:0]
+	for _, v := range victims {
+		after, err := s.without(c.topo, c.demand, v.at)
+		if err != nil {
+			continue
+		}
+		v.loss = base - after
+		scored = append(scored, v)
+	}
+	sort.Slice(scored, func(a, b int) bool {
+		if scored[a].loss != scored[b].loss {
+			return scored[a].loss < scored[b].loss
+		}
+		return scored[a].app.ID < scored[b].app.ID
+	})
+	// Evicting every lower-class app still relieves the inversion —
+	// whatever starvation remains is among equals.
+	planned := len(s.moves)
+	for _, v := range scored[:min(need, len(scored))] {
+		spec, vrank := v.app.EffectiveSpec(), ClassRank(v.app.Priority)
+		d, dst, err := s.pick(spec, func(cc *candidate) bool {
+			return cc != c && (len(cc.demand)+1 <= FloorCapacity(cc.topo) || s.rank(cc.id) <= vrank)
+		})
+		if len(s.pool) == 0 {
+			// No inversion-safe machine: settle for anything but c.
+			d, dst, err = s.pick(spec, func(cc *candidate) bool { return cc != c })
+			if len(s.pool) == 0 {
+				break // single-machine fleet: nowhere to put victims
+			}
+		}
+		if err != nil {
+			continue
+		}
+		c.remove(slices.Index(c.ids, v.app.ID), spec)
+		s.move(v.app, c.id, ReasonPreempt, dst, d.Score)
+	}
+	return s.moves[planned:]
+}

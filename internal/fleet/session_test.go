@@ -1,0 +1,191 @@
+package fleet
+
+import (
+	"context"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/faultinject"
+	"repro/internal/machine"
+)
+
+// tinyFleet starts 2-node x 2-core machines (floor capacity 2) named
+// ids behind a partition fabric and returns their hosts in ids order.
+func tinyFleet(t *testing.T, ids ...string) (*Inventory, *faultinject.Partition, map[string]string) {
+	t.Helper()
+	part := faultinject.NewPartition()
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(part.Transport(nil)), FailAfter: 2, Logf: t.Logf})
+	hosts := map[string]string{}
+	for _, id := range ids {
+		hs := newCoopdOn(t, machine.Uniform("tiny-"+id, 2, 2, 10, 32, 0))
+		hosts[id] = hostOf(t, hs.URL)
+		if err := inv.Add(id, hs.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inv.Poll(context.Background())
+	return inv, part, hosts
+}
+
+// homesOf polls the fleet and returns, per app name, the members whose
+// coopd registry holds it.
+func homesOf(t *testing.T, inv *Inventory) map[string][]string {
+	t.Helper()
+	inv.Poll(context.Background())
+	homes := map[string][]string{}
+	for _, m := range inv.Snapshot() {
+		for _, a := range m.Apps {
+			homes[a.Name] = append(homes[a.Name], m.ID)
+		}
+	}
+	return homes
+}
+
+// TestFailedRehomeRestoresSource: a move drains its source before it
+// registers on the target, so a target that dies between Plan and
+// Execute used to leave the app registered nowhere — the next poll
+// forgot it. The executor now puts it back on the source; whichever
+// planner produced the move, the app ends up live on exactly one
+// member.
+func TestFailedRehomeRestoresSource(t *testing.T) {
+	ctx := context.Background()
+
+	t.Run("rebalance", func(t *testing.T) {
+		inv, part, hosts := tinyFleet(t, "a", "b")
+		registerWithPriority(t, inv, "a", memSpec("app"))
+		if err := inv.SetDraining("a", true); err != nil {
+			t.Fatal(err)
+		}
+		reb := &Rebalancer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+		plan, err := reb.Plan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Moves) != 1 || plan.Moves[0].To != "b" {
+			t.Fatalf("planned %+v, want the one drain a -> b", plan.Moves)
+		}
+		part.Isolate(hosts["b"])
+		if err := reb.Execute(ctx, plan); err == nil {
+			t.Fatal("Execute reported no error with the target unreachable")
+		}
+		if n := appsOn(t, inv, "a"); n != 1 {
+			t.Fatalf("inventory shows %d apps on a after the failed move, want the restored one", n)
+		}
+		part.Heal(hosts["b"])
+		if got := homesOf(t, inv)["app"]; !reflect.DeepEqual(got, []string{"a"}) {
+			t.Fatalf("app is registered on %v after the failed move, want exactly [a]", got)
+		}
+	})
+
+	t.Run("gang victim", func(t *testing.T) {
+		// a and b are full of batch work, c is empty: a two-replica
+		// latency gang takes c and evicts a batch app towards c.
+		inv, part, hosts := tinyFleet(t, "a", "b", "c")
+		for i, member := range []string{"a", "a", "b", "b"} {
+			registerWithPriority(t, inv, member, memSpec("batch-"+string(rune('1'+i))))
+		}
+		pl := &Placer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+		g := GangSpec{
+			Name: "lat", Replicas: 2, Policy: GangSpread,
+			App: AppSpec{AI: 0.5, TTLMillis: testTTL, Priority: PriorityLatency},
+		}
+		plan, err := pl.planGang(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.victims) == 0 {
+			t.Fatal("gang planned no eviction with every loaded machine at floor capacity")
+		}
+		for _, mv := range plan.victims {
+			part.Isolate(hosts[mv.To])
+		}
+		if _, err := pl.executeGang(ctx, g, plan); err == nil {
+			t.Fatal("gang admitted with its first member's machine unreachable")
+		}
+		part.HealAll()
+		homes := homesOf(t, inv)
+		for _, name := range []string{"batch-1", "batch-2", "batch-3", "batch-4"} {
+			if len(homes[name]) != 1 {
+				t.Fatalf("%s is registered on %v after the failed eviction, want exactly one member", name, homes[name])
+			}
+		}
+		if len(homes) != 4 {
+			t.Fatalf("fleet hosts %v, want the four batch apps and no gang remnant", homes)
+		}
+	})
+}
+
+// TestPlanDoesNoIO: planning reads one inventory snapshot and nothing
+// else. With every member unreachable after the poll, Plan still
+// answers, answers the same twice, sends no request, and leaves the
+// inventory — members, stale lists, cooldowns — as it found it.
+func TestPlanDoesNoIO(t *testing.T) {
+	ctx := context.Background()
+	inv, part, hosts, reb := stormFleet(t)
+	part.Isolate(hosts[0])
+	inv.Poll(ctx) // a is dead: the plan below is a storm triage
+	inv.noteStale("b", "ghost")
+	inv.noteMoved("t-1")
+	inv.endRound()
+	for _, h := range hosts {
+		part.Isolate(h)
+	}
+	drops := func() (n uint64) {
+		for _, h := range hosts {
+			n += part.Drops(h)
+		}
+		return n
+	}
+
+	membersBefore, cooldownsBefore, dropsBefore := inv.Snapshot(), inv.cooldownView(DefaultCooldownRounds), drops()
+	first, err := reb.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := reb.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Moves) == 0 || !first.StormActive {
+		t.Fatalf("plan %+v, want a storm triage with moves", first)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two plans over one snapshot differ:\n  %+v\n  %+v", first, second)
+	}
+	if got := drops(); got != dropsBefore {
+		t.Fatalf("planning sent %d requests to the members", got-dropsBefore)
+	}
+	if got := inv.Snapshot(); !reflect.DeepEqual(got, membersBefore) {
+		t.Fatalf("planning changed the inventory:\n  before %+v\n  after  %+v", membersBefore, got)
+	}
+	if got := inv.cooldownView(DefaultCooldownRounds); !reflect.DeepEqual(got, cooldownsBefore) || got["t-1"] == 0 {
+		t.Fatalf("planning changed the cooldowns: before %v, after %v", cooldownsBefore, got)
+	}
+}
+
+// TestPlanConcurrentWithRound: the HTTP dry run and the background
+// round loop plan at the same time, each in its own pooled session.
+// Run under -race.
+func TestPlanConcurrentWithRound(t *testing.T) {
+	ctx := context.Background()
+	_, reb := twoMachineFleet(t, 1)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				if _, err := reb.Plan(ctx); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for j := 0; j < 3; j++ {
+		if _, err := reb.Round(ctx); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+}

@@ -194,7 +194,6 @@ func TestUpgraderFailureHandsOffToEvacuation(t *testing.T) {
 	sc := NewScorer()
 	reb := &Rebalancer{
 		Inv:    inv,
-		Placer: &Placer{Inv: inv, Scorer: sc, Logf: t.Logf},
 		Scorer: sc,
 		Logf:   t.Logf,
 	}

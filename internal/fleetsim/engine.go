@@ -11,13 +11,13 @@ import (
 	"repro/internal/ctrlplane/client"
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
-	"repro/internal/roofline"
 )
 
 // Engine runs one scenario against a live in-process fleet: real
 // coopd member daemons (plain or HA replica pairs) behind a
-// faultinject partition fabric, the real Inventory/Placer/Rebalancer
-// on top, and the invariant checker after every round.
+// faultinject partition fabric, the fleet.Server wiring fleetd serves
+// (Inventory, Placer, Rebalancer, Upgrader) on top, driven round by
+// round, and the invariant checker after every round.
 type Engine struct {
 	sc   *Scenario
 	logf func(format string, args ...any)
@@ -26,7 +26,7 @@ type Engine struct {
 	inv     *fleet.Inventory
 	placer  *fleet.Placer
 	reb     *fleet.Rebalancer
-	upg     *fleet.Upgrader // non-nil once an "upgrade" event started one
+	upg     *fleet.Upgrader
 	members map[string]*simMember
 	clients map[string][]*client.Client // member ID -> one client per endpoint
 
@@ -90,36 +90,28 @@ func NewEngine(sc *Scenario, cfg EngineConfig) (*Engine, error) {
 		QuarantineBackoff: time.Duration(sc.QuarantineBackoffSeconds) * time.Second,
 		Logf:              e.log,
 	})
-	sc2 := fleet.NewScorer()
-	sc2.DomainSpread = sc.DomainSpread
-	objective, err := roofline.ObjectiveSpecByName(sc.Objective)
-	if err != nil {
-		return nil, err // Validate caught this already; belt and braces
-	}
-	sc2.Objective = objective
-	e.placer = &fleet.Placer{
-		Inv: e.inv, Scorer: sc2,
-		DisablePreemption: sc.DisablePreemption,
-		Logf:              e.log,
-	}
-	cooldown := sc.CooldownRounds
-	if sc.DisableAntiThrash {
-		cooldown = -1
-	}
-	e.reb = &fleet.Rebalancer{
-		Inv:               e.inv,
-		Placer:            e.placer,
-		Scorer:            sc2,
+	srv, err := fleet.NewServer(fleet.ServerConfig{
+		Inventory:         e.inv,
 		MaxMovesPerRound:  sc.MaxMovesPerRound,
 		Threshold:         sc.Threshold,
-		CooldownRounds:    cooldown,
+		DomainSpread:      sc.DomainSpread,
+		Objective:         sc.Objective,
+		DisablePreemption: sc.DisablePreemption,
 		StormFraction:     sc.StormFraction,
 		StormBudget:       sc.StormBudget,
 		AdmissionCap:      sc.AdmissionCap,
-		DisableStormBrake: sc.DisableStormBrake,
-		DisablePreemption: sc.DisablePreemption,
 		Logf:              e.log,
+	})
+	if err != nil {
+		return nil, err // Validate caught a bad objective already; belt and braces
 	}
+	e.placer, e.reb, e.upg = srv.Placer(), srv.Rebalancer(), srv.Upgrader()
+	// The A/B-only knobs no served configuration carries.
+	e.reb.CooldownRounds = sc.CooldownRounds
+	if sc.DisableAntiThrash {
+		e.reb.CooldownRounds = -1
+	}
+	e.reb.DisableStormBrake = sc.DisableStormBrake
 	for _, ms := range sc.Machines {
 		if err := e.addMachine(ms); err != nil {
 			e.Close()
@@ -348,7 +340,6 @@ func (e *Engine) applyEvents(ctx context.Context, round int) error {
 				e.perturb(round, "upgrade (parallel: whole fleet draining)")
 				continue
 			}
-			e.upg = &fleet.Upgrader{Inv: e.inv, Logf: e.log}
 			if _, err := e.upg.Start(nil, ev.HealthFloor); err != nil {
 				return fmt.Errorf("fleetsim: upgrade at round %d: %w", round, err)
 			}
@@ -466,10 +457,8 @@ func (e *Engine) Run(ctx context.Context) (*Verdict, error) {
 		if plan.StormActive {
 			e.verdict.StormRounds++
 		}
-		if e.upg != nil {
-			if msg := e.upg.Step(ctx); msg != "" {
-				e.perturb(round, "%s", msg)
-			}
+		if msg := e.upg.Step(ctx); msg != "" {
+			e.perturb(round, "%s", msg)
 		}
 		if len(plan.Moves) > e.verdict.MaxRoundMoves {
 			e.verdict.MaxRoundMoves = len(plan.Moves)
@@ -513,8 +502,7 @@ func (e *Engine) Run(ctx context.Context) (*Verdict, error) {
 	e.check.checkReadmission(e.inv.Snapshot())
 	e.verdict.LastPerturbRound = e.lastPerturb
 	e.verdict.LastActiveRound = e.lastActive
-	if e.upg != nil {
-		st := e.upg.Status()
+	if st := e.upg.Status(); st.State != fleet.UpgradeIdle {
 		e.verdict.UpgradeState = st.State
 		e.verdict.Upgraded = len(st.Done)
 	}

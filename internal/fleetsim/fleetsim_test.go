@@ -3,7 +3,11 @@ package fleetsim
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +34,59 @@ func corpusScenario(t *testing.T, name string) *Scenario {
 	}
 	t.Fatalf("scenario %q not in corpus", name)
 	return nil
+}
+
+// corpusRuns holds one run per unmodified corpus scenario for the whole
+// test binary: the harness is deterministic (TestFlappingDeterministic
+// asserts it), so the corpus test and the hardened half of every A/B
+// regression below can share a verdict instead of re-solving the
+// scenario. Verdicts are shared: read them, never write them.
+var corpusRuns sync.Map // scenario name -> *corpusRun
+
+type corpusRun struct {
+	once sync.Once
+	v    *Verdict
+	err  error
+}
+
+// corpusVerdict runs the named corpus scenario as checked in, at most
+// once per test binary.
+func corpusVerdict(t *testing.T, name string) *Verdict {
+	t.Helper()
+	sc := corpusScenario(t, name)
+	r, _ := corpusRuns.LoadOrStore(name, new(corpusRun))
+	run := r.(*corpusRun)
+	run.once.Do(func() { run.v, run.err = RunScenario(testCtx(t), sc, EngineConfig{Logf: t.Logf}) })
+	if run.err != nil {
+		t.Fatalf("RunScenario(%s): %v", name, run.err)
+	}
+	return run.v
+}
+
+// sameVerdict holds a run's verdict against its committed entry: every
+// field but the wall-clock ones, floats to 1e-9 relative.
+func sameVerdict(t *testing.T, run *Verdict, want Verdict) {
+	t.Helper()
+	// Through JSON like the committed one, so omitted-when-empty fields
+	// compare equal.
+	var got Verdict
+	if data, err := json.Marshal(run); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	same := near(got.FinalAggregateGFLOPS, want.FinalAggregateGFLOPS) && len(got.DriftConfirmed) == len(want.DriftConfirmed)
+	for name, ai := range want.DriftConfirmed {
+		fitted, ok := got.DriftConfirmed[name]
+		same = same && ok && near(fitted, ai)
+	}
+	exact := got
+	exact.ElapsedSeconds, exact.RoundsPerSec = want.ElapsedSeconds, want.RoundsPerSec
+	exact.FinalAggregateGFLOPS, exact.DriftConfirmed = want.FinalAggregateGFLOPS, want.DriftConfirmed
+	if !same || !reflect.DeepEqual(exact, want) {
+		t.Errorf("verdict differs from fleet-sim-verdicts.json:\n  got  %+v\n  want %+v", got, want)
+	}
 }
 
 func TestCorpusLoadsAndValidates(t *testing.T) {
@@ -70,8 +127,9 @@ func TestCorpusLoadsAndValidates(t *testing.T) {
 }
 
 // TestCorpusScenariosPassInvariants is the headline acceptance check: every
-// checked-in trace runs against the live fleet stack and every stability
-// invariant holds.
+// checked-in trace runs against the live fleet stack, every stability
+// invariant holds, and the verdict is the one committed in
+// fleet-sim-verdicts.json — the envelope every refactor is held to.
 func TestCorpusScenariosPassInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus run boots live coopd members; skipped in -short")
@@ -80,14 +138,27 @@ func TestCorpusScenariosPassInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Corpus: %v", err)
 	}
+	data, err := os.ReadFile("../../fleet-sim-verdicts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed []Verdict
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatalf("fleet-sim-verdicts.json: %v", err)
+	}
+	want := map[string]Verdict{}
+	for _, v := range committed {
+		want[v.Scenario] = v
+	}
+	if len(want) != len(corpus) {
+		t.Errorf("fleet-sim-verdicts.json holds %d verdicts for a corpus of %d", len(want), len(corpus))
+	}
 	for _, sc := range corpus {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			v, err := RunScenario(testCtx(t), sc, EngineConfig{Logf: t.Logf})
-			if err != nil {
-				t.Fatalf("RunScenario: %v", err)
-			}
+			v := corpusVerdict(t, sc.Name)
+			sameVerdict(t, v, want[sc.Name])
 			if !v.Passed {
 				for _, viol := range v.Violations {
 					t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -176,10 +247,7 @@ func TestOscillationRegressionWithoutAntiThrash(t *testing.T) {
 		t.Fatalf("expected a no-oscillation violation from the unguarded rebalancer, got %v", v.Violations)
 	}
 
-	guarded, err := RunScenario(testCtx(t), base, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario(guarded): %v", err)
-	}
+	guarded := corpusVerdict(t, base.Name)
 	if !guarded.Passed {
 		t.Fatalf("hardened rebalancer failed the same trace: %v", guarded.Violations)
 	}
@@ -198,10 +266,7 @@ func TestCorrelatedFailureStormRegression(t *testing.T) {
 	}
 	base := corpusScenario(t, "correlated_failure")
 
-	hardened, err := RunScenario(testCtx(t), base, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario(hardened): %v", err)
-	}
+	hardened := corpusVerdict(t, base.Name)
 	if !hardened.Passed {
 		for _, viol := range hardened.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -252,10 +317,7 @@ func TestPartitionFlapQuarantineRegression(t *testing.T) {
 	}
 	base := corpusScenario(t, "partition_flap")
 
-	hardened, err := RunScenario(testCtx(t), base, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario(hardened): %v", err)
-	}
+	hardened := corpusVerdict(t, base.Name)
 	if !hardened.Passed {
 		for _, viol := range hardened.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -302,10 +364,7 @@ func TestRollingUpgradeParallelRegression(t *testing.T) {
 	}
 	base := corpusScenario(t, "rolling_upgrade")
 
-	rolling, err := RunScenario(testCtx(t), base, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario(rolling): %v", err)
-	}
+	rolling := corpusVerdict(t, base.Name)
 	if !rolling.Passed {
 		for _, viol := range rolling.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -357,11 +416,7 @@ func TestDriftStormBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	sc := corpusScenario(t, "drift_storm")
-	v, err := RunScenario(testCtx(t), sc, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
-	}
+	v := corpusVerdict(t, "drift_storm")
 	if !v.Passed {
 		for _, viol := range v.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -395,10 +450,7 @@ func TestPriorityInversionPreemptionRegression(t *testing.T) {
 	}
 	base := corpusScenario(t, "priority_inversion")
 
-	hardened, err := RunScenario(testCtx(t), base, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario(hardened): %v", err)
-	}
+	hardened := corpusVerdict(t, base.Name)
 	if !hardened.Passed {
 		for _, viol := range hardened.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -452,10 +504,7 @@ func TestQuarantineReadmissionRegression(t *testing.T) {
 	}
 	base := corpusScenario(t, "quarantine_readmission")
 
-	forgiven, err := RunScenario(testCtx(t), base, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario(forgiven): %v", err)
-	}
+	forgiven := corpusVerdict(t, base.Name)
 	if !forgiven.Passed {
 		for _, viol := range forgiven.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -497,11 +546,7 @@ func TestUpgradeFailureRaceStormHandoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	sc := corpusScenario(t, "upgrade_failure_race")
-	v, err := RunScenario(testCtx(t), sc, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
-	}
+	v := corpusVerdict(t, "upgrade_failure_race")
 	if !v.Passed {
 		for _, viol := range v.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
@@ -577,11 +622,7 @@ func TestDriftScenarioConvergesThroughLeaderKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	sc := corpusScenario(t, "misdeclared_drift")
-	v, err := RunScenario(testCtx(t), sc, EngineConfig{Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
-	}
+	v := corpusVerdict(t, "misdeclared_drift")
 	if !v.Passed {
 		for _, viol := range v.Violations {
 			t.Errorf("round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
