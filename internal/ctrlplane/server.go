@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/ctrlplane/persist"
+	"repro/internal/freelist"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/roofline"
@@ -79,10 +80,10 @@ type Server struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	// serve holds pooled per-request scratch (registry snapshot,
-	// solution, response allocation) so the steady-state heartbeat →
-	// allocation path does not allocate in the solver or serve layers.
-	serve sync.Pool
+	// serve holds per-request scratch (registry snapshot, solution,
+	// response allocation) so the steady-state heartbeat → allocation
+	// path does not allocate in the solver or serve layers.
+	serve freelist.List[serveScratch]
 
 	restoredApps int
 }
@@ -176,7 +177,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	s.serve.New = func() any { return &serveScratch{} }
 	if cfg.Store != nil {
 		s.reg.AttachStore(cfg.Store)
 		s.restoredApps = len(cfg.Store.Restored().Apps)
@@ -385,7 +385,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	sc := s.serve.Get().(*serveScratch)
+	sc := s.serve.Get()
 	defer s.serve.Put(sc)
 	alloc, err := s.allocationInto(sc, st.ID)
 	if err != nil {
@@ -409,7 +409,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v (evicted after missing its heartbeat deadline, or never registered)", req.ID, err)
 		return
 	}
-	sc := s.serve.Get().(*serveScratch)
+	sc := s.serve.Get()
 	defer s.serve.Put(sc)
 	alloc, err := s.allocationInto(sc, req.ID)
 	if err != nil {

@@ -2,8 +2,8 @@ package ctrlplane
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/machine"
 	"repro/internal/roofline"
 	"repro/internal/solvecache"
@@ -63,9 +63,9 @@ type Solver struct {
 	search roofline.Search
 	cache  *solvecache.Cache[*cachedSolution]
 
-	// keys pools the per-request key builders, so a steady-state
+	// keys holds the per-request key builders, so a steady-state
 	// (cache-hit) solve allocates nothing.
-	keys sync.Pool // *solvecache.Key
+	keys freelist.List[solvecache.Key]
 
 	// testSolveDelay, when set, runs between claiming a flight slot and
 	// solving; tests use it to hold the leader while followers pile up.
@@ -90,7 +90,6 @@ func NewSolver(policy string) (*Solver, error) {
 		policy: policy,
 		tag:    tag,
 		cache:  solvecache.New[*cachedSolution](maxCacheEntries),
-		keys:   sync.Pool{New: func() any { return &solvecache.Key{} }},
 	}, nil
 }
 
@@ -155,7 +154,7 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 		return nil
 	}
 
-	k := s.keys.Get().(*solvecache.Key)
+	k := s.keys.Get()
 	defer s.keys.Put(k)
 	key, order := s.demandKey(k, m, apps)
 	cached, fromCache, err := s.cache.Do(key, func() (*cachedSolution, error) {

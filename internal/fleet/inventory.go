@@ -365,14 +365,15 @@ func (inv *Inventory) noteTransition(m *member, now time.Time) {
 		m.id, backoff, inv.cfg.FlapCount, inv.cfg.FlapWindow, m.quarantines)
 }
 
-// snapshotLocked copies one member.
-func (m *member) snapshot() Member {
-	return Member{
+// snapshotInto copies one member into dst, reusing the backing arrays
+// of dst's slices. Caller holds inv.mu.
+func (m *member) snapshotInto(dst *Member) {
+	*dst = Member{
 		ID:        m.id,
 		Domain:    m.domain,
-		Endpoints: append([]string(nil), m.endpoints...),
+		Endpoints: append(dst.Endpoints[:0], m.endpoints...),
 		Topology:  m.topo,
-		Apps:      append([]PlacedApp(nil), m.apps...),
+		Apps:      append(dst.Apps[:0], m.apps...),
 
 		TotalGFLOPS: m.total,
 		Generation:  m.gen,
@@ -380,7 +381,7 @@ func (m *member) snapshot() Member {
 		Dead:        m.dead,
 		Draining:    m.draining,
 		LastSeen:    m.lastSeen,
-		Stale:       append([]string(nil), m.stale...),
+		Stale:       append(dst.Stale[:0], m.stale...),
 
 		Quarantined:     m.quarantined,
 		QuarantineUntil: m.quarantineUntil,
@@ -388,15 +389,24 @@ func (m *member) snapshot() Member {
 	}
 }
 
-// Snapshot returns every member, sorted by ID.
+// Snapshot returns every member, sorted by ID, in memory the caller
+// owns.
 func (inv *Inventory) Snapshot() []Member {
+	return inv.snapshotInto(nil)
+}
+
+// snapshotInto is Snapshot into dst's memory: the Member array and each
+// element's Endpoints, Apps and Stale backing arrays are reused, so a
+// planning session that keeps its snapshot buffer between decisions
+// copies the fleet without allocating. Whatever dst held is overwritten.
+func (inv *Inventory) snapshotInto(dst []Member) []Member {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	out := make([]Member, 0, len(inv.order))
-	for _, id := range inv.order {
-		out = append(out, inv.members[id].snapshot())
+	dst = slices.Grow(dst[:0], len(inv.order))[:len(inv.order)]
+	for i, id := range inv.order {
+		inv.members[id].snapshotInto(&dst[i])
 	}
-	return out
+	return dst
 }
 
 // Member returns one member's snapshot.
@@ -407,7 +417,9 @@ func (inv *Inventory) Member(id string) (Member, bool) {
 	if !ok {
 		return Member{}, false
 	}
-	return m.snapshot(), true
+	var out Member
+	m.snapshotInto(&out)
+	return out, true
 }
 
 // SetDraining marks (or unmarks) a member for draining. A draining

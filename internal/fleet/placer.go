@@ -73,8 +73,8 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 			pool = clean
 		}
 	}
-	s := sc.getScratch()
-	defer sc.putScratch(s)
+	s := sc.scratch.Get()
+	defer sc.scratch.Put(s)
 	// Domain-spread: count the app's cooperating group per failure
 	// domain across the whole fleet (not just the filtered pool — group
 	// members on excluded machines still occupy their domain). The

@@ -1,8 +1,7 @@
 package fleet
 
 import (
-	"sync"
-
+	"repro/internal/freelist"
 	"repro/internal/machine"
 	"repro/internal/roofline"
 	"repro/internal/solvecache"
@@ -71,7 +70,7 @@ type Scorer struct {
 
 	search  roofline.Search
 	cache   *solvecache.Cache[solveOutcome]
-	scratch sync.Pool // of *scoreScratch
+	scratch freelist.List[scoreScratch]
 }
 
 // NewScorer returns a ready Scorer.
@@ -84,15 +83,6 @@ func (sc *Scorer) CacheStats() (hits, misses uint64) {
 	c := sc.cache.Counters()
 	return c.Hits, c.Misses
 }
-
-func (sc *Scorer) getScratch() *scoreScratch {
-	if s, _ := sc.scratch.Get().(*scoreScratch); s != nil {
-		return s
-	}
-	return &scoreScratch{}
-}
-
-func (sc *Scorer) putScratch(s *scoreScratch) { sc.scratch.Put(s) }
 
 // objective is the spec every solve of this Scorer runs under.
 func (sc *Scorer) objective() roofline.ObjectiveSpec {
@@ -147,8 +137,8 @@ func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, hint []
 // scores the uncapped optimum — a deliberate simplification documented
 // in DESIGN.md (caps are rare and machine-local).
 func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64, error) {
-	s := sc.getScratch()
-	defer sc.putScratch(s)
+	s := sc.scratch.Get()
+	defer sc.scratch.Put(s)
 	out, err := sc.solveDemand(m, demand, nil, s)
 	return out.total, err
 }
@@ -159,8 +149,8 @@ func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64
 // the optimum down — and the Placer uses exactly that to steer the app
 // to the bin where it costs the least (or helps the most).
 func (sc *Scorer) Marginal(m *machine.Machine, demand []roofline.App, app roofline.App) (marginal, after float64, err error) {
-	s := sc.getScratch()
-	defer sc.putScratch(s)
+	s := sc.scratch.Get()
+	defer sc.scratch.Put(s)
 	return sc.marginal(m, demand, app, s)
 }
 

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/machine"
 	"repro/internal/roofline"
 )
@@ -178,15 +178,16 @@ func keepCands(dst, cands []*candidate, keep func(*candidate) bool) []*candidate
 // appKey names one registration fleet-wide: app IDs are machine-local.
 type appKey struct{ member, app string }
 
-// session is one planning pass over one Inventory.Snapshot(). It owns
+// session is one planning pass over one inventory snapshot. It owns
 // what every planner — single placement, gang admission, the
 // rebalancer's passes — works on: the member view with its
 // stale-duplicate set, the candidate set and its by-ID index, host
 // class ranks, the cooldown view, the pool and demand scratch, and the
 // move ledger. Planning through a session does no I/O and touches no
 // inventory state; the result is a list of Moves for the executor
-// (Inventory.relocate). Sessions are pooled, so a decision on a warm
-// fleet allocates nothing for them. Not safe for concurrent use.
+// (Inventory.relocate). Sessions are pooled together with their
+// snapshot buffers, so a decision on a warm fleet allocates nothing for
+// either. Not safe for concurrent use.
 type session struct {
 	sc      *Scorer
 	members []Member
@@ -213,23 +214,27 @@ type session struct {
 	budget   int
 }
 
-var sessions = sync.Pool{New: func() any { return new(session) }}
+var sessions freelist.List[session]
 
 // openSession starts a planning session over the inventory's current
 // snapshot with an unlimited ledger. spread loads failure-domain state
 // into the candidates. Callers must close the session.
 func openSession(sc *Scorer, inv *Inventory, spread bool) *session {
-	s := sessions.Get().(*session)
-	s.sc, s.members = sc, inv.Snapshot()
+	s := sessions.Get()
+	s.sc, s.members = sc, inv.snapshotInto(s.members)
 	s.cands = s.cur.reset(s.members, true, spread)
 	s.budget = math.MaxInt
 	return s
 }
 
-// close returns the session to the pool, dropping everything that
-// references the snapshot or was handed to the caller.
+// close returns the session to the pool, dropping everything that was
+// handed to the caller. The snapshot buffer stays with the session for
+// the next one to overwrite, which is sound because nothing a session
+// hands out points into it: moves, decisions and stale-duplicate records
+// carry copied specs and (immutable) strings only
+// (TestSessionOutputsDoNotAliasSnapshot).
 func (s *session) close() {
-	s.members, s.dup, s.cooling, s.byID, s.ranks = nil, nil, nil, nil, nil
+	s.dup, s.cooling, s.byID, s.ranks = nil, nil, nil, nil
 	s.moves, s.deferred = nil, 0
 	sessions.Put(s)
 }

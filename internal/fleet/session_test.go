@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -161,6 +162,71 @@ func TestPlanDoesNoIO(t *testing.T) {
 	}
 	if got := inv.cooldownView(DefaultCooldownRounds); !reflect.DeepEqual(got, cooldownsBefore) || got["t-1"] == 0 {
 		t.Fatalf("planning changed the cooldowns: before %v, after %v", cooldownsBefore, got)
+	}
+}
+
+// TestSessionOutputsDoNotAliasSnapshot: a pooled session keeps its
+// snapshot buffer and the next session overwrites it in place
+// (Inventory.snapshotInto), so nothing a session hands out may point
+// into it. A storm plan with moves and stale-duplicate cleanups, and a
+// placement decision, must read the same after the inventory was
+// rewritten and later sessions reused the memory.
+func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
+	ctx := context.Background()
+	inv, part, hosts, reb := stormFleet(t)
+	part.Isolate(hosts[0])
+	inv.Poll(ctx) // a is dead: its three apps are evacuated under the storm brake
+	inv.mu.Lock()
+	inv.members["b"].stale = []string{inv.members["b"].apps[0].ID}
+	inv.mu.Unlock()
+
+	s := openSession(reb.Scorer, inv, false)
+	buf := &s.members[0]
+	s.close()
+
+	plan, err := reb.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Moves) == 0 || len(plan.StaleDeregs) != 1 {
+		t.Fatalf("plan %+v, want evacuation moves and one stale cleanup", plan)
+	}
+	dec, err := (&Placer{Inv: inv, Scorer: reb.Scorer}).Decide(memSpec("newcomer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlan, wantDec := fmt.Sprintf("%+v", plan), fmt.Sprintf("%+v", dec)
+
+	// Rewrite every string and count the snapshot copies, then plan again
+	// over the same buffers.
+	inv.mu.Lock()
+	for id, m := range inv.members {
+		for i := range m.apps {
+			m.apps[i].ID, m.apps[i].Name, m.apps[i].AI = "zz-"+id, "zz-"+id, 7
+		}
+		m.apps = append(m.apps, PlacedApp{ID: "extra", Name: "extra", AI: 1})
+		m.stale = []string{"zz-" + id}
+	}
+	inv.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		if _, err := reb.Plan(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = openSession(reb.Scorer, inv, false)
+	if &s.members[0] != buf {
+		t.Error("the pooled session did not keep its snapshot buffer")
+	}
+	if s.members[1].Apps[0].Name != "zz-b" {
+		t.Errorf("snapshot shows %+v on b, want the rewritten apps", s.members[1].Apps[0])
+	}
+	s.close()
+
+	if got := fmt.Sprintf("%+v", plan); got != wantPlan {
+		t.Errorf("plan changed after its session's memory was reused:\n  was %s\n  now %s", wantPlan, got)
+	}
+	if got := fmt.Sprintf("%+v", dec); got != wantDec {
+		t.Errorf("decision changed after its session's memory was reused:\n  was %s\n  now %s", wantDec, got)
 	}
 }
 

@@ -57,6 +57,16 @@ func PerNodeCounts(m *machine.Machine, counts []int) (Allocation, error) {
 	return al, nil
 }
 
+// minCores is the smallest node's core count: the per-node budget a
+// uniform per-node-counts allocation must fit.
+func minCores(m *machine.Machine) int {
+	c := m.Nodes[0].Cores
+	for _, n := range m.Nodes[1:] {
+		c = min(c, n.Cores)
+	}
+	return c
+}
+
 // MustPerNodeCounts is PerNodeCounts but panics on error.
 func MustPerNodeCounts(m *machine.Machine, counts []int) Allocation {
 	al, err := PerNodeCounts(m, counts)

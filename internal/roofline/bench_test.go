@@ -23,7 +23,7 @@ func eightAppMix() []App {
 }
 
 // BenchmarkSolveColdTableI is the paper's Table I search (4 apps,
-// floor 1) through the pruned parallel Search, evaluator pool cold.
+// floor 1) through the pruned parallel Search, worker pool cold.
 func BenchmarkSolveColdTableI(b *testing.B) {
 	m := machine.PaperModel()
 	apps := paperApps()
@@ -85,7 +85,7 @@ func BenchmarkSolveNaive8Apps(b *testing.B) {
 }
 
 // BenchmarkEvaluateReference is one reference-model evaluation of the
-// Table I allocation: the unit of work the memo amortizes.
+// Table I allocation: the unit of work the Evaluator's reuse saves.
 func BenchmarkEvaluateReference(b *testing.B) {
 	m := machine.PaperModel()
 	apps := paperApps()
@@ -99,7 +99,8 @@ func BenchmarkEvaluateReference(b *testing.B) {
 }
 
 // BenchmarkEvaluatorMemoHit is the same evaluation through a warmed
-// Evaluator: all four nodes hit the memo, zero allocations.
+// Evaluator: all four nodes reuse their class's last evaluation, zero
+// allocations.
 func BenchmarkEvaluatorMemoHit(b *testing.B) {
 	m := machine.PaperModel()
 	apps := paperApps()

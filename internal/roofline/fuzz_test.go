@@ -33,5 +33,9 @@ func FuzzEvaluatorEquivalence(f *testing.F) {
 		// ObjectiveSpec interface vs the legacy Search, plus pruned vs
 		// unpruned solves for every bounded objective (admissibility).
 		objectiveRound(t, r)
+		// And the leaf-kernel equivalence: every leaf of a draw with
+		// shared and singleton node classes, several NUMA-bad homes,
+		// weights and zero-thread rows, against the reference model.
+		kernelRound(t, r)
 	})
 }

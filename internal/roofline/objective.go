@@ -19,9 +19,13 @@ type BoundFunc func(counts []int, pos, rem int) float64
 // set (specs like weighted-priority read per-app fields such as
 // App.Weight). Bound returns an admissible branch-and-bound upper bound
 // for the (machine, demand) pair, or nil to declare the spec
-// bound-free: the search then falls back to the unpruned enumeration
-// over the memoizing incremental Evaluator, which is exact for any
-// objective.
+// bound-free: the search then falls back to the unpruned enumeration,
+// which is exact for any objective.
+//
+// Search scores candidates on their totals alone: the Result it hands
+// the objective carries AppGFLOPS and TotalGFLOPS (bit-identical to
+// Evaluate's) and nil PerApp and PerNode. An objective used with Search
+// must be a function of those two fields.
 type ObjectiveSpec interface {
 	Name() string
 	Objective(apps []App) Objective

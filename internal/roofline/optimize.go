@@ -4,7 +4,8 @@ import (
 	"repro/internal/machine"
 )
 
-// Objective scores a model result; optimizers maximize it.
+// Objective scores a model result; optimizers maximize it. Search calls
+// it with totals only (see ObjectiveSpec).
 type Objective func(*Result) float64
 
 // TotalGFLOPS is the default objective: machine-wide throughput.
@@ -49,8 +50,7 @@ func WeightedAppGFLOPS(weights []float64) Objective {
 //
 // The search is deterministic. maxIters bounds the number of accepted
 // improvement moves per start (<=0 means a generous default). All
-// starts share one memoizing Evaluator, so a move's score costs only
-// the touched nodes.
+// starts share one Evaluator and its scratch.
 func Optimize(m *machine.Machine, apps []App, obj Objective, maxIters int) (Allocation, *Result, error) {
 	if obj == nil {
 		obj = TotalGFLOPS
@@ -197,15 +197,10 @@ func EnumeratePerNodeCounts(m *machine.Machine, nApps int, fn func(counts []int,
 // allocations granting every app at least floor threads per node — the
 // no-starvation constraint under which the paper's Table I uneven
 // allocation (1,1,1,5) is the optimum. Candidates are evaluated with
-// the memoizing Evaluator (bit-identical to Evaluate), so symmetric
-// siblings share per-node work.
+// the Evaluator (bit-identical to Evaluate), which computes one node per
+// class of identical nodes.
 func EnumeratePerNodeCountsFloor(m *machine.Machine, nApps, floor int, fn func(counts []int, al Allocation, r *Result) bool, apps []App) error {
-	capCores := m.Nodes[0].Cores
-	for _, n := range m.Nodes[1:] {
-		if n.Cores < capCores {
-			capCores = n.Cores
-		}
-	}
+	capCores := minCores(m)
 	if floor < 0 {
 		floor = 0
 	}

@@ -4,45 +4,140 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/freelist"
 	"repro/internal/machine"
 )
 
 // Search owns the reusable state of the per-node-counts optimizer: a
-// pool of Evaluators handed to worker goroutines. The zero value is
-// ready to use, and one Search can be shared by concurrent solves (the
-// control-plane solver holds one for its whole lifetime).
+// free list of per-worker scratch. The zero value is ready to use, and
+// one Search can be shared by concurrent solves (the control-plane
+// solver holds one for its whole lifetime). What it retains is bounded:
+// at most freelist's idle cap of scratches, each O(apps × nodes) of the
+// largest solve it served.
 type Search struct {
 	// Parallelism caps the worker goroutines fanned out over the
 	// top-level enumeration branches; 0 means GOMAXPROCS.
 	Parallelism int
 
-	mu   sync.Mutex
-	pool []*Evaluator
+	pool freelist.List[bnbWorker]
 }
 
-func (s *Search) acquire(m *machine.Machine, apps []App) (*Evaluator, error) {
-	s.mu.Lock()
-	var ev *Evaluator
-	if n := len(s.pool); n > 0 {
-		ev, s.pool = s.pool[n-1], s.pool[:n-1]
-	}
-	s.mu.Unlock()
-	if ev == nil {
-		return NewEvaluator(m, apps)
-	}
-	if err := ev.Reset(m, apps, Options{}); err != nil {
-		return nil, err
-	}
-	return ev, nil
+// leafKernel scores one leaf of the search: a uniform per-node counts
+// vector (every app i runs counts[i] threads on every node). Built once
+// per solve and shared read-only by its workers, it evaluates one node
+// per class of the nodeModel — under uniform counts every node of a
+// class sees the same claims — and sums the per-app and machine totals
+// in the reference order, which is all an Objective reads. No
+// Allocation, no Result grid, no allocation per leaf.
+type leafKernel struct {
+	md *nodeModel
+	// src[i*nNodes+j] indexes leafScratch.rate for app i's threads on
+	// node j: the (class of j, i) cell when j serves them locally, the
+	// (i, j) remote cell when i is NUMA-bad and homed elsewhere.
+	src []int32
 }
 
-func (s *Search) release(ev *Evaluator) {
-	s.mu.Lock()
-	s.pool = append(s.pool, ev)
-	s.mu.Unlock()
+// leafScratch is one worker's mutable state for leafKernel.eval.
+type leafScratch struct {
+	ev      nodeEval
+	perLink []float64
+	// rate holds GFLOPS cells: nClasses×nApps local cells, then
+	// nApps×nNodes remote cells.
+	rate []float64
+	res  Result // AppGFLOPS and TotalGFLOPS only
+}
+
+func newLeafKernel(md *nodeModel) *leafKernel {
+	k := &leafKernel{md: md, src: make([]int32, md.nApps*md.nNodes)}
+	remote := len(md.classRep) * md.nApps
+	for i, a := range md.apps {
+		for j := 0; j < md.nNodes; j++ {
+			if a.Placement == NUMABad && int(a.HomeNode) != j {
+				k.src[i*md.nNodes+j] = int32(remote + i*md.nNodes + j)
+			} else {
+				k.src[i*md.nNodes+j] = int32(md.classOf[j]*md.nApps + i)
+			}
+		}
+	}
+	return k
+}
+
+// fit sizes the scratch for the kernel, reusing its backing arrays.
+func (s *leafScratch) fit(k *leafKernel) {
+	md := k.md
+	s.perLink = slices.Grow(s.perLink[:0], md.nNodes)[:md.nNodes]
+	clear(s.perLink)
+	n := (len(md.classRep) + md.nNodes) * md.nApps
+	s.rate = slices.Grow(s.rate[:0], n)[:n]
+	s.res.AppGFLOPS = slices.Grow(s.res.AppGFLOPS[:0], md.nApps)[:md.nApps]
+	// A node's claims at most: every app locally, and every homed app's
+	// threads on every other node.
+	s.ev.local = slices.Grow(s.ev.local[:0], md.nApps)
+	s.ev.remote = slices.Grow(s.ev.remote[:0], md.nApps*(md.nNodes-1))
+}
+
+// eval returns the totals of the allocation PerNodeCounts(m, counts),
+// bit-identical to the reference Evaluate's AppGFLOPS and TotalGFLOPS;
+// PerApp and PerNode stay nil. The caller guarantees what
+// Allocation.Validate would check: len(counts) == nApps, every count
+// >= 0, and their sum within the smallest node's cores.
+func (k *leafKernel) eval(s *leafScratch, counts []int) *Result {
+	md := k.md
+	for c, h := range md.classRep {
+		// The claim arrays were sized by fit; only the fields compute reads
+		// are written, it overwrites the rest.
+		ev := &s.ev
+		local, remote := ev.local[:cap(ev.local)], ev.remote[:cap(ev.remote)]
+		nl, nr := 0, 0
+		for _, i := range md.localApps[h] {
+			if th := counts[i]; th != 0 {
+				local[nl].app, local[nl].threads = i, th
+				nl++
+			}
+		}
+		for _, i := range md.homeApps[h] {
+			if th := counts[i]; th != 0 {
+				for j := 0; j < md.nNodes; j++ {
+					if j != h {
+						remote[nr].app, remote[nr].node, remote[nr].threads = i, int32(j), th
+						nr++
+					}
+				}
+			}
+		}
+		ev.local, ev.remote = local[:nl], remote[:nr]
+		md.compute(ev, s.perLink, h)
+		rate := s.rate[c*md.nApps:]
+		for idx := range ev.local {
+			rate[ev.local[idx].app] = ev.local[idx].gflops
+		}
+		rate = s.rate[len(md.classRep)*md.nApps:]
+		for idx := range ev.remote {
+			cl := &ev.remote[idx]
+			rate[int(cl.app)*md.nNodes+int(cl.node)] = cl.gflops
+		}
+	}
+	// Totals in the reference order: per app, nodes in index order, then
+	// the app total folded into the machine total. An app with threads
+	// has a freshly written cell on every node; one without has none, and
+	// the reference sums its zero cells to zero.
+	total := 0.0
+	for i := range s.res.AppGFLOPS {
+		g := 0.0
+		if counts[i] != 0 {
+			for _, ix := range k.src[i*md.nNodes : (i+1)*md.nNodes] {
+				g += s.rate[ix]
+			}
+		}
+		s.res.AppGFLOPS[i] = g
+		total += g
+	}
+	s.res.TotalGFLOPS = total
+	return &s.res
 }
 
 // boundSlack is the margin under the incumbent a subtree's upper bound
@@ -60,13 +155,13 @@ const seqLeafThreshold = 4096
 // bnbCtx is the read-only shared state of one BestPerNodeCountsFloorSpec
 // run plus the shared incumbent.
 type bnbCtx struct {
-	nApps, nNodes int
-	floor         int
-	obj           Objective
+	nApps  int
+	floor  int
+	kernel *leafKernel
+	obj    Objective
 	// bound is the objective's admissible upper bound (see
 	// ObjectiveSpec); nil declares the run bound-free and the search
-	// degrades to the unpruned enumeration over the memoizing
-	// Evaluator.
+	// degrades to the unpruned enumeration.
 	bound BoundFunc
 	prune bool
 
@@ -88,24 +183,40 @@ func (c *bnbCtx) raiseBest(v float64) {
 	}
 }
 
-// bnbWorker is one goroutine's private search state.
+// bnbWorker is one goroutine's private search state, pooled by Search
+// between solves.
 type bnbWorker struct {
-	ctx    *bnbCtx
-	ev     *Evaluator
-	counts []int
-	al     Allocation
-	res    *Result
+	ctx     *bnbCtx
+	scratch leafScratch
+	counts  []int
 
 	branchBest   float64
 	branchCounts []int
 }
 
-func (w *bnbWorker) setRow(pos, count int) {
-	w.counts[pos] = count
-	row := w.al.Threads[pos]
-	for j := range row {
-		row[j] = count
-	}
+// worker takes a pooled worker and fits it to the solve.
+func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
+	w := s.pool.Get()
+	w.ctx = ctx
+	w.scratch.fit(ctx.kernel)
+	w.counts = slices.Grow(w.counts[:0], ctx.nApps)[:ctx.nApps]
+	return w
+}
+
+// release pools the worker without the solve's model, so an idle Search
+// holds scratch only.
+func (s *Search) release(w *bnbWorker) {
+	w.ctx, w.branchCounts = nil, nil
+	s.pool.Put(w)
+}
+
+// score evaluates the leaf w.counts. Every leaf the search scores — the
+// enumeration's and the warm-start seeds' — has every count >= floor
+// >= 0 and a sum within the smallest node's cores, so the allocation it
+// stands for is valid by construction and is not re-validated per leaf
+// (TestSearchLeavesAreValidAllocations pins this).
+func (w *bnbWorker) score() float64 {
+	return w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts))
 }
 
 func (w *bnbWorker) rec(pos, remaining int) {
@@ -113,16 +224,13 @@ func (w *bnbWorker) rec(pos, remaining int) {
 	if pos == c.nApps {
 		if c.prune {
 			// Leaf-level bound: the greedy relaxation over the completed
-			// counts vector is far cheaper than a model evaluation and
-			// discards hopeless candidates outright.
+			// counts vector is cheaper than a model evaluation and discards
+			// hopeless candidates outright.
 			if ub := c.bound(w.counts, pos, 0); ub < c.bestScore()-boundSlack {
 				return
 			}
 		}
-		if err := w.ev.EvaluateInto(w.res, w.al); err != nil {
-			return // mirrors the reference enumeration skipping bad candidates
-		}
-		s := c.obj(w.res)
+		s := w.score()
 		if s > w.branchBest {
 			w.branchBest = s
 			w.branchCounts = append(w.branchCounts[:0], w.counts...)
@@ -138,7 +246,7 @@ func (w *bnbWorker) rec(pos, remaining int) {
 		}
 	}
 	for cnt := c.floor; cnt <= remaining; cnt++ {
-		w.setRow(pos, cnt)
+		w.counts[pos] = cnt
 		w.rec(pos+1, remaining-cnt)
 	}
 }
@@ -156,12 +264,12 @@ type branchResult struct {
 // at least floor) it returns the one maximizing spec's objective —
 // counts, allocation, and Result identical to the exhaustive reference
 // EnumeratePerNodeCountsFloor (search_test.go proves it differentially)
-// — using the memoizing Evaluator, goroutine fan-out of the top-level
-// branches and, when spec supplies an admissible bound, a
-// branch-and-bound prune. Without a bound the search degrades to the
-// exhaustive enumeration over the Evaluator, which is exact for any
-// objective. It returns ErrNoAllocation when the floors alone
-// over-subscribe a node (more apps than cores).
+// — using the leafKernel, goroutine fan-out of the top-level branches
+// and, when spec supplies an admissible bound, a branch-and-bound prune.
+// Without a bound the search degrades to the exhaustive enumeration over
+// the kernel, which is exact for any objective. It returns
+// ErrNoAllocation when the floors alone over-subscribe a node (more apps
+// than cores).
 //
 // prev warm-starts the search from a previous optimum: the counts
 // vector of a related solve — the same apps (len(prev) == len(apps)),
@@ -197,21 +305,22 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 		return nil, al, res, nil
 	}
 
-	capCores := m.Nodes[0].Cores
-	for _, n := range m.Nodes[1:] {
-		if n.Cores < capCores {
-			capCores = n.Cores
-		}
-	}
+	capCores := minCores(m)
 	nBranches := capCores - floor + 1
 	if nBranches <= 0 {
 		return nil, Allocation{}, nil, ErrNoAllocation
 	}
 
+	md, err := newNodeModel(m, apps, Options{})
+	if err != nil {
+		// Invalid (machine, apps) inputs: the reference enumeration skips
+		// every candidate and reports no feasible allocation.
+		return nil, Allocation{}, nil, ErrNoAllocation
+	}
 	ctx := &bnbCtx{
 		nApps:  nApps,
-		nNodes: m.NumNodes(),
 		floor:  floor,
+		kernel: newLeafKernel(md),
 		obj:    obj,
 		bound:  spec.Bound(m, apps),
 	}
@@ -219,7 +328,7 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	ctx.best.Store(math.Float64bits(math.Inf(-1)))
 
 	if ctx.prune && len(prev) > 0 {
-		s.seedIncumbent(ctx, m, apps, prev, floor, capCores)
+		s.seedIncumbent(ctx, prev, capCores)
 	}
 
 	workers := s.Parallelism
@@ -234,61 +343,36 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	}
 
 	results := make([]branchResult, nBranches)
-	runWorker := func() error {
-		ev, err := s.acquire(m, apps)
-		if err != nil {
-			return err
-		}
-		defer s.release(ev)
-		w := &bnbWorker{
-			ctx:    ctx,
-			ev:     ev,
-			counts: make([]int, nApps),
-			al:     NewAllocation(nApps, ctx.nNodes),
-			res:    &Result{},
-		}
+	branchCounts := make([]int, nBranches*nApps)
+	runWorker := func() {
+		w := s.worker(ctx)
+		defer s.release(w)
 		for {
 			b := int(ctx.next.Add(1)) - 1
 			if b >= nBranches {
-				return nil
+				return
 			}
-			w.branchBest = -1.0
-			w.setRow(0, floor+b)
+			// The branch's best counts land in its own window of the table.
+			w.branchBest, w.branchCounts = -1.0, branchCounts[b*nApps:b*nApps]
+			w.counts[0] = floor + b
 			w.rec(1, capCores-(floor+b))
 			if w.branchBest > -1.0 {
-				results[b] = branchResult{
-					score:  w.branchBest,
-					counts: append([]int(nil), w.branchCounts...),
-				}
+				results[b] = branchResult{score: w.branchBest, counts: w.branchCounts}
 			}
 		}
 	}
-
-	var firstErr error
 	if workers <= 1 {
-		firstErr = runWorker()
+		runWorker()
 	} else {
-		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for wi := 0; wi < workers; wi++ {
 			wg.Add(1)
-			go func(wi int) {
+			go func() {
 				defer wg.Done()
-				errs[wi] = runWorker()
-			}(wi)
+				runWorker()
+			}()
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		// Invalid (machine, apps) inputs: the reference enumeration skips
-		// every candidate and reports no feasible allocation.
-		return nil, Allocation{}, nil, ErrNoAllocation
 	}
 
 	// Deterministic reduction in branch order: strict > keeps the first
@@ -303,6 +387,7 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	if bestCounts == nil {
 		return nil, Allocation{}, nil, ErrNoAllocation
 	}
+	bestCounts = slices.Clone(bestCounts) // not a window into every branch's
 	al, err := PerNodeCounts(m, bestCounts)
 	if err != nil {
 		return nil, Allocation{}, nil, err
@@ -336,11 +421,11 @@ func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps 
 // (see BestPerNodeCountsFloorSpec) and raises the shared incumbent to
 // the best of their true objective values. Full-length hints are
 // evaluated as-is; one-short hints are extended over every feasible
-// count for the missing last app (at most capCores cheap evaluations,
-// all against the memoizing Evaluator). Infeasible hints and evaluation
-// failures are silently skipped — seeding is purely an acceleration.
-func (s *Search) seedIncumbent(ctx *bnbCtx, m *machine.Machine, apps []App, prev []int, floor, capCores int) {
-	nApps := len(apps)
+// count for the missing last app (at most capCores leaf evaluations).
+// Infeasible hints are silently skipped — seeding is purely an
+// acceleration.
+func (s *Search) seedIncumbent(ctx *bnbCtx, prev []int, capCores int) {
+	nApps, floor := ctx.nApps, ctx.floor
 	extend := false
 	switch len(prev) {
 	case nApps:
@@ -359,53 +444,34 @@ func (s *Search) seedIncumbent(ctx *bnbCtx, m *machine.Machine, apps []App, prev
 	if used > capCores {
 		return
 	}
-	if extend && used+floor > capCores {
-		// The previous optimum saturates the node (the common case when
-		// an app arrives on a packed machine). Free room for the
-		// newcomer by shaving the widest rows — still a plausible
-		// near-optimal shape, and seeds are re-evaluated anyway.
-		shrunk := append(make([]int, 0, nApps-1), prev...)
-		for used+floor > capCores {
-			widest := -1
-			for i, c := range shrunk {
-				if c > floor && (widest < 0 || c > shrunk[widest]) {
-					widest = i
-				}
-			}
-			if widest < 0 {
-				return // every row already at floor; no room at all
-			}
-			shrunk[widest]--
-			used--
-		}
-		prev = shrunk
-	}
-	ev, err := s.acquire(m, apps)
-	if err != nil {
-		return // invalid inputs; the cold path reports the error
-	}
-	defer s.release(ev)
-	w := &bnbWorker{
-		ctx:    ctx,
-		ev:     ev,
-		counts: make([]int, nApps),
-		al:     NewAllocation(nApps, ctx.nNodes),
-		res:    &Result{},
-	}
-	for i, c := range prev {
-		w.setRow(i, c)
-	}
+	w := s.worker(ctx)
+	defer s.release(w)
+	copy(w.counts, prev)
 	if !extend {
-		if err := ev.EvaluateInto(w.res, w.al); err == nil {
-			ctx.raiseBest(ctx.obj(w.res))
-		}
+		ctx.raiseBest(w.score())
 		return
 	}
-	for c := floor; c <= capCores-used; c++ {
-		w.setRow(nApps-1, c)
-		if err := ev.EvaluateInto(w.res, w.al); err == nil {
-			ctx.raiseBest(ctx.obj(w.res))
+	// When the previous optimum saturates the node (the common case when
+	// an app arrives on a packed machine), free room for the newcomer by
+	// shaving the widest rows — still a plausible near-optimal shape, and
+	// seeds are re-evaluated anyway.
+	shrunk := w.counts[:nApps-1]
+	for used+floor > capCores {
+		widest := -1
+		for i, c := range shrunk {
+			if c > floor && (widest < 0 || c > shrunk[widest]) {
+				widest = i
+			}
 		}
+		if widest < 0 {
+			return // every row already at floor; no room at all
+		}
+		shrunk[widest]--
+		used--
+	}
+	for c := floor; c <= capCores-used; c++ {
+		w.counts[nApps-1] = c
+		ctx.raiseBest(w.score())
 	}
 }
 

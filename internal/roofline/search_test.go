@@ -97,28 +97,21 @@ func checkSearchMatchesNaive(t *testing.T, label string, s *Search, m *machine.M
 // TestSearchMatchesNaivePaperFixtures pins the pruned search to the
 // naive exhaustive scan on every paper fixture at floors 0-2, under
 // the pruned specs (total-gflops, weighted-priority with unset weights)
-// and unpruned ones (max-min, bare objectives through BoundFree).
+// and unpruned ones (max-min, bare objectives through BoundFree) — and
+// the leaf kernel underneath it to the reference model on every leaf
+// of those enumerations (floor 0 covers rows with zero threads).
 func TestSearchMatchesNaivePaperFixtures(t *testing.T) {
 	var s Search
-	cases := []struct {
-		name string
-		m    *machine.Machine
-		apps []App
-	}{
-		{"paper-model", machine.PaperModel(), paperApps()},
-		{"paper-model-bad", machine.PaperModelNUMABad(), numaBadApps()},
-		{"skylake", machine.SkylakeQuad(), tableIIIApps()},
-		{"skylake-bad", machine.SkylakeQuad(), tableIIIBadApps()},
-	}
 	specs := []ObjectiveSpec{
 		ObjTotalGFLOPS,
 		ObjWeightedPriority,
 		ObjMaxMinGFLOPS,
 		BoundFree(WeightedAppGFLOPS([]float64{3, 1, 1, 1})),
 	}
-	for _, c := range cases {
-		for _, spec := range specs {
-			for _, floor := range []int{0, 1, 2} {
+	for _, c := range paperFixtures() {
+		for _, floor := range []int{0, 1, 2} {
+			checkKernelMatchesReference(t, fmt.Sprintf("%s/kernel/floor=%d", c.name, floor), c.m, c.apps, floor)
+			for _, spec := range specs {
 				checkSearchMatchesNaive(t, fmt.Sprintf("%s/%s/floor=%d", c.name, spec.Name(), floor),
 					&s, c.m, c.apps, spec, floor)
 			}
