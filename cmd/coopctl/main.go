@@ -17,6 +17,7 @@
 //	coopctl [-server URL] health
 //	coopctl [-server URL] status [-max-lag 5s]
 //	coopctl fleet machines [-fleet URL]
+//	coopctl fleet status [-fleet URL]
 //	coopctl fleet place -name stream -ai 0.5 [-placement numa-bad -home 0] [-priority latency] [-fleet URL]
 //	coopctl fleet place -gang web -replicas 3 -policy spread -ai 0.5 [-priority latency] [-fleet URL]
 //	coopctl fleet drain -machine a [-undo] [-fleet URL]
@@ -43,6 +44,7 @@ import (
 	"repro/internal/ctrlplane/client"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/solvecache"
 )
 
 func main() {
@@ -96,7 +98,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: coopctl [-server URL] <register|heartbeat|report|deregister|apps|alloc|drift|machine|watch|demo|health|status|fleet> [flags]")
-	fmt.Fprintln(os.Stderr, "       coopctl fleet <machines|place|drain|plan|upgrade> [-fleet URL] [flags]")
+	fmt.Fprintln(os.Stderr, "       coopctl fleet <machines|status|place|drain|plan|upgrade> [-fleet URL] [flags]")
 }
 
 func cmdRegister(ctx context.Context, c *client.Client, args []string) error {
@@ -404,7 +406,13 @@ func cmdStatus(ctx context.Context, c *client.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	s := mt.Solver
+	printSolveCache(mt.Solver)
+	return stale
+}
+
+// printSolveCache renders the one solve cache's counters, which coopd
+// (/metricsz "solver") and fleetd (/metricsz "solve_cache") both serve.
+func printSolveCache(s solvecache.Counters) {
 	total := s.Hits + s.Misses
 	hitRate := 0.0
 	if total > 0 {
@@ -412,22 +420,23 @@ func cmdStatus(ctx context.Context, c *client.Client, args []string) error {
 	}
 	fmt.Printf("  solver cache: %d hits / %d misses (%.1f%% hit), %d coalesced, %d entries\n",
 		s.Hits, s.Misses, hitRate, s.Coalesced, s.Entries)
-	return stale
 }
 
 // --- fleet subcommands (talk to fleetd, not coopd) ---
 
-// cmdFleet dispatches `coopctl fleet <machines|place|drain|plan>`. Each
+// cmdFleet dispatches `coopctl fleet <subcommand>`. Each
 // subcommand takes its own -fleet flag because the fleet daemon is a
 // different process from the coopd the global -server points at.
 func cmdFleet(ctx context.Context, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("fleet: want a subcommand: machines | place | drain | plan | upgrade")
+		return fmt.Errorf("fleet: want a subcommand: %s", fleetSubcommands)
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "machines":
 		return cmdFleetMachines(ctx, rest)
+	case "status":
+		return cmdFleetStatus(ctx, rest)
 	case "place":
 		return cmdFleetPlace(ctx, rest)
 	case "drain":
@@ -437,8 +446,19 @@ func cmdFleet(ctx context.Context, args []string) error {
 	case "upgrade":
 		return cmdFleetUpgrade(ctx, rest)
 	default:
-		return fmt.Errorf("fleet: unknown subcommand %q (want machines | place | drain | plan | upgrade)", sub)
+		return fmt.Errorf("fleet: unknown subcommand %q (want %s)", sub, fleetSubcommands)
 	}
+}
+
+const fleetSubcommands = "machines | status | place | drain | plan | upgrade"
+
+// fleetNotFound rewords fleetd's 404 — the request named a machine the
+// fleet does not track — the way cmdHeartbeat rewords coopd's.
+func fleetNotFound(err error, machines string) error {
+	if client.IsNotFound(err) {
+		return fmt.Errorf("%s not found: fleetd tracks no such machine (see `coopctl fleet machines`)", machines)
+	}
+	return err
 }
 
 func fleetFlags(fs *flag.FlagSet) *string {
@@ -462,6 +482,32 @@ func cmdFleetMachines(ctx context.Context, args []string) error {
 		}
 		t.AddRow(m.ID, status, m.Machine, len(m.Apps), m.NUMABadApps,
 			metrics.FormatFloat(m.TotalGFLOPS), m.SinceSeenMillis, strings.Join(m.Endpoints, ","))
+	}
+	fmt.Print(t)
+	return nil
+}
+
+// cmdFleetStatus prints fleetd's /metricsz: how hard the Scorer's solve
+// cache worked and what every endpoint served.
+func cmdFleetStatus(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("fleet status", flag.ExitOnError)
+	server := fleetFlags(fs)
+	fs.Parse(args)
+	m, err := fleet.NewClient(*server, nil).Metrics(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("fleetd up %.1fs\n", m.UptimeSeconds)
+	printSolveCache(m.SolveCache)
+	names := make([]string, 0, len(m.Endpoints))
+	for name := range m.Endpoints {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	t := metrics.NewTable("endpoints", "name", "count", "errors", "p50 (ms)", "p95 (ms)", "max (ms)")
+	for _, name := range names {
+		ep := m.Endpoints[name]
+		t.AddRow(name, ep.Count, ep.Errors, metrics.FormatFloat(ep.P50Ms), metrics.FormatFloat(ep.P95Ms), metrics.FormatFloat(ep.MaxMs))
 	}
 	fmt.Print(t)
 	return nil
@@ -526,7 +572,7 @@ func cmdFleetDrain(ctx context.Context, args []string) error {
 	}
 	resp, err := fleet.NewClient(*server, nil).Drain(ctx, *machineID, *undo)
 	if err != nil {
-		return err
+		return fleetNotFound(err, *machineID)
 	}
 	fmt.Printf("%s draining=%v (rebalancer will move its apps off over the next rounds)\n", resp.Machine, resp.Draining)
 	return nil
@@ -562,7 +608,7 @@ func cmdFleetUpgrade(ctx context.Context, args []string) error {
 		st, err = cli.Upgrade(ctx, fleet.UpgradeRequest{Action: "start", Machines: list, HealthFloor: *floor})
 	}
 	if err != nil {
-		return err
+		return fleetNotFound(err, *machines)
 	}
 	fmt.Printf("upgrade %s (health floor %.2f)\n", st.State, st.HealthFloor)
 	if st.Current != "" {

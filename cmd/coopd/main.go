@@ -47,30 +47,21 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/persist"
 	"repro/internal/ctrlplane/replica"
+	"repro/internal/httpapi/daemon"
 	"repro/internal/machine"
 )
-
-// maxBodyBytes bounds request bodies: register/heartbeat payloads are a
-// few hundred bytes, so 1 MiB is generous and still stops an oversized
-// body from ballooning the daemon's memory.
-const maxBodyBytes = 1 << 20
 
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
@@ -139,31 +130,6 @@ func main() {
 		handler = node.Handler()
 	}
 
-	hs := &http.Server{
-		Addr:    *addr,
-		Handler: limitBodies(handler),
-		// Slowloris / stuck-peer protection: a client that trickles its
-		// headers or body can't pin a connection open indefinitely.
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    64 << 10,
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	if *pprofAddr != "" {
-		// pprof registers on http.DefaultServeMux; the API above uses its
-		// own mux, so profiling stays on a separate, typically private,
-		// port and is entirely off unless the flag is set.
-		go func() {
-			log.Printf("coopd: pprof on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("coopd: pprof server: %v", err)
-			}
-		}()
-	}
-
 	srv.Start()
 	defer srv.Close()
 	if node != nil {
@@ -171,36 +137,13 @@ func main() {
 		defer node.Close()
 		log.Printf("coopd: replica %s starting as %s (peers %v, lease %s)", *self, node.Role(), splitPeers(*peers), *leaseTTL)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("coopd: serving %s (policy %s, ttl %s) on %s", m, *policy, *ttl, *addr)
 	if *recalibrate {
 		log.Printf("coopd: adaptive recalibration on (drift threshold %.0f%%)", *driftThreshold*100)
 	}
-
-	select {
-	case err := <-errc:
+	if err := daemon.Serve("coopd", *addr, *pprofAddr, handler); err != nil {
 		log.Fatalf("coopd: %v", err)
-	case <-ctx.Done():
 	}
-	log.Printf("coopd: shutting down")
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		log.Printf("coopd: shutdown: %v", err)
-	}
-}
-
-// limitBodies caps every request body at maxBodyBytes; an oversized
-// body makes the JSON decode fail with a 400 instead of exhausting
-// memory.
-func limitBodies(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		}
-		next.ServeHTTP(w, r)
-	})
 }
 
 // splitPeers parses the comma-separated -peers list.

@@ -15,24 +15,20 @@
 //
 // Endpoints: POST /v1/fleet/place, POST /v1/fleet/gang,
 // GET /v1/fleet/machines, GET /v1/fleet/plan, POST /v1/fleet/drain,
-// POST+GET /v1/fleet/upgrade, GET /healthz. See `coopctl fleet` for
-// the CLI.
+// POST+GET /v1/fleet/upgrade, GET /healthz, GET /metricsz (per-endpoint
+// request counters and the Scorer's solve-cache counters). See
+// `coopctl fleet` for the CLI.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/httpapi/daemon"
 )
 
 // memberFlag collects repeated -machine flags: "id[@domain]=url[,url2]".
@@ -123,44 +119,11 @@ func main() {
 		log.Fatalf("fleetd: %v", err)
 	}
 
-	if *pprofAddr != "" {
-		// The pprof handlers live on http.DefaultServeMux; the API below
-		// uses its own mux, so the profiler stays off the public port.
-		go func() {
-			log.Printf("fleetd: pprof on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("fleetd: pprof server: %v", err)
-			}
-		}()
-	}
-
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		IdleTimeout:       120 * time.Second,
-		MaxHeaderBytes:    64 << 10,
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
 	srv.Start()
 	defer srv.Close()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
 	log.Printf("fleetd: serving %d machines on %s (poll %s, rebalance %s, max %d moves/round, threshold %.2f)",
 		len(members.ids), *addr, *poll, *rebalance, *maxMoves, *threshold)
-
-	select {
-	case err := <-errc:
+	if err := daemon.Serve("fleetd", *addr, *pprofAddr, srv.Handler()); err != nil {
 		log.Fatalf("fleetd: %v", err)
-	case <-ctx.Done():
-	}
-	log.Printf("fleetd: shutting down")
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if err := hs.Shutdown(shutdownCtx); err != nil {
-		log.Printf("fleetd: shutdown: %v", err)
 	}
 }

@@ -4,12 +4,9 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -19,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/ctrlplane"
+	"repro/internal/httpapi"
 )
 
 // ErrUnknownApp is the client-side sentinel for the server's
@@ -26,30 +24,12 @@ import (
 // the application must re-register. Detect it with errors.Is (or the
 // IsUnknownApp helper); the Resilient wrapper re-registers on it
 // automatically.
-var ErrUnknownApp = errors.New("ctrlplane: unknown application (evicted or never registered)")
+var ErrUnknownApp = httpapi.ErrUnknownApp
 
-// APIError is a non-2xx response from the control plane.
-type APIError struct {
-	Status  int
-	Message string
-	// Code is the server's machine-readable cause (may be empty for
-	// older servers or non-ctrlplane intermediaries).
-	Code string
-	// Leader is the current leader's URL on not_leader redirects from a
-	// replica follower.
-	Leader string
-}
-
-// Error implements error.
-func (e *APIError) Error() string {
-	return fmt.Sprintf("ctrlplane: server returned %d: %s", e.Status, e.Message)
-}
-
-// Is lets errors.Is(err, ErrUnknownApp) match responses carrying the
-// unknown_app code, without string-matching messages.
-func (e *APIError) Is(target error) bool {
-	return target == ErrUnknownApp && e.Code == ctrlplane.ErrCodeUnknownApp
-}
+// APIError is a non-2xx response from the control plane — or from
+// fleetd or a replica peer: all three clients make the same exchange,
+// so the predicates below hold for errors from any of them.
+type APIError = httpapi.APIError
 
 // IsNotFound reports whether the error is a 404 — for heartbeats, the
 // signal that the application was evicted and must re-register.
@@ -141,13 +121,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
 		defer cancel()
 	}
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("ctrlplane: encoding request: %w", err)
-		}
-	}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -155,7 +128,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				return fmt.Errorf("ctrlplane: giving up after %d attempts: %w (last error: %v)", attempt, err, lastErr)
 			}
 		}
-		retryable, err := c.once(ctx, method, path, body, out)
+		retryable, err := c.once(ctx, method, path, in, out)
 		if err == nil {
 			return nil
 		}
@@ -201,61 +174,29 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 
 // once performs a single HTTP exchange. It reports whether a failure is
 // worth retrying (transport errors and 5xx: yes; 4xx: no).
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (retryable bool, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+func (c *Client) once(ctx context.Context, method, path string, in, out any) (retryable bool, err error) {
+	hdr, err := httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, in, out)
+	c.observeReplicaHeaders(hdr)
+	if err == nil {
+		return false, nil
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return false, fmt.Errorf("ctrlplane: building request: %w", err)
+	if hdr == nil && ctx.Err() != nil {
+		// No response and the caller's context is done: another attempt
+		// cannot fare better.
+		return false, ctx.Err()
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		// Transport-level failure (connection refused, reset, timeout):
-		// retryable unless the caller's context is done.
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		return true, err
-	}
-	defer resp.Body.Close()
-	c.observeReplicaHeaders(resp)
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return true, fmt.Errorf("ctrlplane: reading response: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		msg := strings.TrimSpace(string(data))
-		var code, leader string
-		var er ctrlplane.ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			msg = er.Error
-			code = er.Code
-			leader = er.Leader
-		}
-		return resp.StatusCode >= 500, &APIError{Status: resp.StatusCode, Message: msg, Code: code, Leader: leader}
-	}
-	if out != nil && len(data) > 0 {
-		if err := json.Unmarshal(data, out); err != nil {
-			return false, fmt.Errorf("ctrlplane: decoding response: %w", err)
-		}
-	}
-	return false, nil
+	return httpapi.Retryable(err), err
 }
 
 // observeReplicaHeaders records the replica metadata a HA server stamps
 // on every response (standalone servers send neither header).
-func (c *Client) observeReplicaHeaders(resp *http.Response) {
-	if v := resp.Header.Get(ctrlplane.HeaderEpoch); v != "" {
+func (c *Client) observeReplicaHeaders(hdr http.Header) {
+	if v := hdr.Get(ctrlplane.HeaderEpoch); v != "" {
 		if epoch, err := strconv.ParseUint(v, 10, 64); err == nil {
 			c.lastEpoch.Store(epoch)
 		}
 	}
-	if v := resp.Header.Get(ctrlplane.HeaderLeader); v != "" {
+	if v := hdr.Get(ctrlplane.HeaderLeader); v != "" {
 		c.lastLeader.Store(&v)
 	}
 }
@@ -279,31 +220,19 @@ func (c *Client) BaseURL() string { return c.base }
 // ReplicaStatus reads /v1/replica/status. A standalone (non-replicated)
 // daemon answers 404; callers render that as "standalone".
 func (c *Client) ReplicaStatus(ctx context.Context) (*ctrlplane.ReplicaStatusResponse, error) {
-	var resp ctrlplane.ReplicaStatusResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/replica/status", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.ReplicaStatusResponse](ctx, c.do, http.MethodGet, "/v1/replica/status", nil)
 }
 
 // Register announces an application and returns its ID and first
 // allocation.
 func (c *Client) Register(ctx context.Context, req ctrlplane.RegisterRequest) (*ctrlplane.RegisterResponse, error) {
-	var resp ctrlplane.RegisterResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/register", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.RegisterResponse](ctx, c.do, http.MethodPost, "/v1/register", req)
 }
 
 // Heartbeat refreshes the app's liveness deadline and returns its
 // current allocation. IsNotFound(err) means the app was evicted.
 func (c *Client) Heartbeat(ctx context.Context, req ctrlplane.HeartbeatRequest) (*ctrlplane.HeartbeatResponse, error) {
-	var resp ctrlplane.HeartbeatResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/heartbeat", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.HeartbeatResponse](ctx, c.do, http.MethodPost, "/v1/heartbeat", req)
 }
 
 // Report delivers observed throughput samples to the adaptive
@@ -312,20 +241,12 @@ func (c *Client) Heartbeat(ctx context.Context, req ctrlplane.HeartbeatRequest) 
 // -recalibrate; IsNotFound(err) with code unknown_app means the app was
 // evicted.
 func (c *Client) Report(ctx context.Context, req ctrlplane.ReportRequest) (*ctrlplane.ReportResponse, error) {
-	var resp ctrlplane.ReportResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/report", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.ReportResponse](ctx, c.do, http.MethodPost, "/v1/report", req)
 }
 
 // Drift reads the adaptive loop's per-application drift status.
 func (c *Client) Drift(ctx context.Context) (*ctrlplane.DriftResponse, error) {
-	var resp ctrlplane.DriftResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/drift", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.DriftResponse](ctx, c.do, http.MethodGet, "/v1/drift", nil)
 }
 
 // Deregister removes an application, releasing its cores.
@@ -335,47 +256,27 @@ func (c *Client) Deregister(ctx context.Context, id string) error {
 
 // Apps lists the registered applications.
 func (c *Client) Apps(ctx context.Context) (*ctrlplane.AppsResponse, error) {
-	var resp ctrlplane.AppsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/apps", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.AppsResponse](ctx, c.do, http.MethodGet, "/v1/apps", nil)
 }
 
 // Allocations reads the machine-wide allocation table.
 func (c *Client) Allocations(ctx context.Context) (*ctrlplane.AllocationsResponse, error) {
-	var resp ctrlplane.AllocationsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/allocations", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.AllocationsResponse](ctx, c.do, http.MethodGet, "/v1/allocations", nil)
 }
 
 // Machine reads the server's topology (for local fallback solves).
 func (c *Client) Machine(ctx context.Context) (*ctrlplane.MachineResponse, error) {
-	var resp ctrlplane.MachineResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/machine", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.MachineResponse](ctx, c.do, http.MethodGet, "/v1/machine", nil)
 }
 
 // Health reads /healthz.
 func (c *Client) Health(ctx context.Context) (*ctrlplane.HealthResponse, error) {
-	var resp ctrlplane.HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.HealthResponse](ctx, c.do, http.MethodGet, "/healthz", nil)
 }
 
 // Metrics reads /metricsz.
 func (c *Client) Metrics(ctx context.Context) (*ctrlplane.MetricsResponse, error) {
-	var resp ctrlplane.MetricsResponse
-	if err := c.do(ctx, http.MethodGet, "/metricsz", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[ctrlplane.MetricsResponse](ctx, c.do, http.MethodGet, "/metricsz", nil)
 }
 
 // WaitForReallocation polls until the server's generation differs from

@@ -1,13 +1,13 @@
 package replica
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/persist"
+	"repro/internal/httpapi"
 )
 
 // PullResponse is the GET /v1/replicate body: either a journal suffix
@@ -45,10 +45,16 @@ type announceResponse struct {
 // replicas; mutations on a follower are redirected with 421 +
 // not_leader instead of being served.
 func (n *Node) Handler() http.Handler {
+	own := httpapi.NewRoutes(n.cfg.Clock, 0)
+	own.Handle("GET /v1/replica/status", "replica_status", n.handleStatus)
+	own.Handle("POST /v1/replica/announce", "replica_announce", n.handleAnnounce)
+	own.Handle("GET /v1/replicate", "replicate", n.handleReplicate)
+	// The replica's paths go to its own route table whatever the method
+	// (so a wrong one is 405 there, not a 404 from the wrapped server);
+	// everything else is the wrapped server's, behind the write gate.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/replica/status", n.handleStatus)
-	mux.HandleFunc("/v1/replica/announce", n.handleAnnounce)
-	mux.HandleFunc("/v1/replicate", n.handleReplicate)
+	mux.Handle("/v1/replica/", own)
+	mux.Handle("/v1/replicate", own)
 	mux.Handle("/", n.gate(n.cfg.Server.Handler()))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.mu.Lock()
@@ -76,11 +82,7 @@ func (n *Node) gate(inner http.Handler) http.Handler {
 			role, leader := n.role, n.leader
 			n.mu.Unlock()
 			if role != RoleLeader {
-				writeJSON(w, http.StatusMisdirectedRequest, ctrlplane.ErrorResponse{
-					Error:  "not the leader; retry against the leader",
-					Code:   ctrlplane.ErrCodeNotLeader,
-					Leader: leader,
-				})
+				writeNotLeader(w, "not the leader; retry against the leader", leader)
 				return
 			}
 		}
@@ -92,10 +94,6 @@ func (n *Node) gate(inner http.Handler) http.Handler {
 // epoch, and replication lag. coopctl status renders it; peers use it
 // for leader discovery and deposed-leader detection.
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	now := n.cfg.Clock()
 	n.mu.Lock()
 	st := ctrlplane.ReplicaStatusResponse{
@@ -117,7 +115,7 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	httpapi.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleAnnounce arbitrates a leadership claim. Higher epochs always
@@ -125,13 +123,12 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 // simultaneous promotions resolve deterministically without a third
 // party.
 func (n *Node) handleAnnounce(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	var req announceRequest
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
-	var req announceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Leader == "" {
-		http.Error(w, "invalid announce body", http.StatusBadRequest)
+	if req.Leader == "" {
+		httpapi.WriteError(w, http.StatusBadRequest, "announce names no leader")
 		return
 	}
 	n.mu.Lock()
@@ -157,26 +154,18 @@ func (n *Node) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		resp = announceResponse{Accepted: false, Epoch: n.epoch, Leader: n.leader}
 	}
 	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleReplicate streams the journal to a follower. Only the leader
 // publishes; a follower asked to replicate redirects like any other
 // misdirected write.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	n.mu.Lock()
 	role, epoch, leader := n.role, n.epoch, n.leader
 	n.mu.Unlock()
 	if role != RoleLeader {
-		writeJSON(w, http.StatusMisdirectedRequest, ctrlplane.ErrorResponse{
-			Error:  "not the leader; replicate from the leader",
-			Code:   ctrlplane.ErrCodeNotLeader,
-			Leader: leader,
-		})
+		writeNotLeader(w, "not the leader; replicate from the leader", leader)
 		return
 	}
 	q := r.URL.Query()
@@ -197,11 +186,12 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		snap.Epoch = epoch
 		resp.Snapshot = &snap
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// writeNotLeader is the 421 redirect a follower answers writes with.
+func writeNotLeader(w http.ResponseWriter, msg, leader string) {
+	httpapi.WriteJSON(w, http.StatusMisdirectedRequest, httpapi.ErrorResponse{
+		Error: msg, Code: httpapi.ErrCodeNotLeader, Leader: leader,
+	})
 }

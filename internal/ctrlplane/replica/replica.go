@@ -31,10 +31,8 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -44,6 +42,7 @@ import (
 
 	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/persist"
+	"repro/internal/httpapi"
 )
 
 // Role is a replica's position in the group.
@@ -371,8 +370,8 @@ func (n *Node) pull(now time.Time) {
 		err = errors.New("replica: no known leader")
 	}
 	if err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) && ae.Code == ctrlplane.ErrCodeNotLeader && ae.Leader != "" && ae.Leader != n.cfg.Self {
+		var ae *httpapi.APIError
+		if errors.As(err, &ae) && ae.Code == httpapi.ErrCodeNotLeader && ae.Leader != "" && ae.Leader != n.cfg.Self {
 			// The replica we were following stepped down; chase its hint.
 			n.mu.Lock()
 			n.leader = ae.Leader
@@ -488,66 +487,18 @@ func (n *Node) announce() {
 
 // --- peer HTTP ---
 
-// apiError is a non-2xx reply from a peer, with the decoded wire code.
-type apiError struct {
-	Status int
-	Code   string
-	Leader string
-	Msg    string
-}
-
-func (e *apiError) Error() string {
-	return fmt.Sprintf("replica: peer returned %d: %s", e.Status, e.Msg)
-}
-
-func (n *Node) peerGet(base, path string, out any) error {
-	return n.peerDo(http.MethodGet, base, path, nil, out)
-}
-
+// peerDo makes one exchange with a peer replica, bounded by the peer
+// client's timeout; a non-2xx reply is an *httpapi.APIError.
 func (n *Node) peerDo(method, base, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = strings.NewReader(string(data))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), n.hc.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(base, "/")+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 400 {
-		ae := &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
-		var er ctrlplane.ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			ae.Msg, ae.Code, ae.Leader = er.Error, er.Code, er.Leader
-		}
-		return ae
-	}
-	if out != nil && len(data) > 0 {
-		return json.Unmarshal(data, out)
-	}
-	return nil
+	_, err := httpapi.Call(ctx, n.hc, method, strings.TrimRight(base, "/")+path, in, out)
+	return err
 }
 
 func (n *Node) peerStatus(base string) (*ctrlplane.ReplicaStatusResponse, error) {
 	var st ctrlplane.ReplicaStatusResponse
-	if err := n.peerGet(base, "/v1/replica/status", &st); err != nil {
+	if err := n.peerDo(http.MethodGet, base, "/v1/replica/status", nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -556,7 +507,7 @@ func (n *Node) peerStatus(base string) (*ctrlplane.ReplicaStatusResponse, error)
 func (n *Node) fetchJournal(base string, cursor, streamEpoch uint64) (*PullResponse, error) {
 	var pr PullResponse
 	path := fmt.Sprintf("/v1/replicate?after=%d&epoch=%d", cursor, streamEpoch)
-	if err := n.peerGet(base, path, &pr); err != nil {
+	if err := n.peerDo(http.MethodGet, base, path, nil, &pr); err != nil {
 		return nil, err
 	}
 	return &pr, nil

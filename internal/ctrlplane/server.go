@@ -1,12 +1,9 @@
 package ctrlplane
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +11,8 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/ctrlplane/persist"
 	"repro/internal/freelist"
+	"repro/internal/httpapi"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/roofline"
 	"repro/internal/trace"
 )
@@ -65,11 +62,8 @@ type Server struct {
 	reg    *Registry
 	solver *Solver
 	adapt  *adapt.Store // nil unless cfg.Recalibrate
-	mux    *http.ServeMux
+	routes *httpapi.Routes
 	start  time.Time
-
-	epMu sync.Mutex
-	eps  map[string]*endpointStats
 
 	trMu  sync.Mutex
 	tr    *trace.Trace
@@ -93,53 +87,6 @@ type serveScratch struct {
 	apps  []AppState
 	sol   Solution
 	alloc AppAllocation
-}
-
-// latWindow is how many of an endpoint's most recent request latencies
-// /metricsz computes its quantiles over. The window is a ring that
-// stops growing at this size, so a daemon's memory does not grow with
-// the requests it has served.
-const latWindow = 1024
-
-// endpointStats meters one endpoint: request count, error count, the
-// all-time maximum latency and a ring of the last latWindow latencies
-// (milliseconds) for the /metricsz quantiles.
-type endpointStats struct {
-	mu     sync.Mutex
-	count  uint64
-	errors uint64
-	maxMs  float64
-	lat    []float64 // ring once len reaches latWindow
-	shed   *Shedder
-}
-
-func (e *endpointStats) record(d time.Duration, isErr bool) {
-	ms := d.Seconds() * 1e3
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.lat) < latWindow {
-		e.lat = append(e.lat, ms)
-	} else {
-		e.lat[e.count%latWindow] = ms
-	}
-	e.count++
-	if ms > e.maxMs {
-		e.maxMs = ms
-	}
-	if isErr {
-		e.errors++
-	}
-}
-
-func (e *endpointStats) view() EndpointMetrics {
-	e.mu.Lock()
-	recent := append([]float64(nil), e.lat...) // sorted outside the lock
-	m := EndpointMetrics{Count: e.count, Errors: e.errors, MaxMs: e.maxMs, Shed: e.shed.Shed()}
-	e.mu.Unlock()
-	sort.Float64s(recent)
-	m.P50Ms = metrics.Percentile(recent, 0.50)
-	m.P95Ms = metrics.Percentile(recent, 0.95)
-	return m
 }
 
 // NewServer validates the configuration and builds the server.
@@ -170,9 +117,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:    cfg,
 		reg:    NewRegistry(cfg.DefaultTTL, cfg.Clock),
 		solver: solver,
-		mux:    http.NewServeMux(),
+		routes: httpapi.NewRoutes(cfg.Clock, cfg.MaxInFlight),
 		start:  cfg.Clock(),
-		eps:    map[string]*endpointStats{},
 		tr:     trace.New(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -184,22 +130,22 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Recalibrate {
 		s.adapt = adapt.NewStore(cfg.Adapt)
 	}
-	s.mux.HandleFunc("POST /v1/register", s.instrument("register", s.handleRegister))
-	s.mux.HandleFunc("POST /v1/heartbeat", s.instrument("heartbeat", s.handleHeartbeat))
-	s.mux.HandleFunc("POST /v1/report", s.instrument("report", s.handleReport))
-	s.mux.HandleFunc("DELETE /v1/apps/{id}", s.instrument("deregister", s.handleDeregister))
-	s.mux.HandleFunc("GET /v1/apps", s.instrument("apps", s.handleApps))
-	s.mux.HandleFunc("GET /v1/drift", s.instrument("drift", s.handleDrift))
-	s.mux.HandleFunc("GET /v1/allocations", s.instrument("allocations", s.handleAllocations))
-	s.mux.HandleFunc("GET /v1/machine", s.instrument("machine", s.handleMachine))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metricsz", s.instrument("metricsz", s.handleMetricsz))
-	s.mux.HandleFunc("GET /tracez", s.instrument("tracez", s.handleTracez))
+	s.handle("POST /v1/register", "register", s.handleRegister)
+	s.handle("POST /v1/heartbeat", "heartbeat", s.handleHeartbeat)
+	s.handle("POST /v1/report", "report", s.handleReport)
+	s.handle("DELETE /v1/apps/{id}", "deregister", s.handleDeregister)
+	s.handle("GET /v1/apps", "apps", s.handleApps)
+	s.handle("GET /v1/drift", "drift", s.handleDrift)
+	s.handle("GET /v1/allocations", "allocations", s.handleAllocations)
+	s.handle("GET /v1/machine", "machine", s.handleMachine)
+	s.handle("GET /healthz", "healthz", s.handleHealthz)
+	s.handle("GET /metricsz", "metricsz", s.handleMetricsz)
+	s.handle("GET /tracez", "tracez", s.handleTracez)
 	return s, nil
 }
 
 // Handler returns the HTTP handler serving the control-plane API.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.routes }
 
 // Registry exposes the application registry (for embedding and tests).
 func (s *Server) Registry() *Registry { return s.reg }
@@ -249,86 +195,29 @@ func (s *Server) Close() {
 	}
 }
 
-// statusWriter captures the response status for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request metering and a trace span
-// (one lane per request; pid = endpoint name).
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := &endpointStats{shed: NewShedder(s.cfg.MaxInFlight)}
-	s.epMu.Lock()
-	s.eps[name] = ep
-	s.epMu.Unlock()
-	return func(w http.ResponseWriter, r *http.Request) {
-		// Load shedding runs before metering: a refusal is a constant-
-		// time header write and should not pollute the latency series.
-		if !ep.shed.Acquire() {
-			ep.shed.refuse(w)
-			return
-		}
-		defer ep.shed.Release()
-		t0 := s.cfg.Clock()
-		// Each request gets its own trace lane; past maxTraceSpans the
-		// span is dropped so a long-lived daemon's trace stays bounded.
-		lane := int(s.trSeq.Add(1))
-		traced := lane <= maxTraceSpans
-		if traced {
-			s.trMu.Lock()
-			s.tr.Begin(r.Method+" "+r.URL.Path, name, lane, t0.Sub(s.start).Seconds())
-			s.trMu.Unlock()
-		}
-
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-
-		t1 := s.cfg.Clock()
-		if traced {
-			s.trMu.Lock()
-			s.tr.End(name, lane, t1.Sub(s.start).Seconds())
-			s.trMu.Unlock()
-		}
-		ep.record(t1.Sub(t0), sw.status >= 400)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeErrorCode is writeError with a stable machine-readable code so
-// clients can branch on the cause without string-matching the message.
-func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
-}
-
-// maxBodyBytes bounds request bodies; allocation requests are tiny.
-const maxBodyBytes = 1 << 20
-
 // maxTraceSpans bounds the /tracez buffer.
 const maxTraceSpans = 4096
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	return true
+// handle mounts a route on the shared scaffold (shed, then metered)
+// with coopd's own request span around the handler: one trace lane per
+// request, pid = endpoint name.
+func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
+	s.routes.Handle(pattern, name, func(w http.ResponseWriter, r *http.Request) {
+		// Past maxTraceSpans the span is dropped so a long-lived
+		// daemon's trace stays bounded.
+		lane := int(s.trSeq.Add(1))
+		if lane > maxTraceSpans {
+			h(w, r)
+			return
+		}
+		s.trMu.Lock()
+		s.tr.Begin(r.Method+" "+r.URL.Path, name, lane, s.cfg.Clock().Sub(s.start).Seconds())
+		s.trMu.Unlock()
+		h(w, r)
+		s.trMu.Lock()
+		s.tr.End(name, lane, s.cfg.Clock().Sub(s.start).Seconds())
+		s.trMu.Unlock()
+	})
 }
 
 // parsePlacement maps the wire placement string to the model's enum.
@@ -345,31 +234,31 @@ func parsePlacement(s string) (roofline.Placement, error) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decodeBody(w, r, &req) {
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
 		req.Name = "app"
 	}
 	if req.AI <= 0 {
-		writeError(w, http.StatusBadRequest, "ai must be > 0, got %g", req.AI)
+		httpapi.WriteError(w, http.StatusBadRequest, "ai must be > 0, got %g", req.AI)
 		return
 	}
 	pl, err := parsePlacement(req.Placement)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpapi.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if pl == roofline.NUMABad && (req.HomeNode < 0 || req.HomeNode >= s.cfg.Machine.NumNodes()) {
-		writeError(w, http.StatusBadRequest, "home_node %d out of range (machine has %d nodes)", req.HomeNode, s.cfg.Machine.NumNodes())
+		httpapi.WriteError(w, http.StatusBadRequest, "home_node %d out of range (machine has %d nodes)", req.HomeNode, s.cfg.Machine.NumNodes())
 		return
 	}
 	if req.MaxThreads < 0 {
-		writeError(w, http.StatusBadRequest, "max_threads must be >= 0, got %d", req.MaxThreads)
+		httpapi.WriteError(w, http.StatusBadRequest, "max_threads must be >= 0, got %d", req.MaxThreads)
 		return
 	}
 	if req.TTLMillis < 0 {
-		writeError(w, http.StatusBadRequest, "ttl_ms must be >= 0, got %d", req.TTLMillis)
+		httpapi.WriteError(w, http.StatusBadRequest, "ttl_ms must be >= 0, got %d", req.TTLMillis)
 		return
 	}
 	st, gen, err := s.reg.Register(AppSpec{
@@ -382,17 +271,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Durability is unavailable; 503 invites a retry once the state
 		// dir recovers rather than handing out an unpersisted ID.
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		httpapi.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
 	alloc, err := s.allocationInto(sc, st.ID)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "solving allocation: %v", err)
+		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	httpapi.WriteJSON(w, http.StatusOK, RegisterResponse{
 		ID:         st.ID,
 		Generation: gen,
 		TTLMillis:  st.TTL.Milliseconds(),
@@ -402,27 +291,27 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, &req) {
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
 	if err := s.reg.Heartbeat(req); err != nil {
-		writeErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v (evicted after missing its heartbeat deadline, or never registered)", req.ID, err)
+		httpapi.WriteErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v (evicted after missing its heartbeat deadline, or never registered)", req.ID, err)
 		return
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
 	alloc, err := s.allocationInto(sc, req.ID)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "solving allocation: %v", err)
+		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Generation: s.reg.Generation(), Allocation: alloc})
+	httpapi.WriteJSON(w, http.StatusOK, HeartbeatResponse{Generation: s.reg.Generation(), Allocation: alloc})
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.reg.Deregister(id) {
-		writeErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v", id, ErrUnknownApp)
+		httpapi.WriteErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v", id, ErrUnknownApp)
 		return
 	}
 	if s.adapt != nil {
@@ -455,17 +344,17 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 			resp.Apps[i].Drifted = true
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleAllocations(w http.ResponseWriter, r *http.Request) {
 	s.sweep()
 	resp, err := s.Allocations()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "solving allocation: %v", err)
+		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Allocations computes the current machine-wide allocation table (also
@@ -544,24 +433,24 @@ func (s *Server) allocationInto(sc *serveScratch, id string) (*AppAllocation, er
 // to declared behaviour the substitution is cleared.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if s.adapt == nil {
-		writeError(w, http.StatusNotFound, "adaptive recalibration disabled (start coopd with -recalibrate)")
+		httpapi.WriteError(w, http.StatusNotFound, "adaptive recalibration disabled (start coopd with -recalibrate)")
 		return
 	}
 	var req ReportRequest
-	if !decodeBody(w, r, &req) {
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, "missing id")
+		httpapi.WriteError(w, http.StatusBadRequest, "missing id")
 		return
 	}
 	if len(req.Samples) == 0 {
-		writeError(w, http.StatusBadRequest, "no samples")
+		httpapi.WriteError(w, http.StatusBadRequest, "no samples")
 		return
 	}
 	st, ok := s.reg.App(req.ID)
 	if !ok {
-		writeErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v", req.ID, ErrUnknownApp)
+		httpapi.WriteErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v", req.ID, ErrUnknownApp)
 		return
 	}
 	appliedAI := 0.0
@@ -582,18 +471,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			UpdatedAt:  s.cfg.Clock(),
 		})
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "applying fitted model: %v", err)
+			httpapi.WriteError(w, http.StatusServiceUnavailable, "applying fitted model: %v", err)
 			return
 		}
 		appliedAI = out.FittedAI
 	case adapt.ActionClear:
 		if _, err := s.reg.ClearFitted(req.ID); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "clearing fitted model: %v", err)
+			httpapi.WriteError(w, http.StatusServiceUnavailable, "clearing fitted model: %v", err)
 			return
 		}
 		appliedAI = 0
 	}
-	writeJSON(w, http.StatusOK, ReportResponse{
+	httpapi.WriteJSON(w, http.StatusOK, ReportResponse{
 		Generation: s.reg.Generation(),
 		State:      out.State.String(),
 		FittedAI:   out.FittedAI,
@@ -610,7 +499,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // re-establish its tracker).
 func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	if s.adapt == nil {
-		writeJSON(w, http.StatusOK, DriftResponse{Enabled: false, Generation: s.reg.Generation()})
+		httpapi.WriteJSON(w, http.StatusOK, DriftResponse{Enabled: false, Generation: s.reg.Generation()})
 		return
 	}
 	apps, gen := s.reg.Snapshot()
@@ -669,13 +558,13 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 			AppliedAI:  st.Fitted.AI,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMachine serves the topology so clients can cache it for local
 // fallback solves during a daemon outage.
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, MachineResponse{
+	httpapi.WriteJSON(w, http.StatusOK, MachineResponse{
 		Machine:    s.cfg.Machine,
 		Policy:     s.solver.Policy(),
 		Generation: s.reg.Generation(),
@@ -687,7 +576,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 func (s *Server) RestoredApps() int { return s.restoredApps }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	httpapi.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		Machine:       s.cfg.Machine.Name,
 		UptimeSeconds: s.cfg.Clock().Sub(s.start).Seconds(),
@@ -703,7 +592,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Generation:    s.reg.Generation(),
 		Evictions:     s.reg.Evictions(),
 		Solver:        s.solver.Metrics(),
-		Endpoints:     map[string]EndpointMetrics{},
+		Endpoints:     s.routes.Metrics(),
 	}
 	if s.cfg.Store != nil {
 		resp.Persist = &PersistMetrics{
@@ -739,12 +628,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			PhaseChanges:    m.PhaseChanges,
 		}
 	}
-	s.epMu.Lock()
-	for name, ep := range s.eps {
-		resp.Endpoints[name] = ep.view()
-	}
-	s.epMu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
@@ -752,7 +636,7 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	data, err := s.tr.ChromeJSON()
 	s.trMu.Unlock()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding trace: %v", err)
+		httpapi.WriteError(w, http.StatusInternalServerError, "encoding trace: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -4,83 +4,12 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/client"
 )
-
-// TestShedderBound: the standalone middleware admits at most
-// maxInFlight concurrent requests; excess requests get an immediate
-// 503 with Retry-After and are counted, never queued.
-func TestShedderBound(t *testing.T) {
-	const bound = 2
-	sh := ctrlplane.NewShedder(bound)
-	release := make(chan struct{})
-	var admitted sync.WaitGroup
-	admitted.Add(bound)
-	slow := sh.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		admitted.Done()
-		<-release
-		w.WriteHeader(http.StatusOK)
-	}))
-	hs := httptest.NewServer(slow)
-	defer hs.Close()
-
-	// Fill the bound with parked requests.
-	var wg sync.WaitGroup
-	for i := 0; i < bound; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(hs.URL)
-			if err == nil {
-				resp.Body.Close()
-			}
-		}()
-	}
-	admitted.Wait()
-
-	// The next request is shed, not queued.
-	resp, err := http.Get(hs.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After = %q, want \"1\"", ra)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if want := ctrlplane.ErrCodeOverloaded; !strings.Contains(string(body), want) {
-		t.Errorf("body %q does not carry code %q", body, want)
-	}
-	if sh.Shed() != 1 {
-		t.Errorf("shed counter = %d, want 1", sh.Shed())
-	}
-
-	close(release) // drain the parked handlers
-	wg.Wait()
-}
-
-// TestShedderUnbounded: the zero bound admits everything.
-func TestShedderUnbounded(t *testing.T) {
-	sh := ctrlplane.NewShedder(0)
-	for i := 0; i < 100; i++ {
-		if !sh.Acquire() {
-			t.Fatal("unbounded shedder refused a request")
-		}
-	}
-	if sh.Shed() != 0 {
-		t.Errorf("shed = %d, want 0", sh.Shed())
-	}
-}
 
 // TestServerShedsAndCounts: a server with MaxInFlight=1 sheds the
 // overlapping request with a typed 503 and surfaces the count in

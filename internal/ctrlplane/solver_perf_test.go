@@ -2,7 +2,6 @@ package ctrlplane
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -231,36 +230,5 @@ func TestServerServeScratchNoAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warm allocationInto allocates %.2f objects/op, want 0", allocs)
-	}
-}
-
-// TestEndpointStatsBoundedMemory: an endpoint's latency record stops
-// growing at latWindow samples, so the next 100k requests retain no
-// more memory (record no longer allocates), and /metricsz quantiles
-// describe the last latWindow requests while max_ms stays all-time.
-func TestEndpointStatsBoundedMemory(t *testing.T) {
-	ep := &endpointStats{shed: NewShedder(0)}
-	// AllocsPerRun's warm-up call fills the ring; the measured one must
-	// find it full.
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 100_000; i++ {
-			ep.record(5*time.Second, i%10 == 0)
-		}
-	})
-	if allocs != 0 || cap(ep.lat) > 2*latWindow {
-		t.Errorf("100k recorded requests allocated %.0f objects and retain %d samples, want 0 and <= %d",
-			allocs, cap(ep.lat), 2*latWindow)
-	}
-	for i := 1; i <= latWindow; i++ {
-		ep.record(time.Duration(i)*time.Millisecond, false)
-	}
-	m := ep.view()
-	want := EndpointMetrics{
-		Count: 200_000 + latWindow, Errors: 20_000,
-		P50Ms: (latWindow + 1) / 2.0, P95Ms: 1 + 0.95*(latWindow-1), MaxMs: 5000,
-	}
-	if m.Count != want.Count || m.Errors != want.Errors || m.MaxMs != want.MaxMs ||
-		math.Abs(m.P50Ms-want.P50Ms) > 1e-9 || math.Abs(m.P95Ms-want.P95Ms) > 1e-9 {
-		t.Errorf("view = %+v, want %+v", m, want)
 	}
 }

@@ -9,8 +9,9 @@
 // registry tracks live applications (heartbeat-liveness eviction frees
 // a silent application's cores), the solver runs the roofline
 // optimization behind the shared internal/solvecache (keyed by topology
-// hash and sorted demand set), and every register/heartbeat/allocate
-// request is metered and traced (internal/trace).
+// hash and sorted demand set), and every request is metered by the
+// HTTP scaffold shared with fleetd (internal/httpapi) and traced
+// (internal/trace).
 //
 // The wire protocol is JSON over HTTP:
 //
@@ -30,6 +31,7 @@
 package ctrlplane
 
 import (
+	"repro/internal/httpapi"
 	"repro/internal/machine"
 	"repro/internal/solvecache"
 )
@@ -254,16 +256,7 @@ type HealthResponse struct {
 }
 
 // EndpointMetrics summarizes one endpoint's request history.
-type EndpointMetrics struct {
-	Count  uint64  `json:"count"`
-	Errors uint64  `json:"errors"`
-	P50Ms  float64 `json:"p50_ms"`
-	P95Ms  float64 `json:"p95_ms"`
-	MaxMs  float64 `json:"max_ms"`
-	// Shed counts requests refused by the load shedder (503 +
-	// Retry-After) because the endpoint's in-flight bound was full.
-	Shed uint64 `json:"shed,omitempty"`
-}
+type EndpointMetrics = httpapi.EndpointMetrics
 
 // SolverMetrics summarizes the allocation cache.
 type SolverMetrics = solvecache.Counters
@@ -327,20 +320,16 @@ type MachineResponse struct {
 	Generation uint64           `json:"generation"`
 }
 
-// Machine-readable error codes carried by ErrorResponse.Code.
+// The error body and its machine-readable codes are shared with fleetd
+// and live in internal/httpapi.
 const (
-	// ErrCodeUnknownApp marks a heartbeat or deregistration for an ID
-	// the registry does not know — the client's signal to re-register
-	// instead of retrying.
-	ErrCodeUnknownApp = "unknown_app"
-	// ErrCodeNotLeader marks a write sent to a replication follower.
-	// The response's Leader field (and X-Coop-Leader header) carry the
-	// current leader's URL; the client should retry there.
-	ErrCodeNotLeader = "not_leader"
-	// ErrCodeOverloaded marks a request refused by the load shedder;
-	// the Retry-After header says when to try again.
-	ErrCodeOverloaded = "overloaded"
+	ErrCodeUnknownApp = httpapi.ErrCodeUnknownApp
+	ErrCodeNotLeader  = httpapi.ErrCodeNotLeader
+	ErrCodeOverloaded = httpapi.ErrCodeOverloaded
 )
+
+// ErrorResponse carries an error message on non-2xx statuses.
+type ErrorResponse = httpapi.ErrorResponse
 
 // Replication headers stamped on every response by an HA replica, so
 // clients can fence against deposed leaders without new body fields.
@@ -355,16 +344,6 @@ const (
 	// hint for multi-endpoint clients.
 	HeaderLeader = "X-Coop-Leader"
 )
-
-// ErrorResponse carries an error message on non-2xx statuses. Code,
-// when set, is a stable machine-readable cause (see ErrCode*) so
-// clients do not have to string-match messages.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-	// Leader is the current leader's URL on not_leader rejections.
-	Leader string `json:"leader,omitempty"`
-}
 
 // ReplicaStatusResponse is the /v1/replica/status body: one replica's
 // view of the HA pair — its role, the lease, and how far behind the

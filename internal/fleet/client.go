@@ -1,16 +1,12 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
-	"repro/internal/ctrlplane"
+	"repro/internal/httpapi"
 )
 
 // Client is the typed client for the fleetd HTTP API, used by `coopctl
@@ -31,118 +27,57 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: httpClient}
 }
 
-// do performs one API call; in/out may be nil.
+// do performs one API call; in/out may be nil. A non-2xx answer is an
+// *httpapi.APIError, so callers tell 404 (unknown machine) from 409
+// (dead member, upgrade running) from 503 (no candidate) by status.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var rd io.Reader
-	if in != nil {
-		body, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("fleet: encoding request: %w", err)
-		}
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return fmt.Errorf("fleet: building request: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return fmt.Errorf("fleet: reading response: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		msg := strings.TrimSpace(string(data))
-		var er ctrlplane.ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			msg = er.Error
-		}
-		return fmt.Errorf("fleet: server returned %d: %s", resp.StatusCode, msg)
-	}
-	if out != nil && len(data) > 0 {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("fleet: decoding response: %w", err)
-		}
-	}
-	return nil
+	_, err := httpapi.Call(ctx, c.hc, method, c.base+path, in, out)
+	return err
 }
 
 // Place asks the fleet to place an app and returns the chosen machine
 // and app ID.
 func (c *Client) Place(ctx context.Context, spec AppSpec) (*PlaceResponse, error) {
-	var resp PlaceResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/fleet/place", spec, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[PlaceResponse](ctx, c.do, http.MethodPost, "/v1/fleet/place", spec)
 }
 
 // PlaceGang asks the fleet to admit a gang atomically.
 func (c *Client) PlaceGang(ctx context.Context, g GangSpec) (*GangResult, error) {
-	var resp GangResult
-	if err := c.do(ctx, http.MethodPost, "/v1/fleet/gang", g, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[GangResult](ctx, c.do, http.MethodPost, "/v1/fleet/gang", g)
 }
 
 // Machines lists the fleet's members.
 func (c *Client) Machines(ctx context.Context) (*MachinesResponse, error) {
-	var resp MachinesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/fleet/machines", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[MachinesResponse](ctx, c.do, http.MethodGet, "/v1/fleet/machines", nil)
 }
 
 // Plan returns the rebalancer's current dry-run plan.
 func (c *Client) Plan(ctx context.Context) (*Plan, error) {
-	var resp Plan
-	if err := c.do(ctx, http.MethodGet, "/v1/fleet/plan", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[Plan](ctx, c.do, http.MethodGet, "/v1/fleet/plan", nil)
 }
 
 // Drain toggles draining on a member.
 func (c *Client) Drain(ctx context.Context, machineID string, undo bool) (*DrainResponse, error) {
-	var resp DrainResponse
 	req := DrainRequest{Machine: machineID, Undo: undo}
-	if err := c.do(ctx, http.MethodPost, "/v1/fleet/drain", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[DrainResponse](ctx, c.do, http.MethodPost, "/v1/fleet/drain", req)
 }
 
 // Upgrade starts or aborts a rolling upgrade.
 func (c *Client) Upgrade(ctx context.Context, req UpgradeRequest) (*UpgradeStatus, error) {
-	var resp UpgradeStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/fleet/upgrade", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[UpgradeStatus](ctx, c.do, http.MethodPost, "/v1/fleet/upgrade", req)
 }
 
 // UpgradeStatus reads the rolling-upgrade controller's state.
 func (c *Client) UpgradeStatus(ctx context.Context) (*UpgradeStatus, error) {
-	var resp UpgradeStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/fleet/upgrade", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[UpgradeStatus](ctx, c.do, http.MethodGet, "/v1/fleet/upgrade", nil)
 }
 
 // Health reads the fleet /healthz.
 func (c *Client) Health(ctx context.Context) (*FleetHealthResponse, error) {
-	var resp FleetHealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return httpapi.Typed[FleetHealthResponse](ctx, c.do, http.MethodGet, "/healthz", nil)
+}
+
+// Metrics reads the fleet /metricsz.
+func (c *Client) Metrics(ctx context.Context) (*FleetMetricsResponse, error) {
+	return httpapi.Typed[FleetMetricsResponse](ctx, c.do, http.MethodGet, "/metricsz", nil)
 }

@@ -162,6 +162,10 @@ func NewInventory(cfg InventoryConfig) *Inventory {
 	return &Inventory{cfg: cfg, members: map[string]*member{}, priorities: map[string]string{}}
 }
 
+// now reads the inventory's clock, the one time source of the fleet
+// layer (LastSeen stamps, quarantine deadlines, request metering).
+func (inv *Inventory) now() time.Time { return inv.cfg.Clock() }
+
 func (inv *Inventory) logf(format string, args ...any) {
 	if inv.cfg.Logf != nil {
 		inv.cfg.Logf(format, args...)
@@ -285,7 +289,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		m.gen = alloc.Generation
 		m.preferred = i
 		m.failures = 0
-		now := inv.cfg.Clock()
+		now := inv.now()
 		m.lastSeen = now
 		if m.dead {
 			m.dead = false
@@ -316,7 +320,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	if !m.dead && m.failures >= inv.cfg.FailAfter {
 		m.dead = true
 		inv.logf("fleet: member %s dead after %d failed polls (%d apps to re-home)", id, m.failures, len(m.apps))
-		inv.noteTransition(m, inv.cfg.Clock())
+		inv.noteTransition(m, inv.now())
 	}
 	inv.mu.Unlock()
 }

@@ -2,9 +2,15 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/ctrlplane/client"
+	"repro/internal/faultinject"
+	"repro/internal/httpapi"
 )
 
 // newFleetServer wires a fleet server (not Started — tests drive the
@@ -173,5 +179,131 @@ func TestServerGangRoundTrip(t *testing.T) {
 		if _, err := fc.PlaceGang(ctx, bad); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Fatalf("gang %+v admitted, want a 400 validation error (got %v)", bad, err)
 		}
+	}
+}
+
+// TestServerRejectsUnknownFields: a misspelt request field is a 400 on
+// every body-taking fleetd route, not a silently applied default.
+// {"priorty":"latency"} used to be accepted and placed as batch — the
+// typo dropped the app's priority class, the input to preemption.
+func TestServerRejectsUnknownFields(t *testing.T) {
+	ctx := context.Background()
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
+	if err := inv.Add("a", newCoopd(t).URL); err != nil {
+		t.Fatal(err)
+	}
+	inv.Poll(ctx)
+	srv, _ := newFleetServer(t, inv)
+	for path, body := range map[string]string{
+		"/v1/fleet/place":   `{"name":"x","ai":2,"priorty":"latency"}`,
+		"/v1/fleet/gang":    `{"name":"g","replicas":2,"app":{"ai":2},"polcy":"spread"}`,
+		"/v1/fleet/drain":   `{"machine":"a","undoo":true}`,
+		"/v1/fleet/upgrade": `{"action":"start","machnes":["a"]}`,
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown field") {
+			t.Errorf("POST %s %s: %d %s, want 400 naming the unknown field", path, body, rec.Code, rec.Body)
+		}
+	}
+	inv.Poll(ctx)
+	if m, _ := inv.Member("a"); len(m.Apps) != 0 || m.Draining {
+		t.Errorf("a rejected request took effect: %d apps, draining=%v", len(m.Apps), m.Draining)
+	}
+	if st := srv.Upgrader().Status(); st.State != UpgradeIdle {
+		t.Errorf("a rejected upgrade request started one: %+v", st)
+	}
+}
+
+// TestClientTypedErrors: fleet.Client failures are *httpapi.APIError, so
+// callers tell an unknown machine (404) from a dead member or a running
+// upgrade (409) from a fleet with no room (503) by status — and the
+// coopd client's predicates read them too.
+func TestClientTypedErrors(t *testing.T) {
+	ctx := context.Background()
+	hs := newCoopd(t)
+	part := faultinject.NewPartition()
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(part.Transport(nil)), FailAfter: 1})
+	if err := inv.Add("a", hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	inv.Poll(ctx)
+	_, fc := newFleetServer(t, inv)
+	status := func(err error) int {
+		var ae *httpapi.APIError
+		if !errors.As(err, &ae) {
+			t.Errorf("err %v is not an *httpapi.APIError", err)
+			return 0
+		}
+		return ae.Status
+	}
+
+	_, err := fc.Drain(ctx, "ghost", false)
+	if status(err) != http.StatusNotFound || !client.IsNotFound(err) {
+		t.Errorf("drain of an unknown machine: %v, want 404", err)
+	}
+	if _, err = fc.Upgrade(ctx, UpgradeRequest{Action: "start", Machines: []string{"ghost"}}); status(err) != http.StatusNotFound {
+		t.Errorf("upgrade over an unknown machine: %v, want 404", err)
+	}
+	if _, err = fc.Upgrade(ctx, UpgradeRequest{Action: "start"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = fc.Upgrade(ctx, UpgradeRequest{Action: "start"}); status(err) != http.StatusConflict {
+		t.Errorf("second upgrade start: %v, want 409", err)
+	}
+	if _, err = fc.Upgrade(ctx, UpgradeRequest{Action: "abort"}); err != nil {
+		t.Fatal(err)
+	}
+
+	part.Isolate(hostOf(t, hs.URL))
+	inv.Poll(ctx)
+	if _, err = fc.Drain(ctx, "a", false); status(err) != http.StatusConflict {
+		t.Errorf("drain of a dead member: %v, want 409", err)
+	}
+	if _, err = fc.Place(ctx, memSpec("homeless")); status(err) != http.StatusServiceUnavailable {
+		t.Errorf("place with every member dead: %v, want 503", err)
+	}
+}
+
+// TestServerMetricsz: fleetd meters its routes — /metricsz counts move
+// when /v1/fleet/place is called, errors included — and reports the
+// Scorer's solve-cache counters.
+func TestServerMetricsz(t *testing.T) {
+	ctx := context.Background()
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
+	if err := inv.Add("a", newCoopd(t).URL); err != nil {
+		t.Fatal(err)
+	}
+	inv.Poll(ctx)
+	srv, fc := newFleetServer(t, inv)
+
+	m, err := fc.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep, ok := m.Endpoints["place"]; !ok || ep.Count != 0 {
+		t.Fatalf("fresh /metricsz place endpoint = %+v (present %v), want a zero entry", ep, ok)
+	}
+	if _, err := fc.Place(ctx, memSpec("web")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.Place(ctx, AppSpec{Name: "zero-ai"}); err == nil {
+		t.Fatal("zero-AI spec accepted")
+	}
+	if m, err = fc.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ep := m.Endpoints["place"]; ep.Count != 2 || ep.Errors != 1 || ep.MaxMs <= 0 {
+		t.Errorf("place endpoint after one placement and one rejection = %+v, want count 2, errors 1", ep)
+	}
+	if ep := m.Endpoints["metricsz"]; ep.Count != 1 {
+		t.Errorf("metricsz endpoint = %+v, want the first read counted", ep)
+	}
+	hits, misses := srv.Placer().Scorer.CacheStats()
+	if c := m.SolveCache; c.Misses == 0 || c.Hits != hits || c.Misses != misses {
+		t.Errorf("solve_cache %+v, want the Scorer's counters (%d hits, %d misses)", c, hits, misses)
+	}
+	if m.UptimeSeconds < 0 {
+		t.Errorf("uptime_s = %g", m.UptimeSeconds)
 	}
 }

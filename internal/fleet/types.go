@@ -3,17 +3,24 @@ package fleet
 // Wire types for the fleetd HTTP API:
 //
 //	POST /v1/fleet/place    AppSpec          -> PlaceResponse
+//	POST /v1/fleet/gang     GangSpec         -> GangResult
 //	GET  /v1/fleet/machines                  -> MachinesResponse
 //	GET  /v1/fleet/plan                      -> Plan (read-only dry run)
 //	POST /v1/fleet/drain    DrainRequest     -> DrainResponse
 //	POST /v1/fleet/upgrade  UpgradeRequest   -> UpgradeStatus
 //	GET  /v1/fleet/upgrade                   -> UpgradeStatus
 //	GET  /healthz                            -> FleetHealthResponse
+//	GET  /metricsz                           -> FleetMetricsResponse
 //
-// Errors reuse ctrlplane.ErrorResponse so the coopd client-side
-// decoding conventions carry over unchanged.
+// Routes are mounted through internal/httpapi like coopd's: a wrong
+// method is 405 + Allow, a request body may not carry unknown fields,
+// and every error body is an httpapi.ErrorResponse, which the typed
+// clients return as *httpapi.APIError.
 
-import "repro/internal/solvecache"
+import (
+	"repro/internal/httpapi"
+	"repro/internal/solvecache"
+)
 
 // Member status strings reported in MachineView.
 const (
@@ -108,6 +115,15 @@ type FleetHealthResponse struct {
 	// SolveCache is the Scorer's solve-memo counters — the same struct
 	// coopd serves as its /metricsz "solver" section.
 	SolveCache solvecache.Counters `json:"solve_cache"`
+}
+
+// FleetMetricsResponse is the fleet /metricsz body: how hard the Scorer
+// worked and what every endpoint served, in coopd's shapes.
+type FleetMetricsResponse struct {
+	UptimeSeconds float64             `json:"uptime_s"`
+	SolveCache    solvecache.Counters `json:"solve_cache"`
+	// Endpoints is keyed by the route names NewServer mounts.
+	Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
 }
 
 // UpgradeRequest drives the rolling-upgrade controller

@@ -1,0 +1,190 @@
+package httpapi
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+)
+
+// parkedRoutes mounts one route ("GET /slow", metered as "slow") whose
+// handler reports its admission and then parks until release is closed.
+func parkedRoutes(maxInFlight int, admitted *sync.WaitGroup, release <-chan struct{}) *Routes {
+	rt := NewRoutes(time.Now, maxInFlight)
+	rt.Handle("GET /slow", "slow", func(w http.ResponseWriter, r *http.Request) {
+		admitted.Done()
+		<-release
+		w.WriteHeader(http.StatusOK)
+	})
+	return rt
+}
+
+// TestShedderBound: a route admits at most maxInFlight concurrent
+// requests; excess requests get an immediate 503 with Retry-After and
+// are counted, never queued.
+func TestShedderBound(t *testing.T) {
+	const bound = 2
+	release := make(chan struct{})
+	var admitted sync.WaitGroup
+	admitted.Add(bound)
+	rt := parkedRoutes(bound, &admitted, release)
+	hs := httptest.NewServer(rt)
+	defer hs.Close()
+
+	// Fill the bound with parked requests.
+	var wg sync.WaitGroup
+	for i := 0; i < bound; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(hs.URL + "/slow")
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	admitted.Wait()
+
+	// The next request is shed, not queued.
+	hdr, err := Call(context.Background(), http.DefaultClient, http.MethodGet, hs.URL+"/slow", nil, nil)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Code != ErrCodeOverloaded {
+		t.Fatalf("err = %v, want a 503 APIError with code %q", err, ErrCodeOverloaded)
+	}
+	if ra := hdr.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
+	}
+	if !Retryable(err) {
+		t.Error("a shed request is not Retryable")
+	}
+	// A refusal is counted as shed and kept out of the latency series.
+	if m := rt.Metrics()["slow"]; m.Shed != 1 || m.Count != 0 {
+		t.Errorf("metrics = %+v, want shed 1 and count 0", m)
+	}
+
+	close(release) // drain the parked handlers
+	wg.Wait()
+	if m := rt.Metrics()["slow"]; m.Count != bound || m.Errors != 0 {
+		t.Errorf("metrics after drain = %+v, want count %d, no errors", m, bound)
+	}
+}
+
+// TestShedderUnbounded: the zero bound admits everything.
+func TestShedderUnbounded(t *testing.T) {
+	const n = 100
+	release := make(chan struct{})
+	var admitted, wg sync.WaitGroup
+	admitted.Add(n)
+	rt := parkedRoutes(0, &admitted, release)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/slow", nil))
+		}()
+	}
+	admitted.Wait() // all n in flight at once
+	close(release)
+	wg.Wait()
+	if m := rt.Metrics()["slow"]; m.Shed != 0 || m.Count != n {
+		t.Errorf("metrics = %+v, want shed 0 and count %d", m, n)
+	}
+}
+
+// TestEndpointStatsBoundedMemory: an endpoint's latency record stops
+// growing at latWindow samples, so the next 100k requests retain no
+// more memory (record no longer allocates), and the quantiles describe
+// the last latWindow requests while max_ms stays all-time.
+func TestEndpointStatsBoundedMemory(t *testing.T) {
+	ep := &endpointStats{}
+	// AllocsPerRun's warm-up call fills the ring; the measured one must
+	// find it full.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100_000; i++ {
+			ep.record(5*time.Second, i%10 == 0)
+		}
+	})
+	if allocs != 0 || cap(ep.lat) > 2*latWindow {
+		t.Errorf("100k recorded requests allocated %.0f objects and retain %d samples, want 0 and <= %d",
+			allocs, cap(ep.lat), 2*latWindow)
+	}
+	for i := 1; i <= latWindow; i++ {
+		ep.record(time.Duration(i)*time.Millisecond, false)
+	}
+	m := ep.view()
+	want := EndpointMetrics{
+		Count: 200_000 + latWindow, Errors: 20_000,
+		P50Ms: (latWindow + 1) / 2.0, P95Ms: 1 + 0.95*(latWindow-1), MaxMs: 5000,
+	}
+	if m.Count != want.Count || m.Errors != want.Errors || m.MaxMs != want.MaxMs ||
+		math.Abs(m.P50Ms-want.P50Ms) > 1e-9 || math.Abs(m.P95Ms-want.P95Ms) > 1e-9 {
+		t.Errorf("view = %+v, want %+v", m, want)
+	}
+}
+
+// TestCallErrors: the one exchange turns every failure into the error
+// its callers branch on — an ErrorResponse body or a plain-text one into
+// an *APIError, retryable iff 5xx; a dead peer into a retryable
+// transport error; an undecodable 200 into a permanent one.
+func TestCallErrors(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/typed", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusMisdirectedRequest, ErrorResponse{Error: "go away", Code: ErrCodeNotLeader, Leader: "http://b"})
+	})
+	mux.HandleFunc("/unknown", func(w http.ResponseWriter, r *http.Request) {
+		WriteErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "app-%d: gone", 7)
+	})
+	mux.HandleFunc("/text", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "proxy exploded", http.StatusBadGateway)
+	})
+	mux.HandleFunc("/garbage", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("{not json"))
+	})
+	mux.HandleFunc("/echo", func(w http.ResponseWriter, r *http.Request) {
+		var v map[string]int
+		json.NewDecoder(r.Body).Decode(&v)
+		WriteJSON(w, http.StatusOK, v)
+	})
+	hs := httptest.NewServer(mux)
+	ctx := context.Background()
+	call := func(path string, in, out any) error {
+		_, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+path, in, out)
+		return err
+	}
+
+	var out map[string]int
+	if err := call("/echo", map[string]int{"a": 1}, &out); err != nil || out["a"] != 1 {
+		t.Fatalf("echo: out %v, err %v", out, err)
+	}
+
+	var ae *APIError
+	err := call("/typed", nil, nil)
+	if !errors.As(err, &ae) || *ae != (APIError{Status: 421, Message: "go away", Code: ErrCodeNotLeader, Leader: "http://b"}) || Retryable(err) {
+		t.Errorf("/typed: err %#v (retryable %v), want the decoded 421, permanent", err, Retryable(err))
+	}
+	err = call("/unknown", nil, nil)
+	if !errors.Is(err, ErrUnknownApp) || !errors.As(err, &ae) || ae.Message != "app-7: gone" {
+		t.Errorf("/unknown: err %v, want ErrUnknownApp with the server's message", err)
+	}
+	err = call("/text", nil, nil)
+	if !errors.As(err, &ae) || ae.Status != 502 || ae.Message != "proxy exploded" || ae.Code != "" || !Retryable(err) {
+		t.Errorf("/text: err %#v, want a retryable 502 with the trimmed text", err)
+	}
+	if err = call("/garbage", nil, &out); err == nil || errors.As(err, &ae) || Retryable(err) {
+		t.Errorf("/garbage: err %v, want a permanent decode error", err)
+	}
+	if err = call("/echo", make(chan int), nil); err == nil || Retryable(err) {
+		t.Errorf("unencodable request: err %v, want a permanent error", err)
+	}
+
+	hs.Close()
+	hdr, err := Call(ctx, http.DefaultClient, http.MethodGet, hs.URL+"/echo", nil, nil)
+	if err == nil || hdr != nil || !Retryable(err) {
+		t.Errorf("dead peer: hdr %v, err %v, want a retryable transport error and no header", hdr, err)
+	}
+}
