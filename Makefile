@@ -93,7 +93,9 @@ drift-chaos:
 # live in-process coopd members and check the stability invariants —
 # exactly-once, bounded-churn, no-oscillation, convergence — after
 # every round. Writes the machine-readable verdicts to
-# fleet-sim-verdicts.json (see internal/fleetsim and cmd/fleetsim).
+# fleet-sim-verdicts.json (see internal/fleetsim and cmd/fleetsim); they
+# hold no wall-clock field, so CI requires the regenerated file to equal
+# the committed one.
 fleet-sim:
 	$(GO) run ./cmd/fleetsim -out fleet-sim-verdicts.json
 

@@ -93,9 +93,6 @@ func main() {
 			log.Fatalf("coopd: opening state dir %s: %v", *stateDir, err)
 		}
 		defer store.Close()
-		snap := store.Restored()
-		log.Printf("coopd: restored %d apps from %s (generation %d, %d torn journal records dropped)",
-			len(snap.Apps), *stateDir, snap.Generation, store.TornRecords())
 	}
 
 	srv, err := ctrlplane.NewServer(ctrlplane.ServerConfig{
@@ -110,6 +107,10 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("coopd: %v", err)
+	}
+	if store != nil {
+		log.Printf("coopd: restored %d apps from %s (generation %d, %d torn journal records dropped)",
+			srv.RestoredApps(), *stateDir, srv.Registry().Generation(), store.TornRecords())
 	}
 
 	handler := srv.Handler()

@@ -74,7 +74,9 @@ func main() {
 	failed := 0
 	for _, sc := range scenarios {
 		runCtx, cancelRun := context.WithTimeout(ctx, *timeout)
+		start := time.Now()
 		v, err := fleetsim.RunScenario(runCtx, sc, fleetsim.EngineConfig{Logf: logf})
+		elapsed := time.Since(start)
 		cancelRun()
 		if err != nil {
 			log.Fatalf("fleetsim: scenario %s: %v", sc.Name, err)
@@ -86,7 +88,7 @@ func main() {
 			failed++
 		}
 		log.Printf("%s %-18s seed=%d rounds=%d moves=%d (max %d/round, %d deferred) agg=%.1f GFLOPS %.1f rounds/sec",
-			status, sc.Name, v.Seed, v.Rounds, v.TotalMoves, v.MaxRoundMoves, v.Deferred, v.FinalAggregateGFLOPS, v.RoundsPerSec)
+			status, sc.Name, v.Seed, v.Rounds, v.TotalMoves, v.MaxRoundMoves, v.Deferred, v.FinalAggregateGFLOPS, float64(v.Rounds)/elapsed.Seconds())
 		for _, viol := range v.Violations {
 			log.Printf("  round %d [%s]: %s", viol.Round, viol.Invariant, viol.Detail)
 		}

@@ -1,20 +1,22 @@
-// Package persist gives the control-plane registry crash durability: a
-// JSON snapshot plus an append-only journal in a state directory. On
-// open the store loads the snapshot, replays the journal (tolerating a
-// torn final record from a mid-write crash), compacts the merged state
-// back into a fresh snapshot, and is then ready to log registry
-// mutations.
+// Package persist is a crash-durable snapshot + journal file pair in a
+// state directory, and the record types the control plane keeps in it.
+// The store is schema-blind: it writes the records its owner appends,
+// installs the snapshots its owner hands it, and at Open returns what
+// the directory held. What a record *means* is the owner's business —
+// ctrlplane.Registry folds recovered, replicated and freshly made
+// records through one apply function.
 //
-// Durability model: mutations of the live application set (register,
-// deregister, evict) are fsynced before the append returns, so an
-// acknowledged registration survives a kernel crash; heartbeat refreshes
-// are written but not individually fsynced (a lost refresh costs at most
-// one re-armed TTL window after restart). The WriteBehind option relaxes
-// set mutations to the same buffered regime, with a background flusher
-// syncing on an interval — higher throughput, bounded loss window.
+// Durability model: Append(rec, sync=true) returns after the record is
+// fsynced, so what the owner acknowledges next survives a kernel crash;
+// sync=false appends are written but not individually fsynced. The
+// WriteBehind option relaxes sync=true appends to the same buffered
+// regime, with a background flusher syncing on an interval — higher
+// throughput, bounded loss window — and a flusher that has failed
+// rejects further sync=true appends.
 //
 // The store is a single-writer design: exactly one daemon may own a
-// state directory at a time.
+// state directory at a time, and the owner serializes Append and
+// Compact (the registry calls both under its own lock).
 package persist
 
 import (
@@ -22,9 +24,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 )
@@ -74,23 +76,19 @@ type Snapshot struct {
 	Apps       []AppRecord `json:"apps"`
 }
 
-// Journal operation names. Exported because Record is also the wire
-// format of the replication stream (ctrlplane/replica): a follower
-// replays the leader's journal records through the same apply logic.
+// Journal operation names. Record is also the wire format of the
+// replication stream (ctrlplane/replica).
 const (
 	OpRegister   = "register"
 	OpHeartbeat  = "heartbeat"
 	OpDeregister = "deregister"
 	OpEvict      = "evict"
 	// OpPromote marks a leadership change: the new leader's epoch and
-	// the generation bump it performed, journaled so neither can regress
-	// across a restart of any replica.
+	// the generation bump it performed.
 	OpPromote = "promote"
 	// OpFitted records an adaptive-recalibration update: the fitted
 	// demand model substituted for (or, with a nil Fitted payload,
-	// cleared from) one application. Fsynced and replicated like any
-	// other set mutation, so a fitted model survives both a crash and a
-	// leader failover.
+	// cleared from) one application.
 	OpFitted = "fitted"
 )
 
@@ -120,7 +118,7 @@ type Record struct {
 
 // Options tunes a Store.
 type Options struct {
-	// WriteBehind skips the per-record fsync on set mutations; a
+	// WriteBehind skips the per-record fsync on sync appends; a
 	// background flusher syncs every FlushInterval instead. Buffered
 	// writes still reach the OS immediately, so only a kernel or power
 	// failure inside the flush window can lose an acknowledged record.
@@ -128,13 +126,13 @@ type Options struct {
 	// FlushInterval is the write-behind sync period (default 200ms;
 	// ignored unless WriteBehind).
 	FlushInterval time.Duration
-	// CompactEvery is the number of journal records after which the
-	// journal is folded into the snapshot and truncated (default 1024).
+	// CompactEvery is the journal length, in records, past which Append
+	// asks its owner for a compaction (default 1024).
 	CompactEvery int
 }
 
 // Store owns one state directory. All methods are safe for concurrent
-// use; the registry additionally serializes them under its own lock.
+// use.
 type Store struct {
 	dir  string
 	opts Options
@@ -144,23 +142,12 @@ type Store struct {
 	appended int // journal records since the last compaction
 	closed   bool
 
-	// Mirror of the persisted state, kept so compaction never has to
-	// re-read the files it is about to replace.
-	apps      map[string]AppRecord
-	gen       uint64
-	seq       uint64
-	evictions uint64
-	epoch     uint64
+	snap Snapshot // as read at Open, until Recovered hands it over
+	recs []Record
 
-	restored    Snapshot
 	torn        int
 	compactions uint64
 	flushErr    error
-
-	// observer, when set, sees every appended record in journal order
-	// (called under the store lock — it must not call back into the
-	// store). The replication log tails the journal this way.
-	observer func(Record)
 
 	// syncFn syncs the journal file; swapped in tests to simulate a
 	// failing disk on the write-behind flush path.
@@ -170,9 +157,11 @@ type Store struct {
 	done chan struct{}
 }
 
-// Open loads (or creates) the state directory, replays any journal into
-// the snapshot, compacts, and returns a store ready for appends. The
-// state as of the previous run is available from Restored.
+// Open loads (or creates) the state directory and returns a store ready
+// for appends; Recovered returns what the directory held. A torn final
+// journal line (a crash mid-append) is dropped, counted and cut off the
+// file; any other unreadable line fails the open — the records behind
+// it were acknowledged and must not be silently lost.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = 200 * time.Millisecond
@@ -186,27 +175,30 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:    dir,
 		opts:   opts,
-		apps:   map[string]AppRecord{},
 		syncFn: (*os.File).Sync,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if err := s.load(); err != nil {
-		return nil, err
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
+		return nil, fmt.Errorf("persist: reading snapshot: %w", err)
+	default:
+		if err := json.Unmarshal(data, &s.snap); err != nil {
+			return nil, fmt.Errorf("persist: corrupt snapshot %s: %w", snapshotFile, err)
+		}
 	}
-	s.restored = s.snapshotLocked()
-
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening journal: %w", err)
 	}
-	s.journal = f
-	// Fold the replayed journal into a fresh snapshot so a crash during
-	// this run replays only this run's records.
-	if err := s.compactLocked(); err != nil {
+	if err := s.readJournal(f); err != nil {
 		f.Close()
 		return nil, err
 	}
+	s.journal = f
+	s.appended = len(s.recs)
 	if opts.WriteBehind {
 		go s.flusher()
 	} else {
@@ -215,124 +207,52 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// load reads the snapshot and replays the journal into the mirror.
-func (s *Store) load() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, snapshotFile))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-	case err != nil:
-		return fmt.Errorf("persist: reading snapshot: %w", err)
-	default:
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("persist: corrupt snapshot %s: %w", snapshotFile, err)
+// readJournal decodes every complete line of f into s.recs. Lines are
+// read whole whatever their length: the reader must accept anything the
+// writer can emit.
+func (s *Store) readJournal(f *os.File) error {
+	br := bufio.NewReader(f)
+	var good int64 // bytes of f holding complete records
+	for line := 1; ; line++ {
+		data, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("persist: reading journal line %d: %w", line, err)
 		}
-		s.gen, s.seq, s.evictions, s.epoch = snap.Generation, snap.Seq, snap.Evictions, snap.Epoch
-		for _, a := range snap.Apps {
-			s.apps[a.ID] = a
-		}
-	}
-
-	jf, err := os.Open(filepath.Join(s.dir, journalFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("persist: reading journal: %w", err)
-	}
-	defer jf.Close()
-	sc := bufio.NewScanner(jf)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if err == io.EOF && len(data) == 0 {
+			return nil
 		}
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn final record is the expected signature of a crash
-			// mid-append: stop replaying — everything before it is intact.
-			s.torn++
-			break
-		}
-		s.applyLocked(rec)
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Errorf("persist: scanning journal: %w", err)
-	}
-	return nil
-}
-
-// applyLocked folds one journal record into the mirror.
-func (s *Store) applyLocked(rec Record) {
-	switch rec.Op {
-	case OpRegister:
-		if rec.App != nil {
-			s.apps[rec.App.ID] = *rec.App
-		}
-		s.gen, s.seq = rec.Gen, rec.Seq
-	case OpHeartbeat:
-		if a, ok := s.apps[rec.ID]; ok {
-			a.LastBeat = rec.Beat
-			a.Beats = rec.Beats
-			s.apps[rec.ID] = a
-		}
-	case OpDeregister:
-		delete(s.apps, rec.ID)
-		s.gen = rec.Gen
-	case OpEvict:
-		for _, id := range rec.IDs {
-			delete(s.apps, id)
-		}
-		s.gen = rec.Gen
-		s.evictions = rec.Evictions
-	case OpPromote:
-		s.gen = rec.Gen
-		if rec.Epoch > s.epoch {
-			s.epoch = rec.Epoch
-		}
-	case OpFitted:
-		if a, ok := s.apps[rec.ID]; ok {
-			if rec.Fitted != nil {
-				a.FittedAI = rec.Fitted.AI
-				a.FittedPeak = rec.Fitted.PeakGFLOPS
-				a.FittedConfidence = rec.Fitted.Confidence
-				a.FittedAt = rec.Fitted.At
-			} else {
-				a.FittedAI, a.FittedPeak, a.FittedConfidence, a.FittedAt = 0, 0, 0, 0
+		uerr := json.Unmarshal(data, &rec)
+		if err == io.EOF || uerr != nil {
+			// Unterminated or unparseable. As the last thing in the file
+			// that is the signature of a crash mid-append (the append was
+			// never acknowledged); anywhere else it is corruption.
+			if _, perr := br.Peek(1); perr != io.EOF {
+				return fmt.Errorf("persist: corrupt journal line %d (records follow it, so it is not a torn append): %v", line, uerr)
 			}
-			s.apps[rec.ID] = a
+			s.torn++
+			if terr := f.Truncate(good); terr != nil {
+				return fmt.Errorf("persist: cutting torn journal line %d: %w", line, terr)
+			}
+			return nil
 		}
-		s.gen = rec.Gen
+		s.recs = append(s.recs, rec)
+		good += int64(len(data))
 	}
 }
 
-// snapshotLocked copies the mirror into a Snapshot (apps sorted by ID).
-func (s *Store) snapshotLocked() Snapshot {
-	snap := Snapshot{
-		Generation: s.gen,
-		Seq:        s.seq,
-		Evictions:  s.evictions,
-		Epoch:      s.epoch,
-		Apps:       make([]AppRecord, 0, len(s.apps)),
-	}
-	for _, a := range s.apps {
-		snap.Apps = append(snap.Apps, a)
-	}
-	sort.Slice(snap.Apps, func(i, j int) bool { return snap.Apps[i].ID < snap.Apps[j].ID })
-	return snap
-}
-
-// Restored returns the state recovered from the directory at Open time.
-func (s *Store) Restored() Snapshot {
+// Recovered returns the snapshot and the journal records behind it, in
+// order, as the directory held them at Open (record i came from journal
+// line i+1). It hands them over: a second call returns nothing.
+func (s *Store) Recovered() (Snapshot, []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.restored
-	out.Apps = append([]AppRecord(nil), s.restored.Apps...)
-	return out
+	snap, recs := s.snap, s.recs
+	s.snap, s.recs = Snapshot{}, nil
+	return snap, recs
 }
 
-// TornRecords reports how many corrupt journal tails were discarded at
+// TornRecords reports how many torn journal tails were discarded at
 // Open (0 or 1 for a single crash).
 func (s *Store) TornRecords() int {
 	s.mu.Lock()
@@ -340,18 +260,24 @@ func (s *Store) TornRecords() int {
 	return s.torn
 }
 
-// Compactions reports how many times the journal was folded into the
-// snapshot.
+// Compactions reports how many times a snapshot replaced the journal.
 func (s *Store) Compactions() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.compactions
 }
 
-// compactLocked writes the mirror as a fresh snapshot (atomically, via a
-// temp file rename) and truncates the journal.
-func (s *Store) compactLocked() error {
-	data, err := json.MarshalIndent(s.snapshotLocked(), "", " ")
+// Compact installs snap as the snapshot (atomically, via a temp file
+// rename) and truncates the journal, so the directory holds exactly
+// snap. The owner calls it with its current state when Append reports
+// the journal full, and with a leader-shipped snapshot on resync.
+func (s *Store) Compact(snap Snapshot) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errors.New("persist: store is closed")
+	}
+	data, err := json.MarshalIndent(snap, "", " ")
 	if err != nil {
 		return fmt.Errorf("persist: encoding snapshot: %w", err)
 	}
@@ -379,147 +305,45 @@ func (s *Store) compactLocked() error {
 		d.Sync()
 		d.Close()
 	}
-	if s.journal != nil {
-		if err := s.journal.Truncate(0); err != nil {
-			return fmt.Errorf("persist: truncating journal: %w", err)
-		}
-		if _, err := s.journal.Seek(0, 0); err != nil {
-			return fmt.Errorf("persist: rewinding journal: %w", err)
-		}
+	if err := s.journal.Truncate(0); err != nil {
+		return fmt.Errorf("persist: truncating journal: %w", err)
 	}
 	s.appended = 0
 	s.compactions++
 	return nil
 }
 
-// append writes one record. syncNow forces an fsync before returning
-// (ignored under WriteBehind, where the flusher owns syncing — but a
-// flusher that has already failed poisons further set mutations, so a
+// Append writes one record to the journal. With sync it is fsynced
+// before Append returns (under WriteBehind the flusher owns syncing —
+// but a flusher that has already failed refuses sync appends, so a
 // broken disk turns into rejected registrations, never into silently
-// unpersisted acknowledgements).
-func (s *Store) append(rec Record, syncNow bool) error {
+// unpersisted acknowledgements). full reports that the journal has
+// reached CompactEvery records: the owner should Compact with a
+// snapshot that includes rec.
+func (s *Store) Append(rec Record, sync bool) (full bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return errors.New("persist: store is closed")
+		return false, errors.New("persist: store is closed")
 	}
-	if syncNow && s.opts.WriteBehind && s.flushErr != nil {
-		return fmt.Errorf("persist: write-behind flush failed earlier: %w", s.flushErr)
+	if sync && s.opts.WriteBehind && s.flushErr != nil {
+		return false, fmt.Errorf("persist: write-behind flush failed earlier: %w", s.flushErr)
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("persist: encoding journal record: %w", err)
+		return false, fmt.Errorf("persist: encoding journal record: %w", err)
 	}
 	if _, err := s.journal.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("persist: appending journal: %w", err)
+		return false, fmt.Errorf("persist: appending journal: %w", err)
 	}
-	s.applyLocked(rec)
 	s.appended++
-	if s.observer != nil {
-		s.observer(rec)
-	}
-	if syncNow && !s.opts.WriteBehind {
+	full = s.appended >= s.opts.CompactEvery
+	if sync && !s.opts.WriteBehind {
 		if err := s.syncFn(s.journal); err != nil {
-			return fmt.Errorf("persist: syncing journal: %w", err)
+			return full, fmt.Errorf("persist: syncing journal: %w", err)
 		}
 	}
-	if s.appended >= s.opts.CompactEvery {
-		return s.compactLocked()
-	}
-	return nil
-}
-
-// AppendRegister durably records a registration together with the
-// generation and sequence counters it committed. The registry calls this
-// before exposing the new app, so an acknowledged registration is always
-// recoverable.
-func (s *Store) AppendRegister(app AppRecord, gen, seq uint64) error {
-	return s.append(Record{Op: OpRegister, App: &app, Gen: gen, Seq: seq}, true)
-}
-
-// AppendHeartbeat records a liveness refresh (buffered, never
-// individually fsynced — see the package comment).
-func (s *Store) AppendHeartbeat(id string, beatUnixNano int64, beats uint64) error {
-	return s.append(Record{Op: OpHeartbeat, ID: id, Beat: beatUnixNano, Beats: beats}, false)
-}
-
-// AppendDeregister records an application's departure.
-func (s *Store) AppendDeregister(id string, gen uint64) error {
-	return s.append(Record{Op: OpDeregister, ID: id, Gen: gen}, true)
-}
-
-// AppendEvict records a liveness eviction sweep.
-func (s *Store) AppendEvict(ids []string, gen, evictions uint64) error {
-	return s.append(Record{Op: OpEvict, IDs: ids, Gen: gen, Evictions: evictions}, true)
-}
-
-// AppendFitted durably records a fitted-model substitution (or, with a
-// nil f, its clearing) for one application, together with the
-// generation it committed.
-func (s *Store) AppendFitted(id string, f *FittedRecord, gen uint64) error {
-	return s.append(Record{Op: OpFitted, ID: id, Fitted: f, Gen: gen}, true)
-}
-
-// AppendPromote records a leadership change: the promoted replica's new
-// fencing epoch and the generation bump it performed. Fsynced — a
-// leader must never forget its own epoch.
-func (s *Store) AppendPromote(gen, epoch uint64) error {
-	return s.append(Record{Op: OpPromote, Gen: gen, Epoch: epoch}, true)
-}
-
-// AppendRecord journals a replicated record verbatim. A follower uses
-// this to mirror the leader's journal into its own store, keeping the
-// leader's generation/sequence numbering so a promoted follower resumes
-// exactly where the stream left off. Set mutations are fsynced;
-// heartbeat refreshes stay buffered, same as the leader's own tiering.
-func (s *Store) AppendRecord(rec Record) error {
-	return s.append(rec, rec.Op != OpHeartbeat)
-}
-
-// SetObserver installs fn to see every appended record in journal
-// order. fn runs under the store lock and must not call back into the
-// store. Pass nil to remove.
-func (s *Store) SetObserver(fn func(Record)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observer = fn
-}
-
-// Snapshot returns the store's current state (not the restored-at-open
-// one) — what a replication leader ships to a follower that is too far
-// behind the journal tail.
-func (s *Store) Snapshot() Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
-// ResetTo replaces the store's entire state with snap and compacts, so
-// the on-disk state is exactly snap. A follower uses this when the
-// leader ships a full snapshot instead of a journal suffix.
-func (s *Store) ResetTo(snap Snapshot) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("persist: store is closed")
-	}
-	s.apps = make(map[string]AppRecord, len(snap.Apps))
-	for _, a := range snap.Apps {
-		s.apps[a.ID] = a
-	}
-	s.gen, s.seq, s.evictions = snap.Generation, snap.Seq, snap.Evictions
-	if snap.Epoch > s.epoch {
-		s.epoch = snap.Epoch
-	}
-	return s.compactLocked()
-}
-
-// Epoch returns the highest replication fencing epoch the store has
-// persisted (0 for a standalone daemon).
-func (s *Store) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
+	return full, nil
 }
 
 // Sync flushes buffered journal bytes to stable storage.
@@ -560,8 +384,8 @@ func (s *Store) FlushErr() error {
 	return s.flushErr
 }
 
-// Close compacts, syncs, and releases the journal. The store must not
-// be used afterwards.
+// Close syncs and releases the journal; the next Open replays it. The
+// store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -575,10 +399,7 @@ func (s *Store) Close() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.compactLocked()
-	if serr := s.syncFn(s.journal); err == nil {
-		err = serr
-	}
+	err := s.syncFn(s.journal)
 	if cerr := s.journal.Close(); err == nil {
 		err = cerr
 	}

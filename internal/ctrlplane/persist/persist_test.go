@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,135 +18,195 @@ func rec(id string, beats uint64) AppRecord {
 	}
 }
 
-// TestRoundTrip: registrations, heartbeats, deregistrations, and
-// evictions all survive a close/reopen cycle with counters intact.
-func TestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+// The store never reads Op, so these tests spell ops as the literals
+// that reach the disk rather than through the registry's constants.
+func register(id string, gen, seq uint64) Record {
+	a := rec(id, 0)
+	return Record{Op: "register", App: &a, Gen: gen, Seq: seq}
+}
+
+func heartbeat(id string, beat int64, beats uint64) Record {
+	return Record{Op: "heartbeat", ID: id, Beat: beat, Beats: beats}
+}
+
+func mustAppend(t *testing.T, s *Store, sync bool, recs ...Record) {
+	t.Helper()
+	for _, r := range recs {
+		if _, err := s.Append(r, sync); err != nil {
+			t.Fatalf("append %s: %v", r.Op, err)
+		}
+	}
+}
+
+func mustOpen(t *testing.T, dir string, opts Options) *Store {
+	t.Helper()
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Restored(); len(got.Apps) != 0 || got.Generation != 0 {
-		t.Fatalf("fresh dir restored %+v", got)
-	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// tear appends a half-written record to the journal, as a crash
+// mid-append leaves it.
+func tear(t *testing.T, dir, partial string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRegister(rec("b-2", 0), 2, 2); err != nil {
+	if _, err := f.WriteString(partial); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRegister(rec("c-3", 0), 3, 3); err != nil {
+	f.Close()
+}
+
+// TestRoundTrip: a snapshot and every kind of record behind it survive
+// a close/reopen cycle, byte for byte and in order; a second Recovered
+// call has nothing left to hand over.
+func TestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	if snap, recs := s.Recovered(); len(snap.Apps) != 0 || snap.Generation != 0 || len(recs) != 0 {
+		t.Fatalf("fresh dir recovered %+v, %+v", snap, recs)
+	}
+	snap := Snapshot{Generation: 3, Seq: 3, Evictions: 1, Epoch: 2, Apps: []AppRecord{rec("a-1", 7), rec("b-2", 0)}}
+	if err := s.Compact(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendHeartbeat("a-1", 555, 7); err != nil {
-		t.Fatal(err)
+	journal := []Record{
+		register("c-3", 4, 4),
+		heartbeat("a-1", 555, 8),
+		{Op: "deregister", ID: "b-2", Gen: 5},
+		{Op: "evict", IDs: []string{"c-3"}, Gen: 6, Evictions: 2},
+		{Op: "fitted", ID: "a-1", Fitted: &FittedRecord{AI: 4, PeakGFLOPS: 9, Confidence: 0.5, At: 77}, Gen: 7},
+		{Op: "fitted", ID: "a-1", Gen: 8},
+		{Op: "promote", Gen: 9, Epoch: 3},
 	}
-	if err := s.AppendDeregister("b-2", 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendEvict([]string{"c-3"}, 5, 1); err != nil {
-		t.Fatal(err)
-	}
+	mustAppend(t, s, true, journal...)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	s2 := mustOpen(t, dir, Options{})
+	gotSnap, gotRecs := s2.Recovered()
+	if !reflect.DeepEqual(gotSnap, snap) {
+		t.Errorf("recovered snapshot = %+v, want %+v", gotSnap, snap)
 	}
-	defer s2.Close()
-	snap := s2.Restored()
-	if snap.Generation != 5 || snap.Seq != 3 || snap.Evictions != 1 {
-		t.Errorf("restored counters = gen %d seq %d ev %d, want 5/3/1",
-			snap.Generation, snap.Seq, snap.Evictions)
+	if !reflect.DeepEqual(gotRecs, journal) {
+		t.Errorf("recovered journal = %+v, want %+v", gotRecs, journal)
 	}
-	if len(snap.Apps) != 1 || snap.Apps[0].ID != "a-1" {
-		t.Fatalf("restored apps = %+v, want just a-1", snap.Apps)
-	}
-	if snap.Apps[0].LastBeat != 555 || snap.Apps[0].Beats != 7 {
-		t.Errorf("heartbeat refresh lost: %+v", snap.Apps[0])
+	if snap, recs := s2.Recovered(); len(snap.Apps) != 0 || len(recs) != 0 {
+		t.Errorf("second Recovered returned %+v, %+v", snap, recs)
 	}
 }
 
 // TestTornJournalTail: a crash mid-append leaves a partial final line;
-// open discards it and keeps every complete record.
+// open discards it, keeps every complete record, and cuts it off the
+// file so the next append starts a fresh line.
 func TestTornJournalTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("b-2", 0), 2, 2); err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{})
+	mustAppend(t, s, true, register("a-1", 1, 1), register("b-2", 2, 2))
 	// Simulate the crash: no Close, and a half-written record at the
 	// tail of the journal.
 	s.Sync()
-	jp := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(jp, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"register","app":{"id":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tear(t, dir, `{"op":"register","app":{"id":"torn`)
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("open with torn tail: %v", err)
 	}
-	defer s2.Close()
+	t.Cleanup(func() { s2.Close() })
 	if s2.TornRecords() != 1 {
 		t.Errorf("torn records = %d, want 1", s2.TornRecords())
 	}
-	snap := s2.Restored()
-	if len(snap.Apps) != 2 {
-		t.Errorf("restored %d apps, want the 2 intact ones: %+v", len(snap.Apps), snap.Apps)
+	if _, recs := s2.Recovered(); len(recs) != 2 {
+		t.Errorf("recovered %d records, want the 2 intact ones: %+v", len(recs), recs)
+	}
+	// Crash again right after one more append: the new record must not
+	// have been glued onto the torn line.
+	mustAppend(t, s2, true, register("c-3", 3, 3))
+	s3 := mustOpen(t, dir, Options{})
+	if _, recs := s3.Recovered(); len(recs) != 3 || recs[2].App.ID != "c-3" || s3.TornRecords() != 0 {
+		t.Errorf("after appending behind a cut tail: %d records, %d torn: %+v", len(recs), s3.TornRecords(), recs)
 	}
 }
 
-// TestCompaction: past CompactEvery records the journal folds into the
-// snapshot and truncates, and the state still round-trips.
+// TestCorruptJournalFailsOpen: a line that does not parse and is NOT
+// the last one is not a torn append — acknowledged records follow it —
+// so open refuses, naming the line, instead of dropping them.
+func TestCorruptJournalFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	mustAppend(t, s, true, register("a-1", 1, 1))
+	tear(t, dir, "{\"op\":\"regis\n")
+	mustAppend(t, s, true, register("b-2", 2, 2))
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("open over a corrupt middle line: err = %v, want one naming line 2", err)
+	}
+}
+
+// TestLongRecordSurvivesReopen: the reader accepts any line the writer
+// can emit. Three fsynced records, the second with a 200 KiB name of
+// '<' (JSON-escaped to 6 bytes each, so the line is over 1 MiB), all
+// come back after an un-Closed reopen; a 1 MiB-bounded scanner stopped
+// at the first and reported a clean end of journal.
+func TestLongRecordSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	long := register("b-2", 2, 2)
+	long.App.Name = strings.Repeat("<", 200<<10)
+	mustAppend(t, s, true, register("a-1", 1, 1), long, register("c-3", 3, 3))
+
+	s2 := mustOpen(t, dir, Options{})
+	_, recs := s2.Recovered()
+	if len(recs) != 3 || s2.TornRecords() != 0 {
+		t.Fatalf("recovered %d records (%d torn), want 3 and 0", len(recs), s2.TornRecords())
+	}
+	if recs[1].App.Name != long.App.Name || recs[2].Gen != 3 {
+		t.Errorf("long record or its successor damaged: name %d bytes, last gen %d", len(recs[1].App.Name), recs[2].Gen)
+	}
+}
+
+// TestCompaction: Append reports the journal full at CompactEvery
+// records — counting the ones a reopen found — and Compact folds it
+// into the snapshot and truncates.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{CompactEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{CompactEvery: 8})
+	mustAppend(t, s, true, register("a-1", 1, 1))
 	for i := 0; i < 40; i++ {
-		if err := s.AppendHeartbeat("a-1", int64(1000+i), uint64(i+1)); err != nil {
+		full, err := s.Append(heartbeat("a-1", int64(1000+i), uint64(i+1)), false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want := (i+2)%8 == 0; full != want {
+			t.Fatalf("append %d: full = %v, want %v", i+2, full, want)
+		}
+		if full {
+			if err := s.Compact(Snapshot{Generation: 1, Seq: 1, Apps: []AppRecord{rec("a-1", uint64(i+1))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if s.Compactions() < 4 {
-		t.Errorf("compactions = %d, want several over 41 appends at CompactEvery=8", s.Compactions())
-	}
-	fi, err := os.Stat(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() > 8*1024 {
-		t.Errorf("journal is %d bytes after compaction, want small", fi.Size())
+	if s.Compactions() != 5 {
+		t.Errorf("compactions = %d, want 5 over 41 appends at CompactEvery=8", s.Compactions())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	s2 := mustOpen(t, dir, Options{CompactEvery: 3})
+	snap, recs := s2.Recovered()
+	if len(snap.Apps) != 1 || snap.Apps[0].Beats != 39 || len(recs) != 1 || recs[0].Beats != 40 {
+		t.Errorf("recovered after compaction = %+v + %+v, want beats 39 + one heartbeat", snap.Apps, recs)
 	}
-	defer s2.Close()
-	snap := s2.Restored()
-	if len(snap.Apps) != 1 || snap.Apps[0].Beats != 40 {
-		t.Errorf("restored after compaction = %+v", snap.Apps)
+	if full, _ := s2.Append(heartbeat("a-1", 2000, 41), false); full {
+		t.Error("journal of 2 reported full at CompactEvery=3")
+	}
+	if full, _ := s2.Append(heartbeat("a-1", 2001, 42), false); !full {
+		t.Error("journal of 3 (1 recovered + 2 appended) not reported full at CompactEvery=3")
 	}
 }
 
@@ -152,14 +214,9 @@ func TestCompaction(t *testing.T) {
 // clean close, and the background flusher runs without error.
 func TestWriteBehind(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{WriteBehind: true, FlushInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{WriteBehind: true, FlushInterval: 5 * time.Millisecond})
 	for i := uint64(1); i <= 5; i++ {
-		if err := s.AppendRegister(rec("app", 0), i, i); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, s, true, register("app", i, i))
 	}
 	time.Sleep(25 * time.Millisecond) // let the flusher tick
 	if err := s.FlushErr(); err != nil {
@@ -168,13 +225,29 @@ func TestWriteBehind(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	s2 := mustOpen(t, dir, Options{})
+	if _, recs := s2.Recovered(); len(recs) != 5 || recs[4].Gen != 5 || recs[4].Seq != 5 {
+		t.Errorf("recovered %+v, want 5 records ending at gen/seq 5/5", recs)
 	}
-	defer s2.Close()
-	if snap := s2.Restored(); snap.Generation != 5 || snap.Seq != 5 {
-		t.Errorf("restored gen/seq = %d/%d, want 5/5", snap.Generation, snap.Seq)
+}
+
+// TestSyncTier: a sync append is fsynced before it returns, a buffered
+// one is not, and write-behind leaves both to the flusher.
+func TestSyncTier(t *testing.T) {
+	for _, wb := range []bool{false, true} {
+		s := mustOpen(t, t.TempDir(), Options{WriteBehind: wb, FlushInterval: time.Hour})
+		syncs := 0
+		s.mu.Lock()
+		s.syncFn = func(f *os.File) error { syncs++; return f.Sync() }
+		s.mu.Unlock()
+		mustAppend(t, s, false, heartbeat("a-1", 1, 1), heartbeat("a-1", 2, 2))
+		if syncs != 0 {
+			t.Errorf("write-behind %v: %d fsyncs for buffered appends, want 0", wb, syncs)
+		}
+		mustAppend(t, s, true, register("a-1", 1, 1), register("b-2", 2, 2))
+		if want := map[bool]int{false: 2, true: 0}[wb]; syncs != want {
+			t.Errorf("write-behind %v: %d fsyncs for 2 sync appends, want %d", wb, syncs, want)
+		}
 	}
 }
 
@@ -182,20 +255,15 @@ func TestWriteBehind(t *testing.T) {
 // under -race).
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{CompactEvery: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{})
+	mustAppend(t, s, true, register("a-1", 1, 1))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if err := s.AppendHeartbeat("a-1", int64(w*1000+i), 1); err != nil {
+				if _, err := s.Append(heartbeat("a-1", int64(w*1000+i), 1), false); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -206,45 +274,36 @@ func TestConcurrentAppends(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if snap := s2.Restored(); len(snap.Apps) != 1 {
-		t.Errorf("restored %d apps, want 1", len(snap.Apps))
+	s2 := mustOpen(t, dir, Options{})
+	if _, recs := s2.Recovered(); len(recs) != 101 {
+		t.Errorf("recovered %d records, want 101 whole lines", len(recs))
 	}
 }
 
-// TestClosedStoreRejectsAppends: appends after Close fail loudly rather
-// than silently dropping records.
+// TestClosedStoreRejectsAppends: appends and compactions after Close
+// fail loudly rather than silently dropping state.
 func TestClosedStoreRejectsAppends(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, t.TempDir(), Options{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err == nil {
+	if _, err := s.Append(register("a-1", 1, 1), true); err == nil {
 		t.Error("append on a closed store succeeded")
+	}
+	if err := s.Compact(Snapshot{}); err == nil {
+		t.Error("compact on a closed store succeeded")
 	}
 }
 
 // TestWriteBehindFlushErrorPoisons: once the background flusher fails,
-// the relaxed-durability contract is void — further set mutations are
+// the relaxed-durability contract is void — further sync appends are
 // rejected (persist-or-reject restored) and FlushErr surfaces the cause
-// for /metricsz. Buffered heartbeats still pass: losing a liveness
-// refresh costs one re-armed TTL window, not registry state.
+// for /metricsz. Buffered appends still pass: losing a liveness refresh
+// costs one re-armed TTL window, not registry state.
 func TestWriteBehindFlushErrorPoisons(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{WriteBehind: true, FlushInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{WriteBehind: true, FlushInterval: 2 * time.Millisecond})
+	mustAppend(t, s, true, register("a-1", 1, 1))
 
 	// The disk "dies": every sync now fails.
 	diskDied := errors.New("injected: EIO on fsync")
@@ -262,28 +321,23 @@ func TestWriteBehindFlushErrorPoisons(t *testing.T) {
 		t.Errorf("FlushErr = %v, want the injected failure", s.FlushErr())
 	}
 
-	// Set mutations are refused and name the original failure.
-	if err := s.AppendRegister(rec("b-2", 0), 2, 2); !errors.Is(err, diskDied) {
+	// Sync appends are refused and name the original failure.
+	if _, err := s.Append(register("b-2", 2, 2), true); !errors.Is(err, diskDied) {
 		t.Errorf("register after flush failure: err = %v, want rejection wrapping the flush error", err)
 	}
-	if err := s.AppendDeregister("a-1", 3); !errors.Is(err, diskDied) {
+	if _, err := s.Append(Record{Op: "deregister", ID: "a-1", Gen: 3}, true); !errors.Is(err, diskDied) {
 		t.Errorf("deregister after flush failure: err = %v, want rejection wrapping the flush error", err)
 	}
 	// Buffered heartbeats still land (documented degradation).
-	if err := s.AppendHeartbeat("a-1", 200, 2); err != nil {
+	if _, err := s.Append(heartbeat("a-1", 200, 2), false); err != nil {
 		t.Errorf("heartbeat after flush failure: %v (buffered appends should still pass)", err)
 	}
 	s.Close() // errors expected: the injected syncFn still fails
 
-	// The pre-failure registration survives; the rejected one is absent.
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	snap := s2.Restored()
-	if len(snap.Apps) != 1 || snap.Apps[0].ID != "a-1" {
-		t.Errorf("restored apps = %+v, want just the pre-failure a-1", snap.Apps)
+	// The pre-failure registration survives; the rejected ones are absent.
+	s2 := mustOpen(t, dir, Options{})
+	if _, recs := s2.Recovered(); len(recs) != 2 || recs[0].App.ID != "a-1" || recs[1].Op != "heartbeat" {
+		t.Errorf("recovered %+v, want the pre-failure a-1 and the buffered heartbeat", recs)
 	}
 }
 
@@ -292,108 +346,25 @@ func TestWriteBehindFlushErrorPoisons(t *testing.T) {
 // line, and reopen (also write-behind) drops only the torn tail.
 func TestWriteBehindTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{WriteBehind: true, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRegister(rec("b-2", 0), 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendHeartbeat("a-1", 300, 3); err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir, Options{WriteBehind: true, FlushInterval: time.Hour})
+	mustAppend(t, s, true, register("a-1", 1, 1), register("b-2", 2, 2))
+	mustAppend(t, s, false, heartbeat("a-1", 300, 3))
 	// Crash: no Close. Force the OS-buffered bytes out (the "crash"
 	// here is of the process, not the kernel), then tear the tail.
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	jp := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(jp, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"heartbeat","id":"a-1","last`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tear(t, dir, `{"op":"heartbeat","id":"a-1","last`)
 
-	s2, err := Open(dir, Options{WriteBehind: true})
-	if err != nil {
-		t.Fatalf("write-behind open with torn tail: %v", err)
-	}
-	defer s2.Close()
+	s2 := mustOpen(t, dir, Options{WriteBehind: true})
 	if s2.TornRecords() != 1 {
 		t.Errorf("torn records = %d, want 1", s2.TornRecords())
 	}
-	snap := s2.Restored()
-	if len(snap.Apps) != 2 {
-		t.Fatalf("restored %d apps, want 2: %+v", len(snap.Apps), snap.Apps)
+	_, recs := s2.Recovered()
+	if len(recs) != 3 {
+		t.Fatalf("recovered %d records, want 3: %+v", len(recs), recs)
 	}
-	for _, a := range snap.Apps {
-		if a.ID == "a-1" && (a.LastBeat != 300 || a.Beats != 3) {
-			t.Errorf("intact heartbeat before the torn one lost: %+v", a)
-		}
-	}
-}
-
-// TestObserverEpochAndResetRoundTrip: the replication substrate — every
-// append reaches the observer, promotions persist the fencing epoch,
-// and ResetTo replaces the mirror the way a follower snapshot-resync
-// does.
-func TestObserverEpochAndResetRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []Record
-	s.SetObserver(func(r Record) { seen = append(seen, r) })
-	if err := s.AppendRegister(rec("a-1", 0), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendPromote(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendHeartbeat("a-1", 400, 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 || seen[0].Op != OpRegister || seen[1].Op != OpPromote || seen[2].Op != OpHeartbeat {
-		t.Fatalf("observer saw %+v, want register/promote/heartbeat", seen)
-	}
-	if seen[1].Epoch != 3 {
-		t.Errorf("promote record epoch = %d, want 3", seen[1].Epoch)
-	}
-	if s.Epoch() != 3 {
-		t.Errorf("epoch = %d, want 3", s.Epoch())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The epoch survives restart — a rebooted replica can never campaign
-	// below an epoch it already acknowledged.
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Epoch() != 3 {
-		t.Errorf("restored epoch = %d, want 3", s2.Epoch())
-	}
-
-	// ResetTo replaces the mirror wholesale (follower snapshot resync).
-	snap := Snapshot{
-		Apps:       []AppRecord{rec("z-9", 0)},
-		Generation: 10, Seq: 9, Epoch: 5,
-	}
-	if err := s2.ResetTo(snap); err != nil {
-		t.Fatal(err)
-	}
-	got := s2.Snapshot()
-	if len(got.Apps) != 1 || got.Apps[0].ID != "z-9" || got.Generation != 10 || got.Epoch != 5 {
-		t.Errorf("after ResetTo: %+v", got)
+	if hb := recs[2]; hb.ID != "a-1" || hb.Beat != 300 || hb.Beats != 3 {
+		t.Errorf("intact heartbeat before the torn one lost: %+v", hb)
 	}
 }

@@ -73,19 +73,28 @@ func (a *AppState) ObservedAI() float64 {
 	return a.LastStats.GFlopRate / a.LastStats.GBRate
 }
 
-// Registry is the concurrency-safe application registry. Every change
-// to the live set (register, deregister, eviction) bumps the
-// generation, which clients use to watch for reallocations.
+// Registry is the concurrency-safe application registry and the only
+// owner of coopd's state. Every change to that state is one
+// persist.Record folded in by apply: a leader request builds the record
+// and commits it, a follower commits the leader's records, and crash
+// recovery commits the journal's. Every change to the live set
+// (register, deregister, eviction) bumps the generation, which clients
+// use to watch for reallocations.
 type Registry struct {
-	mu           sync.Mutex
-	apps         map[string]*AppState
-	gen          uint64
-	seq          uint64
-	evictions    uint64
+	mu sync.Mutex
+	// The replicated state: written by apply and reset, nothing else.
+	apps      map[string]*AppState
+	gen       uint64
+	seq       uint64
+	evictions uint64
+	epoch     uint64 // replication fencing epoch (0 standalone)
+
 	defaultTTL   time.Duration
 	clock        func() time.Time
 	store        *persist.Store
+	observer     func(persist.Record)
 	persistFails uint64
+	restored     int
 	// sweepsOff disables TTL eviction: a replication follower mirrors
 	// the leader's evict records instead of running its own sweeps, so
 	// the two replicas never disagree about who evicted whom.
@@ -109,33 +118,138 @@ func NewRegistry(defaultTTL time.Duration, clock func() time.Time) *Registry {
 	}
 }
 
-// AttachStore restores the registry from the store's recovered state
-// and installs it so every later mutation is journaled. Restored
-// applications get a fresh TTL window (LastBeat = now) — after a daemon
-// restart each survivor has one full deadline to resume heartbeating
-// before it is evicted. The generation, sequence, and eviction counters
-// resume from the persisted values so client-visible generations stay
-// monotonic across the restart.
-func (r *Registry) AttachStore(st *persist.Store) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	snap := st.Restored()
-	now := r.clock()
+// journalPolicy is the durability contract, one row per op. sync ops
+// are fsynced before commit returns (persist.Options.WriteBehind
+// relaxes that to the flush interval); a reject op that cannot be
+// journaled is refused, so its acknowledgement is never lost to a
+// crash, while the others are applied anyway and the failure counted:
+// a lost deregister or evict resurrects the app until its TTL evicts it
+// again, a lost heartbeat costs at most one re-armed TTL window.
+var journalPolicy = map[string]struct{ sync, reject bool }{
+	persist.OpRegister:   {sync: true, reject: true},
+	persist.OpFitted:     {sync: true, reject: true},
+	persist.OpDeregister: {sync: true},
+	persist.OpEvict:      {sync: true},
+	persist.OpPromote:    {sync: true},
+	persist.OpHeartbeat:  {},
+}
+
+// commit is the one write path: validate rec, journal it at its op's
+// tier, apply it, publish it. at is this registry's own clock reading
+// for a record it originated; the zero time marks a record that
+// originated elsewhere — the leader's stream or the recovered journal —
+// which was acknowledged there and is therefore applied even when this
+// replica cannot persist it. The only errors are a malformed record
+// and a refused reject-tier op; in both cases nothing changed.
+func (r *Registry) commit(rec persist.Record, at time.Time) error {
+	pol, ok := journalPolicy[rec.Op]
+	switch {
+	case !ok:
+		return fmt.Errorf("unknown op %q", rec.Op)
+	case rec.Op == persist.OpRegister && rec.App == nil:
+		return errors.New("register record without an app")
+	}
+	var full bool // the journal wants compacting once rec is applied
+	if r.store != nil {
+		var err error
+		full, err = r.store.Append(rec, pol.sync)
+		if err != nil {
+			r.persistFails++
+			if pol.reject && !at.IsZero() {
+				return err
+			}
+		}
+	}
+	r.apply(rec, at)
+	if full {
+		if err := r.store.Compact(r.snapshotLocked()); err != nil {
+			r.persistFails++
+		}
+	}
+	if r.observer != nil {
+		r.observer(rec)
+	}
+	return nil
+}
+
+// apply folds one validated record into the state. Counters only move
+// forward, so a record delivered twice (replication is at-least-once)
+// cannot regress them. A non-zero at replaces the record's wall-clock
+// nanoseconds as the liveness timestamp, keeping the leader's TTL
+// arithmetic on its clock's monotonic reading.
+func (r *Registry) apply(rec persist.Record, at time.Time) {
+	switch rec.Op {
+	case persist.OpRegister:
+		a := recordToState(*rec.App)
+		if !at.IsZero() {
+			a.RegisteredAt, a.LastBeat = at, at
+		}
+		r.apps[a.ID] = &a
+		r.seq = max(r.seq, rec.Seq)
+	case persist.OpHeartbeat:
+		if st, ok := r.apps[rec.ID]; ok {
+			beat := at
+			if beat.IsZero() {
+				beat = time.Unix(0, rec.Beat)
+			}
+			st.LastBeat, st.Beats = beat, rec.Beats
+		}
+	case persist.OpDeregister:
+		delete(r.apps, rec.ID)
+	case persist.OpEvict:
+		for _, id := range rec.IDs {
+			delete(r.apps, id)
+		}
+		r.evictions = max(r.evictions, rec.Evictions)
+	case persist.OpFitted:
+		if st, ok := r.apps[rec.ID]; ok {
+			// Fresh pointer, never an in-place mutation: snapshots taken
+			// by the serve path share the previous pointer concurrently.
+			var fm *FittedModel
+			if f := rec.Fitted; f != nil {
+				fm = &FittedModel{AI: f.AI, PeakGFLOPS: f.PeakGFLOPS, Confidence: f.Confidence, UpdatedAt: time.Unix(0, f.At)}
+			}
+			st.Fitted = fm
+		}
+	case persist.OpPromote:
+		r.epoch = max(r.epoch, rec.Epoch)
+	}
+	r.gen = max(r.gen, rec.Gen)
+}
+
+// reset replaces the whole state with snap (the epoch never regresses).
+func (r *Registry) reset(snap persist.Snapshot) {
+	r.apps = make(map[string]*AppState, len(snap.Apps))
 	for _, rec := range snap.Apps {
 		a := recordToState(rec)
-		a.LastBeat = now
 		r.apps[a.ID] = &a
 	}
-	if snap.Generation > r.gen {
-		r.gen = snap.Generation
+	r.gen, r.seq, r.evictions = snap.Generation, snap.Seq, snap.Evictions
+	r.epoch = max(r.epoch, snap.Epoch)
+}
+
+// AttachStore recovers the registry from the store — snapshot, then
+// every journal record through commit, so a record a follower would
+// refuse fails the recovery too, naming its line — and installs the
+// store so every later mutation is journaled. Recovered applications
+// get a fresh TTL window (LastBeat = now): after a daemon restart each
+// survivor has one full deadline to resume heartbeating before it is
+// evicted. Generation, sequence, eviction count and epoch resume from
+// the persisted values. Call it before the registry is shared.
+func (r *Registry) AttachStore(st *persist.Store) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	snap, recs := st.Recovered()
+	r.reset(snap)
+	for i, rec := range recs {
+		if err := r.commit(rec, time.Time{}); err != nil {
+			return fmt.Errorf("ctrlplane: replaying journal line %d: %w", i+1, err)
+		}
 	}
-	if snap.Seq > r.seq {
-		r.seq = snap.Seq
-	}
-	if snap.Evictions > r.evictions {
-		r.evictions = snap.Evictions
-	}
+	r.rearmLocked()
+	r.restored = len(r.apps)
 	r.store = st
+	return nil
 }
 
 // stateToRecord converts to the store's persistence-friendly form.
@@ -191,30 +305,25 @@ func recordToState(rec persist.AppRecord) AppState {
 // generation. With a store attached the registration is journaled (and
 // fsynced) before it is committed, so an acknowledged ID is never lost
 // to a daemon crash; a persistence failure rejects the registration.
+// TTLs have the journal's millisecond resolution.
 func (r *Registry) Register(spec AppSpec, ttl time.Duration) (AppState, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ttl <= 0 {
+	if ttl < time.Millisecond {
 		ttl = r.defaultTTL
 	}
 	now := r.clock()
-	st := &AppState{
+	app := stateToRecord(AppState{
 		ID:           fmt.Sprintf("%s-%d", sanitizeID(spec.Name), r.seq+1),
 		Spec:         spec,
 		TTL:          ttl,
 		RegisteredAt: now,
 		LastBeat:     now,
+	})
+	if err := r.commit(persist.Record{Op: persist.OpRegister, App: &app, Gen: r.gen + 1, Seq: r.seq + 1}, now); err != nil {
+		return AppState{}, 0, fmt.Errorf("persisting registration: %w", err)
 	}
-	if r.store != nil {
-		if err := r.store.AppendRegister(stateToRecord(*st), r.gen+1, r.seq+1); err != nil {
-			r.persistFails++
-			return AppState{}, 0, fmt.Errorf("persisting registration: %w", err)
-		}
-	}
-	r.seq++
-	r.apps[st.ID] = st
-	r.gen++
-	return *st, r.gen, nil
+	return *r.apps[app.ID], r.gen, nil
 }
 
 // sanitizeID keeps IDs URL-path- and report-safe regardless of what
@@ -243,7 +352,8 @@ func sanitizeID(name string) string {
 }
 
 // Heartbeat refreshes an application's liveness deadline and records
-// its stats. ErrUnknownApp means the app was evicted or never existed.
+// its stats (in memory only: they are not journaled). ErrUnknownApp
+// means the app was evicted or never existed.
 func (r *Registry) Heartbeat(hb HeartbeatRequest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -251,16 +361,9 @@ func (r *Registry) Heartbeat(hb HeartbeatRequest) error {
 	if !ok {
 		return ErrUnknownApp
 	}
-	st.LastBeat = r.clock()
-	st.Beats++
+	now := r.clock()
+	_ = r.commit(persist.Record{Op: persist.OpHeartbeat, ID: hb.ID, Beat: now.UnixNano(), Beats: st.Beats + 1}, now) // never refused: see journalPolicy
 	st.LastStats = hb
-	if r.store != nil {
-		// Best-effort: a lost heartbeat record costs at most one re-armed
-		// TTL window after a restart, never an acknowledged registration.
-		if err := r.store.AppendHeartbeat(st.ID, st.LastBeat.UnixNano(), st.Beats); err != nil {
-			r.persistFails++
-		}
-	}
 	return nil
 }
 
@@ -271,16 +374,7 @@ func (r *Registry) Deregister(id string) bool {
 	if _, ok := r.apps[id]; !ok {
 		return false
 	}
-	delete(r.apps, id)
-	r.gen++
-	if r.store != nil {
-		// Best-effort: if this record is lost the app resurrects on
-		// restart and is TTL-evicted one window later — cores are
-		// reclaimed either way, just more slowly.
-		if err := r.store.AppendDeregister(id, r.gen); err != nil {
-			r.persistFails++
-		}
-	}
+	_ = r.commit(persist.Record{Op: persist.OpDeregister, ID: id, Gen: r.gen + 1}, r.clock()) // never refused: see journalPolicy
 	return true
 }
 
@@ -301,52 +395,33 @@ func (r *Registry) App(id string) (AppState, bool) {
 // survive a crash and, via journal streaming, a leader failover. The
 // generation bumps so clients watching for reallocation wake up.
 func (r *Registry) SetFitted(id string, f FittedModel) (uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.apps[id]
-	if !ok {
-		return 0, ErrUnknownApp
-	}
-	if r.store != nil {
-		rec := &persist.FittedRecord{
-			AI:         f.AI,
-			PeakGFLOPS: f.PeakGFLOPS,
-			Confidence: f.Confidence,
-			At:         f.UpdatedAt.UnixNano(),
-		}
-		if err := r.store.AppendFitted(id, rec, r.gen+1); err != nil {
-			r.persistFails++
-			return 0, fmt.Errorf("persisting fitted model: %w", err)
-		}
-	}
-	// Fresh pointer, never an in-place mutation: snapshots taken by the
-	// serve path share the previous pointer concurrently.
-	fm := f
-	st.Fitted = &fm
-	r.gen++
-	return r.gen, nil
+	return r.commitFitted(id, &persist.FittedRecord{
+		AI:         f.AI,
+		PeakGFLOPS: f.PeakGFLOPS,
+		Confidence: f.Confidence,
+		At:         f.UpdatedAt.UnixNano(),
+	})
 }
 
 // ClearFitted removes an applied fitted model, returning the app to its
 // declared spec. No-op (and no generation bump) when none is applied.
 func (r *Registry) ClearFitted(id string) (uint64, error) {
+	return r.commitFitted(id, nil)
+}
+
+func (r *Registry) commitFitted(id string, f *persist.FittedRecord) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.apps[id]
 	if !ok {
 		return 0, ErrUnknownApp
 	}
-	if st.Fitted == nil {
+	if f == nil && st.Fitted == nil {
 		return r.gen, nil
 	}
-	if r.store != nil {
-		if err := r.store.AppendFitted(id, nil, r.gen+1); err != nil {
-			r.persistFails++
-			return 0, fmt.Errorf("persisting fitted-model clear: %w", err)
-		}
+	if err := r.commit(persist.Record{Op: persist.OpFitted, ID: id, Fitted: f, Gen: r.gen + 1}, r.clock()); err != nil {
+		return 0, fmt.Errorf("persisting fitted model: %w", err)
 	}
-	st.Fitted = nil
-	r.gen++
 	return r.gen, nil
 }
 
@@ -363,19 +438,15 @@ func (r *Registry) Sweep() []string {
 	var evicted []string
 	for id, st := range r.apps {
 		if now.Sub(st.LastBeat) > st.TTL {
-			delete(r.apps, id)
 			evicted = append(evicted, id)
 		}
 	}
 	if len(evicted) > 0 {
-		r.evictions += uint64(len(evicted))
-		r.gen++
 		sort.Strings(evicted)
-		if r.store != nil {
-			if err := r.store.AppendEvict(evicted, r.gen, r.evictions); err != nil {
-				r.persistFails++
-			}
-		}
+		_ = r.commit(persist.Record{ // never refused: see journalPolicy
+			Op: persist.OpEvict, IDs: evicted,
+			Gen: r.gen + 1, Evictions: r.evictions + uint64(len(evicted)),
+		}, now)
 	}
 	return evicted
 }
@@ -427,13 +498,43 @@ func (r *Registry) Evictions() uint64 {
 	return r.evictions
 }
 
-// PersistFailures counts best-effort journal appends that failed (a
-// registration-append failure instead rejects the registration and is
-// also counted here).
+// PersistFailures counts journal appends and compactions that failed,
+// refused registrations included.
 func (r *Registry) PersistFailures() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.persistFails
+}
+
+// RestoredApps reports how many applications AttachStore recovered.
+func (r *Registry) RestoredApps() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.restored
+}
+
+// HasStore reports whether mutations are journaled to a state dir.
+func (r *Registry) HasStore() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.store != nil
+}
+
+// Epoch returns the highest replication fencing epoch the registry has
+// committed (0 for a standalone daemon).
+func (r *Registry) Epoch() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.epoch
+}
+
+// SetObserver installs fn to see every committed record, in commit
+// order — the feed of the replication log. fn runs under the registry
+// lock and must not call back into the registry. Pass nil to remove.
+func (r *Registry) SetObserver(fn func(persist.Record)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.observer = fn
 }
 
 // SetSweepsEnabled turns TTL eviction on or off. A replication follower
@@ -452,6 +553,10 @@ func (r *Registry) SetSweepsEnabled(on bool) {
 func (r *Registry) RearmTTLs() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.rearmLocked()
+}
+
+func (r *Registry) rearmLocked() {
 	now := r.clock()
 	for _, st := range r.apps {
 		st.LastBeat = now
@@ -459,93 +564,39 @@ func (r *Registry) RearmTTLs() {
 }
 
 // Promote marks a leadership change: it bumps the generation (clients
-// re-read allocations under the new leader) and journals a promote
+// re-read allocations under the new leader) and commits a promote
 // record carrying the new fencing epoch, so neither counter can regress
 // across a restart. Returns the new generation.
 func (r *Registry) Promote(epoch uint64) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gen++
-	if r.store != nil {
-		if err := r.store.AppendPromote(r.gen, epoch); err != nil {
-			r.persistFails++
-		}
-	}
+	_ = r.commit(persist.Record{Op: persist.OpPromote, Gen: r.gen + 1, Epoch: epoch}, r.clock()) // never refused: see journalPolicy
 	return r.gen
 }
 
-// ApplyRecord folds one replicated journal record from the leader into
-// the registry, keeping the leader's ID/generation/sequence numbering,
-// and mirrors it into this replica's own store. This is the follower
-// half of journal streaming: the same record stream that makes the
-// leader durable makes the follower a replica.
+// ApplyRecord commits one replicated journal record from the leader,
+// keeping the leader's ID/generation/sequence numbering. This is the
+// follower half of journal streaming: the same record stream that makes
+// the leader durable makes the follower a replica.
 func (r *Registry) ApplyRecord(rec persist.Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch rec.Op {
-	case persist.OpRegister:
-		if rec.App == nil {
-			return errors.New("ctrlplane: replicated register without app record")
-		}
-		a := recordToState(*rec.App)
-		r.apps[a.ID] = &a
-		r.gen, r.seq = rec.Gen, rec.Seq
-	case persist.OpHeartbeat:
-		if st, ok := r.apps[rec.ID]; ok {
-			st.LastBeat = time.Unix(0, rec.Beat)
-			st.Beats = rec.Beats
-		}
-	case persist.OpDeregister:
-		delete(r.apps, rec.ID)
-		r.gen = rec.Gen
-	case persist.OpEvict:
-		for _, id := range rec.IDs {
-			delete(r.apps, id)
-		}
-		r.gen = rec.Gen
-		r.evictions = rec.Evictions
-	case persist.OpPromote:
-		r.gen = rec.Gen
-	case persist.OpFitted:
-		if st, ok := r.apps[rec.ID]; ok {
-			if rec.Fitted != nil {
-				st.Fitted = &FittedModel{
-					AI:         rec.Fitted.AI,
-					PeakGFLOPS: rec.Fitted.PeakGFLOPS,
-					Confidence: rec.Fitted.Confidence,
-					UpdatedAt:  time.Unix(0, rec.Fitted.At),
-				}
-			} else {
-				st.Fitted = nil
-			}
-		}
-		r.gen = rec.Gen
-	default:
-		return fmt.Errorf("ctrlplane: unknown replicated op %q", rec.Op)
-	}
-	if r.store != nil {
-		if err := r.store.AppendRecord(rec); err != nil {
-			r.persistFails++
-		}
+	if err := r.commit(rec, time.Time{}); err != nil {
+		return fmt.Errorf("ctrlplane: replicated record: %w", err)
 	}
 	return nil
 }
 
 // ResetFromSnapshot replaces the registry's entire state with a
-// leader-shipped snapshot (and resets this replica's store to match).
+// leader-shipped snapshot (and this replica's state dir with it).
 // Used when a follower is too far behind the leader's journal tail for
 // a suffix to exist — first sync, or rejoin after a partition.
 func (r *Registry) ResetFromSnapshot(snap persist.Snapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.apps = make(map[string]*AppState, len(snap.Apps))
-	for _, rec := range snap.Apps {
-		a := recordToState(rec)
-		r.apps[a.ID] = &a
-	}
-	r.gen, r.seq, r.evictions = snap.Generation, snap.Seq, snap.Evictions
+	r.reset(snap)
 	if r.store != nil {
-		if err := r.store.ResetTo(snap); err != nil {
+		if err := r.store.Compact(r.snapshotLocked()); err != nil {
 			r.persistFails++
 			return err
 		}
@@ -558,10 +609,15 @@ func (r *Registry) ResetFromSnapshot(snap persist.Snapshot) error {
 func (r *Registry) PersistSnapshot() persist.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.snapshotLocked()
+}
+
+func (r *Registry) snapshotLocked() persist.Snapshot {
 	snap := persist.Snapshot{
 		Generation: r.gen,
 		Seq:        r.seq,
 		Evictions:  r.evictions,
+		Epoch:      r.epoch,
 		Apps:       make([]persist.AppRecord, 0, len(r.apps)),
 	}
 	for _, st := range r.apps {

@@ -183,7 +183,6 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// record landing in between is both in the snapshot and re-pulled
 		// next time — duplicates, never gaps.
 		snap := n.reg.PersistSnapshot()
-		snap.Epoch = epoch
 		resp.Snapshot = &snap
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)

@@ -7,8 +7,8 @@ import (
 )
 
 // replLog is the leader's in-memory replication log: a sequence-
-// numbered ring of journal records tailed off the persist store's
-// observer hook. Followers pull suffixes by sequence number; a follower
+// numbered ring of journal records tailed off the registry's observer
+// hook. Followers pull suffixes by sequence number; a follower
 // whose cursor predates the retained window (or whose stream epoch is
 // stale) gets a full snapshot instead.
 type replLog struct {

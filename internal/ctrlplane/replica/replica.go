@@ -8,13 +8,14 @@
 // The design reuses the crash-durability machinery end to end:
 //
 //   - The persist journal IS the replication stream. Every record the
-//     leader fsyncs is also published (via the store's observer hook)
-//     to an in-memory replication log; followers pull suffixes from
-//     GET /v1/replicate and replay them through the same apply logic
-//     that crash recovery uses. A follower too far behind the retained
-//     window gets a full snapshot instead.
-//   - The lease is persisted through the store: every promotion
-//     journals an OpPromote record carrying the new fencing epoch, so
+//     leader's registry commits is also published (via the registry's
+//     observer hook) to an in-memory replication log; followers pull
+//     suffixes from GET /v1/replicate and commit them through the same
+//     Registry.commit that leader requests and crash recovery use. A
+//     follower too far behind the retained window gets a full snapshot
+//     instead.
+//   - The lease is persisted through the registry: every promotion
+//     commits an OpPromote record carrying the new fencing epoch, so
 //     neither the epoch nor the generation can regress across a crash
 //     of any replica.
 //   - The registry's monotonic generations act as fencing tokens. A
@@ -41,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/ctrlplane"
-	"repro/internal/ctrlplane/persist"
 	"repro/internal/httpapi"
 )
 
@@ -108,7 +108,6 @@ type Config struct {
 type Node struct {
 	cfg Config
 	reg *ctrlplane.Registry
-	st  *persist.Store
 	log *replLog
 	hc  *http.Client
 
@@ -135,7 +134,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, errors.New("replica: no server configured")
 	}
-	if cfg.Server.Store() == nil {
+	if !cfg.Server.Registry().HasStore() {
 		return nil, errors.New("replica: server has no persist store (HA needs -state-dir: the lease and the replication stream live in the journal)")
 	}
 	if cfg.Self == "" {
@@ -162,7 +161,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:  cfg,
 		reg:  cfg.Server.Registry(),
-		st:   cfg.Server.Store(),
 		log:  newReplLog(cfg.LogRetention),
 		hc:   &http.Client{Transport: cfg.Transport, Timeout: cfg.LeaseTTL / 2},
 		stop: make(chan struct{}),
@@ -178,7 +176,7 @@ func NewNode(cfg Config) (*Node, error) {
 			n.stagger = time.Duration(i) * 2 * cfg.PullInterval
 		}
 	}
-	n.epoch = n.st.Epoch() // never campaign below a persisted epoch
+	n.epoch = n.reg.Epoch() // never campaign below a persisted epoch
 	now := cfg.Clock()
 	if cfg.Bootstrap {
 		n.promoteLocked("bootstrap")
@@ -291,11 +289,11 @@ func (n *Node) promoteLocked(why string) {
 	n.log.reset(n.epoch)
 	n.reg.SetSweepsEnabled(true)
 	n.reg.RearmTTLs()
-	// Publish every record journaled from here on. Installing the
+	// Publish every record committed from here on. Installing the
 	// observer (again) is idempotent; followers run with it installed
-	// too, so their mirrored journal feeds the log they would serve
+	// too, so the records they mirror feed the log they would serve
 	// from if promoted — reset above discards the stale prefix.
-	n.st.SetObserver(n.log.append)
+	n.reg.SetObserver(n.log.append)
 	gen := n.reg.Promote(n.epoch)
 	n.cfg.Logf("replica: %s promoted to leader (epoch %d, generation %d, %s)", n.cfg.Self, n.epoch, gen, why)
 }

@@ -34,10 +34,11 @@ type ServerConfig struct {
 	SweepInterval time.Duration
 	// Clock is the time source (nil: time.Now), injectable for tests.
 	Clock func() time.Time
-	// Store, when set, makes the registry crash-durable: the recovered
-	// state is restored into the registry (TTLs re-armed, generation
-	// resumed) and every later mutation is journaled. The caller owns
-	// the store's lifetime and must Close it after the server.
+	// Store, when set, makes the registry crash-durable: the registry
+	// recovers from it (TTLs re-armed, generation resumed; NewServer
+	// fails if the journal does not replay) and journals every later
+	// mutation. The caller owns the store's lifetime and must Close it
+	// after the server.
 	Store *persist.Store
 	// MaxInFlight bounds concurrently served requests per endpoint;
 	// excess requests are shed with 503 + Retry-After (and counted in
@@ -78,8 +79,6 @@ type Server struct {
 	// response allocation) so the steady-state heartbeat → allocation
 	// path does not allocate in the solver or serve layers.
 	serve freelist.List[serveScratch]
-
-	restoredApps int
 }
 
 // serveScratch is one request's reusable serve-path memory.
@@ -124,8 +123,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		done:   make(chan struct{}),
 	}
 	if cfg.Store != nil {
-		s.reg.AttachStore(cfg.Store)
-		s.restoredApps = len(cfg.Store.Restored().Apps)
+		if err := s.reg.AttachStore(cfg.Store); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Recalibrate {
 		s.adapt = adapt.NewStore(cfg.Adapt)
@@ -149,10 +149,6 @@ func (s *Server) Handler() http.Handler { return s.routes }
 
 // Registry exposes the application registry (for embedding and tests).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Store exposes the crash-recovery store (nil when not configured);
-// the HA replica layer journals and streams through it.
-func (s *Server) Store() *persist.Store { return s.cfg.Store }
 
 // Machine exposes the configured topology.
 func (s *Server) Machine() *machine.Machine { return s.cfg.Machine }
@@ -239,6 +235,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Name == "" {
 		req.Name = "app"
+	}
+	if len(req.Name) > MaxNameBytes {
+		httpapi.WriteError(w, http.StatusBadRequest, "name is %d bytes, limit %d", len(req.Name), MaxNameBytes)
+		return
 	}
 	if req.AI <= 0 {
 		httpapi.WriteError(w, http.StatusBadRequest, "ai must be > 0, got %g", req.AI)
@@ -573,7 +573,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 
 // RestoredApps reports how many applications were recovered from the
 // state dir at construction (0 without a store).
-func (s *Server) RestoredApps() int { return s.restoredApps }
+func (s *Server) RestoredApps() int { return s.reg.RestoredApps() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, HealthResponse{
@@ -597,7 +597,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store != nil {
 		resp.Persist = &PersistMetrics{
 			Enabled:      true,
-			RestoredApps: s.restoredApps,
+			RestoredApps: s.reg.RestoredApps(),
 			Failures:     s.reg.PersistFailures(),
 			TornRecords:  s.cfg.Store.TornRecords(),
 			Compactions:  s.cfg.Store.Compactions(),

@@ -2,15 +2,19 @@ package ctrlplane_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/client"
+	"repro/internal/ctrlplane/persist"
 	"repro/internal/machine"
 )
 
@@ -263,6 +267,64 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if n, err := c.Apps(ctx); err != nil || len(n.Apps) != 0 {
 		t.Errorf("registry not empty after rejected registrations: %v apps, err %v", len(n.Apps), err)
+	}
+}
+
+// TestRegisterNameCap: a name is carried verbatim into every journal
+// line and replicated record, so its size is capped at the door: at the
+// limit it registers, one byte over is a 400 that states the limit.
+func TestRegisterNameCap(t *testing.T) {
+	_, c := startServer(t, ctrlplane.ServerConfig{})
+	ctx := context.Background()
+	if _, err := c.Register(ctx, ctrlplane.RegisterRequest{Name: strings.Repeat("n", ctrlplane.MaxNameBytes), AI: 1}); err != nil {
+		t.Fatalf("register with a %d-byte name: %v", ctrlplane.MaxNameBytes, err)
+	}
+	_, err := c.Register(ctx, ctrlplane.RegisterRequest{Name: strings.Repeat("n", ctrlplane.MaxNameBytes+1), AI: 1})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, "limit 256") {
+		t.Fatalf("register with a %d-byte name: err = %v, want 400 naming the limit", ctrlplane.MaxNameBytes+1, err)
+	}
+	if n, err := c.Apps(ctx); err != nil || len(n.Apps) != 1 {
+		t.Errorf("apps after the refused registration: %v, err %v", n, err)
+	}
+}
+
+// TestJournalFailureOnTheWire: with the state dir gone bad (here: the
+// store closed under the server) a registration is refused with 503 and
+// leaves nothing behind, a deregistration is still served, and both
+// failures show in /metricsz.
+func TestJournalFailureOnTheWire(t *testing.T) {
+	store, err := persist.Open(t.TempDir(), persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := startServer(t, ctrlplane.ServerConfig{Store: store})
+	ctx := context.Background()
+	ok, err := c.Register(ctx, ctrlplane.RegisterRequest{Name: "durable", AI: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	_, err = c.Register(ctx, ctrlplane.RegisterRequest{Name: "unpersistable", AI: 1})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
+		t.Fatalf("register with a failing journal: err = %v, want 503", err)
+	}
+	if apps, err := c.Apps(ctx); err != nil || len(apps.Apps) != 1 || apps.Apps[0].ID != ok.ID {
+		t.Errorf("apps after the refused registration: %+v, err %v", apps, err)
+	}
+	if err := c.Deregister(ctx, ok.ID); err != nil {
+		t.Errorf("deregister with a failing journal: %v", err)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 attempts at the registration (the client retries a 503 once) + 1
+	// deregistration.
+	if m.Apps != 0 || m.Persist == nil || m.Persist.Failures != 3 {
+		t.Errorf("metrics after journal failures: apps %d, persist %+v, want 0 apps and 3 failures", m.Apps, m.Persist)
 	}
 }
 

@@ -42,9 +42,15 @@ const (
 	PlacementBad     = "numa-bad"
 )
 
+// MaxNameBytes caps RegisterRequest.Name. IDs keep 32 characters of the
+// name; the rest is carried, journaled and replicated verbatim, so it
+// must not be the network's to size.
+const MaxNameBytes = 256
+
 // RegisterRequest announces an application to the control plane.
 type RegisterRequest struct {
-	// Name labels the application in allocations and reports.
+	// Name labels the application in allocations and reports (at most
+	// MaxNameBytes; longer names are refused with 400).
 	Name string `json:"name"`
 	// AI is the application's arithmetic intensity (FLOP/byte). > 0.
 	AI float64 `json:"ai"`

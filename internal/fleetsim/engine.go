@@ -420,7 +420,6 @@ func (e *Engine) Run(ctx context.Context) (*Verdict, error) {
 	// Prime the inventory before round 0: the Placer routes arrivals by
 	// the latest snapshots, which otherwise would not exist yet.
 	e.inv.Poll(ctx)
-	start := time.Now()
 	for round := 0; round < sc.Rounds; round++ {
 		e.simRound = round
 		if err := ctx.Err(); err != nil {
@@ -482,12 +481,6 @@ func (e *Engine) Run(ctx context.Context) (*Verdict, error) {
 			e.streamTelemetry(ctx, round)
 		}
 	}
-	elapsed := time.Since(start)
-	e.verdict.ElapsedSeconds = elapsed.Seconds()
-	if elapsed > 0 {
-		e.verdict.RoundsPerSec = float64(sc.Rounds) / elapsed.Seconds()
-	}
-
 	e.simRound = sc.Rounds
 	e.inv.Poll(ctx)
 	total := 0.0

@@ -45,14 +45,6 @@ type Verdict struct {
 	// after the last round.
 	FinalAggregateGFLOPS float64 `json:"final_aggregate_gflops"`
 
-	// ElapsedSeconds and RoundsPerSec record the run's wall-clock
-	// rebalancer throughput (poll + plan + execute + invariant checks per
-	// round). The scale_out scenario doubles as the fleet's
-	// rebalancer-throughput benchmark through these fields. They are the
-	// one legitimately nondeterministic part of a verdict.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-
 	// LeaderKills counts kill_leader events survived.
 	LeaderKills int `json:"leader_kills,omitempty"`
 

@@ -365,7 +365,7 @@ func (sc *Scenario) effectiveCooldown() int {
 	case cd < 0:
 		return 0
 	}
-	return 2
+	return fleet.DefaultCooldownRounds
 }
 
 func (sc *Scenario) oscillationWindow() int {
