@@ -413,13 +413,17 @@ func cmdStatus(ctx context.Context, c *client.Client, args []string) error {
 // printSolveCache renders the one solve cache's counters, which coopd
 // (/metricsz "solver") and fleetd (/metricsz "solve_cache") both serve.
 func printSolveCache(s solvecache.Counters) {
-	total := s.Hits + s.Misses
+	total := s.Hits + s.Misses + s.Adopted
 	hitRate := 0.0
 	if total > 0 {
 		hitRate = 100 * float64(s.Hits) / float64(total)
 	}
 	fmt.Printf("  solver cache: %d hits / %d misses (%.1f%% hit), %d coalesced, %d entries\n",
 		s.Hits, s.Misses, hitRate, s.Coalesced, s.Entries)
+	// Offered solves: fleetd ships them, so only a coopd has any.
+	if s.Adopted+s.Stale+s.Invalid > 0 {
+		fmt.Printf("  offered solves: %d adopted, %d refused as stale, %d as invalid\n", s.Adopted, s.Stale, s.Invalid)
+	}
 }
 
 // --- fleet subcommands (talk to fleetd, not coopd) ---

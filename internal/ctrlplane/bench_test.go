@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/roofline"
+	"repro/internal/solvecache"
 )
 
 // tableIMix is the paper's Table I demand set: three memory-bound apps
@@ -49,6 +50,40 @@ func BenchmarkAllocateCold8Apps(b *testing.B) {
 		}
 		if _, err := s.Solve(m, apps); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveAdopted8Apps is the same fill satisfied by an offered
+// solve: digest compare, validation, one Evaluate per table — what a
+// member pays at register time when fleetd shipped the optimum, against
+// BenchmarkAllocateCold8Apps when it did not.
+func BenchmarkSolveAdopted8Apps(b *testing.B) {
+	m := machine.SkylakeQuad()
+	apps := eightAppStates()
+	s, err := NewSolver(PolicyRoofline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, order := s.demandKey(&solvecache.Key{}, m, apps)
+	counts, _, _, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, slotApps(apps, order))
+	if err != nil {
+		b.Fatal(err)
+	}
+	offer := &Solved{Key: solvecache.Digest(key), Counts: counts}
+	sol := &Solution{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSolver(PolicyRoofline)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.solveInto(sol, m, apps, offer); err != nil {
+			b.Fatal(err)
+		}
+		if s.Metrics().Adopted != 1 {
+			b.Fatal("the offer was not adopted")
 		}
 	}
 }

@@ -349,7 +349,9 @@ func (r *Resilient) call(ctx context.Context, fn func(*Client) (uint64, bool, er
 
 // Register announces the application, remembers the request for later
 // automatic re-registration, and caches the machine topology for local
-// fallback solves.
+// fallback solves. An offered solve (req.Solved) goes out with this
+// call only: it describes the demand set of this moment, so what is
+// remembered is the request without it.
 func (r *Resilient) Register(ctx context.Context, req ctrlplane.RegisterRequest) (*ctrlplane.RegisterResponse, error) {
 	var resp *ctrlplane.RegisterResponse
 	err := r.call(ctx, func(c *Client) (uint64, bool, error) {
@@ -363,6 +365,7 @@ func (r *Resilient) Register(ctx context.Context, req ctrlplane.RegisterRequest)
 	if err != nil {
 		return nil, err
 	}
+	req.Solved = nil
 	r.mu.Lock()
 	r.id = resp.ID
 	r.regReq = req

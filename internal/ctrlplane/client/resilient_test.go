@@ -239,13 +239,22 @@ func TestResilientLocalSolveWhenNothingCached(t *testing.T) {
 
 // TestResilientAutoReRegister: an eviction (typed unknown_app on
 // heartbeat) triggers transparent re-registration and a retried beat.
+// The re-registration carries the remembered spec but not the offered
+// solve the first one went out with: that described the machine's
+// demand set then, not now.
 func TestResilientAutoReRegister(t *testing.T) {
 	var regs atomic.Int32
 	var beats atomic.Int32
+	var offered [2]atomic.Bool
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/register":
+			var req ctrlplane.RegisterRequest
+			json.NewDecoder(r.Body).Decode(&req)
 			n := regs.Add(1)
+			if n <= 2 {
+				offered[n-1].Store(req.Solved != nil && req.Name == "app")
+			}
 			id := "app-1"
 			if n > 1 {
 				id = "app-2"
@@ -276,7 +285,8 @@ func TestResilientAutoReRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := r.Register(ctx, ctrlplane.RegisterRequest{Name: "app", AI: 1}); err != nil {
+	first := ctrlplane.RegisterRequest{Name: "app", AI: 1, Solved: &ctrlplane.Solved{Key: 42, Counts: []int{8}}}
+	if _, err := r.Register(ctx, first); err != nil {
 		t.Fatal(err)
 	}
 	if r.ID() != "app-1" {
@@ -297,6 +307,9 @@ func TestResilientAutoReRegister(t *testing.T) {
 	}
 	if got := regs.Load(); got != 2 {
 		t.Errorf("server saw %d registrations, want 2", got)
+	}
+	if !offered[0].Load() || offered[1].Load() {
+		t.Errorf("offer went out with register 1: %v, with the re-register: %v; want true, false", offered[0].Load(), offered[1].Load())
 	}
 }
 

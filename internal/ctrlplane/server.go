@@ -276,7 +276,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
-	alloc, err := s.allocationInto(sc, st.ID)
+	alloc, err := s.allocationInto(sc, st.ID, req.Solved)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
@@ -300,7 +300,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
-	alloc, err := s.allocationInto(sc, req.ID)
+	alloc, err := s.allocationInto(sc, req.ID, nil)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
@@ -399,12 +399,13 @@ func appAllocation(a AppSolution) AppAllocation {
 	}
 }
 
-// allocationInto solves for the live set and copies one app's slice
-// into the scratch's response allocation. The returned pointer aliases
-// sc and is only valid until sc goes back to the pool.
-func (s *Server) allocationInto(sc *serveScratch, id string) (*AppAllocation, error) {
+// allocationInto solves for the live set — adopting offer (nil: none)
+// when the solver would otherwise search for exactly that — and copies
+// one app's slice into the scratch's response allocation. The returned
+// pointer aliases sc and is only valid until sc goes back to the pool.
+func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*AppAllocation, error) {
 	sc.apps, _ = s.reg.SnapshotInto(sc.apps[:0])
-	if err := s.solver.SolveInto(&sc.sol, s.cfg.Machine, sc.apps); err != nil {
+	if err := s.solver.solveInto(&sc.sol, s.cfg.Machine, sc.apps, offer); err != nil {
 		return nil, err
 	}
 	for i := range sc.sol.PerApp {

@@ -2,6 +2,9 @@ package ctrlplane
 
 import (
 	"fmt"
+	"log"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/freelist"
 	"repro/internal/machine"
@@ -67,6 +70,13 @@ type Solver struct {
 	// (cache-hit) solve allocates nothing.
 	keys freelist.List[solvecache.Key]
 
+	// Offers refused: made for another key, or failing validation. An
+	// invalid offer means a bug or corruption upstream and is logged,
+	// once per key digest (the set is bounded like the cache).
+	stale, invalid atomic.Uint64
+	loggedMu       sync.Mutex
+	logged         map[uint64]struct{}
+
 	// testSolveDelay, when set, runs between claiming a flight slot and
 	// solving; tests use it to hold the leader while followers pile up.
 	testSolveDelay func()
@@ -96,8 +106,13 @@ func NewSolver(policy string) (*Solver, error) {
 // Policy returns the solver's policy name.
 func (s *Solver) Policy() string { return s.policy }
 
-// Metrics returns cache hit/miss/coalesce counters and the entry count.
-func (s *Solver) Metrics() SolverMetrics { return s.cache.Counters() }
+// Metrics returns the cache's counters plus the offers this solver
+// refused.
+func (s *Solver) Metrics() SolverMetrics {
+	c := s.cache.Counters()
+	c.Stale, c.Invalid = s.stale.Load(), s.invalid.Load()
+	return c
+}
 
 // TopologyHash is solvecache.TopologyHash, the machine fingerprint
 // solutions are keyed by.
@@ -147,6 +162,13 @@ func (s *Solver) Solve(m *machine.Machine, apps []AppState) (*Solution, error) {
 // results are mapped back to the callers' order. A cache-hit solve into
 // a warm Solution performs no heap allocations.
 func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) error {
+	return s.solveInto(sol, m, apps, nil)
+}
+
+// solveInto is SolveInto with an offered solve (nil: none), which a
+// cache miss adopts instead of searching when it is of this very key
+// and validates (see adopt).
+func (s *Solver) solveInto(sol *Solution, m *machine.Machine, apps []AppState, offer *Solved) error {
 	sol.PerApp = sol.PerApp[:0]
 	sol.TotalGFLOPS, sol.EvenGFLOPS, sol.NodePerAppGFLOPS = 0, 0, 0
 	sol.FromCache = false
@@ -157,7 +179,11 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 	k := s.keys.Get()
 	defer s.keys.Put(k)
 	key, order := s.demandKey(k, m, apps)
-	cached, fromCache, err := s.cache.Do(key, func() (*cachedSolution, error) {
+	var adopt func() (*cachedSolution, bool)
+	if offer != nil {
+		adopt = func() (*cachedSolution, bool) { return s.adopt(m, apps, order, key, offer) }
+	}
+	cached, fromCache, err := s.cache.Do(key, adopt, func() (*cachedSolution, error) {
 		if s.testSolveDelay != nil {
 			s.testSolveDelay()
 		}
@@ -187,25 +213,109 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 	return nil
 }
 
-// solveSlots solves the demand slots (apps in order) under the policy
-// and evaluates the result with the roofline model.
-func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*cachedSolution, error) {
-	n := len(order)
-	rapps := make([]roofline.App, n)
+// slotApps is the demand in slot order as the roofline model sees it.
+func slotApps(apps []AppState, order []int) []roofline.App {
+	rapps := make([]roofline.App, len(order))
 	for slot, idx := range order {
 		spec := apps[idx].EffectiveSpec()
 		rapps[slot] = spec.rooflineApp()
 	}
+	return rapps
+}
 
+// solveSlots solves the demand slots (apps in order) under the policy.
+func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*cachedSolution, error) {
+	rapps := slotApps(apps, order)
 	var al roofline.Allocation
 	if s.policy == PolicyFairShare {
-		al = roofline.FairShareFirst(m, n)
+		al = roofline.FairShareFirst(m, len(rapps))
 	} else {
 		var err error
 		if _, al, _, _, err = s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps); err != nil {
-			return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, n, err)
+			return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, len(rapps), err)
 		}
 	}
+	return served(m, apps, order, rapps, al)
+}
+
+// adopt turns an offered solve into the cache value solveSlots would
+// have produced, or refuses it. The offer is trusted as much as the
+// registration it rides on: it must be of this key (so the sender
+// solved the same topology, policy, demand multiset and caps, in the
+// same slot order) and its counts must be a leaf the search itself
+// could return — one per slot, each at least the floor Solve uses,
+// together within the smallest node — that evaluates and is no worse
+// than the even baseline where that baseline is such a leaf too.
+// Optimality is not re-checked; that would be the search.
+func (s *Solver) adopt(m *machine.Machine, apps []AppState, order []int, key []byte, offer *Solved) (*cachedSolution, bool) {
+	if solvecache.Digest(key) != offer.Key {
+		s.stale.Add(1)
+		return nil, false
+	}
+	cs, err := adoptSlots(m, apps, order, offer.Counts)
+	if err != nil {
+		s.invalid.Add(1)
+		s.logInvalid(offer.Key, err)
+		return nil, false
+	}
+	return cs, true
+}
+
+// logInvalid reports an invalid offer, the first time its key is seen.
+func (s *Solver) logInvalid(key uint64, err error) {
+	s.loggedMu.Lock()
+	defer s.loggedMu.Unlock()
+	if _, seen := s.logged[key]; seen || len(s.logged) >= maxCacheEntries {
+		return
+	}
+	if s.logged == nil {
+		s.logged = map[uint64]struct{}{}
+	}
+	s.logged[key] = struct{}{}
+	log.Printf("ctrlplane: refusing the offered solve of key %016x, solving here instead: %v", key, err)
+}
+
+// adoptSlots validates offered per-slot counts and builds their cache
+// value.
+func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) (*cachedSolution, error) {
+	if len(counts) != len(order) {
+		return nil, fmt.Errorf("%d counts for %d apps", len(counts), len(order))
+	}
+	least, most := m.Nodes[0].Cores, m.Nodes[0].Cores
+	for _, n := range m.Nodes[1:] {
+		least, most = min(least, n.Cores), max(most, n.Cores)
+	}
+	floor, sum := roofline.SolveFloor(m, len(order)), 0
+	for slot, c := range counts {
+		if c < floor {
+			return nil, fmt.Errorf("slot %d has %d threads per node, under the floor of %d", slot, c, floor)
+		}
+		if c > least-sum { // not sum+c > least: c is the network's and may overflow
+			return nil, fmt.Errorf("more than the smallest node's %d cores by slot %d", least, slot)
+		}
+		sum += c
+	}
+	al, err := roofline.PerNodeCounts(m, counts)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := served(m, apps, order, slotApps(apps, order), al)
+	if err != nil {
+		return nil, err
+	}
+	// Where every node has the same cores the even split is itself a
+	// leaf of the search, so no optimum is below it.
+	if least == most && cs.total < cs.even {
+		return nil, fmt.Errorf("total %g GFLOPS is below the even split's %g", cs.total, cs.even)
+	}
+	return cs, nil
+}
+
+// served builds the cache value for an allocation of the demand slots:
+// caps applied, evaluated with the roofline model, with the paper's
+// structured baselines beside it.
+func served(m *machine.Machine, apps []AppState, order []int, rapps []roofline.App, al roofline.Allocation) (*cachedSolution, error) {
+	n := len(order)
 	for slot, idx := range order {
 		trimToCap(al.Threads[slot], apps[idx].Spec.MaxThreads)
 	}

@@ -66,6 +66,20 @@ type RegisterRequest struct {
 	// not heartbeat within its TTL is evicted and its cores
 	// reallocated to the survivors.
 	TTLMillis int64 `json:"ttl_ms,omitempty"`
+	// Solved, when set, offers the optimum the sender (fleetd's placement
+	// decision) already solved for the demand set this machine holds once
+	// the registration lands. It is a cache fill, never state: the server
+	// adopts it only when it would otherwise run that very solve and the
+	// counts validate; it is not journaled, replicated or echoed.
+	Solved *Solved `json:"solved,omitempty"`
+}
+
+// Solved is an offered solve. Key is solvecache.Digest of the demand
+// set's cache key as the sender derived it; Counts[s] is the per-node
+// thread count of the app in the key's slot s.
+type Solved struct {
+	Key    uint64 `json:"key"`
+	Counts []int  `json:"counts"`
 }
 
 // AppAllocation is one application's slice of the machine.

@@ -30,7 +30,6 @@ func TestScorerAndSolverAgree(t *testing.T) {
 		{machine.SkylakeQuad(), 5},
 		{machine.KNLSNC4(), 5},
 	}
-	priorities := []string{"", PriorityBatch, PriorityLatency, PrioritySystem}
 	for _, c := range cases {
 		for seed := int64(0); seed < 10; seed++ {
 			r := rand.New(rand.NewSource(seed))
@@ -39,17 +38,7 @@ func TestScorerAndSolverAgree(t *testing.T) {
 				n = c.maxApps
 			}
 			prioritized := seed%2 == 1
-			specs := make([]AppSpec, n)
-			for i := range specs {
-				specs[i] = AppSpec{Name: fmt.Sprintf("app-%d", i), AI: math.Exp2(r.Float64()*9 - 5)}
-				if r.Intn(4) == 0 {
-					specs[i].Placement = ctrlplane.PlacementBad
-					specs[i].HomeNode = r.Intn(c.m.NumNodes())
-				}
-				if prioritized {
-					specs[i].Priority = priorities[r.Intn(len(priorities))]
-				}
-			}
+			specs := randomSpecs(r, c.m, n, prioritized)
 			label := fmt.Sprintf("%s/seed=%d/n=%d", c.m.Name, seed, n)
 
 			sc := NewScorer()
@@ -73,8 +62,13 @@ func TestScorerAndSolverAgree(t *testing.T) {
 			// coincide where the fleet's weights are unset too.
 			if !prioritized {
 				var k solvecache.Key
-				if fk, ck := sc.demandKey(&k, c.m, demand), sv.Key(c.m, states); !bytes.Equal(fk, ck) {
+				fk, _ := sc.demandKey(&k, c.m, demand)
+				if ck := sv.Key(c.m, states); !bytes.Equal(fk, ck) {
 					t.Errorf("%s: keys differ:\n fleet %x\n coopd %x", label, fk, ck)
+				}
+				// Same key, same slot order, same search: the same bits.
+				if total != sol.TotalGFLOPS {
+					t.Errorf("%s: Scorer total %v and Solver total %v differ in bits under one key", label, total, sol.TotalGFLOPS)
 				}
 			}
 
@@ -92,6 +86,25 @@ func TestScorerAndSolverAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomSpecs is a seeded demand mix for m: AI log-uniform in [1/32,
+// 16], a quarter NUMA-bad on a random home node, and — when asked —
+// random priority classes.
+func randomSpecs(r *rand.Rand, m *machine.Machine, n int, prioritized bool) []AppSpec {
+	priorities := []string{"", PriorityBatch, PriorityLatency, PrioritySystem}
+	specs := make([]AppSpec, n)
+	for i := range specs {
+		specs[i] = AppSpec{Name: fmt.Sprintf("app-%d", i), AI: math.Exp2(r.Float64()*9 - 5)}
+		if r.Intn(4) == 0 {
+			specs[i].Placement = ctrlplane.PlacementBad
+			specs[i].HomeNode = r.Intn(m.NumNodes())
+		}
+		if prioritized {
+			specs[i].Priority = priorities[r.Intn(len(priorities))]
+		}
+	}
+	return specs
 }
 
 // bothSides renders specs as the Scorer's demand set and as the

@@ -105,9 +105,8 @@ type gangPlan struct {
 }
 
 type gangMember struct {
-	spec   AppSpec
-	member string
-	score  float64
+	spec AppSpec
+	d    *Decision
 }
 
 // PlaceGang admits a gang atomically: plan every member against a
@@ -193,7 +192,7 @@ func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
 		if spread {
 			domUsed[c.domain]++
 		}
-		plan.members = append(plan.members, gangMember{spec: spec, member: d.Member, score: d.Score})
+		plan.members = append(plan.members, gangMember{spec: spec, d: d})
 	}
 	plan.victims = s.moves
 	return plan, nil
@@ -216,12 +215,12 @@ func (p *Placer) executeGang(ctx context.Context, g GangSpec, plan *gangPlan) (*
 	}
 
 	for _, m := range plan.members {
-		placed, err := p.Inv.register(ctx, m.member, m.spec)
+		placed, err := p.Inv.register(ctx, m.d.Member, m.spec, m.d.solved)
 		if err != nil {
 			return nil, p.rollbackGang(ctx, g, res.Placements,
-				fmt.Errorf("registering %q on %s: %w", m.spec.Name, m.member, err))
+				fmt.Errorf("registering %q on %s: %w", m.spec.Name, m.d.Member, err))
 		}
-		res.Placements = append(res.Placements, GangPlacement{App: placed, Member: m.member, Score: m.score})
+		res.Placements = append(res.Placements, GangPlacement{App: placed, Member: m.d.Member, Score: m.d.Score})
 	}
 	for _, gp := range res.Placements {
 		p.logf("fleet: gang %s: %s on %s (marginal %+.1f GFLOPS)", g.Name, gp.App.ID, gp.Member, gp.Score)

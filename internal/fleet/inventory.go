@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/client"
 	"repro/internal/machine"
 )
@@ -491,14 +492,17 @@ func (inv *Inventory) RecordPriority(name, priority string) error {
 // which keep the cached demand sets, the stale lists and the cooldown
 // clock in step with what the member coopds were told.
 
-// register registers spec on the member's coopd and records the
-// placement, so scoring between polls sees it.
-func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec) (PlacedApp, error) {
+// register registers spec on the member's coopd, offering it the solve
+// of the decision that chose the member (nil: none was made), and
+// records the placement, so scoring between polls sees it.
+func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec, solved *ctrlplane.Solved) (PlacedApp, error) {
 	cli, err := inv.Client(member)
 	if err != nil {
 		return PlacedApp{}, err
 	}
-	resp, err := cli.Register(ctx, spec.registerRequest())
+	req := spec.registerRequest()
+	req.Solved = solved
+	resp, err := cli.Register(ctx, req)
 	if err != nil {
 		return PlacedApp{}, err
 	}
@@ -544,11 +548,11 @@ func (inv *Inventory) relocate(ctx context.Context, mv Move) (PlacedApp, error) 
 			return PlacedApp{}, fmt.Errorf("fleet: draining %s from %s: %w", mv.AppID, mv.From, err)
 		}
 	}
-	placed, err := inv.register(ctx, mv.To, mv.App)
+	placed, err := inv.register(ctx, mv.To, mv.App, mv.solved)
 	if err != nil {
 		err = fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err)
 		if !lost {
-			if back, rerr := inv.register(ctx, mv.From, mv.App); rerr != nil {
+			if back, rerr := inv.register(ctx, mv.From, mv.App, nil); rerr != nil {
 				inv.logf("fleet: %s is registered nowhere: restoring it on %s: %v", mv.App.Name, mv.From, rerr)
 			} else {
 				inv.logf("fleet: restored %s on %s as %s", mv.App.Name, mv.From, back.ID)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/machine"
 )
 
@@ -32,6 +33,11 @@ type Decision struct {
 	// with zero threads. The preemption pass uses it as the admission
 	// signal for higher-class apps and gangs.
 	Starved bool
+
+	// solved is the chosen machine's solve with the app on it, which the
+	// registration that executes the decision offers to the member so it
+	// need not run the same search again.
+	solved *ctrlplane.Solved
 }
 
 // FloorCapacity is the largest demand-set size the machine can host
@@ -80,18 +86,26 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 	// members on excluded machines still occupy their domain). The
 	// counts drive a tie-break only; score always wins first.
 	var domCount map[string]int
-	var group string
 	if sc.DomainSpread {
-		group = groupOf(spec.Name)
-		domCount = make(map[string]int, 8)
+		if s.domCount == nil {
+			s.domCount = make(map[string]int, 8)
+		}
+		clear(s.domCount)
+		domCount = s.domCount
+		group := groupOf(spec.Name)
 		for _, c := range cands {
 			domCount[c.domain] += c.groups[group]
 		}
 	}
-	var classes map[string]classResult
+	if s.classes == nil {
+		s.classes = make(map[string]classResult, 4)
+	}
+	clear(s.classes)
+	classes := s.classes
 	var dkey []byte // decision-key scratch, only allocated under spread
 	var best *candidate
-	var bestScore, bestAfter float64
+	var bestScore float64
+	var bestWith solveOutcome
 	for _, c := range pool {
 		if spec.numaBad() && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
 			continue // home node does not exist on this machine
@@ -109,34 +123,31 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		}
 		r, ok := classes[string(key)] // byte-to-string map lookup: no alloc
 		if !ok {
-			score, after, err := sc.marginal(c.topo, c.demand, app, s)
-			r = classResult{score: score, after: after, failed: err != nil}
-			if classes == nil {
-				classes = make(map[string]classResult, 4)
-			}
+			score, with, err := sc.marginal(c.topo, c.demand, app, s)
+			r = classResult{score: score, with: with, failed: err != nil}
 			classes[string(key)] = r // allocates the key once per class
 		}
 		if r.failed {
 			continue
 		}
-		score, after := r.score, r.after
 		switch {
-		case best == nil, score > bestScore+scoreTieEps:
-			best, bestScore, bestAfter = c, score, after
-		case score > bestScore-scoreTieEps && tieBreakBetter(domCount, c, best):
+		case best == nil, r.score > bestScore+scoreTieEps:
+			best, bestScore, bestWith = c, r.score, r.with
+		case r.score > bestScore-scoreTieEps && tieBreakBetter(domCount, c, best):
 			// Tied score: under domain-spread prefer the domain hosting
 			// the fewest of the app's cooperating group, then the emptier
 			// machine (candidates arrive in ID order, so equal ties keep
 			// the first, lowest ID).
-			best, bestScore, bestAfter = c, score, after
+			best, bestScore, bestWith = c, r.score, r.with
 		}
 	}
 	if best == nil {
 		return nil, nil, ErrNoCandidate
 	}
 	d := &Decision{
-		Member: best.id, Score: bestScore, After: bestAfter,
+		Member: best.id, Score: bestScore, After: bestWith.total,
 		Starved: len(best.demand)+1 > FloorCapacity(best.topo),
+		solved:  bestWith.solved,
 	}
 	return d, best, nil
 }
@@ -184,7 +195,7 @@ func (p *Placer) Place(ctx context.Context, spec AppSpec) (*Decision, PlacedApp,
 	if err != nil {
 		return nil, PlacedApp{}, err
 	}
-	placed, err := p.Inv.register(ctx, d.Member, spec)
+	placed, err := p.Inv.register(ctx, d.Member, spec, d.solved)
 	if err != nil {
 		return nil, PlacedApp{}, fmt.Errorf("fleet: registering %q on %s: %w", spec.Name, d.Member, err)
 	}

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/ctrlplane"
 )
 
 // Move reasons, stable strings carried on the wire.
@@ -46,6 +48,11 @@ type Move struct {
 	Reason string `json:"reason"`
 	// Score is the marginal aggregate GFLOPS of the placement on To.
 	Score float64 `json:"score"`
+
+	// solved is the deciding solve of To with the app on it, offered to
+	// To with the registration (see Decision); nil for a move no decision
+	// stands behind (the imbalance re-pack).
+	solved *ctrlplane.Solved
 }
 
 // evacApp is one urgent evacuation candidate: an app still registered
@@ -340,7 +347,7 @@ func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool, t tunin
 		d, c, err := s.pick(e.app.EffectiveSpec(), admit)
 		switch {
 		case err == nil:
-			s.move(e.app, e.member, e.reason, c, d.Score)
+			s.move(e.app, e.member, e.reason, c, d)
 			inbound[c.id]++
 		case storm:
 			s.deferred++
@@ -432,7 +439,7 @@ func (r *Rebalancer) planDrift(s *session) int {
 			if gain <= 0.01*withApp {
 				continue // not worth the churn
 			}
-			s.move(app, m.ID, ReasonDrift, dst, d.Score)
+			s.move(app, m.ID, ReasonDrift, dst, d)
 			r.logf("fleet: drift re-placement of %s (fitted AI %.3g vs declared %.3g): %s -> %s, gain %+.1f GFLOPS",
 				app.ID, app.FittedAI, app.AI, m.ID, d.Member, gain)
 		}
@@ -521,7 +528,7 @@ func (r *Rebalancer) planImbalance(s *session, plan *Plan, threshold float64) {
 		if o.to.id == o.member || s.cooling[o.app.Name] > 0 || s.exhausted() {
 			continue
 		}
-		s.move(o.app, o.member, ReasonRebalance, o.to, 0)
+		s.move(o.app, o.member, ReasonRebalance, o.to, &Decision{})
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"repro/internal/ctrlplane"
 	"repro/internal/freelist"
 	"repro/internal/machine"
 	"repro/internal/roofline"
@@ -13,20 +14,29 @@ import (
 // resident across Placer decisions and Rebalancer rounds.
 const maxSolveCacheEntries = 4096
 
-// solveOutcome is one memoized fleet-semantics solve: the aggregate and
-// the optimum per-node counts, kept as the warm-start hint for the ±1
-// neighbour solves marginal runs next.
+// solveOutcome is one memoized fleet-semantics solve: the aggregate,
+// and the key's digest with the optimum per-node counts per slot of the
+// key (its sorted segment order, whatever order the demand arrived in)
+// — the form the solve ships to a member in, and the warm-start hint
+// for the +1 neighbour marginal solves next. solved is nil for the
+// empty demand set only, and immutable.
 type solveOutcome struct {
 	total  float64
-	counts []int
+	solved *ctrlplane.Solved
 }
 
-// scoreScratch is the per-call reusable state of the scoring hot path:
-// the key builder and the demand+app slice, pooled so a placement
-// decision allocates nothing for either.
+// scoreScratch is the per-call reusable state of the scoring hot path,
+// pooled so a placement decision allocates nothing for any of it: the
+// key builder, the demand+app slice, a miss's demand and hint in slot
+// order, and decide's per-decision maps.
 type scoreScratch struct {
-	key  solvecache.Key
-	with []roofline.App
+	key   solvecache.Key
+	with  []roofline.App
+	slots []roofline.App
+	hint  []int
+
+	classes  map[string]classResult
+	domCount map[string]int
 }
 
 // Scorer computes placement scores through the same solve the coopd
@@ -41,9 +51,13 @@ type scoreScratch struct {
 // content-addressed: registering or moving an app changes a machine's
 // demand multiset and therefore its key, so no explicit invalidation
 // exists or is needed — stale classes simply age out of the bounded
-// LRU. Cache misses warm-start the branch-and-bound from the memoized
-// optimum of the ±1-app neighbour when one is at hand, which cannot
-// change the result. One Scorer is safe for concurrent use.
+// LRU. Every solve runs on the demand in the key's slot order, so its
+// cost, its tie-breaks and its stored counts do not depend on arrival
+// order or names, and it is the solve a member coopd would run for the
+// same key — which is what lets a decision ship it (Decision.solved).
+// A marginal's with-app miss warm-starts the branch-and-bound from the
+// machine's solved optimum without the app, which cannot change the
+// result. One Scorer is safe for concurrent use.
 type Scorer struct {
 	// DomainSpread enables the failure-domain anti-affinity tie-break:
 	// when several machines tie on marginal GFLOPS, the decision prefers
@@ -93,28 +107,44 @@ func (sc *Scorer) objective() roofline.ObjectiveSpec {
 }
 
 // demandKey builds the equivalence-class key of (machine, demand) into
-// k, tagged with the objective. The fleet scores the uncapped optimum
-// (see SolveTotal), so every segment carries thread cap 0.
-func (sc *Scorer) demandKey(k *solvecache.Key, m *machine.Machine, demand []roofline.App) []byte {
+// k, tagged with the objective, and returns it with the slot order:
+// slot s of the key is demand[perm[s]]. The fleet scores the uncapped
+// optimum (see SolveTotal), so every segment carries thread cap 0.
+func (sc *Scorer) demandKey(k *solvecache.Key, m *machine.Machine, demand []roofline.App) (key []byte, perm []int) {
 	k.Reset(sc.cache.TopologyHash(m), sc.objective().Name())
 	for i := range demand {
 		k.Add(&demand[i], 0)
 	}
-	key, _ := k.Sort(nil)
-	return key
+	return k.Sort(nil)
 }
 
-// solveDemand is the memoized fleet-semantics solve. hint, when
-// non-nil, warm-starts a cache miss from a ±1-app neighbour's optimum
-// (it cannot change the result — see
-// roofline.Search.BestPerNodeCountsFloorSpec).
-func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, hint []int, s *scoreScratch) (solveOutcome, error) {
+// solveDemand is the memoized fleet-semantics solve. without, when
+// non-nil, is the per-slot optimum of demand minus its last app; a
+// cache miss warm-starts from it (it cannot change the result — see
+// roofline.Search.BestPerNodeCountsFloorSpec). The sort is stable, so
+// the other apps keep their relative slot order when the last one
+// joins and its slot is the hint's gap.
+func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, without []int, s *scoreScratch) (solveOutcome, error) {
 	if len(demand) == 0 {
 		return solveOutcome{}, nil
 	}
-	out, _, err := sc.cache.Do(sc.demandKey(&s.key, m, demand), func() (solveOutcome, error) {
+	key, perm := sc.demandKey(&s.key, m, demand)
+	out, _, err := sc.cache.Do(key, nil, func() (solveOutcome, error) {
+		s.slots, s.hint = s.slots[:0], s.hint[:0]
+		for _, i := range perm {
+			s.slots = append(s.slots, demand[i])
+		}
+		if rest := without; rest != nil {
+			for _, i := range perm {
+				if i == len(demand)-1 {
+					s.hint = append(s.hint, -1)
+				} else {
+					s.hint, rest = append(s.hint, rest[0]), rest[1:]
+				}
+			}
+		}
 		spec := sc.objective()
-		counts, _, res, _, err := sc.search.Solve(spec, hint, m, demand)
+		counts, _, res, _, err := sc.search.Solve(spec, s.hint, m, s.slots)
 		if err != nil {
 			return solveOutcome{}, err
 		}
@@ -123,9 +153,9 @@ func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, hint []
 			// Non-default objectives score in their own units (weighted
 			// GFLOPS, min-app GFLOPS); the default path never builds the
 			// closure.
-			total = spec.Objective(demand)(res)
+			total = spec.Objective(s.slots)(res)
 		}
-		return solveOutcome{total: total, counts: counts}, nil
+		return solveOutcome{total: total, solved: &ctrlplane.Solved{Key: solvecache.Digest(key), Counts: counts}}, nil
 	})
 	return out, err
 }
@@ -151,30 +181,36 @@ func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64
 func (sc *Scorer) Marginal(m *machine.Machine, demand []roofline.App, app roofline.App) (marginal, after float64, err error) {
 	s := sc.scratch.Get()
 	defer sc.scratch.Put(s)
-	return sc.marginal(m, demand, app, s)
+	marginal, with, err := sc.marginal(m, demand, app, s)
+	return marginal, with.total, err
 }
 
 // marginal is Marginal on the caller's scratch; decide scores one
-// representative per equivalence class through it.
-func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, app roofline.App, s *scoreScratch) (marginal, after float64, err error) {
+// representative per equivalence class through it and keeps the
+// with-app solve for the decision to ship.
+func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, app roofline.App, s *scoreScratch) (marginal float64, with solveOutcome, err error) {
 	before, err := sc.solveDemand(m, demand, nil, s)
 	if err != nil {
-		return 0, 0, err
+		return 0, solveOutcome{}, err
+	}
+	var without []int
+	if before.solved != nil {
+		without = before.solved.Counts
 	}
 	s.with = append(append(s.with[:0], demand...), app)
-	afterOut, err := sc.solveDemand(m, s.with, before.counts, s)
+	with, err = sc.solveDemand(m, s.with, without, s)
 	if err != nil {
-		return 0, 0, err
+		return 0, solveOutcome{}, err
 	}
-	return afterOut.total - before.total, afterOut.total, nil
+	return with.total - before.total, with, nil
 }
 
 // classResult is one equivalence class's scored outcome within a single
-// decision: the marginal, the predicted after, or the fact that the
+// decision: the marginal and the with-app solve, or the fact that the
 // class's solve failed (its candidates are skipped, matching the
 // per-machine error semantics of the unmemoized path).
 type classResult struct {
 	score  float64
-	after  float64
+	with   solveOutcome
 	failed bool
 }

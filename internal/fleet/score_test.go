@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
@@ -214,5 +218,125 @@ func TestScorerClassDedup(t *testing.T) {
 	}
 	if hits2 != hits+2 {
 		t.Errorf("repeat decision: hits %d -> %d, want +2", hits, hits2)
+	}
+}
+
+// leafCountingSpec is the total-GFLOPS objective that counts the leaves
+// a search scores under it.
+type leafCountingSpec struct {
+	roofline.ObjectiveSpec
+	leaves *atomic.Int64
+}
+
+func (s leafCountingSpec) Objective(apps []roofline.App) roofline.Objective {
+	obj := s.ObjectiveSpec.Objective(apps)
+	return func(r *roofline.Result) float64 {
+		s.leaves.Add(1)
+		return obj(r)
+	}
+}
+
+// permutations calls visit with every ordering of 0..n-1 (Heap's
+// algorithm); the slice is reused between calls.
+func permutations(n int, visit func([]int)) {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == 1 {
+			visit(p)
+			return
+		}
+		for i := 0; i < k; i++ {
+			rec(k - 1)
+			if k%2 == 0 {
+				p[i], p[k-1] = p[k-1], p[i]
+			} else {
+				p[0], p[k-1] = p[k-1], p[0]
+			}
+		}
+	}
+	rec(n)
+}
+
+// TestScorerIsOrderFree: within a demand set nothing the Scorer computes
+// depends on the order or the names the apps arrive with. Every
+// permutation and renaming of a seeded mix, solved on a Scorer of its
+// own, gives the same total to the bit, the same key digest and the
+// same per-slot counts. And a marginal's with-app search scores the
+// same number of leaves whether the solve of the machine without the
+// app was run for it or found in the memo under another arrival order —
+// the warm-start hint describes slots, not the filler's rows.
+func TestScorerIsOrderFree(t *testing.T) {
+	for _, m := range []*machine.Machine{machine.PaperModel(), machine.SkylakeQuad(), machine.KNLSNC4()} {
+		for seed := int64(0); seed < 6; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			n := 2 + r.Intn(3)
+			specs := randomSpecs(r, m, n, seed%3 == 2)
+			newcomer := mustRoofline(t, randomSpecs(r, m, 1, false)[0])
+			label := fmt.Sprintf("%s/seed=%d/n=%d", m.Name, seed, n)
+			demand := make([]roofline.App, n)
+			for i, s := range specs {
+				demand[i] = mustRoofline(t, s)
+			}
+
+			var leaves atomic.Int64
+			counting := func() *Scorer {
+				sc := NewScorer()
+				sc.Objective = leafCountingSpec{roofline.ObjTotalGFLOPS, &leaves}
+				return sc
+			}
+			// The reference: the set as generated, its without-app solve run
+			// for the marginal itself.
+			ref := counting()
+			var s scoreScratch
+			want, err := ref.solveDemand(m, demand, nil, &s)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			leaves.Store(0)
+			_, wantWith, err := ref.marginal(m, demand, newcomer, &s)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			wantLeaves := leaves.Load()
+
+			permuted := make([]roofline.App, n)
+			permutations(n, func(p []int) {
+				for i, j := range p {
+					permuted[i] = demand[j]
+					permuted[i].Name = fmt.Sprintf("renamed-%d", i)
+				}
+				sc := counting()
+				got, err := sc.solveDemand(m, permuted, nil, &s)
+				if err != nil {
+					t.Fatalf("%s: order %v: %v", label, p, err)
+				}
+				if got.total != want.total || !reflect.DeepEqual(got.solved, want.solved) {
+					t.Errorf("%s: order %v solved total %v %+v, generated order %v %+v",
+						label, p, got.total, got.solved, want.total, want.solved)
+				}
+				// The memo now holds the without-app solve as this order filled
+				// it; the marginal of the generated order hits it.
+				leaves.Store(0)
+				_, gotWith, err := sc.marginal(m, demand, newcomer, &s)
+				if err != nil {
+					t.Fatalf("%s: order %v: %v", label, p, err)
+				}
+				if hits, misses := sc.CacheStats(); hits != 1 || misses != 2 {
+					t.Fatalf("%s: order %v: %d hits, %d misses, want the permuted set hit and the with-app set solved", label, p, hits, misses)
+				}
+				if gotWith.total != wantWith.total || !reflect.DeepEqual(gotWith.solved, wantWith.solved) {
+					t.Errorf("%s: with-app solve after order %v: %v %+v, want %v %+v",
+						label, p, gotWith.total, gotWith.solved, wantWith.total, wantWith.solved)
+				}
+				if got := leaves.Load(); got != wantLeaves {
+					t.Errorf("%s: with-app search scored %d leaves after a hit filled in order %v, %d after its own solve",
+						label, got, p, wantLeaves)
+				}
+			})
+		}
 	}
 }

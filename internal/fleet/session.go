@@ -32,9 +32,11 @@ type candidate struct {
 	// failure domain and its per-cooperating-group app counts (group =
 	// app name with the trailing "-<n>" replica suffix stripped). nil
 	// groups means spread is off and the candidate carries zero extra
-	// state.
-	domain string
-	groups map[string]int
+	// state. groupsBuf is the map itself, kept with the pooled candidate
+	// between sessions.
+	domain    string
+	groups    map[string]int
+	groupsBuf map[string]int
 
 	// keyBuf holds the candidate's equivalence-class key (topology hash
 	// + sorted demand segments), built lazily into a reused backing
@@ -64,7 +66,8 @@ func groupOf(name string) string {
 // the candidate until the next commit changes the demand set.
 func (c *candidate) classKey(sc *Scorer, s *scoreScratch) []byte {
 	if len(c.keyBuf) == 0 {
-		c.keyBuf = append(c.keyBuf, sc.demandKey(&s.key, c.topo, c.demand)...)
+		key, _ := sc.demandKey(&s.key, c.topo, c.demand)
+		c.keyBuf = append(c.keyBuf, key...)
 	}
 	return c.keyBuf
 }
@@ -152,7 +155,11 @@ func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*cand
 			if c.domain == "" {
 				c.domain = m.ID // every machine its own domain by default
 			}
-			c.groups = map[string]int{}
+			if c.groupsBuf == nil {
+				c.groupsBuf = map[string]int{}
+			}
+			clear(c.groupsBuf)
+			c.groups = c.groupsBuf
 		}
 		if withDemand {
 			for _, a := range m.Apps {
@@ -323,12 +330,13 @@ func (s *session) exhausted() bool {
 }
 
 // move is the ledger's one entry point: it records the relocation of a
-// registered app, commits it to its destination candidate so later
-// decisions see it, and debits the budget.
-func (s *session) move(app *PlacedApp, from, reason string, to *candidate, score float64) {
+// registered app to the candidate decision d chose (the zero Decision
+// for a target no decision scored), commits it there so later decisions
+// see it, and debits the budget.
+func (s *session) move(app *PlacedApp, from, reason string, to *candidate, d *Decision) {
 	spec := app.EffectiveSpec()
 	s.moves = append(s.moves, Move{
-		AppID: app.ID, App: spec, From: from, To: to.id, Reason: reason, Score: score,
+		AppID: app.ID, App: spec, From: from, To: to.id, Reason: reason, Score: d.Score, solved: d.solved,
 	})
 	to.commit(spec, "")
 	s.budget--
@@ -421,7 +429,7 @@ func (s *session) evict(c *candidate, rank, need int) []Move {
 			continue
 		}
 		c.remove(slices.Index(c.ids, v.app.ID), spec)
-		s.move(v.app, c.id, ReasonPreempt, dst, d.Score)
+		s.move(v.app, c.id, ReasonPreempt, dst, d)
 	}
 	return s.moves[planned:]
 }

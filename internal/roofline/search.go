@@ -1,7 +1,6 @@
 package roofline
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -272,10 +271,12 @@ type branchResult struct {
 // than cores).
 //
 // prev warm-starts the search from a previous optimum: the counts
-// vector of a related solve — the same apps (len(prev) == len(apps)),
-// or the demand set minus its last app (len(prev) == len(apps)-1, the
-// +1-app neighbour the fleet scorer hits on every placement decision).
-// Seed candidates derived from prev are evaluated up front and their
+// vector of a related solve, one entry per app of this one — the same
+// apps, or the demand set minus one app, whose entry is negative (the
+// gap; the +1-app neighbour the fleet scorer hits on every placement
+// decision, where key order puts the newcomer anywhere). A prev one
+// entry short is the same with the gap at the last app. Seed
+// candidates derived from prev are evaluated up front and their
 // true objective values raise the branch-and-bound incumbent before the
 // search starts, so when the new optimum is near the old one most
 // subtrees prune immediately.
@@ -286,9 +287,9 @@ type branchResult struct {
 // (boundSlack) already keeps equal-scoring subtrees alive. Counts,
 // allocation, and Result are bit-identical to the cold solve —
 // warmstart_test.go and the FuzzEvaluatorEquivalence corpus prove it
-// differentially. A prev of any other length, or one infeasible under
-// the requested floor, is ignored (the solve degrades to cold, never
-// errors).
+// differentially. A prev of any other length, with a second negative
+// entry, or infeasible under the requested floor, is ignored (the solve
+// degrades to cold, never errors).
 func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, Allocation, *Result, error) {
 	obj := spec.Objective(apps)
 	if floor < 0 {
@@ -401,76 +402,82 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	return bestCounts, al, res, nil
 }
 
+// SolveFloor is the floor Solve searches under for nApps apps on m: the
+// no-starvation floor of one thread per app per node while that fits
+// the smallest node, zero once there are more apps than it has cores.
+func SolveFloor(m *machine.Machine, nApps int) int {
+	if nApps > minCores(m) {
+		return 0
+	}
+	return 1
+}
+
 // Solve is the one question both daemons ask of a demand set: the
 // optimum under the no-starvation floor of one thread per app per node
 // (the paper's Table I optimum), or — when those floors alone
 // over-subscribe a node, i.e. more apps than the smallest node has
 // cores — the unfloored optimum. floor reports which of the two was
-// solved; prev warm-starts either exactly as in
+// solved (SolveFloor); prev warm-starts it exactly as in
 // BestPerNodeCountsFloorSpec.
 func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App) (counts []int, al Allocation, res *Result, floor int, err error) {
-	counts, al, res, err = s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, 1)
-	if !errors.Is(err, ErrNoAllocation) {
-		return counts, al, res, 1, err
-	}
-	counts, al, res, err = s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, 0)
-	return counts, al, res, 0, err
+	floor = SolveFloor(m, len(apps))
+	counts, al, res, err = s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, floor)
+	return counts, al, res, floor, err
 }
 
 // seedIncumbent evaluates the warm-start candidates derived from prev
 // (see BestPerNodeCountsFloorSpec) and raises the shared incumbent to
-// the best of their true objective values. Full-length hints are
-// evaluated as-is; one-short hints are extended over every feasible
-// count for the missing last app (at most capCores leaf evaluations).
+// the best of their true objective values. A hint without a gap is
+// evaluated as-is; a hint with one is extended over every feasible
+// count for the app in the gap (at most capCores leaf evaluations).
 // Infeasible hints are silently skipped — seeding is purely an
 // acceleration.
 func (s *Search) seedIncumbent(ctx *bnbCtx, prev []int, capCores int) {
 	nApps, floor := ctx.nApps, ctx.floor
-	extend := false
-	switch len(prev) {
-	case nApps:
-	case nApps - 1:
-		extend = true
-	default:
+	if len(prev) != nApps && len(prev) != nApps-1 {
 		return // not a ±1 neighbour's counts; nothing usable
 	}
-	used := 0
-	for _, c := range prev {
-		if c < floor {
-			return // infeasible under this floor (e.g. a floor-0 optimum's zero)
+	w := s.worker(ctx)
+	defer s.release(w)
+	w.counts[nApps-1] = -1 // a one-short hint's gap is the last app
+	copy(w.counts, prev)
+	gap, used := -1, 0
+	for i, c := range w.counts {
+		switch {
+		case c < 0 && gap < 0:
+			gap = i
+		case c < floor:
+			return // infeasible under this floor (e.g. a floor-0 optimum's zero), or a second negative
+		default:
+			used += c
 		}
-		used += c
 	}
 	if used > capCores {
 		return
 	}
-	w := s.worker(ctx)
-	defer s.release(w)
-	copy(w.counts, prev)
-	if !extend {
+	if gap < 0 {
 		ctx.raiseBest(w.score())
 		return
 	}
 	// When the previous optimum saturates the node (the common case when
 	// an app arrives on a packed machine), free room for the newcomer by
 	// shaving the widest rows — still a plausible near-optimal shape, and
-	// seeds are re-evaluated anyway.
-	shrunk := w.counts[:nApps-1]
+	// seeds are re-evaluated anyway. The gap's -1 is never the widest.
 	for used+floor > capCores {
 		widest := -1
-		for i, c := range shrunk {
-			if c > floor && (widest < 0 || c > shrunk[widest]) {
+		for i, c := range w.counts {
+			if c > floor && (widest < 0 || c > w.counts[widest]) {
 				widest = i
 			}
 		}
 		if widest < 0 {
 			return // every row already at floor; no room at all
 		}
-		shrunk[widest]--
+		w.counts[widest]--
 		used--
 	}
 	for c := floor; c <= capCores-used; c++ {
-		w.counts[nApps-1] = c
+		w.counts[gap] = c
 		ctx.raiseBest(w.score())
 	}
 }

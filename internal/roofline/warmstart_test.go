@@ -3,6 +3,7 @@ package roofline
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -85,6 +86,62 @@ func TestWarmStartBitIdenticalPaperFixtures(t *testing.T) {
 					&s, c.m, with, ObjTotalGFLOPS, floor, prev)
 			}
 		}
+	}
+}
+
+// TestWarmStartGapAtEveryIndex: a newcomer may land anywhere in the
+// search order (the daemons solve in key order, not arrival order), and
+// the hint says where with a negative entry. Wherever the gap is the
+// result is bit-identical to cold — and the hint is honoured, not
+// ignored: the search scores no more leaves than cold plus its seeds,
+// on some fixture strictly fewer, and a gap at the end costs exactly
+// what the one-short form of the same hint does.
+func TestWarmStartGapAtEveryIndex(t *testing.T) {
+	newcomers := []App{
+		{Name: "newcomer-mem", AI: 0.5},
+		{Name: "newcomer-comp", AI: 10},
+		{Name: "newcomer-bad", AI: 0.25, Placement: NUMABad, HomeNode: 0},
+	}
+	pruned := false
+	for _, c := range paperFixtures() {
+		for _, floor := range []int{0, 1} {
+			s, _ := watchedSearch()
+			prev, _, _, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, c.m, c.apps, floor)
+			if err != nil {
+				t.Fatalf("%s/floor=%d: cold solve: %v", c.name, floor, err)
+			}
+			for _, nc := range newcomers {
+				for gap := 0; gap <= len(c.apps); gap++ {
+					label := fmt.Sprintf("%s/floor=%d/add=%s/gap=%d", c.name, floor, nc.Name, gap)
+					with := slices.Insert(slices.Clone(c.apps), gap, nc)
+					hint := slices.Insert(slices.Clone(prev), gap, -1)
+					checkWarmMatchesCold(t, label, s, c.m, with, ObjTotalGFLOPS, floor, hint)
+
+					leaves := 0
+					watch := leafWatchSpec{ObjTotalGFLOPS, func() { leaves++ }}
+					s.BestPerNodeCountsFloorSpec(watch, nil, c.m, with, floor)
+					cold := leaves
+					leaves = 0
+					s.BestPerNodeCountsFloorSpec(watch, hint, c.m, with, floor)
+					if leaves > cold+minCores(c.m)+1 {
+						t.Errorf("%s: hinted search scored %d leaves, cold %d", label, leaves, cold)
+					}
+					pruned = pruned || leaves < cold
+					if gap == len(c.apps) {
+						// The one-short form is the same hint.
+						warm := leaves
+						leaves = 0
+						s.BestPerNodeCountsFloorSpec(watch, prev, c.m, with, floor)
+						if leaves != warm {
+							t.Errorf("%s: one-short hint scored %d leaves, the explicit gap %d", label, leaves, warm)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !pruned {
+		t.Error("no gap hint on any fixture saved a single leaf: the gap is being ignored")
 	}
 }
 

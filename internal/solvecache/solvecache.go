@@ -34,14 +34,16 @@ const SegBytes = 25
 // the map is simply dropped (hashes recompute in microseconds).
 const maxTopoEntries = 8192
 
+// FNV-64a parameters.
+const (
+	offset64 = 0xcbf29ce484222325
+	prime64  = 0x100000001b3
+)
+
 // TopologyHash fingerprints a machine for cache keying; two machines
 // with identical topologies (name, nodes, links) share solutions. The
 // hash walks the fields directly (FNV-64a) so keying allocates nothing.
 func TopologyHash(m *machine.Machine) uint64 {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
 	h := uint64(offset64)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -134,11 +136,31 @@ func (k *Key) Sort(before func(i, j int) bool) (key []byte, perm []int) {
 	return k.buf, k.perm
 }
 
+// Digest is the 64-bit FNV-1a fingerprint of a finished key: what
+// fleetd ships with a solved optimum so the member can tell, against
+// its own key, whether the solve is of the demand set it now holds.
+func Digest(key []byte) uint64 {
+	h := uint64(offset64)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return h
+}
+
 // Counters are a Cache's cumulative hit/miss/coalesce counts and its
 // current size, in the form both daemons serve them.
 type Counters struct {
-	Hits   uint64 `json:"hits"`
+	Hits uint64 `json:"hits"`
+	// Misses counts fills that ran a search.
 	Misses uint64 `json:"misses"`
+	// Adopted counts fills satisfied by an offered solution instead.
+	Adopted uint64 `json:"adopted,omitempty"`
+	// Stale and Invalid count offers coopd's solver refused (and then
+	// solved for itself): made for another key, or failing validation.
+	// The Cache itself never sets them.
+	Stale   uint64 `json:"stale,omitempty"`
+	Invalid uint64 `json:"invalid,omitempty"`
 	// Coalesced counts solves that joined an identical in-flight solve
 	// (singleflight) instead of running their own.
 	Coalesced uint64 `json:"coalesced,omitempty"`
@@ -171,6 +193,7 @@ type Cache[V any] struct {
 	topo      map[*machine.Machine]uint64
 	hits      uint64
 	misses    uint64
+	adopted   uint64
 	coalesced uint64
 }
 
@@ -190,7 +213,7 @@ func New[V any](capacity int) *Cache[V] {
 func (c *Cache[V]) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Counters{Hits: c.hits, Misses: c.misses, Coalesced: c.coalesced, Entries: len(c.entries)}
+	return Counters{Hits: c.hits, Misses: c.misses, Adopted: c.adopted, Coalesced: c.coalesced, Entries: len(c.entries)}
 }
 
 // TopologyHash is TopologyHash memoized by machine pointer: callers pass
@@ -213,13 +236,15 @@ func (c *Cache[V]) TopologyHash(m *machine.Machine) uint64 {
 	return h
 }
 
-// Do returns the value cached under key, joins an in-flight solve of
-// the same key, or runs solve and caches its result. hit reports that
-// this call did not run solve itself. Errors are returned to the leader
-// and every follower but never cached: they are rare (invalid demand)
-// and re-solving keeps the memo free of negative entries. A hit
-// allocates nothing; key may be reused as soon as Do returns.
-func (c *Cache[V]) Do(key []byte, solve func() (V, error)) (val V, hit bool, err error) {
+// Do returns the value cached under key, joins an in-flight fill of the
+// same key, or fills it: from offer when that is non-nil and returns a
+// value (counted as adopted), else by running solve (counted as a
+// miss). hit reports that this call did not fill the key itself. Errors
+// are returned to the leader and every follower but never cached: they
+// are rare (invalid demand) and re-solving keeps the memo free of
+// negative entries. A hit allocates nothing; key may be reused as soon
+// as Do returns.
+func (c *Cache[V]) Do(key []byte, offer func() (V, bool), solve func() (V, error)) (val V, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[string(key)]; ok {
 		c.lru.MoveToFront(el)
@@ -229,7 +254,7 @@ func (c *Cache[V]) Do(key []byte, solve func() (V, error)) (val V, hit bool, err
 		return val, true, nil
 	}
 	if fc, ok := c.flight[string(key)]; ok {
-		// A solve for this exact key is running; wait for its result
+		// A fill of this exact key is running; wait for its result
 		// instead of duplicating the work (heartbeat storms after a
 		// restart all carry the same demand set).
 		c.coalesced++
@@ -237,15 +262,25 @@ func (c *Cache[V]) Do(key []byte, solve func() (V, error)) (val V, hit bool, err
 		<-fc.done
 		return fc.val, fc.err == nil, fc.err
 	}
-	c.misses++
 	k := string(key) // the one per-distinct-miss allocation
 	fc := &call[V]{done: make(chan struct{})}
 	c.flight[k] = fc
 	c.mu.Unlock()
 
-	fc.val, fc.err = solve()
+	adopted := false
+	if offer != nil {
+		fc.val, adopted = offer()
+	}
+	if !adopted {
+		fc.val, fc.err = solve()
+	}
 
 	c.mu.Lock()
+	if adopted {
+		c.adopted++
+	} else {
+		c.misses++
+	}
 	if fc.err == nil {
 		c.entries[k] = c.lru.PushFront(&entry[V]{key: k, val: fc.val})
 		for len(c.entries) > c.capacity {

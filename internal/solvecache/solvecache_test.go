@@ -92,16 +92,36 @@ func TestDoErrorsAreNotCached(t *testing.T) {
 	c := New[int](2)
 	boom := errors.New("boom")
 	key := []byte("k")
-	if _, hit, err := c.Do(key, func() (int, error) { return 0, boom }); hit || !errors.Is(err, boom) {
+	if _, hit, err := c.Do(key, nil, func() (int, error) { return 0, boom }); hit || !errors.Is(err, boom) {
 		t.Fatalf("failed solve: hit=%v err=%v", hit, err)
 	}
-	if v, hit, err := c.Do(key, func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
+	if v, hit, err := c.Do(key, nil, func() (int, error) { return 7, nil }); v != 7 || hit || err != nil {
 		t.Fatalf("retry: v=%d hit=%v err=%v", v, hit, err)
 	}
-	if v, hit, err := c.Do(key, func() (int, error) { t.Fatal("solved a cached key"); return 0, nil }); v != 7 || !hit || err != nil {
+	if v, hit, err := c.Do(key, nil, func() (int, error) { t.Fatal("solved a cached key"); return 0, nil }); v != 7 || !hit || err != nil {
 		t.Fatalf("cached: v=%d hit=%v err=%v", v, hit, err)
 	}
 	if got, want := c.Counters(), (Counters{Hits: 1, Misses: 2, Entries: 1}); got != want {
+		t.Errorf("counters = %+v, want %+v", got, want)
+	}
+}
+
+// TestDoAdoptsAnOffer: a fill the offer satisfies runs no solve and is
+// counted as adopted, not as a miss; an offer that declines falls
+// through to the solve, and a cached key never consults its offer.
+func TestDoAdoptsAnOffer(t *testing.T) {
+	c := New[int](4)
+	never := func() (int, error) { t.Fatal("solved an adopted key"); return 0, nil }
+	if v, hit, err := c.Do([]byte("a"), func() (int, bool) { return 3, true }, never); v != 3 || hit || err != nil {
+		t.Fatalf("adopted: v=%d hit=%v err=%v", v, hit, err)
+	}
+	if v, hit, err := c.Do([]byte("a"), func() (int, bool) { t.Fatal("offer consulted on a hit"); return 0, false }, never); v != 3 || !hit || err != nil {
+		t.Fatalf("cached: v=%d hit=%v err=%v", v, hit, err)
+	}
+	if v, hit, err := c.Do([]byte("b"), func() (int, bool) { return 9, false }, func() (int, error) { return 5, nil }); v != 5 || hit || err != nil {
+		t.Fatalf("declined: v=%d hit=%v err=%v", v, hit, err)
+	}
+	if got, want := c.Counters(), (Counters{Hits: 1, Misses: 1, Adopted: 1, Entries: 2}); got != want {
 		t.Errorf("counters = %+v, want %+v", got, want)
 	}
 }
