@@ -99,17 +99,11 @@ drift-chaos:
 fleet-sim:
 	$(GO) run ./cmd/fleetsim -out fleet-sim-verdicts.json
 
-# Race-detector smoke over a three-scenario subset: diurnal (the
-# densest steady-state churn — placer, rebalancer, and telemetry all
-# active every round), correlated_failure (the mass-death path: storm
-# triage, quarantine bookkeeping, and urgent evacuation hammering the
-# inventory concurrently with polls), and priority_inversion (the
-# preemption pass: class-ranked triage and victim planning touching
-# the priority map concurrently with polls). The full corpus under
-# -race is too slow for every push; these three cover the lock-heavy
-# paths.
+# The whole corpus again under the race detector (writes no verdicts
+# file): placer, rebalancer, telemetry, storm triage, quarantine
+# bookkeeping and the preemption pass all run concurrently with polls.
 fleet-sim-race:
-	$(GO) run -race ./cmd/fleetsim -run diurnal,correlated_failure,priority_inversion
+	$(GO) run -race ./cmd/fleetsim
 
 # 30s coverage-guided smoke over the incremental-evaluator equivalence
 # property; regressions in the fast path show up as counterexamples.

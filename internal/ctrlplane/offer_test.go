@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +106,12 @@ func TestRegisterOfferRefusals(t *testing.T) {
 		{name: "over the smallest node", req: comp, corrupt: func(s *ctrlplane.Solved) { s.Counts[3] = 6 }, want: "invalid"},
 		{name: "overflowing sum", req: comp, corrupt: func(s *ctrlplane.Solved) { s.Counts[1], s.Counts[2] = 1<<62, 1<<62 }, want: "invalid"},
 		{name: "total below even", req: comp, corrupt: func(s *ctrlplane.Solved) { s.Counts = []int{1, 1, 1, 1} }, want: "invalid"},
+		{name: "streams' rows out of order", req: comp, corrupt: func(s *ctrlplane.Solved) {
+			// (1,1,1,5) in slot order becomes (2,1,1,4): every other check
+			// passes, but the search walks only non-decreasing runs.
+			s.Counts[slices.Index(s.Counts, 5)] = 4
+			s.Counts[slices.Index(s.Counts, 1)] = 2
+		}, want: "invalid"},
 		{name: "rewritten in flight", req: comp, rewrite: []int{4, 4, 4, 4}, want: "invalid"},
 		{name: "another key's digest", req: comp, corrupt: func(s *ctrlplane.Solved) { s.Key++ }, want: "stale"},
 		{name: "capped app", req: ctrlplane.RegisterRequest{Name: "comp", AI: 10, MaxThreads: 12}, want: "stale"},

@@ -244,8 +244,9 @@ func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*
 // solved the same topology, policy, demand multiset and caps, in the
 // same slot order) and its counts must be a leaf the search itself
 // could return — one per slot, each at least the floor Solve uses,
-// together within the smallest node — that evaluates and is no worse
-// than the even baseline where that baseline is such a leaf too.
+// together within the smallest node, the roofline.Canonical row of its
+// orbit — that evaluates and is no worse than the even baseline where
+// that baseline is such a leaf too.
 // Optimality is not re-checked; that would be the search.
 func (s *Solver) adopt(m *machine.Machine, apps []AppState, order []int, key []byte, offer *Solved) (*cachedSolution, bool) {
 	if solvecache.Digest(key) != offer.Key {
@@ -295,11 +296,15 @@ func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) 
 		}
 		sum += c
 	}
+	rapps := slotApps(apps, order)
+	if !roofline.Canonical(roofline.ObjTotalGFLOPS, rapps, counts) {
+		return nil, fmt.Errorf("counts %v are not the canonical row of their interchangeable slots", counts)
+	}
 	al, err := roofline.PerNodeCounts(m, counts)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := served(m, apps, order, slotApps(apps, order), al)
+	cs, err := served(m, apps, order, rapps, al)
 	if err != nil {
 		return nil, err
 	}

@@ -236,6 +236,12 @@ func (s leafCountingSpec) Objective(apps []roofline.App) roofline.Objective {
 	}
 }
 
+// everyRowSpec withdraws a spec's symmetry declaration: the search
+// walks every row, interchangeable apps or not.
+type everyRowSpec struct{ roofline.ObjectiveSpec }
+
+func (everyRowSpec) Symmetric() bool { return false }
+
 // permutations calls visit with every ordering of 0..n-1 (Heap's
 // algorithm); the slice is reused between calls.
 func permutations(n int, visit func([]int)) {
@@ -265,17 +271,29 @@ func permutations(n int, visit func([]int)) {
 // depends on the order or the names the apps arrive with. Every
 // permutation and renaming of a seeded mix, solved on a Scorer of its
 // own, gives the same total to the bit, the same key digest and the
-// same per-slot counts. And a marginal's with-app search scores the
-// same number of leaves whether the solve of the machine without the
-// app was run for it or found in the memo under another arrival order —
-// the warm-start hint describes slots, not the filler's rows.
+// same per-slot counts, from the same number of scored leaves. And a
+// marginal's with-app search scores the same number of leaves whether
+// the solve of the machine without the app was run for it or found in
+// the memo under another arrival order — the warm-start hint describes
+// slots, not the filler's rows. A third of the seeds draw replicas (the
+// first app again, the newcomer too): the search walks one row per
+// orbit of them, fewer leaves than the walk over every row, and the
+// smaller tree is as order-free as the whole one.
 func TestScorerIsOrderFree(t *testing.T) {
 	for _, m := range []*machine.Machine{machine.PaperModel(), machine.SkylakeQuad(), machine.KNLSNC4()} {
 		for seed := int64(0); seed < 6; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			n := 2 + r.Intn(3)
 			specs := randomSpecs(r, m, n, seed%3 == 2)
-			newcomer := mustRoofline(t, randomSpecs(r, m, 1, false)[0])
+			newSpec := randomSpecs(r, m, 1, false)[0]
+			replicas := seed%3 == 1
+			if replicas {
+				for i := 1; i < n; i += 2 {
+					specs[i] = specs[0]
+				}
+				newSpec = specs[0]
+			}
+			newcomer := mustRoofline(t, newSpec)
 			label := fmt.Sprintf("%s/seed=%d/n=%d", m.Name, seed, n)
 			demand := make([]roofline.App, n)
 			for i, s := range specs {
@@ -296,7 +314,17 @@ func TestScorerIsOrderFree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			leaves.Store(0)
+			wantCold := leaves.Swap(0)
+			if replicas {
+				every := counting()
+				every.Objective = everyRowSpec{every.Objective}
+				if _, err := every.solveDemand(m, demand, nil, &s); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if all := leaves.Swap(0); wantCold >= all {
+					t.Errorf("%s: scored %d leaves, %d walking every row: the replicas' orbits are not merged", label, wantCold, all)
+				}
+			}
 			_, wantWith, err := ref.marginal(m, demand, newcomer, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -310,9 +338,13 @@ func TestScorerIsOrderFree(t *testing.T) {
 					permuted[i].Name = fmt.Sprintf("renamed-%d", i)
 				}
 				sc := counting()
+				leaves.Store(0)
 				got, err := sc.solveDemand(m, permuted, nil, &s)
 				if err != nil {
 					t.Fatalf("%s: order %v: %v", label, p, err)
+				}
+				if got := leaves.Load(); got != wantCold {
+					t.Errorf("%s: order %v scored %d leaves, generated order %d", label, p, got, wantCold)
 				}
 				if got.total != want.total || !reflect.DeepEqual(got.solved, want.solved) {
 					t.Errorf("%s: order %v solved total %v %+v, generated order %v %+v",

@@ -37,5 +37,9 @@ func FuzzEvaluatorEquivalence(f *testing.F) {
 		// shared and singleton node classes, several NUMA-bad homes,
 		// weights and zero-thread rows, against the reference model.
 		kernelRound(t, r)
+		// And symmetry breaking: demand sets made of runs of identical
+		// apps, against the naive enumeration with and without the
+		// canonical-row restriction.
+		orbitRound(t, r)
 	})
 }

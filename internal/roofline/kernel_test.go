@@ -295,7 +295,7 @@ func TestSearchRetainedMemory(t *testing.T) {
 			t.Error("an idle worker still references its last solve")
 		}
 		sc := &w.scratch
-		bytes := 8*(cap(w.counts)+cap(sc.perLink)+cap(sc.rate)+cap(sc.res.AppGFLOPS)) +
+		bytes := 8*(cap(w.ints)+cap(sc.perLink)+cap(sc.rate)+cap(sc.res.AppGFLOPS)) +
 			int(unsafe.Sizeof(localClaim{}))*cap(sc.ev.local) +
 			int(unsafe.Sizeof(remoteClaim{}))*cap(sc.ev.remote)
 		if limit := 256*maxCells + 1024; bytes > limit {

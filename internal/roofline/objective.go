@@ -26,10 +26,19 @@ type BoundFunc func(counts []int, pos, rem int) float64
 // the objective carries AppGFLOPS and TotalGFLOPS (bit-identical to
 // Evaluate's) and nil PerApp and PerNode. An objective used with Search
 // must be a function of those two fields.
+//
+// Symmetric declares that swapping the count rows of two Interchangeable
+// apps cannot change the objective beyond float summation order: the
+// objective treats the AppGFLOPS entries of such apps alike. Search then
+// enumerates one leaf per orbit of interchangeable apps (see
+// BestPerNodeCountsFloorSpec). An objective that tells such apps apart —
+// WeightedAppGFLOPS{3,1,1,1} over three identical streams — must return
+// false, and a spec wrapping another must forward the wrapped answer.
 type ObjectiveSpec interface {
 	Name() string
 	Objective(apps []App) Objective
 	Bound(m *machine.Machine, apps []App) BoundFunc
+	Symmetric() bool
 }
 
 // Built-in objective specs.
@@ -72,6 +81,7 @@ func (totalGFLOPSSpec) Objective([]App) Objective { return TotalGFLOPS }
 func (totalGFLOPSSpec) Bound(m *machine.Machine, apps []App) BoundFunc {
 	return newGreedyBound(m, apps, nil).boundUniform
 }
+func (totalGFLOPSSpec) Symmetric() bool { return true }
 
 type weightedPrioritySpec struct{}
 
@@ -93,6 +103,9 @@ func (weightedPrioritySpec) Bound(m *machine.Machine, apps []App) BoundFunc {
 	return newGreedyBound(m, apps, w).bound
 }
 
+// Symmetric: the weights are App.Weight, which Interchangeable apps share.
+func (weightedPrioritySpec) Symmetric() bool { return true }
+
 // appWeight maps App.Weight to an effective weight: unset (zero) and
 // nonsensical negative weights score as 1, so demand sets that never
 // set Weight behave exactly like plain per-app GFLOPS sums.
@@ -108,9 +121,11 @@ type maxMinSpec struct{}
 func (maxMinSpec) Name() string                            { return "max-min" }
 func (maxMinSpec) Objective([]App) Objective               { return MinAppGFLOPS }
 func (maxMinSpec) Bound(*machine.Machine, []App) BoundFunc { return nil }
+func (maxMinSpec) Symmetric() bool                         { return true }
 
-// BoundFree adapts a bare Objective into a bound-free spec: Search
-// enumerates unpruned under it, which is exact for any objective.
+// BoundFree adapts a bare Objective into a bound-free spec that claims
+// no symmetry either: Search enumerates every leaf under it, which is
+// exact for any objective.
 func BoundFree(obj Objective) ObjectiveSpec { return boundFreeSpec{obj} }
 
 type boundFreeSpec struct{ obj Objective }
@@ -118,6 +133,7 @@ type boundFreeSpec struct{ obj Objective }
 func (boundFreeSpec) Name() string                            { return "custom" }
 func (s boundFreeSpec) Objective([]App) Objective             { return s.obj }
 func (boundFreeSpec) Bound(*machine.Machine, []App) BoundFunc { return nil }
+func (boundFreeSpec) Symmetric() bool                         { return false }
 
 // greedyBound is the admissible upper bound shared by the total-GFLOPS
 // and weighted-priority objectives (see DESIGN.md): every thread

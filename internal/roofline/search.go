@@ -15,8 +15,8 @@ import (
 // free list of per-worker scratch. The zero value is ready to use, and
 // one Search can be shared by concurrent solves (the control-plane
 // solver holds one for its whole lifetime). What it retains is bounded:
-// at most freelist's idle cap of scratches, each O(apps × nodes) of the
-// largest solve it served.
+// at most freelist's idle cap of scratches, each O(apps × nodes + cores)
+// of the largest solve it served.
 type Search struct {
 	// Parallelism caps the worker goroutines fanned out over the
 	// top-level enumeration branches; 0 means GOMAXPROCS.
@@ -156,8 +156,12 @@ const seqLeafThreshold = 4096
 type bnbCtx struct {
 	nApps  int
 	floor  int
+	cores  int // the smallest node's: the per-node budget of a row
 	kernel *leafKernel
 	obj    Objective
+	// symmetric is the spec's declaration (ObjectiveSpec.Symmetric) that
+	// rows of interchangeable apps may be enumerated once per orbit.
+	symmetric bool
 	// bound is the objective's admissible upper bound (see
 	// ObjectiveSpec); nil declares the run bound-free and the search
 	// degrades to the unpruned enumeration.
@@ -187,7 +191,13 @@ func (c *bnbCtx) raiseBest(v float64) {
 type bnbWorker struct {
 	ctx     *bnbCtx
 	scratch leafScratch
-	counts  []int
+	// ints backs the four vectors below, one allocation for all.
+	ints   []int
+	counts []int
+	// The solve's run table (linkRuns): the rows of a run of
+	// interchangeable apps are enumerated non-decreasing.
+	prevSame, runLeft []int
+	ways              []int // estimateLeaves scratch, cores+1 entries
 
 	branchBest   float64
 	branchCounts []int
@@ -198,7 +208,10 @@ func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
 	w := s.pool.Get()
 	w.ctx = ctx
 	w.scratch.fit(ctx.kernel)
-	w.counts = slices.Grow(w.counts[:0], ctx.nApps)[:ctx.nApps]
+	n := ctx.nApps
+	w.ints = slices.Grow(w.ints[:0], 3*n+ctx.cores+1)[:3*n+ctx.cores+1]
+	w.counts, w.prevSame, w.runLeft, w.ways = w.ints[:n], w.ints[n:2*n], w.ints[2*n:3*n], w.ints[3*n:]
+	linkRuns(ctx.symmetric, ctx.kernel.md.apps, w.prevSame, w.runLeft)
 	return w
 }
 
@@ -216,6 +229,22 @@ func (s *Search) release(w *bnbWorker) {
 // (TestSearchLeavesAreValidAllocations pins this).
 func (w *bnbWorker) score() float64 {
 	return w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts))
+}
+
+// span is the range of counts the enumeration tries for app pos with
+// remaining cores per node left for apps pos..n-1: from the floor — or,
+// rows being non-decreasing along a run, from the count of the run's
+// previous app — up to an equal share of remaining among the run's apps
+// still to place. An app that is a run of one gets floor..remaining.
+func (w *bnbWorker) span(pos, remaining int) (lo, hi int) {
+	lo, hi = w.ctx.floor, remaining
+	if q := w.prevSame[pos]; q >= 0 {
+		lo = w.counts[q]
+	}
+	if left := w.runLeft[pos]; left > 1 {
+		hi = remaining / left
+	}
+	return lo, hi
 }
 
 func (w *bnbWorker) rec(pos, remaining int) {
@@ -244,7 +273,8 @@ func (w *bnbWorker) rec(pos, remaining int) {
 			return
 		}
 	}
-	for cnt := c.floor; cnt <= remaining; cnt++ {
+	lo, hi := w.span(pos, remaining)
+	for cnt := lo; cnt <= hi; cnt++ {
 		w.counts[pos] = cnt
 		w.rec(pos+1, remaining-cnt)
 	}
@@ -260,15 +290,32 @@ type branchResult struct {
 
 // BestPerNodeCountsFloorSpec is the search core: over uniform per-node
 // allocations (every app gets counts[i] threads on every node, each app
-// at least floor) it returns the one maximizing spec's objective —
-// counts, allocation, and Result identical to the exhaustive reference
-// EnumeratePerNodeCountsFloor (search_test.go proves it differentially)
-// — using the leafKernel, goroutine fan-out of the top-level branches
-// and, when spec supplies an admissible bound, a branch-and-bound prune.
-// Without a bound the search degrades to the exhaustive enumeration over
-// the kernel, which is exact for any objective. It returns
-// ErrNoAllocation when the floors alone over-subscribe a node (more apps
-// than cores).
+// at least floor) it returns the one maximizing spec's objective, using
+// the leafKernel, goroutine fan-out of the top-level branches and, when
+// spec supplies an admissible bound, a branch-and-bound prune. Without a
+// bound every leaf is scored, which is exact for any objective. It
+// returns ErrNoAllocation when the floors alone over-subscribe a node
+// (more apps than cores).
+//
+// The enumeration walks one row per orbit of Interchangeable apps. When
+// spec is Symmetric, the rows of a run of such apps (wherever its
+// members sit in apps) are enumerated non-decreasing in app order — the
+// Canonical rows; every other row is a canonical one with some runs
+// permuted and scores the same but for the order of a float sum. The
+// canonical row is its orbit's first in enumeration order, so:
+//
+//	(a) counts, allocation and Result are bit-identical to the
+//	    exhaustive reference enumeration restricted to Canonical rows,
+//	    first strict improvement winning;
+//	(b) they are bit-identical to the unrestricted reference
+//	    (EnumeratePerNodeCountsFloor) whenever its optimum is a canonical
+//	    row — always, on the paper's fixtures; a permuted row can come
+//	    first there only by winning on summation order, and then the two
+//	    objective values agree to 1e-9 relative;
+//	(c) under a spec that is not Symmetric, or with no two
+//	    interchangeable apps, the walk is the unrestricted one.
+//
+// search_test.go and orbit_test.go prove all three differentially.
 //
 // prev warm-starts the search from a previous optimum: the counts
 // vector of a related solve, one entry per app of this one — the same
@@ -306,12 +353,6 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 		return nil, al, res, nil
 	}
 
-	capCores := minCores(m)
-	nBranches := capCores - floor + 1
-	if nBranches <= 0 {
-		return nil, Allocation{}, nil, ErrNoAllocation
-	}
-
 	md, err := newNodeModel(m, apps, Options{})
 	if err != nil {
 		// Invalid (machine, apps) inputs: the reference enumeration skips
@@ -319,34 +360,37 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 		return nil, Allocation{}, nil, ErrNoAllocation
 	}
 	ctx := &bnbCtx{
-		nApps:  nApps,
-		floor:  floor,
-		kernel: newLeafKernel(md),
-		obj:    obj,
-		bound:  spec.Bound(m, apps),
+		nApps:     nApps,
+		floor:     floor,
+		cores:     minCores(m),
+		kernel:    newLeafKernel(md),
+		obj:       obj,
+		symmetric: spec.Symmetric(),
+		bound:     spec.Bound(m, apps),
 	}
 	ctx.prune = ctx.bound != nil
 	ctx.best.Store(math.Float64bits(math.Inf(-1)))
 
+	// The calling goroutine's worker seeds the incumbent and sizes the
+	// tree before it searches beside the others.
+	w0 := s.worker(ctx)
 	if ctx.prune && len(prev) > 0 {
-		s.seedIncumbent(ctx, prev, capCores)
+		w0.seedIncumbent(prev)
 	}
+	first, last := w0.span(0, ctx.cores)
+	nBranches := max(last-first+1, 0)
 
 	workers := s.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nBranches {
-		workers = nBranches
-	}
-	if estimateLeaves(capCores-floor*nApps, nApps) <= seqLeafThreshold {
+	if workers > 1 && estimateLeaves(ctx.cores-floor*nApps, w0.runLeft, w0.ways) <= seqLeafThreshold {
 		workers = 1
 	}
 
 	results := make([]branchResult, nBranches)
 	branchCounts := make([]int, nBranches*nApps)
-	runWorker := func() {
-		w := s.worker(ctx)
+	search := func(w *bnbWorker) {
 		defer s.release(w)
 		for {
 			b := int(ctx.next.Add(1)) - 1
@@ -355,24 +399,25 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 			}
 			// The branch's best counts land in its own window of the table.
 			w.branchBest, w.branchCounts = -1.0, branchCounts[b*nApps:b*nApps]
-			w.counts[0] = floor + b
-			w.rec(1, capCores-(floor+b))
+			w.counts[0] = first + b
+			w.rec(1, ctx.cores-(first+b))
 			if w.branchBest > -1.0 {
 				results[b] = branchResult{score: w.branchBest, counts: w.branchCounts}
 			}
 		}
 	}
-	if workers <= 1 {
-		runWorker()
+	if workers = min(workers, nBranches); workers <= 1 {
+		search(w0)
 	} else {
 		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
+		for wi := 1; wi < workers; wi++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runWorker()
+				search(s.worker(ctx))
 			}()
 		}
+		search(w0)
 		wg.Wait()
 	}
 
@@ -432,13 +477,12 @@ func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps 
 // count for the app in the gap (at most capCores leaf evaluations).
 // Infeasible hints are silently skipped — seeding is purely an
 // acceleration.
-func (s *Search) seedIncumbent(ctx *bnbCtx, prev []int, capCores int) {
-	nApps, floor := ctx.nApps, ctx.floor
+func (w *bnbWorker) seedIncumbent(prev []int) {
+	ctx := w.ctx
+	nApps, floor, capCores := ctx.nApps, ctx.floor, ctx.cores
 	if len(prev) != nApps && len(prev) != nApps-1 {
 		return // not a ±1 neighbour's counts; nothing usable
 	}
-	w := s.worker(ctx)
-	defer s.release(w)
 	w.counts[nApps-1] = -1 // a one-short hint's gap is the last app
 	copy(w.counts, prev)
 	gap, used := -1, 0
@@ -482,19 +526,30 @@ func (s *Search) seedIncumbent(ctx *bnbCtx, prev []int, capCores int) {
 	}
 }
 
-// estimateLeaves returns the number of candidates: compositions of at
-// most budget extra cores over n apps, C(budget+n, n), saturating well
-// above the sequential threshold.
-func estimateLeaves(budget, n int) int64 {
+// estimateLeaves returns the number of leaves the enumeration visits:
+// rows with at most budget cores over the floors in total,
+// non-decreasing along every run of the table runLeft is of. A run of k
+// apps contributes the partitions of its extra cores into at most k
+// parts, generating function Π_{j=1..k} 1/(1-x^j), and its members'
+// runLeft values are exactly 1..k; one more factor 1/(1-x) sums the
+// coefficients up to budget. ways is scratch of budget+1 entries or
+// more. Exact (orbit_test.go) until it saturates, far above the
+// sequential threshold.
+func estimateLeaves(budget int, runLeft, ways []int) int {
 	if budget < 0 {
 		return 0
 	}
-	v := int64(1)
-	for i := 1; i <= n; i++ {
-		v = v * int64(budget+i) / int64(i)
-		if v > 1<<40 {
-			return 1 << 40
+	ways = ways[:budget+1]
+	clear(ways)
+	ways[0] = 1
+	times := func(j int) { // multiply by 1/(1-x^j)
+		for s := j; s <= budget; s++ {
+			ways[s] = min(ways[s]+ways[s-j], 1<<30)
 		}
 	}
-	return v
+	for _, j := range runLeft {
+		times(j)
+	}
+	times(1)
+	return ways[budget]
 }

@@ -199,9 +199,9 @@ func floorSearchRound(t *testing.T, r *rand.Rand) {
 }
 
 // TestSearchParallelDeterministic forces the parallel fan-out path
-// (C(16,8) = 12870 leaves, over the sequential threshold) and checks it
-// is (a) equal to the naive scan and (b) stable across repeated runs
-// and worker counts.
+// (C(16,8) = 12870 rows, 8518 of them canonical for the s0/s1 pair: over
+// the sequential threshold) and checks it is (a) equal to the naive scan
+// and (b) stable across repeated runs and worker counts.
 func TestSearchParallelDeterministic(t *testing.T) {
 	m := machine.Uniform("wide", 4, 16, 10, 32, 0)
 	apps := []App{
@@ -210,7 +210,7 @@ func TestSearchParallelDeterministic(t *testing.T) {
 		{Name: "m0", AI: 1}, {Name: "m1", AI: 2},
 		{Name: "b0", AI: 0.0625, Placement: NUMABad, HomeNode: 0},
 	}
-	if got := estimateLeaves(16-8, len(apps)); got <= seqLeafThreshold {
+	if got := leafEstimate(ObjTotalGFLOPS, apps, 16-8); got <= seqLeafThreshold {
 		t.Fatalf("fixture too small to force the parallel path: %d leaves", got)
 	}
 	wantCounts, wantRes, err := naiveBestPerNodeCountsFloor(m, apps, TotalGFLOPS, 1)
