@@ -31,11 +31,12 @@ bench:
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 
 # Placement-throughput benchmarks (decisions/sec against 100- and
-# 1000-machine fleet snapshots), written to BENCH_fleet.json so CI
+# 1000-machine fleet snapshots) and the inventory poll of 40 in-process
+# members, unchanged and changed, written to BENCH_fleet.json so CI
 # tracks fleet-scale scheduling latency the same way BENCH_solver.json
 # tracks the single-machine solver.
 bench-fleet:
-	$(GO) test -bench 'BenchmarkPlacement' -benchmem -run '^$$' ./internal/fleet/ \
+	$(GO) test -bench 'BenchmarkPlacement|BenchmarkInventoryPoll' -benchmem -run '^$$' ./internal/fleet/ \
 		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
 
 # Allocation gate: compare both benchmark suites against the JSON

@@ -492,7 +492,7 @@ func cmdFleetMachines(ctx context.Context, args []string) error {
 }
 
 // cmdFleetStatus prints fleetd's /metricsz: how hard the Scorer's solve
-// cache worked and what every endpoint served.
+// cache worked, how the member polls went and what every endpoint served.
 func cmdFleetStatus(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("fleet status", flag.ExitOnError)
 	server := fleetFlags(fs)
@@ -503,6 +503,7 @@ func cmdFleetStatus(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("fleetd up %.1fs\n", m.UptimeSeconds)
 	printSolveCache(m.SolveCache)
+	fmt.Printf("  member polls: %d unchanged / %d full / %d failed\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed)
 	names := make([]string, 0, len(m.Endpoints))
 	for name := range m.Endpoints {
 		names = append(names, name)

@@ -42,6 +42,7 @@
 //
 // Endpoints: POST /v1/register, POST /v1/heartbeat, POST /v1/report,
 // DELETE /v1/apps/{id}, GET /v1/apps, GET /v1/allocations,
+// GET /v1/state (the one conditional read fleetd polls with),
 // GET /v1/drift, GET /v1/machine, GET /healthz, GET /metricsz,
 // GET /tracez. See cmd/coopctl for a CLI.
 package main

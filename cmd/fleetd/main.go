@@ -16,8 +16,9 @@
 // Endpoints: POST /v1/fleet/place, POST /v1/fleet/gang,
 // GET /v1/fleet/machines, GET /v1/fleet/plan, POST /v1/fleet/drain,
 // POST+GET /v1/fleet/upgrade, GET /healthz, GET /metricsz (per-endpoint
-// request counters and the Scorer's solve-cache counters). See
-// `coopctl fleet` for the CLI.
+// request counters, the Scorer's solve-cache counters and how the member
+// polls went). Members are polled with GET /v1/state, so every -machine
+// must be a coopd that serves it. See `coopctl fleet` for the CLI.
 package main
 
 import (

@@ -264,6 +264,21 @@ func (c *Client) Allocations(ctx context.Context) (*ctrlplane.AllocationsRespons
 	return httpapi.Typed[ctrlplane.AllocationsResponse](ctx, c.do, http.MethodGet, "/v1/allocations", nil)
 }
 
+// State reads everything a fleet scheduler tracks of the machine in one
+// exchange, presenting what the caller already holds (the zero
+// StateQuery: nothing). The answer is Unchanged, and nothing else, when
+// the presented incarnation and generation are both still current.
+func (c *Client) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
+	path := "/v1/state"
+	if held.Incarnation != "" {
+		path += "?incarnation=" + url.QueryEscape(held.Incarnation)
+		if held.Conditional {
+			path += "&generation=" + strconv.FormatUint(held.Generation, 10)
+		}
+	}
+	return httpapi.Typed[ctrlplane.StateResponse](ctx, c.do, http.MethodGet, path, nil)
+}
+
 // Machine reads the server's topology (for local fallback solves).
 func (c *Client) Machine(ctx context.Context) (*ctrlplane.MachineResponse, error) {
 	return httpapi.Typed[ctrlplane.MachineResponse](ctx, c.do, http.MethodGet, "/v1/machine", nil)

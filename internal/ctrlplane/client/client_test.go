@@ -272,3 +272,41 @@ func TestUnknownAppSentinel(t *testing.T) {
 func asAPIError(err error, target **APIError) bool {
 	return errors.As(err, target)
 }
+
+// TestStateQueryOnTheWire: State presents what the caller holds as the
+// query GET /v1/state documents — nothing on first contact, the
+// incarnation alone while the caller's copy is not exact, both
+// otherwise — and a coopd without the route is an error, not a
+// fallback.
+func TestStateQueryOnTheWire(t *testing.T) {
+	var got string
+	c, _ := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
+		got = r.Method + " " + r.URL.RequestURI()
+		if r.URL.Query().Get("incarnation") == "old daemon" {
+			http.NotFound(w, r)
+			return
+		}
+		json.NewEncoder(w).Encode(ctrlplane.StateResponse{Incarnation: "1f", Generation: 7, Unchanged: true})
+	}, Config{MaxAttempts: 1})
+	for _, tc := range []struct {
+		held ctrlplane.StateQuery
+		want string
+	}{
+		{ctrlplane.StateQuery{}, "GET /v1/state"},
+		{ctrlplane.StateQuery{Generation: 7, Conditional: true}, "GET /v1/state"},
+		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 7}, "GET /v1/state?incarnation=1f"},
+		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 7, Conditional: true}, "GET /v1/state?incarnation=1f&generation=7"},
+		{ctrlplane.StateQuery{Incarnation: "a&generation=7", Conditional: true}, "GET /v1/state?incarnation=a%26generation%3D7&generation=0"},
+	} {
+		st, err := c.State(context.Background(), tc.held)
+		if err != nil || !st.Unchanged || st.Generation != 7 {
+			t.Fatalf("%+v: %+v, %v", tc.held, st, err)
+		}
+		if got != tc.want {
+			t.Errorf("%+v went out as %q, want %q", tc.held, got, tc.want)
+		}
+	}
+	if _, err := c.State(context.Background(), ctrlplane.StateQuery{Incarnation: "old daemon"}); !IsNotFound(err) {
+		t.Errorf("a coopd without /v1/state: err = %v, want its 404", err)
+	}
+}

@@ -3,7 +3,9 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -89,6 +91,13 @@ type Registry struct {
 	evictions uint64
 	epoch     uint64 // replication fencing epoch (0 standalone)
 
+	// incarnation names one life of the state above: drawn at construction
+	// and again by reset, never journaled or replicated. Generations are
+	// only comparable within one incarnation — a restart counts them from
+	// 0 again and a snapshot install jumps them anywhere — so a reader
+	// that caches by generation presents both (see Version).
+	incarnation string
+
 	defaultTTL   time.Duration
 	clock        func() time.Time
 	store        *persist.Store
@@ -112,11 +121,15 @@ func NewRegistry(defaultTTL time.Duration, clock func() time.Time) *Registry {
 		clock = time.Now
 	}
 	return &Registry{
-		apps:       map[string]*AppState{},
-		defaultTTL: defaultTTL,
-		clock:      clock,
+		apps:        map[string]*AppState{},
+		incarnation: newIncarnation(),
+		defaultTTL:  defaultTTL,
+		clock:       clock,
 	}
 }
+
+// newIncarnation draws an opaque id no other registry life shares.
+func newIncarnation() string { return strconv.FormatUint(rand.Uint64(), 16) }
 
 // journalPolicy is the durability contract, one row per op. sync ops
 // are fsynced before commit returns (persist.Options.WriteBehind
@@ -217,8 +230,11 @@ func (r *Registry) apply(rec persist.Record, at time.Time) {
 	r.gen = max(r.gen, rec.Gen)
 }
 
-// reset replaces the whole state with snap (the epoch never regresses).
+// reset replaces the whole state with snap (the epoch never regresses)
+// under a fresh incarnation: whatever a reader cached of the old state,
+// the new one may reach the same generation with other apps.
 func (r *Registry) reset(snap persist.Snapshot) {
+	r.incarnation = newIncarnation()
 	r.apps = make(map[string]*AppState, len(snap.Apps))
 	for _, rec := range snap.Apps {
 		a := recordToState(rec)
@@ -463,6 +479,13 @@ func (r *Registry) Snapshot() ([]AppState, uint64) {
 // sort: no allocation, and the map iteration feeds it near-random order
 // of a small set.
 func (r *Registry) SnapshotInto(buf []AppState) ([]AppState, uint64) {
+	out, _, gen := r.VersionedSnapshotInto(buf)
+	return out, gen
+}
+
+// VersionedSnapshotInto is SnapshotInto that also returns the
+// incarnation the snapshot was taken in, all three under one lock.
+func (r *Registry) VersionedSnapshotInto(buf []AppState) (apps []AppState, incarnation string, gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := buf
@@ -474,7 +497,18 @@ func (r *Registry) SnapshotInto(buf []AppState) ([]AppState, uint64) {
 			out[b], out[b-1] = out[b-1], out[b]
 		}
 	}
-	return out, r.gen
+	return out, r.incarnation, r.gen
+}
+
+// Version returns the registry's incarnation and generation. The live
+// set and every fitted model are a function of the pair: while a reader
+// is handed back the pair it holds, what it read under it still stands
+// (heartbeat counters and timestamps excepted, they move without a
+// generation).
+func (r *Registry) Version() (incarnation string, gen uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.incarnation, r.gen
 }
 
 // Len returns the number of live applications.

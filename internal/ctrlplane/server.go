@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +138,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.handle("GET /v1/apps", "apps", s.handleApps)
 	s.handle("GET /v1/drift", "drift", s.handleDrift)
 	s.handle("GET /v1/allocations", "allocations", s.handleAllocations)
+	s.handle("GET /v1/state", "state", s.handleState)
 	s.handle("GET /v1/machine", "machine", s.handleMachine)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
 	s.handle("GET /metricsz", "metricsz", s.handleMetricsz)
@@ -323,10 +325,15 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	s.sweep()
 	apps, gen := s.reg.Snapshot()
-	now := s.cfg.Clock()
-	resp := AppsResponse{Generation: gen, Apps: make([]AppView, len(apps))}
-	for i, a := range apps {
-		resp.Apps[i] = AppView{
+	httpapi.WriteJSON(w, http.StatusOK, AppsResponse{Generation: gen, Apps: appViews(apps, s.cfg.Clock())})
+}
+
+// appViews renders registry records as the wire's AppView list.
+func appViews(apps []AppState, now time.Time) []AppView {
+	views := make([]AppView, len(apps))
+	for i := range apps {
+		a := &apps[i]
+		views[i] = AppView{
 			ID:         a.ID,
 			Name:       a.Spec.Name,
 			AI:         a.Spec.AI,
@@ -340,9 +347,40 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 			ObservedAI: a.ObservedAI(),
 		}
 		if a.Fitted != nil {
-			resp.Apps[i].FittedAI = a.Fitted.AI
-			resp.Apps[i].Drifted = true
+			views[i].FittedAI = a.Fitted.AI
+			views[i].Drifted = true
 		}
+	}
+	return views
+}
+
+// handleState serves everything a fleet scheduler tracks of this
+// machine from one registry snapshot — or, to a caller whose StateQuery
+// is still current once overdue apps are evicted, just says so: no
+// snapshot, no solver lookup, no table. Anything else in the query
+// (absent, unparsable, another incarnation's) gets the full answer.
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
+	s.sweep()
+	q := r.URL.Query()
+	held := q.Get("incarnation")
+	if inc, gen := s.reg.Version(); held == inc {
+		if g, err := strconv.ParseUint(q.Get("generation"), 10, 64); err == nil && g == gen {
+			httpapi.WriteJSON(w, http.StatusOK, StateResponse{Incarnation: inc, Generation: gen, Unchanged: true})
+			return
+		}
+	}
+	sc := s.serve.Get()
+	defer s.serve.Put(sc)
+	var resp StateResponse
+	sc.apps, resp.Incarnation, resp.Generation = s.reg.VersionedSnapshotInto(sc.apps[:0])
+	if err := s.solver.SolveInto(&sc.sol, s.cfg.Machine, sc.apps); err != nil {
+		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
+		return
+	}
+	resp.Apps = appViews(sc.apps, s.cfg.Clock())
+	resp.TotalGFLOPS = sc.sol.TotalGFLOPS
+	if held != resp.Incarnation {
+		resp.Machine = s.cfg.Machine
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,0 +1,290 @@
+package ctrlplane_test
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/ctrlplane"
+	"repro/internal/ctrlplane/client"
+	"repro/internal/ctrlplane/persist"
+	"repro/internal/machine"
+)
+
+// stateServer is a coopd on a hand-moved clock whose janitor never
+// runs, so only the lazy sweep of a read evicts anything.
+type stateServer struct {
+	srv *ctrlplane.Server
+	cli *client.Client
+	hs  *httptest.Server
+	now *time.Time
+}
+
+func newStateServer(t *testing.T, store *persist.Store) *stateServer {
+	t.Helper()
+	now := time.Unix(1_700_000_000, 0)
+	srv, err := ctrlplane.NewServer(ctrlplane.ServerConfig{
+		Machine:    machine.PaperModel(),
+		DefaultTTL: time.Hour,
+		Clock:      func() time.Time { return now },
+		Store:      store,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	return &stateServer{srv: srv, cli: client.New(hs.URL, client.Config{MaxAttempts: 1}), hs: hs, now: &now}
+}
+
+// raw GETs /v1/state with the query as written.
+func (s *stateServer) raw(t *testing.T, query string) ctrlplane.StateResponse {
+	t.Helper()
+	resp, err := http.Get(s.hs.URL + "/v1/state" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st ctrlplane.StateResponse
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/state%s: status %d, decode error %v", query, resp.StatusCode, err)
+	}
+	return st
+}
+
+func names(apps []ctrlplane.AppView) []string {
+	out := make([]string, len(apps))
+	for i, a := range apps {
+		out[i] = a.Name
+	}
+	return out
+}
+
+// TestStateIsOneReadOfAppsTotalAndMachine: the unconditional answer is
+// what /v1/apps, /v1/allocations and /v1/machine say between them.
+func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
+	ctx := context.Background()
+	s := newStateServer(t, nil)
+	registerTableIMix(t, s.cli)
+
+	st, err := s.cli.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps, err := s.cli.Apps(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := s.cli.Allocations(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := s.cli.Machine(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Incarnation == "" || st.Unchanged {
+		t.Fatalf("first contact answered %+v", st)
+	}
+	if st.Generation != 4 || st.Generation != apps.Generation || st.Generation != alloc.Generation {
+		t.Fatalf("generation %d, /v1/apps %d, /v1/allocations %d, want 4 everywhere", st.Generation, apps.Generation, alloc.Generation)
+	}
+	if !reflect.DeepEqual(st.Apps, apps.Apps) {
+		t.Fatalf("apps\n  %+v\n/v1/apps\n  %+v", st.Apps, apps.Apps)
+	}
+	if st.TotalGFLOPS != alloc.TotalGFLOPS {
+		t.Fatalf("total %v, /v1/allocations %v", st.TotalGFLOPS, alloc.TotalGFLOPS)
+	}
+	if !reflect.DeepEqual(st.Machine, mach.Machine) {
+		t.Fatalf("machine %v, /v1/machine %v", st.Machine, mach.Machine)
+	}
+}
+
+// TestStateConditional walks the validator: only the current
+// incarnation with the current generation is answered "unchanged", and
+// only once whatever missed its deadline is evicted; a current
+// incarnation alone keeps the machine off the wire; everything else is
+// a first contact.
+func TestStateConditional(t *testing.T) {
+	ctx := context.Background()
+	s := newStateServer(t, nil)
+	short, err := s.cli.Register(ctx, ctrlplane.RegisterRequest{Name: "short", AI: 0.5, TTLMillis: 30_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.cli.Register(ctx, ctrlplane.RegisterRequest{Name: "long", AI: 10}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := s.cli.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, gen := full.Incarnation, full.Generation
+
+	before, err := s.cli.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := s.cli.State(ctx, ctrlplane.StateQuery{Incarnation: inc, Generation: gen, Conditional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (ctrlplane.StateResponse{Incarnation: inc, Generation: gen, Unchanged: true}); !reflect.DeepEqual(*hit, want) {
+		t.Fatalf("current validator answered %+v, want %+v", *hit, want)
+	}
+	after, err := s.cli.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Solver != before.Solver {
+		t.Fatalf("an unchanged answer consulted the solver: %+v -> %+v", before.Solver, after.Solver)
+	}
+	if after.Endpoints["state"].Count != before.Endpoints["state"].Count+1 {
+		t.Fatalf("/metricsz does not meter the state route: %+v", after.Endpoints["state"])
+	}
+
+	// A heartbeat moves counters, not the generation: still unchanged.
+	if _, err := s.cli.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: short.ID}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.raw(t, "?incarnation="+inc+"&generation=2"); !st.Unchanged {
+		t.Fatalf("after a heartbeat: %+v, want unchanged", st)
+	}
+
+	for _, c := range []struct {
+		query   string
+		machine bool
+	}{
+		{"", true},
+		{"?generation=2", true},
+		{"?incarnation=&generation=2", true},
+		{"?incarnation=feedface&generation=2", true},
+		{"?incarnation=" + inc + "0&generation=2", true},
+		{"?incarnation=" + inc, false},
+		{"?incarnation=" + inc + "&generation=1", false},
+		{"?incarnation=" + inc + "&generation=3", false},
+		{"?incarnation=" + inc + "&generation=", false},
+		{"?incarnation=" + inc + "&generation=two", false},
+		{"?incarnation=" + inc + "&generation=-2", false},
+		{"?incarnation=" + inc + "&generation=2.0", false},
+		{"?incarnation=" + inc + "&generation=99999999999999999999", false},
+	} {
+		st := s.raw(t, c.query)
+		if st.Unchanged || st.Incarnation != inc || st.Generation != gen || !reflect.DeepEqual(names(st.Apps), []string{"long", "short"}) || st.TotalGFLOPS != full.TotalGFLOPS {
+			t.Errorf("%q answered %+v, want the full state", c.query, st)
+		}
+		if (st.Machine != nil) != c.machine {
+			t.Errorf("%q: machine sent = %v, want %v", c.query, st.Machine != nil, c.machine)
+		}
+	}
+
+	// "short" runs out. No janitor runs here: the conditional read itself
+	// must evict it before it compares generations.
+	*s.now = s.now.Add(31 * time.Second)
+	st, err := s.cli.State(ctx, ctrlplane.StateQuery{Incarnation: inc, Generation: gen, Conditional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Unchanged || st.Generation != gen+1 || !reflect.DeepEqual(names(st.Apps), []string{"long"}) || st.Machine != nil {
+		t.Fatalf("past short's deadline the conditional read answered %+v, want the full state without it", st)
+	}
+	if st.TotalGFLOPS != 320 {
+		t.Fatalf("total %v with one compute-bound app left, want 320", st.TotalGFLOPS)
+	}
+}
+
+// TestStateIncarnationGuardsAgainstABA: a generation number alone can
+// come round again with other apps behind it — after a restart without
+// state, and after a replica installs a leader's snapshot. Both are new
+// incarnations and answer in full.
+func TestStateIncarnationGuardsAgainstABA(t *testing.T) {
+	ctx := context.Background()
+	old := newStateServer(t, nil)
+	for _, name := range []string{"a", "b"} {
+		if _, err := old.cli.Register(ctx, ctrlplane.RegisterRequest{Name: name, AI: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached, err := old.cli.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := ctrlplane.StateQuery{Incarnation: cached.Incarnation, Generation: cached.Generation, Conditional: true}
+
+	// The daemon is restarted empty and two other apps register: the
+	// generation is 2 again.
+	restarted := newStateServer(t, nil)
+	for _, name := range []string{"x", "y"} {
+		if _, err := restarted.cli.Register(ctx, ctrlplane.RegisterRequest{Name: name, AI: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := restarted.cli.State(ctx, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Unchanged || st.Generation != held.Generation || st.Incarnation == held.Incarnation || st.Machine == nil || !reflect.DeepEqual(names(st.Apps), []string{"x", "y"}) {
+		t.Fatalf("a restarted daemon back at generation %d answered %+v, want its own state in full", held.Generation, st)
+	}
+
+	// The old daemon, as a follower, installs that state as a snapshot:
+	// same process, same generation number, other apps.
+	if st, err := old.cli.State(ctx, held); err != nil || !st.Unchanged {
+		t.Fatalf("before the snapshot install: %+v, %v", st, err)
+	}
+	if err := old.srv.Registry().ResetFromSnapshot(restarted.srv.Registry().PersistSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	st, err = old.cli.State(ctx, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Unchanged || st.Generation != held.Generation || st.Incarnation == held.Incarnation || st.Machine == nil || !reflect.DeepEqual(names(st.Apps), []string{"x", "y"}) {
+		t.Fatalf("after a snapshot install at generation %d the daemon answered %+v, want the installed state in full", held.Generation, st)
+	}
+}
+
+// TestIncarnationIsNotState: the incarnation is in no snapshot and no
+// journal, so a daemon recovering its state dir resumes the generation
+// under a new incarnation.
+func TestIncarnationIsNotState(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	open := func() *persist.Store {
+		st, err := persist.Open(dir, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	first := newStateServer(t, open())
+	registerTableIMix(t, first.cli)
+	before, err := first.cli.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := json.Marshal(first.srv.Registry().PersistSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(snap), before.Incarnation) {
+		t.Fatalf("the snapshot carries the incarnation %s: %s", before.Incarnation, snap)
+	}
+
+	second := newStateServer(t, open())
+	after, err := second.cli.State(ctx, ctrlplane.StateQuery{Incarnation: before.Incarnation, Generation: before.Generation, Conditional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Unchanged || after.Incarnation == before.Incarnation || after.Generation != before.Generation || after.Machine == nil || len(after.Apps) != 4 {
+		t.Fatalf("the recovered daemon answered %+v to the validator of its previous life (generation %d)", after, before.Generation)
+	}
+}

@@ -21,6 +21,7 @@
 //	DELETE /v1/apps/{id}                     -> 204
 //	GET    /v1/apps                          -> AppsResponse
 //	GET    /v1/allocations                   -> AllocationsResponse
+//	GET    /v1/state                         -> StateResponse (conditional: StateQuery)
 //	GET    /v1/drift                         -> DriftResponse
 //	GET    /v1/machine                       -> MachineResponse
 //	GET    /healthz                          -> HealthResponse
@@ -237,6 +238,45 @@ type DriftResponse struct {
 type AppsResponse struct {
 	Generation uint64    `json:"generation"`
 	Apps       []AppView `json:"apps"`
+}
+
+// StateQuery is what a GET /v1/state caller already holds of this
+// server's state, sent as the query ?incarnation=…&generation=….
+type StateQuery struct {
+	// Incarnation is the StateResponse.Incarnation of the caller's last
+	// full answer ("" on first contact). While it matches, the answer
+	// leaves the machine out.
+	Incarnation string
+	// Generation, sent only when Conditional, is that answer's generation.
+	// Present it only while the copy read under it is still exactly what
+	// the answer held: if both match, the answer is just "unchanged".
+	Generation  uint64
+	Conditional bool
+}
+
+// StateResponse is the /v1/state body: everything a fleet scheduler
+// tracks of one machine — the demand set, the solved aggregate, the
+// topology — read from one registry snapshot, so the generation is the
+// generation of exactly these apps.
+type StateResponse struct {
+	// Incarnation is an opaque id of this life of the registry's state:
+	// it changes when the daemon restarts and when a replica installs a
+	// leader's snapshot. A generation means nothing across incarnations.
+	Incarnation string `json:"incarnation"`
+	Generation  uint64 `json:"generation"`
+	// Unchanged answers a StateQuery whose incarnation and generation are
+	// both current (after evicting whatever missed its deadline): nothing
+	// the caller read has changed, and every field below is left out.
+	Unchanged bool `json:"unchanged,omitempty"`
+	// Apps is the live set, sorted by ID (absent when empty).
+	Apps []AppView `json:"apps,omitempty"`
+	// TotalGFLOPS is the model's machine-wide prediction for Apps, as in
+	// AllocationsResponse.
+	TotalGFLOPS float64 `json:"total_gflops,omitempty"`
+	// Machine is the topology, sent only when the query's incarnation is
+	// not this one (first contact, or the daemon restarted — possibly on
+	// another machine description).
+	Machine *machine.Machine `json:"machine,omitempty"`
 }
 
 // ReferenceAllocations reports the paper's structured baselines for the

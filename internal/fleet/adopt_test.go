@@ -20,12 +20,22 @@ import (
 )
 
 // memberNet serves member coopds in-process: a RoundTripper that hands
-// each request to the named host's handler and calls registered after
-// every register the member accepted, with the request as it was sent
-// and the member's solver counters from before and after serving it.
+// each request to the named host's handler (refusing the connection
+// while the host is down) and then calls the hooks that are set: served
+// after every request, registered after every register the member
+// accepted, with the request as it was sent and the member's solver
+// counters from before and after serving it.
 type memberNet struct {
 	members    map[string]*ctrlplane.Server
+	down       map[string]bool
+	served     func(host string, req *http.Request)
 	registered func(host string, req ctrlplane.RegisterRequest, before, after ctrlplane.SolverMetrics)
+}
+
+// clients is the InventoryConfig.NewClient that dials this net, one
+// attempt per call.
+func (n *memberNet) clients(endpoint string) *client.Client {
+	return client.New(endpoint, client.Config{HTTPClient: &http.Client{Transport: n}, MaxAttempts: 1})
 }
 
 func (n *memberNet) solver(host string) ctrlplane.SolverMetrics {
@@ -41,15 +51,15 @@ func (n *memberNet) solver(host string) ctrlplane.SolverMetrics {
 func (n *memberNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.URL.Host
 	srv, ok := n.members[host]
-	if !ok {
-		return nil, fmt.Errorf("memberNet: no host %q", host)
+	if !ok || n.down[host] {
+		return nil, fmt.Errorf("memberNet: no host %q answers", host)
 	}
 	var body []byte
 	if req.Body != nil {
 		body, _ = io.ReadAll(req.Body)
 		req.Body = io.NopCloser(bytes.NewReader(body))
 	}
-	register := req.Method == http.MethodPost && req.URL.Path == "/v1/register"
+	register := n.registered != nil && req.Method == http.MethodPost && req.URL.Path == "/v1/register"
 	var before ctrlplane.SolverMetrics
 	if register {
 		before = n.solver(host)
@@ -62,6 +72,9 @@ func (n *memberNet) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		n.registered(host, rr, before, n.solver(host))
+	}
+	if n.served != nil {
+		n.served(host, req)
 	}
 	return rec.Result(), nil
 }
@@ -92,12 +105,7 @@ func TestAdoptedRegistersServeWhatTheMemberWouldSolve(t *testing.T) {
 		for seed := int64(0); seed < 6; seed++ {
 			label := fmt.Sprintf("%s/seed=%d", c.m.Name, seed)
 			net := &memberNet{members: map[string]*ctrlplane.Server{}}
-			inv := NewInventory(InventoryConfig{
-				FailAfter: 2,
-				NewClient: func(endpoint string) *client.Client {
-					return client.New(endpoint, client.Config{HTTPClient: &http.Client{Transport: net}, MaxAttempts: 1})
-				},
-			})
+			inv := NewInventory(InventoryConfig{FailAfter: 2, NewClient: net.clients})
 			for _, id := range []string{"a", "b"} {
 				srv, err := ctrlplane.NewServer(ctrlplane.ServerConfig{Machine: c.m, DefaultTTL: 10 * time.Minute})
 				if err != nil {

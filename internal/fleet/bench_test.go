@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/machine"
 )
 
@@ -107,4 +109,61 @@ func BenchmarkPlacementWarm100Machines(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
+}
+
+// benchPollFleet is 40 in-process members behind memberNet, each holding
+// the paper's Table I mix, polled once: what Inventory.Poll faces every
+// PollInterval in a fleet at rest.
+func benchPollFleet(b *testing.B) *pollWorld {
+	ids := make([]string, 40)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%02d", i)
+	}
+	w := newPollWorld(b, ids...)
+	for _, id := range ids {
+		for i, ai := range []float64{0.5, 0.5, 0.5, 10} {
+			w.direct(id, ctrlplane.AppSpec{Name: fmt.Sprintf("app-%d", i), AI: ai}, 0)
+		}
+	}
+	w.inv.Poll(context.Background())
+	return w
+}
+
+// BenchmarkInventoryPollUnchanged is the hit path: one op polls 40
+// members none of which changed, one conditional GET /v1/state each.
+func BenchmarkInventoryPollUnchanged(b *testing.B) {
+	w := benchPollFleet(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.inv.Poll(ctx)
+	}
+	b.StopTimer()
+	if p := w.inv.Polls(); p.Unchanged != uint64(40*b.N) {
+		b.Fatalf("polls %+v, want every timed poll unchanged", p)
+	}
+}
+
+// BenchmarkInventoryPollChanged is the miss path: every member's
+// generation moves between polls (a promote record: no app changes, so
+// the member's solver answers from its cache), and one op re-reads all
+// 40 in full.
+func BenchmarkInventoryPollChanged(b *testing.B) {
+	w := benchPollFleet(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, srv := range w.net.members {
+			srv.Registry().Promote(uint64(i + 1))
+		}
+		b.StartTimer()
+		w.inv.Poll(ctx)
+	}
+	b.StopTimer()
+	if p := w.inv.Polls(); p.Full != uint64(40*(b.N+1)) {
+		b.Fatalf("polls %+v, want every timed poll a full read", p)
+	}
 }

@@ -10,9 +10,10 @@
 // aggregate GFLOPS of adding the app to that machine's demand set under
 // roofline.Search.Solve. Three cooperating pieces implement it:
 //
-//   - Inventory polls member machines' coopd endpoints (topology,
-//     registered apps, solved allocation) and tracks health; a member
-//     that fails several consecutive polls is declared dead. It also
+//   - Inventory polls member machines' coopd endpoints (one conditional
+//     GET /v1/state each: registered apps, solved aggregate, topology —
+//     or just "unchanged") and tracks health; a member that fails
+//     several consecutive polls is declared dead. It also
 //     holds the fleet's name-keyed soft state (priority classes, stale
 //     re-homed IDs, the cooldown clock) and the executor — register,
 //     deregister, relocate — the only code that changes what is
@@ -196,8 +197,9 @@ type Member struct {
 	Topology *machine.Machine
 	// Apps is the machine's registered demand set, sorted by ID.
 	Apps []PlacedApp
-	// TotalGFLOPS and Generation mirror the machine's last
-	// /v1/allocations answer.
+	// TotalGFLOPS and Generation are those of the machine's last full
+	// /v1/state answer: the solved aggregate of the demand set it held
+	// then, which a fleet-side edit of Apps since does not refresh.
 	TotalGFLOPS float64
 	Generation  uint64
 	// Failures counts consecutive failed polls; Dead is set once

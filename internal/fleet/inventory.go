@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -98,6 +99,9 @@ type Inventory struct {
 	// (see noteMoved).
 	round    uint64
 	lastMove map[string]uint64
+
+	// polls counts member polls by outcome (see PollMetrics).
+	polls PollMetrics
 }
 
 // member is the mutable record behind a Member snapshot.
@@ -108,10 +112,20 @@ type member struct {
 	clis      []*client.Client
 	preferred int // index of the endpoint that last answered
 
-	topo     *machine.Machine
-	apps     []PlacedApp
-	total    float64
-	gen      uint64
+	topo  *machine.Machine
+	apps  []PlacedApp
+	total float64
+	// incarnation and gen name the /v1/state answer apps, total and topo
+	// were last read from. exact says apps is still that answer's demand
+	// set, untouched: only then may a poll present gen and take
+	// "unchanged" for an answer. A failed poll and every local edit of
+	// apps withdraw it, so the next poll reads in full — the member is
+	// never told about a fleet-side edit (noteStale drops an app the
+	// member still holds), and a partition may have hidden anything.
+	incarnation string
+	gen         uint64
+	exact       bool
+
 	failures int
 	dead     bool
 	draining bool
@@ -222,8 +236,8 @@ func (inv *Inventory) Poll(ctx context.Context) {
 }
 
 // pollMember tries the member's endpoints starting at the last one that
-// answered; any endpoint serving the full read set counts as success.
-// The whole attempt runs under PollTimeout: a member that hangs
+// answered, one GET /v1/state each; the first answer is the poll. The
+// whole attempt runs under PollTimeout: a member that hangs
 // mid-response burns its own deadline, not the rest of the round's.
 func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	inv.mu.Lock()
@@ -234,7 +248,8 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	}
 	m.pollSeq++
 	seq := m.pollSeq
-	clis, preferred, needTopo := m.clis, m.preferred, m.topo == nil
+	clis, preferred := m.clis, m.preferred
+	held := ctrlplane.StateQuery{Incarnation: m.incarnation, Generation: m.gen, Conditional: m.exact}
 	inv.mu.Unlock()
 
 	if d := inv.cfg.PollTimeout; d > 0 {
@@ -243,87 +258,90 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		defer cancel()
 	}
 
-	for k := 0; k < len(clis); k++ {
+	var st *ctrlplane.StateResponse
+	answered := -1
+	for k := 0; k < len(clis) && st == nil; k++ {
 		i := (preferred + k) % len(clis)
-		cli := clis[i]
-		apps, err := cli.Apps(ctx)
-		if err != nil {
-			continue
+		if resp, err := clis[i].State(ctx, held); err == nil {
+			st, answered = resp, i
 		}
-		alloc, err := cli.Allocations(ctx)
-		if err != nil {
-			continue
-		}
-		var topo *machine.Machine
-		if needTopo {
-			mr, err := cli.Machine(ctx)
-			if err != nil {
-				continue
-			}
-			topo = mr.Machine
-		}
-		placed := make([]PlacedApp, 0, len(apps.Apps))
-		for _, v := range apps.Apps {
+	}
+	var placed []PlacedApp
+	if st != nil && !st.Unchanged {
+		placed = make([]PlacedApp, 0, len(st.Apps))
+		for _, v := range st.Apps {
 			placed = append(placed, placedFromView(v))
 		}
-		sort.Slice(placed, func(a, b int) bool { return placed[a].ID < placed[b].ID })
-
-		inv.mu.Lock()
-		if m.pollSeq != seq {
-			// A newer poll of this member started while this one was in
-			// flight; its outcome supersedes ours. Applying this stale
-			// success would reset a failure count a fresher poll just
-			// recorded (the partition-flap race).
-			inv.mu.Unlock()
-			return
-		}
-		if topo != nil {
-			m.topo = topo
-		}
-		for i := range placed {
-			if p, ok := inv.priorities[placed[i].Name]; ok {
-				placed[i].Priority = p
-			}
-		}
-		m.apps = placed
-		m.total = alloc.TotalGFLOPS
-		m.gen = alloc.Generation
-		m.preferred = i
-		m.failures = 0
-		now := inv.now()
-		m.lastSeen = now
-		if m.dead {
-			m.dead = false
-			inv.logf("fleet: member %s revived (%d apps, %d stale re-homed ids)", id, len(placed), len(m.stale))
-			inv.noteTransition(m, now)
-		}
-		if m.quarantined && !now.Before(m.quarantineUntil) {
-			m.quarantined = false
-			inv.logf("fleet: member %s re-admitted after quarantine #%d", id, m.quarantines)
-		}
-		if !m.quarantined && m.quarantines > 0 && !m.dead {
-			// Forgiveness: a full flap window with no transitions resets
-			// the backoff escalation.
-			if n := pruneTransitions(m, now, inv.cfg.FlapWindow); n == 0 {
-				m.quarantines = 0
-			}
-		}
-		inv.mu.Unlock()
-		return
+		slices.SortFunc(placed, func(a, b PlacedApp) int { return strings.Compare(a.ID, b.ID) })
 	}
 
 	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	if m.pollSeq != seq {
-		inv.mu.Unlock()
-		return // superseded by a newer poll (see the success path)
+		// A newer poll of this member started while this one was in
+		// flight; its outcome supersedes ours. Applying this stale
+		// success would reset a failure count a fresher poll just
+		// recorded (the partition-flap race).
+		return
 	}
-	m.failures++
-	if !m.dead && m.failures >= inv.cfg.FailAfter {
-		m.dead = true
-		inv.logf("fleet: member %s dead after %d failed polls (%d apps to re-home)", id, m.failures, len(m.apps))
-		inv.noteTransition(m, inv.now())
+	switch {
+	case st == nil:
+		inv.polls.Failed++
+		m.exact = false
+		m.failures++
+		if !m.dead && m.failures >= inv.cfg.FailAfter {
+			m.dead = true
+			inv.logf("fleet: member %s dead after %d failed polls (%d apps to re-home)", id, m.failures, len(m.apps))
+			inv.noteTransition(m, inv.now())
+		}
+		return
+	case !st.Unchanged:
+		inv.polls.Full++
+		m.apps, m.total = placed, st.TotalGFLOPS
+		m.incarnation, m.gen, m.exact = st.Incarnation, st.Generation, true
+		if st.Machine != nil {
+			m.topo = st.Machine
+		}
+	case m.exact:
+		inv.polls.Unchanged++
+	default:
+		// "Unchanged" answered a validator a local edit withdrew while
+		// the request was in flight: it describes a cache that is gone.
+		// A miss — the next poll reads in full.
+		return
 	}
-	inv.mu.Unlock()
+	// Member registries carry no priority, and an unchanged poll re-read
+	// nothing: stamp the fleet's record either way, erasures included.
+	for i := range m.apps {
+		m.apps[i].Priority = inv.priorities[m.apps[i].Name]
+	}
+	m.preferred = answered
+	m.failures = 0
+	now := inv.now()
+	m.lastSeen = now
+	if m.dead {
+		m.dead = false
+		inv.logf("fleet: member %s revived (%d apps, %d stale re-homed ids)", id, len(m.apps), len(m.stale))
+		inv.noteTransition(m, now)
+	}
+	if m.quarantined && !now.Before(m.quarantineUntil) {
+		m.quarantined = false
+		inv.logf("fleet: member %s re-admitted after quarantine #%d", id, m.quarantines)
+	}
+	if !m.quarantined && m.quarantines > 0 && !m.dead {
+		// Forgiveness: a full flap window with no transitions resets
+		// the backoff escalation.
+		if n := pruneTransitions(m, now, inv.cfg.FlapWindow); n == 0 {
+			m.quarantines = 0
+		}
+	}
+}
+
+// Polls returns how many member polls ended in each outcome so far.
+func (inv *Inventory) Polls() PollMetrics {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	return inv.polls
 }
 
 // pruneTransitions drops transition stamps older than the window and
@@ -586,12 +604,15 @@ func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
 	}
 	m.apps = append(m.apps, app)
 	sort.Slice(m.apps, func(a, b int) bool { return m.apps[a].ID < m.apps[b].ID })
+	m.exact = false
 }
 
-// dropApp removes an app from the cached demand set. Caller holds
-// inv.mu.
+// dropApp removes an app from the cached demand set, which from here on
+// is no longer what the member last told (see member.exact). Caller
+// holds inv.mu.
 func (m *member) dropApp(appID string) {
 	m.apps = slices.DeleteFunc(m.apps, func(a PlacedApp) bool { return a.ID == appID })
+	m.exact = false
 }
 
 // noteStale records a registration the fleet no longer counts but could

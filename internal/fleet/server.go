@@ -357,6 +357,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, FleetMetricsResponse{
 		UptimeSeconds: s.inv.now().Sub(s.start).Seconds(),
 		SolveCache:    s.pl.Scorer.cache.Counters(),
+		Polls:         s.inv.Polls(),
 		Endpoints:     s.routes.Metrics(),
 	})
 }

@@ -267,7 +267,7 @@ func TestClientTypedErrors(t *testing.T) {
 
 // TestServerMetricsz: fleetd meters its routes — /metricsz counts move
 // when /v1/fleet/place is called, errors included — and reports the
-// Scorer's solve-cache counters.
+// Scorer's solve-cache counters and how the member polls went.
 func TestServerMetricsz(t *testing.T) {
 	ctx := context.Background()
 	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
@@ -305,5 +305,15 @@ func TestServerMetricsz(t *testing.T) {
 	}
 	if m.UptimeSeconds < 0 {
 		t.Errorf("uptime_s = %g", m.UptimeSeconds)
+	}
+	// One poll so far, a first contact. The placement edited the cache,
+	// so the next poll re-reads; the one after finds nothing changed.
+	inv.Poll(ctx)
+	inv.Poll(ctx)
+	if m, err = fc.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if want := (PollMetrics{Unchanged: 1, Full: 2}); m.Polls != want {
+		t.Errorf("polls %+v, want %+v", m.Polls, want)
 	}
 }

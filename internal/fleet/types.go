@@ -57,7 +57,8 @@ type MachineView struct {
 	// NUMABadApps counts numa-bad registrations (the anti-affinity
 	// input).
 	NUMABadApps int `json:"numa_bad_apps,omitempty"`
-	// TotalGFLOPS and Generation mirror the member's /v1/allocations.
+	// TotalGFLOPS and Generation are those of the member's last full
+	// /v1/state answer.
 	TotalGFLOPS float64 `json:"total_gflops"`
 	Generation  uint64  `json:"generation"`
 	// SinceSeenMillis is the time since the last successful poll (-1
@@ -117,11 +118,25 @@ type FleetHealthResponse struct {
 	SolveCache solvecache.Counters `json:"solve_cache"`
 }
 
+// PollMetrics counts member polls by outcome. Unchanged polls found the
+// member at the incarnation and generation the inventory held and read
+// nothing; Full polls re-read its state (first contact, a change on
+// either side, or the poll after a failed one); Failed polls got no
+// answer from any endpoint. A fleet at rest should be nearly all
+// Unchanged.
+type PollMetrics struct {
+	Unchanged uint64 `json:"unchanged"`
+	Full      uint64 `json:"full"`
+	Failed    uint64 `json:"failed"`
+}
+
 // FleetMetricsResponse is the fleet /metricsz body: how hard the Scorer
-// worked and what every endpoint served, in coopd's shapes.
+// worked, how the member polls went and what every endpoint served, in
+// coopd's shapes.
 type FleetMetricsResponse struct {
 	UptimeSeconds float64             `json:"uptime_s"`
 	SolveCache    solvecache.Counters `json:"solve_cache"`
+	Polls         PollMetrics         `json:"polls"`
 	// Endpoints is keyed by the route names NewServer mounts.
 	Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
 }

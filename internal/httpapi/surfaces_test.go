@@ -31,6 +31,7 @@ var coopdRoutes = []route{
 	{"GET", "/v1/apps", false},
 	{"GET", "/v1/drift", false},
 	{"GET", "/v1/allocations", false},
+	{"GET", "/v1/state", false},
 	{"GET", "/v1/machine", false},
 	{"GET", "/healthz", false},
 	{"GET", "/metricsz", false},
