@@ -22,9 +22,10 @@ race:
 	$(GO) test -race ./...
 
 # Solver-path benchmarks (roofline search/evaluator + control-plane
-# serve path), written to BENCH_solver.json so CI tracks the perf
-# trajectory PR-over-PR. The raw `go test -bench` stream still prints
-# (via stderr). `make benchall` is the full unfiltered sweep.
+# serve path), their allocs/op written to BENCH_solver.json so CI tracks
+# the allocation trajectory PR-over-PR. The raw `go test -bench` stream,
+# timings included, still prints (via stderr). `make benchall` is the
+# full unfiltered sweep.
 bench:
 	$(GO) test -bench 'BenchmarkSolve|BenchmarkEvaluate|BenchmarkEvaluator|BenchmarkAllocate' \
 		-benchmem -run '^$$' ./internal/roofline/ ./internal/ctrlplane/ \
@@ -32,9 +33,9 @@ bench:
 
 # Placement-throughput benchmarks (decisions/sec against 100- and
 # 1000-machine fleet snapshots) and the inventory poll of 40 in-process
-# members, unchanged and changed, written to BENCH_fleet.json so CI
-# tracks fleet-scale scheduling latency the same way BENCH_solver.json
-# tracks the single-machine solver.
+# members, unchanged and changed, their allocs/op written to
+# BENCH_fleet.json the same way BENCH_solver.json tracks the
+# single-machine solver.
 bench-fleet:
 	$(GO) test -bench 'BenchmarkPlacement|BenchmarkInventoryPoll' -benchmem -run '^$$' ./internal/fleet/ \
 		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
@@ -43,7 +44,7 @@ bench-fleet:
 # baselines committed at HEAD. Fails on any tracked benchmark regressing
 # more than 25% in allocs/op (a zero-alloc baseline growing any
 # allocations fails outright) or going missing from the fresh run (see
-# cmd/benchdiff). ns/op is printed, not gated: the baselines come from
+# cmd/benchdiff). Timing is not tracked here: the baselines come from
 # another machine, and timing claims go through coopbench (bench/).
 # Compares the working-tree artifacts, so run after `make bench
 # bench-fleet` has refreshed them (CI does exactly that; `make bench

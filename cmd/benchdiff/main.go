@@ -6,23 +6,20 @@
 //     run (a silently-deleted benchmark would otherwise hide a
 //     regression forever), or
 //   - any benchmark's fresh allocs/op exceeds the baseline by more than
-//     -max-regress (default 0.25, i.e. 25%) — including a zero-alloc
-//     baseline growing any allocations at all (the fleet placement hot
-//     path is tracked at 0 allocs/op).
+//     maxRegress (25%) — including a zero-alloc baseline growing any
+//     allocations at all (the fleet placement hot path is tracked at 0
+//     allocs/op).
 //
-// Only what is exact across machines is gated. ns/op is printed but
-// never fails the run: the baselines were committed from another
-// machine, and raw timings on a shared box spread 13-24% run to run.
-// Timing claims go through coopbench (bench/), which normalises to a
-// kernel measured in the same run. New benchmarks (fresh-only) and
-// improvements are reported but never fail the run. `make bench-guard`
-// wires this against the HEAD-committed BENCH_solver.json /
-// BENCH_fleet.json.
+// Only allocs/op is compared: it is exact across machines, and the
+// artifacts carry nothing else. Timing claims go through coopbench
+// (bench/), which normalises to a kernel measured in the same run. New
+// benchmarks (fresh-only) and improvements are reported but never fail
+// the run. `make bench-guard` wires this against the HEAD-committed
+// BENCH_solver.json / BENCH_fleet.json.
 //
 // Usage:
 //
 //	benchdiff -baseline BENCH_fleet.base.json -fresh BENCH_fleet.json
-//	benchdiff -baseline old.json -fresh new.json -max-regress 0.10
 package main
 
 import (
@@ -34,10 +31,11 @@ import (
 )
 
 type benchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
+
+// maxRegress is the tolerated allocs/op growth as a fraction.
+const maxRegress = 0.25
 
 // diffLine is one benchmark's verdict in the comparison report.
 type diffLine struct {
@@ -49,7 +47,7 @@ type diffLine struct {
 // compare evaluates fresh against baseline under the allocs/op budget.
 // Every baseline benchmark yields exactly one line; fresh-only
 // benchmarks are appended as informational "new" lines.
-func compare(baseline, fresh map[string]benchResult, maxRegress float64) []diffLine {
+func compare(baseline, fresh map[string]benchResult) []diffLine {
 	names := make([]string, 0, len(baseline))
 	for n := range baseline {
 		names = append(names, n)
@@ -88,9 +86,8 @@ func compare(baseline, fresh map[string]benchResult, maxRegress float64) []diffL
 			continue
 		}
 		lines = append(lines, diffLine{
-			name: n,
-			detail: fmt.Sprintf("%.0f -> %.0f allocs/op (%.0f -> %.0f ns/op, not gated)",
-				base.AllocsPerOp, got.AllocsPerOp, base.NsPerOp, got.NsPerOp),
+			name:   n,
+			detail: fmt.Sprintf("%.0f -> %.0f allocs/op", base.AllocsPerOp, got.AllocsPerOp),
 		})
 	}
 
@@ -125,7 +122,6 @@ func loadResults(path string) (map[string]benchResult, error) {
 func main() {
 	baselinePath := flag.String("baseline", "", "committed benchmark JSON (benchjson output)")
 	freshPath := flag.String("fresh", "", "freshly-measured benchmark JSON to check")
-	maxRegress := flag.Float64("max-regress", 0.25, "maximum tolerated allocs/op regression as a fraction (0.25 = 25%)")
 	flag.Parse()
 	if *baselinePath == "" || *freshPath == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -fresh are required")
@@ -145,7 +141,7 @@ func main() {
 	}
 
 	failed := 0
-	for _, line := range compare(baseline, fresh, *maxRegress) {
+	for _, line := range compare(baseline, fresh) {
 		mark := "ok  "
 		if line.failed {
 			mark = "FAIL"
@@ -155,7 +151,7 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) failed against %s (budget %+.0f%%)\n",
-			failed, *baselinePath, 100**maxRegress)
+			failed, *baselinePath, 100*maxRegress)
 		os.Exit(1)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-func results(pairs ...any) map[string]benchResult {
+// results builds zero-alloc entries for the named benchmarks.
+func results(names ...string) map[string]benchResult {
 	m := map[string]benchResult{}
-	for i := 0; i+1 < len(pairs); i += 2 {
-		m[pairs[i].(string)] = benchResult{NsPerOp: pairs[i+1].(float64)}
+	for _, n := range names {
+		m[n] = benchResult{}
 	}
 	return m
 }
@@ -25,24 +26,23 @@ func failures(lines []diffLine) []diffLine {
 
 func TestCompareWithinBudgetPasses(t *testing.T) {
 	base := map[string]benchResult{
-		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10},
-		"BenchmarkB": {NsPerOp: 2000, AllocsPerOp: 8},
+		"BenchmarkA": {AllocsPerOp: 10},
+		"BenchmarkB": {AllocsPerOp: 8},
 	}
-	// +20% allocs and an improvement are inside the 25% budget, and
-	// ns/op is not gated at all: ten times slower still passes.
+	// +20% allocs and an improvement are inside the 25% budget.
 	fresh := map[string]benchResult{
-		"BenchmarkA": {NsPerOp: 10000, AllocsPerOp: 12},
-		"BenchmarkB": {NsPerOp: 500, AllocsPerOp: 1},
+		"BenchmarkA": {AllocsPerOp: 12},
+		"BenchmarkB": {AllocsPerOp: 1},
 	}
-	if got := failures(compare(base, fresh, 0.25)); len(got) != 0 {
+	if got := failures(compare(base, fresh)); len(got) != 0 {
 		t.Fatalf("expected no failures, got %v", got)
 	}
 }
 
 func TestCompareRegressionFails(t *testing.T) {
-	base := map[string]benchResult{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 8}}
-	fresh := map[string]benchResult{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 11}}
-	got := failures(compare(base, fresh, 0.25))
+	base := map[string]benchResult{"BenchmarkA": {AllocsPerOp: 8}}
+	fresh := map[string]benchResult{"BenchmarkA": {AllocsPerOp: 11}}
+	got := failures(compare(base, fresh))
 	if len(got) != 1 {
 		t.Fatalf("expected 1 failure, got %v", got)
 	}
@@ -52,17 +52,17 @@ func TestCompareRegressionFails(t *testing.T) {
 }
 
 func TestCompareExactBudgetBoundaryPasses(t *testing.T) {
-	base := map[string]benchResult{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 8}}
-	fresh := map[string]benchResult{"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10}}
-	if got := failures(compare(base, fresh, 0.25)); len(got) != 0 {
+	base := map[string]benchResult{"BenchmarkA": {AllocsPerOp: 8}}
+	fresh := map[string]benchResult{"BenchmarkA": {AllocsPerOp: 10}}
+	if got := failures(compare(base, fresh)); len(got) != 0 {
 		t.Fatalf("+25%% is the budget, not past it; got %v", got)
 	}
 }
 
 func TestCompareMissingBenchmarkFails(t *testing.T) {
-	base := results("BenchmarkA", 1000.0, "BenchmarkGone", 500.0)
-	fresh := results("BenchmarkA", 1000.0)
-	got := failures(compare(base, fresh, 0.25))
+	base := results("BenchmarkA", "BenchmarkGone")
+	fresh := results("BenchmarkA")
+	got := failures(compare(base, fresh))
 	if len(got) != 1 || got[0].name != "BenchmarkGone" {
 		t.Fatalf("expected BenchmarkGone to fail as missing, got %v", got)
 	}
@@ -72,9 +72,9 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 }
 
 func TestCompareNewBenchmarkIsInformational(t *testing.T) {
-	base := results("BenchmarkA", 1000.0)
-	fresh := results("BenchmarkA", 1000.0, "BenchmarkNew", 9999.0)
-	lines := compare(base, fresh, 0.25)
+	base := results("BenchmarkA")
+	fresh := results("BenchmarkA", "BenchmarkNew")
+	lines := compare(base, fresh)
 	if got := failures(lines); len(got) != 0 {
 		t.Fatalf("new benchmarks must not fail, got %v", got)
 	}
@@ -90,17 +90,17 @@ func TestCompareNewBenchmarkIsInformational(t *testing.T) {
 }
 
 func TestCompareZeroBaselineSkipsRatio(t *testing.T) {
-	base := results("BenchmarkZero", 0.0)
-	fresh := results("BenchmarkZero", 123456.0)
-	if got := failures(compare(base, fresh, 0.25)); len(got) != 0 {
+	base := results("BenchmarkZero")
+	fresh := results("BenchmarkZero")
+	if got := failures(compare(base, fresh)); len(got) != 0 {
 		t.Fatalf("a zero-alloc baseline staying zero-alloc must not divide or fail, got %v", got)
 	}
 }
 
 func TestCompareDeterministicOrder(t *testing.T) {
-	base := results("BenchmarkB", 1.0, "BenchmarkA", 1.0)
-	fresh := results("BenchmarkB", 1.0, "BenchmarkA", 1.0, "BenchmarkZNew", 1.0, "BenchmarkCNew", 1.0)
-	lines := compare(base, fresh, 0.25)
+	base := results("BenchmarkB", "BenchmarkA")
+	fresh := results("BenchmarkB", "BenchmarkA", "BenchmarkZNew", "BenchmarkCNew")
+	lines := compare(base, fresh)
 	want := []string{"BenchmarkA", "BenchmarkB", "BenchmarkCNew", "BenchmarkZNew"}
 	if len(lines) != len(want) {
 		t.Fatalf("got %d lines, want %d: %v", len(lines), len(want), lines)
@@ -114,16 +114,16 @@ func TestCompareDeterministicOrder(t *testing.T) {
 
 func TestCompareAllocGate(t *testing.T) {
 	base := map[string]benchResult{
-		"BenchmarkZeroAlloc": {NsPerOp: 1000, AllocsPerOp: 0},
-		"BenchmarkSomeAlloc": {NsPerOp: 1000, AllocsPerOp: 8},
+		"BenchmarkZeroAlloc": {AllocsPerOp: 0},
+		"BenchmarkSomeAlloc": {AllocsPerOp: 8},
 	}
 
 	// A zero-alloc baseline growing any allocations fails.
 	fresh := map[string]benchResult{
-		"BenchmarkZeroAlloc": {NsPerOp: 1000, AllocsPerOp: 2},
-		"BenchmarkSomeAlloc": {NsPerOp: 1000, AllocsPerOp: 8},
+		"BenchmarkZeroAlloc": {AllocsPerOp: 2},
+		"BenchmarkSomeAlloc": {AllocsPerOp: 8},
 	}
-	got := failures(compare(base, fresh, 0.25))
+	got := failures(compare(base, fresh))
 	if len(got) != 1 || got[0].name != "BenchmarkZeroAlloc" {
 		t.Fatalf("expected BenchmarkZeroAlloc to fail, got %v", got)
 	}
@@ -133,10 +133,10 @@ func TestCompareAllocGate(t *testing.T) {
 
 	// An alloc improvement never fails.
 	fresh = map[string]benchResult{
-		"BenchmarkZeroAlloc": {NsPerOp: 1000, AllocsPerOp: 0},
-		"BenchmarkSomeAlloc": {NsPerOp: 1000, AllocsPerOp: 1},
+		"BenchmarkZeroAlloc": {AllocsPerOp: 0},
+		"BenchmarkSomeAlloc": {AllocsPerOp: 1},
 	}
-	if got := failures(compare(base, fresh, 0.25)); len(got) != 0 {
+	if got := failures(compare(base, fresh)); len(got) != 0 {
 		t.Fatalf("alloc improvement must not fail, got %v", got)
 	}
 }

@@ -1,9 +1,10 @@
-// Command benchjson converts `go test -bench` output on stdin into a
-// JSON map on stdout: benchmark name -> {ns_per_op, bytes_per_op,
-// allocs_per_op}. The raw stream is echoed to stderr so terminal output
-// and CI logs keep the familiar textual form while the JSON artifact
-// (BENCH_solver.json in `make bench`) tracks the perf trajectory
-// PR-over-PR.
+// Command benchjson converts `go test -bench -benchmem` output on stdin
+// into a JSON map on stdout: benchmark name -> {allocs_per_op}, the one
+// number cmd/benchdiff gates (it is exact across machines; timing claims
+// go through coopbench, bench/). The raw stream, ns/op and B/op
+// included, is echoed to stderr so terminal output and CI logs keep the
+// familiar textual form while the JSON artifact (BENCH_solver.json in
+// `make bench`) tracks the allocation trajectory PR-over-PR.
 //
 // Benchmark lines look like
 //
@@ -25,8 +26,6 @@ import (
 )
 
 type benchResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
@@ -64,8 +63,9 @@ func main() {
 	}
 }
 
-// parseBenchLine extracts one benchmark measurement; ok is false for
-// non-benchmark lines (headers, PASS/ok trailers, test chatter).
+// parseBenchLine extracts one benchmark's allocs/op; ok is false for
+// lines that are not a benchmark result with an ns/op reading (headers,
+// PASS/ok trailers, test chatter).
 func parseBenchLine(line string) (string, benchResult, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -86,10 +86,7 @@ func parseBenchLine(line string) (string, benchResult, bool) {
 		}
 		switch fields[i+1] {
 		case "ns/op":
-			res.NsPerOp = v
 			seen = true
-		case "B/op":
-			res.BytesPerOp = v
 		case "allocs/op":
 			res.AllocsPerOp = v
 		}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/httpapi/daemon"
@@ -68,63 +67,52 @@ func (f *memberFlag) Set(v string) error {
 }
 
 func main() {
-	var members memberFlag
-	addr := flag.String("addr", ":8380", "listen address")
+	var (
+		members         memberFlag
+		addr, pprofAddr string
+		icfg            = fleet.InventoryConfig{Logf: log.Printf}
+		cfg             = fleet.ServerConfig{Logf: log.Printf}
+	)
+	flag.StringVar(&addr, "addr", ":8380", "listen address")
 	flag.Var(&members, "machine", "member machine as id=coopd-url[,coopd-url2] (repeatable; several URLs = one HA pair)")
-	poll := flag.Duration("poll", 2*time.Second, "inventory poll interval")
-	rebalance := flag.Duration("rebalance", 10*time.Second, "rebalance round interval")
-	failAfter := flag.Int("fail-after", 3, "consecutive failed polls before a machine is declared dead")
-	maxMoves := flag.Int("max-moves", fleet.DefaultMaxMovesPerRound, "max app moves per rebalance round")
-	threshold := flag.Float64("threshold", fleet.DefaultThreshold, "rebalance when fleet GFLOPS falls below this fraction of the re-pack optimum")
-	spread := flag.Bool("spread", false, "spread cooperating app groups across failure domains on score ties")
-	objective := flag.String("objective", "", "placement objective: total-gflops (default), weighted-priority, or max-min")
-	noPreempt := flag.Bool("no-preempt", false, "disable priority preemption (inversion repair and gang-admission eviction)")
-	stormFraction := flag.Float64("storm-fraction", fleet.DefaultStormFraction, "down-member fraction that trips degraded-mode triage")
-	stormBudget := flag.Int("storm-budget", 0, "max urgent moves per degraded round (0: max-moves)")
-	admissionCap := flag.Int("admission-cap", fleet.DefaultAdmissionCap, "max storm evacuations one survivor admits per round")
-	flapCount := flag.Int("flap-count", fleet.DefaultFlapCount, "alive<->dead transitions inside the flap window before quarantine (negative: disabled)")
-	flapWindow := flag.Duration("flap-window", fleet.DefaultFlapWindow, "flap detector sliding window")
-	quarantineBackoff := flag.Duration("quarantine-backoff", fleet.DefaultQuarantineBackoff, "first quarantine re-admission backoff, doubling per repeat")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty: disabled)")
+	flag.DurationVar(&cfg.PollInterval, "poll", fleet.DefaultPollInterval, "inventory poll interval")
+	flag.DurationVar(&cfg.RebalanceInterval, "rebalance", fleet.DefaultRebalanceInterval, "rebalance round interval")
+	flag.IntVar(&icfg.FailAfter, "fail-after", fleet.DefaultFailAfter, "consecutive failed polls before a machine is declared dead")
+	flag.IntVar(&cfg.MaxMovesPerRound, "max-moves", fleet.DefaultMaxMovesPerRound, "max app moves per rebalance round")
+	flag.Float64Var(&cfg.Threshold, "threshold", fleet.DefaultThreshold, "rebalance when fleet GFLOPS falls below this fraction (0, 1] of the re-pack optimum")
+	flag.BoolVar(&cfg.DomainSpread, "spread", false, "spread cooperating app groups across failure domains on score ties")
+	flag.StringVar(&cfg.Objective, "objective", "", "placement objective: total-gflops (default), weighted-priority, or max-min")
+	flag.BoolVar(&cfg.DisablePreemption, "no-preempt", false, "disable priority preemption (inversion repair and gang-admission eviction)")
+	flag.Float64Var(&cfg.StormFraction, "storm-fraction", fleet.DefaultStormFraction, "down-member fraction (0, 1] that trips degraded-mode triage")
+	flag.IntVar(&cfg.StormBudget, "storm-budget", 0, "max urgent moves per degraded round (0: max-moves)")
+	flag.IntVar(&cfg.AdmissionCap, "admission-cap", fleet.DefaultAdmissionCap, "max storm evacuations one survivor admits per round")
+	flag.IntVar(&icfg.FlapCount, "flap-count", fleet.DefaultFlapCount, "alive<->dead transitions inside the flap window before quarantine (-1: disabled)")
+	flag.DurationVar(&icfg.FlapWindow, "flap-window", fleet.DefaultFlapWindow, "flap detector sliding window")
+	flag.DurationVar(&icfg.QuarantineBackoff, "quarantine-backoff", fleet.DefaultQuarantineBackoff, "first quarantine re-admission backoff, doubling per repeat")
+	flag.StringVar(&pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty: disabled)")
 	flag.Parse()
 
 	if len(members.ids) == 0 {
 		log.Fatalf("fleetd: at least one -machine id=url is required")
 	}
 
-	inv := fleet.NewInventory(fleet.InventoryConfig{
-		FailAfter: *failAfter, FlapCount: *flapCount, FlapWindow: *flapWindow,
-		QuarantineBackoff: *quarantineBackoff, Logf: log.Printf,
-	})
+	cfg.Inventory = fleet.NewInventory(icfg)
 	for i, id := range members.ids {
-		if err := inv.AddDomain(id, members.domains[i], members.endpoints[i]...); err != nil {
+		if err := cfg.Inventory.AddDomain(id, members.domains[i], members.endpoints[i]...); err != nil {
 			log.Fatalf("fleetd: %v", err)
 		}
 	}
-
-	srv, err := fleet.NewServer(fleet.ServerConfig{
-		Inventory:         inv,
-		PollInterval:      *poll,
-		RebalanceInterval: *rebalance,
-		MaxMovesPerRound:  *maxMoves,
-		Threshold:         *threshold,
-		DomainSpread:      *spread,
-		Objective:         *objective,
-		DisablePreemption: *noPreempt,
-		StormFraction:     *stormFraction,
-		StormBudget:       *stormBudget,
-		AdmissionCap:      *admissionCap,
-		Logf:              log.Printf,
-	})
+	srv, err := fleet.NewServer(cfg)
 	if err != nil {
 		log.Fatalf("fleetd: %v", err)
 	}
 
 	srv.Start()
 	defer srv.Close()
+	cfg = srv.Config()
 	log.Printf("fleetd: serving %d machines on %s (poll %s, rebalance %s, max %d moves/round, threshold %.2f)",
-		len(members.ids), *addr, *poll, *rebalance, *maxMoves, *threshold)
-	if err := daemon.Serve("fleetd", *addr, *pprofAddr, srv.Handler()); err != nil {
+		len(members.ids), addr, cfg.PollInterval, cfg.RebalanceInterval, cfg.MaxMovesPerRound, cfg.Threshold)
+	if err := daemon.Serve("fleetd", addr, pprofAddr, srv.Handler()); err != nil {
 		log.Fatalf("fleetd: %v", err)
 	}
 }

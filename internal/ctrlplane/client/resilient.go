@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/ctrlplane"
 	"repro/internal/machine"
-	"repro/internal/roofline"
 )
 
 // ErrCircuitOpen is returned when every endpoint's breaker refuses a
@@ -546,24 +545,11 @@ func (r *Resilient) degraded() (*ctrlplane.AllocationsResponse, Source, error) {
 func (r *Resilient) localSolve(m *machine.Machine, demand []ctrlplane.RegisterRequest) (*ctrlplane.AllocationsResponse, error) {
 	apps := make([]ctrlplane.AppState, len(demand))
 	for i, d := range demand {
-		pl := roofline.NUMAPerfect
-		if d.Placement == ctrlplane.PlacementBad {
-			pl = roofline.NUMABad
+		spec, err := d.Spec(m.NumNodes())
+		if err != nil {
+			return nil, fmt.Errorf("local fallback: %w", err)
 		}
-		name := d.Name
-		if name == "" {
-			name = "app"
-		}
-		apps[i] = ctrlplane.AppState{
-			ID: fmt.Sprintf("local-%s-%d", name, i+1),
-			Spec: ctrlplane.AppSpec{
-				Name:       name,
-				AI:         d.AI,
-				Placement:  pl,
-				HomeNode:   machine.NodeID(d.HomeNode),
-				MaxThreads: d.MaxThreads,
-			},
-		}
+		apps[i] = ctrlplane.AppState{ID: fmt.Sprintf("local-%s-%d", spec.Name, i+1), Spec: spec}
 	}
 	sol, err := r.solver.Solve(m, apps)
 	if err != nil {

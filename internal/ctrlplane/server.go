@@ -218,16 +218,40 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 	})
 }
 
-// parsePlacement maps the wire placement string to the model's enum.
-func parsePlacement(s string) (roofline.Placement, error) {
-	switch s {
-	case "", PlacementPerfect:
-		return roofline.NUMAPerfect, nil
-	case PlacementBad:
-		return roofline.NUMABad, nil
-	default:
-		return 0, fmt.Errorf("unknown placement %q (want %q or %q)", s, PlacementPerfect, PlacementBad)
+// Spec checks a registration against a machine of nodes NUMA nodes and
+// converts it to the registry's spec: an empty name becomes "app", and a
+// name over MaxNameBytes, an AI <= 0, an unknown placement, a numa-bad
+// home node the machine lacks or a negative thread cap is refused. The
+// register handler and the client's local fallback solve both use it,
+// so a demand coopd refuses is never solved locally.
+func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
+	if req.Name == "" {
+		req.Name = "app"
 	}
+	pl := roofline.NUMAPerfect
+	switch {
+	case len(req.Name) > MaxNameBytes:
+		return AppSpec{}, fmt.Errorf("name is %d bytes, limit %d", len(req.Name), MaxNameBytes)
+	case req.AI <= 0:
+		return AppSpec{}, fmt.Errorf("ai must be > 0, got %g", req.AI)
+	case req.Placement == PlacementBad:
+		pl = roofline.NUMABad
+		if req.HomeNode < 0 || req.HomeNode >= nodes {
+			return AppSpec{}, fmt.Errorf("home_node %d out of range (machine has %d nodes)", req.HomeNode, nodes)
+		}
+	case req.Placement != "" && req.Placement != PlacementPerfect:
+		return AppSpec{}, fmt.Errorf("unknown placement %q (want %q or %q)", req.Placement, PlacementPerfect, PlacementBad)
+	}
+	if req.MaxThreads < 0 {
+		return AppSpec{}, fmt.Errorf("max_threads must be >= 0, got %d", req.MaxThreads)
+	}
+	return AppSpec{
+		Name:       req.Name,
+		AI:         req.AI,
+		Placement:  pl,
+		HomeNode:   machine.NodeID(req.HomeNode),
+		MaxThreads: req.MaxThreads,
+	}, nil
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -235,41 +259,16 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.Decode(w, r, &req) {
 		return
 	}
-	if req.Name == "" {
-		req.Name = "app"
-	}
-	if len(req.Name) > MaxNameBytes {
-		httpapi.WriteError(w, http.StatusBadRequest, "name is %d bytes, limit %d", len(req.Name), MaxNameBytes)
-		return
-	}
-	if req.AI <= 0 {
-		httpapi.WriteError(w, http.StatusBadRequest, "ai must be > 0, got %g", req.AI)
-		return
-	}
-	pl, err := parsePlacement(req.Placement)
+	spec, err := req.Spec(s.cfg.Machine.NumNodes())
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if pl == roofline.NUMABad && (req.HomeNode < 0 || req.HomeNode >= s.cfg.Machine.NumNodes()) {
-		httpapi.WriteError(w, http.StatusBadRequest, "home_node %d out of range (machine has %d nodes)", req.HomeNode, s.cfg.Machine.NumNodes())
-		return
-	}
-	if req.MaxThreads < 0 {
-		httpapi.WriteError(w, http.StatusBadRequest, "max_threads must be >= 0, got %d", req.MaxThreads)
 		return
 	}
 	if req.TTLMillis < 0 {
 		httpapi.WriteError(w, http.StatusBadRequest, "ttl_ms must be >= 0, got %d", req.TTLMillis)
 		return
 	}
-	st, gen, err := s.reg.Register(AppSpec{
-		Name:       req.Name,
-		AI:         req.AI,
-		Placement:  pl,
-		HomeNode:   machine.NodeID(req.HomeNode),
-		MaxThreads: req.MaxThreads,
-	}, time.Duration(req.TTLMillis)*time.Millisecond)
+	st, gen, err := s.reg.Register(spec, time.Duration(req.TTLMillis)*time.Millisecond)
 	if err != nil {
 		// Durability is unavailable; 503 invites a retry once the state
 		// dir recovers rather than handing out an unpersisted ID.

@@ -248,22 +248,59 @@ func TestMaxThreadsCap(t *testing.T) {
 	}
 }
 
-// TestRegisterValidation: bad inputs get 400s, not allocations.
+// TestRegisterValidation: a registration coopd refuses gets a 400
+// naming what is wrong, and the client's local fallback (daemon down,
+// nothing cached) refuses the same demand with the same words instead
+// of solving something else: a misspelt placement is not numa-perfect,
+// a negative thread cap is not "uncapped".
 func TestRegisterValidation(t *testing.T) {
 	_, c := startServer(t, ctrlplane.ServerConfig{})
 	ctx := context.Background()
-	cases := []ctrlplane.RegisterRequest{
-		{Name: "no-ai"},
-		{Name: "neg-ai", AI: -1},
-		{Name: "bad-placement", AI: 1, Placement: "numa-terrible"},
-		{Name: "bad-home", AI: 1, Placement: ctrlplane.PlacementBad, HomeNode: 99},
-		{Name: "neg-max", AI: 1, MaxThreads: -1},
-		{Name: "neg-ttl", AI: 1, TTLMillis: -5},
-	}
-	for _, req := range cases {
-		if _, err := c.Register(ctx, req); err == nil {
-			t.Errorf("register %s: expected an error", req.Name)
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	for _, tc := range []struct {
+		req  ctrlplane.RegisterRequest
+		want string // the 400 message; "" registers
+	}{
+		{ctrlplane.RegisterRequest{Name: "no-ai"}, "ai must be > 0, got 0"},
+		{ctrlplane.RegisterRequest{Name: "neg-ai", AI: -1}, "ai must be > 0, got -1"},
+		{ctrlplane.RegisterRequest{Name: "typo", AI: 1, Placement: "numa_bad"}, `unknown placement "numa_bad" (want "numa-perfect" or "numa-bad")`},
+		{ctrlplane.RegisterRequest{Name: "bad-home", AI: 1, Placement: ctrlplane.PlacementBad, HomeNode: 9}, "home_node 9 out of range (machine has 4 nodes)"},
+		{ctrlplane.RegisterRequest{Name: "neg-max", AI: 1, MaxThreads: -3}, "max_threads must be >= 0, got -3"},
+		{ctrlplane.RegisterRequest{Name: strings.Repeat("n", ctrlplane.MaxNameBytes+1), AI: 1}, "name is 257 bytes, limit 256"},
+		{ctrlplane.RegisterRequest{AI: 1, Placement: ctrlplane.PlacementBad, HomeNode: 3, MaxThreads: 2}, ""},
+	} {
+		resp, err := c.Register(ctx, tc.req)
+		var ae *client.APIError
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("register %+v: %v", tc.req, err)
+		case tc.want == "":
+			if err := c.Deregister(ctx, resp.ID); err != nil {
+				t.Fatal(err)
+			}
+		case !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Message != tc.want:
+			t.Errorf("register %.20s: err %v, want 400 %q", tc.req.Name, err, tc.want)
 		}
+
+		r, err := client.NewResilient(client.New(down.URL, client.Config{MaxAttempts: 1}), client.ResilientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetMachine(machine.PaperModel())
+		r.SetLocalDemand([]ctrlplane.RegisterRequest{tc.req})
+		local, src, err := r.Allocations(ctx)
+		switch {
+		case src != client.SourceLocal:
+			t.Errorf("%.20s: answered from %v, want the local fallback", tc.req.Name, src)
+		case tc.want == "" && (err != nil || local.Apps[0].ID != "local-app-1"):
+			t.Errorf("local solve of %+v: %+v, %v; want it served as local-app-1", tc.req, local, err)
+		case tc.want != "" && (err == nil || !strings.HasSuffix(err.Error(), tc.want)):
+			t.Errorf("local solve of %.20s: err %v, want %q", tc.req.Name, err, tc.want)
+		}
+	}
+	if _, err := c.Register(ctx, ctrlplane.RegisterRequest{Name: "neg-ttl", AI: 1, TTLMillis: -5}); err == nil {
+		t.Error("register with a negative ttl_ms: expected an error")
 	}
 	if n, err := c.Apps(ctx); err != nil || len(n.Apps) != 0 {
 		t.Errorf("registry not empty after rejected registrations: %v apps, err %v", len(n.Apps), err)

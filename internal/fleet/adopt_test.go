@@ -172,8 +172,7 @@ func TestAdoptedRegistersServeWhatTheMemberWouldSolve(t *testing.T) {
 			}
 			inv.Poll(ctx)
 
-			sc := NewScorer()
-			placer := &Placer{Inv: inv, Scorer: sc}
+			placer, reb := planners(t, inv, ServerConfig{Threshold: 0.01})
 			// Odd seeds carry priority classes, whose weights are in fleetd's
 			// keys and not in coopd's: those offers must go stale.
 			r := rand.New(rand.NewSource(seed))
@@ -186,7 +185,6 @@ func TestAdoptedRegistersServeWhatTheMemberWouldSolve(t *testing.T) {
 			if err := inv.SetDraining("a", true); err != nil {
 				t.Fatal(err)
 			}
-			reb := &Rebalancer{Inv: inv, Scorer: sc, Threshold: 0.01}
 			for round := 0; ; round++ {
 				plan, err := reb.Round(ctx)
 				if err != nil {

@@ -32,7 +32,7 @@ func benchMembers(n int) []Member {
 // candidate construction from the member snapshot plus a full scoring
 // decision, i.e. what fleetd does per /v1/fleet/place request (which
 // reuses a pooled candidateSet exactly like this loop).
-// placements/sec = 1e9 / ns_per_op in BENCH_fleet.json.
+// Throughput is the reported placements/s metric.
 func benchPlacement(b *testing.B, nMachines int) {
 	members := benchMembers(nMachines)
 	sc := NewScorer()
@@ -73,7 +73,7 @@ func BenchmarkPlacementGang(b *testing.B) {
 		inv.members[m.ID] = &member{id: m.ID, domain: m.ID, topo: m.Topology, apps: m.Apps}
 		inv.order = append(inv.order, m.ID)
 	}
-	p := &Placer{Inv: inv, Scorer: NewScorer()}
+	p, _ := planners(b, inv, ServerConfig{})
 	g := GangSpec{
 		Name:     "gang",
 		Replicas: 4,

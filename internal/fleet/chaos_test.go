@@ -32,9 +32,7 @@ func TestChaosFleetMachineKillAndRevival(t *testing.T) {
 		}
 	}
 	inv.Poll(ctx)
-	sc := NewScorer()
-	pl := &Placer{Inv: inv, Scorer: sc, Logf: t.Logf}
-	reb := &Rebalancer{Inv: inv, Scorer: sc, MaxMovesPerRound: 4, Logf: t.Logf}
+	pl, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: 4, Logf: t.Logf})
 
 	for _, spec := range tableIMixSpecs() {
 		if _, _, err := pl.Place(ctx, spec); err != nil {

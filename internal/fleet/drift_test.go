@@ -73,13 +73,7 @@ func TestRebalanceMovesDriftedApp(t *testing.T) {
 		t.Fatal("wolf never confirmed drifted")
 	}
 
-	sc := NewScorer()
-	reb := &Rebalancer{
-		Inv:              inv,
-		Scorer:           sc,
-		MaxMovesPerRound: 4,
-		Logf:             t.Logf,
-	}
+	_, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: 4, Logf: t.Logf})
 	plan, err := reb.Round(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +159,7 @@ func TestPlanDriftStaysPutWhenNoGain(t *testing.T) {
 		t.Fatal("solo never confirmed drifted")
 	}
 
-	sc := NewScorer()
-	reb := &Rebalancer{
-		Inv:              inv,
-		Scorer:           sc,
-		MaxMovesPerRound: 4,
-		Logf:             t.Logf,
-	}
+	_, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: 4, Logf: t.Logf})
 	plan, err := reb.Round(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,18 @@ func fastClients(rt http.RoundTripper) func(string) *client.Client {
 	}
 }
 
+// planners builds a Placer and Rebalancer over inv with cfg's knobs,
+// sharing one Scorer, exactly as NewServer wires them.
+func planners(t testing.TB, inv *Inventory, cfg ServerConfig) (*Placer, *Rebalancer) {
+	t.Helper()
+	cfg.Inventory = inv
+	pl, reb, err := newPlanners(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, reb
+}
+
 // The paper's Table I ingredients: memory-bound (AI 0.5) and
 // compute-bound (AI 10) apps, plus a NUMA-bad variant.
 func memSpec(name string) AppSpec {

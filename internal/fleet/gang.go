@@ -177,7 +177,7 @@ func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: gang %s: member %d of %d: %w", g.Name, i+1, g.Replicas, err)
 		}
-		if d.Starved && rank > 0 && !p.DisablePreemption {
+		if d.Starved && rank > 0 && !p.cfg.DisablePreemption {
 			// Make floor room: evict the cheapest lower-class apps from
 			// the chosen bin, then re-take the decision against it.
 			need := len(c.demand) + 1 - FloorCapacity(c.topo)
@@ -207,11 +207,11 @@ func (p *Placer) executeGang(ctx context.Context, g GangSpec, plan *gangPlan) (*
 		if _, err := p.Inv.relocate(ctx, mv); err != nil {
 			// The victim stays put; the gang proceeds (possibly starved)
 			// and the rebalancer's repair pass retries next round.
-			p.logf("fleet: gang %s: victim: %v", g.Name, err)
+			p.cfg.logf("fleet: gang %s: victim: %v", g.Name, err)
 			continue
 		}
 		res.Preempted = append(res.Preempted, mv)
-		p.logf("fleet: gang %s: preempted %s (%s) %s -> %s", g.Name, mv.AppID, mv.App.Priority, mv.From, mv.To)
+		p.cfg.logf("fleet: gang %s: preempted %s (%s) %s -> %s", g.Name, mv.AppID, mv.App.Priority, mv.From, mv.To)
 	}
 
 	for _, m := range plan.members {
@@ -223,7 +223,7 @@ func (p *Placer) executeGang(ctx context.Context, g GangSpec, plan *gangPlan) (*
 		res.Placements = append(res.Placements, GangPlacement{App: placed, Member: m.d.Member, Score: m.d.Score})
 	}
 	for _, gp := range res.Placements {
-		p.logf("fleet: gang %s: %s on %s (marginal %+.1f GFLOPS)", g.Name, gp.App.ID, gp.Member, gp.Score)
+		p.cfg.logf("fleet: gang %s: %s on %s (marginal %+.1f GFLOPS)", g.Name, gp.App.ID, gp.Member, gp.Score)
 	}
 	return res, nil
 }
@@ -237,7 +237,7 @@ func (p *Placer) rollbackGang(ctx context.Context, g GangSpec, registered []Gang
 			// rebalancer's duplicate cleanup removes it when the
 			// machine answers again.
 			p.Inv.noteStale(gp.Member, gp.App.ID)
-			p.logf("fleet: gang %s: rollback of %s on %s failed (marked stale): %v",
+			p.cfg.logf("fleet: gang %s: rollback of %s on %s failed (marked stale): %v",
 				g.Name, gp.App.ID, gp.Member, err)
 		}
 	}

@@ -35,7 +35,7 @@ func gangFleet(t *testing.T, n, domainCount int) (*Inventory, *Placer, *faultinj
 		}
 	}
 	inv.Poll(ctx)
-	pl := &Placer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+	pl, _ := planners(t, inv, ServerConfig{Logf: t.Logf})
 	return inv, pl, part, hosts
 }
 
@@ -182,7 +182,7 @@ func TestGangPreemptsForHigherClass(t *testing.T) {
 	registerWithPriority(t, inv, "b", memSpec("batch-3"))
 	registerWithPriority(t, inv, "b", memSpec("batch-4"))
 	inv.Poll(ctx)
-	pl := &Placer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+	pl, _ := planners(t, inv, ServerConfig{Logf: t.Logf})
 
 	res, err := pl.PlaceGang(ctx, GangSpec{
 		Name: "lat", Replicas: 2, Policy: GangSpread,
@@ -228,7 +228,7 @@ func TestGangPreemptsForHigherClass(t *testing.T) {
 
 	// With preemption disabled the same gang still admits, but starves
 	// instead of evicting: no victims move.
-	pl2 := &Placer{Inv: inv, Scorer: NewScorer(), DisablePreemption: true, Logf: t.Logf}
+	pl2, _ := planners(t, inv, ServerConfig{DisablePreemption: true, Logf: t.Logf})
 	res2, err := pl2.PlaceGang(ctx, GangSpec{
 		Name: "lat2", Replicas: 2, Policy: GangSpread,
 		App: AppSpec{AI: 0.5, TTLMillis: testTTL, Priority: PriorityLatency},

@@ -29,49 +29,6 @@ var (
 	ErrMemberDead = errors.New("fleet: member is dead")
 )
 
-// InventoryConfig tunes an Inventory.
-type InventoryConfig struct {
-	// NewClient builds the coopd client for one endpoint. Tests inject
-	// fault-injecting transports here. Default: client.New with 2
-	// attempts and a 2s request timeout (the inventory poll loop is the
-	// retry mechanism; per-request persistence just delays detection).
-	NewClient func(endpoint string) *client.Client
-	// FailAfter is how many consecutive failed polls declare a member
-	// dead (default 3).
-	FailAfter int
-	// PollTimeout bounds one member's poll (all endpoint attempts
-	// combined) so a single hung coopd cannot stall the whole fleet
-	// refresh; polling is sequential, so without it one member dripping
-	// bytes delays every member after it in ID order. Default 5s;
-	// negative disables the bound.
-	PollTimeout time.Duration
-	// Clock stamps LastSeen (default time.Now); tests pin it.
-	Clock func() time.Time
-	// FlapCount is the flap detector's trigger: this many alive<->dead
-	// transitions within FlapWindow quarantine the member instead of
-	// letting it oscillate against the rebalancer. 0 selects
-	// DefaultFlapCount (two full die/revive cycles); negative disables
-	// quarantining entirely — only for A/B regression experiments.
-	FlapCount int
-	// FlapWindow is the flap detector's sliding window (0:
-	// DefaultFlapWindow).
-	FlapWindow time.Duration
-	// QuarantineBackoff is the first quarantine's re-admission backoff;
-	// each consecutive quarantine doubles it, capped at
-	// QuarantineMaxBackoff. Defaults DefaultQuarantineBackoff and 10m.
-	QuarantineBackoff    time.Duration
-	QuarantineMaxBackoff time.Duration
-	// Logf, when set, receives state-transition logs.
-	Logf func(format string, args ...any)
-}
-
-// Flap-detector defaults (fleetd's flag help prints them).
-const (
-	DefaultFlapCount         = 4
-	DefaultFlapWindow        = time.Minute
-	DefaultQuarantineBackoff = 30 * time.Second
-)
-
 // Inventory tracks the fleet's member machines: their topology, demand
 // set, and health, refreshed by polling each member's coopd API — plus
 // the fleet's name-keyed soft state no member knows: priority classes,
@@ -79,7 +36,8 @@ const (
 // concurrent use; Poll holds no lock during network calls, so reads
 // stay fast while a member times out.
 type Inventory struct {
-	cfg InventoryConfig
+	cfg    InventoryConfig
+	cfgErr error // what resolving cfg refused, for NewServer to report
 
 	mu      sync.Mutex
 	members map[string]*member
@@ -146,35 +104,19 @@ type member struct {
 	quarantines     int // consecutive quarantines, drives the backoff
 }
 
-// NewInventory builds an empty inventory.
+// NewInventory builds an empty inventory. An out-of-range knob in cfg
+// is kept as given and reported by NewServer.
 func NewInventory(cfg InventoryConfig) *Inventory {
 	if cfg.NewClient == nil {
 		cfg.NewClient = func(endpoint string) *client.Client {
 			return client.New(endpoint, client.Config{MaxAttempts: 2, RequestTimeout: 2 * time.Second})
 		}
 	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
-	}
-	if cfg.PollTimeout == 0 {
-		cfg.PollTimeout = 5 * time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.FlapCount == 0 {
-		cfg.FlapCount = DefaultFlapCount
-	}
-	if cfg.FlapWindow <= 0 {
-		cfg.FlapWindow = DefaultFlapWindow
-	}
-	if cfg.QuarantineBackoff <= 0 {
-		cfg.QuarantineBackoff = DefaultQuarantineBackoff
-	}
-	if cfg.QuarantineMaxBackoff <= 0 {
-		cfg.QuarantineMaxBackoff = 10 * time.Minute
-	}
-	return &Inventory{cfg: cfg, members: map[string]*member{}, priorities: map[string]string{}}
+	err := cfg.resolve()
+	return &Inventory{cfg: cfg, cfgErr: err, members: map[string]*member{}, priorities: map[string]string{}}
 }
 
 // now reads the inventory's clock, the one time source of the fleet
@@ -252,11 +194,8 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	held := ctrlplane.StateQuery{Incarnation: m.incarnation, Generation: m.gen, Conditional: m.exact}
 	inv.mu.Unlock()
 
-	if d := inv.cfg.PollTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, inv.cfg.PollTimeout)
+	defer cancel()
 
 	var st *ctrlplane.StateResponse
 	answered := -1
@@ -374,12 +313,10 @@ func (inv *Inventory) noteTransition(m *member, now time.Time) {
 		return
 	}
 	backoff := inv.cfg.QuarantineBackoff
-	for i := 0; i < m.quarantines && backoff < inv.cfg.QuarantineMaxBackoff; i++ {
+	for i := 0; i < m.quarantines && backoff < quarantineMaxBackoff; i++ {
 		backoff *= 2
 	}
-	if backoff > inv.cfg.QuarantineMaxBackoff {
-		backoff = inv.cfg.QuarantineMaxBackoff
-	}
+	backoff = min(backoff, quarantineMaxBackoff)
 	m.quarantines++
 	m.quarantined = true
 	m.quarantineUntil = now.Add(backoff)

@@ -166,15 +166,12 @@ func tieBreakBetter(domCount map[string]int, c, best *candidate) bool {
 	return c.apps < best.apps
 }
 
-// Placer assigns incoming apps to fleet members.
+// Placer assigns incoming apps to fleet members. NewServer builds it;
+// its knobs are the server's (see ServerConfig).
 type Placer struct {
 	Inv    *Inventory
 	Scorer *Scorer
-	// DisablePreemption turns gang-admission preemption off (mirrors
-	// Rebalancer.DisablePreemption; fleetd sets both from one flag).
-	DisablePreemption bool
-	// Logf, when set, receives placement logs.
-	Logf func(format string, args ...any)
+	cfg    *ServerConfig
 }
 
 // Decide scores the app against the current inventory without
@@ -199,15 +196,9 @@ func (p *Placer) Place(ctx context.Context, spec AppSpec) (*Decision, PlacedApp,
 	if err != nil {
 		return nil, PlacedApp{}, fmt.Errorf("fleet: registering %q on %s: %w", spec.Name, d.Member, err)
 	}
-	if p.Logf != nil { // guarded: boxing the arguments is the hot path's only avoidable allocation
-		p.Logf("fleet: placed %s on %s (marginal %+.1f GFLOPS, machine now %.1f)",
+	if p.cfg.Logf != nil { // guarded: boxing the arguments is the hot path's only avoidable allocation
+		p.cfg.Logf("fleet: placed %s on %s (marginal %+.1f GFLOPS, machine now %.1f)",
 			placed.ID, d.Member, d.Score, d.After)
 	}
 	return d, placed, nil
-}
-
-func (p *Placer) logf(format string, args ...any) {
-	if p.Logf != nil {
-		p.Logf(format, args...)
-	}
 }

@@ -364,12 +364,10 @@ func TestUnchangedNeverHidesStaleDuplicate(t *testing.T) {
 	ctx := context.Background()
 	w := newPollWorld(t, "a", "b", "c")
 	w.inv.Poll(ctx)
-	sc := NewScorer()
-	pl := &Placer{Inv: w.inv, Scorer: sc}
 	// The imbalance pass is as good as off: a re-spread onto the healed
 	// member would register there, and that alone makes the next poll a
 	// full one. The cleanup must not depend on it.
-	reb := &Rebalancer{Inv: w.inv, Scorer: sc, MaxMovesPerRound: 8, Threshold: 0.01}
+	pl, reb := planners(t, w.inv, ServerConfig{MaxMovesPerRound: 8, Threshold: 0.01})
 	for _, spec := range tableIMixSpecs() {
 		if _, _, err := pl.Place(ctx, spec); err != nil {
 			t.Fatal(err)

@@ -49,8 +49,9 @@ func registerWithPriority(t *testing.T, inv *Inventory, member string, spec AppS
 // machine a hosting one latency app plus two batch apps — three apps
 // against a floor capacity of two, so someone on a is starved of a
 // guaranteed core while b sits empty. Threshold is floored so the
-// imbalance pass stays quiet and the preemption pass is isolated.
-func preemptFleet(t *testing.T) (*Inventory, *Rebalancer) {
+// imbalance pass stays quiet and the preemption pass is isolated; cfg
+// carries the rest of the rebalancer's knobs.
+func preemptFleet(t *testing.T, cfg ServerConfig) (*Inventory, *Rebalancer) {
 	t.Helper()
 	ctx := context.Background()
 	tiny := func(name string) *machine.Machine { return machine.Uniform(name, 2, 2, 10, 32, 0) }
@@ -69,14 +70,8 @@ func preemptFleet(t *testing.T) (*Inventory, *Rebalancer) {
 	registerWithPriority(t, inv, "a", memSpec("batch-1"))
 	registerWithPriority(t, inv, "a", memSpec("batch-2"))
 	inv.Poll(ctx)
-	sc := NewScorer()
-	reb := &Rebalancer{
-		Inv:              inv,
-		Scorer:           sc,
-		MaxMovesPerRound: 4,
-		Threshold:        0.01,
-		Logf:             t.Logf,
-	}
+	cfg.Threshold, cfg.Logf = 0.01, t.Logf
+	_, reb := planners(t, inv, cfg)
 	return inv, reb
 }
 
@@ -86,7 +81,7 @@ func preemptFleet(t *testing.T) (*Inventory, *Rebalancer) {
 // its cooldown, and reaches a steady state with no further churn.
 func TestPreemptRepairsPriorityInversion(t *testing.T) {
 	ctx := context.Background()
-	inv, reb := preemptFleet(t)
+	inv, reb := preemptFleet(t, ServerConfig{})
 
 	plan, err := reb.Round(ctx)
 	if err != nil {
@@ -141,8 +136,7 @@ func TestPreemptRepairsPriorityInversion(t *testing.T) {
 // fleetsim hardening-off scenario demonstrates at scale).
 func TestPreemptDisabledLeavesInversion(t *testing.T) {
 	ctx := context.Background()
-	inv, reb := preemptFleet(t)
-	reb.DisablePreemption = true
+	inv, reb := preemptFleet(t, ServerConfig{DisablePreemption: true})
 
 	for round := 0; round < 2; round++ {
 		plan, err := reb.Round(ctx)
@@ -164,8 +158,7 @@ func TestPreemptDisabledLeavesInversion(t *testing.T) {
 // round, so the inversion drains incrementally under the churn bound.
 func TestPreemptRespectsBudgetAndCooldown(t *testing.T) {
 	ctx := context.Background()
-	inv, reb := preemptFleet(t)
-	reb.MaxMovesPerRound = 1
+	inv, reb := preemptFleet(t, ServerConfig{MaxMovesPerRound: 1})
 	// A third batch app makes the overrun 2 against budget 1.
 	registerWithPriority(t, inv, "a", memSpec("batch-3"))
 	inv.Poll(ctx)
@@ -224,14 +217,7 @@ func TestEvacTriagePrefersHigherClasses(t *testing.T) {
 			registerWithPriority(t, inv, "a", lat)
 			inv.Poll(ctx)
 
-			sc := NewScorer()
-			reb := &Rebalancer{
-				Inv:               inv,
-				Scorer:            sc,
-				MaxMovesPerRound:  1,
-				DisableStormBrake: !tc.storm,
-				Logf:              t.Logf,
-			}
+			_, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: 1, DisableStormBrake: !tc.storm, Logf: t.Logf})
 			part.Isolate(hosts["a"])
 			inv.Poll(ctx)
 			if m, _ := inv.Member("a"); !m.Dead {

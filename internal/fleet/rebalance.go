@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/ctrlplane"
 )
@@ -85,8 +84,8 @@ type Plan struct {
 	// from-scratch re-pack the imbalance check compares against.
 	CurrentGFLOPS float64 `json:"current_gflops"`
 	RepackGFLOPS  float64 `json:"repack_gflops"`
-	// Budget is the round's global move budget (MaxMovesPerRound after
-	// defaults), shared across the urgent, drift, and imbalance passes;
+	// Budget is the round's global move budget (MaxMovesPerRound),
+	// shared across the urgent, drift, and imbalance passes;
 	// BudgetSpent is how much of it this plan consumes.
 	Budget      int `json:"budget,omitempty"`
 	BudgetSpent int `json:"budget_spent,omitempty"`
@@ -101,122 +100,13 @@ type Plan struct {
 	StormActive bool `json:"storm_active,omitempty"`
 }
 
-// Rebalancer defaults: what a zero knob selects (fleetd's flag help
-// prints them).
-const (
-	DefaultMaxMovesPerRound = 4
-	DefaultThreshold        = 0.9
-	DefaultStormFraction    = 0.25
-	DefaultAdmissionCap     = 2
-	DefaultCooldownRounds   = 2
-)
-
 // Rebalancer turns inventory drift — dead machines, draining members,
-// imbalance — into bounded move plans and executes them. The knobs are
-// resolved once, on the first Plan; set them before that.
+// imbalance — into bounded move plans and executes them. NewServer
+// builds it; its knobs are the server's (see ServerConfig).
 type Rebalancer struct {
 	Inv    *Inventory
 	Scorer *Scorer
-	// MaxMovesPerRound bounds churn per round (0: the default). The
-	// bound is global: urgent evacuation, preemption, drift re-placement,
-	// and the imbalance re-pack all draw from the same per-round ledger.
-	// A negative value is a misconfiguration (it would disable churn
-	// limiting) and falls back to the default with a logged warning.
-	MaxMovesPerRound int
-	// Threshold triggers the imbalance pass when the current aggregate
-	// falls below Threshold x the greedy re-pack (0: the default).
-	// Values outside (0, 1] are misconfigurations — negative or > 1
-	// would arm the re-pack permanently — and fall back to the default
-	// with a logged warning.
-	Threshold float64
-	// StormFraction arms the storm brake: when the fraction of members
-	// that are down (dead or quarantined) while still carrying
-	// un-evacuated apps exceeds it, the round runs in degraded mode —
-	// urgent moves are triaged by the aggregate GFLOPS their
-	// re-placement recovers, rate-limited to StormBudget, and no
-	// survivor admits more than AdmissionCap storm moves per round.
-	// Degraded mode is detected statelessly from the snapshot (Plan
-	// stays a side-effect-free dry run) and therefore persists until
-	// the evacuation backlog drains. 0 selects the default; values
-	// outside (0, 1] fall back with a logged warning.
-	StormFraction float64
-	// StormBudget caps urgent moves per degraded round (it can only
-	// tighten the global budget, never exceed it). 0 selects the global
-	// MaxMovesPerRound; negative falls back with a logged warning.
-	StormBudget int
-	// AdmissionCap bounds how many storm evacuations a single surviving
-	// member admits per round, so a mass failure cannot crush the
-	// remaining machines under simultaneous re-registrations. 0 selects
-	// the default; negative falls back with a logged warning.
-	AdmissionCap int
-	// DisablePreemption turns the priority-inversion repair pass off:
-	// lower-class apps are never evicted to give a higher class a
-	// floor-feasible allocation. Only for A/B resilience experiments
-	// such as the fleetsim priority-inversion regression, never for
-	// production use.
-	DisablePreemption bool
-	// DisableStormBrake turns mass-failure triage off: urgent
-	// evacuation behaves as if the fleet were losing one machine — all
-	// moves planned immediately, no admission cap. Only for A/B
-	// resilience experiments such as the fleetsim correlated-failure
-	// regression, never for production use.
-	DisableStormBrake bool
-	// CooldownRounds is the anti-thrash guard: an app moved by the
-	// preempt, drift or imbalance pass may not be moved by those passes
-	// again for this many following rounds (the clock lives in the
-	// Inventory). Urgent evacuation (machine lost, drain) is never
-	// blocked. 0 selects the default; negative disables the guard
-	// entirely — only for A/B stability experiments such as the
-	// fleetsim oscillation regression, never for production use.
-	CooldownRounds int
-	// Logf, when set, receives move logs.
-	Logf func(format string, args ...any)
-
-	tuneOnce sync.Once
-	tuned    tuning
-}
-
-// tuning is the Rebalancer's numeric knobs after defaults.
-type tuning struct {
-	maxMoves, stormBudget, admissionCap, cooldown int
-	threshold, stormFraction                      float64
-}
-
-// tuning resolves the knobs on first use. One rule covers every row: a
-// value in (0, hi] is taken as is, zero silently selects the default,
-// and anything else is a misconfiguration that logs what it would have
-// broken — once, since this runs once — and falls back to the default.
-func (r *Rebalancer) tuning() tuning {
-	r.tuneOnce.Do(func() {
-		knob := func(name string, v, hi, def float64, wouldBreak string) float64 {
-			if v > 0 && v <= hi {
-				return v
-			}
-			if v != 0 {
-				r.logf("fleet: %s %g would %s; using default %g", name, v, wouldBreak, def)
-			}
-			return def
-		}
-		inf, t := math.Inf(1), &r.tuned
-		t.maxMoves = int(knob("MaxMovesPerRound", float64(r.MaxMovesPerRound), inf, DefaultMaxMovesPerRound, "disable the churn bound"))
-		t.threshold = knob("Threshold", r.Threshold, 1, DefaultThreshold, "mis-arm the imbalance pass")
-		t.stormFraction = knob("StormFraction", r.StormFraction, 1, DefaultStormFraction, "mis-arm the storm brake")
-		t.stormBudget = int(knob("StormBudget", float64(r.StormBudget), inf, float64(t.maxMoves), "disable degraded-mode churn limiting"))
-		t.admissionCap = int(knob("AdmissionCap", float64(r.AdmissionCap), inf, DefaultAdmissionCap, "disable survivor admission control"))
-		// The one knob whose negative range is meaningful: it disables
-		// the guard instead of warning.
-		t.cooldown = max(r.CooldownRounds, 0)
-		if r.CooldownRounds == 0 {
-			t.cooldown = DefaultCooldownRounds
-		}
-	})
-	return r.tuned
-}
-
-func (r *Rebalancer) logf(format string, args ...any) {
-	if r.Logf != nil {
-		r.Logf(format, args...)
-	}
+	cfg    *ServerConfig
 }
 
 // Plan computes one round's moves from the current inventory snapshot
@@ -229,12 +119,12 @@ func (r *Rebalancer) logf(format string, args ...any) {
 // against the session's candidates, which accumulate the round's
 // earlier moves, so a plan never over-commits one machine.
 func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
-	t := r.tuning()
+	cfg := r.cfg
 	s := openSession(r.Scorer, r.Inv, r.Scorer.DomainSpread)
 	defer s.close()
-	s.budget = t.maxMoves
-	s.cooling = r.Inv.cooldownView(t.cooldown)
-	plan := &Plan{Budget: t.maxMoves, Cooldowns: s.cooling, StaleDeregs: s.staleDuplicates()}
+	s.budget = cfg.MaxMovesPerRound
+	s.cooling = r.Inv.cooldownView(max(cfg.CooldownRounds, 0))
+	plan := &Plan{Budget: cfg.MaxMovesPerRound, Cooldowns: s.cooling, StaleDeregs: s.staleDuplicates()}
 
 	// Collect the round's evacuations — apps on dead, quarantined, or
 	// draining members — and detect a failure storm: the fraction of
@@ -263,13 +153,13 @@ func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
 			}
 		}
 	}
-	plan.StormActive = !r.DisableStormBrake && len(s.members) > 0 &&
-		float64(downBacklog) > t.stormFraction*float64(len(s.members))
+	plan.StormActive = !cfg.DisableStormBrake && len(s.members) > 0 &&
+		float64(downBacklog) > cfg.StormFraction*float64(len(s.members))
 	if plan.StormActive {
-		r.logf("fleet: storm brake engaged: %d/%d members down with %d apps pending; triaging (budget %d, admission cap %d)",
-			downBacklog, len(s.members), len(evacs), min(t.maxMoves, t.stormBudget), t.admissionCap)
+		cfg.logf("fleet: storm brake engaged: %d/%d members down with %d apps pending; triaging (budget %d, admission cap %d)",
+			downBacklog, len(s.members), len(evacs), min(cfg.MaxMovesPerRound, cfg.StormBudget), cfg.AdmissionCap)
 	}
-	r.planUrgent(s, evacs, plan.StormActive, t)
+	r.planUrgent(s, evacs, plan.StormActive)
 
 	if len(s.moves) == 0 && !plan.StormActive {
 		// Quiet-round passes in priority order, all drawing from the one
@@ -279,7 +169,7 @@ func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
 		// when the ones before it planned nothing, so a round stays
 		// single-purpose.
 		if r.planPreempt(s) == 0 && r.planDrift(s) == 0 {
-			r.planImbalance(s, plan, t.threshold)
+			r.planImbalance(s, plan)
 		}
 	}
 	plan.Moves, plan.Deferred, plan.BudgetSpent = s.moves, s.deferred, len(s.moves)
@@ -300,7 +190,7 @@ func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
 // survivor admits more than the admission cap; an evacuation no capped
 // survivor can take is deferred too. The backlog-based storm detection
 // keeps degraded mode active until the backlog drains.
-func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool, t tuning) {
+func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool) {
 	if len(evacs) == 0 {
 		return
 	}
@@ -311,11 +201,11 @@ func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool, t tunin
 			return ClassRank(evacs[a].app.Priority) > ClassRank(evacs[b].app.Priority)
 		})
 	} else {
-		s.budget = min(s.budget, t.stormBudget)
+		s.budget = min(s.budget, r.cfg.StormBudget)
 		// Survivors at their admission cap leave the pool; each decision
 		// re-runs against the committed state, so earlier admissions are
 		// visible.
-		admit = func(c *candidate) bool { return inbound[c.id] < t.admissionCap }
+		admit = func(c *candidate) bool { return inbound[c.id] < r.cfg.AdmissionCap }
 		scores := make(map[*PlacedApp]float64, len(evacs))
 		for _, e := range evacs {
 			scores[e.app] = math.Inf(-1)
@@ -352,7 +242,7 @@ func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool, t tunin
 		case storm:
 			s.deferred++
 		default:
-			r.logf("fleet: cannot re-home %s from %s: %v", e.app.ID, e.member, err)
+			r.cfg.logf("fleet: cannot re-home %s from %s: %v", e.app.ID, e.member, err)
 		}
 	}
 }
@@ -367,7 +257,7 @@ func (r *Rebalancer) planUrgent(s *session, evacs []evacApp, storm bool, t tunin
 // *inversion* even if starvation among equals remains. Returns the
 // number of moves planned.
 func (r *Rebalancer) planPreempt(s *session) int {
-	if r.DisablePreemption {
+	if r.cfg.DisablePreemption {
 		return 0
 	}
 	planned := len(s.moves)
@@ -389,7 +279,7 @@ func (r *Rebalancer) planPreempt(s *session) int {
 			continue
 		}
 		for _, mv := range s.evict(c, top, min(over, s.budget)) {
-			r.logf("fleet: preempting %s (%s) off %s -> %s to unstarve class rank %d",
+			r.cfg.logf("fleet: preempting %s (%s) off %s -> %s to unstarve class rank %d",
 				mv.AppID, mv.App.Priority, mv.From, mv.To, top)
 		}
 	}
@@ -420,7 +310,7 @@ func (r *Rebalancer) planDrift(s *session) int {
 			polled := c.demand[:c.snap]
 			withApp, err := r.Scorer.SolveTotal(c.topo, polled)
 			if err != nil {
-				r.logf("fleet: scoring %s: %v", m.ID, err)
+				r.cfg.logf("fleet: scoring %s: %v", m.ID, err)
 				continue
 			}
 			at := slices.Index(c.ids[:c.snap], app.ID)
@@ -440,7 +330,7 @@ func (r *Rebalancer) planDrift(s *session) int {
 				continue // not worth the churn
 			}
 			s.move(app, m.ID, ReasonDrift, dst, d)
-			r.logf("fleet: drift re-placement of %s (fitted AI %.3g vs declared %.3g): %s -> %s, gain %+.1f GFLOPS",
+			r.cfg.logf("fleet: drift re-placement of %s (fitted AI %.3g vs declared %.3g): %s -> %s, gain %+.1f GFLOPS",
 				app.ID, app.FittedAI, app.AI, m.ID, d.Member, gain)
 		}
 	}
@@ -455,7 +345,7 @@ func (r *Rebalancer) planDrift(s *session) int {
 // app the previous round just re-homed must not immediately bounce
 // back because the load shifted again), and moves stop once the ledger
 // is spent.
-func (r *Rebalancer) planImbalance(s *session, plan *Plan, threshold float64) {
+func (r *Rebalancer) planImbalance(s *session, plan *Plan) {
 	type owned struct {
 		member string
 		app    *PlacedApp
@@ -481,7 +371,7 @@ func (r *Rebalancer) planImbalance(s *session, plan *Plan, threshold float64) {
 		}
 		total, err := r.Scorer.SolveTotal(m.Topology, s.demand)
 		if err != nil {
-			r.logf("fleet: scoring %s: %v", m.ID, err)
+			r.cfg.logf("fleet: scoring %s: %v", m.ID, err)
 			return
 		}
 		current += total
@@ -516,7 +406,7 @@ func (r *Rebalancer) planImbalance(s *session, plan *Plan, threshold float64) {
 		repack += total
 	}
 	plan.RepackGFLOPS = repack
-	if current >= threshold*repack {
+	if current >= r.cfg.Threshold*repack {
 		return
 	}
 
@@ -546,7 +436,7 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 			keep(fmt.Errorf("fleet: cleaning stale %s on %s: %w", sd.AppID, sd.Member, err))
 			continue
 		}
-		r.logf("fleet: cleaned stale duplicate %s on revived %s", sd.AppID, sd.Member)
+		r.cfg.logf("fleet: cleaned stale duplicate %s on revived %s", sd.AppID, sd.Member)
 	}
 	for _, mv := range plan.Moves {
 		placed, err := r.Inv.relocate(ctx, mv)
@@ -554,7 +444,7 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 			keep(err)
 			continue
 		}
-		r.logf("fleet: moved %s: %s -> %s as %s (%s, score %+.1f)",
+		r.cfg.logf("fleet: moved %s: %s -> %s as %s (%s, score %+.1f)",
 			mv.AppID, mv.From, mv.To, placed.ID, mv.Reason, mv.Score)
 	}
 	return firstErr

@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/ctrlplane"
@@ -37,13 +35,7 @@ func twoMachineFleet(t *testing.T, maxMoves int) (*Inventory, *Rebalancer) {
 		}
 	}
 	inv.Poll(ctx)
-	sc := NewScorer()
-	reb := &Rebalancer{
-		Inv:              inv,
-		Scorer:           sc,
-		MaxMovesPerRound: maxMoves,
-		Logf:             t.Logf,
-	}
+	_, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: maxMoves, Logf: t.Logf})
 	return inv, reb
 }
 
@@ -137,76 +129,11 @@ func TestRebalanceDrainsMarkedMember(t *testing.T) {
 		t.Fatalf("survivor hosts %d apps, want 4", n)
 	}
 	// The drained member receives no new placements while draining.
-	pl := &Placer{Inv: inv, Scorer: reb.Scorer}
+	pl, _ := planners(t, inv, ServerConfig{})
 	if d, err := pl.Decide(memSpec("fresh")); err != nil {
 		t.Fatal(err)
 	} else if d.Member != "b" {
 		t.Fatalf("fresh app decided onto draining member %s", d.Member)
-	}
-}
-
-// TestRebalanceMisconfigDefaults: negative MaxMovesPerRound and
-// out-of-range Threshold values are misconfigurations — they fall back
-// to the safe defaults and log a warning exactly once, instead of
-// silently disabling the churn bound or permanently arming the re-pack.
-func TestRebalanceMisconfigDefaults(t *testing.T) {
-	var warnings []string
-	r := &Rebalancer{
-		MaxMovesPerRound: -3,
-		Threshold:        1.7,
-		Logf: func(format string, args ...any) {
-			warnings = append(warnings, fmt.Sprintf(format, args...))
-		},
-	}
-	for i := 0; i < 3; i++ {
-		tn := r.tuning()
-		if tn.maxMoves != DefaultMaxMovesPerRound {
-			t.Fatalf("maxMoves = %d with negative config, want default %d", tn.maxMoves, DefaultMaxMovesPerRound)
-		}
-		if tn.threshold != DefaultThreshold {
-			t.Fatalf("threshold = %g with out-of-range config, want default %g", tn.threshold, DefaultThreshold)
-		}
-	}
-	if len(warnings) != 2 {
-		t.Fatalf("logged %d warnings %q, want exactly one per misconfigured knob", len(warnings), warnings)
-	}
-
-	// Zero values are the documented defaults, not misconfigurations:
-	// no warning spam from default-constructed rebalancers.
-	warnings = nil
-	r2 := &Rebalancer{Logf: func(format string, args ...any) {
-		warnings = append(warnings, format)
-	}}
-	want := tuning{
-		maxMoves: DefaultMaxMovesPerRound, stormBudget: DefaultMaxMovesPerRound,
-		admissionCap: DefaultAdmissionCap, cooldown: DefaultCooldownRounds,
-		threshold: DefaultThreshold, stormFraction: DefaultStormFraction,
-	}
-	if got := r2.tuning(); got != want {
-		t.Fatalf("zero-value tuning = %+v, want %+v", got, want)
-	}
-	if len(warnings) != 0 {
-		t.Fatalf("zero-value defaults logged warnings: %q", warnings)
-	}
-
-	// Negative Threshold also warns (would disable the imbalance pass
-	// silently); -1 CooldownRounds disables cooldowns without warning —
-	// it is the documented A/B knob. StormBudget defaults to whatever
-	// MaxMovesPerRound resolved to.
-	warnings = nil
-	r3 := &Rebalancer{MaxMovesPerRound: 7, Threshold: -0.5, CooldownRounds: -1, Logf: r.Logf}
-	tn := r3.tuning()
-	if tn.threshold != DefaultThreshold {
-		t.Fatalf("negative threshold = %g, want default %g", tn.threshold, DefaultThreshold)
-	}
-	if tn.cooldown != 0 {
-		t.Fatalf("cooldown = %d with -1, want 0 (disabled)", tn.cooldown)
-	}
-	if tn.maxMoves != 7 || tn.stormBudget != 7 {
-		t.Fatalf("maxMoves %d / stormBudget %d, want 7 / 7", tn.maxMoves, tn.stormBudget)
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "Threshold") {
-		t.Fatalf("warnings %q, want exactly the Threshold one", warnings)
 	}
 }
 
@@ -243,8 +170,7 @@ func TestRebalanceCooldownBlocksRepeatMoves(t *testing.T) {
 // the cooldown expires the pass may move it again.
 func TestRebalanceCooldownDampsImmediateBounce(t *testing.T) {
 	ctx := context.Background()
-	inv, reb := twoMachineFleet(t, 4)
-	reb.CooldownRounds = 2
+	inv, reb := twoMachineFleet(t, 4) // the default cooldown: 2 rounds
 
 	plan, err := reb.Round(ctx)
 	if err != nil {
@@ -312,7 +238,7 @@ func TestRebalanceBudgetSharedAcrossPasses(t *testing.T) {
 			return reb
 		}},
 		{"storm", ReasonMachineLost, 2, 1, func(t *testing.T) *Rebalancer {
-			inv, part, hosts, reb := stormFleet(t) // three apps on a
+			inv, part, hosts, reb := stormFleet(t, ServerConfig{}) // three apps on a
 			part.Isolate(hosts[0])
 			inv.Poll(ctx)
 			return reb
@@ -328,7 +254,8 @@ func TestRebalanceBudgetSharedAcrossPasses(t *testing.T) {
 				registerWithPriority(t, inv, id, memSpec("batch-"+id+"-1"))
 				registerWithPriority(t, inv, id, memSpec("batch-"+id+"-2"))
 			}
-			return &Rebalancer{Inv: inv, Scorer: NewScorer(), MaxMovesPerRound: 2, Logf: t.Logf}
+			_, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: 2, Logf: t.Logf})
+			return reb
 		}},
 		{"drift", ReasonDrift, 1, 1, func(t *testing.T) *Rebalancer {
 			// Two wolves on a declare memory-bound and measure
@@ -357,7 +284,8 @@ func TestRebalanceBudgetSharedAcrossPasses(t *testing.T) {
 					}
 				}
 			}
-			return &Rebalancer{Inv: inv, Scorer: NewScorer(), MaxMovesPerRound: 1, Logf: t.Logf}
+			_, reb := planners(t, inv, ServerConfig{MaxMovesPerRound: 1, Logf: t.Logf})
+			return reb
 		}},
 		{"imbalance", ReasonRebalance, 1, 1, func(t *testing.T) *Rebalancer {
 			_, reb := twoMachineFleet(t, 1) // the re-pack wants two moves
@@ -391,8 +319,9 @@ func TestRebalanceBudgetSharedAcrossPasses(t *testing.T) {
 // a carries three memory-bound apps, b four, c none. Killing a strands
 // a third of the fleet's members with un-evacuated apps — exactly one
 // over the default 0.25 storm fraction — so the rebalancer's degraded
-// mode engages with a small, fully predictable triage.
-func stormFleet(t *testing.T) (*Inventory, *faultinject.Partition, []string, *Rebalancer) {
+// mode engages with a small, fully predictable triage. The rebalancer
+// gets cfg's knobs, a budget of 2 and an admission cap of 1.
+func stormFleet(t *testing.T, cfg ServerConfig) (*Inventory, *faultinject.Partition, []string, *Rebalancer) {
 	t.Helper()
 	ctx := context.Background()
 	part := faultinject.NewPartition()
@@ -424,14 +353,8 @@ func stormFleet(t *testing.T) (*Inventory, *faultinject.Partition, []string, *Re
 	register("a", memSpec("s-1"), memSpec("s-2"), memSpec("s-3"))
 	register("b", memSpec("t-1"), memSpec("t-2"), memSpec("t-3"), memSpec("t-4"))
 	inv.Poll(ctx)
-	sc := NewScorer()
-	reb := &Rebalancer{
-		Inv:              inv,
-		Scorer:           sc,
-		MaxMovesPerRound: 2,
-		AdmissionCap:     1,
-		Logf:             t.Logf,
-	}
+	cfg.MaxMovesPerRound, cfg.AdmissionCap, cfg.Logf = 2, 1, t.Logf
+	_, reb := planners(t, inv, cfg)
 	return inv, part, hosts, reb
 }
 
@@ -446,7 +369,7 @@ func stormFleet(t *testing.T) (*Inventory, *faultinject.Partition, []string, *Re
 // the storm is active.
 func TestRebalanceStormBrakeTriage(t *testing.T) {
 	ctx := context.Background()
-	inv, part, hosts, reb := stormFleet(t)
+	inv, part, hosts, reb := stormFleet(t, ServerConfig{})
 	part.Isolate(hosts[0])
 	inv.Poll(ctx)
 	if m, _ := inv.Member("a"); !m.Dead {
@@ -522,8 +445,7 @@ func TestRebalanceStormBrakeTriage(t *testing.T) {
 // (not admission control) limits the round.
 func TestRebalanceStormBrakeDisabled(t *testing.T) {
 	ctx := context.Background()
-	inv, part, hosts, reb := stormFleet(t)
-	reb.DisableStormBrake = true
+	inv, part, hosts, reb := stormFleet(t, ServerConfig{DisableStormBrake: true})
 	part.Isolate(hosts[0])
 	inv.Poll(ctx)
 

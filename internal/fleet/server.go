@@ -12,48 +12,13 @@ import (
 	"repro/internal/roofline"
 )
 
-// ServerConfig tunes a fleet Server.
-type ServerConfig struct {
-	// Inventory is the member tracker. Required; add members before or
-	// after construction.
-	Inventory *Inventory
-	// PollInterval is the background inventory refresh period between
-	// rebalance rounds (default 2s).
-	PollInterval time.Duration
-	// RebalanceInterval is the control-loop period (default 10s).
-	RebalanceInterval time.Duration
-	// MaxMovesPerRound and Threshold tune the rebalancer (see
-	// Rebalancer; zero values take its defaults).
-	MaxMovesPerRound int
-	Threshold        float64
-	// DomainSpread enables the failure-domain anti-affinity tie-break in
-	// placement decisions (see Scorer.DomainSpread).
-	DomainSpread bool
-	// Objective names the placement objective ("" or "total-gflops" for
-	// the default aggregate, "weighted-priority", "max-min"; see
-	// roofline.ObjectiveSpecByName).
-	Objective string
-	// DisablePreemption turns priority preemption off fleet-wide — both
-	// the rebalancer's inversion-repair pass and gang-admission
-	// eviction. A/B experiments only.
-	DisablePreemption bool
-	// StormFraction, StormBudget, and AdmissionCap tune the rebalancer's
-	// mass-failure storm brake (see Rebalancer; zero values take its
-	// defaults).
-	StormFraction float64
-	StormBudget   int
-	AdmissionCap  int
-	// Logf, when set, receives placement and rebalance logs.
-	Logf func(format string, args ...any)
-}
-
 // Server exposes the placement subsystem over HTTP. Create with
 // NewServer, mount Handler, and call Start/Close around its lifetime to
 // run the background poll + rebalance loop (handlers work without
 // Start; /v1/fleet/plan and place poll on demand in tests that drive
 // rounds manually).
 type Server struct {
-	cfg ServerConfig
+	cfg *ServerConfig // resolved, shared with the Placer and Rebalancer
 	inv *Inventory
 	pl  *Placer
 	reb *Rebalancer
@@ -74,40 +39,22 @@ type Server struct {
 	done     chan struct{}
 }
 
-// NewServer builds the server and its Placer/Rebalancer around the
-// configured inventory.
+// NewServer resolves cfg (see ServerConfig) and builds the server and
+// its Placer/Rebalancer around the configured inventory.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Inventory == nil {
-		return nil, errors.New("fleet: no inventory configured")
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * time.Second
-	}
-	if cfg.RebalanceInterval <= 0 {
-		cfg.RebalanceInterval = 10 * time.Second
-	}
-	sc := NewScorer()
-	sc.DomainSpread = cfg.DomainSpread
-	spec, err := roofline.ObjectiveSpecByName(cfg.Objective)
+	pl, reb, err := newPlanners(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sc.Objective = spec
+	inv := pl.Inv
 	s := &Server{
-		cfg: cfg,
-		inv: cfg.Inventory,
-		pl:  &Placer{Inv: cfg.Inventory, Scorer: sc, DisablePreemption: cfg.DisablePreemption, Logf: cfg.Logf},
-		reb: &Rebalancer{
-			Inv: cfg.Inventory, Scorer: sc,
-			MaxMovesPerRound: cfg.MaxMovesPerRound, Threshold: cfg.Threshold,
-			StormFraction: cfg.StormFraction, StormBudget: cfg.StormBudget,
-			AdmissionCap:      cfg.AdmissionCap,
-			DisablePreemption: cfg.DisablePreemption,
-			Logf:              cfg.Logf,
-		},
-		upg:    &Upgrader{Inv: cfg.Inventory, Logf: cfg.Logf},
-		routes: httpapi.NewRoutes(cfg.Inventory.now, 0),
-		start:  cfg.Inventory.now(),
+		cfg:    pl.cfg,
+		inv:    inv,
+		pl:     pl,
+		reb:    reb,
+		upg:    &Upgrader{Inv: inv, Logf: pl.cfg.Logf},
+		routes: httpapi.NewRoutes(inv.now, 0),
+		start:  inv.now(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -122,6 +69,26 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.routes.Handle("GET /metricsz", "metricsz", s.handleMetricsz)
 	return s, nil
 }
+
+// newPlanners resolves cfg and builds the Placer and Rebalancer it
+// configures over one Scorer: NewServer's wiring, and the constructor
+// tests use when they need no HTTP surface.
+func newPlanners(cfg ServerConfig) (*Placer, *Rebalancer, error) {
+	if cfg.Inventory == nil {
+		return nil, nil, errors.New("fleet: no inventory configured")
+	}
+	spec, err := roofline.ObjectiveSpecByName(cfg.Objective)
+	if err = errors.Join(err, cfg.resolve(), cfg.Inventory.cfgErr); err != nil {
+		return nil, nil, err
+	}
+	sc := NewScorer()
+	sc.DomainSpread, sc.Objective = cfg.DomainSpread, spec
+	return &Placer{Inv: cfg.Inventory, Scorer: sc, cfg: &cfg},
+		&Rebalancer{Inv: cfg.Inventory, Scorer: sc, cfg: &cfg}, nil
+}
+
+// Config returns the server's configuration as resolved.
+func (s *Server) Config() ServerConfig { return *s.cfg }
 
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler { return s.routes }
@@ -159,14 +126,14 @@ func (s *Server) Start() {
 				s.inv.Poll(ctx)
 			case <-reb.C:
 				s.placeMu.Lock()
-				if _, err := s.reb.Round(ctx); err != nil && s.cfg.Logf != nil {
-					s.cfg.Logf("fleet: rebalance round: %v", err)
+				if _, err := s.reb.Round(ctx); err != nil {
+					s.cfg.logf("fleet: rebalance round: %v", err)
 				}
 				// The upgrade controller ticks at rebalance cadence: drain
 				// progress is produced by rounds, so that is how often it
 				// can be observed.
-				if msg := s.upg.Step(ctx); msg != "" && s.cfg.Logf != nil {
-					s.cfg.Logf("%s", msg)
+				if msg := s.upg.Step(ctx); msg != "" {
+					s.cfg.logf("%s", msg)
 				}
 				s.placeMu.Unlock()
 			}

@@ -58,7 +58,7 @@ func TestFailedRehomeRestoresSource(t *testing.T) {
 		if err := inv.SetDraining("a", true); err != nil {
 			t.Fatal(err)
 		}
-		reb := &Rebalancer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+		_, reb := planners(t, inv, ServerConfig{Logf: t.Logf})
 		plan, err := reb.Plan(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestFailedRehomeRestoresSource(t *testing.T) {
 		for i, member := range []string{"a", "a", "b", "b"} {
 			registerWithPriority(t, inv, member, memSpec("batch-"+string(rune('1'+i))))
 		}
-		pl := &Placer{Inv: inv, Scorer: NewScorer(), Logf: t.Logf}
+		pl, _ := planners(t, inv, ServerConfig{Logf: t.Logf})
 		g := GangSpec{
 			Name: "lat", Replicas: 2, Policy: GangSpread,
 			App: AppSpec{AI: 0.5, TTLMillis: testTTL, Priority: PriorityLatency},
@@ -123,7 +123,7 @@ func TestFailedRehomeRestoresSource(t *testing.T) {
 // inventory — members, stale lists, cooldowns — as it found it.
 func TestPlanDoesNoIO(t *testing.T) {
 	ctx := context.Background()
-	inv, part, hosts, reb := stormFleet(t)
+	inv, part, hosts, reb := stormFleet(t, ServerConfig{})
 	part.Isolate(hosts[0])
 	inv.Poll(ctx) // a is dead: the plan below is a storm triage
 	inv.noteStale("b", "ghost")
@@ -173,7 +173,7 @@ func TestPlanDoesNoIO(t *testing.T) {
 // rewritten and later sessions reused the memory.
 func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 	ctx := context.Background()
-	inv, part, hosts, reb := stormFleet(t)
+	inv, part, hosts, reb := stormFleet(t, ServerConfig{})
 	part.Isolate(hosts[0])
 	inv.Poll(ctx) // a is dead: its three apps are evacuated under the storm brake
 	inv.mu.Lock()
@@ -191,7 +191,7 @@ func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 	if len(plan.Moves) == 0 || len(plan.StaleDeregs) != 1 {
 		t.Fatalf("plan %+v, want evacuation moves and one stale cleanup", plan)
 	}
-	dec, err := (&Placer{Inv: inv, Scorer: reb.Scorer}).Decide(memSpec("newcomer"))
+	dec, err := (&Placer{Inv: inv, Scorer: reb.Scorer, cfg: reb.cfg}).Decide(memSpec("newcomer"))
 	if err != nil {
 		t.Fatal(err)
 	}

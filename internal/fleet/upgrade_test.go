@@ -191,12 +191,7 @@ func TestUpgraderFailureHandsOffToEvacuation(t *testing.T) {
 	}
 	inv.Poll(ctx)
 
-	sc := NewScorer()
-	reb := &Rebalancer{
-		Inv:    inv,
-		Scorer: sc,
-		Logf:   t.Logf,
-	}
+	_, reb := planners(t, inv, ServerConfig{Logf: t.Logf})
 	u := &Upgrader{Inv: inv, Logf: t.Logf}
 	if _, err := u.Start([]string{"a"}, 0.1); err != nil {
 		t.Fatal(err)

@@ -67,7 +67,6 @@ func NewEngine(sc *Scenario, cfg EngineConfig) (*Engine, error) {
 		clients:        map[string][]*client.Client{},
 		trueAI:         map[string]float64{},
 		pools:          map[string][]string{},
-		check:          newChecker(sc),
 		lastPerturb:    -1,
 		lastActive:     -1,
 		driftConfirmed: map[string]float64{},
@@ -83,9 +82,8 @@ func NewEngine(sc *Scenario, cfg EngineConfig) (*Engine, error) {
 	e.inv = fleet.NewInventory(fleet.InventoryConfig{
 		NewClient:         e.newClient,
 		FailAfter:         sc.failAfter(),
-		PollTimeout:       5 * time.Second,
 		Clock:             func() time.Time { return e.epoch.Add(time.Duration(e.simRound) * time.Second) },
-		FlapCount:         sc.flapCount(),
+		FlapCount:         sc.FlapCount,
 		FlapWindow:        time.Duration(sc.FlapWindowSeconds) * time.Second,
 		QuarantineBackoff: time.Duration(sc.QuarantineBackoffSeconds) * time.Second,
 		Logf:              e.log,
@@ -96,22 +94,19 @@ func NewEngine(sc *Scenario, cfg EngineConfig) (*Engine, error) {
 		Threshold:         sc.Threshold,
 		DomainSpread:      sc.DomainSpread,
 		Objective:         sc.Objective,
-		DisablePreemption: sc.DisablePreemption,
 		StormFraction:     sc.StormFraction,
 		StormBudget:       sc.StormBudget,
 		AdmissionCap:      sc.AdmissionCap,
+		CooldownRounds:    sc.CooldownRounds,
+		DisablePreemption: sc.DisablePreemption,
+		DisableStormBrake: sc.DisableStormBrake,
 		Logf:              e.log,
 	})
 	if err != nil {
-		return nil, err // Validate caught a bad objective already; belt and braces
+		return nil, fmt.Errorf("fleetsim: scenario %s: %w", sc.Name, err)
 	}
 	e.placer, e.reb, e.upg = srv.Placer(), srv.Rebalancer(), srv.Upgrader()
-	// The A/B-only knobs no served configuration carries.
-	e.reb.CooldownRounds = sc.CooldownRounds
-	if sc.DisableAntiThrash {
-		e.reb.CooldownRounds = -1
-	}
-	e.reb.DisableStormBrake = sc.DisableStormBrake
+	e.check = newChecker(sc, srv.Config().CooldownRounds)
 	for _, ms := range sc.Machines {
 		if err := e.addMachine(ms); err != nil {
 			e.Close()

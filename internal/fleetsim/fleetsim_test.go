@@ -177,7 +177,31 @@ func maxMovesFor(sc *Scenario) int {
 	if sc.MaxMovesPerRound > 0 {
 		return sc.MaxMovesPerRound
 	}
-	return 4
+	return fleet.DefaultMaxMovesPerRound
+}
+
+// TestOutOfRangeKnobFailsEngine: a scenario knob the fleet would refuse
+// fails NewEngine with the fleet's error naming it, instead of running
+// on the default.
+func TestOutOfRangeKnobFailsEngine(t *testing.T) {
+	for _, tc := range []struct {
+		doc, knob string
+	}{
+		{`"threshold": 1.5`, "Threshold is 1.5"},
+		{`"flap_window_seconds": -5`, "FlapWindow is -5s"},
+		{`"cooldown_rounds": -2`, "CooldownRounds is -2"},
+	} {
+		sc, err := ParseScenario([]byte(`{"name": "bad", "rounds": 1, "machines": [{"id": "m"}], ` + tc.doc + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.doc, err)
+		}
+		if e, err := NewEngine(sc, EngineConfig{}); err == nil {
+			e.Close()
+			t.Errorf("%s: NewEngine accepted it", tc.doc)
+		} else if !strings.Contains(err.Error(), tc.knob) {
+			t.Errorf("%s: error %q does not name %q", tc.doc, err, tc.knob)
+		}
+	}
 }
 
 // TestFlappingDeterministic runs the same scenario twice and demands
@@ -216,7 +240,7 @@ func TestOscillationRegressionWithoutAntiThrash(t *testing.T) {
 
 	unguarded := *base
 	unguarded.Name = "flapping-unguarded"
-	unguarded.DisableAntiThrash = true
+	unguarded.CooldownRounds = -1
 	// The convergence clock is not the point of this regression (a
 	// thrashing rebalancer may or may not settle); give it slack so the
 	// only expected failure is the oscillation invariant.
@@ -323,7 +347,7 @@ func TestPartitionFlapQuarantineRegression(t *testing.T) {
 
 	unquarantined := *base
 	unquarantined.Name = "partition_flap-unquarantined"
-	unquarantined.DisableQuarantine = true
+	unquarantined.FlapCount = -1
 	v, err := RunScenario(testCtx(t), &unquarantined, EngineConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("RunScenario(unquarantined): %v", err)

@@ -77,6 +77,7 @@ type moveRecord struct {
 // checker accumulates per-round state for the stability invariants.
 type checker struct {
 	sc         *Scenario
+	window     int // the no-oscillation window, in rounds
 	violations []Violation
 	history    map[string][]moveRecord // app name -> executed moves
 	lostFrom   map[string]int          // member ID -> urgent evacuations charged to it
@@ -88,9 +89,11 @@ type checker struct {
 	inversionFlagged map[string]bool
 }
 
-func newChecker(sc *Scenario) *checker {
+// newChecker builds the checker for sc on a fleet whose resolved
+// CooldownRounds is cooldown.
+func newChecker(sc *Scenario, cooldown int) *checker {
 	return &checker{
-		sc: sc, history: map[string][]moveRecord{}, lostFrom: map[string]int{},
+		sc: sc, window: sc.oscillationWindow(cooldown), history: map[string][]moveRecord{}, lostFrom: map[string]int{},
 		inversionSince: map[string]int{}, inversionFlagged: map[string]bool{},
 	}
 }
@@ -157,7 +160,7 @@ func (c *checker) checkExactlyOnce(round int, members []fleet.Member) {
 // a machine and later re-packing onto its replacement is recovery, not
 // thrash.
 func (c *checker) recordMoves(round int, plan *fleet.Plan) {
-	window := c.sc.oscillationWindow()
+	window := c.window
 	for _, mv := range plan.Moves {
 		rec := moveRecord{round: round, from: mv.From, to: mv.To, reason: mv.Reason}
 		if rec.reason == fleet.ReasonDrift || rec.reason == fleet.ReasonRebalance {

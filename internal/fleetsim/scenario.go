@@ -154,16 +154,17 @@ type Scenario struct {
 	// Rounds is how many rebalance rounds the engine drives.
 	Rounds int `json:"rounds"`
 
-	// Rebalancer knobs (zero: the Rebalancer's own defaults).
+	// Fleet knobs, handed to fleet.ServerConfig / InventoryConfig as
+	// they are: zero selects the fleet's default, and a value out of its
+	// range fails NewEngine with the error naming the knob. Rebalancer:
+	// CooldownRounds -1 turns the cooldown/damping guard off, the
+	// regression knob that demonstrates the oscillation invariant failing
+	// on a pre-hardening rebalancer.
 	MaxMovesPerRound int     `json:"max_moves_per_round,omitempty"`
 	Threshold        float64 `json:"threshold,omitempty"`
 	CooldownRounds   int     `json:"cooldown_rounds,omitempty"`
-	// DisableAntiThrash turns the cooldown/damping guard off
-	// (CooldownRounds = -1): the regression knob that demonstrates the
-	// oscillation invariant failing on a pre-hardening rebalancer.
-	DisableAntiThrash bool `json:"disable_anti_thrash,omitempty"`
 
-	// Robustness knobs (zero: the fleet layer's own defaults).
+	// Robustness knobs.
 	// DomainSpread enables the failure-domain anti-affinity tie-break;
 	// StormFraction/StormBudget/AdmissionCap tune the rebalancer's
 	// mass-failure storm brake; DisableStormBrake is the regression knob
@@ -174,15 +175,14 @@ type Scenario struct {
 	AdmissionCap      int     `json:"admission_cap,omitempty"`
 	DisableStormBrake bool    `json:"disable_storm_brake,omitempty"`
 	// FlapCount/FlapWindowSeconds/QuarantineBackoffSeconds tune the
-	// inventory's flap detector; DisableQuarantine (FlapCount = -1) is
-	// the regression knob that lets a flapping machine whipsaw the
-	// rebalancer. All flap timing runs on the engine's simulated clock
-	// (one second per round), so backoffs expire deterministically at a
-	// round boundary, never on wall-clock luck.
-	FlapCount                int  `json:"flap_count,omitempty"`
-	FlapWindowSeconds        int  `json:"flap_window_seconds,omitempty"`
-	QuarantineBackoffSeconds int  `json:"quarantine_backoff_seconds,omitempty"`
-	DisableQuarantine        bool `json:"disable_quarantine,omitempty"`
+	// inventory's flap detector; FlapCount -1 is the regression knob that
+	// lets a flapping machine whipsaw the rebalancer. All flap timing
+	// runs on the engine's simulated clock (one second per round), so
+	// backoffs expire deterministically at a round boundary, never on
+	// wall-clock luck.
+	FlapCount                int `json:"flap_count,omitempty"`
+	FlapWindowSeconds        int `json:"flap_window_seconds,omitempty"`
+	QuarantineBackoffSeconds int `json:"quarantine_backoff_seconds,omitempty"`
 
 	// Priority knobs. Objective selects the Scorer's placement objective
 	// ("", "total-gflops", "weighted-priority", "max-min");
@@ -193,8 +193,8 @@ type Scenario struct {
 	Objective         string `json:"objective,omitempty"`
 	DisablePreemption bool   `json:"disable_preemption,omitempty"`
 
-	// Invariant tolerances. OscillationWindow defaults to the effective
-	// cooldown (a cooled-down app structurally cannot return inside the
+	// Invariant tolerances. OscillationWindow defaults to the fleet's
+	// resolved cooldown (a cooled-down app structurally cannot return inside the
 	// window); ConvergeWithin defaults to 5 rounds after the last
 	// perturbation.
 	OscillationWindow int `json:"oscillation_window,omitempty"`
@@ -228,8 +228,8 @@ type Scenario struct {
 	FinalMinApps map[string]int `json:"final_min_apps,omitempty"`
 
 	// FailAfter is the inventory's consecutive-failed-polls death
-	// threshold (default 2: a killed machine is declared dead on the
-	// second round after the kill).
+	// threshold (0 selects 2, not the fleet's default: a killed machine
+	// is declared dead on the second round after the kill).
 	FailAfter int `json:"fail_after,omitempty"`
 
 	// Telemetry streams per-app taskrt/memsim rates to every member
@@ -353,27 +353,15 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-// effectiveCooldown mirrors the Rebalancer's CooldownRounds defaulting.
-func (sc *Scenario) effectiveCooldown() int {
-	cd := sc.CooldownRounds
-	if sc.DisableAntiThrash {
-		cd = -1
-	}
-	switch {
-	case cd > 0:
-		return cd
-	case cd < 0:
-		return 0
-	}
-	return fleet.DefaultCooldownRounds
-}
-
-func (sc *Scenario) oscillationWindow() int {
+// oscillationWindow is the no-oscillation invariant's window on a fleet
+// whose resolved CooldownRounds is cooldown: a cooled-down app
+// structurally cannot return inside it.
+func (sc *Scenario) oscillationWindow(cooldown int) int {
 	if sc.OscillationWindow > 0 {
 		return sc.OscillationWindow
 	}
-	if cd := sc.effectiveCooldown(); cd > 0 {
-		return cd
+	if cooldown > 0 {
+		return cooldown
 	}
 	return 2
 }
@@ -386,7 +374,7 @@ func (sc *Scenario) convergeWithin() int {
 }
 
 func (sc *Scenario) failAfter() int {
-	if sc.FailAfter > 0 {
+	if sc.FailAfter != 0 {
 		return sc.FailAfter
 	}
 	return 2
@@ -397,14 +385,6 @@ func (sc *Scenario) simSeconds() float64 {
 		return sc.SimSeconds
 	}
 	return 0.2
-}
-
-// flapCount mirrors the inventory's FlapCount contract: -1 disables.
-func (sc *Scenario) flapCount() int {
-	if sc.DisableQuarantine {
-		return -1
-	}
-	return sc.FlapCount
 }
 
 // populationAt is the diurnal process's target population for a round:
