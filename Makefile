@@ -22,14 +22,15 @@ race:
 	$(GO) test -race ./...
 
 # Solver-path benchmarks (roofline search/evaluator + control-plane
-# serve path), their allocs/op written to BENCH_solver.json so CI tracks
+# serve path), their allocs/op written to BENCH_solver.json by
+# cmd/benchdiff (artifact mode: bench output on stdin) so CI tracks
 # the allocation trajectory PR-over-PR. The raw `go test -bench` stream,
 # timings included, still prints (via stderr). `make benchall` is the
 # full unfiltered sweep.
 bench:
 	$(GO) test -bench 'BenchmarkSolve|BenchmarkEvaluate|BenchmarkEvaluator|BenchmarkAllocate' \
 		-benchmem -run '^$$' ./internal/roofline/ ./internal/ctrlplane/ \
-		| $(GO) run ./cmd/benchjson > BENCH_solver.json
+		| $(GO) run ./cmd/benchdiff > BENCH_solver.json
 
 # Placement-throughput benchmarks (decisions/sec against 100- and
 # 1000-machine fleet snapshots) and the inventory poll of 40 in-process
@@ -38,13 +39,13 @@ bench:
 # single-machine solver.
 bench-fleet:
 	$(GO) test -bench 'BenchmarkPlacement|BenchmarkInventoryPoll' -benchmem -run '^$$' ./internal/fleet/ \
-		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
+		| $(GO) run ./cmd/benchdiff > BENCH_fleet.json
 
 # Allocation gate: compare both benchmark suites against the JSON
 # baselines committed at HEAD. Fails on any tracked benchmark regressing
 # more than 25% in allocs/op (a zero-alloc baseline growing any
 # allocations fails outright) or going missing from the fresh run (see
-# cmd/benchdiff). Timing is not tracked here: the baselines come from
+# cmd/benchdiff, gate mode: -baseline and -fresh). Timing is not tracked here: the baselines come from
 # another machine, and timing claims go through coopbench (bench/).
 # Compares the working-tree artifacts, so run after `make bench
 # bench-fleet` has refreshed them (CI does exactly that; `make bench

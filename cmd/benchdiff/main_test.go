@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -109,6 +112,37 @@ func TestCompareDeterministicOrder(t *testing.T) {
 		if l.name != want[i] {
 			t.Fatalf("line %d = %q, want %q", i, l.name, want[i])
 		}
+	}
+}
+
+// TestArtifactRoundTrip: what the artifact mode writes is what the gate
+// loads — GOMAXPROCS suffixes stripped, the last of repeated runs kept,
+// lines without ns/op skipped — and the raw stream is echoed verbatim.
+func TestArtifactRoundTrip(t *testing.T) {
+	in := "goos: linux\n" +
+		"BenchmarkB-8  100  17092 ns/op  18305 B/op  223 allocs/op\n" +
+		"BenchmarkA/sub-case-2  71784  17 ns/op  0 B/op  0 allocs/op\n" +
+		"BenchmarkB-8  100  17092 ns/op  18305 B/op  224 allocs/op\n" +
+		"BenchmarkNoTiming  5 allocs/op x\n" +
+		"PASS\n"
+	var out, echo strings.Builder
+	if err := writeArtifact(strings.NewReader(in), &out, &echo); err != nil {
+		t.Fatal(err)
+	}
+	if echo.String() != in {
+		t.Errorf("echo %q, want the input verbatim", echo.String())
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadResults(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]benchResult{"BenchmarkA/sub-case": {AllocsPerOp: 0}, "BenchmarkB": {AllocsPerOp: 224}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("artifact %s loads as %v, want %v", out.String(), got, want)
 	}
 }
 

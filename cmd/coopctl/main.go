@@ -8,10 +8,9 @@
 //	coopctl [-server URL] heartbeat -id stream-1 [-workers 8 -running 6]
 //	coopctl [-server URL] deregister -id stream-1
 //	coopctl [-server URL] report -id stream-1 -gflops 2.9 -gbs 0.29 [-threads 8]
-//	coopctl [-server URL] apps
+//	coopctl [-server URL] state
 //	coopctl [-server URL] alloc
 //	coopctl [-server URL] drift
-//	coopctl [-server URL] machine
 //	coopctl [-server URL] watch [-interval 500ms]
 //	coopctl [-server URL] demo [-keep]
 //	coopctl [-server URL] health
@@ -68,14 +67,12 @@ func main() {
 		err = cmdDeregister(ctx, c, args)
 	case "report":
 		err = cmdReport(ctx, c, args)
-	case "apps":
-		err = cmdApps(ctx, c)
+	case "state":
+		err = cmdState(ctx, c)
 	case "alloc":
 		err = cmdAlloc(ctx, c)
 	case "drift":
 		err = cmdDrift(ctx, c)
-	case "machine":
-		err = cmdMachine(ctx, c)
 	case "watch":
 		err = cmdWatch(ctx, c, args)
 	case "demo":
@@ -97,7 +94,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: coopctl [-server URL] <register|heartbeat|report|deregister|apps|alloc|drift|machine|watch|demo|health|status|fleet> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: coopctl [-server URL] <register|heartbeat|report|deregister|state|alloc|drift|watch|demo|health|status|fleet> [flags]")
 	fmt.Fprintln(os.Stderr, "       coopctl fleet <machines|status|place|drain|plan|upgrade> [-fleet URL] [flags]")
 }
 
@@ -228,17 +225,26 @@ func cmdDrift(ctx context.Context, c *client.Client) error {
 	return nil
 }
 
-func cmdApps(ctx context.Context, c *client.Client) error {
-	resp, err := c.Apps(ctx)
+// cmdState prints the daemon's one registry read: the machine topology
+// (what resilient clients cache for a local fallback solve), the
+// registered applications and the model's total for them.
+func cmdState(ctx context.Context, c *client.Client) error {
+	st, err := c.State(ctx, ctrlplane.StateQuery{})
 	if err != nil {
 		return err
 	}
-	t := metrics.NewTable(fmt.Sprintf("registered applications (generation %d)", resp.Generation),
-		"id", "name", "AI", "placement", "ttl (ms)", "idle (ms)", "beats")
-	for _, a := range resp.Apps {
-		t.AddRow(a.ID, a.Name, a.AI, a.Placement, a.TTLMillis, a.IdleMillis, a.Beats)
+	fmt.Printf("%s (incarnation %s, generation %d)\n", st.Machine, st.Incarnation, st.Generation)
+	nodes := metrics.NewTable("NUMA nodes", "node", "cores", "peak GFLOPS/core", "mem GB/s")
+	for i, n := range st.Machine.Nodes {
+		nodes.AddRow(i, n.Cores, n.PeakGFLOPS, n.MemBandwidth)
 	}
-	fmt.Print(t)
+	fmt.Print(nodes)
+	apps := metrics.NewTable("registered applications", "id", "name", "AI", "placement", "ttl (ms)", "idle (ms)", "beats")
+	for _, a := range st.Apps {
+		apps.AddRow(a.ID, a.Name, a.AI, a.Placement, a.TTLMillis, a.IdleMillis, a.Beats)
+	}
+	fmt.Print(apps)
+	fmt.Printf("total: %s GFLOPS\n", metrics.FormatFloat(st.TotalGFLOPS))
 	return nil
 }
 
@@ -265,24 +271,6 @@ func printAlloc(resp *ctrlplane.AllocationsResponse) {
 			metrics.FormatFloat(r.EvenGFLOPS), metrics.FormatFloat(r.NodePerAppGFLOPS))
 	}
 	fmt.Printf(", cache hit: %v\n", resp.CacheHit)
-}
-
-// cmdMachine dumps the daemon's machine topology — the same payload
-// resilient clients cache so they can fall back to a local solve when
-// the daemon is unreachable.
-func cmdMachine(ctx context.Context, c *client.Client) error {
-	resp, err := c.Machine(ctx)
-	if err != nil {
-		return err
-	}
-	m := resp.Machine
-	fmt.Printf("%s (policy %s, generation %d)\n", m, resp.Policy, resp.Generation)
-	t := metrics.NewTable("NUMA nodes", "node", "cores", "peak GFLOPS/core", "mem GB/s")
-	for i, n := range m.Nodes {
-		t.AddRow(i, n.Cores, n.PeakGFLOPS, n.MemBandwidth)
-	}
-	fmt.Print(t)
-	return nil
 }
 
 func cmdWatch(ctx context.Context, c *client.Client, args []string) error {

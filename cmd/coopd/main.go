@@ -41,10 +41,10 @@
 // counts as drift. Inspect with GET /v1/drift or `coopctl drift`.
 //
 // Endpoints: POST /v1/register, POST /v1/heartbeat, POST /v1/report,
-// DELETE /v1/apps/{id}, GET /v1/apps, GET /v1/allocations,
-// GET /v1/state (the one conditional read fleetd polls with),
-// GET /v1/drift, GET /v1/machine, GET /healthz, GET /metricsz,
-// GET /tracez. See cmd/coopctl for a CLI.
+// DELETE /v1/apps/{id}, GET /v1/allocations, GET /v1/state (the one
+// registry read: apps, total and topology; conditional for fleetd's
+// polls), GET /v1/drift, GET /healthz, GET /metricsz, GET /tracez. See
+// cmd/coopctl for a CLI.
 package main
 
 import (

@@ -254,20 +254,16 @@ func (c *Client) Deregister(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/apps/"+url.PathEscape(id), nil, nil)
 }
 
-// Apps lists the registered applications.
-func (c *Client) Apps(ctx context.Context) (*ctrlplane.AppsResponse, error) {
-	return httpapi.Typed[ctrlplane.AppsResponse](ctx, c.do, http.MethodGet, "/v1/apps", nil)
-}
-
 // Allocations reads the machine-wide allocation table.
 func (c *Client) Allocations(ctx context.Context) (*ctrlplane.AllocationsResponse, error) {
 	return httpapi.Typed[ctrlplane.AllocationsResponse](ctx, c.do, http.MethodGet, "/v1/allocations", nil)
 }
 
-// State reads everything a fleet scheduler tracks of the machine in one
-// exchange, presenting what the caller already holds (the zero
-// StateQuery: nothing). The answer is Unchanged, and nothing else, when
-// the presented incarnation and generation are both still current.
+// State is the one registry read: the live apps, their solved total and
+// the topology in one exchange, presenting what the caller already holds
+// (the zero StateQuery: nothing, so the answer is complete). The answer
+// is Unchanged, and nothing else, when the presented incarnation and
+// generation are both still current.
 func (c *Client) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
 	path := "/v1/state"
 	if held.Incarnation != "" {
@@ -277,11 +273,6 @@ func (c *Client) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlpla
 		}
 	}
 	return httpapi.Typed[ctrlplane.StateResponse](ctx, c.do, http.MethodGet, path, nil)
-}
-
-// Machine reads the server's topology (for local fallback solves).
-func (c *Client) Machine(ctx context.Context) (*ctrlplane.MachineResponse, error) {
-	return httpapi.Typed[ctrlplane.MachineResponse](ctx, c.do, http.MethodGet, "/v1/machine", nil)
 }
 
 // Health reads /healthz.

@@ -352,6 +352,30 @@ func (r *Resilient) call(ctx context.Context, fn func(*Client) (uint64, bool, er
 // call only: it describes the demand set of this moment, so what is
 // remembered is the request without it.
 func (r *Resilient) Register(ctx context.Context, req ctrlplane.RegisterRequest) (*ctrlplane.RegisterResponse, error) {
+	resp, err := r.register(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	req.Solved = nil
+	r.mu.Lock()
+	r.id = resp.ID
+	r.regReq = req
+	r.registered = true
+	if len(r.localDemand) == 0 {
+		r.localDemand = []ctrlplane.RegisterRequest{req}
+	}
+	r.mu.Unlock()
+	return resp, nil
+}
+
+// register runs one registration against the replica group and then
+// refreshes the cached topology from an unconditional State read of the
+// endpoint that took it. Every registration does — the first, and each
+// re-registration after the daemon forgot the app — so a failed read is
+// retried at the next one, and a daemon restarted on another machine
+// description is solved over as it now is. A failed read keeps what was
+// cached.
+func (r *Resilient) register(ctx context.Context, req ctrlplane.RegisterRequest) (*ctrlplane.RegisterResponse, error) {
 	var resp *ctrlplane.RegisterResponse
 	err := r.call(ctx, func(c *Client) (uint64, bool, error) {
 		rr, err := c.Register(ctx, req)
@@ -364,22 +388,10 @@ func (r *Resilient) Register(ctx context.Context, req ctrlplane.RegisterRequest)
 	if err != nil {
 		return nil, err
 	}
-	req.Solved = nil
-	r.mu.Lock()
-	r.id = resp.ID
-	r.regReq = req
-	r.registered = true
-	if len(r.localDemand) == 0 {
-		r.localDemand = []ctrlplane.RegisterRequest{req}
-	}
-	needMachine := r.machine == nil
-	r.mu.Unlock()
-	if needMachine {
-		if mr, merr := r.Client().Machine(ctx); merr == nil && mr.Machine != nil {
-			r.mu.Lock()
-			r.machine = mr.Machine
-			r.mu.Unlock()
-		}
+	if st, err := r.Client().State(ctx, ctrlplane.StateQuery{}); err == nil && st.Machine != nil {
+		r.mu.Lock()
+		r.machine = st.Machine
+		r.mu.Unlock()
 	}
 	return resp, nil
 }
@@ -395,7 +407,7 @@ func (r *Resilient) SetLocalDemand(reqs []ctrlplane.RegisterRequest) {
 }
 
 // SetMachine seeds the cached topology (normally learned from the
-// daemon at Register time) so local solves work daemon-never-seen.
+// daemon at every registration) so local solves work daemon-never-seen.
 func (r *Resilient) SetMachine(m *machine.Machine) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -447,15 +459,7 @@ func (r *Resilient) Heartbeat(ctx context.Context, hb ctrlplane.HeartbeatRequest
 	}
 	// Evicted (or the new leader never knew us): re-register and retry
 	// once under the fresh ID.
-	var reg *ctrlplane.RegisterResponse
-	rerr := r.call(ctx, func(c *Client) (uint64, bool, error) {
-		rr, err := c.Register(ctx, req)
-		if err != nil {
-			return 0, false, err
-		}
-		reg = rr
-		return rr.Generation, true, nil
-	})
+	reg, rerr := r.register(ctx, req)
 	if rerr != nil {
 		return nil, fmt.Errorf("re-registering after eviction: %w (original: %v)", rerr, err)
 	}
@@ -555,29 +559,7 @@ func (r *Resilient) localSolve(m *machine.Machine, demand []ctrlplane.RegisterRe
 	if err != nil {
 		return nil, fmt.Errorf("local fallback solve: %w", err)
 	}
-	resp := &ctrlplane.AllocationsResponse{
-		Machine:     m.Name,
-		Policy:      "local-" + r.solver.Policy(),
-		Apps:        make([]ctrlplane.AppAllocation, len(sol.PerApp)),
-		TotalGFLOPS: sol.TotalGFLOPS,
-	}
-	for i, a := range sol.PerApp {
-		threads := 0
-		for _, c := range a.PerNode {
-			threads += c
-		}
-		resp.Apps[i] = ctrlplane.AppAllocation{
-			ID: a.ID, Name: a.Name, PerNode: a.PerNode,
-			Threads: threads, PredictedGFLOPS: a.GFLOPS,
-		}
-	}
-	if sol.EvenGFLOPS > 0 || sol.NodePerAppGFLOPS > 0 {
-		resp.Reference = &ctrlplane.ReferenceAllocations{
-			EvenGFLOPS:       sol.EvenGFLOPS,
-			NodePerAppGFLOPS: sol.NodePerAppGFLOPS,
-		}
-	}
-	return resp, nil
+	return sol.Table(m.Name, "local-"+r.solver.Policy(), 0), nil
 }
 
 // copyAllocations deep-copies a table so cached state can't be mutated

@@ -113,8 +113,8 @@ func newFlakyServer(t *testing.T) *flakyServer {
 		switch r.URL.Path {
 		case "/v1/register":
 			json.NewEncoder(w).Encode(ctrlplane.RegisterResponse{ID: "app-1", Generation: f.gen.Load()})
-		case "/v1/machine":
-			json.NewEncoder(w).Encode(ctrlplane.MachineResponse{Machine: machine.PaperModel(), Policy: ctrlplane.PolicyRoofline})
+		case "/v1/state":
+			json.NewEncoder(w).Encode(ctrlplane.StateResponse{Incarnation: "i1", Generation: f.gen.Load(), Machine: machine.PaperModel()})
 		case "/v1/allocations":
 			json.NewEncoder(w).Encode(ctrlplane.AllocationsResponse{
 				Generation: f.gen.Load(),
@@ -271,8 +271,8 @@ func TestResilientAutoReRegister(t *testing.T) {
 				return
 			}
 			json.NewEncoder(w).Encode(ctrlplane.HeartbeatResponse{Generation: 2})
-		case "/v1/machine":
-			json.NewEncoder(w).Encode(ctrlplane.MachineResponse{Machine: machine.PaperModel()})
+		case "/v1/state":
+			json.NewEncoder(w).Encode(ctrlplane.StateResponse{Incarnation: "i1", Generation: uint64(regs.Load()), Machine: machine.PaperModel()})
 		default:
 			http.NotFound(w, r)
 		}
@@ -311,6 +311,110 @@ func TestResilientAutoReRegister(t *testing.T) {
 	if !offered[0].Load() || offered[1].Load() {
 		t.Errorf("offer went out with register 1: %v, with the re-register: %v; want true, false", offered[0].Load(), offered[1].Load())
 	}
+}
+
+// restartableDaemon is a real coopd behind one stable URL. restart swaps
+// in a fresh one that remembers no app (no state dir), readsDown makes
+// every GET a 503 and down drops every connection.
+type restartableDaemon struct {
+	srv       atomic.Pointer[ctrlplane.Server]
+	readsDown atomic.Bool
+	down      atomic.Bool
+	hs        *httptest.Server
+}
+
+func newRestartableDaemon(t *testing.T, m *machine.Machine) *restartableDaemon {
+	d := &restartableDaemon{}
+	d.restart(t, m)
+	d.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case d.down.Load():
+			panic(http.ErrAbortHandler)
+		case d.readsDown.Load() && r.Method == http.MethodGet:
+			w.WriteHeader(http.StatusServiceUnavailable)
+			json.NewEncoder(w).Encode(ctrlplane.ErrorResponse{Error: "reads unavailable"})
+			return
+		}
+		d.srv.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(d.hs.Close)
+	return d
+}
+
+func (d *restartableDaemon) restart(t *testing.T, m *machine.Machine) {
+	t.Helper()
+	srv, err := ctrlplane.NewServer(ctrlplane.ServerConfig{Machine: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.srv.Store(srv)
+}
+
+// TestResilientRelearnsTopologyOnEveryRegistration: the cached topology
+// is read again by every successful registration, the re-registration
+// after unknown_app included. So a failed first read is not final, and a
+// daemon restarted on another machine description is what the local
+// fallback then solves over.
+func TestResilientRelearnsTopologyOnEveryRegistration(t *testing.T) {
+	ctx := context.Background()
+	setup := func(t *testing.T, m *machine.Machine) (*restartableDaemon, *Resilient) {
+		d := newRestartableDaemon(t, m)
+		r, err := NewResilient(New(d.hs.URL, Config{MaxAttempts: 1, RequestTimeout: 2 * time.Second}), ResilientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, r
+	}
+	reRegister := func(t *testing.T, r *Resilient) {
+		t.Helper()
+		if _, err := r.Heartbeat(ctx, ctrlplane.HeartbeatRequest{}); err != nil {
+			t.Fatalf("heartbeat across the restart: %v", err)
+		}
+		if r.ReRegisters() != 1 {
+			t.Fatalf("re-registers = %d, want 1", r.ReRegisters())
+		}
+	}
+
+	t.Run("first read fails", func(t *testing.T) {
+		d, r := setup(t, machine.PaperModel())
+		d.readsDown.Store(true)
+		if _, err := r.Register(ctx, ctrlplane.RegisterRequest{Name: "comp", AI: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if m := r.Machine(); m != nil {
+			t.Fatalf("topology %s learned while every read failed", m.Name)
+		}
+		d.readsDown.Store(false)
+		d.restart(t, machine.PaperModel())
+		reRegister(t, r)
+		if m := r.Machine(); m == nil || m.Name != machine.PaperModel().Name {
+			t.Fatalf("after the re-registration the cached topology is %v, want %s", m, machine.PaperModel().Name)
+		}
+	})
+
+	t.Run("restart on another machine", func(t *testing.T) {
+		d, r := setup(t, machine.PaperModel())
+		if _, err := r.Register(ctx, ctrlplane.RegisterRequest{Name: "comp", AI: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if m := r.Machine(); m == nil || m.Name != machine.PaperModel().Name {
+			t.Fatalf("cached topology %v, want %s", m, machine.PaperModel().Name)
+		}
+		knl := machine.KNLSNC4()
+		d.restart(t, knl)
+		reRegister(t, r)
+		if m := r.Machine(); m == nil || m.Name != knl.Name {
+			t.Fatalf("after a restart on %s the cached topology is %v", knl.Name, m)
+		}
+		d.down.Store(true)
+		got, src, err := r.Allocations(ctx)
+		if err != nil || src != SourceLocal {
+			t.Fatalf("degraded read: src %v, err %v; want a local solve", src, err)
+		}
+		if got.Machine != knl.Name || len(got.Apps) != 1 || len(got.Apps[0].PerNode) != knl.NumNodes() {
+			t.Fatalf("local solve over %s %+v, want one app over the %d nodes of %s", got.Machine, got.Apps, knl.NumNodes(), knl.Name)
+		}
+	})
 }
 
 // TestResilientNoDegradeOnAPIError: a live server rejecting the request

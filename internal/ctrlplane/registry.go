@@ -470,22 +470,17 @@ func (r *Registry) Sweep() []string {
 // Snapshot returns the live applications (sorted by ID for determinism)
 // and the current generation.
 func (r *Registry) Snapshot() ([]AppState, uint64) {
-	return r.SnapshotInto(nil)
+	apps, _, gen := r.SnapshotInto(nil)
+	return apps, gen
 }
 
 // SnapshotInto is Snapshot appending into a caller-owned buffer
 // (typically buf[:0] of a pooled slice), so steady-state serve paths
-// take their registry view without allocating. The sort is an insertion
-// sort: no allocation, and the map iteration feeds it near-random order
-// of a small set.
-func (r *Registry) SnapshotInto(buf []AppState) ([]AppState, uint64) {
-	out, _, gen := r.VersionedSnapshotInto(buf)
-	return out, gen
-}
-
-// VersionedSnapshotInto is SnapshotInto that also returns the
-// incarnation the snapshot was taken in, all three under one lock.
-func (r *Registry) VersionedSnapshotInto(buf []AppState) (apps []AppState, incarnation string, gen uint64) {
+// take their registry view without allocating, plus the incarnation the
+// snapshot was taken in — all three under one lock. The sort is an
+// insertion sort: no allocation, and the map iteration feeds it
+// near-random order of a small set.
+func (r *Registry) SnapshotInto(buf []AppState) (apps []AppState, incarnation string, gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := buf

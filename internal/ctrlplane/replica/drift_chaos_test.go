@@ -99,7 +99,7 @@ func TestChaosDriftLeaderKillMidRecalibration(t *testing.T) {
 	// must mirror the fitted AI before the kill for failover to matter.
 	fc := client.New(follower.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	waitFor(t, 5*time.Second, "fitted model to replicate", func() bool {
-		apps, err := fc.Apps(ctx)
+		apps, err := fc.State(ctx, ctrlplane.StateQuery{})
 		if err != nil {
 			return false
 		}

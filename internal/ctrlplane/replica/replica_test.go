@@ -220,7 +220,7 @@ func TestReplicationStreamAndRedirect(t *testing.T) {
 	// The follower mirrors the registered apps and serves reads.
 	fc := client.New(follower.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	waitFor(t, 5*time.Second, "follower to mirror 4 apps", func() bool {
-		apps, err := fc.Apps(ctx)
+		apps, err := fc.State(ctx, ctrlplane.StateQuery{})
 		return err == nil && len(apps.Apps) == 4
 	})
 	alloc, err := fc.Allocations(ctx)
@@ -231,7 +231,7 @@ func TestReplicationStreamAndRedirect(t *testing.T) {
 
 	// Replicated IDs are the leader's IDs, so an app can fail over
 	// without changing identity.
-	apps, err := fc.Apps(ctx)
+	apps, err := fc.State(ctx, ctrlplane.StateQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestReplicationStreamAndRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "deregister to replicate", func() bool {
-		apps, err := fc.Apps(ctx)
+		apps, err := fc.State(ctx, ctrlplane.StateQuery{})
 		return err == nil && len(apps.Apps) == 3
 	})
 
@@ -291,7 +291,7 @@ func TestLeaderKillPromotion(t *testing.T) {
 	}
 	fc := client.New(follower.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	waitFor(t, 5*time.Second, "replication of the app", func() bool {
-		apps, err := fc.Apps(ctx)
+		apps, err := fc.State(ctx, ctrlplane.StateQuery{})
 		return err == nil && len(apps.Apps) == 1
 	})
 	epochBefore := follower.node.Epoch()
@@ -355,7 +355,7 @@ func TestPartitionFencingAndHeal(t *testing.T) {
 	}
 	fcB := client.New(b.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	waitFor(t, 5*time.Second, "replication before the partition", func() bool {
-		apps, err := fcB.Apps(ctx)
+		apps, err := fcB.State(ctx, ctrlplane.StateQuery{})
 		return err == nil && len(apps.Apps) == 1
 	})
 
@@ -495,7 +495,7 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "replication of the mix", func() bool {
-		apps, err := client.New(follower.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond}).Apps(ctx)
+		apps, err := client.New(follower.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond}).State(ctx, ctrlplane.StateQuery{})
 		return err == nil && len(apps.Apps) == 4
 	})
 

@@ -135,11 +135,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.handle("POST /v1/heartbeat", "heartbeat", s.handleHeartbeat)
 	s.handle("POST /v1/report", "report", s.handleReport)
 	s.handle("DELETE /v1/apps/{id}", "deregister", s.handleDeregister)
-	s.handle("GET /v1/apps", "apps", s.handleApps)
 	s.handle("GET /v1/drift", "drift", s.handleDrift)
 	s.handle("GET /v1/allocations", "allocations", s.handleAllocations)
 	s.handle("GET /v1/state", "state", s.handleState)
-	s.handle("GET /v1/machine", "machine", s.handleMachine)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
 	s.handle("GET /metricsz", "metricsz", s.handleMetricsz)
 	s.handle("GET /tracez", "tracez", s.handleTracez)
@@ -321,12 +319,6 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	s.sweep()
-	apps, gen := s.reg.Snapshot()
-	httpapi.WriteJSON(w, http.StatusOK, AppsResponse{Generation: gen, Apps: appViews(apps, s.cfg.Clock())})
-}
-
 // appViews renders registry records as the wire's AppView list.
 func appViews(apps []AppState, now time.Time) []AppView {
 	views := make([]AppView, len(apps))
@@ -371,7 +363,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
 	var resp StateResponse
-	sc.apps, resp.Incarnation, resp.Generation = s.reg.VersionedSnapshotInto(sc.apps[:0])
+	sc.apps, resp.Incarnation, resp.Generation = s.reg.SnapshotInto(sc.apps[:0])
 	if err := s.solver.SolveInto(&sc.sol, s.cfg.Machine, sc.apps); err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
@@ -402,38 +394,33 @@ func (s *Server) Allocations() (*AllocationsResponse, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sol.Table(s.cfg.Machine.Name, s.solver.Policy(), gen), nil
+}
+
+// Table renders the solution as the machine-wide allocation table: every
+// app's slice with its thread total, and the paper's baselines when
+// either is feasible. coopd serves it, and the client's local fallback
+// serves the same table under its own policy tag.
+func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsResponse {
 	resp := &AllocationsResponse{
 		Generation:  gen,
-		Machine:     s.cfg.Machine.Name,
-		Policy:      s.solver.Policy(),
+		Machine:     machineName,
+		Policy:      policy,
 		Apps:        make([]AppAllocation, len(sol.PerApp)),
 		TotalGFLOPS: sol.TotalGFLOPS,
 		CacheHit:    sol.FromCache,
 	}
 	for i, a := range sol.PerApp {
-		resp.Apps[i] = appAllocation(a)
+		threads := 0
+		for _, c := range a.PerNode {
+			threads += c
+		}
+		resp.Apps[i] = AppAllocation{ID: a.ID, Name: a.Name, PerNode: a.PerNode, Threads: threads, PredictedGFLOPS: a.GFLOPS}
 	}
 	if sol.EvenGFLOPS > 0 || sol.NodePerAppGFLOPS > 0 {
-		resp.Reference = &ReferenceAllocations{
-			EvenGFLOPS:       sol.EvenGFLOPS,
-			NodePerAppGFLOPS: sol.NodePerAppGFLOPS,
-		}
+		resp.Reference = &ReferenceAllocations{EvenGFLOPS: sol.EvenGFLOPS, NodePerAppGFLOPS: sol.NodePerAppGFLOPS}
 	}
-	return resp, nil
-}
-
-func appAllocation(a AppSolution) AppAllocation {
-	threads := 0
-	for _, c := range a.PerNode {
-		threads += c
-	}
-	return AppAllocation{
-		ID:              a.ID,
-		Name:            a.Name,
-		PerNode:         a.PerNode,
-		Threads:         threads,
-		PredictedGFLOPS: a.GFLOPS,
-	}
+	return resp
 }
 
 // allocationInto solves for the live set — adopting offer (nil: none)
@@ -441,7 +428,7 @@ func appAllocation(a AppSolution) AppAllocation {
 // one app's slice into the scratch's response allocation. The returned
 // pointer aliases sc and is only valid until sc goes back to the pool.
 func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*AppAllocation, error) {
-	sc.apps, _ = s.reg.SnapshotInto(sc.apps[:0])
+	sc.apps, _, _ = s.reg.SnapshotInto(sc.apps[:0])
 	if err := s.solver.solveInto(&sc.sol, s.cfg.Machine, sc.apps, offer); err != nil {
 		return nil, err
 	}
@@ -597,16 +584,6 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleMachine serves the topology so clients can cache it for local
-// fallback solves during a daemon outage.
-func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
-	httpapi.WriteJSON(w, http.StatusOK, MachineResponse{
-		Machine:    s.cfg.Machine,
-		Policy:     s.solver.Policy(),
-		Generation: s.reg.Generation(),
-	})
 }
 
 // RestoredApps reports how many applications were recovered from the

@@ -302,7 +302,7 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := c.Register(ctx, ctrlplane.RegisterRequest{Name: "neg-ttl", AI: 1, TTLMillis: -5}); err == nil {
 		t.Error("register with a negative ttl_ms: expected an error")
 	}
-	if n, err := c.Apps(ctx); err != nil || len(n.Apps) != 0 {
+	if n, err := c.State(ctx, ctrlplane.StateQuery{}); err != nil || len(n.Apps) != 0 {
 		t.Errorf("registry not empty after rejected registrations: %v apps, err %v", len(n.Apps), err)
 	}
 }
@@ -321,7 +321,7 @@ func TestRegisterNameCap(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, "limit 256") {
 		t.Fatalf("register with a %d-byte name: err = %v, want 400 naming the limit", ctrlplane.MaxNameBytes+1, err)
 	}
-	if n, err := c.Apps(ctx); err != nil || len(n.Apps) != 1 {
+	if n, err := c.State(ctx, ctrlplane.StateQuery{}); err != nil || len(n.Apps) != 1 {
 		t.Errorf("apps after the refused registration: %v, err %v", n, err)
 	}
 }
@@ -348,7 +348,7 @@ func TestJournalFailureOnTheWire(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
 		t.Fatalf("register with a failing journal: err = %v, want 503", err)
 	}
-	if apps, err := c.Apps(ctx); err != nil || len(apps.Apps) != 1 || apps.Apps[0].ID != ok.ID {
+	if apps, err := c.State(ctx, ctrlplane.StateQuery{}); err != nil || len(apps.Apps) != 1 || apps.Apps[0].ID != ok.ID {
 		t.Errorf("apps after the refused registration: %+v, err %v", apps, err)
 	}
 	if err := c.Deregister(ctx, ok.ID); err != nil {
@@ -376,7 +376,7 @@ func TestNUMABadPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("register numa-bad: %v", err)
 	}
-	apps, err := c.Apps(ctx)
+	apps, err := c.State(ctx, ctrlplane.StateQuery{})
 	if err != nil {
 		t.Fatalf("apps: %v", err)
 	}
@@ -533,7 +533,7 @@ func TestConcurrentRegistryStress(t *testing.T) {
 	// must drain to empty once the TTLs pass.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		apps, err := c.Apps(ctx)
+		apps, err := c.State(ctx, ctrlplane.StateQuery{})
 		if err != nil {
 			t.Fatalf("apps: %v", err)
 		}

@@ -68,17 +68,19 @@ func names(apps []ctrlplane.AppView) []string {
 }
 
 // TestStateIsOneReadOfAppsTotalAndMachine: the unconditional answer is
-// what /v1/apps, /v1/allocations and /v1/machine say between them.
+// the registry's apps field by field, the total /v1/allocations serves
+// and the configured machine.
 func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 	ctx := context.Background()
 	s := newStateServer(t, nil)
-	registerTableIMix(t, s.cli)
-
-	st, err := s.cli.State(ctx, ctrlplane.StateQuery{})
-	if err != nil {
+	ids := registerTableIMix(t, s.cli)
+	*s.now = s.now.Add(5 * time.Second)
+	if _, err := s.cli.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[0], GFlopRate: 3, GBRate: 6}); err != nil {
 		t.Fatal(err)
 	}
-	apps, err := s.cli.Apps(ctx)
+	*s.now = s.now.Add(2 * time.Second)
+
+	st, err := s.cli.State(ctx, ctrlplane.StateQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,24 +88,35 @@ func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := s.cli.Machine(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.Incarnation == "" || st.Unchanged {
 		t.Fatalf("first contact answered %+v", st)
 	}
-	if st.Generation != 4 || st.Generation != apps.Generation || st.Generation != alloc.Generation {
-		t.Fatalf("generation %d, /v1/apps %d, /v1/allocations %d, want 4 everywhere", st.Generation, apps.Generation, alloc.Generation)
+	reg, gen := s.srv.Registry().Snapshot()
+	if st.Generation != 4 || st.Generation != gen || st.Generation != alloc.Generation {
+		t.Fatalf("generation %d, registry %d, /v1/allocations %d, want 4 everywhere", st.Generation, gen, alloc.Generation)
 	}
-	if !reflect.DeepEqual(st.Apps, apps.Apps) {
-		t.Fatalf("apps\n  %+v\n/v1/apps\n  %+v", st.Apps, apps.Apps)
+	want := make([]ctrlplane.AppView, len(reg))
+	for i, a := range reg {
+		want[i] = ctrlplane.AppView{
+			ID: a.ID, Name: a.Spec.Name, AI: a.Spec.AI, Placement: a.Spec.Placement.String(),
+			HomeNode: int(a.Spec.HomeNode), MaxThreads: a.Spec.MaxThreads, TTLMillis: a.TTL.Milliseconds(),
+			AgeMillis: s.now.Sub(a.RegisteredAt).Milliseconds(), IdleMillis: s.now.Sub(a.LastBeat).Milliseconds(),
+			Beats: a.Beats, ObservedAI: a.ObservedAI(),
+		}
+	}
+	if !reflect.DeepEqual(st.Apps, want) {
+		t.Fatalf("apps\n  %+v\nregistry\n  %+v", st.Apps, want)
+	}
+	for _, a := range st.Apps {
+		if a.ID == ids[0] && (a.Beats != 1 || a.ObservedAI != 0.5 || a.AgeMillis != 7000 || a.IdleMillis != 2000) {
+			t.Fatalf("the beaten app reads %+v, want 1 beat at observed AI 0.5, 7 s old and 2 s idle", a)
+		}
 	}
 	if st.TotalGFLOPS != alloc.TotalGFLOPS {
 		t.Fatalf("total %v, /v1/allocations %v", st.TotalGFLOPS, alloc.TotalGFLOPS)
 	}
-	if !reflect.DeepEqual(st.Machine, mach.Machine) {
-		t.Fatalf("machine %v, /v1/machine %v", st.Machine, mach.Machine)
+	if !reflect.DeepEqual(st.Machine, s.srv.Machine()) {
+		t.Fatalf("machine %v, configured %v", st.Machine, s.srv.Machine())
 	}
 }
 

@@ -19,11 +19,9 @@
 //	POST   /v1/heartbeat   HeartbeatRequest  -> HeartbeatResponse
 //	POST   /v1/report      ReportRequest     -> ReportResponse
 //	DELETE /v1/apps/{id}                     -> 204
-//	GET    /v1/apps                          -> AppsResponse
 //	GET    /v1/allocations                   -> AllocationsResponse
 //	GET    /v1/state                         -> StateResponse (conditional: StateQuery)
 //	GET    /v1/drift                         -> DriftResponse
-//	GET    /v1/machine                       -> MachineResponse
 //	GET    /healthz                          -> HealthResponse
 //	GET    /metricsz                         -> MetricsResponse
 //	GET    /tracez                           -> Chrome trace-event JSON
@@ -234,12 +232,6 @@ type DriftResponse struct {
 	PhaseChanges uint64 `json:"phase_changes,omitempty"`
 }
 
-// AppsResponse lists registered applications.
-type AppsResponse struct {
-	Generation uint64    `json:"generation"`
-	Apps       []AppView `json:"apps"`
-}
-
 // StateQuery is what a GET /v1/state caller already holds of this
 // server's state, sent as the query ?incarnation=…&generation=….
 type StateQuery struct {
@@ -369,15 +361,6 @@ type MetricsResponse struct {
 	Endpoints     map[string]EndpointMetrics `json:"endpoints"`
 	Persist       *PersistMetrics            `json:"persist,omitempty"`
 	Adapt         *AdaptMetrics              `json:"adapt,omitempty"`
-}
-
-// MachineResponse is the /v1/machine body: the topology allocations are
-// computed over. Clients cache it so they can run a local fallback
-// solve while the daemon is unreachable.
-type MachineResponse struct {
-	Machine    *machine.Machine `json:"machine"`
-	Policy     string           `json:"policy"`
-	Generation uint64           `json:"generation"`
 }
 
 // The error body and its machine-readable codes are shared with fleetd

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/client"
 	"repro/internal/faultinject"
 )
@@ -120,7 +121,7 @@ func TestChaosFleetMachineKillAndRevival(t *testing.T) {
 	// in principle be lying to us).
 	for id, url := range coopds {
 		cli := client.New(url, client.Config{})
-		resp, err := cli.Apps(ctx)
+		resp, err := cli.State(ctx, ctrlplane.StateQuery{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -298,7 +298,7 @@ func (s *Server) handleUpgrade(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := FleetHealthResponse{Status: "ok", SolveCache: s.pl.Scorer.cache.Counters()}
+	resp := FleetHealthResponse{Status: "ok"}
 	for _, m := range s.inv.Snapshot() {
 		resp.Machines++
 		switch m.status() {

@@ -39,7 +39,7 @@ func TestServerPlaceAndMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv.Poll(ctx)
-	srv, fc := newFleetServer(t, inv)
+	_, fc := newFleetServer(t, inv)
 
 	resp, err := fc.Place(ctx, memSpec("web"))
 	if err != nil {
@@ -106,10 +106,6 @@ func TestServerPlaceAndMachines(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Machines != 1 || h.Healthy != 1 || h.Apps != 1 {
 		t.Fatalf("health %+v, want ok with 1 healthy machine and 1 app", h)
-	}
-	hits, misses := srv.Placer().Scorer.CacheStats()
-	if c := h.SolveCache; c.Misses == 0 || c.Entries == 0 || c.Hits != hits || c.Misses != misses {
-		t.Fatalf("health solve_cache %+v, want the Scorer's counters (%d hits, %d misses)", c, hits, misses)
 	}
 }
 

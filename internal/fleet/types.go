@@ -113,9 +113,6 @@ type FleetHealthResponse struct {
 	Quarantined int    `json:"quarantined,omitempty"`
 	Draining    int    `json:"draining"`
 	Apps        int    `json:"apps"`
-	// SolveCache is the Scorer's solve-memo counters — the same struct
-	// coopd serves as its /metricsz "solver" section.
-	SolveCache solvecache.Counters `json:"solve_cache"`
 }
 
 // PollMetrics counts member polls by outcome. Unchanged polls found the

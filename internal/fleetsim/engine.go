@@ -375,11 +375,11 @@ func (e *Engine) streamTelemetry(ctx context.Context, round int) {
 			e.log("fleetsim[%s] round %d: telemetry to %s: %v", e.sc.Name, round, m.ID, err)
 		}
 		for _, cli := range clis {
-			apps, err := cli.Apps(ctx)
+			st, err := cli.State(ctx, ctrlplane.StateQuery{})
 			if err != nil {
 				continue
 			}
-			for _, v := range apps.Apps {
+			for _, v := range st.Apps {
 				if !v.Drifted || v.FittedAI <= 0 {
 					continue
 				}

@@ -28,15 +28,17 @@ var coopdRoutes = []route{
 	{"POST", "/v1/heartbeat", true},
 	{"POST", "/v1/report", true},
 	{"DELETE", "/v1/apps/app-1", false},
-	{"GET", "/v1/apps", false},
 	{"GET", "/v1/drift", false},
 	{"GET", "/v1/allocations", false},
 	{"GET", "/v1/state", false},
-	{"GET", "/v1/machine", false},
 	{"GET", "/healthz", false},
 	{"GET", "/metricsz", false},
 	{"GET", "/tracez", false},
 }
+
+// coopdGone are reads GET /v1/state took over: coopd no longer serves
+// them, and neither does a replica wrapping it.
+var coopdGone = []string{"/v1/apps", "/v1/machine"}
 
 var replicaRoutes = []route{
 	{"GET", "/v1/replica/status", false},
@@ -92,8 +94,9 @@ func do(t *testing.T, h http.Handler, method, path string, body io.Reader) (*htt
 // coopd, a replica's Node.Handler() (its own routes and the coopd it
 // wraps) and fleetd — to the scaffold's contract: a wrong method is 405
 // with an Allow header, a body over the cap is refused before the
-// handler runs, an unknown JSON field is 400, and every body with a
-// status >= 400 is an ErrorResponse.
+// handler runs, an unknown JSON field is 400, an unserved path (the
+// removed coopd reads included) is 404, and every body with a status
+// >= 400 is an ErrorResponse.
 func TestRouteTable(t *testing.T) {
 	coopd := newCoopd(t, nil)
 
@@ -122,10 +125,11 @@ func TestRouteTable(t *testing.T) {
 		// published is the surface's /metricsz endpoint count: the table
 		// above must not fall behind the routes the surface registers.
 		published int
+		gone      []string
 	}{
-		{"coopd", coopd.Handler(), coopdRoutes, len(coopdRoutes)},
-		{"replica", node.Handler(), append(append([]route{}, replicaRoutes...), coopdRoutes...), len(coopdRoutes)},
-		{"fleetd", fleetd.Handler(), fleetdRoutes, len(fleetdRoutes)},
+		{"coopd", coopd.Handler(), coopdRoutes, len(coopdRoutes), coopdGone},
+		{"replica", node.Handler(), append(append([]route{}, replicaRoutes...), coopdRoutes...), len(coopdRoutes), coopdGone},
+		{"fleetd", fleetd.Handler(), fleetdRoutes, len(fleetdRoutes), nil},
 	}
 	huge := `{"pad":"` + strings.Repeat("x", httpapi.MaxBodyBytes) + `"}`
 	for _, s := range surfaces {
@@ -154,11 +158,12 @@ func TestRouteTable(t *testing.T) {
 					t.Errorf("%s %s with a chunked %d-byte body: %d %q, want 400 from the decoder", rt.method, rt.path, len(huge), rec.Code, er.Error)
 				}
 			}
-			rec, _ := do(t, s.h, "GET", "/no/such/route", nil)
-			if rec.Code != http.StatusNotFound {
-				t.Errorf("GET /no/such/route: %d, want 404", rec.Code)
+			for _, path := range append([]string{"/no/such/route"}, s.gone...) {
+				if rec, _ := do(t, s.h, "GET", path, nil); rec.Code != http.StatusNotFound {
+					t.Errorf("GET %s: %d, want 404", path, rec.Code)
+				}
 			}
-			rec, _ = do(t, s.h, "GET", "/metricsz", nil)
+			rec, _ := do(t, s.h, "GET", "/metricsz", nil)
 			var m struct {
 				Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
 			}
