@@ -33,15 +33,23 @@ func benchMembers(n int) []Member {
 // decision, i.e. what fleetd does per /v1/fleet/place request (which
 // reuses a pooled candidateSet exactly like this loop).
 // Throughput is the reported placements/s metric.
-func benchPlacement(b *testing.B, nMachines int) {
+// With domains > 0 the members are spread over that many failure
+// domains and domain-spread is on.
+func benchPlacement(b *testing.B, nMachines, domains int) {
 	members := benchMembers(nMachines)
 	sc := NewScorer()
+	sc.DomainSpread = domains > 0
+	for i := range members {
+		if sc.DomainSpread {
+			members[i].Domain = fmt.Sprintf("rack%d", i%domains)
+		}
+	}
 	spec := AppSpec{Name: "incoming", AI: 2}
 	var cs candidateSet
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands := cs.reset(members, true, false)
+		cands := cs.reset(members, true, sc.DomainSpread)
 		if _, _, err := sc.decide(spec, cands); err != nil {
 			b.Fatal(err)
 		}
@@ -49,15 +57,20 @@ func benchPlacement(b *testing.B, nMachines int) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
 }
 
-func BenchmarkPlacement100Machines(b *testing.B) { benchPlacement(b, 100) }
+func BenchmarkPlacement100Machines(b *testing.B) { benchPlacement(b, 100, 0) }
 
-func BenchmarkPlacement1kMachines(b *testing.B) { benchPlacement(b, 1000) }
+func BenchmarkPlacement1kMachines(b *testing.B) { benchPlacement(b, 1000, 0) }
+
+// BenchmarkPlacementSpread1kMachines is the 1k-machine decision with
+// domain-spread on over 4 domains: the members still form one class,
+// scored once per decision, and the domain only breaks the ties.
+func BenchmarkPlacementSpread1kMachines(b *testing.B) { benchPlacement(b, 1000, 4) }
 
 // BenchmarkPlacement10kMachines is the fleet-scale case the
 // equivalence-class memo unlocks: 10k machines collapse into a handful
 // of (topology, demand) classes, so a decision is ~10k key builds plus
 // one or two solves at most.
-func BenchmarkPlacement10kMachines(b *testing.B) { benchPlacement(b, 10000) }
+func BenchmarkPlacement10kMachines(b *testing.B) { benchPlacement(b, 10000, 0) }
 
 // BenchmarkPlacementGang measures atomic gang planning: one op decides
 // a 4-replica spread gang against a 100-machine fleet snapshot —
@@ -66,14 +79,7 @@ func BenchmarkPlacement10kMachines(b *testing.B) { benchPlacement(b, 10000) }
 // This is the plan phase of PlaceGang (`coopctl fleet place -gang`);
 // execution is HTTP registration and is not a scoring cost.
 func BenchmarkPlacementGang(b *testing.B) {
-	members := benchMembers(100)
-	inv := NewInventory(InventoryConfig{})
-	for i := range members {
-		m := &members[i]
-		inv.members[m.ID] = &member{id: m.ID, domain: m.ID, topo: m.Topology, apps: m.Apps}
-		inv.order = append(inv.order, m.ID)
-	}
-	p, _ := planners(b, inv, ServerConfig{})
+	p, _ := planners(b, memInventory(benchMembers(100)), ServerConfig{})
 	g := GangSpec{
 		Name:     "gang",
 		Replicas: 4,
@@ -109,6 +115,37 @@ func BenchmarkPlacementWarm100Machines(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
+}
+
+// BenchmarkRebalanceQuietRound plans a quiet round over 40 KNLSNC4
+// members holding the Table I mix each (the coopbench rack_loss fleet at
+// rest): one op is a Plan after the first, so the imbalance pass finds
+// its re-pack memoized and solves nothing.
+func BenchmarkRebalanceQuietRound(b *testing.B) {
+	members := make([]Member, 40)
+	for i := range members {
+		id := fmt.Sprintf("m%02d", i)
+		members[i] = Member{ID: id, Domain: fmt.Sprintf("rack%d", i%4), Topology: machine.KNLSNC4()}
+		for j, ai := range []float64{0.5, 0.5, 0.5, 10} {
+			members[i].Apps = append(members[i].Apps, PlacedApp{ID: fmt.Sprintf("%s-%d", id, j), Name: fmt.Sprintf("app-%d", j), AI: ai})
+		}
+	}
+	_, reb := planners(b, memInventory(members), ServerConfig{DomainSpread: true})
+	ctx := context.Background()
+	if plan, err := reb.Plan(ctx); err != nil || len(plan.Moves) != 0 || plan.RepackGFLOPS == 0 {
+		b.Fatalf("first plan %+v, %v: want a quiet round that re-packed", plan, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reb.Plan(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if m := reb.Repacks(); m != (RepackMetrics{Reused: uint64(b.N), Computed: 1}) {
+		b.Fatalf("re-packs %+v, want every timed plan to reuse the first", m)
+	}
 }
 
 // benchPollFleet is 40 in-process members behind memberNet, each holding

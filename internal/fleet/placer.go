@@ -61,7 +61,9 @@ func FloorCapacity(m *machine.Machine) int {
 // is identical for every member of the class, so a homogeneous fleet
 // costs one solve pair per decision instead of one per machine. The
 // class scores themselves come from the Scorer's fleet-wide memo, so
-// repeated decisions against an unchanged fleet run solve-free.
+// repeated decisions against an unchanged fleet run solve-free. Under
+// domain-spread the class is still (topology, demand): the domain only
+// breaks score ties, candidate by candidate (tieBreakBetter).
 //
 // Anti-affinity: a numa-bad app avoids machines that already host a
 // numa-bad demand set — two such sets on one machine serialize on each
@@ -73,14 +75,14 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 	if err != nil {
 		return nil, nil, err
 	}
-	pool := cands
-	if spec.numaBad() {
-		if clean := keepCands(nil, cands, func(c *candidate) bool { return c.bad == 0 }); len(clean) > 0 {
-			pool = clean
-		}
-	}
 	s := sc.scratch.Get()
 	defer sc.scratch.Put(s)
+	pool := cands
+	if spec.numaBad() {
+		if s.clean = keepCands(s.clean[:0], cands, func(c *candidate) bool { return c.bad == 0 }); len(s.clean) > 0 {
+			pool = s.clean
+		}
+	}
 	// Domain-spread: count the app's cooperating group per failure
 	// domain across the whole fleet (not just the filtered pool — group
 	// members on excluded machines still occupy their domain). The
@@ -102,7 +104,6 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 	}
 	clear(s.classes)
 	classes := s.classes
-	var dkey []byte // decision-key scratch, only allocated under spread
 	var best *candidate
 	var bestScore float64
 	var bestWith solveOutcome
@@ -111,16 +112,6 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 			continue // home node does not exist on this machine
 		}
 		key := c.classKey(sc, s)
-		if sc.DomainSpread {
-			// Under spread the decision-level class includes the domain:
-			// two machines with identical (topology, demand) but different
-			// domains are no longer interchangeable decisions. The
-			// Scorer's solve memo stays domain-free — scores depend only
-			// on topology and demand, so the class entries here share the
-			// same underlying solves.
-			dkey = append(append(dkey[:0], key...), c.domain...)
-			key = dkey
-		}
 		r, ok := classes[string(key)] // byte-to-string map lookup: no alloc
 		if !ok {
 			score, with, err := sc.marginal(c.topo, c.demand, app, s)

@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/ctrlplane"
 )
@@ -107,6 +110,13 @@ type Rebalancer struct {
 	Inv    *Inventory
 	Scorer *Scorer
 	cfg    *ServerConfig
+
+	// memo is the imbalance pass's last re-pack and repacks counts the
+	// lookups; memoMu guards both, because the HTTP dry run plans
+	// concurrently with the round loop.
+	memoMu  sync.Mutex
+	memo    repack
+	repacks RepackMetrics
 }
 
 // Plan computes one round's moves from the current inventory snapshot
@@ -337,6 +347,23 @@ func (r *Rebalancer) planDrift(s *session) int {
 	return len(s.moves) - planned
 }
 
+// ownedApp is one app the imbalance pass re-packs, with the candidate
+// of the member hosting it.
+type ownedApp struct {
+	c   *candidate
+	app *PlacedApp
+}
+
+// repack is the imbalance pass's comparison: the current aggregate, the
+// greedy re-pack's aggregate, and the member the re-pack homes each app
+// on, in re-pack order. key holds the inputs it was computed from (see
+// planImbalance). Immutable once memoized.
+type repack struct {
+	key            []byte
+	current, total float64
+	targets        []string
+}
+
 // planImbalance compares the fleet's current solved aggregate with a
 // greedy from-scratch re-pack of the same apps and, when the gap
 // exceeds the threshold, emits moves for the apps whose re-pack target
@@ -345,40 +372,112 @@ func (r *Rebalancer) planDrift(s *session) int {
 // app the previous round just re-homed must not immediately bounce
 // back because the load shifted again), and moves stop once the ledger
 // is spent.
+//
+// The comparison is a pure function of what the key below encodes, so
+// the last one is memoized on those exact bytes: a round over a fleet
+// whose inputs did not change — the second quiet round of a recovery, a
+// fleet at rest — runs no solve. Per placement candidate, in snapshot
+// order, the key holds the member ID, domain and topology hash; per
+// non-duplicate app, the effective spec's name, AI bits, placement, home
+// node and priority. App IDs are not read: targets are per position and
+// the moves are built from the live snapshot. The threshold test, the
+// cooldown filter and the budget run every round; cooldowns only filter
+// the move list, so they are not in the key. A failed re-pack is logged
+// and not memoized.
 func (r *Rebalancer) planImbalance(s *session, plan *Plan) {
-	type owned struct {
-		member string
-		app    *PlacedApp
-		to     *candidate // where the re-pack homes it
-	}
-	var apps []owned
-	current := 0.0
+	s.owned, s.key = s.owned[:0], s.key[:0]
 	for i := range s.members {
 		m := &s.members[i]
-		if s.cand(m.ID) == nil {
+		c := s.cand(m.ID)
+		if c == nil {
 			continue
 		}
-		s.demand = s.demand[:0]
+		s.key = appendKeyString(appendKeyString(s.key, m.ID), m.Domain)
+		s.key = binary.LittleEndian.AppendUint64(s.key, r.Scorer.cache.TopologyHash(m.Topology))
 		for j := range m.Apps {
 			a := &m.Apps[j]
 			if s.dup[appKey{m.ID, a.ID}] {
 				continue
 			}
-			apps = append(apps, owned{member: m.ID, app: a})
-			if ra, err := a.EffectiveSpec().rooflineApp(); err == nil {
+			s.owned = append(s.owned, ownedApp{c: c, app: a})
+			spec := a.EffectiveSpec()
+			s.key = append(s.key, 1) // an app follows
+			s.key = appendKeyString(s.key, spec.Name)
+			s.key = binary.LittleEndian.AppendUint64(s.key, math.Float64bits(spec.AI))
+			s.key = appendKeyString(s.key, spec.Placement)
+			s.key = binary.AppendVarint(s.key, int64(spec.HomeNode))
+			s.key = appendKeyString(s.key, spec.Priority)
+		}
+		s.key = append(s.key, 0) // end of member
+	}
+	if len(s.owned) == 0 {
+		return
+	}
+	out, ok := r.memoized(s.key)
+	if !ok {
+		var err error
+		if out, err = r.computeRepack(s); err != nil {
+			r.cfg.logf("fleet: imbalance pass: %v", err)
+			plan.CurrentGFLOPS = out.current
+			return
+		}
+		out.key = bytes.Clone(s.key)
+		r.memoMu.Lock()
+		r.memo = out
+		r.memoMu.Unlock()
+	}
+	plan.CurrentGFLOPS, plan.RepackGFLOPS = out.current, out.total
+	if out.current >= r.cfg.Threshold*out.total {
+		return
+	}
+
+	// The gap is worth churn: move the apps the re-pack homes elsewhere.
+	// Targets come from the re-pack simulation itself, so the moves land
+	// the fleet at (a bounded prefix of) the re-packed assignment.
+	for i, o := range s.owned {
+		// Damped while cooling down: just moved, let the fleet settle.
+		if out.targets[i] == o.c.id || s.cooling[o.app.Name] > 0 || s.exhausted() {
+			continue
+		}
+		s.move(o.app, o.c.id, ReasonRebalance, s.cand(out.targets[i]), &Decision{})
+	}
+}
+
+// appendKeyString appends s length-prefixed.
+func appendKeyString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// memoized returns the memoized re-pack when its key is key, counting
+// the lookup as reused, or as computed when the caller must re-pack.
+func (r *Rebalancer) memoized(key []byte) (repack, bool) {
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	if bytes.Equal(r.memo.key, key) {
+		r.repacks.Reused++
+		return r.memo, true
+	}
+	r.repacks.Computed++
+	return repack{}, false
+}
+
+// computeRepack solves the current aggregate of the session's owned
+// apps and re-packs them greedily from scratch. On error the current
+// aggregate is set when it was solved.
+func (r *Rebalancer) computeRepack(s *session) (out repack, err error) {
+	for i := 0; i < len(s.owned); {
+		c := s.owned[i].c
+		s.demand = s.demand[:0]
+		for ; i < len(s.owned) && s.owned[i].c == c; i++ {
+			if ra, err := s.owned[i].app.EffectiveSpec().rooflineApp(); err == nil {
 				s.demand = append(s.demand, ra)
 			}
 		}
-		total, err := r.Scorer.SolveTotal(m.Topology, s.demand)
+		total, err := r.Scorer.SolveTotal(c.topo, s.demand)
 		if err != nil {
-			r.cfg.logf("fleet: scoring %s: %v", m.ID, err)
-			return
+			return repack{}, fmt.Errorf("scoring %s: %w", c.id, err)
 		}
-		current += total
-	}
-	plan.CurrentGFLOPS = current
-	if len(apps) == 0 {
-		return
+		out.current += total
 	}
 
 	// Greedy re-pack: fresh candidates (empty demand), every app placed
@@ -388,38 +487,31 @@ func (r *Rebalancer) planImbalance(s *session, plan *Plan) {
 	// re-pack while the current aggregate reflects measured behaviour
 	// would mis-arm the trigger in both directions.
 	fresh := s.fresh.reset(s.members, false, r.Scorer.DomainSpread)
-	for i := range apps {
-		spec := apps[i].app.EffectiveSpec()
+	out.targets = make([]string, len(s.owned))
+	for i, o := range s.owned {
+		spec := o.app.EffectiveSpec()
 		d, c, err := r.Scorer.decide(spec, fresh)
 		if err != nil {
-			return
+			return out, fmt.Errorf("re-packing %s from %s: %w", o.app.ID, o.c.id, err)
 		}
-		apps[i].to = s.cand(d.Member)
+		out.targets[i] = d.Member
 		c.commit(spec, "")
 	}
-	repack := 0.0
 	for _, c := range fresh {
 		total, err := r.Scorer.SolveTotal(c.topo, c.demand)
 		if err != nil {
-			return
+			return out, fmt.Errorf("scoring the re-pack of %s: %w", c.id, err)
 		}
-		repack += total
+		out.total += total
 	}
-	plan.RepackGFLOPS = repack
-	if current >= r.cfg.Threshold*repack {
-		return
-	}
+	return out, nil
+}
 
-	// The gap is worth churn: move the apps the re-pack homes elsewhere.
-	// Targets come from the re-pack simulation itself, so the moves land
-	// the fleet at (a bounded prefix of) the re-packed assignment.
-	for _, o := range apps {
-		// Damped while cooling down: just moved, let the fleet settle.
-		if o.to.id == o.member || s.cooling[o.app.Name] > 0 || s.exhausted() {
-			continue
-		}
-		s.move(o.app, o.member, ReasonRebalance, o.to, &Decision{})
-	}
+// Repacks returns how the imbalance pass's re-packs went so far.
+func (r *Rebalancer) Repacks() RepackMetrics {
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	return r.repacks
 }
 
 // Execute applies a plan through the executor: duplicate cleanups

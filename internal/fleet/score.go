@@ -28,7 +28,7 @@ type solveOutcome struct {
 // scoreScratch is the per-call reusable state of the scoring hot path,
 // pooled so a placement decision allocates nothing for any of it: the
 // key builder, the demand+app slice, a miss's demand and hint in slot
-// order, and decide's per-decision maps.
+// order, and decide's per-decision maps and NUMA-bad candidate filter.
 type scoreScratch struct {
 	key   solvecache.Key
 	with  []roofline.App
@@ -37,6 +37,7 @@ type scoreScratch struct {
 
 	classes  map[string]classResult
 	domCount map[string]int
+	clean    []*candidate
 }
 
 // Scorer computes placement scores through the same solve the coopd
@@ -65,9 +66,9 @@ type Scorer struct {
 	// cooperating group (apps sharing a name prefix), so a whole-rack
 	// loss never takes the whole group. Domain never outranks score —
 	// with the flag off, decisions are bit-identical to the spread-free
-	// path, and the solve memo below is domain-free either way (solves
-	// depend only on topology and demand, so the PR-8 cache stays
-	// sound). Set before use; not safe to flip concurrently with
+	// path, and both the solve memo below and decide's per-decision class
+	// map are domain-free either way (solves depend only on topology and
+	// demand). Set before use; not safe to flip concurrently with
 	// decisions.
 	DomainSpread bool
 

@@ -131,58 +131,118 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 		{ID: "e", Topology: machine.PaperModel(), Apps: []PlacedApp{ // numa-bad host
 			{ID: "e-1", Name: "bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}}},
 	}
-	specs := []AppSpec{
+	decideMatchesNaive(t, members, []AppSpec{
 		{Name: "incoming", AI: 2},
 		{Name: "incoming-mem", AI: 1.0 / 32},
 		{Name: "incoming-bad", AI: 0.25, Placement: "numa-bad", HomeNode: 0},
+	}, false)
+}
+
+// TestDecideMatchesNaiveSpreadScoring is the domain-spread variant: one
+// class spans three domains that host different numbers of each
+// incoming app's cooperating group, so score ties are settled by the
+// domain tie-break, and decide — which scores each class once whatever
+// its domains — must still match the per-machine scan bit for bit.
+func TestDecideMatchesNaiveSpreadScoring(t *testing.T) {
+	mem := func(id, name string) []PlacedApp { return []PlacedApp{{ID: id, Name: name, AI: 0.5}} }
+	members := []Member{
+		{ID: "a1", Domain: "r1", Topology: machine.PaperModel(), Apps: mem("a1-1", "web-1")},
+		{ID: "a2", Domain: "r1", Topology: machine.PaperModel(), Apps: mem("a2-1", "web-2")},
+		{ID: "a3", Domain: "r2", Topology: machine.PaperModel(), Apps: mem("a3-1", "db-1")},
+		{ID: "a4", Domain: "r2", Topology: machine.PaperModel(), Apps: mem("a4-1", "db-2")},
+		{ID: "a5", Domain: "r3", Topology: machine.PaperModel(), Apps: mem("a5-1", "web-3")},
+		{ID: "a6", Domain: "r3", Topology: machine.PaperModel(), Apps: mem("a6-1", "db-3")},
+		{ID: "c", Domain: "r2", Topology: machine.PaperModel(), Apps: []PlacedApp{ // heavier class
+			{ID: "c-1", Name: "web-4", AI: 0.5}, {ID: "c-2", Name: "comp", AI: 10}}},
+		{ID: "d", Domain: "r1", Topology: machine.SkylakeQuad(), Apps: mem("d-1", "db-4")},
+		{ID: "e", Domain: "r3", Topology: machine.PaperModel(), Apps: []PlacedApp{ // numa-bad host
+			{ID: "e-1", Name: "web-bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}, {ID: "e-2", Name: "comp", AI: 10}}},
+		{ID: "f", Topology: machine.PaperModel(), Apps: mem("f-1", "web-5")}, // its own domain
+	}
+	decideMatchesNaive(t, members, []AppSpec{
+		{Name: "web-9", AI: 2},
+		{Name: "db-9", AI: 2},
+		{Name: "etl-1", AI: 1.0 / 32},
+		{Name: "web-10", AI: 0.5},
+		{Name: "db-bad", AI: 0.25, Placement: "numa-bad", HomeNode: 0},
+	}, true)
+}
+
+// decideMatchesNaive decides each spec against the members with and
+// without a warm memo and holds the result to an unmemoized scan over the
+// members applying the selection rule directly: the best score; within
+// scoreTieEps, under spread the domain hosting fewer of the app's
+// cooperating group (counted over every member), then fewer apps; then
+// the first in ID order.
+func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread bool) {
+	t.Helper()
+	domainOf := func(m *Member) string {
+		if m.Domain == "" {
+			return m.ID
+		}
+		return m.Domain
 	}
 	for _, spec := range specs {
-		// Naive reference: independent solves per candidate, identical
-		// selection rule.
 		app := mustRoofline(t, spec)
-		cands := new(candidateSet).reset(members, true, false)
-		pool := cands
-		if spec.numaBad() {
-			var clean []*candidate
-			for _, c := range pool {
-				if c.bad == 0 {
-					clean = append(clean, c)
+		domCount := map[string]int{}
+		for i := range members {
+			for _, a := range members[i].Apps {
+				if groupOf(a.Name) == groupOf(spec.Name) {
+					domCount[domainOf(&members[i])]++
 				}
 			}
-			if len(clean) > 0 {
-				pool = clean
+		}
+		var pool []*Member
+		for i := range members {
+			if !spec.numaBad() || members[i].NUMABadApps() == 0 {
+				pool = append(pool, &members[i])
 			}
 		}
-		var want *candidate
+		if len(pool) == 0 {
+			for i := range members {
+				pool = append(pool, &members[i])
+			}
+		}
+		var want *Member
 		var wantScore, wantAfter float64
-		for _, c := range pool {
-			if spec.numaBad() && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
+		for _, m := range pool {
+			if spec.numaBad() && (spec.HomeNode < 0 || spec.HomeNode >= m.Topology.NumNodes()) {
 				continue
 			}
-			before := naiveSolveTotal(t, c.topo, c.demand)
-			with := append(append([]roofline.App(nil), c.demand...), app)
-			after := naiveSolveTotal(t, c.topo, with)
+			var demand []roofline.App
+			for _, a := range m.Apps {
+				demand = append(demand, mustRoofline(t, a.EffectiveSpec()))
+			}
+			before := naiveSolveTotal(t, m.Topology, demand)
+			after := naiveSolveTotal(t, m.Topology, append(demand, app))
 			score := after - before
 			switch {
 			case want == nil, score > wantScore+scoreTieEps:
-				want, wantScore, wantAfter = c, score, after
-			case score > wantScore-scoreTieEps && c.apps < want.apps:
-				want, wantScore, wantAfter = c, score, after
+			case score <= wantScore-scoreTieEps:
+				continue
+			case spread && domCount[domainOf(m)] != domCount[domainOf(want)]:
+				if domCount[domainOf(m)] > domCount[domainOf(want)] {
+					continue
+				}
+			case len(m.Apps) >= len(want.Apps):
+				continue
 			}
+			want, wantScore, wantAfter = m, score, after
 		}
 		if want == nil {
 			t.Fatalf("%s: naive scan found no candidate", spec.Name)
 		}
 
 		sc := NewScorer()
+		sc.DomainSpread = spread
 		for pass := 0; pass < 2; pass++ { // pass 1 runs fully memoized
-			d, _, err := sc.decide(spec, new(candidateSet).reset(members, true, false))
+			d, _, err := sc.decide(spec, new(candidateSet).reset(members, true, spread))
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", spec.Name, pass, err)
 			}
-			if d.Member != want.id || d.Score != wantScore || d.After != wantAfter {
+			if d.Member != want.ID || d.Score != wantScore || d.After != wantAfter {
 				t.Errorf("%s pass %d: decide chose %s (score %v after %v), naive chose %s (score %v after %v)",
-					spec.Name, pass, d.Member, d.Score, d.After, want.id, wantScore, wantAfter)
+					spec.Name, pass, d.Member, d.Score, d.After, want.ID, wantScore, wantAfter)
 			}
 		}
 	}
@@ -192,32 +252,37 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 // fleet of interchangeable machines costs one solve pair on the first
 // decision (every further candidate hits the per-decision class map),
 // and a repeat decision against the unchanged fleet is solve-free —
-// pure LRU hits.
+// pure LRU hits, two of them. Spreading the machines over four failure
+// domains changes neither: the class is (topology, demand), not the
+// domain, so the repeat still costs two hits, not one pair per domain.
 func TestScorerClassDedup(t *testing.T) {
-	members := make([]Member, 16)
-	for i := range members {
-		id := string(rune('a' + i))
-		members[i] = Member{ID: "m-" + id, Topology: machine.PaperModel(), Apps: []PlacedApp{
-			{ID: id + "-1", Name: "mem", AI: 0.5}}}
-	}
-	sc := NewScorer()
-	spec := AppSpec{Name: "incoming", AI: 2}
-	if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, false)); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := sc.CacheStats()
-	if misses != 2 { // one before-solve, one after-solve for the single class
-		t.Errorf("first decision: %d memo misses, want 2 (hits %d)", misses, hits)
-	}
-	if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, false)); err != nil {
-		t.Fatal(err)
-	}
-	hits2, misses2 := sc.CacheStats()
-	if misses2 != misses {
-		t.Errorf("repeat decision re-solved: misses %d -> %d", misses, misses2)
-	}
-	if hits2 != hits+2 {
-		t.Errorf("repeat decision: hits %d -> %d, want +2", hits, hits2)
+	for _, spread := range []bool{false, true} {
+		members := make([]Member, 16)
+		for i := range members {
+			id := string(rune('a' + i))
+			members[i] = Member{ID: "m-" + id, Domain: fmt.Sprintf("rack-%d", i%4), Topology: machine.PaperModel(),
+				Apps: []PlacedApp{{ID: id + "-1", Name: "mem", AI: 0.5}}}
+		}
+		sc := NewScorer()
+		sc.DomainSpread = spread
+		spec := AppSpec{Name: "incoming", AI: 2}
+		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, spread)); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := sc.CacheStats()
+		if misses != 2 { // one before-solve, one after-solve for the single class
+			t.Errorf("spread=%v: first decision: %d memo misses, want 2 (hits %d)", spread, misses, hits)
+		}
+		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, spread)); err != nil {
+			t.Fatal(err)
+		}
+		hits2, misses2 := sc.CacheStats()
+		if misses2 != misses {
+			t.Errorf("spread=%v: repeat decision re-solved: misses %d -> %d", spread, misses, misses2)
+		}
+		if hits2 != hits+2 {
+			t.Errorf("spread=%v: repeat decision: hits %d -> %d, want +2", spread, hits, hits2)
+		}
 	}
 }
 

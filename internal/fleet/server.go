@@ -325,6 +325,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: s.inv.now().Sub(s.start).Seconds(),
 		SolveCache:    s.pl.Scorer.cache.Counters(),
 		Polls:         s.inv.Polls(),
+		Repacks:       s.reb.Repacks(),
 		Endpoints:     s.routes.Metrics(),
 	})
 }

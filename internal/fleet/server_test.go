@@ -263,7 +263,8 @@ func TestClientTypedErrors(t *testing.T) {
 
 // TestServerMetricsz: fleetd meters its routes — /metricsz counts move
 // when /v1/fleet/place is called, errors included — and reports the
-// Scorer's solve-cache counters and how the member polls went.
+// Scorer's solve-cache counters, how the member polls went and how the
+// imbalance re-packs went.
 func TestServerMetricsz(t *testing.T) {
 	ctx := context.Background()
 	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
@@ -311,5 +312,18 @@ func TestServerMetricsz(t *testing.T) {
 	}
 	if want := (PollMetrics{Unchanged: 1, Full: 2}); m.Polls != want {
 		t.Errorf("polls %+v, want %+v", m.Polls, want)
+	}
+	// Two quiet rounds over the unchanged fleet: the first re-packs, the
+	// second reuses it.
+	for i := 0; i < 2; i++ {
+		if plan, err := srv.Rebalancer().Round(ctx); err != nil || len(plan.Moves) != 0 {
+			t.Fatalf("round %d: %+v, %v: want a quiet round", i, plan, err)
+		}
+	}
+	if m, err = fc.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if want := (RepackMetrics{Reused: 1, Computed: 1}); m.Repacks != want {
+		t.Errorf("repacks %+v after two quiet rounds, want %+v", m.Repacks, want)
 	}
 }

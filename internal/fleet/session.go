@@ -211,6 +211,8 @@ type session struct {
 	ranks   map[string]int
 
 	fresh  candidateSet   // the imbalance pass's from-scratch re-pack
+	owned  []ownedApp     // the imbalance pass's apps, in re-pack order
+	key    []byte         // the imbalance pass's re-pack memo key
 	pool   []*candidate   // pick's filtered view
 	demand []roofline.App // demand-rebuild scratch
 

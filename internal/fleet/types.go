@@ -127,13 +127,23 @@ type PollMetrics struct {
 	Failed    uint64 `json:"failed"`
 }
 
+// RepackMetrics counts the imbalance pass's re-packs by outcome.
+// Computed ran the greedy from-scratch re-pack (a failed one too);
+// Reused found the re-pack of byte-equal inputs memoized and solved
+// nothing. Rounds over a fleet at rest should be nearly all Reused.
+type RepackMetrics struct {
+	Reused   uint64 `json:"reused"`
+	Computed uint64 `json:"computed"`
+}
+
 // FleetMetricsResponse is the fleet /metricsz body: how hard the Scorer
-// worked, how the member polls went and what every endpoint served, in
-// coopd's shapes.
+// worked, how the member polls and the imbalance re-packs went and what
+// every endpoint served, in coopd's shapes.
 type FleetMetricsResponse struct {
 	UptimeSeconds float64             `json:"uptime_s"`
 	SolveCache    solvecache.Counters `json:"solve_cache"`
 	Polls         PollMetrics         `json:"polls"`
+	Repacks       RepackMetrics       `json:"repacks"`
 	// Endpoints is keyed by the route names NewServer mounts.
 	Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
 }
