@@ -1,11 +1,11 @@
-# Standard entry points. `make check` is the full gate: build, vet, the
-# test suite under the race detector (the control plane's registry and
-# solver are exercised concurrently over real HTTP), and the coopbench
-# smoke test.
+# Standard entry points. `make check` is the full gate: gofmt, build,
+# vet, the test suite under the race detector (the control plane's
+# registry and solver are exercised concurrently over real HTTP), and
+# the coopbench smoke test.
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt
+.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt fmt-check
 
 all: check
 
@@ -114,7 +114,11 @@ fleet-sim-race:
 fuzz:
 	$(GO) test -fuzz FuzzEvaluatorEquivalence -fuzztime 30s -run '^$$' ./internal/roofline/
 
-check: build vet race bench-smoke
+check: fmt-check build vet race bench-smoke
 
 fmt:
 	gofmt -l -w .
+
+# Fails, listing them, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -10,7 +10,6 @@
 //	coopctl [-server URL] report -id stream-1 -gflops 2.9 -gbs 0.29 [-threads 8]
 //	coopctl [-server URL] state
 //	coopctl [-server URL] alloc
-//	coopctl [-server URL] drift
 //	coopctl [-server URL] watch [-interval 500ms]
 //	coopctl [-server URL] demo [-keep]
 //	coopctl [-server URL] health
@@ -71,8 +70,6 @@ func main() {
 		err = cmdState(ctx, c)
 	case "alloc":
 		err = cmdAlloc(ctx, c)
-	case "drift":
-		err = cmdDrift(ctx, c)
 	case "watch":
 		err = cmdWatch(ctx, c, args)
 	case "demo":
@@ -94,7 +91,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: coopctl [-server URL] <register|heartbeat|report|deregister|state|alloc|drift|watch|demo|health|status|fleet> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: coopctl [-server URL] <register|heartbeat|report|deregister|state|alloc|watch|demo|health|status|fleet> [flags]")
 	fmt.Fprintln(os.Stderr, "       coopctl fleet <machines|status|place|drain|plan|upgrade> [-fleet URL] [flags]")
 }
 
@@ -197,37 +194,11 @@ func cmdReport(ctx context.Context, c *client.Client, args []string) error {
 	return nil
 }
 
-// cmdDrift renders the adaptive loop's per-app drift view.
-func cmdDrift(ctx context.Context, c *client.Client) error {
-	resp, err := c.Drift(ctx)
-	if err != nil {
-		return err
-	}
-	if !resp.Enabled {
-		fmt.Println("adaptive recalibration disabled (start coopd with -recalibrate)")
-		return nil
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("drift status (threshold %.0f%%, generation %d)", resp.Threshold*100, resp.Generation),
-		"id", "name", "state", "declared AI", "fitted AI", "conf", "rel err %", "windows", "resolves", "applied")
-	for _, a := range resp.Apps {
-		applied := ""
-		if a.Applied {
-			applied = fmt.Sprintf("AI %s", metrics.FormatFloat(a.AppliedAI))
-		}
-		t.AddRow(a.ID, a.Name, a.State, a.DeclaredAI, metrics.FormatFloat(a.FittedAI),
-			fmt.Sprintf("%.2f", a.Confidence), fmt.Sprintf("%.1f", a.RelErrPct),
-			a.Windows, a.Resolves, applied)
-	}
-	fmt.Print(t)
-	fmt.Printf("confirmed %d, cleared %d, refits %d, phase changes %d\n",
-		resp.Confirmed, resp.Cleared, resp.Refits, resp.PhaseChanges)
-	return nil
-}
-
 // cmdState prints the daemon's one registry read: the machine topology
 // (what resilient clients cache for a local fallback solve), the
-// registered applications and the model's total for them.
+// registered applications and the model's total for them. When any app
+// has an adaptive-loop tracker (coopd runs -recalibrate), the table
+// gains its columns.
 func cmdState(ctx context.Context, c *client.Client) error {
 	st, err := c.State(ctx, ctrlplane.StateQuery{})
 	if err != nil {
@@ -239,13 +210,41 @@ func cmdState(ctx context.Context, c *client.Client) error {
 		nodes.AddRow(i, n.Cores, n.PeakGFLOPS, n.MemBandwidth)
 	}
 	fmt.Print(nodes)
-	apps := metrics.NewTable("registered applications", "id", "name", "AI", "placement", "ttl (ms)", "idle (ms)", "beats")
+	tracked := false
 	for _, a := range st.Apps {
-		apps.AddRow(a.ID, a.Name, a.AI, a.Placement, a.TTLMillis, a.IdleMillis, a.Beats)
+		tracked = tracked || a.Tracker != nil
+	}
+	cols := []string{"id", "name", "AI", "placement", "ttl (ms)", "idle (ms)", "beats"}
+	if tracked {
+		cols = append(cols, "state", "fitted AI", "conf", "rel err %", "windows", "resolves", "applied AI")
+	}
+	apps := metrics.NewTable("registered applications", cols...)
+	for _, a := range st.Apps {
+		row := []any{a.ID, a.Name, a.AI, a.Placement, a.TTLMillis, a.IdleMillis, a.Beats}
+		if tracked {
+			row = append(row, trackerCells(a)...)
+		}
+		apps.AddRow(row...)
 	}
 	fmt.Print(apps)
 	fmt.Printf("total: %s GFLOPS\n", metrics.FormatFloat(st.TotalGFLOPS))
 	return nil
+}
+
+// trackerCells renders an app's adaptive-loop columns; an app with a
+// fit applied but no tracker (inherited across a failover) shows only
+// the applied AI.
+func trackerCells(a ctrlplane.AppView) []any {
+	applied := ""
+	if a.Drifted {
+		applied = metrics.FormatFloat(a.FittedAI)
+	}
+	t := a.Tracker
+	if t == nil {
+		return []any{"", "", "", "", "", "", applied}
+	}
+	return []any{t.State, metrics.FormatFloat(t.FittedAI), fmt.Sprintf("%.2f", t.Confidence),
+		fmt.Sprintf("%.1f", t.RelErr*100), t.Windows, t.Resolves, applied}
 }
 
 func cmdAlloc(ctx context.Context, c *client.Client) error {
@@ -351,7 +350,8 @@ func cmdHealth(ctx context.Context, c *client.Client) error {
 }
 
 // cmdStatus shows the replica's role, lease, fencing epoch, and
-// replication lag, plus the solver cache counters from /metricsz. A
+// replication lag, plus the solver cache counters and (under
+// -recalibrate) the adaptive loop's counters from /metricsz. A
 // standalone daemon 404s the replica endpoint; that is rendered, not
 // errored. A follower whose replication lag exceeds -max-lag makes the
 // command fail (exit nonzero), so scripts probing an endpoint learn its
@@ -395,6 +395,10 @@ func cmdStatus(ctx context.Context, c *client.Client, args []string) error {
 		return err
 	}
 	printSolveCache(mt.Solver)
+	if a := mt.Adapt; a != nil {
+		fmt.Printf("  adaptive loop: threshold %.0f%%, %d tracked, %d drifted, %d applied; confirmed %d, cleared %d, refits %d, phase changes %d\n",
+			a.Threshold*100, a.Tracked, a.Drifted, a.Applied, a.DriftsConfirmed, a.DriftsCleared, a.Refits, a.PhaseChanges)
+	}
 	return stale
 }
 

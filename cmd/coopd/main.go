@@ -38,13 +38,15 @@
 // confirmed drift it substitutes the fitted model into the solver
 // (journaled, so it survives crashes and leader failover) and re-solves.
 // -drift-threshold sets the relative fitted-vs-declared error that
-// counts as drift. Inspect with GET /v1/drift or `coopctl drift`.
+// counts as drift. Each app's tracker rides its GET /v1/state view
+// (`coopctl state`), the loop's counters and threshold /metricsz's
+// adapt block (`coopctl status`).
 //
 // Endpoints: POST /v1/register, POST /v1/heartbeat, POST /v1/report,
 // DELETE /v1/apps/{id}, GET /v1/allocations, GET /v1/state (the one
 // registry read: apps, total and topology; conditional for fleetd's
-// polls), GET /v1/drift, GET /healthz, GET /metricsz, GET /tracez. See
-// cmd/coopctl for a CLI.
+// polls), GET /healthz, GET /metricsz, GET /tracez. See cmd/coopctl for
+// a CLI.
 package main
 
 import (
@@ -66,7 +68,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
-	machineName := flag.String("machine", "paper-model", "topology: paper-model | paper-numabad | skylake | knl-flat | knl-snc4 | path to a machine JSON file")
+	machineName := flag.String("machine", "paper-model", "topology: "+strings.Join(machine.PresetNames(), " | ")+" | path to a machine JSON file")
 	policy := flag.String("policy", ctrlplane.PolicyRoofline, "allocation policy: roofline | fairshare")
 	ttl := flag.Duration("ttl", 15*time.Second, "default heartbeat deadline before an app is evicted")
 	sweep := flag.Duration("sweep", 0, "eviction scan interval (default ttl/4)")
@@ -161,25 +163,17 @@ func splitPeers(s string) []string {
 
 // loadMachine resolves a named topology or reads one from a JSON file.
 func loadMachine(name string) (*machine.Machine, error) {
-	switch name {
-	case "paper-model":
-		return machine.PaperModel(), nil
-	case "paper-numabad":
-		return machine.PaperModelNUMABad(), nil
-	case "skylake":
-		return machine.SkylakeQuad(), nil
-	case "knl-flat":
-		return machine.KNLFlat(), nil
-	case "knl-snc4":
-		return machine.KNLSNC4(), nil
+	m, err := machine.Preset(name)
+	if err == nil {
+		return m, nil
 	}
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("unknown machine %q and no such file: %w", name, err)
+	data, ferr := os.ReadFile(name)
+	if ferr != nil {
+		return nil, fmt.Errorf("%v, and no such file: %w", err, ferr)
 	}
-	var m machine.Machine
-	if err := json.Unmarshal(data, &m); err != nil {
+	m = &machine.Machine{}
+	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("parsing machine file %s: %w", name, err)
 	}
-	return &m, nil
+	return m, nil
 }

@@ -8,7 +8,7 @@
 //	numabench -sweep ai           # one app's AI swept across the roofline ridge
 //	numabench -sweep curve        # the machine's roofline curve
 //	numabench -sweep policies     # agent policies on the Table I mix
-//	-machine skylake-quad|paper-model
+//	-machine skylake              # any machine preset (default paper-model)
 //	-csv                          # CSV instead of a table
 //	-sim                          # also run the simulator per point (slower)
 package main
@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/agent"
 	"repro/internal/core"
@@ -31,19 +32,14 @@ import (
 
 func main() {
 	sweep := flag.String("sweep", "allocation", "sweep kind: allocation | ai | curve | policies")
-	machineName := flag.String("machine", "paper-model", "machine preset: paper-model | skylake-quad")
+	machineName := flag.String("machine", "paper-model", "machine preset: "+strings.Join(machine.PresetNames(), " | "))
 	csv := flag.Bool("csv", false, "emit CSV")
 	withSim := flag.Bool("sim", false, "also run the simulator per point")
 	flag.Parse()
 
-	var m *machine.Machine
-	switch *machineName {
-	case "paper-model":
-		m = machine.PaperModel()
-	case "skylake-quad":
-		m = machine.SkylakeQuad()
-	default:
-		fmt.Fprintf(os.Stderr, "numabench: unknown machine %q\n", *machineName)
+	m, err := machine.Preset(*machineName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "numabench: %v\n", err)
 		os.Exit(2)
 	}
 

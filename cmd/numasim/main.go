@@ -26,7 +26,7 @@ import (
 // fileConfig is the JSON scenario schema.
 type fileConfig struct {
 	Machine struct {
-		Preset        string  `json:"preset,omitempty"` // paper-model | skylake-quad | knl-flat | knl-snc4
+		Preset        string  `json:"preset,omitempty"` // a machine.PresetNames name
 		Nodes         int     `json:"nodes,omitempty"`
 		CoresPerNode  int     `json:"cores_per_node,omitempty"`
 		GFLOPSPerCore float64 `json:"gflops_per_core,omitempty"`
@@ -143,27 +143,15 @@ func fail(err error) {
 }
 
 func buildMachine(fc fileConfig) (*machine.Machine, error) {
-	switch fc.Machine.Preset {
-	case "paper-model":
-		return machine.PaperModel(), nil
-	case "paper-model-numabad":
-		return machine.PaperModelNUMABad(), nil
-	case "skylake-quad":
-		return machine.SkylakeQuad(), nil
-	case "knl-flat":
-		return machine.KNLFlat(), nil
-	case "knl-snc4":
-		return machine.KNLSNC4(), nil
-	case "":
-		mc := fc.Machine
-		if mc.Nodes <= 0 || mc.CoresPerNode <= 0 {
-			return nil, fmt.Errorf("machine: need a preset or nodes/cores_per_node")
-		}
-		m := machine.Uniform("custom", mc.Nodes, mc.CoresPerNode, mc.GFLOPSPerCore, mc.NodeBandwidth, mc.LinkBandwidth)
-		return m, m.Validate()
-	default:
-		return nil, fmt.Errorf("machine: unknown preset %q", fc.Machine.Preset)
+	mc := fc.Machine
+	if mc.Preset != "" {
+		return machine.Preset(mc.Preset)
 	}
+	if mc.Nodes <= 0 || mc.CoresPerNode <= 0 {
+		return nil, fmt.Errorf("machine: need a preset or nodes/cores_per_node")
+	}
+	m := machine.Uniform("custom", mc.Nodes, mc.CoresPerNode, mc.GFLOPSPerCore, mc.NodeBandwidth, mc.LinkBandwidth)
+	return m, m.Validate()
 }
 
 func buildAllocation(m *machine.Machine, rows [][]int, nApps int) (roofline.Allocation, error) {

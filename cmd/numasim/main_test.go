@@ -35,7 +35,7 @@ func TestExampleConfigParses(t *testing.T) {
 }
 
 func TestBuildMachinePresets(t *testing.T) {
-	for _, preset := range []string{"paper-model", "paper-model-numabad", "skylake-quad", "knl-flat", "knl-snc4"} {
+	for _, preset := range machine.PresetNames() {
 		fc := fileConfig{}
 		fc.Machine.Preset = preset
 		if _, err := buildMachine(fc); err != nil {

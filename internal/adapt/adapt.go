@@ -12,7 +12,7 @@
 // measured performance of the application") from a one-shot offline fit
 // to a streaming one. Three cooperating pieces:
 //
-//   - Telemetry ingest: per-application ring buffers of observed
+//   - Telemetry ingest: per-application streams of observed
 //     (GFLOPS, GB/s, threads) samples, aggregated into fixed-size
 //     windows (a window is the fitting unit; single samples are too
 //     noisy to act on).
@@ -43,8 +43,8 @@ type Sample struct {
 	// GFLOPS is the observed compute rate over the sampling interval.
 	GFLOPS float64 `json:"gflops"`
 	// GBps is the observed memory traffic rate; GFLOPS/GBps is the
-	// observed arithmetic intensity. Samples with GBps <= 0 are kept in
-	// the telemetry ring but excluded from fitting.
+	// observed arithmetic intensity. Samples with GBps <= 0 are counted
+	// but excluded from fitting.
 	GBps float64 `json:"gbps"`
 	// Threads is the thread count the rates were observed under (0:
 	// unknown; the per-thread peak fit skips the sample).
@@ -54,9 +54,6 @@ type Sample struct {
 // Config tunes the adaptive loop. The zero value selects the defaults
 // noted on each field.
 type Config struct {
-	// RingSize is the per-application telemetry ring capacity
-	// (default 64 samples).
-	RingSize int
 	// Window is the number of usable samples aggregated into one
 	// fitting window (default 4).
 	Window int
@@ -94,9 +91,6 @@ type Config struct {
 
 // withDefaults fills zero fields with the documented defaults.
 func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 64
-	}
 	if c.Window <= 0 {
 		c.Window = 4
 	}

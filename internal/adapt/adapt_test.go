@@ -60,11 +60,7 @@ func TestUnusableSamplesAreTelemetryOnly(t *testing.T) {
 		t.Fatalf("unusable samples closed a window (windows=%d anchored=%v)", tr.windows, tr.fit.Anchored)
 	}
 	if tr.samples != 2 {
-		t.Fatalf("samples = %d, want 2 (ring keeps them)", tr.samples)
-	}
-	g, b := tr.recentRates()
-	if g != 2.5 || b != 2.5 {
-		t.Fatalf("recentRates = %v/%v, want 2.5/2.5", g, b)
+		t.Fatalf("samples = %d, want 2 (counted as telemetry)", tr.samples)
 	}
 }
 
@@ -346,9 +342,11 @@ func TestStoreRemoveAndMetrics(t *testing.T) {
 	if m.Drifted != 1 || m.Confirmed != 1 {
 		t.Fatalf("metrics = %+v, want 1 drifted / 1 confirmed", m)
 	}
-	views := st.Views()
-	if len(views) != 2 || views[0].ID != "a" || views[1].ID != "b" {
-		t.Fatalf("views = %+v, want sorted [a b]", views)
+	if a, ok := st.View("a"); !ok || a.Samples != 1 || a.State != Steady {
+		t.Fatalf("view a = %+v ok=%v, want 1 sample, steady", a, ok)
+	}
+	if b, ok := st.View("b"); !ok || b.Samples != 2 || b.State != Drifted {
+		t.Fatalf("view b = %+v ok=%v, want 2 samples, drifted", b, ok)
 	}
 	st.Remove("a", "missing")
 	if m := st.Metrics(); m.Tracked != 1 {
@@ -361,7 +359,7 @@ func TestStoreRemoveAndMetrics(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.RingSize != 64 || c.Window != 4 || c.ConfirmWindows != 3 {
+	if c.Window != 4 || c.ConfirmWindows != 3 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if c.DriftThreshold != 0.25 || c.ExitRatio != 0.5 || c.MinConfidence != 0.5 {

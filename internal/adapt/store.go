@@ -2,41 +2,28 @@ package adapt
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
-// Outcome summarizes one report's effect: the tracker's state after the
-// samples, the current fit, and the action the control plane should
-// take against the registry.
+// Outcome summarizes one report's effect: the tracker after the
+// samples, the fitted per-thread peak, and the action the control plane
+// should take against the registry.
 type Outcome struct {
-	State         State
-	FittedAI      float64
+	TrackerView
 	PeakPerThread float64
-	Confidence    float64
-	RelErr        float64
 	Action        Action
-	// Confirmed / Cleared report whether this report closed a window
-	// that confirmed (or resolved) drift.
-	Confirmed bool
-	Cleared   bool
 }
 
-// TrackerView is a read-only snapshot of one tracked application, for
-// /v1/drift and coopctl.
+// TrackerView is a read-only snapshot of one tracked application, which
+// coopd serves as the app's tracker on GET /v1/state and in each
+// /v1/report answer.
 type TrackerView struct {
-	ID            string
-	State         State
-	DeclaredAI    float64
-	FittedAI      float64
-	PeakPerThread float64
-	Confidence    float64
-	RelErr        float64
-	RecentGFLOPS  float64
-	RecentGBps    float64
-	Samples       uint64
-	Windows       uint64
-	PhaseChanges  uint64
+	State      State
+	FittedAI   float64
+	Confidence float64
+	RelErr     float64
+	Samples    uint64
+	Windows    uint64
 	// Resolves counts the solver re-solves this application triggered
 	// (fitted-model substitutions and clears). A correctly declared
 	// steady application stays at 0 forever.
@@ -99,15 +86,7 @@ func (st *Store) Report(id string, declaredAI, appliedAI float64, samples []Samp
 		st.cleared++
 	}
 
-	out := Outcome{
-		State:         t.state,
-		FittedAI:      t.fit.AI,
-		PeakPerThread: t.fit.PeakPerThread,
-		Confidence:    t.fit.Confidence,
-		RelErr:        t.lastErr,
-		Confirmed:     confirmed,
-		Cleared:       cleared,
-	}
+	out := Outcome{PeakPerThread: t.fit.PeakPerThread}
 	switch {
 	case cleared && appliedAI > 0:
 		// Drift resolved with a confirmed exit: serve the declared model
@@ -125,6 +104,7 @@ func (st *Store) Report(id string, declaredAI, appliedAI float64, samples []Samp
 			st.refits++
 		}
 	}
+	out.TrackerView = t.view()
 	return out
 }
 
@@ -138,26 +118,6 @@ func (st *Store) Remove(ids ...string) {
 	}
 }
 
-// viewLocked renders one tracker.
-func viewLocked(id string, t *tracker) TrackerView {
-	g, b := t.recentRates()
-	return TrackerView{
-		ID:            id,
-		State:         t.state,
-		DeclaredAI:    t.declaredAI,
-		FittedAI:      t.fit.AI,
-		PeakPerThread: t.fit.PeakPerThread,
-		Confidence:    t.fit.Confidence,
-		RelErr:        t.lastErr,
-		RecentGFLOPS:  g,
-		RecentGBps:    b,
-		Samples:       t.samples,
-		Windows:       t.windows,
-		PhaseChanges:  t.phaseChanges,
-		Resolves:      t.resolves,
-	}
-}
-
 // View returns one application's tracker snapshot.
 func (st *Store) View(id string) (TrackerView, bool) {
 	st.mu.Lock()
@@ -166,19 +126,7 @@ func (st *Store) View(id string) (TrackerView, bool) {
 	if !ok {
 		return TrackerView{}, false
 	}
-	return viewLocked(id, t), true
-}
-
-// Views returns every tracked application, sorted by ID.
-func (st *Store) Views() []TrackerView {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]TrackerView, 0, len(st.apps))
-	for id, t := range st.apps {
-		out = append(out, viewLocked(id, t))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return t.view(), true
 }
 
 // Metrics returns the store-wide counters.

@@ -19,17 +19,11 @@ type Fit struct {
 	Anchored bool
 }
 
-// tracker is the per-application adaptive state: telemetry ring, window
-// accumulator, streaming fit, CUSUM phase test, and the hysteresis
-// state machine. Not safe for concurrent use — the Store serializes.
+// tracker is the per-application adaptive state: window accumulator,
+// streaming fit, CUSUM phase test, and the hysteresis state machine.
+// Not safe for concurrent use — the Store serializes.
 type tracker struct {
 	cfg Config
-
-	// Telemetry ring of the most recent samples (diagnostics and
-	// windowed rate views; the fit consumes the window accumulator).
-	ring    []Sample
-	ringLen int
-	ringPos int
 
 	// Current window accumulation (usable samples only).
 	winN    int
@@ -59,22 +53,27 @@ type tracker struct {
 }
 
 func newTracker(cfg Config) *tracker {
-	return &tracker{cfg: cfg, ring: make([]Sample, 0, cfg.RingSize)}
+	return &tracker{cfg: cfg}
 }
 
-// observe folds one sample into the ring and the current window,
-// closing the window (and stepping the detector) when it fills.
+// view renders the tracker as a TrackerView.
+func (t *tracker) view() TrackerView {
+	return TrackerView{
+		State:      t.state,
+		FittedAI:   t.fit.AI,
+		Confidence: t.fit.Confidence,
+		RelErr:     t.lastErr,
+		Samples:    t.samples,
+		Windows:    t.windows,
+		Resolves:   t.resolves,
+	}
+}
+
+// observe folds one sample into the current window, closing the window
+// (and stepping the detector) when it fills.
 func (t *tracker) observe(declaredAI float64, s Sample) {
 	t.declaredAI = declaredAI
 	t.samples++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-	} else {
-		t.ring[t.ringPos] = s
-	}
-	t.ringPos = (t.ringPos + 1) % cap(t.ring)
-	t.ringLen = len(t.ring)
-
 	if s.GBps <= 0 || s.GFLOPS <= 0 {
 		return // no AI information; telemetry only
 	}
@@ -184,17 +183,4 @@ func (t *tracker) step() {
 			t.streak = 0
 		}
 	}
-}
-
-// recentRates averages the telemetry ring (all samples, usable or not).
-func (t *tracker) recentRates() (gflops, gbps float64) {
-	if t.ringLen == 0 {
-		return 0, 0
-	}
-	for i := 0; i < t.ringLen; i++ {
-		gflops += t.ring[i].GFLOPS
-		gbps += t.ring[i].GBps
-	}
-	n := float64(t.ringLen)
-	return gflops / n, gbps / n
 }

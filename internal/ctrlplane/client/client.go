@@ -236,17 +236,12 @@ func (c *Client) Heartbeat(ctx context.Context, req ctrlplane.HeartbeatRequest) 
 }
 
 // Report delivers observed throughput samples to the adaptive
-// recalibration loop. The response carries the app's drift status after
-// the samples. Fails (404) against a daemon running without
+// recalibration loop. The response carries the app's tracker after the
+// samples. Fails (404) against a daemon running without
 // -recalibrate; IsNotFound(err) with code unknown_app means the app was
 // evicted.
 func (c *Client) Report(ctx context.Context, req ctrlplane.ReportRequest) (*ctrlplane.ReportResponse, error) {
 	return httpapi.Typed[ctrlplane.ReportResponse](ctx, c.do, http.MethodPost, "/v1/report", req)
-}
-
-// Drift reads the adaptive loop's per-application drift status.
-func (c *Client) Drift(ctx context.Context) (*ctrlplane.DriftResponse, error) {
-	return httpapi.Typed[ctrlplane.DriftResponse](ctx, c.do, http.MethodGet, "/v1/drift", nil)
 }
 
 // Deregister removes an application, releasing its cores.

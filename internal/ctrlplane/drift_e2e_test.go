@@ -12,9 +12,10 @@ import (
 )
 
 // TestReportEndpointGating: without -recalibrate the telemetry
-// endpoints answer deliberately (404 with a hint, a disabled drift
-// view) rather than pretending to track; with it, reports for unknown
-// apps are rejected.
+// endpoint answers deliberately (404 with a hint) and no read claims a
+// tracker (no /metricsz adapt block, no app tracker on /v1/state)
+// rather than pretending to track; with it, reports for unknown apps
+// are rejected.
 func TestReportEndpointGating(t *testing.T) {
 	ctx := context.Background()
 
@@ -24,12 +25,24 @@ func TestReportEndpointGating(t *testing.T) {
 	}); err == nil {
 		t.Error("report with recalibration off: want an error, got none")
 	}
-	drift, err := off.Drift(ctx)
-	if err != nil {
-		t.Fatalf("drift with recalibration off: %v", err)
+	if _, err := off.Register(ctx, ctrlplane.RegisterRequest{Name: "a", AI: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if drift.Enabled {
-		t.Error("drift view claims the adaptive loop is enabled on a plain server")
+	mt, err := off.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics with recalibration off: %v", err)
+	}
+	if mt.Adapt != nil {
+		t.Errorf("/metricsz carries an adapt block on a plain server: %+v", *mt.Adapt)
+	}
+	st, err := off.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatalf("state with recalibration off: %v", err)
+	}
+	for _, a := range st.Apps {
+		if a.Tracker != nil {
+			t.Errorf("%s carries a tracker on a plain server: %+v", a.Name, *a.Tracker)
+		}
 	}
 
 	_, on := startServer(t, ctrlplane.ServerConfig{Recalibrate: true})
@@ -124,35 +137,46 @@ func TestEndToEndDriftConvergence(t *testing.T) {
 		t.Errorf("converged to %.1f GFLOPS, want the Table I ~254 optimum", alloc.TotalGFLOPS)
 	}
 
-	drift, err := c.Drift(ctx)
+	mt, err := c.Metrics(ctx)
 	if err != nil {
-		t.Fatalf("drift: %v", err)
+		t.Fatalf("metrics: %v", err)
 	}
-	if !drift.Enabled {
-		t.Fatal("drift view reports the adaptive loop disabled")
+	if mt.Adapt == nil {
+		t.Fatal("/metricsz has no adapt block: the adaptive loop reads as disabled")
 	}
-	if drift.Cleared != 0 {
-		t.Errorf("%d drift clears in a run where the drift never recovers", drift.Cleared)
+	if mt.Adapt.DriftsCleared != 0 {
+		t.Errorf("%d drift clears in a run where the drift never recovers", mt.Adapt.DriftsCleared)
 	}
-	for _, app := range drift.Apps {
+	st, err := c.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatalf("state: %v", err)
+	}
+	tracked := 0
+	for _, app := range st.Apps {
+		tr := app.Tracker
+		if tr == nil {
+			t.Errorf("%s: no tracker on /v1/state", app.Name)
+			continue
+		}
+		tracked++
 		if app.Name == "mis" {
-			if app.State != "drifted" || !app.Applied {
-				t.Errorf("mis: state %s applied %v, want drifted+applied", app.State, app.Applied)
+			if tr.State != "drifted" || !app.Drifted {
+				t.Errorf("mis: state %s applied %v, want drifted+applied", tr.State, app.Drifted)
 			}
-			if math.Abs(app.FittedAI-10) > 0.5 {
-				t.Errorf("mis: fitted AI %.2f, want ~10", app.FittedAI)
+			if math.Abs(tr.FittedAI-10) > 0.5 {
+				t.Errorf("mis: fitted AI %.2f, want ~10", tr.FittedAI)
 			}
-			if app.Resolves == 0 {
+			if tr.Resolves == 0 {
 				t.Error("mis: no re-solves recorded for the drifted app")
 			}
 			continue
 		}
 		// The acceptance bar: truthful steady apps cause ZERO re-solves.
-		if app.State != "steady" || app.Resolves != 0 {
-			t.Errorf("%s: state %s with %d re-solves, want steady with none", app.Name, app.State, app.Resolves)
+		if tr.State != "steady" || tr.Resolves != 0 {
+			t.Errorf("%s: state %s with %d re-solves, want steady with none", app.Name, tr.State, tr.Resolves)
 		}
 	}
-	if len(drift.Apps) != 4 {
-		t.Errorf("drift view tracks %d apps, want 4", len(drift.Apps))
+	if tracked != 4 || mt.Adapt.Tracked != 4 {
+		t.Errorf("%d apps carry a tracker (/metricsz: %d tracked), want 4", tracked, mt.Adapt.Tracked)
 	}
 }

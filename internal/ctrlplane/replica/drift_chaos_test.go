@@ -126,21 +126,21 @@ func TestChaosDriftLeaderKillMidRecalibration(t *testing.T) {
 	if alloc.TotalGFLOPS < 250 || alloc.TotalGFLOPS > 260 {
 		t.Errorf("promoted leader serves %g GFLOPS, want the corrected ~254 (fitted model lost in failover?)", alloc.TotalGFLOPS)
 	}
-	drift, err := fc.Drift(ctx)
+	st, err := fc.State(ctx, ctrlplane.StateQuery{})
 	if err != nil {
-		t.Fatalf("drift from promoted leader: %v", err)
+		t.Fatalf("state from promoted leader: %v", err)
 	}
 	foundMis := false
-	for _, a := range drift.Apps {
+	for _, a := range st.Apps {
 		if a.ID == misID {
 			foundMis = true
-			if !a.Applied || math.Abs(a.AppliedAI-10) > 0.5 {
-				t.Errorf("promoted leader drift view: applied %v AI %.2f, want the inherited fit ~10", a.Applied, a.AppliedAI)
+			if !a.Drifted || math.Abs(a.FittedAI-10) > 0.5 {
+				t.Errorf("promoted leader's state: applied %v AI %.2f, want the inherited fit ~10", a.Drifted, a.FittedAI)
 			}
 		}
 	}
 	if !foundMis {
-		t.Error("promoted leader's drift view does not list the fitted app")
+		t.Error("promoted leader's state does not list the fitted app")
 	}
 
 	// Reporting resumes against the survivor: its fresh tracker must
@@ -163,12 +163,12 @@ func TestChaosDriftLeaderKillMidRecalibration(t *testing.T) {
 	if !confirmed {
 		t.Fatal("survivor's tracker never re-confirmed the drift")
 	}
-	drift, err = fc.Drift(ctx)
+	mt, err := fc.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drift.Cleared != 0 {
-		t.Errorf("%d fitted-model clears on the survivor; the inherited fit must survive re-confirmation", drift.Cleared)
+	if mt.Adapt == nil || mt.Adapt.DriftsCleared != 0 {
+		t.Errorf("survivor's adapt block %+v: the inherited fit must survive re-confirmation with 0 clears", mt.Adapt)
 	}
 	alloc, err = fc.Allocations(ctx)
 	if err != nil {

@@ -135,7 +135,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.handle("POST /v1/heartbeat", "heartbeat", s.handleHeartbeat)
 	s.handle("POST /v1/report", "report", s.handleReport)
 	s.handle("DELETE /v1/apps/{id}", "deregister", s.handleDeregister)
-	s.handle("GET /v1/drift", "drift", s.handleDrift)
 	s.handle("GET /v1/allocations", "allocations", s.handleAllocations)
 	s.handle("GET /v1/state", "state", s.handleState)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
@@ -219,9 +218,10 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 // Spec checks a registration against a machine of nodes NUMA nodes and
 // converts it to the registry's spec: an empty name becomes "app", and a
 // name over MaxNameBytes, an AI <= 0, an unknown placement, a numa-bad
-// home node the machine lacks or a negative thread cap is refused. The
-// register handler and the client's local fallback solve both use it,
-// so a demand coopd refuses is never solved locally.
+// home node the machine lacks, a negative thread cap or a negative TTL
+// is refused. The register handler, the client's local fallback solve
+// and fleetd's request check all use it, so a demand coopd refuses is
+// never solved locally nor decided on by the fleet.
 func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
 	if req.Name == "" {
 		req.Name = "app"
@@ -243,6 +243,9 @@ func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
 	if req.MaxThreads < 0 {
 		return AppSpec{}, fmt.Errorf("max_threads must be >= 0, got %d", req.MaxThreads)
 	}
+	if req.TTLMillis < 0 {
+		return AppSpec{}, fmt.Errorf("ttl_ms must be >= 0, got %d", req.TTLMillis)
+	}
 	return AppSpec{
 		Name:       req.Name,
 		AI:         req.AI,
@@ -260,10 +263,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	spec, err := req.Spec(s.cfg.Machine.NumNodes())
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.TTLMillis < 0 {
-		httpapi.WriteError(w, http.StatusBadRequest, "ttl_ms must be >= 0, got %d", req.TTLMillis)
 		return
 	}
 	st, gen, err := s.reg.Register(spec, time.Duration(req.TTLMillis)*time.Millisecond)
@@ -319,8 +318,10 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// appViews renders registry records as the wire's AppView list.
-func appViews(apps []AppState, now time.Time) []AppView {
+// appViews renders registry records as the wire's AppView list, each
+// with its adaptive-loop tracker when trackers (nil: no -recalibrate)
+// holds one.
+func appViews(apps []AppState, now time.Time, trackers *adapt.Store) []AppView {
 	views := make([]AppView, len(apps))
 	for i := range apps {
 		a := &apps[i]
@@ -341,8 +342,27 @@ func appViews(apps []AppState, now time.Time) []AppView {
 			views[i].FittedAI = a.Fitted.AI
 			views[i].Drifted = true
 		}
+		if trackers != nil {
+			if v, ok := trackers.View(a.ID); ok {
+				t := appTracker(v)
+				views[i].Tracker = &t
+			}
+		}
 	}
 	return views
+}
+
+// appTracker renders an adaptive-loop tracker for the wire.
+func appTracker(v adapt.TrackerView) AppTracker {
+	return AppTracker{
+		State:      v.State.String(),
+		FittedAI:   v.FittedAI,
+		Confidence: v.Confidence,
+		RelErr:     v.RelErr,
+		Samples:    v.Samples,
+		Windows:    v.Windows,
+		Resolves:   v.Resolves,
+	}
 }
 
 // handleState serves everything a fleet scheduler tracks of this
@@ -368,7 +388,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
-	resp.Apps = appViews(sc.apps, s.cfg.Clock())
+	resp.Apps = appViews(sc.apps, s.cfg.Clock(), s.adapt)
 	resp.TotalGFLOPS = sc.sol.TotalGFLOPS
 	if held != resp.Incarnation {
 		resp.Machine = s.cfg.Machine
@@ -509,81 +529,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	httpapi.WriteJSON(w, http.StatusOK, ReportResponse{
 		Generation: s.reg.Generation(),
-		State:      out.State.String(),
-		FittedAI:   out.FittedAI,
-		Confidence: out.Confidence,
-		RelErr:     out.RelErr,
+		AppTracker: appTracker(out.TrackerView),
 		Drifted:    appliedAI > 0,
 	})
-}
-
-// handleDrift reports the adaptive loop's view of every tracked
-// application, joined with the registry's applied fitted models (an app
-// can carry a replicated fitted model without local telemetry right
-// after a leader failover — it shows here as applied until reporters
-// re-establish its tracker).
-func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	if s.adapt == nil {
-		httpapi.WriteJSON(w, http.StatusOK, DriftResponse{Enabled: false, Generation: s.reg.Generation()})
-		return
-	}
-	apps, gen := s.reg.Snapshot()
-	byID := make(map[string]*AppState, len(apps))
-	for i := range apps {
-		byID[apps[i].ID] = &apps[i]
-	}
-	m := s.adapt.Metrics()
-	resp := DriftResponse{
-		Enabled:      true,
-		Generation:   gen,
-		Threshold:    s.adapt.Config().DriftThreshold,
-		Confirmed:    m.Confirmed,
-		Cleared:      m.Cleared,
-		Refits:       m.Refits,
-		PhaseChanges: m.PhaseChanges,
-	}
-	seen := map[string]bool{}
-	for _, v := range s.adapt.Views() {
-		st, ok := byID[v.ID]
-		if !ok {
-			continue // tracker for an app evicted this instant
-		}
-		seen[v.ID] = true
-		av := DriftAppView{
-			ID:         v.ID,
-			Name:       st.Spec.Name,
-			State:      v.State.String(),
-			DeclaredAI: st.Spec.AI,
-			FittedAI:   v.FittedAI,
-			Confidence: v.Confidence,
-			RelErrPct:  v.RelErr * 100,
-			Samples:    v.Samples,
-			Windows:    v.Windows,
-			Resolves:   v.Resolves,
-		}
-		if st.Fitted != nil {
-			av.Applied = true
-			av.AppliedAI = st.Fitted.AI
-		}
-		resp.Apps = append(resp.Apps, av)
-	}
-	for i := range apps {
-		st := &apps[i]
-		if st.Fitted == nil || seen[st.ID] {
-			continue
-		}
-		resp.Apps = append(resp.Apps, DriftAppView{
-			ID:         st.ID,
-			Name:       st.Spec.Name,
-			State:      adapt.Drifted.String(),
-			DeclaredAI: st.Spec.AI,
-			FittedAI:   st.Fitted.AI,
-			Confidence: st.Fitted.Confidence,
-			Applied:    true,
-			AppliedAI:  st.Fitted.AI,
-		})
-	}
-	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // RestoredApps reports how many applications were recovered from the
@@ -635,6 +583,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 			Tracked:         m.Tracked,
 			Drifted:         m.Drifted,
 			Applied:         applied,
+			Threshold:       s.adapt.Config().DriftThreshold,
 			Samples:         m.Samples,
 			Windows:         m.Windows,
 			DriftsConfirmed: m.Confirmed,

@@ -3,6 +3,7 @@ package ctrlplane_test
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -67,9 +68,22 @@ func names(apps []ctrlplane.AppView) []string {
 	return out
 }
 
+// stateTableIMix is the full /v1/state body for the Table I mix seven
+// seconds in, one app beaten at observed AI 0.5, on a coopd without
+// -recalibrate (incarnation blanked): the adaptive loop's tracker field
+// must leave it byte for byte as it was before the field existed.
+const stateTableIMix = `{"incarnation":"","generation":4,"apps":[` +
+	`{"id":"comp-4","name":"comp","ai":10,"placement":"numa-perfect","home_node":0,"ttl_ms":3600000,"age_ms":7000,"idle_ms":7000,"beats":0},` +
+	`{"id":"mem-a-1","name":"mem-a","ai":0.5,"placement":"numa-perfect","home_node":0,"ttl_ms":3600000,"age_ms":7000,"idle_ms":2000,"beats":1,"observed_ai":0.5},` +
+	`{"id":"mem-b-2","name":"mem-b","ai":0.5,"placement":"numa-perfect","home_node":0,"ttl_ms":3600000,"age_ms":7000,"idle_ms":7000,"beats":0},` +
+	`{"id":"mem-c-3","name":"mem-c","ai":0.5,"placement":"numa-perfect","home_node":0,"ttl_ms":3600000,"age_ms":7000,"idle_ms":7000,"beats":0}],` +
+	`"total_gflops":254,"machine":{"name":"paper-model-4x8","nodes":[` +
+	`{"cores":8,"peak_gflops":10,"mem_bandwidth":32},{"cores":8,"peak_gflops":10,"mem_bandwidth":32},` +
+	`{"cores":8,"peak_gflops":10,"mem_bandwidth":32},{"cores":8,"peak_gflops":10,"mem_bandwidth":32}]}}`
+
 // TestStateIsOneReadOfAppsTotalAndMachine: the unconditional answer is
 // the registry's apps field by field, the total /v1/allocations serves
-// and the configured machine.
+// and the configured machine, and its bytes are stateTableIMix.
 func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 	ctx := context.Background()
 	s := newStateServer(t, nil)
@@ -117,6 +131,19 @@ func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st.Machine, s.srv.Machine()) {
 		t.Fatalf("machine %v, configured %v", st.Machine, s.srv.Machine())
+	}
+	resp, err := http.Get(s.hs.URL + "/v1/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.TrimSpace(strings.Replace(string(body), st.Incarnation, "", 1))
+	if got != stateTableIMix {
+		t.Fatalf("/v1/state body\n  %s\nwant\n  %s", got, stateTableIMix)
 	}
 }
 

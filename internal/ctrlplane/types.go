@@ -21,7 +21,6 @@
 //	DELETE /v1/apps/{id}                     -> 204
 //	GET    /v1/allocations                   -> AllocationsResponse
 //	GET    /v1/state                         -> StateResponse (conditional: StateQuery)
-//	GET    /v1/drift                         -> DriftResponse
 //	GET    /healthz                          -> HealthResponse
 //	GET    /metricsz                         -> MetricsResponse
 //	GET    /tracez                           -> Chrome trace-event JSON
@@ -155,6 +154,12 @@ type AppView struct {
 	FittedAI float64 `json:"fitted_ai,omitempty"`
 	// Drifted reports that a fitted model is applied for this app.
 	Drifted bool `json:"drifted,omitempty"`
+	// Tracker is the adaptive loop's view of this app, present only
+	// when coopd runs -recalibrate and the app has reported telemetry
+	// (an app whose fit was inherited across a failover has none until
+	// it reports again). Tracker changes do not bump the generation, so
+	// a conditional read answered "unchanged" does not refresh them.
+	Tracker *AppTracker `json:"tracker,omitempty"`
 }
 
 // ReportSample is one observed throughput measurement in a telemetry
@@ -177,10 +182,10 @@ type ReportRequest struct {
 	Samples []ReportSample `json:"samples"`
 }
 
-// ReportResponse acknowledges a telemetry report with the app's drift
-// status after ingesting the samples.
-type ReportResponse struct {
-	Generation uint64 `json:"generation"`
+// AppTracker is the adaptive loop's view of one application: the
+// detector's state and the streaming fit it has drawn from the app's
+// telemetry (the applied model is AppView.FittedAI/Drifted).
+type AppTracker struct {
 	// State is the drift detector's state: "steady", "suspect", or
 	// "drifted".
 	State string `json:"state"`
@@ -189,47 +194,22 @@ type ReportResponse struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	// RelErr is the fitted-vs-declared relative AI error.
 	RelErr float64 `json:"rel_err,omitempty"`
-	// Drifted reports whether a fitted model is applied in the solver
-	// after this report.
-	Drifted bool `json:"drifted,omitempty"`
-}
-
-// DriftAppView is one application's adaptive-loop status.
-type DriftAppView struct {
-	ID         string  `json:"id"`
-	Name       string  `json:"name"`
-	State      string  `json:"state"`
-	DeclaredAI float64 `json:"declared_ai"`
-	FittedAI   float64 `json:"fitted_ai,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
-	// RelErrPct is the fitted-vs-declared relative AI error in percent.
-	RelErrPct float64 `json:"rel_err_pct,omitempty"`
-	Samples   uint64  `json:"samples,omitempty"`
-	Windows   uint64  `json:"windows,omitempty"`
+	// Samples and Windows count the telemetry ingested for this app.
+	Samples uint64 `json:"samples,omitempty"`
+	Windows uint64 `json:"windows,omitempty"`
 	// Resolves counts the re-solves this app triggered (0 for a
 	// correctly-declared steady app).
 	Resolves uint64 `json:"resolves,omitempty"`
-	// Applied reports whether a fitted model currently replaces the
-	// declared one in the solver; AppliedAI is its AI.
-	Applied   bool    `json:"applied,omitempty"`
-	AppliedAI float64 `json:"applied_ai,omitempty"`
 }
 
-// DriftResponse is the /v1/drift body: the adaptive loop's view of
-// every tracked application.
-type DriftResponse struct {
-	// Enabled is false when the daemon runs without -recalibrate (the
-	// rest of the body is then empty).
-	Enabled    bool   `json:"enabled"`
+// ReportResponse acknowledges a telemetry report with the app's
+// tracker after ingesting the samples.
+type ReportResponse struct {
 	Generation uint64 `json:"generation"`
-	// Threshold is the configured relative-error drift threshold.
-	Threshold float64        `json:"threshold,omitempty"`
-	Apps      []DriftAppView `json:"apps,omitempty"`
-	// Confirmed/Cleared/Refits/PhaseChanges are loop-wide counters.
-	Confirmed    uint64 `json:"confirmed,omitempty"`
-	Cleared      uint64 `json:"cleared,omitempty"`
-	Refits       uint64 `json:"refits,omitempty"`
-	PhaseChanges uint64 `json:"phase_changes,omitempty"`
+	AppTracker
+	// Drifted reports whether a fitted model is applied in the solver
+	// after this report.
+	Drifted bool `json:"drifted,omitempty"`
 }
 
 // StateQuery is what a GET /v1/state caller already holds of this
@@ -343,6 +323,8 @@ type AdaptMetrics struct {
 	// Samples and Windows count ingested telemetry.
 	Samples uint64 `json:"samples,omitempty"`
 	Windows uint64 `json:"windows,omitempty"`
+	// Threshold is the configured relative-error drift threshold.
+	Threshold float64 `json:"threshold"`
 	// DriftsConfirmed/DriftsCleared/Refits/PhaseChanges count detector
 	// events since start.
 	DriftsConfirmed uint64 `json:"drifts_confirmed,omitempty"`

@@ -20,8 +20,8 @@ func benchMembers(n int) []Member {
 			ID:       id,
 			Topology: machine.PaperModel(),
 			Apps: []PlacedApp{
-				{ID: id + "-mem", Name: "mem", AI: 0.5},
-				{ID: id + "-comp", Name: "comp", AI: 10},
+				{ID: id + "-mem", AppSpec: AppSpec{Name: "mem", AI: 0.5}},
+				{ID: id + "-comp", AppSpec: AppSpec{Name: "comp", AI: 10}},
 			},
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkRebalanceQuietRound(b *testing.B) {
 		id := fmt.Sprintf("m%02d", i)
 		members[i] = Member{ID: id, Domain: fmt.Sprintf("rack%d", i%4), Topology: machine.KNLSNC4()}
 		for j, ai := range []float64{0.5, 0.5, 0.5, 10} {
-			members[i].Apps = append(members[i].Apps, PlacedApp{ID: fmt.Sprintf("%s-%d", id, j), Name: fmt.Sprintf("app-%d", j), AI: ai})
+			members[i].Apps = append(members[i].Apps, PlacedApp{ID: fmt.Sprintf("%s-%d", id, j), AppSpec: AppSpec{Name: fmt.Sprintf("app-%d", j), AI: ai}})
 		}
 	}
 	_, reb := planners(b, memInventory(members), ServerConfig{DomainSpread: true})

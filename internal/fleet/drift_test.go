@@ -49,12 +49,12 @@ func TestRebalanceMovesDriftedApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []AppSpec{memSpec("mem-a"), memSpec("mem-b"), memSpec("mem-c")} {
-		if _, err := cli.Register(ctx, spec.registerRequest()); err != nil {
+		if _, err := cli.Register(ctx, spec.RegisterRequest()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The wolf declares memory-bound and measures compute-bound.
-	wolf, err := cli.Register(ctx, memSpec("wolf").registerRequest())
+	wolf, err := cli.Register(ctx, memSpec("wolf").RegisterRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPlanDriftStaysPutWhenNoGain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []AppSpec{memSpec("mem-a"), memSpec("mem-b"), memSpec("mem-c"), compSpec("comp")} {
-		if _, err := clb.Register(ctx, spec.registerRequest()); err != nil {
+		if _, err := clb.Register(ctx, spec.RegisterRequest()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestPlanDriftStaysPutWhenNoGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := cla.Register(ctx, memSpec("solo").registerRequest())
+	solo, err := cla.Register(ctx, memSpec("solo").RegisterRequest())
 	if err != nil {
 		t.Fatal(err)
 	}

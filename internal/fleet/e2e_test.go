@@ -78,7 +78,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	for _, m := range inv.Snapshot() {
 		fleetTotal += m.TotalGFLOPS
 		for _, a := range m.Apps {
-			allApps = append(allApps, mustRoofline(t, a.Spec()))
+			allApps = append(allApps, mustRoofline(t, a.AppSpec))
 		}
 	}
 	single, err := NewScorer().SolveTotal(inv.Snapshot()[0].Topology, allApps)

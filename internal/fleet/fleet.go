@@ -105,21 +105,30 @@ func (s AppSpec) rooflineApp() (roofline.App, error) {
 	return app, nil
 }
 
+// validate refuses, before anything is decided, a spec every member
+// coopd would refuse: coopd's own check (ctrlplane.RegisterRequest.Spec)
+// for all but the numa-bad home node, whose range depends on the
+// machine and which decide filters per member, plus the priority class.
+func (s AppSpec) validate() error {
+	req := s.RegisterRequest()
+	req.HomeNode = 0
+	if _, err := req.Spec(1); err != nil {
+		return fmt.Errorf("fleet: app %q: %w", s.Name, err)
+	}
+	return CheckPriority(s.Priority)
+}
+
 // numaBad reports whether the spec pins all data to one home node.
 func (s AppSpec) numaBad() bool { return s.Placement == ctrlplane.PlacementBad }
 
 // placed returns the PlacedApp to record after registering the spec on
 // a machine that assigned it the given ID.
 func (s AppSpec) placed(id string) PlacedApp {
-	return PlacedApp{
-		ID: id, Name: s.Name, AI: s.AI, Placement: s.Placement,
-		HomeNode: s.HomeNode, MaxThreads: s.MaxThreads, TTLMillis: s.TTLMillis,
-		Priority: s.Priority,
-	}
+	return PlacedApp{ID: id, AppSpec: s}
 }
 
-// registerRequest converts the spec to the coopd wire form.
-func (s AppSpec) registerRequest() ctrlplane.RegisterRequest {
+// RegisterRequest converts the spec to the coopd wire form.
+func (s AppSpec) RegisterRequest() ctrlplane.RegisterRequest {
 	return ctrlplane.RegisterRequest{
 		Name: s.Name, AI: s.AI, Placement: s.Placement, HomeNode: s.HomeNode,
 		MaxThreads: s.MaxThreads, TTLMillis: s.TTLMillis,
@@ -127,15 +136,12 @@ func (s AppSpec) registerRequest() ctrlplane.RegisterRequest {
 }
 
 // PlacedApp is one application as placed on a member machine: the spec
-// plus the ID the machine's coopd assigned.
+// plus the ID the machine's coopd assigned. The spec's Priority is the
+// fleet's own: the member coopd does not track it, so the Inventory
+// stamps it back onto polled snapshots from its name-keyed record.
 type PlacedApp struct {
-	ID         string  `json:"id"`
-	Name       string  `json:"name"`
-	AI         float64 `json:"ai"`
-	Placement  string  `json:"placement,omitempty"`
-	HomeNode   int     `json:"home_node,omitempty"`
-	MaxThreads int     `json:"max_threads,omitempty"`
-	TTLMillis  int64   `json:"ttl_ms,omitempty"`
+	ID string `json:"id"`
+	AppSpec
 	// FittedAI and Drifted mirror the member coopd's adaptive loop: when
 	// Drifted, FittedAI is the online-recalibrated demand currently
 	// replacing the declared AI on that machine. Fleet scoring and
@@ -143,25 +149,13 @@ type PlacedApp struct {
 	// app does, not what it said.
 	FittedAI float64 `json:"fitted_ai,omitempty"`
 	Drifted  bool    `json:"drifted,omitempty"`
-	// Priority is the app's scheduling class (see AppSpec.Priority).
-	// The member coopd does not track it; the Inventory stamps it back
-	// onto polled snapshots from its name-keyed priority record.
-	Priority string `json:"priority,omitempty"`
 }
 
-// Spec strips the machine-local ID, for re-registration elsewhere.
-func (a PlacedApp) Spec() AppSpec {
-	return AppSpec{
-		Name: a.Name, AI: a.AI, Placement: a.Placement, HomeNode: a.HomeNode,
-		MaxThreads: a.MaxThreads, TTLMillis: a.TTLMillis, Priority: a.Priority,
-	}
-}
-
-// EffectiveSpec is Spec with the fitted AI substituted when the app has
-// drifted — what re-registration on another machine should declare so
-// the destination solves for measured behaviour.
+// EffectiveSpec is the spec with the fitted AI substituted when the app
+// has drifted — what re-registration on another machine should declare
+// so the destination solves for measured behaviour.
 func (a PlacedApp) EffectiveSpec() AppSpec {
-	s := a.Spec()
+	s := a.AppSpec
 	if a.Drifted && a.FittedAI > 0 {
 		s.AI = a.FittedAI
 	}
@@ -171,8 +165,11 @@ func (a PlacedApp) EffectiveSpec() AppSpec {
 // placedFromView converts a coopd registry record.
 func placedFromView(v ctrlplane.AppView) PlacedApp {
 	p := PlacedApp{
-		ID: v.ID, Name: v.Name, AI: v.AI, HomeNode: v.HomeNode,
-		MaxThreads: v.MaxThreads, TTLMillis: v.TTLMillis,
+		ID: v.ID,
+		AppSpec: AppSpec{
+			Name: v.Name, AI: v.AI, HomeNode: v.HomeNode,
+			MaxThreads: v.MaxThreads, TTLMillis: v.TTLMillis,
+		},
 		FittedAI: v.FittedAI, Drifted: v.Drifted,
 	}
 	if v.Placement != ctrlplane.PlacementPerfect {

@@ -73,8 +73,8 @@ func (g GangSpec) validate() error {
 	if err := checkGangPolicy(g.Policy); err != nil {
 		return err
 	}
-	_, err := g.member(0).rooflineApp()
-	return err
+	// The last member carries the longest name.
+	return g.member(g.Replicas - 1).validate()
 }
 
 // GangPlacement is one admitted gang member.

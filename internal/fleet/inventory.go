@@ -455,7 +455,7 @@ func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec,
 	if err != nil {
 		return PlacedApp{}, err
 	}
-	req := spec.registerRequest()
+	req := spec.RegisterRequest()
 	req.Solved = solved
 	resp, err := cli.Register(ctx, req)
 	if err != nil {

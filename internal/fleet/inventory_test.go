@@ -44,7 +44,7 @@ func TestInventoryPollTracksTopologyAndApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Register(ctx, memSpec("loner").registerRequest()); err != nil {
+	if _, err := cli.Register(ctx, memSpec("loner").RegisterRequest()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,7 +125,7 @@ func TestInventoryEndpointFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Register(ctx, memSpec("after-failover").registerRequest()); err != nil {
+	if _, err := cli.Register(ctx, memSpec("after-failover").RegisterRequest()); err != nil {
 		t.Fatalf("register via preferred client after failover: %v", err)
 	}
 }

@@ -125,7 +125,7 @@ func TestDecideDomainSpreadTieBreak(t *testing.T) {
 	members[0].Domain, members[1].Domain, members[2].Domain = "rack1", "rack1", "rack2"
 	// a (rack1) already hosts grp-1, so rack1 is the crowded domain; b
 	// (rack1) and c (rack2) are empty and tie at +64.
-	members[0].Apps = []PlacedApp{{ID: "x1", Name: "grp-1", AI: 0.5}}
+	members[0].Apps = []PlacedApp{{ID: "x1", AppSpec: AppSpec{Name: "grp-1", AI: 0.5}}}
 
 	off := NewScorer()
 	d, _, err := off.decide(memSpec("grp-2"), new(candidateSet).reset(members, true, false))

@@ -462,7 +462,7 @@ func TestLateRegisterNoteIsRepairedByNextPoll(t *testing.T) {
 	w := newPollWorld(t, "a")
 	st := w.direct("a", ctrlplane.AppSpec{Name: "placed", AI: 2}, 0)
 	w.inv.Poll(ctx)
-	w.inv.noteRegistered("a", PlacedApp{ID: st.ID, Name: "placed", AI: 2})
+	w.inv.noteRegistered("a", PlacedApp{ID: st.ID, AppSpec: AppSpec{Name: "placed", AI: 2}})
 	if m := w.member("a"); len(m.Apps) != 2 {
 		t.Fatalf("%d cached apps, want the race's double entry", len(m.Apps))
 	}

@@ -38,7 +38,7 @@ func registerWithPriority(t *testing.T, inv *Inventory, member string, spec AppS
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cli.Register(context.Background(), spec.registerRequest())
+	resp, err := cli.Register(context.Background(), spec.RegisterRequest())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func twoMachineFleet(t *testing.T, maxMoves int) (*Inventory, *Rebalancer) {
 		t.Fatal(err)
 	}
 	for _, spec := range []AppSpec{memSpec("mem-a"), memSpec("mem-b"), memSpec("mem-c"), compSpec("comp")} {
-		if _, err := cli.Register(ctx, spec.registerRequest()); err != nil {
+		if _, err := cli.Register(ctx, spec.RegisterRequest()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestRebalanceBudgetSharedAcrossPasses(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, spec := range []AppSpec{memSpec("mem-a"), memSpec("mem-b"), memSpec("wolf-1"), memSpec("wolf-2")} {
-				resp, err := cli.Register(ctx, spec.registerRequest())
+				resp, err := cli.Register(ctx, spec.RegisterRequest())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -345,7 +345,7 @@ func stormFleet(t *testing.T, cfg ServerConfig) (*Inventory, *faultinject.Partit
 			t.Fatal(err)
 		}
 		for _, spec := range specs {
-			if _, err := cli.Register(ctx, spec.registerRequest()); err != nil {
+			if _, err := cli.Register(ctx, spec.RegisterRequest()); err != nil {
 				t.Fatal(err)
 			}
 		}

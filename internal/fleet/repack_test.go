@@ -78,10 +78,12 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 				register := func(m *member) {
 					next++
 					a := PlacedApp{
-						ID:       fmt.Sprintf("%s-%03d", m.id, next),
-						Name:     fmt.Sprintf("%s-%d", groups[r.Intn(len(groups))], next),
-						AI:       ais[r.Intn(len(ais))],
-						Priority: classes[r.Intn(len(classes))],
+						ID: fmt.Sprintf("%s-%03d", m.id, next),
+						AppSpec: AppSpec{
+							Name:     fmt.Sprintf("%s-%d", groups[r.Intn(len(groups))], next),
+							AI:       ais[r.Intn(len(ais))],
+							Priority: classes[r.Intn(len(classes))],
+						},
 					}
 					if r.Intn(4) == 0 {
 						a.Placement, a.HomeNode = ctrlplane.PlacementBad, r.Intn(m.topo.NumNodes())
@@ -259,7 +261,7 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 func TestFailedRepackIsLoggedNotMemoized(t *testing.T) {
 	inv := memInventory([]Member{
 		{ID: "a", Topology: machine.PaperModel(), Apps: []PlacedApp{
-			{ID: "a-1", Name: "mem", AI: 0.5}, {ID: "a-2", Name: "broken", AI: 0}}},
+			{ID: "a-1", AppSpec: AppSpec{Name: "mem", AI: 0.5}}, {ID: "a-2", AppSpec: AppSpec{Name: "broken", AI: 0}}}},
 		{ID: "b", Topology: machine.PaperModel()},
 	})
 	var logs []string

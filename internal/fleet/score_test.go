@@ -121,15 +121,15 @@ func naiveSolveTotal(t *testing.T, m *machine.Machine, demand []roofline.App) fl
 func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 	members := []Member{
 		{ID: "a", Topology: machine.PaperModel(), Apps: []PlacedApp{
-			{ID: "a-1", Name: "mem", AI: 0.5}}},
+			{ID: "a-1", AppSpec: AppSpec{Name: "mem", AI: 0.5}}}},
 		{ID: "b", Topology: machine.PaperModel(), Apps: []PlacedApp{ // same class as a
-			{ID: "b-1", Name: "mem", AI: 0.5}}},
+			{ID: "b-1", AppSpec: AppSpec{Name: "mem", AI: 0.5}}}},
 		{ID: "c", Topology: machine.PaperModel(), Apps: []PlacedApp{ // heavier class
-			{ID: "c-1", Name: "mem", AI: 0.5}, {ID: "c-2", Name: "comp", AI: 10}}},
+			{ID: "c-1", AppSpec: AppSpec{Name: "mem", AI: 0.5}}, {ID: "c-2", AppSpec: AppSpec{Name: "comp", AI: 10}}}},
 		{ID: "d", Topology: machine.SkylakeQuad(), Apps: []PlacedApp{ // different topo, same demand as a
-			{ID: "d-1", Name: "mem", AI: 0.5}}},
+			{ID: "d-1", AppSpec: AppSpec{Name: "mem", AI: 0.5}}}},
 		{ID: "e", Topology: machine.PaperModel(), Apps: []PlacedApp{ // numa-bad host
-			{ID: "e-1", Name: "bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}}},
+			{ID: "e-1", AppSpec: AppSpec{Name: "bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}}}},
 	}
 	decideMatchesNaive(t, members, []AppSpec{
 		{Name: "incoming", AI: 2},
@@ -144,7 +144,7 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 // domain tie-break, and decide — which scores each class once whatever
 // its domains — must still match the per-machine scan bit for bit.
 func TestDecideMatchesNaiveSpreadScoring(t *testing.T) {
-	mem := func(id, name string) []PlacedApp { return []PlacedApp{{ID: id, Name: name, AI: 0.5}} }
+	mem := func(id, name string) []PlacedApp { return []PlacedApp{{ID: id, AppSpec: AppSpec{Name: name, AI: 0.5}}} }
 	members := []Member{
 		{ID: "a1", Domain: "r1", Topology: machine.PaperModel(), Apps: mem("a1-1", "web-1")},
 		{ID: "a2", Domain: "r1", Topology: machine.PaperModel(), Apps: mem("a2-1", "web-2")},
@@ -153,10 +153,10 @@ func TestDecideMatchesNaiveSpreadScoring(t *testing.T) {
 		{ID: "a5", Domain: "r3", Topology: machine.PaperModel(), Apps: mem("a5-1", "web-3")},
 		{ID: "a6", Domain: "r3", Topology: machine.PaperModel(), Apps: mem("a6-1", "db-3")},
 		{ID: "c", Domain: "r2", Topology: machine.PaperModel(), Apps: []PlacedApp{ // heavier class
-			{ID: "c-1", Name: "web-4", AI: 0.5}, {ID: "c-2", Name: "comp", AI: 10}}},
+			{ID: "c-1", AppSpec: AppSpec{Name: "web-4", AI: 0.5}}, {ID: "c-2", AppSpec: AppSpec{Name: "comp", AI: 10}}}},
 		{ID: "d", Domain: "r1", Topology: machine.SkylakeQuad(), Apps: mem("d-1", "db-4")},
 		{ID: "e", Domain: "r3", Topology: machine.PaperModel(), Apps: []PlacedApp{ // numa-bad host
-			{ID: "e-1", Name: "web-bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}, {ID: "e-2", Name: "comp", AI: 10}}},
+			{ID: "e-1", AppSpec: AppSpec{Name: "web-bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}}, {ID: "e-2", AppSpec: AppSpec{Name: "comp", AI: 10}}}},
 		{ID: "f", Topology: machine.PaperModel(), Apps: mem("f-1", "web-5")}, // its own domain
 	}
 	decideMatchesNaive(t, members, []AppSpec{
@@ -261,7 +261,7 @@ func TestScorerClassDedup(t *testing.T) {
 		for i := range members {
 			id := string(rune('a' + i))
 			members[i] = Member{ID: "m-" + id, Domain: fmt.Sprintf("rack-%d", i%4), Topology: machine.PaperModel(),
-				Apps: []PlacedApp{{ID: id + "-1", Name: "mem", AI: 0.5}}}
+				Apps: []PlacedApp{{ID: id + "-1", AppSpec: AppSpec{Name: "mem", AI: 0.5}}}}
 		}
 		sc := NewScorer()
 		sc.DomainSpread = spread

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/client"
 	"repro/internal/faultinject"
 	"repro/internal/httpapi"
+	"repro/internal/machine"
 )
 
 // newFleetServer wires a fleet server (not Started — tests drive the
@@ -175,6 +178,66 @@ func TestServerGangRoundTrip(t *testing.T) {
 		if _, err := fc.PlaceGang(ctx, bad); err == nil || !strings.Contains(err.Error(), "400") {
 			t.Fatalf("gang %+v admitted, want a 400 validation error (got %v)", bad, err)
 		}
+	}
+}
+
+// TestServerRefusesInvalidAppBeforeDeciding: a spec a member coopd
+// would refuse (a negative thread cap or TTL, an oversized name) is a
+// 400 from fleetd itself, not a decision coopd then refuses (a 502). For
+// a latency gang on a starved fleet that matters: deciding it would
+// already have moved preemption victims, and nothing rolls those back.
+func TestServerRefusesInvalidAppBeforeDeciding(t *testing.T) {
+	ctx := context.Background()
+	tiny := func(name string) *machine.Machine { return machine.Uniform(name, 2, 2, 10, 32, 0) }
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil), FailAfter: 2})
+	ids := []string{"a", "b", "c"}
+	for _, id := range ids {
+		if err := inv.Add(id, newCoopdOn(t, tiny("tiny-"+id)).URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inv.Poll(ctx)
+	registerWithPriority(t, inv, "a", memSpec("batch-1"))
+	registerWithPriority(t, inv, "a", memSpec("batch-2"))
+	registerWithPriority(t, inv, "b", memSpec("batch-3"))
+	registerWithPriority(t, inv, "b", memSpec("batch-4"))
+	inv.Poll(ctx)
+	_, fc := newFleetServer(t, inv)
+	appSets := func() map[string][]string {
+		inv.Poll(ctx)
+		out := map[string][]string{}
+		for _, id := range ids {
+			m, _ := inv.Member(id)
+			for _, app := range m.Apps {
+				out[id] = append(out[id], app.ID)
+			}
+		}
+		return out
+	}
+	before := appSets()
+	is400 := func(err error) bool {
+		var apiErr *httpapi.APIError
+		return errors.As(err, &apiErr) && apiErr.Status == http.StatusBadRequest
+	}
+
+	for _, bad := range []AppSpec{
+		{Name: "capped", AI: 0.5, MaxThreads: -1},
+		{Name: "ttl", AI: 0.5, TTLMillis: -1},
+		{Name: strings.Repeat("n", ctrlplane.MaxNameBytes+1), AI: 0.5},
+	} {
+		if _, err := fc.Place(ctx, bad); !is400(err) {
+			t.Errorf("place max_threads %d ttl_ms %d name %d bytes: %v, want 400", bad.MaxThreads, bad.TTLMillis, len(bad.Name), err)
+		}
+	}
+	_, err := fc.PlaceGang(ctx, GangSpec{
+		Name: "lat", Replicas: 2, Policy: GangSpread,
+		App: AppSpec{AI: 0.5, TTLMillis: testTTL, MaxThreads: -1, Priority: PriorityLatency},
+	})
+	if !is400(err) {
+		t.Errorf("latency gang with max_threads -1: %v, want 400", err)
+	}
+	if after := appSets(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused requests moved apps: before %v, after %v", before, after)
 	}
 }
 

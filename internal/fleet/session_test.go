@@ -204,7 +204,7 @@ func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 		for i := range m.apps {
 			m.apps[i].ID, m.apps[i].Name, m.apps[i].AI = "zz-"+id, "zz-"+id, 7
 		}
-		m.apps = append(m.apps, PlacedApp{ID: "extra", Name: "extra", AI: 1})
+		m.apps = append(m.apps, PlacedApp{ID: "extra", AppSpec: AppSpec{Name: "extra", AI: 1}})
 		m.stale = []string{"zz-" + id}
 	}
 	inv.mu.Unlock()

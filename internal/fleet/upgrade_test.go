@@ -46,7 +46,7 @@ func TestUpgraderRollingDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := cli.Register(ctx, memSpec("tenant").registerRequest())
+	reg, err := cli.Register(ctx, memSpec("tenant").RegisterRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestUpgraderFailureHandsOffToEvacuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []AppSpec{memSpec("ten-1"), memSpec("ten-2")} {
-		if _, err := cli.Register(ctx, spec.registerRequest()); err != nil {
+		if _, err := cli.Register(ctx, spec.RegisterRequest()); err != nil {
 			t.Fatal(err)
 		}
 	}

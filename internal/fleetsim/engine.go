@@ -173,13 +173,8 @@ func (e *Engine) register(ctx context.Context, def AppDef, machineID string) err
 	} else {
 		delete(e.trueAI, def.Name)
 	}
-	spec := fleet.AppSpec{
-		Name: def.Name, AI: def.AI, Placement: def.Placement,
-		HomeNode: def.HomeNode, MaxThreads: def.MaxThreads,
-		Priority: def.Priority,
-	}
 	if machineID == "" {
-		_, _, err := e.placer.Place(ctx, spec)
+		_, _, err := e.placer.Place(ctx, def.AppSpec)
 		return err
 	}
 	// Pinned registration bypasses the Placer, so the fleet would never
@@ -190,10 +185,7 @@ func (e *Engine) register(ctx context.Context, def AppDef, machineID string) err
 			return err
 		}
 	}
-	req := ctrlplane.RegisterRequest{
-		Name: spec.Name, AI: spec.AI, Placement: spec.Placement,
-		HomeNode: spec.HomeNode, MaxThreads: spec.MaxThreads, TTLMillis: spec.TTLMillis,
-	}
+	req := def.RegisterRequest()
 	var lastErr error
 	for _, cli := range e.clients[machineID] {
 		if _, err := cli.Register(ctx, req); err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/machine"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -121,6 +122,28 @@ func TestCorpusLoadsAndValidates(t *testing.T) {
 	for name, seen := range want {
 		if !seen {
 			t.Errorf("scenario %q missing from corpus", name)
+		}
+	}
+}
+
+// TestCorpusModelsArePresets: every machine model the corpus names —
+// members and mid-scenario joins — is a machine preset by its one name.
+func TestCorpusModelsArePresets(t *testing.T) {
+	corpus, err := Corpus()
+	if err != nil {
+		t.Fatalf("Corpus: %v", err)
+	}
+	for _, sc := range corpus {
+		specs := append([]MachineSpec{}, sc.Machines...)
+		for _, e := range sc.Events {
+			if e.Join != nil {
+				specs = append(specs, *e.Join)
+			}
+		}
+		for _, m := range specs {
+			if _, err := machine.Preset(m.Model); err != nil {
+				t.Errorf("scenario %s machine %s: %v", sc.Name, m.ID, err)
+			}
 		}
 	}
 }

@@ -17,22 +17,14 @@ import (
 	"repro/internal/machine"
 )
 
-// topologyFor maps a scenario machine model name to a topology builder;
-// each call returns a fresh Machine (members must not share one).
-func topologyFor(model string) (func() *machine.Machine, error) {
-	switch model {
-	case "", "paper":
-		return machine.PaperModel, nil
-	case "paper-numa-bad":
-		return machine.PaperModelNUMABad, nil
-	case "skylake":
-		return machine.SkylakeQuad, nil
-	case "knl-flat":
-		return machine.KNLFlat, nil
-	case "knl-snc4":
-		return machine.KNLSNC4, nil
+// topologyFor builds the machine preset a scenario model names ("":
+// paper-model); each call returns a fresh Machine (members must not
+// share one).
+func topologyFor(model string) (*machine.Machine, error) {
+	if model == "" {
+		model = "paper-model"
 	}
-	return nil, fmt.Errorf("unknown machine model %q", model)
+	return machine.Preset(model)
 }
 
 // fastAdapt is the adaptive-loop tuning every recalibrating member
@@ -118,7 +110,7 @@ func startPlainProc(spec MachineSpec) (*replicaProc, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := ctrlplane.ServerConfig{Machine: topo(), DefaultTTL: memberTTL}
+	cfg := ctrlplane.ServerConfig{Machine: topo, DefaultTTL: memberTTL}
 	if spec.Recalibrate {
 		cfg.Recalibrate = true
 		cfg.Adapt = fastAdapt()
@@ -162,7 +154,7 @@ func startReplicaProc(spec MachineSpec, ln net.Listener, peers []string, bootstr
 	if err != nil {
 		return fail(err)
 	}
-	cfg := ctrlplane.ServerConfig{Machine: topo(), DefaultTTL: memberTTL, Store: store}
+	cfg := ctrlplane.ServerConfig{Machine: topo, DefaultTTL: memberTTL, Store: store}
 	if spec.Recalibrate {
 		cfg.Recalibrate = true
 		cfg.Adapt = fastAdapt()

@@ -50,8 +50,9 @@ type MachineSpec struct {
 	// ID names the member; members are polled and scored in ID order,
 	// so IDs fix the deterministic tie-break order.
 	ID string `json:"id"`
-	// Model selects the NUMA topology generation: "paper" (default),
-	// "paper-numa-bad", "skylake", "knl-flat", "knl-snc4".
+	// Model selects the NUMA topology generation: a machine preset name
+	// (machine.PresetNames: "paper-model", the default, "paper-numabad",
+	// "skylake", "knl-flat", "knl-snc4").
 	Model string `json:"model,omitempty"`
 	// Domain is the member's failure domain (rack/zone); machines
 	// sharing a domain fail together in correlated-failure traces.
@@ -66,24 +67,17 @@ type MachineSpec struct {
 	Recalibrate bool `json:"recalibrate,omitempty"`
 }
 
-// AppDef declares an application a scenario registers.
+// AppDef declares an application a scenario registers: the spec it
+// registers with (AI is the declared intensity; the Priority class
+// reaches the fleet through the Placer for front-door registrations and
+// through RecordPriority for machine-pinned ones — the member coopd
+// never learns it), plus what it really does.
 type AppDef struct {
-	Name string `json:"name"`
-	// AI is the declared arithmetic intensity the app registers with.
-	AI float64 `json:"ai"`
+	fleet.AppSpec
 	// TrueAI, when positive and different from AI, is the intensity the
 	// telemetry simulation actually runs — a mis-declared app. Zero
 	// means honest (TrueAI = AI).
-	TrueAI     float64 `json:"true_ai,omitempty"`
-	MaxThreads int     `json:"max_threads,omitempty"`
-	Placement  string  `json:"placement,omitempty"`
-	HomeNode   int     `json:"home_node,omitempty"`
-	// Priority is the app's scheduling class ("system", "latency", or
-	// "batch", the default). Front-door registrations carry it through
-	// the Placer; machine-pinned registrations teach it to the inventory
-	// via RecordPriority — either way the fleet knows the class, the
-	// member coopd never does.
-	Priority string `json:"priority,omitempty"`
+	TrueAI float64 `json:"true_ai,omitempty"`
 }
 
 // Arrival is one trace-defined arrival process expanded into per-round
@@ -298,8 +292,10 @@ func (sc *Scenario) Validate() error {
 		}
 		switch e.Action {
 		case "register":
-			if e.App == nil || e.App.Name == "" || e.App.AI <= 0 {
-				return fmt.Errorf("fleetsim: scenario %s: register event needs an app with a name and positive ai", sc.Name)
+			// ttl_ms rides AppSpec but is no scenario knob: sim apps
+			// outlive any scenario on the members' default TTL.
+			if e.App == nil || e.App.Name == "" || e.App.AI <= 0 || e.App.TTLMillis != 0 {
+				return fmt.Errorf("fleetsim: scenario %s: register event needs an app with a name, positive ai and no ttl_ms", sc.Name)
 			}
 			if err := fleet.CheckPriority(e.App.Priority); err != nil {
 				return fmt.Errorf("fleetsim: scenario %s: register %s: %w", sc.Name, e.App.Name, err)
@@ -414,11 +410,13 @@ func (a *Arrival) populationAt(round int) int {
 // app builds the i-th app of the process.
 func (a *Arrival) app(i int) AppDef {
 	return AppDef{
-		Name:       fmt.Sprintf("%s-%d", a.Prefix, i),
-		AI:         a.AI,
-		TrueAI:     a.TrueAI,
-		MaxThreads: a.MaxThreads,
-		Priority:   a.Priority,
+		AppSpec: fleet.AppSpec{
+			Name:       fmt.Sprintf("%s-%d", a.Prefix, i),
+			AI:         a.AI,
+			MaxThreads: a.MaxThreads,
+			Priority:   a.Priority,
+		},
+		TrueAI: a.TrueAI,
 	}
 }
 

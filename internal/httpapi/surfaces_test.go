@@ -28,7 +28,6 @@ var coopdRoutes = []route{
 	{"POST", "/v1/heartbeat", true},
 	{"POST", "/v1/report", true},
 	{"DELETE", "/v1/apps/app-1", false},
-	{"GET", "/v1/drift", false},
 	{"GET", "/v1/allocations", false},
 	{"GET", "/v1/state", false},
 	{"GET", "/healthz", false},
@@ -36,9 +35,10 @@ var coopdRoutes = []route{
 	{"GET", "/tracez", false},
 }
 
-// coopdGone are reads GET /v1/state took over: coopd no longer serves
-// them, and neither does a replica wrapping it.
-var coopdGone = []string{"/v1/apps", "/v1/machine"}
+// coopdGone are reads GET /v1/state (and, for the adaptive loop's
+// counters, /metricsz) took over: coopd no longer serves them, and
+// neither does a replica wrapping it.
+var coopdGone = []string{"/v1/apps", "/v1/machine", "/v1/drift"}
 
 var replicaRoutes = []route{
 	{"GET", "/v1/replica/status", false},

@@ -259,3 +259,37 @@ func KNLFlat() *Machine {
 func KNLSNC4() *Machine {
 	return Uniform("knl-snc4-4x16", 4, 16, 3, 100, 25)
 }
+
+// presets is the one table of named machine presets: coopd's -machine,
+// fleetsim's scenario "model", numasim's "preset" and numabench's
+// -machine all resolve through Preset.
+var presets = []struct {
+	name  string
+	build func() *Machine
+}{
+	{"paper-model", PaperModel},
+	{"paper-numabad", PaperModelNUMABad},
+	{"skylake", SkylakeQuad},
+	{"knl-flat", KNLFlat},
+	{"knl-snc4", KNLSNC4},
+}
+
+// PresetNames lists the preset names Preset accepts.
+func PresetNames() []string {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
+	}
+	return names
+}
+
+// Preset builds a fresh machine of the named preset (callers may
+// modify it); an unknown name is an error listing the valid ones.
+func Preset(name string) (*Machine, error) {
+	for _, p := range presets {
+		if p.name == name {
+			return p.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown machine preset %q (want one of %s)", name, strings.Join(PresetNames(), ", "))
+}

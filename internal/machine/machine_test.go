@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,6 +12,36 @@ func TestValidateOK(t *testing.T) {
 	for _, m := range []*Machine{PaperModel(), PaperModelNUMABad(), SkylakeQuad(), KNLFlat(), KNLSNC4()} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: unexpected validation error: %v", m.Name, err)
+		}
+	}
+}
+
+// TestPresets: every preset name builds a valid, fresh machine, and an
+// unknown name is refused with the list of valid ones.
+func TestPresets(t *testing.T) {
+	names := PresetNames()
+	if len(names) != 5 {
+		t.Fatalf("presets %v, want 5", names)
+	}
+	for _, name := range names {
+		a, err := Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if b, _ := Preset(name); a == b {
+			t.Errorf("%s: two calls returned one machine", name)
+		}
+	}
+	_, err := Preset("paper")
+	if err == nil {
+		t.Fatal("unknown preset accepted")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
 		}
 	}
 }
