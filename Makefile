@@ -109,10 +109,13 @@ fleet-sim:
 fleet-sim-race:
 	$(GO) run -race ./cmd/fleetsim
 
-# 30s coverage-guided smoke over the incremental-evaluator equivalence
-# property; regressions in the fast path show up as counterexamples.
+# 30s coverage-guided smokes over the incremental-evaluator equivalence
+# property and the candidate-index differential (a pooled planning
+# session must hold what a cold one builds, whatever edited the fleet);
+# regressions in either fast path show up as counterexamples.
 fuzz:
 	$(GO) test -fuzz FuzzEvaluatorEquivalence -fuzztime 30s -run '^$$' ./internal/roofline/
+	$(GO) test -fuzz FuzzCandidateIndex -fuzztime 30s -run '^$$' ./internal/fleet/
 
 check: fmt-check build vet race bench-smoke
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ctrlplane"
@@ -28,29 +29,44 @@ func benchMembers(n int) []Member {
 	return members
 }
 
-// benchPlacement measures end-to-end placement throughput: one op is
-// candidate construction from the member snapshot plus a full scoring
-// decision, i.e. what fleetd does per /v1/fleet/place request (which
-// reuses a pooled candidateSet exactly like this loop).
-// Throughput is the reported placements/s metric.
-// With domains > 0 the members are spread over that many failure
-// domains and domain-spread is on.
+// benchPlacement measures placement throughput the way fleetd places
+// on a busy fleet: one op edits one member's demand set — a register or
+// a deregister, alternately, recorded in the inventory the way the
+// executor records them — then decides an app in a pooled planning
+// session over the inventory (Placer.Decide: openSession, pick). That
+// is the place_uniform shape: every decision finds the one member the
+// previous placement changed. Throughput is the reported placements/s
+// metric. With domains > 0 the members are spread over that many
+// failure domains and domain-spread is on.
 func benchPlacement(b *testing.B, nMachines, domains int) {
 	members := benchMembers(nMachines)
-	sc := NewScorer()
-	sc.DomainSpread = domains > 0
 	for i := range members {
-		if sc.DomainSpread {
+		if domains > 0 {
 			members[i].Domain = fmt.Sprintf("rack%d", i%domains)
 		}
 	}
+	inv := memInventory(members)
+	for _, m := range inv.members {
+		m.apps = slices.Grow(m.apps, 1) // the edits below never reallocate
+	}
+	pl, _ := planners(b, inv, ServerConfig{DomainSpread: domains > 0})
 	spec := AppSpec{Name: "incoming", AI: 2}
-	var cs candidateSet
+	extra := PlacedApp{ID: "zz-extra", AppSpec: spec}
+	if _, err := pl.Decide(spec); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cands := cs.reset(members, true, sc.DomainSpread)
-		if _, _, err := sc.decide(spec, cands); err != nil {
+		id := inv.order[i/2%nMachines]
+		if i%2 == 0 {
+			inv.noteRegistered(id, extra)
+		} else {
+			inv.mu.Lock()
+			inv.members[id].dropApp(extra.ID)
+			inv.mu.Unlock()
+		}
+		if _, err := pl.Decide(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -219,6 +219,11 @@ type Member struct {
 	Quarantined     bool
 	QuarantineUntil time.Time
 	Quarantines     int
+
+	// version is the member's demand version when the snapshot was taken
+	// (see demandVersions); 0 for a member nothing has changed yet and
+	// for a Member the inventory did not make.
+	version uint64
 }
 
 // Healthy reports whether the member can accept placements: alive,

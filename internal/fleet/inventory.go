@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ctrlplane"
@@ -60,7 +61,20 @@ type Inventory struct {
 
 	// polls counts member polls by outcome (see PollMetrics).
 	polls PollMetrics
+
+	// reused and rebuilt count the planning sessions' candidates (see
+	// CandidateMetrics). Atomics: sessions count them outside inv.mu.
+	reused, rebuilt atomic.Uint64
 }
+
+// demandVersions numbers every change to what a planning candidate is
+// built from: a member's apps, their stamped priorities, its topology.
+// The counter is process-wide, not per inventory, because sessions are
+// pooled package-wide: one session's snapshot rows and candidates serve
+// every inventory in the process, and only a number no other member
+// ever held keeps a (member ID, version) pair from naming two demand
+// sets.
+var demandVersions atomic.Uint64
 
 // member is the mutable record behind a Member snapshot.
 type member struct {
@@ -83,6 +97,10 @@ type member struct {
 	incarnation string
 	gen         uint64
 	exact       bool
+	// version is the member's demand version (see demandVersions): touch
+	// draws a fresh one whenever apps or topo change. 0 until the first
+	// change, while the member has neither.
+	version uint64
 
 	failures int
 	dead     bool
@@ -241,6 +259,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		if st.Machine != nil {
 			m.topo = st.Machine
 		}
+		m.touch()
 	case m.exact:
 		inv.polls.Unchanged++
 	default:
@@ -250,9 +269,17 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		return
 	}
 	// Member registries carry no priority, and an unchanged poll re-read
-	// nothing: stamp the fleet's record either way, erasures included.
+	// nothing: stamp the fleet's record either way, erasures included. A
+	// stamp that changes nothing keeps the demand version, so a fleet at
+	// rest keeps its planning candidates warm.
+	stamped := false
 	for i := range m.apps {
-		m.apps[i].Priority = inv.priorities[m.apps[i].Name]
+		if p := inv.priorities[m.apps[i].Name]; m.apps[i].Priority != p {
+			m.apps[i].Priority, stamped = p, true
+		}
+	}
+	if stamped {
+		m.touch()
 	}
 	m.preferred = answered
 	m.failures = 0
@@ -281,6 +308,12 @@ func (inv *Inventory) Polls() PollMetrics {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	return inv.polls
+}
+
+// Candidates returns how the planning sessions over this inventory came
+// by their candidates so far.
+func (inv *Inventory) Candidates() CandidateMetrics {
+	return CandidateMetrics{Reused: inv.reused.Load(), Rebuilt: inv.rebuilt.Load()}
 }
 
 // pruneTransitions drops transition stamps older than the window and
@@ -325,15 +358,27 @@ func (inv *Inventory) noteTransition(m *member, now time.Time) {
 		m.id, backoff, inv.cfg.FlapCount, inv.cfg.FlapWindow, m.quarantines)
 }
 
+// touch gives the member a fresh demand version. Caller holds inv.mu
+// (or owns the member outright).
+func (m *member) touch() { m.version = demandVersions.Add(1) }
+
 // snapshotInto copies one member into dst, reusing the backing arrays
-// of dst's slices. Caller holds inv.mu.
+// of dst's slices. Apps are copied only when dst does not already hold
+// this member's demand version: a pooled session's row of a member
+// nothing changed keeps the copy an earlier session made. Caller holds
+// inv.mu.
 func (m *member) snapshotInto(dst *Member) {
+	apps := dst.Apps
+	if dst.ID != m.id || dst.version != m.version {
+		apps = append(apps[:0], m.apps...)
+	}
 	*dst = Member{
 		ID:        m.id,
 		Domain:    m.domain,
 		Endpoints: append(dst.Endpoints[:0], m.endpoints...),
 		Topology:  m.topo,
-		Apps:      append(dst.Apps[:0], m.apps...),
+		Apps:      apps,
+		version:   m.version,
 
 		TotalGFLOPS: m.total,
 		Generation:  m.gen,
@@ -380,6 +425,19 @@ func (inv *Inventory) Member(id string) (Member, bool) {
 	var out Member
 	m.snapshotInto(&out)
 	return out, true
+}
+
+// endpoints returns the member's coopd URLs (nil for an unknown
+// member). The slice is the inventory's own, which AddDomain copied
+// from its caller and nothing changes afterwards, so callers may read
+// it without a copy but must not write it.
+func (inv *Inventory) endpoints(id string) []string {
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	if m, ok := inv.members[id]; ok {
+		return m.endpoints
+	}
+	return nil
 }
 
 // SetDraining marks (or unmarks) a member for draining. A draining
@@ -540,8 +598,9 @@ func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
 		inv.priorities[app.Name] = app.Priority
 	}
 	m.apps = append(m.apps, app)
-	sort.Slice(m.apps, func(a, b int) bool { return m.apps[a].ID < m.apps[b].ID })
+	slices.SortFunc(m.apps, func(a, b PlacedApp) int { return strings.Compare(a.ID, b.ID) })
 	m.exact = false
+	m.touch()
 }
 
 // dropApp removes an app from the cached demand set, which from here on
@@ -550,6 +609,7 @@ func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
 func (m *member) dropApp(appID string) {
 	m.apps = slices.DeleteFunc(m.apps, func(a PlacedApp) bool { return a.ID == appID })
 	m.exact = false
+	m.touch()
 }
 
 // noteStale records a registration the fleet no longer counts but could

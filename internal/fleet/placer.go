@@ -114,7 +114,7 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		key := c.classKey(sc, s)
 		r, ok := classes[string(key)] // byte-to-string map lookup: no alloc
 		if !ok {
-			score, with, err := sc.marginal(c.topo, c.demand, app, s)
+			score, with, err := sc.marginal(c.topo, c.demand, key, app, s)
 			r = classResult{score: score, with: with, failed: err != nil}
 			classes[string(key)] = r // allocates the key once per class
 		}

@@ -24,10 +24,21 @@ func memInventory(members []Member) *Inventory {
 		if domain == "" {
 			domain = m.ID
 		}
-		inv.members[m.ID] = &member{id: m.ID, domain: domain, topo: m.Topology, apps: m.Apps}
+		inv.members[m.ID] = edit(&member{id: m.ID, domain: domain, topo: m.Topology, apps: m.Apps})
 		inv.order = append(inv.order, m.ID)
 	}
 	return inv
+}
+
+// edit is how a test changes an inventory member's apps, topology or
+// domain behind the inventory's back: it draws the member a fresh demand
+// version, as every edit the inventory makes itself does, so pooled
+// sessions re-derive the member. Call it before (or after) the write,
+// never instead of it; a test that writes without it plans against the
+// candidates of the demand set it replaced.
+func edit(m *member) *member {
+	m.touch()
+	return m
 }
 
 // TestRepackMemoMatchesFreshRepack: the imbalance pass memoizes its
@@ -88,7 +99,7 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 					if r.Intn(4) == 0 {
 						a.Placement, a.HomeNode = ctrlplane.PlacementBad, r.Intn(m.topo.NumNodes())
 					}
-					m.apps = append(m.apps, a) // IDs grow, so apps stay sorted
+					edit(m).apps = append(m.apps, a) // IDs grow, so apps stay sorted
 				}
 				members := func() []*member {
 					out := make([]*member, len(inv.order))
@@ -112,7 +123,7 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 					k := r.Intn(total())
 					for _, m := range members {
 						if k < len(m.apps) {
-							return m, &m.apps[k]
+							return edit(m), &m.apps[k] // the caller edits it
 						}
 						k -= len(m.apps)
 					}
@@ -198,11 +209,11 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 							m.stale = []string{a.ID}
 						}
 					case "topology":
-						m := members[r.Intn(len(members))]
+						m := edit(members[r.Intn(len(members))])
 						alt := swaps[m.topo.NumNodes()]
 						m.topo = alt[(slices.Index(alt, m.topo)+1)%len(alt)]
 					case "domain":
-						m := members[r.Intn(len(members))]
+						m := edit(members[r.Intn(len(members))])
 						m.domain = racks[(slices.Index(racks, m.domain)+1+r.Intn(2))%len(racks)]
 					case "new-id": // re-registered under a fresh ID, same spec
 						m, a := pickApp()

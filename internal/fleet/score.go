@@ -119,18 +119,26 @@ func (sc *Scorer) demandKey(k *solvecache.Key, m *machine.Machine, demand []roof
 	return k.Sort(nil)
 }
 
-// solveDemand is the memoized fleet-semantics solve. without, when
-// non-nil, is the per-slot optimum of demand minus its last app; a
-// cache miss warm-starts from it (it cannot change the result — see
-// roofline.Search.BestPerNodeCountsFloorSpec). The sort is stable, so
-// the other apps keep their relative slot order when the last one
-// joins and its slot is the hint's gap.
-func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, without []int, s *scoreScratch) (solveOutcome, error) {
+// solveDemand is the memoized fleet-semantics solve. key, when
+// non-nil, is the demand's class key the caller already holds (a
+// candidate's cached classKey): the slot order is then sorted only on a
+// miss. without, when non-nil, is the per-slot optimum of demand minus
+// its last app; a cache miss warm-starts from it (it cannot change the
+// result — see roofline.Search.BestPerNodeCountsFloorSpec). The sort is
+// stable, so the other apps keep their relative slot order when the
+// last one joins and its slot is the hint's gap.
+func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, key []byte, without []int, s *scoreScratch) (solveOutcome, error) {
 	if len(demand) == 0 {
 		return solveOutcome{}, nil
 	}
-	key, perm := sc.demandKey(&s.key, m, demand)
+	var perm []int
+	if key == nil {
+		key, perm = sc.demandKey(&s.key, m, demand)
+	}
 	out, _, err := sc.cache.Do(key, nil, func() (solveOutcome, error) {
+		if perm == nil {
+			_, perm = sc.demandKey(&s.key, m, demand)
+		}
 		s.slots, s.hint = s.slots[:0], s.hint[:0]
 		for _, i := range perm {
 			s.slots = append(s.slots, demand[i])
@@ -170,7 +178,7 @@ func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, without
 func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64, error) {
 	s := sc.scratch.Get()
 	defer sc.scratch.Put(s)
-	out, err := sc.solveDemand(m, demand, nil, s)
+	out, err := sc.solveDemand(m, demand, nil, nil, s)
 	return out.total, err
 }
 
@@ -182,15 +190,16 @@ func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64
 func (sc *Scorer) Marginal(m *machine.Machine, demand []roofline.App, app roofline.App) (marginal, after float64, err error) {
 	s := sc.scratch.Get()
 	defer sc.scratch.Put(s)
-	marginal, with, err := sc.marginal(m, demand, app, s)
+	marginal, with, err := sc.marginal(m, demand, nil, app, s)
 	return marginal, with.total, err
 }
 
 // marginal is Marginal on the caller's scratch; decide scores one
-// representative per equivalence class through it and keeps the
-// with-app solve for the decision to ship.
-func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, app roofline.App, s *scoreScratch) (marginal float64, with solveOutcome, err error) {
-	before, err := sc.solveDemand(m, demand, nil, s)
+// representative per equivalence class through it, passing the class
+// key as the before-solve's key, and keeps the with-app solve for the
+// decision to ship.
+func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, key []byte, app roofline.App, s *scoreScratch) (marginal float64, with solveOutcome, err error) {
+	before, err := sc.solveDemand(m, demand, key, nil, s)
 	if err != nil {
 		return 0, solveOutcome{}, err
 	}
@@ -199,7 +208,7 @@ func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, app roofli
 		without = before.solved.Counts
 	}
 	s.with = append(append(s.with[:0], demand...), app)
-	with, err = sc.solveDemand(m, s.with, without, s)
+	with, err = sc.solveDemand(m, s.with, nil, without, s)
 	if err != nil {
 		return 0, solveOutcome{}, err
 	}

@@ -375,7 +375,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 			// for the marginal itself.
 			ref := counting()
 			var s scoreScratch
-			want, err := ref.solveDemand(m, demand, nil, &s)
+			want, err := ref.solveDemand(m, demand, nil, nil, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -383,14 +383,14 @@ func TestScorerIsOrderFree(t *testing.T) {
 			if replicas {
 				every := counting()
 				every.Objective = everyRowSpec{every.Objective}
-				if _, err := every.solveDemand(m, demand, nil, &s); err != nil {
+				if _, err := every.solveDemand(m, demand, nil, nil, &s); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if all := leaves.Swap(0); wantCold >= all {
 					t.Errorf("%s: scored %d leaves, %d walking every row: the replicas' orbits are not merged", label, wantCold, all)
 				}
 			}
-			_, wantWith, err := ref.marginal(m, demand, newcomer, &s)
+			_, wantWith, err := ref.marginal(m, demand, nil, newcomer, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -404,7 +404,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 				}
 				sc := counting()
 				leaves.Store(0)
-				got, err := sc.solveDemand(m, permuted, nil, &s)
+				got, err := sc.solveDemand(m, permuted, nil, nil, &s)
 				if err != nil {
 					t.Fatalf("%s: order %v: %v", label, p, err)
 				}
@@ -418,7 +418,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 				// The memo now holds the without-app solve as this order filled
 				// it; the marginal of the generated order hits it.
 				leaves.Store(0)
-				_, gotWith, err := sc.marginal(m, demand, newcomer, &s)
+				_, gotWith, err := sc.marginal(m, demand, nil, newcomer, &s)
 				if err != nil {
 					t.Fatalf("%s: order %v: %v", label, p, err)
 				}

@@ -175,9 +175,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writePlaceError(w, err)
 		return
 	}
-	member, _ := s.inv.Member(d.Member)
 	httpapi.WriteJSON(w, http.StatusOK, PlaceResponse{
-		Machine: d.Member, ID: placed.ID, Endpoints: member.Endpoints,
+		Machine: d.Member, ID: placed.ID, Endpoints: s.inv.endpoints(d.Member),
 		Score: d.Score, After: d.After,
 	})
 }
@@ -325,6 +324,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: s.inv.now().Sub(s.start).Seconds(),
 		SolveCache:    s.pl.Scorer.cache.Counters(),
 		Polls:         s.inv.Polls(),
+		Candidates:    s.inv.Candidates(),
 		Repacks:       s.reb.Repacks(),
 		Endpoints:     s.routes.Metrics(),
 	})

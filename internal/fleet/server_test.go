@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -388,5 +391,101 @@ func TestServerMetricsz(t *testing.T) {
 	}
 	if want := (RepackMetrics{Reused: 1, Computed: 1}); m.Repacks != want {
 		t.Errorf("repacks %+v after two quiet rounds, want %+v", m.Repacks, want)
+	}
+}
+
+// TestServerPlaceEndpoints: the place response names the chosen
+// member's endpoints, read straight from the inventory (AddDomain copied
+// them from its caller and nothing changes them), so neither the
+// caller's slice nor members added later show through.
+func TestServerPlaceEndpoints(t *testing.T) {
+	ctx := context.Background()
+	eps := []string{newCoopd(t).URL, "http://127.0.0.1:1"} // an HA pair whose first answers
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
+	if err := inv.AddDomain("a", "rack1", eps...); err != nil {
+		t.Fatal(err)
+	}
+	inv.Poll(ctx)
+	srv, err := NewServer(ServerConfig{Inventory: inv, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := func(name string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/place", strings.NewReader(`{"name":"`+name+`","ai":0.5}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("place %s: %d %s", name, rec.Code, rec.Body)
+		}
+		var resp PlaceResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Machine != "a" {
+			t.Fatalf("placed %s on %s, want a", name, resp.Machine)
+		}
+		out, err := json.Marshal(resp.Endpoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, err := json.Marshal(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := place("web-1"); !bytes.Equal(got, want) {
+		t.Fatalf("endpoints %s, want %s", got, want)
+	}
+	eps[0] = "http://rewritten"
+	if err := inv.AddDomain("b", "rack2", "http://127.0.0.1:2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.SetDraining("b", true); err != nil { // never polled, never a target anyway
+		t.Fatal(err)
+	}
+	if got := place("web-2"); !bytes.Equal(got, want) {
+		t.Fatalf("endpoints %s after the caller's slice changed and b joined, want %s", got, want)
+	}
+}
+
+// TestServerMetricszCandidates: on a 64-member fleet a placement changes
+// one member, so after a warm-up every placement's session rebuilds that
+// one candidate and reuses the other 63, and /metricsz says so.
+func TestServerMetricszCandidates(t *testing.T) {
+	ctx := context.Background()
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%02d", i)
+	}
+	w := newPollWorld(t, ids...)
+	w.inv.Poll(ctx)
+	srv, err := NewServer(ServerConfig{Inventory: w.inv, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	fc := NewClient(hs.URL, nil)
+	if _, err := fc.Place(ctx, memSpec("warm-up")); err != nil {
+		t.Fatal(err)
+	}
+	before, err := fc.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	for i := 0; i < n; i++ {
+		if _, err := fc.Place(ctx, memSpec(fmt.Sprintf("web-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := fc.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := CandidateMetrics{Reused: after.Candidates.Reused - before.Candidates.Reused, Rebuilt: after.Candidates.Rebuilt - before.Candidates.Rebuilt}
+	if want := (CandidateMetrics{Reused: 63 * n, Rebuilt: n}); got != want {
+		t.Fatalf("%d placements: candidates %+v, want %+v", n, got, want)
 	}
 }

@@ -39,11 +39,22 @@ type candidate struct {
 	groupsBuf map[string]int
 
 	// keyBuf holds the candidate's equivalence-class key (topology hash
-	// + sorted demand segments), built lazily into a reused backing
-	// array and truncated on commit — the only invalidation the
-	// content-addressed scheme needs. Empty means unset (a real key is
-	// never shorter than the 8 topology-hash bytes).
+	// + objective + sorted demand segments) under the objective named by
+	// keyObj, built lazily into a reused backing array and truncated on
+	// commit — the only invalidation the content-addressed scheme needs.
+	// Empty means unset (a real key is never shorter than the 8
+	// topology-hash bytes).
 	keyBuf []byte
+	keyObj string
+
+	// version is the demand version (see demandVersions) of the snapshot
+	// row the candidate was loaded from, and spread the domain-spread
+	// setting it was loaded under: the next reset takes the candidate as
+	// it is for a row of the same member at the same version under the
+	// same spread. 0 means never: loaded without demand, or changed since
+	// by commit or remove.
+	version uint64
+	spread  bool
 }
 
 // groupOf derives an app's cooperating-group label from its name: one
@@ -65,9 +76,9 @@ func groupOf(name string) string {
 // classKey returns the candidate's equivalence-class key, caching it on
 // the candidate until the next commit changes the demand set.
 func (c *candidate) classKey(sc *Scorer, s *scoreScratch) []byte {
-	if len(c.keyBuf) == 0 {
+	if obj := sc.objective().Name(); len(c.keyBuf) == 0 || c.keyObj != obj {
 		key, _ := sc.demandKey(&s.key, c.topo, c.demand)
-		c.keyBuf = append(c.keyBuf, key...)
+		c.keyBuf, c.keyObj = append(c.keyBuf[:0], key...), obj
 	}
 	return c.keyBuf
 }
@@ -77,7 +88,9 @@ func (c *candidate) classKey(sc *Scorer, s *scoreScratch) []byte {
 // registered there. A spec the model rejects (should not happen — coopd
 // validated it) still counts as an app but adds no demand. The cached
 // class key is dropped: the demand multiset changed, so the candidate
-// naturally re-keys into its new equivalence class.
+// naturally re-keys into its new equivalence class, and the candidate
+// no longer matches its member's snapshot row: the next session
+// rebuilds it.
 func (c *candidate) commit(spec AppSpec, id string) {
 	if app, err := spec.rooflineApp(); err == nil {
 		c.demand = append(c.demand, app)
@@ -90,7 +103,7 @@ func (c *candidate) commit(spec AppSpec, id string) {
 	if c.groups != nil {
 		c.groups[groupOf(spec.Name)]++
 	}
-	c.keyBuf = c.keyBuf[:0]
+	c.keyBuf, c.version = c.keyBuf[:0], 0
 }
 
 // remove is commit's inverse for evictions: it drops the demand entry
@@ -113,17 +126,21 @@ func (c *candidate) remove(i int, spec AppSpec) {
 			delete(c.groups, g)
 		}
 	}
-	c.keyBuf = c.keyBuf[:0]
+	c.keyBuf, c.version = c.keyBuf[:0], 0
 }
 
-// candidateSet owns reusable scoring candidates: reset rebuilds the set
-// from a member snapshot while keeping the candidate structs and their
-// demand backing arrays, so the per-decision (and per-rebalance-round)
-// allocation cost is amortized to zero. Not safe for concurrent use;
-// every session owns its own.
+// candidateSet owns reusable scoring candidates, one per snapshot
+// position: reset rebuilds the set from a member snapshot while keeping
+// the candidate structs and their demand backing arrays, and takes a
+// candidate whose member's demand did not change since it was loaded as
+// it is, so a decision re-derives only the members that changed. Not
+// safe for concurrent use; every session owns its own.
 type candidateSet struct {
-	all []*candidate // grown monotonically; structs and demand reused
+	all []*candidate // by snapshot position, grown monotonically
 	out []*candidate
+
+	// reused and rebuilt count the last reset's candidates.
+	reused, rebuilt int
 }
 
 // reset rebuilds the set from healthy, non-draining members (ID order
@@ -132,21 +149,30 @@ type candidateSet struct {
 // starting state. spread additionally loads each candidate's failure
 // domain and per-group app counts for the domain-spread tie-break;
 // with it off the candidates carry no domain state at all.
+//
+// A candidate loaded with demand from the same member at the same
+// demand version under the same spread is reused as it is — demand,
+// IDs, counts, groups and cached class key — since everything it holds
+// derives from what that version names.
 func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*candidate {
-	cs.out = cs.out[:0]
+	cs.out, cs.reused, cs.rebuilt = cs.out[:0], 0, 0
+	for len(cs.all) < len(members) {
+		cs.all = append(cs.all, &candidate{})
+	}
 	for i := range members {
 		m := &members[i]
 		if !m.Healthy() || m.Draining {
 			continue
 		}
-		var c *candidate
-		if n := len(cs.out); n < len(cs.all) {
-			c = cs.all[n]
-		} else {
-			c = &candidate{}
-			cs.all = append(cs.all, c)
+		c := cs.all[i]
+		c.member = i
+		cs.out = append(cs.out, c)
+		if withDemand && m.version != 0 && c.version == m.version && c.id == m.ID && c.spread == spread {
+			cs.reused++
+			continue
 		}
-		c.id, c.member, c.topo = m.ID, i, m.Topology
+		cs.rebuilt++
+		c.id, c.topo = m.ID, m.Topology
 		c.demand, c.ids, c.keyBuf = c.demand[:0], c.ids[:0], c.keyBuf[:0]
 		c.apps, c.bad = 0, 0
 		c.domain, c.groups = "", nil
@@ -167,7 +193,10 @@ func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*cand
 			}
 		}
 		c.snap = len(c.demand)
-		cs.out = append(cs.out, c)
+		c.version, c.spread = 0, spread
+		if withDemand {
+			c.version = m.version
+		}
 	}
 	return cs.out
 }
@@ -232,6 +261,8 @@ func openSession(sc *Scorer, inv *Inventory, spread bool) *session {
 	s := sessions.Get()
 	s.sc, s.members = sc, inv.snapshotInto(s.members)
 	s.cands = s.cur.reset(s.members, true, spread)
+	inv.reused.Add(uint64(s.cur.reused))
+	inv.rebuilt.Add(uint64(s.cur.rebuilt))
 	s.budget = math.MaxInt
 	return s
 }

@@ -201,6 +201,7 @@ func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 	// over the same buffers.
 	inv.mu.Lock()
 	for id, m := range inv.members {
+		edit(m)
 		for i := range m.apps {
 			m.apps[i].ID, m.apps[i].Name, m.apps[i].AI = "zz-"+id, "zz-"+id, 7
 		}

@@ -136,13 +136,26 @@ type RepackMetrics struct {
 	Computed uint64 `json:"computed"`
 }
 
+// CandidateMetrics counts the planning sessions' candidates by where
+// they came from. Reused candidates were taken as an earlier session left
+// them, their member's demand unchanged since; Rebuilt ones were derived
+// from the member's snapshot row again (first sight, a change on the
+// member, or a session that committed onto the candidate). A placement
+// on a fleet otherwise at rest rebuilds one: the member it changed.
+type CandidateMetrics struct {
+	Reused  uint64 `json:"reused"`
+	Rebuilt uint64 `json:"rebuilt"`
+}
+
 // FleetMetricsResponse is the fleet /metricsz body: how hard the Scorer
-// worked, how the member polls and the imbalance re-packs went and what
-// every endpoint served, in coopd's shapes.
+// worked, how the member polls, the planning candidates and the
+// imbalance re-packs went and what every endpoint served, in coopd's
+// shapes.
 type FleetMetricsResponse struct {
 	UptimeSeconds float64             `json:"uptime_s"`
 	SolveCache    solvecache.Counters `json:"solve_cache"`
 	Polls         PollMetrics         `json:"polls"`
+	Candidates    CandidateMetrics    `json:"candidates"`
 	Repacks       RepackMetrics       `json:"repacks"`
 	// Endpoints is keyed by the route names NewServer mounts.
 	Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
