@@ -555,6 +555,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Generation:    s.reg.Generation(),
 		Evictions:     s.reg.Evictions(),
 		Solver:        s.solver.Metrics(),
+		SolverSearch:  s.solver.search.Stats(),
 		Endpoints:     s.routes.Metrics(),
 	}
 	if s.cfg.Store != nil {

@@ -393,7 +393,7 @@ func TestNUMABadPlacement(t *testing.T) {
 }
 
 // TestMetricsAndHealth: the observability endpoints report requests,
-// cache activity, and liveness.
+// cache activity, search work, and liveness.
 func TestMetricsAndHealth(t *testing.T) {
 	_, c := startServer(t, ctrlplane.ServerConfig{})
 	ctx := context.Background()
@@ -426,6 +426,11 @@ func TestMetricsAndHealth(t *testing.T) {
 	// sets: at least the repeated allocation reads must hit the cache.
 	if m.Solver.Hits < 2 {
 		t.Errorf("solver cache hits = %d, want >= 2", m.Solver.Hits)
+	}
+	// Every miss ran one search, each scoring a leaf at least; the
+	// multi-app ones bounded their subtrees.
+	if sc := m.SolverSearch; sc.Solves != m.Solver.Misses || sc.Leaves < sc.Solves || sc.Bounds == 0 {
+		t.Errorf("solver_search = %+v, want %d solves with a leaf each and some bound calls", sc, m.Solver.Misses)
 	}
 }
 

@@ -31,6 +31,7 @@ package ctrlplane
 import (
 	"repro/internal/httpapi"
 	"repro/internal/machine"
+	"repro/internal/roofline"
 	"repro/internal/solvecache"
 )
 
@@ -333,13 +334,16 @@ type AdaptMetrics struct {
 	PhaseChanges    uint64 `json:"phase_changes,omitempty"`
 }
 
-// MetricsResponse is the /metricsz body.
+// MetricsResponse is the /metricsz body. SolverSearch is how hard the
+// solver's searches worked: the solves its cache misses ran, and their
+// leaf and bound evaluations.
 type MetricsResponse struct {
 	UptimeSeconds float64                    `json:"uptime_s"`
 	Apps          int                        `json:"apps"`
 	Generation    uint64                     `json:"generation"`
 	Evictions     uint64                     `json:"evictions"`
 	Solver        SolverMetrics              `json:"solver"`
+	SolverSearch  roofline.SearchStats       `json:"solver_search"`
 	Endpoints     map[string]EndpointMetrics `json:"endpoints"`
 	Persist       *PersistMetrics            `json:"persist,omitempty"`
 	Adapt         *AdaptMetrics              `json:"adapt,omitempty"`

@@ -323,6 +323,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, FleetMetricsResponse{
 		UptimeSeconds: s.inv.now().Sub(s.start).Seconds(),
 		SolveCache:    s.pl.Scorer.cache.Counters(),
+		Search:        s.pl.Scorer.search.Stats(),
 		Polls:         s.inv.Polls(),
 		Candidates:    s.inv.Candidates(),
 		Repacks:       s.reb.Repacks(),

@@ -329,8 +329,8 @@ func TestClientTypedErrors(t *testing.T) {
 
 // TestServerMetricsz: fleetd meters its routes — /metricsz counts move
 // when /v1/fleet/place is called, errors included — and reports the
-// Scorer's solve-cache counters, how the member polls went and how the
-// imbalance re-packs went.
+// Scorer's solve-cache counters and search work, how the member polls
+// went and how the imbalance re-packs went.
 func TestServerMetricsz(t *testing.T) {
 	ctx := context.Background()
 	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
@@ -365,6 +365,10 @@ func TestServerMetricsz(t *testing.T) {
 	hits, misses := srv.Placer().Scorer.CacheStats()
 	if c := m.SolveCache; c.Misses == 0 || c.Hits != hits || c.Misses != misses {
 		t.Errorf("solve_cache %+v, want the Scorer's counters (%d hits, %d misses)", c, hits, misses)
+	}
+	// Every miss ran one search, and each search scored a leaf at least.
+	if sc, want := m.Search, srv.Placer().Scorer.search.Stats(); sc.Solves != misses || sc.Leaves < sc.Solves || sc != want {
+		t.Errorf("search %+v, want %d solves with a leaf each, the Scorer's %+v", sc, misses, want)
 	}
 	if m.UptimeSeconds < 0 {
 		t.Errorf("uptime_s = %g", m.UptimeSeconds)

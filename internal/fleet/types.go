@@ -19,6 +19,7 @@ package fleet
 
 import (
 	"repro/internal/httpapi"
+	"repro/internal/roofline"
 	"repro/internal/solvecache"
 )
 
@@ -159,6 +160,9 @@ type FleetMetricsResponse struct {
 	Repacks       RepackMetrics       `json:"repacks"`
 	// Endpoints is keyed by the route names NewServer mounts.
 	Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
+	// Search is how hard the Scorer's searches worked: the solves its
+	// cache misses ran, and their leaf and bound evaluations.
+	Search roofline.SearchStats `json:"search"`
 }
 
 // UpgradeRequest drives the rolling-upgrade controller

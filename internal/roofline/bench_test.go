@@ -51,6 +51,21 @@ func BenchmarkSolveCold8Apps(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveColdSkylakeDiverse is the solve place_diverse spends
+// most of its search time in: five apps of its generator on SkylakeQuad
+// (skylakeDiverseApps), all at core peak, through Solve.
+func BenchmarkSolveColdSkylakeDiverse(b *testing.B) {
+	m := machine.SkylakeQuad()
+	apps := skylakeDiverseApps()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var s Search
+		if _, _, _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveWarmStart8Apps is the incremental path the fleet
 // scorer rides: the 8th app arrives on a machine whose 7-app optimum
 // is known, and the solve is warm-started from those counts. Compare

@@ -41,5 +41,8 @@ func FuzzEvaluatorEquivalence(f *testing.F) {
 		// apps, against the naive enumeration with and without the
 		// canonical-row restriction.
 		orbitRound(t, r)
+		// And the range prune of the last app's leaves on a plateau:
+		// compute-bound apps whose saturating leaves tie to the ulp.
+		plateauRound(t, r)
 	})
 }

@@ -23,6 +23,26 @@ type Search struct {
 	Parallelism int
 
 	pool freelist.List[bnbWorker]
+	// The work done so far (see Stats); workers count privately and add
+	// theirs when released.
+	solves, leaves, bounds atomic.Uint64
+}
+
+// SearchStats is how hard a Search has worked since it was made.
+type SearchStats struct {
+	// Solves counts the searches run: every BestPerNodeCountsFloorSpec
+	// call whose demand set is non-empty and valid.
+	Solves uint64 `json:"solves"`
+	// Leaves counts leaf evaluations: the leaves scored through the
+	// objective, warm-start seeds included.
+	Leaves uint64 `json:"leaves"`
+	// Bounds counts evaluations of the objective's upper bound.
+	Bounds uint64 `json:"bounds"`
+}
+
+// Stats returns the work counts of every solve finished so far.
+func (s *Search) Stats() SearchStats {
+	return SearchStats{Solves: s.solves.Load(), Leaves: s.leaves.Load(), Bounds: s.bounds.Load()}
 }
 
 // leafKernel scores one leaf of the search: a uniform per-node counts
@@ -201,12 +221,16 @@ type bnbWorker struct {
 
 	branchBest   float64
 	branchCounts []int
+
+	// This solve's leaf and bound evaluations, added to the Search's
+	// counts on release.
+	leaves, bounds uint64
 }
 
 // worker takes a pooled worker and fits it to the solve.
 func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
 	w := s.pool.Get()
-	w.ctx = ctx
+	w.ctx, w.leaves, w.bounds = ctx, 0, 0
 	w.scratch.fit(ctx.kernel)
 	n := ctx.nApps
 	w.ints = slices.Grow(w.ints[:0], 3*n+ctx.cores+1)[:3*n+ctx.cores+1]
@@ -215,9 +239,11 @@ func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
 	return w
 }
 
-// release pools the worker without the solve's model, so an idle Search
-// holds scratch only.
+// release adds the worker's counts to the Search's and pools it without
+// the solve's model, so an idle Search holds scratch only.
 func (s *Search) release(w *bnbWorker) {
+	s.leaves.Add(w.leaves)
+	s.bounds.Add(w.bounds)
 	w.ctx, w.branchCounts = nil, nil
 	s.pool.Put(w)
 }
@@ -228,6 +254,7 @@ func (s *Search) release(w *bnbWorker) {
 // stands for is valid by construction and is not re-validated per leaf
 // (TestSearchLeavesAreValidAllocations pins this).
 func (w *bnbWorker) score() float64 {
+	w.leaves++
 	return w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts))
 }
 
@@ -247,36 +274,63 @@ func (w *bnbWorker) span(pos, remaining int) (lo, hi int) {
 	return lo, hi
 }
 
+// hopeless reports whether every completion of counts[0..pos-1] with at
+// most rem cores per node for apps pos..n-1 scores below the incumbent.
+func (w *bnbWorker) hopeless(pos, rem int) bool {
+	w.bounds++
+	return w.ctx.bound(w.counts, pos, rem) < w.ctx.bestScore()-boundSlack
+}
+
+// leaf scores the completed counts vector and offers it to the branch
+// and the incumbent.
+func (w *bnbWorker) leaf() {
+	s := w.score()
+	if s > w.branchBest {
+		w.branchBest = s
+		w.branchCounts = append(w.branchCounts[:0], w.counts...)
+	}
+	if w.ctx.prune {
+		w.ctx.raiseBest(s)
+	}
+}
+
+// rec enumerates apps pos..n-1 with remaining cores per node left. It is
+// entered at pos 1: the caller fixes app 0's row, the top-level branch.
 func (w *bnbWorker) rec(pos, remaining int) {
 	c := w.ctx
 	if pos == c.nApps {
-		if c.prune {
-			// Leaf-level bound: the greedy relaxation over the completed
-			// counts vector is cheaper than a model evaluation and discards
-			// hopeless candidates outright.
-			if ub := c.bound(w.counts, pos, 0); ub < c.bestScore()-boundSlack {
-				return
-			}
-		}
-		s := w.score()
-		if s > w.branchBest {
-			w.branchBest = s
-			w.branchCounts = append(w.branchCounts[:0], w.counts...)
-		}
-		if c.prune {
-			c.raiseBest(s)
+		w.leaf() // a one-app solve: the branch's row is the leaf
+		return
+	}
+	if c.prune && w.hopeless(pos, remaining) {
+		return
+	}
+	lo, hi := w.span(pos, remaining)
+	if pos < c.nApps-1 {
+		for cnt := lo; cnt <= hi; cnt++ {
+			w.counts[pos] = cnt
+			w.rec(pos+1, remaining-cnt)
 		}
 		return
 	}
-	if c.prune && pos > 0 {
-		if ub := c.bound(w.counts, pos, remaining); ub < c.bestScore()-boundSlack {
-			return
+	// The last app's leaves are one range. By the BoundFunc contract
+	// bound(counts, pos, r) covers every leaf whose last count is at most
+	// r, so the first r (scanning down) whose bound is hopeless rejects
+	// lo..r at once; the check above already covered hi, which is
+	// remaining for the last app. The survivors
+	// are scored without a bound of their own: one that scores below the
+	// incumbent cannot move the first-in-order optimum.
+	if c.prune {
+		for r := hi - 1; r >= lo; r-- {
+			if w.hopeless(pos, r) {
+				lo = r + 1
+				break
+			}
 		}
 	}
-	lo, hi := w.span(pos, remaining)
 	for cnt := lo; cnt <= hi; cnt++ {
 		w.counts[pos] = cnt
-		w.rec(pos+1, remaining-cnt)
+		w.leaf()
 	}
 }
 
@@ -370,6 +424,7 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	}
 	ctx.prune = ctx.bound != nil
 	ctx.best.Store(math.Float64bits(math.Inf(-1)))
+	s.solves.Add(1)
 
 	// The calling goroutine's worker seeds the incumbent and sizes the
 	// tree before it searches beside the others.
