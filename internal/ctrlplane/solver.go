@@ -309,8 +309,9 @@ func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) 
 		return nil, err
 	}
 	// Where every node has the same cores the even split is itself a
-	// leaf of the search, so no optimum is below it.
-	if least == most && cs.total < cs.even {
+	// leaf of the search, so no optimum lies on a lower level of the
+	// grid the search compares on.
+	if g := roofline.NewScoreGrid(m); least == most && g.Level(cs.total) < g.Level(cs.even) {
 		return nil, fmt.Errorf("total %g GFLOPS is below the even split's %g", cs.total, cs.even)
 	}
 	return cs, nil

@@ -234,15 +234,17 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		name      string
 		m         *machine.Machine
 		apps      []App
+		spec      ObjectiveSpec
 		minLeaves int
 	}{
-		{"table-I", machine.PaperModel(), paperApps(), 1},
-		{"8-apps", machine.SkylakeQuad(), eightAppMix(), 1000},
+		{"table-I", machine.PaperModel(), paperApps(), ObjTotalGFLOPS, 1},
+		{"8-apps", machine.SkylakeQuad(), eightAppMix(), ObjTotalGFLOPS, 1},
+		{"8-apps unpruned", machine.SkylakeQuad(), eightAppMix(), strippedSpec{ObjTotalGFLOPS}, 1000},
 	}
 	for _, c := range cases {
 		s, _ := watchedSearch()
 		leaves := 0
-		spec := leafWatchSpec{ObjTotalGFLOPS, func() { leaves++ }}
+		spec := leafWatchSpec{c.spec, func() { leaves++ }}
 		solve := func() {
 			if _, _, _, err := s.BestPerNodeCountsFloorSpec(spec, nil, c.m, c.apps, 1); err != nil {
 				t.Fatal(err)
@@ -291,7 +293,7 @@ func TestSearchRetainedMemory(t *testing.T) {
 			break // a new worker: the pool is drained
 		}
 		workers++
-		if w.ctx != nil || w.branchCounts != nil {
+		if w.ctx != nil || w.results != nil {
 			t.Error("an idle worker still references its last solve")
 		}
 		sc := &w.scratch

@@ -25,7 +25,7 @@ type Search struct {
 	pool freelist.List[bnbWorker]
 	// The work done so far (see Stats); workers count privately and add
 	// theirs when released.
-	solves, leaves, bounds atomic.Uint64
+	solves, leaves, bounds, ties atomic.Uint64
 }
 
 // SearchStats is how hard a Search has worked since it was made.
@@ -38,12 +38,30 @@ type SearchStats struct {
 	Leaves uint64 `json:"leaves"`
 	// Bounds counts evaluations of the objective's upper bound.
 	Bounds uint64 `json:"bounds"`
+	// Ties counts the subtrees the tie arm of the prune cut: those that
+	// could at best tie an incumbent earlier in enumeration order on the
+	// ScoreGrid, and no more.
+	Ties uint64 `json:"ties"`
 }
 
 // Stats returns the work counts of every solve finished so far.
 func (s *Search) Stats() SearchStats {
-	return SearchStats{Solves: s.solves.Load(), Leaves: s.leaves.Load(), Bounds: s.bounds.Load()}
+	return SearchStats{Solves: s.solves.Load(), Leaves: s.leaves.Load(), Bounds: s.bounds.Load(), Ties: s.ties.Load()}
 }
+
+// ScoreGrid is the fixed grid Search compares objective values on: a
+// score s lies on level floor(s/Q), with the quantum Q = 2⁻⁴⁰ × the
+// machine's compute ceiling Σ cores × peak (machine.PeakGFLOPS). Scores
+// on one level tie, so which of two leaves wins is decided by the
+// enumeration order, not by the summation order of their totals (see
+// BestPerNodeCountsFloorSpec).
+type ScoreGrid struct{ Q float64 }
+
+// NewScoreGrid returns m's grid.
+func NewScoreGrid(m *machine.Machine) ScoreGrid { return ScoreGrid{Q: 0x1p-40 * m.PeakGFLOPS()} }
+
+// Level is the level s lies on.
+func (g ScoreGrid) Level(s float64) float64 { return math.Floor(s / g.Q) }
 
 // leafKernel scores one leaf of the search: a uniform per-node counts
 // vector (every app i runs counts[i] threads on every node). Built once
@@ -159,12 +177,14 @@ func (k *leafKernel) eval(s *leafScratch, counts []int) *Result {
 	return &s.res
 }
 
-// boundSlack is the margin under the incumbent a subtree's upper bound
-// must clear before it is pruned. It absorbs floating-point noise in
-// the bound so equal-scoring optima are never pruned, which keeps the
-// parallel search's result identical to the sequential enumeration's
-// first-in-order optimum.
-const boundSlack = 1e-6
+// boundMargin is the float-noise margin the prune adds to a bound b
+// before it compares it on the grid, relative to |b|: (nApps+2) × nNodes
+// × 2⁻⁵⁰, that is 8 units of roundoff for every per-node rate a leaf
+// total sums, plus two apps' worth for the bound's own greedy sums (see
+// DESIGN.md §3.3). Below one quantum while (nApps+2) × nNodes < 2¹⁰.
+func boundMargin(nApps, nNodes int) float64 {
+	return float64((nApps+2)*nNodes) * 0x1p-50
+}
 
 // seqLeafThreshold is the candidate count under which the search stays
 // on the calling goroutine; fan-out costs more than it buys on the
@@ -172,7 +192,7 @@ const boundSlack = 1e-6
 const seqLeafThreshold = 4096
 
 // bnbCtx is the read-only shared state of one BestPerNodeCountsFloorSpec
-// run plus the shared incumbent.
+// run plus the shared incumbents.
 type bnbCtx struct {
 	nApps  int
 	floor  int
@@ -186,13 +206,18 @@ type bnbCtx struct {
 	// ObjectiveSpec); nil declares the run bound-free and the search
 	// degrades to the unpruned enumeration.
 	bound BoundFunc
-	prune bool
 
-	best atomic.Uint64 // Float64bits of the best score seen so far
-	next atomic.Int64  // branch work-stealing cursor
+	// best is the strict arm's incumbent: Float64bits of the highest
+	// level any leaf reached so far, warm-start seeds included.
+	best atomic.Uint64
+	// first is the tie arm's: the branch that first reached the highest
+	// level any branch has published (its branchResult.level), -1 while
+	// none has. Only later branches may read it.
+	first atomic.Int64
+	next  atomic.Int64 // branch work-stealing cursor
 }
 
-func (c *bnbCtx) bestScore() float64 { return math.Float64frombits(c.best.Load()) }
+func (c *bnbCtx) bestLevel() float64 { return math.Float64frombits(c.best.Load()) }
 
 func (c *bnbCtx) raiseBest(v float64) {
 	for {
@@ -211,30 +236,36 @@ func (c *bnbCtx) raiseBest(v float64) {
 type bnbWorker struct {
 	ctx     *bnbCtx
 	scratch leafScratch
-	// ints backs the four vectors below, one allocation for all.
+	// ints backs the three vectors below and, after them, cores+1
+	// entries of estimateLeaves scratch: one allocation for all.
 	ints   []int
 	counts []int
 	// The solve's run table (linkRuns): the rows of a run of
 	// interchangeable apps are enumerated non-decreasing.
 	prevSame, runLeft []int
-	ways              []int // estimateLeaves scratch, cores+1 entries
 
-	branchBest   float64
-	branchCounts []int
+	grid   ScoreGrid
+	margin float64 // boundMargin: relative to the bound
 
-	// This solve's leaf and bound evaluations, added to the Search's
-	// counts on release.
-	leaves, bounds uint64
+	// The highest level the leaves of the branch being searched reached
+	// so far; results is the solve's table of every branch's best.
+	branchLevel float64
+	results     []branchResult
+
+	// This solve's leaf and bound evaluations and tie-arm cuts, added to
+	// the Search's counts on release.
+	leaves, bounds, ties uint64
 }
 
 // worker takes a pooled worker and fits it to the solve.
 func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
 	w := s.pool.Get()
-	w.ctx, w.leaves, w.bounds = ctx, 0, 0
+	w.ctx, w.leaves, w.bounds, w.ties = ctx, 0, 0, 0
+	w.grid, w.margin = NewScoreGrid(ctx.kernel.md.m), boundMargin(ctx.nApps, ctx.kernel.md.nNodes)
 	w.scratch.fit(ctx.kernel)
 	n := ctx.nApps
 	w.ints = slices.Grow(w.ints[:0], 3*n+ctx.cores+1)[:3*n+ctx.cores+1]
-	w.counts, w.prevSame, w.runLeft, w.ways = w.ints[:n], w.ints[n:2*n], w.ints[2*n:3*n], w.ints[3*n:]
+	w.counts, w.prevSame, w.runLeft = w.ints[:n], w.ints[n:2*n], w.ints[2*n:3*n]
 	linkRuns(ctx.symmetric, ctx.kernel.md.apps, w.prevSame, w.runLeft)
 	return w
 }
@@ -244,19 +275,24 @@ func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
 func (s *Search) release(w *bnbWorker) {
 	s.leaves.Add(w.leaves)
 	s.bounds.Add(w.bounds)
-	w.ctx, w.branchCounts = nil, nil
+	s.ties.Add(w.ties)
+	w.ctx, w.results = nil, nil
 	s.pool.Put(w)
 }
 
-// score evaluates the leaf w.counts. Every leaf the search scores — the
-// enumeration's and the warm-start seeds' — has every count >= floor
-// >= 0 and a sum within the smallest node's cores, so the allocation it
-// stands for is valid by construction and is not re-validated per leaf
-// (TestSearchLeavesAreValidAllocations pins this).
-func (w *bnbWorker) score() float64 {
+// level scores the leaf w.counts on the grid. Every leaf the search
+// scores — the enumeration's and the warm-start seeds' — has every
+// count >= floor >= 0 and a sum within the smallest node's cores, so the
+// allocation it stands for is valid by construction and is not
+// re-validated per leaf (TestSearchLeavesAreValidAllocations pins this).
+func (w *bnbWorker) level() float64 {
 	w.leaves++
-	return w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts))
+	return w.grid.Level(w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts)))
 }
+
+// branch is the top-level branch being searched: app 0's count over the
+// floor, where its span starts.
+func (w *bnbWorker) branch() int { return w.counts[0] - w.ctx.floor }
 
 // span is the range of counts the enumeration tries for app pos with
 // remaining cores per node left for apps pos..n-1: from the floor — or,
@@ -274,23 +310,61 @@ func (w *bnbWorker) span(pos, remaining int) (lo, hi int) {
 	return lo, hi
 }
 
-// hopeless reports whether every completion of counts[0..pos-1] with at
-// most rem cores per node for apps pos..n-1 scores below the incumbent.
+// hopeless reports whether no completion of counts[0..pos-1] with at
+// most rem cores per node for apps pos..n-1 can be the answer: the
+// bound, plus its margin, lies on a level below the best one reached
+// (the strict arm), or on one no higher than a leaf earlier in
+// enumeration order reached (the tie arm): the branch's own best so far,
+// or the first branch's to reach the highest level when that branch
+// comes before this one. Seeds are not in order, so only the strict arm
+// sees them.
 func (w *bnbWorker) hopeless(pos, rem int) bool {
 	w.bounds++
-	return w.ctx.bound(w.counts, pos, rem) < w.ctx.bestScore()-boundSlack
+	b := w.ctx.bound(w.counts, pos, rem)
+	u := w.grid.Level(b + w.margin*math.Abs(b))
+	if u < w.ctx.bestLevel() {
+		return true
+	}
+	t := w.branchLevel
+	if f := w.ctx.first.Load(); f >= 0 && int(f) < w.branch() {
+		t = max(t, math.Float64frombits(w.results[f].level.Load()))
+	}
+	if u <= t {
+		w.ties++
+		return true
+	}
+	return false
 }
 
-// leaf scores the completed counts vector and offers it to the branch
-// and the incumbent.
+// leaf scores the completed counts vector and keeps it when it is the
+// first of its branch on a higher level, publishing that level to the
+// incumbents.
 func (w *bnbWorker) leaf() {
-	s := w.score()
-	if s > w.branchBest {
-		w.branchBest = s
-		w.branchCounts = append(w.branchCounts[:0], w.counts...)
+	l := w.level()
+	if !(l > w.branchLevel) { // a NaN score never wins
+		return
 	}
-	if w.ctx.prune {
-		w.ctx.raiseBest(s)
+	w.branchLevel = l
+	b, c := w.branch(), w.ctx
+	r := &w.results[b]
+	r.counts = append(r.counts[:0], w.counts...)
+	c.raiseBest(l)
+	r.level.Store(math.Float64bits(l))
+	// This branch becomes the tie arm's incumbent unless one on a higher
+	// level, or an earlier one on the same, already is. A race that keeps
+	// a worse incumbent costs cuts, never soundness: any branch's
+	// published level was reached by a leaf of that branch.
+	for {
+		f := c.first.Load()
+		if f >= 0 {
+			fl := math.Float64frombits(w.results[f].level.Load())
+			if l < fl || l == fl && int(f) <= b {
+				return
+			}
+		}
+		if c.first.CompareAndSwap(f, int64(b)) {
+			return
+		}
 	}
 }
 
@@ -302,7 +376,7 @@ func (w *bnbWorker) rec(pos, remaining int) {
 		w.leaf() // a one-app solve: the branch's row is the leaf
 		return
 	}
-	if c.prune && w.hopeless(pos, remaining) {
+	if c.bound != nil && w.hopeless(pos, remaining) {
 		return
 	}
 	lo, hi := w.span(pos, remaining)
@@ -316,11 +390,11 @@ func (w *bnbWorker) rec(pos, remaining int) {
 	// The last app's leaves are one range. By the BoundFunc contract
 	// bound(counts, pos, r) covers every leaf whose last count is at most
 	// r, so the first r (scanning down) whose bound is hopeless rejects
-	// lo..r at once; the check above already covered hi, which is
-	// remaining for the last app. The survivors
-	// are scored without a bound of their own: one that scores below the
-	// incumbent cannot move the first-in-order optimum.
-	if c.prune {
+	// lo..r at once — every incumbent hopeless reads comes before them in
+	// order; the check above already covered hi, which is remaining for
+	// the last app. The survivors are scored without a bound of their
+	// own: one that lies below the incumbent's level cannot be the answer.
+	if c.bound != nil {
 		for r := hi - 1; r >= lo; r-- {
 			if w.hopeless(pos, r) {
 				lo = r + 1
@@ -334,11 +408,14 @@ func (w *bnbWorker) rec(pos, remaining int) {
 	}
 }
 
-// branchResult is one top-level branch's best candidate; results are
-// reduced in branch order so the parallel search returns the same
-// first-in-enumeration-order optimum as a sequential scan.
+// branchResult is one top-level branch's best candidate, the first of
+// its leaves on the highest level they reached; results are reduced in
+// branch order so the parallel search returns the same
+// first-in-enumeration-order optimum as a sequential scan. The owning
+// worker writes both fields as the level rises; the tie arm of later
+// branches reads level meanwhile, the reduction counts once all are done.
 type branchResult struct {
-	score  float64
+	level  atomic.Uint64 // Float64bits
 	counts []int
 }
 
@@ -347,9 +424,29 @@ type branchResult struct {
 // at least floor) it returns the one maximizing spec's objective, using
 // the leafKernel, goroutine fan-out of the top-level branches and, when
 // spec supplies an admissible bound, a branch-and-bound prune. Without a
-// bound every leaf is scored, which is exact for any objective. It
-// returns ErrNoAllocation when the floors alone over-subscribe a node
-// (more apps than cores).
+// bound every leaf is scored. It returns ErrNoAllocation when the floors
+// alone over-subscribe a node (more apps than cores).
+//
+// Scores are compared on m's ScoreGrid: the answer is the first leaf in
+// enumeration order on the highest level, so it scores less than one
+// quantum Q below the highest float score, and leaves that differ by the
+// summation order of their totals tie. The returned Result comes from
+// the reference Evaluate.
+//
+// The prune cuts a subtree whose bound b, plus the float-noise margin
+// |b| × boundMargin, lies on a level
+//
+//   - below the highest level any leaf reached (the strict arm), or
+//   - no higher than a leaf earlier in enumeration order reached (the tie
+//     arm: the branch's own first leaf on its highest level, or, for a
+//     later branch, the first branch's to reach the highest level any
+//     branch has published).
+//
+// The margin makes the bound admissible on the grid: every completion's
+// float score s has Level(s) <= Level(b + margin). So a strict cut drops
+// only leaves below the answer's level and a tie cut only leaves at most
+// on the level of an earlier one; neither drops the answer, and the
+// parallel search returns what the sequential one does.
 //
 // The enumeration walks one row per orbit of Interchangeable apps. When
 // spec is Symmetric, the rows of a run of such apps (wherever its
@@ -360,11 +457,11 @@ type branchResult struct {
 //
 //	(a) counts, allocation and Result are bit-identical to the
 //	    exhaustive reference enumeration restricted to Canonical rows,
-//	    first strict improvement winning;
-//	(b) they are bit-identical to the unrestricted reference
-//	    (EnumeratePerNodeCountsFloor) whenever its optimum is a canonical
-//	    row — always, on the paper's fixtures; a permuted row can come
-//	    first there only by winning on summation order, and then the two
+//	    the first leaf on the highest grid level winning;
+//	(b) they are bit-identical to the unrestricted reference under the
+//	    same rule whenever its optimum is a canonical row — always, on
+//	    the paper's fixtures; a permuted row can come first there only by
+//	    reaching a higher level on summation order, and then the two
 //	    objective values agree to 1e-9 relative;
 //	(c) under a spec that is not Symmetric, or with no two
 //	    interchangeable apps, the walk is the unrestricted one.
@@ -377,20 +474,19 @@ type branchResult struct {
 // gap; the +1-app neighbour the fleet scorer hits on every placement
 // decision, where key order puts the newcomer anywhere). A prev one
 // entry short is the same with the gap at the last app. Seed
-// candidates derived from prev are evaluated up front and their
-// true objective values raise the branch-and-bound incumbent before the
-// search starts, so when the new optimum is near the old one most
-// subtrees prune immediately.
+// candidates derived from prev are evaluated up front and their levels
+// raise the strict arm's incumbent before the search starts, so when the
+// new optimum is near the old one most subtrees prune immediately.
 //
 // Warm-starting cannot change the answer: every seed is an ordinary
-// feasible candidate, so the incumbent is only raised to objective
-// values the enumeration itself attains, and the pruning margin
-// (boundSlack) already keeps equal-scoring subtrees alive. Counts,
-// allocation, and Result are bit-identical to the cold solve —
-// warmstart_test.go and the FuzzEvaluatorEquivalence corpus prove it
-// differentially. A prev of any other length, with a second negative
-// entry, or infeasible under the requested floor, is ignored (the solve
-// degrades to cold, never errors).
+// feasible candidate, so the strict incumbent is only raised to levels
+// the enumeration itself attains, and a seed never feeds the tie arm,
+// which needs a leaf earlier in order. Counts, allocation, and Result
+// are bit-identical to the cold solve — warmstart_test.go and the
+// FuzzEvaluatorEquivalence corpus prove it differentially. A prev of any
+// other length, with a second negative entry, or infeasible under the
+// requested floor, is ignored (the solve degrades to cold, never
+// errors).
 func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, Allocation, *Result, error) {
 	obj := spec.Objective(apps)
 	if floor < 0 {
@@ -422,14 +518,14 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 		symmetric: spec.Symmetric(),
 		bound:     spec.Bound(m, apps),
 	}
-	ctx.prune = ctx.bound != nil
 	ctx.best.Store(math.Float64bits(math.Inf(-1)))
+	ctx.first.Store(-1)
 	s.solves.Add(1)
 
 	// The calling goroutine's worker seeds the incumbent and sizes the
 	// tree before it searches beside the others.
 	w0 := s.worker(ctx)
-	if ctx.prune && len(prev) > 0 {
+	if ctx.bound != nil && len(prev) > 0 {
 		w0.seedIncumbent(prev)
 	}
 	first, last := w0.span(0, ctx.cores)
@@ -439,26 +535,27 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 && estimateLeaves(ctx.cores-floor*nApps, w0.runLeft, w0.ways) <= seqLeafThreshold {
+	if workers > 1 && estimateLeaves(ctx.cores-floor*nApps, w0.runLeft, w0.ints[3*nApps:]) <= seqLeafThreshold {
 		workers = 1
 	}
 
 	results := make([]branchResult, nBranches)
-	branchCounts := make([]int, nBranches*nApps)
+	table := make([]int, nBranches*nApps)
+	for b := range results {
+		// A branch's best counts land in its own window of the table.
+		results[b].counts = table[b*nApps : b*nApps]
+	}
 	search := func(w *bnbWorker) {
 		defer s.release(w)
+		w.results = results
 		for {
 			b := int(ctx.next.Add(1)) - 1
 			if b >= nBranches {
 				return
 			}
-			// The branch's best counts land in its own window of the table.
-			w.branchBest, w.branchCounts = -1.0, branchCounts[b*nApps:b*nApps]
+			w.branchLevel = math.Inf(-1)
 			w.counts[0] = first + b
 			w.rec(1, ctx.cores-(first+b))
-			if w.branchBest > -1.0 {
-				results[b] = branchResult{score: w.branchBest, counts: w.branchCounts}
-			}
 		}
 	}
 	if workers = min(workers, nBranches); workers <= 1 {
@@ -477,12 +574,12 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 	}
 
 	// Deterministic reduction in branch order: strict > keeps the first
-	// achiever of the maximum, matching the sequential scan.
-	best := -1.0
+	// branch on the highest level, matching the sequential scan.
+	best := math.Inf(-1)
 	var bestCounts []int
 	for b := range results {
-		if results[b].counts != nil && results[b].score > best {
-			best, bestCounts = results[b].score, results[b].counts
+		if l := math.Float64frombits(results[b].level.Load()); len(results[b].counts) > 0 && l > best {
+			best, bestCounts = l, results[b].counts
 		}
 	}
 	if bestCounts == nil {
@@ -526,8 +623,8 @@ func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps 
 }
 
 // seedIncumbent evaluates the warm-start candidates derived from prev
-// (see BestPerNodeCountsFloorSpec) and raises the shared incumbent to
-// the best of their true objective values. A hint without a gap is
+// (see BestPerNodeCountsFloorSpec) and raises the strict arm's incumbent
+// to the highest of their levels. A hint without a gap is
 // evaluated as-is; a hint with one is extended over every feasible
 // count for the app in the gap (at most capCores leaf evaluations).
 // Infeasible hints are silently skipped — seeding is purely an
@@ -555,7 +652,7 @@ func (w *bnbWorker) seedIncumbent(prev []int) {
 		return
 	}
 	if gap < 0 {
-		ctx.raiseBest(w.score())
+		ctx.raiseBest(w.level())
 		return
 	}
 	// When the previous optimum saturates the node (the common case when
@@ -577,7 +674,7 @@ func (w *bnbWorker) seedIncumbent(prev []int) {
 	}
 	for c := floor; c <= capCores-used; c++ {
 		w.counts[gap] = c
-		ctx.raiseBest(w.score())
+		ctx.raiseBest(w.level())
 	}
 }
 

@@ -145,6 +145,35 @@ func TestWarmStartGapAtEveryIndex(t *testing.T) {
 	}
 }
 
+// TestWarmStartPlateauTieLaterInOrder: on the SkylakeQuad plateau a
+// hint that ties the cold answer on the grid but comes later in
+// enumeration order raises the strict incumbent to the answer's own
+// level. The tie arm must not read it: it would cut every subtree on
+// that level, the answer's included.
+func TestWarmStartPlateauTieLaterInOrder(t *testing.T) {
+	m, apps := machine.SkylakeQuad(), skylakeDiverseApps()
+	var s Search
+	cold, _, res, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewScoreGrid(m)
+	for _, hint := range [][]int{{16, 1, 1, 1, 1}, {1, 1, 16, 1, 1}, {4, 4, 4, 4, 4}} {
+		hres, err := Evaluate(m, apps, MustPerNodeCounts(m, hint))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Level(hres.TotalGFLOPS) != g.Level(res.TotalGFLOPS) || slices.Compare(hint, cold) <= 0 {
+			t.Fatalf("hint %v (%v) is not a tie of the answer %v (%v) later in order", hint, hres.TotalGFLOPS, cold, res.TotalGFLOPS)
+		}
+		checkWarmMatchesCold(t, fmt.Sprintf("plateau/hint=%v", hint), &s, m, apps, ObjTotalGFLOPS, 1, hint)
+		for _, p := range []int{1, 4} {
+			par := Search{Parallelism: p}
+			checkWarmMatchesCold(t, fmt.Sprintf("plateau/hint=%v/par=%d", hint, p), &par, m, apps, ObjTotalGFLOPS, 1, hint)
+		}
+	}
+}
+
 // TestWarmStartGarbageHints feeds hints that must be ignored — wrong
 // lengths, floors violated, over-subscribed budgets, negatives — and
 // demands the solve still exactly matches cold.
