@@ -496,7 +496,7 @@ func cmdFleetStatus(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("fleetd up %.1fs\n", m.UptimeSeconds)
 	printSolveCache(m.SolveCache)
-	fmt.Printf("  member polls: %d unchanged / %d full / %d failed\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed)
+	fmt.Printf("  member polls: %d unchanged / %d full / %d failed (%d registers kept the copy exact)\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed, m.Polls.Acked)
 	fmt.Printf("  planning candidates: %d reused / %d rebuilt\n", m.Candidates.Reused, m.Candidates.Rebuilt)
 	fmt.Printf("  imbalance re-packs: %d reused / %d computed\n", m.Repacks.Reused, m.Repacks.Computed)
 	names := make([]string, 0, len(m.Endpoints))

@@ -26,6 +26,10 @@ import (
 // automatically.
 var ErrUnknownApp = httpapi.ErrUnknownApp
 
+// ErrNotModified is State's answer when the state the caller presented
+// is still current (a 304): nothing was read. Detect it with errors.Is.
+var ErrNotModified = httpapi.ErrNotModified
+
 // APIError is a non-2xx response from the control plane — or from
 // fleetd or a replica peer: all three clients make the same exchange,
 // so the predicates below hold for errors from any of them.
@@ -116,6 +120,12 @@ func New(baseURL string, cfg Config) *Client {
 // do performs one API call with retries. in (may be nil) is marshaled
 // as the JSON body; out (may be nil) receives the decoded response.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	return c.doIf(ctx, method, path, "", in, out)
+}
+
+// doIf is do presenting a validator (see httpapi.Call): a 304 to it
+// returns httpapi.ErrNotModified at once, never retried.
+func (c *Client) doIf(ctx context.Context, method, path, validator string, in, out any) error {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
@@ -128,7 +138,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				return fmt.Errorf("ctrlplane: giving up after %d attempts: %w (last error: %v)", attempt, err, lastErr)
 			}
 		}
-		retryable, err := c.once(ctx, method, path, in, out)
+		retryable, err := c.once(ctx, method, path, validator, in, out)
 		if err == nil {
 			return nil
 		}
@@ -174,8 +184,8 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 
 // once performs a single HTTP exchange. It reports whether a failure is
 // worth retrying (transport errors and 5xx: yes; 4xx: no).
-func (c *Client) once(ctx context.Context, method, path string, in, out any) (retryable bool, err error) {
-	hdr, err := httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, in, out)
+func (c *Client) once(ctx context.Context, method, path, validator string, in, out any) (retryable bool, err error) {
+	hdr, err := httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, validator, in, out)
 	c.observeReplicaHeaders(hdr)
 	if err == nil {
 		return false, nil
@@ -197,7 +207,8 @@ func (c *Client) observeReplicaHeaders(hdr http.Header) {
 		}
 	}
 	if v := hdr.Get(ctrlplane.HeaderLeader); v != "" {
-		c.lastLeader.Store(&v)
+		leader := v // only a stamped header pays for the escaping copy
+		c.lastLeader.Store(&leader)
 	}
 }
 
@@ -256,18 +267,24 @@ func (c *Client) Allocations(ctx context.Context) (*ctrlplane.AllocationsRespons
 
 // State is the one registry read: the live apps, their solved total and
 // the topology in one exchange, presenting what the caller already holds
-// (the zero StateQuery: nothing, so the answer is complete). The answer
-// is Unchanged, and nothing else, when the presented incarnation and
-// generation are both still current.
+// (the zero StateQuery: nothing, so the answer is complete). The
+// incarnation rides the query, and a full answer to a current one leaves
+// the machine out; a Conditional query also presents StateETag of the
+// pair as If-None-Match, and while both are current the answer is a 304,
+// which State returns as ErrNotModified.
 func (c *Client) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
-	path := "/v1/state"
+	path, validator := "/v1/state", ""
 	if held.Incarnation != "" {
 		path += "?incarnation=" + url.QueryEscape(held.Incarnation)
 		if held.Conditional {
-			path += "&generation=" + strconv.FormatUint(held.Generation, 10)
+			validator = ctrlplane.StateETag(held.Incarnation, held.Generation)
 		}
 	}
-	return httpapi.Typed[ctrlplane.StateResponse](ctx, c.do, http.MethodGet, path, nil)
+	out := new(ctrlplane.StateResponse)
+	if err := c.doIf(ctx, http.MethodGet, path, validator, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Health reads /healthz.

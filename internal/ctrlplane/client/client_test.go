@@ -273,37 +273,51 @@ func asAPIError(err error, target **APIError) bool {
 	return errors.As(err, target)
 }
 
-// TestStateQueryOnTheWire: State presents what the caller holds as the
-// query GET /v1/state documents — nothing on first contact, the
-// incarnation alone while the caller's copy is not exact, both
-// otherwise — and a coopd without the route is an error, not a
-// fallback.
+// TestStateQueryOnTheWire: State presents what the caller holds the way
+// GET /v1/state documents — nothing on first contact, the incarnation
+// alone in the query while the caller's copy is not exact, and
+// StateETag of the pair as If-None-Match besides once it is. The 304 a
+// current validator earns is ErrNotModified, never retried; a coopd
+// without the route is an error, not a fallback.
 func TestStateQueryOnTheWire(t *testing.T) {
-	var got string
+	var got []string
 	c, _ := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
-		got = r.Method + " " + r.URL.RequestURI()
+		got = append(got, r.Method+" "+r.URL.RequestURI()+" "+r.Header.Get("If-None-Match"))
 		if r.URL.Query().Get("incarnation") == "old daemon" {
 			http.NotFound(w, r)
 			return
 		}
-		json.NewEncoder(w).Encode(ctrlplane.StateResponse{Incarnation: "1f", Generation: 7, Unchanged: true})
-	}, Config{MaxAttempts: 1})
+		etag := ctrlplane.StateETag("1f", 7)
+		w.Header().Set("ETag", etag)
+		if r.Header.Get("If-None-Match") == etag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		json.NewEncoder(w).Encode(ctrlplane.StateResponse{Incarnation: "1f", Generation: 7})
+	}, Config{MaxAttempts: 3})
 	for _, tc := range []struct {
-		held ctrlplane.StateQuery
-		want string
+		held        ctrlplane.StateQuery
+		want        string
+		notModified bool
 	}{
-		{ctrlplane.StateQuery{}, "GET /v1/state"},
-		{ctrlplane.StateQuery{Generation: 7, Conditional: true}, "GET /v1/state"},
-		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 7}, "GET /v1/state?incarnation=1f"},
-		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 7, Conditional: true}, "GET /v1/state?incarnation=1f&generation=7"},
-		{ctrlplane.StateQuery{Incarnation: "a&generation=7", Conditional: true}, "GET /v1/state?incarnation=a%26generation%3D7&generation=0"},
+		{ctrlplane.StateQuery{}, `GET /v1/state `, false},
+		{ctrlplane.StateQuery{Generation: 7, Conditional: true}, `GET /v1/state `, false},
+		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 7}, `GET /v1/state?incarnation=1f `, false},
+		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 7, Conditional: true}, `GET /v1/state?incarnation=1f "1f.7"`, true},
+		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 6, Conditional: true}, `GET /v1/state?incarnation=1f "1f.6"`, false},
+		{ctrlplane.StateQuery{Incarnation: "a&generation=7", Conditional: true}, `GET /v1/state?incarnation=a%26generation%3D7 "a&generation=7.0"`, false},
 	} {
+		got = nil
 		st, err := c.State(context.Background(), tc.held)
-		if err != nil || !st.Unchanged || st.Generation != 7 {
+		if tc.notModified {
+			if !errors.Is(err, ErrNotModified) || st != nil {
+				t.Fatalf("%+v: %+v, %v; want ErrNotModified", tc.held, st, err)
+			}
+		} else if err != nil || st.Generation != 7 {
 			t.Fatalf("%+v: %+v, %v", tc.held, st, err)
 		}
-		if got != tc.want {
-			t.Errorf("%+v went out as %q, want %q", tc.held, got, tc.want)
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%+v went out as %q, want %q once", tc.held, got, tc.want)
 		}
 	}
 	if _, err := c.State(context.Background(), ctrlplane.StateQuery{Incarnation: "old daemon"}); !IsNotFound(err) {

@@ -490,7 +490,7 @@ func (n *Node) announce() {
 func (n *Node) peerDo(method, base, path string, in, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.hc.Timeout)
 	defer cancel()
-	_, err := httpapi.Call(ctx, n.hc, method, strings.TrimRight(base, "/")+path, in, out)
+	_, err := httpapi.Call(ctx, n.hc, method, strings.TrimRight(base, "/")+path, "", in, out)
 	return err
 }
 

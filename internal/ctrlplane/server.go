@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -274,17 +273,24 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
-	alloc, err := s.allocationInto(sc, st.ID, req.Solved)
+	alloc, solvedAt, err := s.allocationInto(sc, st.ID, req.Solved)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, RegisterResponse{
+	resp := RegisterResponse{
 		ID:         st.ID,
 		Generation: gen,
 		TTLMillis:  st.TTL.Milliseconds(),
 		Allocation: alloc,
-	})
+	}
+	if solvedAt == gen {
+		// Nothing changed between the registration and the snapshot the
+		// solve read: the total is the registry's at gen, which lets a
+		// caller holding the state at gen-1 hold it at gen.
+		resp.TotalGFLOPS = sc.sol.TotalGFLOPS
+	}
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -298,7 +304,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
-	alloc, err := s.allocationInto(sc, req.ID, nil)
+	alloc, _, err := s.allocationInto(sc, req.ID, nil)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
@@ -366,17 +372,19 @@ func appTracker(v adapt.TrackerView) AppTracker {
 }
 
 // handleState serves everything a fleet scheduler tracks of this
-// machine from one registry snapshot — or, to a caller whose StateQuery
-// is still current once overdue apps are evicted, just says so: no
-// snapshot, no solver lookup, no table. Anything else in the query
-// (absent, unparsable, another incarnation's) gets the full answer.
+// machine from one registry snapshot, tagged with its StateETag — or,
+// when If-None-Match is still that tag once overdue apps are evicted, a
+// 304 with no body: no query parsing, no snapshot, no solver lookup, no
+// encoding. A full answer leaves the machine out for a caller whose
+// ?incarnation= is this one.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	s.sweep()
-	q := r.URL.Query()
-	held := q.Get("incarnation")
-	if inc, gen := s.reg.Version(); held == inc {
-		if g, err := strconv.ParseUint(q.Get("generation"), 10, 64); err == nil && g == gen {
-			httpapi.WriteJSON(w, http.StatusOK, StateResponse{Incarnation: inc, Generation: gen, Unchanged: true})
+	inc, gen := s.reg.Version()
+	if v := r.Header.Get("If-None-Match"); v != "" {
+		var buf [64]byte
+		if string(appendStateETag(buf[:0], inc, gen)) == v {
+			w.Header().Set("ETag", v)
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
@@ -390,9 +398,10 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Apps = appViews(sc.apps, s.cfg.Clock(), s.adapt)
 	resp.TotalGFLOPS = sc.sol.TotalGFLOPS
-	if held != resp.Incarnation {
+	if r.URL.Query().Get("incarnation") != resp.Incarnation {
 		resp.Machine = s.cfg.Machine
 	}
+	w.Header().Set("ETag", StateETag(resp.Incarnation, resp.Generation))
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -445,12 +454,14 @@ func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsR
 
 // allocationInto solves for the live set — adopting offer (nil: none)
 // when the solver would otherwise search for exactly that — and copies
-// one app's slice into the scratch's response allocation. The returned
-// pointer aliases sc and is only valid until sc goes back to the pool.
-func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*AppAllocation, error) {
-	sc.apps, _, _ = s.reg.SnapshotInto(sc.apps[:0])
+// one app's slice into the scratch's response allocation, with the
+// generation of the snapshot solved. The returned pointer aliases sc and
+// is only valid until sc goes back to the pool.
+func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*AppAllocation, uint64, error) {
+	var gen uint64
+	sc.apps, _, gen = s.reg.SnapshotInto(sc.apps[:0])
 	if err := s.solver.solveInto(&sc.sol, s.cfg.Machine, sc.apps, offer); err != nil {
-		return nil, err
+		return nil, gen, err
 	}
 	for i := range sc.sol.PerApp {
 		a := &sc.sol.PerApp[i]
@@ -466,9 +477,9 @@ func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*Ap
 		sc.alloc.PerNode = append(sc.alloc.PerNode[:0], a.PerNode...)
 		sc.alloc.Threads = threads
 		sc.alloc.PredictedGFLOPS = a.GFLOPS
-		return &sc.alloc, nil
+		return &sc.alloc, gen, nil
 	}
-	return nil, nil // evicted between registration and solve
+	return nil, gen, nil // evicted between registration and solve
 }
 
 // handleReport ingests an application's telemetry samples into the

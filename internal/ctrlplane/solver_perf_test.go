@@ -212,7 +212,7 @@ func TestServerServeScratchNoAllocs(t *testing.T) {
 	}
 	sc := srv.serve.Get()
 	defer srv.serve.Put(sc)
-	alloc, err := srv.allocationInto(sc, lastID, nil)
+	alloc, _, err := srv.allocationInto(sc, lastID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestServerServeScratchNoAllocs(t *testing.T) {
 		t.Fatalf("warmup allocation = %+v, want a non-empty slice for %s", alloc, lastID)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		a, err := srv.allocationInto(sc, lastID, nil)
+		a, _, err := srv.allocationInto(sc, lastID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

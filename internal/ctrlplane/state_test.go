@@ -3,6 +3,7 @@ package ctrlplane_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -43,21 +44,36 @@ func newStateServer(t *testing.T, store *persist.Store) *stateServer {
 	return &stateServer{srv: srv, cli: client.New(hs.URL, client.Config{MaxAttempts: 1}), hs: hs, now: &now}
 }
 
-// raw GETs /v1/state with the query as written.
-func (s *stateServer) raw(t *testing.T, query string) ctrlplane.StateResponse {
+// raw GETs /v1/state with the query as written, presenting validator
+// (when not "") as If-None-Match. It returns the answer's ETag and its
+// body, nil for a 304.
+func (s *stateServer) raw(t *testing.T, query, validator string) (string, *ctrlplane.StateResponse) {
 	t.Helper()
-	resp, err := http.Get(s.hs.URL + "/v1/state" + query)
+	req, err := http.NewRequest(http.MethodGet, s.hs.URL+"/v1/state"+query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if validator != "" {
+		req.Header.Set("If-None-Match", validator)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		if body, _ := io.ReadAll(resp.Body); len(body) != 0 {
+			t.Fatalf("GET /v1/state%s: a 304 with a %d-byte body", query, len(body))
+		}
+		return resp.Header.Get("ETag"), nil
+	}
 	var st ctrlplane.StateResponse
 	dec := json.NewDecoder(resp.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/state%s: status %d, decode error %v", query, resp.StatusCode, err)
 	}
-	return st
+	return resp.Header.Get("ETag"), &st
 }
 
 func names(apps []ctrlplane.AppView) []string {
@@ -102,7 +118,7 @@ func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Incarnation == "" || st.Unchanged {
+	if st.Incarnation == "" {
 		t.Fatalf("first contact answered %+v", st)
 	}
 	reg, gen := s.srv.Registry().Snapshot()
@@ -137,6 +153,9 @@ func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if etag, want := resp.Header.Get("ETag"), ctrlplane.StateETag(st.Incarnation, 4); etag != want {
+		t.Fatalf("ETag %q, want %q", etag, want)
+	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +166,11 @@ func TestStateIsOneReadOfAppsTotalAndMachine(t *testing.T) {
 	}
 }
 
-// TestStateConditional walks the validator: only the current
-// incarnation with the current generation is answered "unchanged", and
-// only once whatever missed its deadline is evicted; a current
-// incarnation alone keeps the machine off the wire; everything else is
-// a first contact.
+// TestStateConditional walks the validator: only the ETag of the current
+// incarnation and generation is answered 304, with no body, and only
+// once whatever missed its deadline is evicted; a current ?incarnation=
+// alone keeps the machine off the wire; everything else is a first
+// contact.
 func TestStateConditional(t *testing.T) {
 	ctx := context.Background()
 	s := newStateServer(t, nil)
@@ -167,58 +186,57 @@ func TestStateConditional(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc, gen := full.Incarnation, full.Generation
+	current := ctrlplane.StateETag(inc, gen)
 
 	before, err := s.cli.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := s.cli.State(ctx, ctrlplane.StateQuery{Incarnation: inc, Generation: gen, Conditional: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (ctrlplane.StateResponse{Incarnation: inc, Generation: gen, Unchanged: true}); !reflect.DeepEqual(*hit, want) {
-		t.Fatalf("current validator answered %+v, want %+v", *hit, want)
+	if hit, err := s.cli.State(ctx, ctrlplane.StateQuery{Incarnation: inc, Generation: gen, Conditional: true}); !errors.Is(err, client.ErrNotModified) || hit != nil {
+		t.Fatalf("current validator answered %+v, %v; want a 304", hit, err)
 	}
 	after, err := s.cli.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Solver != before.Solver {
-		t.Fatalf("an unchanged answer consulted the solver: %+v -> %+v", before.Solver, after.Solver)
+		t.Fatalf("a 304 consulted the solver: %+v -> %+v", before.Solver, after.Solver)
 	}
-	if after.Endpoints["state"].Count != before.Endpoints["state"].Count+1 {
-		t.Fatalf("/metricsz does not meter the state route: %+v", after.Endpoints["state"])
+	if ep := after.Endpoints["state"]; ep.Count != before.Endpoints["state"].Count+1 || ep.Errors != 0 {
+		t.Fatalf("/metricsz does not meter the 304 as a served request: %+v", ep)
 	}
 
-	// A heartbeat moves counters, not the generation: still unchanged.
+	// A heartbeat moves counters, not the generation: still a 304, and
+	// the validator alone decides it — the query is not even parsed.
 	if _, err := s.cli.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: short.ID}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.raw(t, "?incarnation="+inc+"&generation=2"); !st.Unchanged {
-		t.Fatalf("after a heartbeat: %+v, want unchanged", st)
+	for _, query := range []string{"?incarnation=" + inc, "", "?incarnation=feedface"} {
+		if etag, st := s.raw(t, query, current); st != nil || etag != current {
+			t.Fatalf("%q after a heartbeat: %+v, ETag %q; want a 304 tagged %q", query, st, etag, current)
+		}
 	}
 
 	for _, c := range []struct {
-		query   string
-		machine bool
+		query, validator string
+		machine          bool
 	}{
-		{"", true},
-		{"?generation=2", true},
-		{"?incarnation=&generation=2", true},
-		{"?incarnation=feedface&generation=2", true},
-		{"?incarnation=" + inc + "0&generation=2", true},
-		{"?incarnation=" + inc, false},
-		{"?incarnation=" + inc + "&generation=1", false},
-		{"?incarnation=" + inc + "&generation=3", false},
-		{"?incarnation=" + inc + "&generation=", false},
-		{"?incarnation=" + inc + "&generation=two", false},
-		{"?incarnation=" + inc + "&generation=-2", false},
-		{"?incarnation=" + inc + "&generation=2.0", false},
-		{"?incarnation=" + inc + "&generation=99999999999999999999", false},
+		{"", "", true},
+		{"?incarnation=feedface", ctrlplane.StateETag("feedface", gen), true},
+		{"?incarnation=" + inc + "0", ctrlplane.StateETag(inc+"0", gen), true},
+		{"?incarnation=" + inc, "", false},
+		{"?incarnation=" + inc, ctrlplane.StateETag(inc, gen-1), false},
+		{"?incarnation=" + inc, ctrlplane.StateETag(inc, gen+1), false},
+		{"?incarnation=" + inc, "W/" + current, false},
+		{"?incarnation=" + inc, "*", false},
+		{"?incarnation=" + inc, current + ", " + current, false},
+		{"?incarnation=" + inc, strings.Trim(current, `"`), false},
+		{"?incarnation=" + inc + "&generation=2", "", false},
 	} {
-		st := s.raw(t, c.query)
-		if st.Unchanged || st.Incarnation != inc || st.Generation != gen || !reflect.DeepEqual(names(st.Apps), []string{"long", "short"}) || st.TotalGFLOPS != full.TotalGFLOPS {
-			t.Errorf("%q answered %+v, want the full state", c.query, st)
+		etag, st := s.raw(t, c.query, c.validator)
+		if st == nil || st.Incarnation != inc || st.Generation != gen || !reflect.DeepEqual(names(st.Apps), []string{"long", "short"}) || st.TotalGFLOPS != full.TotalGFLOPS || etag != current {
+			t.Errorf("%q with %q answered %+v, ETag %q; want the full state tagged %q", c.query, c.validator, st, etag, current)
+			continue
 		}
 		if (st.Machine != nil) != c.machine {
 			t.Errorf("%q: machine sent = %v, want %v", c.query, st.Machine != nil, c.machine)
@@ -226,17 +244,43 @@ func TestStateConditional(t *testing.T) {
 	}
 
 	// "short" runs out. No janitor runs here: the conditional read itself
-	// must evict it before it compares generations.
+	// must evict it before it compares validators.
 	*s.now = s.now.Add(31 * time.Second)
 	st, err := s.cli.State(ctx, ctrlplane.StateQuery{Incarnation: inc, Generation: gen, Conditional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Unchanged || st.Generation != gen+1 || !reflect.DeepEqual(names(st.Apps), []string{"long"}) || st.Machine != nil {
+	if st.Generation != gen+1 || !reflect.DeepEqual(names(st.Apps), []string{"long"}) || st.Machine != nil {
 		t.Fatalf("past short's deadline the conditional read answered %+v, want the full state without it", st)
 	}
 	if st.TotalGFLOPS != 320 {
 		t.Fatalf("total %v with one compute-bound app left, want 320", st.TotalGFLOPS)
+	}
+}
+
+// TestRegisterAnswersTheTotalOfItsGeneration: a register's answer
+// carries the total a /v1/state read at its generation answers, so a
+// caller that held the state one generation before may hold it at the
+// answer's.
+func TestRegisterAnswersTheTotalOfItsGeneration(t *testing.T) {
+	ctx := context.Background()
+	s := newStateServer(t, nil)
+	for i, req := range []ctrlplane.RegisterRequest{
+		{Name: "comp", AI: 10},
+		{Name: "mem", AI: 0.5, MaxThreads: 6},
+		{Name: "bad", AI: 2, Placement: ctrlplane.PlacementBad, HomeNode: 3},
+	} {
+		resp, err := s.cli.Register(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.cli.State(ctx, ctrlplane.StateQuery{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Generation != uint64(i+1) || resp.Generation != st.Generation || resp.TotalGFLOPS == 0 || resp.TotalGFLOPS != st.TotalGFLOPS {
+			t.Fatalf("register %d answered generation %d, total %v; /v1/state reads %d, %v", i, resp.Generation, resp.TotalGFLOPS, st.Generation, st.TotalGFLOPS)
+		}
 	}
 }
 
@@ -270,14 +314,14 @@ func TestStateIncarnationGuardsAgainstABA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Unchanged || st.Generation != held.Generation || st.Incarnation == held.Incarnation || st.Machine == nil || !reflect.DeepEqual(names(st.Apps), []string{"x", "y"}) {
+	if st.Generation != held.Generation || st.Incarnation == held.Incarnation || st.Machine == nil || !reflect.DeepEqual(names(st.Apps), []string{"x", "y"}) {
 		t.Fatalf("a restarted daemon back at generation %d answered %+v, want its own state in full", held.Generation, st)
 	}
 
 	// The old daemon, as a follower, installs that state as a snapshot:
 	// same process, same generation number, other apps.
-	if st, err := old.cli.State(ctx, held); err != nil || !st.Unchanged {
-		t.Fatalf("before the snapshot install: %+v, %v", st, err)
+	if st, err := old.cli.State(ctx, held); !errors.Is(err, client.ErrNotModified) {
+		t.Fatalf("before the snapshot install: %+v, %v; want a 304", st, err)
 	}
 	if err := old.srv.Registry().ResetFromSnapshot(restarted.srv.Registry().PersistSnapshot()); err != nil {
 		t.Fatal(err)
@@ -286,7 +330,7 @@ func TestStateIncarnationGuardsAgainstABA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Unchanged || st.Generation != held.Generation || st.Incarnation == held.Incarnation || st.Machine == nil || !reflect.DeepEqual(names(st.Apps), []string{"x", "y"}) {
+	if st.Generation != held.Generation || st.Incarnation == held.Incarnation || st.Machine == nil || !reflect.DeepEqual(names(st.Apps), []string{"x", "y"}) {
 		t.Fatalf("after a snapshot install at generation %d the daemon answered %+v, want the installed state in full", held.Generation, st)
 	}
 }
@@ -324,7 +368,7 @@ func TestIncarnationIsNotState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Unchanged || after.Incarnation == before.Incarnation || after.Generation != before.Generation || after.Machine == nil || len(after.Apps) != 4 {
+	if after.Incarnation == before.Incarnation || after.Generation != before.Generation || after.Machine == nil || len(after.Apps) != 4 {
 		t.Fatalf("the recovered daemon answered %+v to the validator of its previous life (generation %d)", after, before.Generation)
 	}
 }

@@ -20,7 +20,7 @@
 //	POST   /v1/report      ReportRequest     -> ReportResponse
 //	DELETE /v1/apps/{id}                     -> 204
 //	GET    /v1/allocations                   -> AllocationsResponse
-//	GET    /v1/state                         -> StateResponse (conditional: StateQuery)
+//	GET    /v1/state                         -> StateResponse, ETag (If-None-Match: 304)
 //	GET    /healthz                          -> HealthResponse
 //	GET    /metricsz                         -> MetricsResponse
 //	GET    /tracez                           -> Chrome trace-event JSON
@@ -29,6 +29,8 @@
 package ctrlplane
 
 import (
+	"strconv"
+
 	"repro/internal/httpapi"
 	"repro/internal/machine"
 	"repro/internal/roofline"
@@ -106,6 +108,10 @@ type RegisterResponse struct {
 	TTLMillis int64 `json:"ttl_ms"`
 	// Allocation is this application's slice under the new optimum.
 	Allocation *AppAllocation `json:"allocation,omitempty"`
+	// TotalGFLOPS is the machine-wide prediction of that optimum, sent
+	// only when it was solved for the registry exactly at Generation: the
+	// total a /v1/state read at Generation would answer.
+	TotalGFLOPS float64 `json:"total_gflops,omitempty"`
 }
 
 // HeartbeatRequest keeps an application alive and reports its stats
@@ -159,7 +165,7 @@ type AppView struct {
 	// when coopd runs -recalibrate and the app has reported telemetry
 	// (an app whose fit was inherited across a failover has none until
 	// it reports again). Tracker changes do not bump the generation, so
-	// a conditional read answered "unchanged" does not refresh them.
+	// a conditional read answered 304 does not refresh them.
 	Tracker *AppTracker `json:"tracker,omitempty"`
 }
 
@@ -214,17 +220,38 @@ type ReportResponse struct {
 }
 
 // StateQuery is what a GET /v1/state caller already holds of this
-// server's state, sent as the query ?incarnation=…&generation=….
+// server's state.
 type StateQuery struct {
 	// Incarnation is the StateResponse.Incarnation of the caller's last
-	// full answer ("" on first contact). While it matches, the answer
-	// leaves the machine out.
+	// full read or acknowledged register ("" on first contact), sent as
+	// ?incarnation=…. While it matches, a full answer leaves the machine
+	// out.
 	Incarnation string
-	// Generation, sent only when Conditional, is that answer's generation.
-	// Present it only while the copy read under it is still exactly what
-	// the answer held: if both match, the answer is just "unchanged".
+	// Generation, presented only when Conditional, is the generation of
+	// that copy. Present it only while the copy is still exactly the
+	// member's state at the pair: the client sends
+	// StateETag(Incarnation, Generation) as If-None-Match, and while both
+	// are current the answer is a 304 with no body.
 	Generation  uint64
 	Conditional bool
+}
+
+// StateETag is the entity tag of the /v1/state representation at one
+// incarnation and generation: every full answer carries it as ETag, and
+// a request presenting it as If-None-Match while it is current is
+// answered 304.
+func StateETag(incarnation string, generation uint64) string {
+	var buf [64]byte
+	return string(appendStateETag(buf[:0], incarnation, generation))
+}
+
+// appendStateETag appends StateETag(incarnation, generation) to b.
+func appendStateETag(b []byte, incarnation string, generation uint64) []byte {
+	b = append(b, '"')
+	b = append(b, incarnation...)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, generation, 10)
+	return append(b, '"')
 }
 
 // StateResponse is the /v1/state body: everything a fleet scheduler
@@ -237,10 +264,6 @@ type StateResponse struct {
 	// leader's snapshot. A generation means nothing across incarnations.
 	Incarnation string `json:"incarnation"`
 	Generation  uint64 `json:"generation"`
-	// Unchanged answers a StateQuery whose incarnation and generation are
-	// both current (after evicting whatever missed its deadline): nothing
-	// the caller read has changed, and every field below is left out.
-	Unchanged bool `json:"unchanged,omitempty"`
 	// Apps is the live set, sorted by ID (absent when empty).
 	Apps []AppView `json:"apps,omitempty"`
 	// TotalGFLOPS is the model's machine-wide prediction for Apps, as in

@@ -52,6 +52,7 @@ func benchPlacement(b *testing.B, nMachines, domains int) {
 	pl, _ := planners(b, inv, ServerConfig{DomainSpread: domains > 0})
 	spec := AppSpec{Name: "incoming", AI: 2}
 	extra := PlacedApp{ID: "zz-extra", AppSpec: spec}
+	ack := &ctrlplane.RegisterResponse{ID: extra.ID} // no total: the copy re-reads
 	if _, err := pl.Decide(spec); err != nil {
 		b.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func benchPlacement(b *testing.B, nMachines, domains int) {
 	for i := 0; i < b.N; i++ {
 		id := inv.order[i/2%nMachines]
 		if i%2 == 0 {
-			inv.noteRegistered(id, extra)
+			inv.noteRegistered(id, extra, ack)
 		} else {
 			inv.mu.Lock()
 			inv.members[id].dropApp(extra.ID)

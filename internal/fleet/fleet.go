@@ -12,8 +12,9 @@
 //
 //   - Inventory polls member machines' coopd endpoints (one conditional
 //     GET /v1/state each: registered apps, solved aggregate, topology —
-//     or just "unchanged") and tracks health; a member that fails
-//     several consecutive polls is declared dead. It also
+//     or a bodyless 304 while the fleet's copy is current, as its own
+//     acknowledged registers keep it) and tracks health; a member that
+//     fails several consecutive polls is declared dead. It also
 //     holds the fleet's name-keyed soft state (priority classes, stale
 //     re-homed IDs, the cooldown clock) and the executor — register,
 //     deregister, relocate — the only code that changes what is
@@ -195,8 +196,9 @@ type Member struct {
 	// Apps is the machine's registered demand set, sorted by ID.
 	Apps []PlacedApp
 	// TotalGFLOPS and Generation are those of the machine's last full
-	// /v1/state answer: the solved aggregate of the demand set it held
-	// then, which a fleet-side edit of Apps since does not refresh.
+	// read or acknowledged register: the solved aggregate of the demand
+	// set it held then, which any other fleet-side edit of Apps since does
+	// not refresh.
 	TotalGFLOPS float64
 	Generation  uint64
 	// Failures counts consecutive failed polls; Dead is set once

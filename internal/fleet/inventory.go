@@ -87,11 +87,12 @@ type member struct {
 	topo  *machine.Machine
 	apps  []PlacedApp
 	total float64
-	// incarnation and gen name the /v1/state answer apps, total and topo
-	// were last read from. exact says apps is still that answer's demand
-	// set, untouched: only then may a poll present gen and take
-	// "unchanged" for an answer. A failed poll and every local edit of
-	// apps withdraw it, so the next poll reads in full — the member is
+	// incarnation and gen name the member state apps, total and topo
+	// were last read from: a full /v1/state answer, or one moved on by an
+	// acknowledged register (see noteRegistered). exact says apps is
+	// still exactly that state: only then may a poll present the pair and
+	// take a 304 for an answer. A failed poll and every other local edit
+	// of apps withdraw it, so the next poll reads in full — the member is
 	// never told about a fleet-side edit (noteStale drops an app the
 	// member still holds), and a partition may have hidden anything.
 	incarnation string
@@ -216,15 +217,19 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	defer cancel()
 
 	var st *ctrlplane.StateResponse
-	answered := -1
-	for k := 0; k < len(clis) && st == nil; k++ {
+	answered := -1 // st stays nil when the answer was a 304
+	for k := 0; k < len(clis) && answered < 0; k++ {
 		i := (preferred + k) % len(clis)
-		if resp, err := clis[i].State(ctx, held); err == nil {
+		resp, err := clis[i].State(ctx, held)
+		switch {
+		case err == nil:
 			st, answered = resp, i
+		case held.Conditional && errors.Is(err, client.ErrNotModified):
+			answered = i
 		}
 	}
 	var placed []PlacedApp
-	if st != nil && !st.Unchanged {
+	if st != nil {
 		placed = make([]PlacedApp, 0, len(st.Apps))
 		for _, v := range st.Apps {
 			placed = append(placed, placedFromView(v))
@@ -242,7 +247,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		return
 	}
 	switch {
-	case st == nil:
+	case answered < 0:
 		inv.polls.Failed++
 		m.exact = false
 		m.failures++
@@ -252,7 +257,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 			inv.noteTransition(m, inv.now())
 		}
 		return
-	case !st.Unchanged:
+	case st != nil:
 		inv.polls.Full++
 		m.apps, m.total = placed, st.TotalGFLOPS
 		m.incarnation, m.gen, m.exact = st.Incarnation, st.Generation, true
@@ -260,16 +265,17 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 			m.topo = st.Machine
 		}
 		m.touch()
-	case m.exact:
+	case m.exact && m.incarnation == held.Incarnation && m.gen == held.Generation:
 		inv.polls.Unchanged++
 	default:
-		// "Unchanged" answered a validator a local edit withdrew while
-		// the request was in flight: it describes a cache that is gone.
-		// A miss — the next poll reads in full.
+		// The 304 answered a validator that no longer names the copy: a
+		// local edit withdrew it, or an acknowledged register moved it on,
+		// while the request was in flight. A miss — the next poll presents
+		// whatever the copy is now.
 		return
 	}
-	// Member registries carry no priority, and an unchanged poll re-read
-	// nothing: stamp the fleet's record either way, erasures included. A
+	// Member registries carry no priority, and a 304 re-read nothing:
+	// stamp the fleet's record either way, erasures included. A
 	// stamp that changes nothing keeps the demand version, so a fleet at
 	// rest keeps its planning candidates warm.
 	stamped := false
@@ -520,7 +526,7 @@ func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec,
 		return PlacedApp{}, err
 	}
 	placed := spec.placed(resp.ID)
-	inv.noteRegistered(member, placed)
+	inv.noteRegistered(member, placed, resp)
 	return placed, nil
 }
 
@@ -582,16 +588,29 @@ func (inv *Inventory) relocate(ctx context.Context, mv Move) (PlacedApp, error) 
 	return placed, nil
 }
 
-// noteRegistered records an app the fleet just placed on a member. The
-// next poll overwrites the cache with the machine's authoritative
-// registry.
-func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
+// noteRegistered records an app the fleet just placed on a member, as
+// the member's answer resp acknowledged it. When the copy was exactly
+// the member's state at generation g and resp says the registration
+// made it g+1 and carries the total solved at g+1, nothing else can
+// have happened in between — every registry change moves the generation
+// by one — so the copy, with the app, stays exact at g+1 and the next
+// poll can be a 304. Otherwise the copy is no longer what the member
+// last told, and the next poll re-reads it.
+func (inv *Inventory) noteRegistered(id string, app PlacedApp, resp *ctrlplane.RegisterResponse) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	m, ok := inv.members[id]
 	if !ok {
 		return
 	}
+	// Record the app as a read of the member would show it.
+	if app.Placement == ctrlplane.PlacementPerfect {
+		app.Placement = ""
+	}
+	if app.Name == "" {
+		app.Name = "app"
+	}
+	app.TTLMillis = resp.TTLMillis
 	if app.Priority != "" {
 		// Remember the class so the next poll (which rebuilds apps from
 		// the member's priority-less registry) re-stamps it.
@@ -599,7 +618,12 @@ func (inv *Inventory) noteRegistered(id string, app PlacedApp) {
 	}
 	m.apps = append(m.apps, app)
 	slices.SortFunc(m.apps, func(a, b PlacedApp) int { return strings.Compare(a.ID, b.ID) })
-	m.exact = false
+	if m.exact && resp.Generation == m.gen+1 && resp.TotalGFLOPS != 0 {
+		inv.polls.Acked++
+		m.gen, m.total = resp.Generation, resp.TotalGFLOPS
+	} else {
+		m.exact = false
+	}
 	m.touch()
 }
 

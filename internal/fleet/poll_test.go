@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/ctrlplane"
+	"repro/internal/ctrlplane/client"
 	"repro/internal/machine"
 )
 
@@ -210,11 +214,12 @@ func TestRecordPriorityAppliesOnUnchangedPoll(t *testing.T) {
 // interleavings of everything that changes a member (direct registers
 // and deregisters, TTL evictions, fitted models, kills, heals, restarts
 // without state) and everything the fleet does to its own cache
-// (registers, deregisters, moves off live, lost and quarantined members,
-// class records) run against one long-lived inventory. After every poll, each
-// answering member's cached state must equal what an inventory built
-// that instant — whose first poll presents nothing and so reads
-// everything — holds of it.
+// (registers — acknowledged ones keep the copy exact — deregisters,
+// moves off live, lost and quarantined members, class records) run
+// against one long-lived inventory. After every poll, each answering
+// member's cached state must equal what an inventory built that instant
+// — whose first poll presents nothing and so reads everything — holds of
+// it, total included.
 func TestConditionalPollMatchesFullPoll(t *testing.T) {
 	ctx := context.Background()
 	topos := []*machine.Machine{machine.PaperModel(), machine.SkylakeQuad(), machine.KNLSNC4()}
@@ -252,7 +257,7 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 		anywhere := func(string) bool { return true }
 		for step := 0; step < 120; step++ {
 			label := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := r.Intn(15); op {
+			switch op := r.Intn(17); op {
 			case 0, 1: // register behind the fleet's back, half of them short-lived
 				apps++
 				ttl := time.Duration(0)
@@ -303,6 +308,23 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 				if id, app, ok := cached(anywhere); ok {
 					w.inv.deregister(ctx, id, app.ID)
 				}
+			case 15: // a change behind the fleet's back, then a fleet register in the same step: the register's generation skips one
+				apps++
+				id := pick()
+				w.direct(id, ctrlplane.AppSpec{Name: fmt.Sprintf("direct-%d", apps), AI: 0.5 * float64(1+r.Intn(8))}, 0)
+				w.inv.register(ctx, id, AppSpec{Name: fmt.Sprintf("placed-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), TTLMillis: testTTL}, nil)
+			case 16: // the fleet registers what a read normalises: explicit numa-perfect, default TTL, default name, a cap, a numa-bad home
+				apps++
+				spec := AppSpec{Name: fmt.Sprintf("placed-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), Placement: ctrlplane.PlacementPerfect, HomeNode: r.Intn(4)}
+				switch r.Intn(4) {
+				case 0:
+					spec.Name = ""
+				case 1:
+					spec.MaxThreads = 1 + r.Intn(6)
+				case 2:
+					spec.Placement = ctrlplane.PlacementBad
+				}
+				w.inv.register(ctx, pick(), spec, nil)
 			case 13: // an operator records or erases a class
 				if _, app, ok := cached(anywhere); ok {
 					class := []string{"", PriorityLatency, PrioritySystem}[r.Intn(3)]
@@ -347,9 +369,10 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 		sum.Unchanged += p.Unchanged
 		sum.Full += p.Full
 		sum.Failed += p.Failed
+		sum.Acked += p.Acked
 	}
 	t.Logf("polls over all seeds: %+v", sum)
-	if sum.Unchanged < 500 || sum.Full < 500 || sum.Failed < 100 {
+	if sum.Unchanged < 500 || sum.Full < 500 || sum.Failed < 100 || sum.Acked < 100 {
 		t.Fatalf("polls %+v: the interleavings left an outcome nearly unexercised", sum)
 	}
 }
@@ -455,14 +478,18 @@ func TestUnchangedAnswerRacingLocalEditIsDropped(t *testing.T) {
 // TestLateRegisterNoteIsRepairedByNextPoll: a poll's full answer, taken
 // after the fleet's register landed on the member, is applied before the
 // register's own note reaches the cache, which then lists the app twice.
-// The note withdraws the validator, so the next poll repairs it although
-// the member's generation has not moved since the answer.
+// The register's generation is the one the copy already holds, not the
+// next, so the note withdraws the validator and the next poll repairs
+// the copy although the member's generation has not moved since the
+// answer.
 func TestLateRegisterNoteIsRepairedByNextPoll(t *testing.T) {
 	ctx := context.Background()
 	w := newPollWorld(t, "a")
 	st := w.direct("a", ctrlplane.AppSpec{Name: "placed", AI: 2}, 0)
 	w.inv.Poll(ctx)
-	w.inv.noteRegistered("a", PlacedApp{ID: st.ID, AppSpec: AppSpec{Name: "placed", AI: 2}})
+	held := w.member("a")
+	ack := &ctrlplane.RegisterResponse{ID: st.ID, Generation: held.Generation, TTLMillis: st.TTL.Milliseconds(), TotalGFLOPS: held.TotalGFLOPS}
+	w.inv.noteRegistered("a", PlacedApp{ID: st.ID, AppSpec: AppSpec{Name: "placed", AI: 2}}, ack)
 	if m := w.member("a"); len(m.Apps) != 2 {
 		t.Fatalf("%d cached apps, want the race's double entry", len(m.Apps))
 	}
@@ -492,5 +519,119 @@ func TestMemberWithoutStateRouteIsAFailedPoll(t *testing.T) {
 	}
 	if !reflect.DeepEqual(asked, []string{"/v1/state"}) {
 		t.Fatalf("the poll asked %v, want /v1/state once", asked)
+	}
+}
+
+// legacyMember stands in front of a member as a coopd from before
+// validators and acknowledged totals: with ignoreValidator it drops
+// If-None-Match from every request, with noTotal it drops total_gflops
+// from every register answer.
+type legacyMember struct {
+	next                     http.RoundTripper
+	ignoreValidator, noTotal bool
+}
+
+func (l legacyMember) RoundTrip(req *http.Request) (*http.Response, error) {
+	if l.ignoreValidator {
+		req = req.Clone(req.Context())
+		req.Header.Del("If-None-Match")
+	}
+	resp, err := l.next.RoundTrip(req)
+	if err != nil || !l.noTotal || req.URL.Path != "/v1/register" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	var rr ctrlplane.RegisterResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		return nil, err
+	}
+	rr.TotalGFLOPS = 0
+	body, err := json.Marshal(rr)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	return resp, nil
+}
+
+// requireFullRead fails unless the inventory's copy of member id equals
+// what an inventory built now reads of it: apps, total, generation and
+// topology.
+func (w *pollWorld) requireFullRead(id, label string) {
+	w.t.Helper()
+	ref := w.newInventory()
+	ref.Poll(context.Background())
+	got := w.member(id)
+	want, _ := ref.Member(id)
+	if !reflect.DeepEqual(got.Apps, want.Apps) || got.TotalGFLOPS != want.TotalGFLOPS || got.Generation != want.Generation || !reflect.DeepEqual(got.Topology, want.Topology) {
+		w.t.Fatalf("%s: the copy holds %+v, total %v at generation %d; a full read %+v, total %v at %d",
+			label, got.Apps, got.TotalGFLOPS, got.Generation, want.Apps, want.TotalGFLOPS, want.Generation)
+	}
+}
+
+// TestOldMemberEndsInFullReads: mixed versions need no fallback. A
+// member that ignores the validator answers every poll in full, and one
+// whose register answer carries no total gets its copy re-read once
+// after the register; either way the copy ends as a full read has it.
+func TestOldMemberEndsInFullReads(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		legacy legacyMember
+		want   PollMetrics
+	}{
+		{"ignores If-None-Match", legacyMember{ignoreValidator: true}, PollMetrics{Full: 4, Acked: 1}},
+		{"register answer without total_gflops", legacyMember{noTotal: true}, PollMetrics{Full: 2, Unchanged: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			w := newPollWorld(t)
+			tc.legacy.next = w.net
+			w.inv = NewInventory(InventoryConfig{
+				NewClient: func(endpoint string) *client.Client {
+					return client.New(endpoint, client.Config{HTTPClient: &http.Client{Transport: tc.legacy}, MaxAttempts: 1})
+				},
+				Clock: func() time.Time { return w.now },
+			})
+			w.start("a", machine.PaperModel())
+			w.direct("a", ctrlplane.AppSpec{Name: "resident", AI: 0.5}, 0)
+			for step := 0; step < 4; step++ {
+				if step == 2 {
+					if _, err := w.inv.register(ctx, "a", AppSpec{Name: "placed", AI: 10}, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w.inv.Poll(ctx)
+				w.requireFullRead("a", fmt.Sprintf("poll %d", step))
+			}
+			if got := w.inv.Polls(); got != tc.want {
+				t.Fatalf("polls %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestNotModifiedRacingAckedRegisterIsDropped: an acknowledged register
+// moves the copy on while a poll presenting the generation before it is
+// in flight. The 304 that comes back names a copy that is gone, so it
+// counts nowhere; the copy stays exact at the register's generation.
+func TestNotModifiedRacingAckedRegisterIsDropped(t *testing.T) {
+	ctx := context.Background()
+	w := newPollWorld(t, "a")
+	w.direct("a", ctrlplane.AppSpec{Name: "resident", AI: 0.5}, 0)
+	w.inv.Poll(ctx)
+	w.net.served = func(string, *http.Request) {
+		w.net.served = nil
+		if _, err := w.inv.register(ctx, "a", AppSpec{Name: "placed", AI: 10}, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	w.inv.Poll(ctx)
+	if got, want := w.inv.Polls(), (PollMetrics{Full: 1, Acked: 1}); got != want {
+		t.Fatalf("polls %+v after the raced 304, want it left out of %+v", got, want)
+	}
+	w.requireFullRead("a", "after the raced 304")
+	w.inv.Poll(ctx)
+	if got, want := w.inv.Polls(), (PollMetrics{Full: 1, Unchanged: 1, Acked: 1}); got != want {
+		t.Fatalf("polls %+v, want the next poll a 304 at the register's generation: %+v", got, want)
 	}
 }

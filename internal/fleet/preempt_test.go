@@ -42,7 +42,7 @@ func registerWithPriority(t *testing.T, inv *Inventory, member string, spec AppS
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv.noteRegistered(member, spec.placed(resp.ID))
+	inv.noteRegistered(member, spec.placed(resp.ID), resp)
 }
 
 // preemptFleet builds the canonical inversion: two 2x2-core machines,

@@ -382,14 +382,15 @@ func TestServerMetricsz(t *testing.T) {
 	if m.UptimeSeconds < 0 {
 		t.Errorf("uptime_s = %g", m.UptimeSeconds)
 	}
-	// One poll so far, a first contact. The placement edited the cache,
-	// so the next poll re-reads; the one after finds nothing changed.
+	// One poll so far, a first contact. The member's answer to the
+	// placement's register kept the copy exact, so neither poll after it
+	// re-reads anything.
 	inv.Poll(ctx)
 	inv.Poll(ctx)
 	if m, err = fc.Metrics(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if want := (PollMetrics{Unchanged: 1, Full: 2}); m.Polls != want {
+	if want := (PollMetrics{Unchanged: 2, Full: 1, Acked: 1}); m.Polls != want {
 		t.Errorf("polls %+v, want %+v", m.Polls, want)
 	}
 	// Two quiet rounds over the unchanged fleet: the first re-packs, the

@@ -59,7 +59,7 @@ type MachineView struct {
 	// input).
 	NUMABadApps int `json:"numa_bad_apps,omitempty"`
 	// TotalGFLOPS and Generation are those of the member's last full
-	// /v1/state answer.
+	// read or acknowledged register.
 	TotalGFLOPS float64 `json:"total_gflops"`
 	Generation  uint64  `json:"generation"`
 	// SinceSeenMillis is the time since the last successful poll (-1
@@ -116,16 +116,19 @@ type FleetHealthResponse struct {
 	Apps        int    `json:"apps"`
 }
 
-// PollMetrics counts member polls by outcome. Unchanged polls found the
-// member at the incarnation and generation the inventory held and read
-// nothing; Full polls re-read its state (first contact, a change on
-// either side, or the poll after a failed one); Failed polls got no
-// answer from any endpoint. A fleet at rest should be nearly all
-// Unchanged.
+// PollMetrics counts member polls by outcome, and the registers that
+// spared one. Unchanged polls found the member at the incarnation and
+// generation the inventory held and read nothing (a 304); Full polls
+// re-read its state (first contact, a change on either side, or the poll
+// after a failed one); Failed polls got no answer from any endpoint.
+// Acked counts the fleet's own registers whose answer kept the copy
+// exact, so the poll after them need not re-read what the fleet just
+// wrote. A fleet at rest should be nearly all Unchanged.
 type PollMetrics struct {
 	Unchanged uint64 `json:"unchanged"`
 	Full      uint64 `json:"full"`
 	Failed    uint64 `json:"failed"`
+	Acked     uint64 `json:"acked"`
 }
 
 // RepackMetrics counts the imbalance pass's re-packs by outcome.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestShedderBound(t *testing.T) {
 	admitted.Wait()
 
 	// The next request is shed, not queued.
-	hdr, err := Call(context.Background(), http.DefaultClient, http.MethodGet, hs.URL+"/slow", nil, nil)
+	hdr, err := Call(context.Background(), http.DefaultClient, http.MethodGet, hs.URL+"/slow", "", nil, nil)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Code != ErrCodeOverloaded {
 		t.Fatalf("err = %v, want a 503 APIError with code %q", err, ErrCodeOverloaded)
@@ -153,7 +154,7 @@ func TestCallErrors(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	ctx := context.Background()
 	call := func(path string, in, out any) error {
-		_, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+path, in, out)
+		_, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+path, "", in, out)
 		return err
 	}
 
@@ -183,8 +184,41 @@ func TestCallErrors(t *testing.T) {
 	}
 
 	hs.Close()
-	hdr, err := Call(ctx, http.DefaultClient, http.MethodGet, hs.URL+"/echo", nil, nil)
+	hdr, err := Call(ctx, http.DefaultClient, http.MethodGet, hs.URL+"/echo", "", nil, nil)
 	if err == nil || hdr != nil || !Retryable(err) {
 		t.Errorf("dead peer: hdr %v, err %v, want a retryable transport error and no header", hdr, err)
+	}
+}
+
+// TestCallNotModified: a validator goes out as If-None-Match, and the
+// 304 it earns comes back as ErrNotModified — permanent, out untouched —
+// which Routes meters as a success; a stale validator gets the body.
+func TestCallNotModified(t *testing.T) {
+	rt := NewRoutes(time.Now, 0)
+	rt.Handle("GET /doc", "doc", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", `"v2"`)
+		if r.Header.Get("If-None-Match") == `"v2"` {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]int{"v": 2})
+	})
+	hs := httptest.NewServer(rt)
+	defer hs.Close()
+	ctx := context.Background()
+
+	out := map[string]int{"kept": 1}
+	hdr, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/doc", `"v2"`, nil, &out)
+	if !errors.Is(err, ErrNotModified) || Retryable(err) || hdr.Get("ETag") != `"v2"` || !reflect.DeepEqual(out, map[string]int{"kept": 1}) {
+		t.Fatalf("current validator: err %v (retryable %v), etag %q, out %v; want ErrNotModified, permanent, out untouched", err, Retryable(err), hdr.Get("ETag"), out)
+	}
+	for _, validator := range []string{`"v1"`, ""} {
+		out = nil
+		if _, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/doc", validator, nil, &out); err != nil || out["v"] != 2 {
+			t.Fatalf("validator %q: out %v, err %v; want the body", validator, out, err)
+		}
+	}
+	if m := rt.Metrics()["doc"]; m.Count != 3 || m.Errors != 0 {
+		t.Errorf("metrics = %+v, want 3 requests and no errors: a 304 is a success", m)
 	}
 }

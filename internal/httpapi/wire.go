@@ -85,8 +85,11 @@ func (e *transportError) Unwrap() error { return e.err }
 // Retryable reports whether a failed Call may succeed when repeated:
 // the transport failed, or the server answered 5xx. A request that
 // cannot be encoded, a response that cannot be decoded and a 4xx answer
-// are permanent.
+// are permanent, and ErrNotModified is no failure at all.
 func Retryable(err error) bool {
+	if errors.Is(err, ErrNotModified) {
+		return false // decided before errors.As, whose targets escape
+	}
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae.Status >= 500
@@ -95,13 +98,21 @@ func Retryable(err error) bool {
 	return errors.As(err, &te)
 }
 
+// ErrNotModified is Call's answer to a 304: the validator it presented
+// still names the server's current representation, so nothing was read
+// and out is untouched. It is an outcome, not a failure: Retryable
+// reports false, and callers branch on it with errors.Is.
+var ErrNotModified = errors.New("not modified")
+
 // Call performs one JSON exchange. in (nil: no body) is marshalled as
-// the request body; at most MaxResponseBytes of the response are read;
-// a status >= 400 is returned as an *APIError, filled from the
-// ErrorResponse body when there is one; any other body is unmarshalled
-// into out (nil: discarded). The response header is returned whenever a
-// response arrived, failed calls included.
-func Call(ctx context.Context, hc *http.Client, method, url string, in, out any) (http.Header, error) {
+// the request body; validator, when not "", is sent as If-None-Match, and
+// a 304 answer returns ErrNotModified with the body left unread; at most
+// MaxResponseBytes of any other response are read; a status >= 400 is
+// returned as an *APIError, filled from the ErrorResponse body when there
+// is one; any other body is unmarshalled into out (nil: discarded). The
+// response header is returned whenever a response arrived, failed calls
+// included.
+func Call(ctx context.Context, hc *http.Client, method, url, validator string, in, out any) (http.Header, error) {
 	var rd io.Reader
 	if in != nil {
 		body, err := json.Marshal(in)
@@ -117,11 +128,17 @@ func Call(ctx context.Context, hc *http.Client, method, url string, in, out any)
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if validator != "" {
+		req.Header.Set("If-None-Match", validator)
+	}
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, &transportError{err}
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		return resp.Header, ErrNotModified
+	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes))
 	if err != nil {
 		return resp.Header, &transportError{fmt.Errorf("reading response: %w", err)}
