@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"strconv"
@@ -67,12 +68,18 @@ func (a *AppState) EffectiveSpec() AppSpec {
 }
 
 // ObservedAI estimates the arithmetic intensity from the last
-// heartbeat's rates (0 when no rates were reported).
+// heartbeat's rates: 0 when no rates were reported or when their ratio
+// is not finite (an extreme heartbeat must not make the registry's view
+// unencodable).
 func (a *AppState) ObservedAI() float64 {
 	if a.LastStats.GBRate <= 0 {
 		return 0
 	}
-	return a.LastStats.GFlopRate / a.LastStats.GBRate
+	ai := a.LastStats.GFlopRate / a.LastStats.GBRate
+	if math.IsInf(ai, 0) || math.IsNaN(ai) {
+		return 0
+	}
+	return ai
 }
 
 // Registry is the concurrency-safe application registry and the only

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,9 +78,29 @@ type Server struct {
 	done     chan struct{}
 
 	// serve holds per-request scratch (registry snapshot, solution,
-	// response allocation) so the steady-state heartbeat → allocation
-	// path does not allocate in the solver or serve layers.
+	// response allocation) for the reads that solve for themselves: a
+	// register's answer and a /v1/state read.
 	serve freelist.List[serveScratch]
+
+	// table is the allocation last served to heartbeats and allocation
+	// reads, with the registry version it was solved at; tableHits and
+	// tableSolves count the answers it gave and the solves that
+	// installed it.
+	table                  atomic.Pointer[servedTable]
+	tableHits, tableSolves atomic.Uint64
+}
+
+// servedTable is the allocation served for one registry version. The
+// registry promises that the live set and every fitted model are a
+// function of (incarnation, generation), and the machine and policy are
+// fixed per server, so every request that reads that version is
+// answered from it. Immutable once installed, but for each app's
+// heartbeat answer, encoded on first use.
+type servedTable struct {
+	incarnation string
+	generation  uint64
+	sol         Solution // PerApp sorted by ID, as the registry snapshot was
+	answers     []atomic.Pointer[[]byte]
 }
 
 // serveScratch is one request's reusable serve-path memory.
@@ -302,14 +324,74 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v (evicted after missing its heartbeat deadline, or never registered)", req.ID, err)
 		return
 	}
-	sc := s.serve.Get()
-	defer s.serve.Put(sc)
-	alloc, _, err := s.allocationInto(sc, req.ID, nil)
+	body, err := s.heartbeatAnswer(req.ID)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, HeartbeatResponse{Generation: s.reg.Generation(), Allocation: alloc})
+	httpapi.WriteEncoded(w, http.StatusOK, body)
+}
+
+// heartbeatAnswer is the encoded HeartbeatResponse for app id at the
+// registry's current version, from the served table.
+func (s *Server) heartbeatAnswer(id string) ([]byte, error) {
+	t, _, err := s.servedTable()
+	if err != nil {
+		return nil, err
+	}
+	return t.answer(id)
+}
+
+// servedTable returns the table of the registry's current version: the
+// installed one when it was solved at that version (hit reports so),
+// else a fresh snapshot and solve, which becomes the installed table.
+func (s *Server) servedTable() (t *servedTable, hit bool, err error) {
+	inc, gen := s.reg.Version()
+	if t := s.table.Load(); t != nil && t.generation == gen && t.incarnation == inc {
+		s.tableHits.Add(1)
+		return t, true, nil
+	}
+	t = &servedTable{}
+	var apps []AppState
+	apps, t.incarnation, t.generation = s.reg.SnapshotInto(nil)
+	if err := s.solver.SolveInto(&t.sol, s.cfg.Machine, apps); err != nil {
+		return nil, false, err
+	}
+	t.answers = make([]atomic.Pointer[[]byte], len(t.sol.PerApp))
+	s.tableSolves.Add(1)
+	s.table.Store(t)
+	return t, false, nil
+}
+
+// answer is app id's encoded HeartbeatResponse at the table's version,
+// encoded once per app and then served as stored. An app the table does
+// not hold (it left in the meantime) is answered with no allocation.
+func (t *servedTable) answer(id string) ([]byte, error) {
+	i, ok := slices.BinarySearchFunc(t.sol.PerApp, id, func(a AppSolution, id string) int { return strings.Compare(a.ID, id) })
+	resp := HeartbeatResponse{Generation: t.generation}
+	if !ok {
+		return httpapi.Encode(resp)
+	}
+	if b := t.answers[i].Load(); b != nil {
+		return *b, nil
+	}
+	alloc := appAllocation(&t.sol.PerApp[i])
+	resp.Allocation = &alloc
+	b, err := httpapi.Encode(resp)
+	if err != nil {
+		return nil, err
+	}
+	t.answers[i].Store(&b) // concurrent first uses store equal bytes
+	return b, nil
+}
+
+// appAllocation renders one app's solved slice for the wire.
+func appAllocation(a *AppSolution) AppAllocation {
+	threads := 0
+	for _, c := range a.PerNode {
+		threads += c
+	}
+	return AppAllocation{ID: a.ID, Name: a.Name, PerNode: a.PerNode, Threads: threads, PredictedGFLOPS: a.GFLOPS}
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
@@ -415,21 +497,24 @@ func (s *Server) handleAllocations(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
-// Allocations computes the current machine-wide allocation table (also
-// used by embedders that skip HTTP).
+// Allocations renders the served table of the registry's current
+// version as the machine-wide allocation table (also used by embedders
+// that skip HTTP).
 func (s *Server) Allocations() (*AllocationsResponse, error) {
-	apps, gen := s.reg.Snapshot()
-	sol, err := s.solver.Solve(s.cfg.Machine, apps)
+	t, hit, err := s.servedTable()
 	if err != nil {
 		return nil, err
 	}
-	return sol.Table(s.cfg.Machine.Name, s.solver.Policy(), gen), nil
+	resp := t.sol.Table(s.cfg.Machine.Name, s.solver.Policy(), t.generation)
+	resp.CacheHit = resp.CacheHit || hit
+	return resp, nil
 }
 
 // Table renders the solution as the machine-wide allocation table: every
 // app's slice with its thread total, and the paper's baselines when
-// either is feasible. coopd serves it, and the client's local fallback
-// serves the same table under its own policy tag.
+// either is feasible. The table's slices are its own: sol may be shared
+// or reused. coopd serves it, and the client's local fallback serves the
+// same table under its own policy tag.
 func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsResponse {
 	resp := &AllocationsResponse{
 		Generation:  gen,
@@ -439,12 +524,9 @@ func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsR
 		TotalGFLOPS: sol.TotalGFLOPS,
 		CacheHit:    sol.FromCache,
 	}
-	for i, a := range sol.PerApp {
-		threads := 0
-		for _, c := range a.PerNode {
-			threads += c
-		}
-		resp.Apps[i] = AppAllocation{ID: a.ID, Name: a.Name, PerNode: a.PerNode, Threads: threads, PredictedGFLOPS: a.GFLOPS}
+	for i := range sol.PerApp {
+		resp.Apps[i] = appAllocation(&sol.PerApp[i])
+		resp.Apps[i].PerNode = slices.Clone(resp.Apps[i].PerNode)
 	}
 	if sol.EvenGFLOPS > 0 || sol.NodePerAppGFLOPS > 0 {
 		resp.Reference = &ReferenceAllocations{EvenGFLOPS: sol.EvenGFLOPS, NodePerAppGFLOPS: sol.NodePerAppGFLOPS}
@@ -453,8 +535,8 @@ func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsR
 }
 
 // allocationInto solves for the live set — adopting offer (nil: none)
-// when the solver would otherwise search for exactly that — and copies
-// one app's slice into the scratch's response allocation, with the
+// when the solver would otherwise search for exactly that — and renders
+// one app's slice as the scratch's response allocation, with the
 // generation of the snapshot solved. The returned pointer aliases sc and
 // is only valid until sc goes back to the pool.
 func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*AppAllocation, uint64, error) {
@@ -468,15 +550,7 @@ func (s *Server) allocationInto(sc *serveScratch, id string, offer *Solved) (*Ap
 		if a.ID != id {
 			continue
 		}
-		threads := 0
-		for _, c := range a.PerNode {
-			threads += c
-		}
-		sc.alloc.ID = a.ID
-		sc.alloc.Name = a.Name
-		sc.alloc.PerNode = append(sc.alloc.PerNode[:0], a.PerNode...)
-		sc.alloc.Threads = threads
-		sc.alloc.PredictedGFLOPS = a.GFLOPS
+		sc.alloc = appAllocation(a)
 		return &sc.alloc, gen, nil
 	}
 	return nil, gen, nil // evicted between registration and solve
@@ -567,6 +641,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Evictions:     s.reg.Evictions(),
 		Solver:        s.solver.Metrics(),
 		SolverSearch:  s.solver.search.Stats(),
+		Table:         TableMetrics{Hits: s.tableHits.Load(), Solves: s.tableSolves.Load()},
 		Endpoints:     s.routes.Metrics(),
 	}
 	if s.cfg.Store != nil {

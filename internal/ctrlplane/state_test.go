@@ -372,3 +372,29 @@ func TestIncarnationIsNotState(t *testing.T) {
 		t.Fatalf("the recovered daemon answered %+v to the validator of its previous life (generation %d)", after, before.Generation)
 	}
 }
+
+// TestExtremeHeartbeatKeepsStateReadable: a heartbeat whose rates
+// divide to +Inf records no observed AI, so /v1/state still answers the
+// app rather than a 200 with an empty body that a client would take for
+// an empty member at incarnation "".
+func TestExtremeHeartbeatKeepsStateReadable(t *testing.T) {
+	s := newStateServer(t, nil)
+	ctx := context.Background()
+	reg, err := s.cli.Register(ctx, ctrlplane.RegisterRequest{Name: "x", AI: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.cli.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: reg.ID, GFlopRate: 1e308, GBRate: 1e-10}); err != nil {
+		t.Fatal(err)
+	}
+	_, raw := s.raw(t, "", "")
+	st, err := s.cli.State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*ctrlplane.StateResponse{raw, st} {
+		if got.Incarnation == "" || len(got.Apps) != 1 || got.Apps[0].ID != reg.ID || got.Apps[0].ObservedAI != 0 {
+			t.Fatalf("state after the heartbeat = %+v, want %s with no observed AI", got, reg.ID)
+		}
+	}
+}

@@ -132,6 +132,7 @@ type HeartbeatRequest struct {
 
 // HeartbeatResponse acknowledges a heartbeat.
 type HeartbeatResponse struct {
+	// Generation is the registry generation Allocation was solved at.
 	Generation uint64 `json:"generation"`
 	// Allocation is the app's current slice, so a heartbeat doubles as
 	// an allocation poll.
@@ -298,7 +299,8 @@ type AllocationsResponse struct {
 	// TotalGFLOPS is the model's machine-wide prediction.
 	TotalGFLOPS float64               `json:"total_gflops"`
 	Reference   *ReferenceAllocations `json:"reference,omitempty"`
-	// CacheHit reports whether the solver cache served this solve.
+	// CacheHit reports whether the answer ran no search: the table served
+	// for this generation or the solver cache held it.
 	CacheHit bool `json:"cache_hit"`
 }
 
@@ -357,9 +359,18 @@ type AdaptMetrics struct {
 	PhaseChanges    uint64 `json:"phase_changes,omitempty"`
 }
 
+// TableMetrics counts how heartbeats and allocation reads were answered:
+// from the table served for the registry's current version (Hits), or
+// by a snapshot and solve that installed a new one (Solves). The solver
+// counters see only the solves.
+type TableMetrics struct {
+	Hits   uint64 `json:"hits"`
+	Solves uint64 `json:"solves"`
+}
+
 // MetricsResponse is the /metricsz body. SolverSearch is how hard the
 // solver's searches worked: the solves its cache misses ran, and their
-// leaf and bound evaluations.
+// leaf and bound evaluations. Table is how the served table answered.
 type MetricsResponse struct {
 	UptimeSeconds float64                    `json:"uptime_s"`
 	Apps          int                        `json:"apps"`
@@ -367,6 +378,7 @@ type MetricsResponse struct {
 	Evictions     uint64                     `json:"evictions"`
 	Solver        SolverMetrics              `json:"solver"`
 	SolverSearch  roofline.SearchStats       `json:"solver_search"`
+	Table         TableMetrics               `json:"table"`
 	Endpoints     map[string]EndpointMetrics `json:"endpoints"`
 	Persist       *PersistMetrics            `json:"persist,omitempty"`
 	Adapt         *AdaptMetrics              `json:"adapt,omitempty"`

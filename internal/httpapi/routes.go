@@ -1,7 +1,9 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,10 +21,37 @@ import (
 const MaxBodyBytes = 1 << 20
 
 // WriteJSON writes v as the JSON response body with the given status.
+// v is encoded before anything is written, so a value that cannot be
+// encoded is answered with a 500 ErrorResponse, never a status with an
+// empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		json.NewEncoder(buf).Encode(ErrorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
+		status = http.StatusInternalServerError
+	}
+	WriteEncoded(w, status, buf.Bytes())
+}
+
+// Encode returns v's JSON encoding exactly as WriteJSON writes it: the
+// body of an answer encoded once and written many times with
+// WriteEncoded.
+func Encode(v any) ([]byte, error) {
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(v); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// WriteEncoded writes body, a JSON encoding as Encode produces it, with
+// the given status.
+func WriteEncoded(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 // WriteError writes an ErrorResponse with the formatted message.
@@ -36,11 +65,27 @@ func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args
 	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// Decode reads the request's JSON body into v: at most MaxBodyBytes of
-// it, and no field v does not declare — a misspelt field is an error,
-// not a default. On failure it answers 400 and reports false.
+// Decode reads the request's JSON body into v and closes the body: no
+// field v does not declare — a misspelt field is an error, not a
+// default — and at most MaxBodyBytes, whether or not the request
+// declared its length (Routes refuses a declared one over the cap before
+// the handler runs). On failure it answers 400, or 413 for a body over
+// the cap, and reports false.
 func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, MaxBodyBytes))
+	buf := getBuffer()
+	defer putBuffer(buf)
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, MaxBodyBytes+1))
+	r.Body.Close()
+	var tooLarge *http.MaxBytesError // the daemon's own cap on the body
+	switch {
+	case err != nil && !errors.As(err, &tooLarge):
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return false
+	case err != nil || buf.Len() > MaxBodyBytes:
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", MaxBodyBytes)
+		return false
+	}
+	dec := json.NewDecoder(buf)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)

@@ -1,13 +1,16 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,5 +223,134 @@ func TestCallNotModified(t *testing.T) {
 	}
 	if m := rt.Metrics()["doc"]; m.Count != 3 || m.Errors != 0 {
 		t.Errorf("metrics = %+v, want 3 requests and no errors: a 304 is a success", m)
+	}
+}
+
+// TestWriteJSONUnencodable: a value that cannot be encoded is answered
+// 500 with an ErrorResponse, not its status with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]float64{"ai": math.Inf(1)})
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusInternalServerError || err != nil || er.Error == "" {
+		t.Fatalf("answered %d %q, want a 500 ErrorResponse", rec.Code, rec.Body.String())
+	}
+}
+
+// TestCallEmptyBody: an empty 2xx body is an error for a caller that
+// wants a value, unless the status is 204; a caller that wants none
+// takes either.
+func TestCallEmptyBody(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/empty", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
+	mux.HandleFunc("/gone", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNoContent) })
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	ctx := context.Background()
+	call := func(path string, out any) error {
+		_, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+path, "", nil, out)
+		return err
+	}
+	var out map[string]int
+	if err := call("/empty", &out); err == nil || Retryable(err) {
+		t.Errorf("empty 200 into a value: err %v, want a permanent error", err)
+	}
+	if err := call("/gone", &out); err != nil {
+		t.Errorf("204 into a value: %v", err)
+	}
+	if err := call("/empty", nil); err != nil {
+		t.Errorf("empty 200, no value wanted: %v", err)
+	}
+}
+
+// drainBuffers empties the exchange's buffer pool and returns the
+// largest capacity it held.
+func drainBuffers() (largest int) {
+	for i := 0; i < 64; i++ {
+		largest = max(largest, buffers.Get().Cap())
+	}
+	return largest
+}
+
+// TestPooledBuffersStayCapped: a request near the body cap, one over it
+// (declared and chunked, both 413) and a multi-MiB answer grow buffers
+// on both sides of the exchange, and none of those stays pooled.
+func TestPooledBuffersStayCapped(t *testing.T) {
+	rt := NewRoutes(time.Now, 0)
+	rt.Handle("POST /echo", "echo", func(w http.ResponseWriter, r *http.Request) {
+		var v map[string]string
+		if Decode(w, r, &v) {
+			WriteJSON(w, http.StatusOK, map[string]int{"len": len(v["pad"])})
+		}
+	})
+	rt.Handle("GET /big", "big", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]string{"pad": strings.Repeat("x", 3<<20)})
+	})
+	// Behind the body cap daemon.Serve puts on every request, so a
+	// chunked body over it ends in an *http.MaxBytesError.
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+		rt.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	ctx := context.Background()
+	drainBuffers()
+
+	pad := strings.Repeat("x", MaxBodyBytes-64)
+	var got map[string]int
+	if _, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+"/echo", "", map[string]string{"pad": pad}, &got); err != nil || got["len"] != len(pad) {
+		t.Fatalf("a request under the cap: %v %v", got, err)
+	}
+	var ae *APIError
+	over := map[string]string{"pad": pad + strings.Repeat("x", 128)}
+	if _, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+"/echo", "", over, nil); !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("a declared body over the cap: %v, want 413", err)
+	}
+	body, _ := json.Marshal(over)
+	resp, err := hs.Client().Post(hs.URL+"/echo", "application/json", struct{ io.Reader }{bytes.NewReader(body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("a chunked body over the cap: %d, want 413", resp.StatusCode)
+	}
+	var big map[string]string
+	if _, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/big", "", nil, &big); err != nil || len(big["pad"]) != 3<<20 {
+		t.Fatalf("a multi-MiB answer: %d bytes, %v", len(big["pad"]), err)
+	}
+	hs.CloseClientConnections() // the transport has closed every request body
+	if largest := drainBuffers(); largest > maxPooledBuffer {
+		t.Errorf("a %d-byte buffer stayed pooled, cap %d", largest, maxPooledBuffer)
+	}
+}
+
+// replayTransport reads each request body, then opens it again through
+// GetBody, as a transport does to replay a request on a fresh connection,
+// and answers with what the replay read.
+type replayTransport struct{ t *testing.T }
+
+func (rt replayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	first, _ := io.ReadAll(req.Body)
+	req.Body.Close()
+	body, err := req.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	again, _ := io.ReadAll(body)
+	body.Close()
+	if !bytes.Equal(first, again) || int64(len(again)) != req.ContentLength {
+		rt.t.Errorf("replayed body %q, first read %q, Content-Length %d", again, first, req.ContentLength)
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(bytes.NewReader(again))}, nil
+}
+
+// TestCallBodyReplays: the pooled request body can be opened again until
+// the exchange is over, so the transport may replay it.
+func TestCallBodyReplays(t *testing.T) {
+	hc := &http.Client{Transport: replayTransport{t}}
+	var out map[string]int
+	if _, err := Call(context.Background(), hc, http.MethodPost, "http://peer/echo", "", map[string]int{"a": 1}, &out); err != nil || out["a"] != 1 {
+		t.Fatalf("out %v, err %v", out, err)
 	}
 }

@@ -93,8 +93,8 @@ func do(t *testing.T, h http.Handler, method, path string, body io.Reader) (*htt
 // TestRouteTable holds every registered route of the three surfaces —
 // coopd, a replica's Node.Handler() (its own routes and the coopd it
 // wraps) and fleetd — to the scaffold's contract: a wrong method is 405
-// with an Allow header, a body over the cap is refused before the
-// handler runs, an unknown JSON field is 400, an unserved path (the
+// with an Allow header, a body over the cap is 413 whether or not it
+// declares its length, an unknown JSON field is 400, an unserved path (the
 // removed coopd reads included) is 404, and every body with a status
 // >= 400 is an ErrorResponse.
 func TestRouteTable(t *testing.T) {
@@ -152,10 +152,11 @@ func TestRouteTable(t *testing.T) {
 				if rec.Code != http.StatusRequestEntityTooLarge {
 					t.Errorf("%s %s with a %d-byte body: %d, want 413", rt.method, rt.path, len(huge), rec.Code)
 				}
-				// Undeclared length (chunked): the decoder stops at the cap.
+				// Undeclared length (chunked): read up to the cap, then refused
+				// with the same status.
 				rec, er = do(t, s.h, rt.method, rt.path, struct{ io.Reader }{strings.NewReader(huge)})
-				if rec.Code != http.StatusBadRequest || !strings.Contains(er.Error, "invalid request body") {
-					t.Errorf("%s %s with a chunked %d-byte body: %d %q, want 400 from the decoder", rt.method, rt.path, len(huge), rec.Code, er.Error)
+				if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(er.Error, "limit") {
+					t.Errorf("%s %s with a chunked %d-byte body: %d %q, want 413", rt.method, rt.path, len(huge), rec.Code, er.Error)
 				}
 			}
 			for _, path := range append([]string{"/no/such/route"}, s.gone...) {

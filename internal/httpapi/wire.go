@@ -16,6 +16,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/freelist"
 )
 
 // Machine-readable error codes carried by ErrorResponse.Code.
@@ -104,28 +108,113 @@ func Retryable(err error) bool {
 // reports false, and callers branch on it with errors.Is.
 var ErrNotModified = errors.New("not modified")
 
-// Call performs one JSON exchange. in (nil: no body) is marshalled as
-// the request body; validator, when not "", is sent as If-None-Match, and
-// a 304 answer returns ErrNotModified with the body left unread; at most
+// maxPooledBuffer caps the buffers the exchange keeps between uses: one
+// that grew past it (a /v1/state read of a large registry, a
+// replication snapshot, an oversized request) is dropped for the
+// collector rather than pinned in the pool.
+const maxPooledBuffer = 64 << 10
+
+// buffers holds the exchange's encode and read buffers, both sides of
+// it: Call's request and response bodies, WriteJSON's encoding and
+// Decode's read.
+var buffers freelist.List[bytes.Buffer]
+
+// getBuffer returns an empty pooled buffer.
+func getBuffer() *bytes.Buffer {
+	b := buffers.Get()
+	b.Reset()
+	return b
+}
+
+// putBuffer returns b to the pool unless it grew past maxPooledBuffer.
+// The caller must not use b afterwards.
+func putBuffer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuffer {
+		buffers.Put(b)
+	}
+}
+
+// pooledBody is a request body encoded into a pooled buffer. The
+// transport may still read it after Call has returned (it writes the body
+// while the answer arrives), and may open it again through GetBody to
+// replay the request on a fresh connection, so the buffer goes back to
+// the pool only once Call has returned and every reader is closed.
+type pooledBody struct {
+	mu   sync.Mutex
+	buf  *bytes.Buffer // nil once released
+	refs int           // open readers, plus one while Call runs
+}
+
+// open returns one more reader over the body.
+func (p *pooledBody) open() (io.ReadCloser, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.buf == nil {
+		return nil, errors.New("request body already released")
+	}
+	p.refs++
+	r := &bodyReader{p: p}
+	r.r.Reset(p.buf.Bytes())
+	return r, nil
+}
+
+// release drops one reference, pooling the buffer with the last.
+func (p *pooledBody) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.refs--; p.refs == 0 {
+		putBuffer(p.buf)
+		p.buf = nil
+	}
+}
+
+// bodyReader is one reader of a pooledBody. Reads hold the body's lock,
+// so the buffer is never pooled under one.
+type bodyReader struct {
+	p      *pooledBody
+	r      bytes.Reader
+	closed atomic.Bool
+}
+
+func (b *bodyReader) Read(q []byte) (int, error) {
+	b.p.mu.Lock()
+	defer b.p.mu.Unlock()
+	if b.closed.Load() {
+		return 0, errors.New("read of a closed request body")
+	}
+	return b.r.Read(q)
+}
+
+func (b *bodyReader) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.p.release()
+	}
+	return nil
+}
+
+// Call performs one JSON exchange. in (nil: no body) is encoded as the
+// request body; validator, when not "", is sent as If-None-Match, and a
+// 304 answer returns ErrNotModified with the body left unread; at most
 // MaxResponseBytes of any other response are read; a status >= 400 is
 // returned as an *APIError, filled from the ErrorResponse body when there
-// is one; any other body is unmarshalled into out (nil: discarded). The
-// response header is returned whenever a response arrived, failed calls
-// included.
+// is one; any other body is unmarshalled into out (nil: discarded), and
+// an empty one is an error when out wants a value and the status is not
+// 204. The response header is returned whenever a response arrived,
+// failed calls included.
 func Call(ctx context.Context, hc *http.Client, method, url, validator string, in, out any) (http.Header, error) {
-	var rd io.Reader
-	if in != nil {
-		body, err := json.Marshal(in)
-		if err != nil {
-			return nil, fmt.Errorf("encoding request: %w", err)
-		}
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return nil, fmt.Errorf("building request: %w", err)
 	}
 	if in != nil {
+		body := &pooledBody{buf: getBuffer(), refs: 1}
+		defer body.release()
+		if err := json.NewEncoder(body.buf).Encode(in); err != nil {
+			return nil, fmt.Errorf("encoding request: %w", err)
+		}
+		req.ContentLength = int64(body.buf.Len())
+		req.Body, _ = body.open()
+		req.GetBody = body.open
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if validator != "" {
@@ -139,22 +228,30 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 	if resp.StatusCode == http.StatusNotModified {
 		return resp.Header, ErrNotModified
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes))
-	if err != nil {
+	data := getBuffer()
+	defer putBuffer(data)
+	if _, err := data.ReadFrom(io.LimitReader(resp.Body, MaxResponseBytes)); err != nil {
 		return resp.Header, &transportError{fmt.Errorf("reading response: %w", err)}
 	}
 	if resp.StatusCode >= 400 {
-		ae := &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(data))}
+		ae := &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(data.String())}
 		var er ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
+		if json.Unmarshal(data.Bytes(), &er) == nil && er.Error != "" {
 			ae.Message, ae.Code, ae.Leader = er.Error, er.Code, er.Leader
 		}
 		return resp.Header, ae
 	}
-	if out != nil && len(data) > 0 {
-		if err := json.Unmarshal(data, out); err != nil {
-			return resp.Header, fmt.Errorf("decoding response: %w", err)
+	if out == nil {
+		return resp.Header, nil
+	}
+	if data.Len() == 0 {
+		if resp.StatusCode == http.StatusNoContent {
+			return resp.Header, nil
 		}
+		return resp.Header, fmt.Errorf("decoding response: empty %d body", resp.StatusCode)
+	}
+	if err := json.Unmarshal(data.Bytes(), out); err != nil {
+		return resp.Header, fmt.Errorf("decoding response: %w", err)
 	}
 	return resp.Header, nil
 }
