@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt fmt-check
+.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt fmt-check loc
 
 all: check
 
@@ -118,6 +118,15 @@ fuzz:
 	$(GO) test -fuzz FuzzCandidateIndex -fuzztime 30s -run '^$$' ./internal/fleet/
 
 check: fmt-check build vet race bench-smoke
+
+# Non-test Go lines under internal/ and cmd/: the total, then each
+# package directory, largest first. The LoC figures ROADMAP.md and
+# CHANGES.md quote come from here.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | sort | \
+		while read -r f; do echo "$$(dirname "$$f") $$(wc -l < "$$f")"; done | \
+		awk '{ n[$$1] += $$2; t += $$2 } \
+			END { printf "%7d total\n", t; fflush(); for (d in n) printf "%7d %s\n", n[d], d | "sort -rn"; close("sort -rn") }'
 
 fmt:
 	gofmt -l -w .

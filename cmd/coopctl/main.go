@@ -214,13 +214,17 @@ func cmdState(ctx context.Context, c *client.Client) error {
 	for _, a := range st.Apps {
 		tracked = tracked || a.Tracker != nil
 	}
-	cols := []string{"id", "name", "AI", "placement", "ttl (ms)", "idle (ms)", "beats"}
+	cols := []string{"id", "name", "AI", "placement", "priority", "ttl (ms)", "idle (ms)", "beats"}
 	if tracked {
 		cols = append(cols, "state", "fitted AI", "conf", "rel err %", "windows", "resolves", "applied AI")
 	}
 	apps := metrics.NewTable("registered applications", cols...)
 	for _, a := range st.Apps {
-		row := []any{a.ID, a.Name, a.AI, a.Placement, a.TTLMillis, a.IdleMillis, a.Beats}
+		class := a.Priority
+		if class == "" {
+			class = ctrlplane.PriorityBatch
+		}
+		row := []any{a.ID, a.Name, a.AI, a.Placement, class, a.TTLMillis, a.IdleMillis, a.Beats}
 		if tracked {
 			row = append(row, trackerCells(a)...)
 		}

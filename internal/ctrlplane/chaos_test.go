@@ -15,6 +15,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -165,8 +166,9 @@ func faultyResilient(t *testing.T, baseURL string, seed int64) (*client.Resilien
 // TestChaosKillRestartRecovery is the acceptance scenario: register the
 // Table I mix under an injected fault storm, kill the daemon
 // mid-workload, verify clients degrade to cached/local allocations,
-// restart on the same state dir and address, and verify the registry,
-// generations, and the 254/140/128 ranking all survive.
+// restart on the same state dir and address, and verify the registry
+// (an app's class included), generations, and the 254/140/128 ranking
+// all survive.
 func TestChaosKillRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewSkewedClock(nil)
@@ -176,6 +178,7 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 
 	// Phase 1: the workload, under faults.
 	reqs := tableIRequests()
+	reqs[3].Priority = ctrlplane.PriorityLatency // the fleet's class rides the record
 	apps := make([]*client.Resilient, len(reqs))
 	ids := make([]string, len(reqs))
 	var inj *faultinject.Injector
@@ -256,6 +259,13 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 		t.Fatalf("allocations after restart: src %v, err %v", src, err)
 	}
 	assertTableIRanking(t, recovered, "live after restart")
+	st, err := client.New(d2.url(), client.Config{}).State(ctx, ctrlplane.StateQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(st.Apps, func(a ctrlplane.AppView) bool { return a.ID == ids[3] }); i < 0 || st.Apps[i].Priority != reqs[3].Priority {
+		t.Errorf("state after restart %+v: want %s in class %q", st.Apps, ids[3], reqs[3].Priority)
+	}
 	if recovered.Generation < genBeforeCrash {
 		t.Errorf("generation regressed across restart: %d -> %d", genBeforeCrash, recovered.Generation)
 	}

@@ -52,6 +52,7 @@ type AppRecord struct {
 	RegisteredAt int64   `json:"registered_at_unix_ns"`
 	LastBeat     int64   `json:"last_beat_unix_ns"`
 	Beats        uint64  `json:"beats,omitempty"`
+	Priority     string  `json:"priority,omitempty"`
 
 	// Fitted model (adaptive recalibration), present when FittedAI > 0:
 	// the online-fitted demand that currently replaces the declared one

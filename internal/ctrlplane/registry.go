@@ -29,6 +29,9 @@ type AppSpec struct {
 	Placement  roofline.Placement
 	HomeNode   machine.NodeID
 	MaxThreads int // 0: uncapped
+	// Priority is the registered class (see PrioritySystem), kept for
+	// the fleet: the solver never reads it.
+	Priority string
 }
 
 // FittedModel is an online-fitted demand model (internal/adapt) that
@@ -288,6 +291,7 @@ func stateToRecord(a AppState) persist.AppRecord {
 		RegisteredAt: a.RegisteredAt.UnixNano(),
 		LastBeat:     a.LastBeat.UnixNano(),
 		Beats:        a.Beats,
+		Priority:     a.Spec.Priority,
 	}
 	if a.Fitted != nil {
 		rec.FittedAI = a.Fitted.AI
@@ -307,6 +311,7 @@ func recordToState(rec persist.AppRecord) AppState {
 			Placement:  roofline.Placement(rec.Placement),
 			HomeNode:   machine.NodeID(rec.HomeNode),
 			MaxThreads: rec.MaxThreads,
+			Priority:   rec.Priority,
 		},
 		TTL:          time.Duration(rec.TTLMillis) * time.Millisecond,
 		RegisteredAt: time.Unix(0, rec.RegisteredAt),

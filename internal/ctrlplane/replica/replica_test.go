@@ -277,7 +277,8 @@ func TestReplicationStreamAndRedirect(t *testing.T) {
 // TestLeaderKillPromotion: killing the leader promotes the follower
 // within one lease TTL (plus its campaign stagger), with a higher
 // fencing epoch and a bumped generation, and the promoted node accepts
-// writes under the replicated IDs without re-registration.
+// writes under the replicated IDs without re-registration and serves
+// each app's class.
 func TestLeaderKillPromotion(t *testing.T) {
 	ttl := 500 * time.Millisecond
 	leader, follower := startPair(t, haOpts{leaseTTL: ttl})
@@ -285,7 +286,7 @@ func TestLeaderKillPromotion(t *testing.T) {
 	defer cancel()
 
 	lc := client.New(leader.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
-	reg, err := lc.Register(ctx, ctrlplane.RegisterRequest{Name: "survivor", AI: 0.5})
+	reg, err := lc.Register(ctx, ctrlplane.RegisterRequest{Name: "survivor", AI: 0.5, Priority: ctrlplane.PriorityLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +325,9 @@ func TestLeaderKillPromotion(t *testing.T) {
 	}
 	if hb.Generation <= genBefore {
 		t.Errorf("generation after failover = %d, want > %d (fencing must stay monotonic)", hb.Generation, genBefore)
+	}
+	if st, err := fc.State(ctx, ctrlplane.StateQuery{}); err != nil || len(st.Apps) != 1 || st.Apps[0].Priority != ctrlplane.PriorityLatency {
+		t.Errorf("promoted leader's state: %+v, %v; want survivor in class latency", st, err)
 	}
 }
 

@@ -239,10 +239,11 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 // Spec checks a registration against a machine of nodes NUMA nodes and
 // converts it to the registry's spec: an empty name becomes "app", and a
 // name over MaxNameBytes, an AI <= 0, an unknown placement, a numa-bad
-// home node the machine lacks, a negative thread cap or a negative TTL
-// is refused. The register handler, the client's local fallback solve
-// and fleetd's request check all use it, so a demand coopd refuses is
-// never solved locally nor decided on by the fleet.
+// home node the machine lacks, a negative thread cap, a negative TTL or
+// an unknown priority class is refused. The register handler, the
+// client's local fallback solve, fleetd's request check and fleetsim's
+// scenario check all use it, so a demand coopd refuses is never solved
+// locally nor decided on by the fleet.
 func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
 	if req.Name == "" {
 		req.Name = "app"
@@ -267,12 +268,18 @@ func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
 	if req.TTLMillis < 0 {
 		return AppSpec{}, fmt.Errorf("ttl_ms must be >= 0, got %d", req.TTLMillis)
 	}
+	switch req.Priority {
+	case "", PriorityBatch, PriorityLatency, PrioritySystem:
+	default:
+		return AppSpec{}, fmt.Errorf("unknown priority %q (want %q, %q or %q)", req.Priority, PrioritySystem, PriorityLatency, PriorityBatch)
+	}
 	return AppSpec{
 		Name:       req.Name,
 		AI:         req.AI,
 		Placement:  pl,
 		HomeNode:   machine.NodeID(req.HomeNode),
 		MaxThreads: req.MaxThreads,
+		Priority:   req.Priority,
 	}, nil
 }
 
@@ -421,6 +428,7 @@ func appViews(apps []AppState, now time.Time, trackers *adapt.Store) []AppView {
 			HomeNode:   int(a.Spec.HomeNode),
 			MaxThreads: a.Spec.MaxThreads,
 			TTLMillis:  a.TTL.Milliseconds(),
+			Priority:   a.Spec.Priority,
 			AgeMillis:  now.Sub(a.RegisteredAt).Milliseconds(),
 			IdleMillis: now.Sub(a.LastBeat).Milliseconds(),
 			Beats:      a.Beats,

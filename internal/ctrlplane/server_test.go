@@ -268,7 +268,9 @@ func TestRegisterValidation(t *testing.T) {
 		{ctrlplane.RegisterRequest{Name: "bad-home", AI: 1, Placement: ctrlplane.PlacementBad, HomeNode: 9}, "home_node 9 out of range (machine has 4 nodes)"},
 		{ctrlplane.RegisterRequest{Name: "neg-max", AI: 1, MaxThreads: -3}, "max_threads must be >= 0, got -3"},
 		{ctrlplane.RegisterRequest{Name: strings.Repeat("n", ctrlplane.MaxNameBytes+1), AI: 1}, "name is 257 bytes, limit 256"},
+		{ctrlplane.RegisterRequest{Name: "classy", AI: 1, Priority: "urgent"}, `unknown priority "urgent" (want "system", "latency" or "batch")`},
 		{ctrlplane.RegisterRequest{AI: 1, Placement: ctrlplane.PlacementBad, HomeNode: 3, MaxThreads: 2}, ""},
+		{ctrlplane.RegisterRequest{AI: 1, Priority: ctrlplane.PriorityLatency}, ""},
 	} {
 		resp, err := c.Register(ctx, tc.req)
 		var ae *client.APIError

@@ -60,7 +60,8 @@ func sansBeats(s persist.Snapshot) persist.Snapshot {
 // again some records the snapshot already covers, on even seeds hearing
 // a suffix of the stream twice, as at-least-once delivery allows — and
 // (c) a registry recovered from the leader's state dir without a Close,
-// modulo the LastBeat that recovery re-arms.
+// modulo the LastBeat that recovery re-arms. Every app keeps the class
+// it registered in.
 func TestRegistryThreeWayDifferential(t *testing.T) {
 	seeds := 240
 	if testing.Short() {
@@ -86,6 +87,7 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 		leader.SetObserver(func(r persist.Record) { stream = append(stream, r) })
 
 		var ids []string
+		classes := map[string]string{} // app ID -> the class it registered in
 		pick := func() string {
 			if len(ids) == 0 || rng.Intn(8) == 0 {
 				return "ghost-0"
@@ -107,7 +109,8 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 			}
 			switch k := rng.Intn(10); {
 			case k < 3:
-				spec := AppSpec{Name: fmt.Sprintf("App %d/%d", seed, op), AI: 0.25 + 8*rng.Float64(), MaxThreads: rng.Intn(3) * 4}
+				spec := AppSpec{Name: fmt.Sprintf("App %d/%d", seed, op), AI: 0.25 + 8*rng.Float64(), MaxThreads: rng.Intn(3) * 4,
+					Priority: []string{"", PriorityBatch, PriorityLatency, PrioritySystem}[rng.Intn(4)]}
 				if rng.Intn(4) == 0 {
 					spec.Placement, spec.HomeNode = roofline.NUMABad, machine.NodeID(rng.Intn(4))
 				}
@@ -117,6 +120,7 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 					t.Fatalf("seed %d: register: %v", seed, err)
 				}
 				ids = append(ids, st.ID)
+				classes[st.ID] = spec.Priority
 			case k < 6:
 				clk.Advance(time.Duration(rng.Intn(40)) * time.Millisecond)
 				leader.Heartbeat(HeartbeatRequest{ID: pick(), GFlopRate: 1, GBRate: 2})
@@ -149,6 +153,11 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 		want := leader.PersistSnapshot()
 		if want.Epoch != epoch {
 			t.Fatalf("seed %d: leader epoch %d after promotions to %d", seed, want.Epoch, epoch)
+		}
+		for _, a := range want.Apps {
+			if a.Priority != classes[a.ID] {
+				t.Fatalf("seed %d: %s holds class %q, registered in %q", seed, a.ID, a.Priority, classes[a.ID])
+			}
 		}
 		if got := follower.PersistSnapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: follower diverged from leader\n got %+v\nwant %+v", seed, got, want)

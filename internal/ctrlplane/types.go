@@ -43,6 +43,17 @@ const (
 	PlacementBad     = "numa-bad"
 )
 
+// Priority classes used on the wire, ordered system > latency > batch
+// (the empty class is batch); RegisterRequest.Spec refuses any other.
+// coopd stores an app's class verbatim with its record and never reads
+// it: the class is fleetd's scheduling input (internal/fleet), and the
+// member registry is the one place it lives.
+const (
+	PrioritySystem  = "system"
+	PriorityLatency = "latency"
+	PriorityBatch   = "batch"
+)
+
 // MaxNameBytes caps RegisterRequest.Name. IDs keep 32 characters of the
 // name; the rest is carried, journaled and replicated verbatim, so it
 // must not be the network's to size.
@@ -67,6 +78,10 @@ type RegisterRequest struct {
 	// not heartbeat within its TTL is evicted and its cores
 	// reallocated to the survivors.
 	TTLMillis int64 `json:"ttl_ms,omitempty"`
+	// Priority is the application's class: "system", "latency" or
+	// "batch" (the default; see PrioritySystem). It is journaled,
+	// replicated and echoed on /v1/state, never solved on.
+	Priority string `json:"priority,omitempty"`
 	// Solved, when set, offers the optimum the sender (fleetd's placement
 	// decision) already solved for the demand set this machine holds once
 	// the registration lands. It is a cache fill, never state: the server
@@ -148,6 +163,7 @@ type AppView struct {
 	HomeNode   int     `json:"home_node"`
 	MaxThreads int     `json:"max_threads,omitempty"`
 	TTLMillis  int64   `json:"ttl_ms"`
+	Priority   string  `json:"priority,omitempty"`
 	// AgeMillis and IdleMillis are times since registration and since
 	// the last heartbeat.
 	AgeMillis  int64  `json:"age_ms"`

@@ -15,10 +15,9 @@
 //     or a bodyless 304 while the fleet's copy is current, as its own
 //     acknowledged registers keep it) and tracks health; a member that
 //     fails several consecutive polls is declared dead. It also
-//     holds the fleet's name-keyed soft state (priority classes, stale
-//     re-homed IDs, the cooldown clock) and the executor — register,
-//     deregister, relocate — the only code that changes what is
-//     registered where.
+//     holds the fleet's own soft state (stale re-homed IDs, the
+//     cooldown clock) and the executor — register, deregister,
+//     relocate — the only code that changes what is registered where.
 //   - Placer scores an incoming app against every healthy member and
 //     registers it on the best bin, with anti-affinity for NUMA-bad
 //     apps (two all-data-on-one-node demand sets on one machine fight
@@ -38,7 +37,8 @@
 //
 // On top of single-app placement sit gangs — all-or-nothing replica
 // sets with pack/spread/strict-spread policies (gang.go) — and
-// priority classes (system > latency > batch, priority.go): a higher
+// priority classes (system > latency > batch, priority.go; each app's
+// class lives on its member registry record, like its AI): a higher
 // class that cannot be admitted floor-feasibly preempts the cheapest
 // lower-class apps (session.evict), and the placement objective itself
 // is pluggable (Scorer.Objective, roofline.ObjectiveSpec).
@@ -97,26 +97,23 @@ func (s AppSpec) rooflineApp() (roofline.App, error) {
 	if s.AI <= 0 {
 		return roofline.App{}, fmt.Errorf("fleet: app %q has non-positive AI %g", s.Name, s.AI)
 	}
-	if err := CheckPriority(s.Priority); err != nil {
-		return roofline.App{}, err
-	}
 	// Batch maps to weight zero (scored as 1), so priority-free demand
 	// sets stay byte-identical to the pre-priority encoding.
 	app.Weight = classWeight(s.Priority)
 	return app, nil
 }
 
-// validate refuses, before anything is decided, a spec every member
+// Validate refuses, before anything is decided, a spec every member
 // coopd would refuse: coopd's own check (ctrlplane.RegisterRequest.Spec)
 // for all but the numa-bad home node, whose range depends on the
-// machine and which decide filters per member, plus the priority class.
-func (s AppSpec) validate() error {
+// machine and which decide filters per member.
+func (s AppSpec) Validate() error {
 	req := s.RegisterRequest()
 	req.HomeNode = 0
 	if _, err := req.Spec(1); err != nil {
 		return fmt.Errorf("fleet: app %q: %w", s.Name, err)
 	}
-	return CheckPriority(s.Priority)
+	return nil
 }
 
 // numaBad reports whether the spec pins all data to one home node.
@@ -132,14 +129,13 @@ func (s AppSpec) placed(id string) PlacedApp {
 func (s AppSpec) RegisterRequest() ctrlplane.RegisterRequest {
 	return ctrlplane.RegisterRequest{
 		Name: s.Name, AI: s.AI, Placement: s.Placement, HomeNode: s.HomeNode,
-		MaxThreads: s.MaxThreads, TTLMillis: s.TTLMillis,
+		MaxThreads: s.MaxThreads, TTLMillis: s.TTLMillis, Priority: s.Priority,
 	}
 }
 
 // PlacedApp is one application as placed on a member machine: the spec
-// plus the ID the machine's coopd assigned. The spec's Priority is the
-// fleet's own: the member coopd does not track it, so the Inventory
-// stamps it back onto polled snapshots from its name-keyed record.
+// plus the ID the machine's coopd assigned. Every field, the priority
+// class included, is what the member's registry holds for that ID.
 type PlacedApp struct {
 	ID string `json:"id"`
 	AppSpec
@@ -169,7 +165,7 @@ func placedFromView(v ctrlplane.AppView) PlacedApp {
 		ID: v.ID,
 		AppSpec: AppSpec{
 			Name: v.Name, AI: v.AI, HomeNode: v.HomeNode,
-			MaxThreads: v.MaxThreads, TTLMillis: v.TTLMillis,
+			MaxThreads: v.MaxThreads, TTLMillis: v.TTLMillis, Priority: v.Priority,
 		},
 		FittedAI: v.FittedAI, Drifted: v.Drifted,
 	}

@@ -74,7 +74,7 @@ func (g GangSpec) validate() error {
 		return err
 	}
 	// The last member carries the longest name.
-	return g.member(g.Replicas - 1).validate()
+	return g.member(g.Replicas - 1).Validate()
 }
 
 // GangPlacement is one admitted gang member.

@@ -114,10 +114,9 @@ func (w *indexWorld) apply(t *testing.T, twin *indexWorld, op, arg byte) {
 		w.inv.Poll(ctx)
 	case 4: // nothing changed: an unchanged poll, or a full one after a local edit
 		w.inv.Poll(ctx)
-	case 5: // a class is recorded or erased, and the poll stamps it
-		if _, a, ok := w.cached(arg); ok {
-			w.inv.RecordPriority(a.Name, indexClasses[arg>>4&3])
-		}
+	case 5: // a register in a class behind the fleet's back, then a poll
+		w.apps++
+		w.direct(w.who(arg), ctrlplane.AppSpec{Name: fmt.Sprintf("direct-%d", w.apps), AI: indexAIs[arg>>6], Priority: indexClasses[arg>>4&3]}, 0)
 		w.inv.Poll(ctx)
 	case 6: // a member joins
 		if len(w.ids) < 6 {
@@ -204,18 +203,18 @@ func sameMember(a, b Member) bool {
 // candidate a session committed onto and passed on would plan against a
 // demand set the member no longer has. Each input byte pair is one edit
 // of an in-process fleet: registers, deregisters, stale re-homes, full
-// and unchanged polls, class records, a member joining, drains,
-// partitions and deaths, committing gang and rebalance sessions, and
-// placements. After every edit a pooled session over the fleet, and one
-// over a twin fleet with the same member IDs and other apps, must hold
-// exactly what a cold candidateSet builds from Snapshot(): snapshot rows,
-// and per candidate demand, IDs, snap, app and numa-bad counts, domain,
-// groups and class key.
+// and unchanged polls, classed registers behind the fleet's back, a
+// member joining, drains, partitions and deaths, committing gang and
+// rebalance sessions, and placements. After every edit a pooled session
+// over the fleet, and one over a twin fleet with the same member IDs
+// and other apps, must hold exactly what a cold candidateSet builds
+// from Snapshot(): snapshot rows, and per candidate demand, IDs, snap,
+// app and numa-bad counts, domain, groups and class key.
 func FuzzCandidateIndex(f *testing.F) {
 	for _, ops := range [][]byte{
 		{0, 0x00, 4, 0x00, 1, 0x00, 0, 0x02, 2, 0x02, 4, 0x00},             // register, poll, deregister, stale
 		{4, 0x00, 3, 0x02, 4, 0x00, 3, 0x44, 4, 0x01},                      // full polls after registers behind the back
-		{0, 0x10, 4, 0x00, 5, 0x30, 4, 0x00, 5, 0x20, 5, 0x31},             // a class stamped, erased, re-recorded
+		{0, 0x10, 4, 0x00, 5, 0x30, 4, 0x00, 5, 0x20, 5, 0x31},             // classed apps arrive behind the back, each then polled
 		{9, 0x00, 9, 0x13, 11, 0x00, 9, 0x21, 11, 0x01, 9, 0x04},           // gangs commit, placements register
 		{0, 0x00, 0, 0x00, 0, 0x10, 10, 0x00, 10, 0x00, 4, 0x00},           // a latency app starved: preemption evicts
 		{6, 0x00, 4, 0x00, 7, 0x02, 11, 0x00, 7, 0x02, 8, 0x04},            // a member joins, a drain comes and goes

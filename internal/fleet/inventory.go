@@ -32,10 +32,10 @@ var (
 
 // Inventory tracks the fleet's member machines: their topology, demand
 // set, and health, refreshed by polling each member's coopd API — plus
-// the fleet's name-keyed soft state no member knows: priority classes,
-// stale re-homed IDs, and the cooldown clock. All methods are safe for
-// concurrent use; Poll holds no lock during network calls, so reads
-// stay fast while a member times out.
+// the fleet's own soft state no member knows: stale re-homed IDs and the
+// cooldown clock. All methods are safe for concurrent use; Poll holds
+// no lock during network calls, so reads stay fast while a member times
+// out.
 type Inventory struct {
 	cfg    InventoryConfig
 	cfgErr error // what resolving cfg refused, for NewServer to report
@@ -43,15 +43,6 @@ type Inventory struct {
 	mu      sync.Mutex
 	members map[string]*member
 	order   []string // member IDs, sorted; polling and snapshots follow it
-
-	// priorities records each app name's scheduling class. Member coopd
-	// registries know nothing about priority, so every poll would
-	// otherwise erase it; instead the fleet keeps the class here and
-	// stamps it back onto polled snapshots. Keyed by name (IDs are
-	// machine-local and change on every move) and never pruned — the
-	// map is bounded by the number of distinct app names the fleet has
-	// ever placed with a non-default class.
-	priorities map[string]string
 
 	// round counts executed rebalance rounds; lastMove records, per app
 	// name, the round in which its last cooldown-starting move executed
@@ -68,12 +59,11 @@ type Inventory struct {
 }
 
 // demandVersions numbers every change to what a planning candidate is
-// built from: a member's apps, their stamped priorities, its topology.
-// The counter is process-wide, not per inventory, because sessions are
-// pooled package-wide: one session's snapshot rows and candidates serve
-// every inventory in the process, and only a number no other member
-// ever held keeps a (member ID, version) pair from naming two demand
-// sets.
+// built from: a member's apps and its topology. The counter is
+// process-wide, not per inventory, because sessions are pooled
+// package-wide: one session's snapshot rows and candidates serve every
+// inventory in the process, and only a number no other member ever held
+// keeps a (member ID, version) pair from naming two demand sets.
 var demandVersions atomic.Uint64
 
 // member is the mutable record behind a Member snapshot.
@@ -135,7 +125,7 @@ func NewInventory(cfg InventoryConfig) *Inventory {
 		cfg.Clock = time.Now
 	}
 	err := cfg.resolve()
-	return &Inventory{cfg: cfg, cfgErr: err, members: map[string]*member{}, priorities: map[string]string{}}
+	return &Inventory{cfg: cfg, cfgErr: err, members: map[string]*member{}}
 }
 
 // now reads the inventory's clock, the one time source of the fleet
@@ -273,19 +263,6 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		// while the request was in flight. A miss — the next poll presents
 		// whatever the copy is now.
 		return
-	}
-	// Member registries carry no priority, and a 304 re-read nothing:
-	// stamp the fleet's record either way, erasures included. A
-	// stamp that changes nothing keeps the demand version, so a fleet at
-	// rest keeps its planning candidates warm.
-	stamped := false
-	for i := range m.apps {
-		if p := inv.priorities[m.apps[i].Name]; m.apps[i].Priority != p {
-			m.apps[i].Priority, stamped = p, true
-		}
-	}
-	if stamped {
-		m.touch()
 	}
 	m.preferred = answered
 	m.failures = 0
@@ -481,30 +458,6 @@ func (inv *Inventory) Client(id string) (*client.Client, error) {
 	return m.clis[m.preferred], nil
 }
 
-// RecordPriority teaches the fleet an app's scheduling class without a
-// registration passing through the Placer — the escape hatch for apps
-// that arrived behind the fleet's back (registered directly with a
-// member's coopd, picked up by the next poll). Member registries never
-// carry priority, so without this record such an app would stay batch
-// forever. An empty priority erases the record (the app reverts to the
-// batch default).
-func (inv *Inventory) RecordPriority(name, priority string) error {
-	if name == "" {
-		return fmt.Errorf("fleet: RecordPriority needs an app name")
-	}
-	if err := CheckPriority(priority); err != nil {
-		return err
-	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if priority == "" {
-		delete(inv.priorities, name)
-		return nil
-	}
-	inv.priorities[name] = priority
-	return nil
-}
-
 // The executor: the only code that changes what is registered where.
 // Every planner's output — a single placement, a gang's members and
 // victims, a rebalance round's moves — is applied through these three,
@@ -611,11 +564,6 @@ func (inv *Inventory) noteRegistered(id string, app PlacedApp, resp *ctrlplane.R
 		app.Name = "app"
 	}
 	app.TTLMillis = resp.TTLMillis
-	if app.Priority != "" {
-		// Remember the class so the next poll (which rebuilds apps from
-		// the member's priority-less registry) re-stamps it.
-		inv.priorities[app.Name] = app.Priority
-	}
 	m.apps = append(m.apps, app)
 	slices.SortFunc(m.apps, func(a, b PlacedApp) int { return strings.Compare(a.ID, b.ID) })
 	if m.exact && resp.Generation == m.gen+1 && resp.TotalGFLOPS != 0 {

@@ -187,39 +187,64 @@ func TestPollRereadsTopologyOfNewIncarnation(t *testing.T) {
 	}
 }
 
-// TestRecordPriorityAppliesOnUnchangedPoll: the class record reaches
-// the snapshot with the next poll, and so does its erasure, though the
-// member changes nothing and every poll after the first re-reads
-// nothing.
-func TestRecordPriorityAppliesOnUnchangedPoll(t *testing.T) {
+// TestClassBelongsToItsRegistration: an app's class is what its own
+// registration said, read back from its member. A name freed by a
+// latency app and taken by a batch one is batch; two live apps of one
+// name on two members keep their own classes.
+func TestClassBelongsToItsRegistration(t *testing.T) {
 	ctx := context.Background()
-	w := newPollWorld(t, "a")
-	w.direct("a", ctrlplane.AppSpec{Name: "svc", AI: 2}, 0)
+	w := newPollWorld(t, "a", "b")
 	w.inv.Poll(ctx)
-	for i, class := range []string{PriorityLatency, "", PrioritySystem, ""} {
-		if err := w.inv.RecordPriority("svc", class); err != nil {
-			t.Fatal(err)
-		}
-		w.inv.Poll(ctx)
-		if m := w.member("a"); len(m.Apps) != 1 || m.Apps[0].Priority != class {
-			t.Fatalf("step %d: apps %+v, want svc in class %q", i, m.Apps, class)
-		}
+	svc := func(class string) AppSpec {
+		return AppSpec{Name: "svc", AI: 2, TTLMillis: testTTL, Priority: class}
 	}
-	if got, want := w.inv.Polls(), (PollMetrics{Unchanged: 4, Full: 1}); got != want {
-		t.Fatalf("polls %+v, want %+v: the member never changed", got, want)
+	classes := func() map[string]string {
+		out := map[string]string{}
+		for _, id := range []string{"a", "b"} {
+			for _, app := range w.member(id).Apps {
+				out[id+"/"+app.Name] = app.Priority
+			}
+		}
+		return out
+	}
+
+	old, err := w.inv.register(ctx, "a", svc(PriorityLatency), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.inv.deregister(ctx, "a", old.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.inv.register(ctx, "a", svc(""), nil); err != nil {
+		t.Fatal(err)
+	}
+	w.inv.Poll(ctx)
+	if got, want := classes(), map[string]string{"a/svc": ""}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the name was reused: classes %v, want %v: the batch svc is not the latency one", got, want)
+	}
+
+	if _, err := w.inv.register(ctx, "b", svc(PrioritySystem), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, inv := range []*Inventory{w.inv, w.newInventory()} {
+		w.inv = inv
+		w.inv.Poll(ctx)
+		if got, want := classes(), map[string]string{"a/svc": "", "b/svc": PrioritySystem}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("two live svc apps: classes %v, want %v", got, want)
+		}
 	}
 }
 
 // TestConditionalPollMatchesFullPoll is the poll differential. Seeded
-// interleavings of everything that changes a member (direct registers
-// and deregisters, TTL evictions, fitted models, kills, heals, restarts
-// without state) and everything the fleet does to its own cache
-// (registers — acknowledged ones keep the copy exact — deregisters,
-// moves off live, lost and quarantined members, class records) run
+// interleavings of everything that changes a member (direct registers,
+// some in a class, and deregisters, TTL evictions, fitted models, kills,
+// heals, restarts without state) and everything the fleet does to its
+// own cache (registers — acknowledged ones keep the copy exact —
+// deregisters, moves off live, lost and quarantined members) run
 // against one long-lived inventory. After every poll, each answering
-// member's cached state must equal what an inventory built that instant
-// — whose first poll presents nothing and so reads everything — holds of
-// it, total included.
+// member's cached state must equal what a fresh fleetd — an inventory
+// built that instant, whose first poll presents nothing and so reads
+// everything — holds of it, total included.
 func TestConditionalPollMatchesFullPoll(t *testing.T) {
 	ctx := context.Background()
 	topos := []*machine.Machine{machine.PaperModel(), machine.SkylakeQuad(), machine.KNLSNC4()}
@@ -325,24 +350,18 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 					spec.Placement = ctrlplane.PlacementBad
 				}
 				w.inv.register(ctx, pick(), spec, nil)
-			case 13: // an operator records or erases a class
-				if _, app, ok := cached(anywhere); ok {
-					class := []string{"", PriorityLatency, PrioritySystem}[r.Intn(3)]
-					if err := w.inv.RecordPriority(app.Name, class); err != nil {
-						t.Fatal(err)
-					}
+			case 13: // a register in a class behind the fleet's back, sometimes reusing a cached app's name
+				apps++
+				spec := ctrlplane.AppSpec{Name: fmt.Sprintf("direct-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), Priority: []string{"", PriorityBatch, PriorityLatency, PrioritySystem}[r.Intn(4)]}
+				if _, app, ok := cached(anywhere); ok && r.Intn(2) == 0 {
+					spec.Name = app.Name
 				}
+				w.direct(pick(), spec, 0)
 			}
 			w.inv.Poll(ctx)
 
-			// The class records are the fleet's own soft state, no member
-			// has them: the reference starts from a copy.
+			// A true fresh fleetd: nothing carried over from w.inv.
 			ref := w.newInventory()
-			w.inv.mu.Lock()
-			for name, class := range w.inv.priorities {
-				ref.priorities[name] = class
-			}
-			w.inv.mu.Unlock()
 			ref.Poll(ctx)
 			for _, id := range ids {
 				got, _ := w.inv.Member(id)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,21 +29,14 @@ func newCoopdOn(t *testing.T, m *machine.Machine) *httptest.Server {
 	return hs
 }
 
-// registerWithPriority registers the spec on the member through its
-// coopd and records the placement fleet-side, the way Placer.Place and
-// Rebalancer.Execute do — the only path that teaches the Inventory the
-// app's class (member coopds never see priorities).
+// registerWithPriority registers the spec, class included, on the
+// member through the executor, the way Placer.Place and
+// Rebalancer.Execute do.
 func registerWithPriority(t *testing.T, inv *Inventory, member string, spec AppSpec) {
 	t.Helper()
-	cli, err := inv.Client(member)
-	if err != nil {
+	if _, err := inv.register(context.Background(), member, spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cli.Register(context.Background(), spec.RegisterRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv.noteRegistered(member, spec.placed(resp.ID), resp)
 }
 
 // preemptFleet builds the canonical inversion: two 2x2-core machines,
@@ -73,6 +67,68 @@ func preemptFleet(t *testing.T, cfg ServerConfig) (*Inventory, *Rebalancer) {
 	cfg.Threshold, cfg.Logf = 0.01, t.Logf
 	_, reb := planners(t, inv, cfg)
 	return inv, reb
+}
+
+// TestRestartedFleetdKeepsClasses: a fleetd started over members that
+// an earlier fleetd filled — a fresh Inventory and Server, nothing
+// carried over — reads each app's class from the members. Machine a
+// holds api (latency) beside a batch app, b two latency apps, both at
+// their floor capacity of 2: a latency gang member must preempt, and
+// the only app it may evict is the batch one, never api.
+func TestRestartedFleetdKeepsClasses(t *testing.T) {
+	ctx := context.Background()
+	tiny := func(name string) *machine.Machine { return machine.Uniform(name, 2, 2, 10, 32, 0) }
+	urls := map[string]string{"a": newCoopdOn(t, tiny("tiny-a")).URL, "b": newCoopdOn(t, tiny("tiny-b")).URL}
+	fleetd := func() *Inventory {
+		inv := NewInventory(InventoryConfig{NewClient: fastClients(nil), FailAfter: 2})
+		for _, id := range []string{"a", "b"} {
+			if err := inv.Add(id, urls[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inv.Poll(ctx)
+		return inv
+	}
+	latency := func(name string) AppSpec {
+		spec := memSpec(name)
+		spec.Priority = PriorityLatency
+		return spec
+	}
+	first := fleetd()
+	registerWithPriority(t, first, "a", latency("api"))
+	registerWithPriority(t, first, "a", memSpec("batch-1"))
+	registerWithPriority(t, first, "b", latency("lat-1"))
+	registerWithPriority(t, first, "b", latency("lat-2"))
+
+	inv := fleetd()
+	_, fc := newFleetServer(t, inv)
+	ms, err := fc.Machines(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms.Machines {
+		for _, app := range m.Apps {
+			want := PriorityLatency
+			if app.Name == "batch-1" {
+				want = ""
+			}
+			if app.Priority != want {
+				t.Fatalf("the new fleetd reads %s on %s as %q, want %q", app.Name, m.ID, app.Priority, want)
+			}
+		}
+	}
+
+	res, err := fc.PlaceGang(ctx, GangSpec{Name: "web", Replicas: 1, App: latency("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Preempted) != 1 || res.Preempted[0].App.Name != "batch-1" {
+		t.Fatalf("preempted %+v, want exactly batch-1", res.Preempted)
+	}
+	inv.Poll(ctx)
+	if m, _ := inv.Member("a"); !slices.ContainsFunc(m.Apps, func(a PlacedApp) bool { return a.Name == "api" && a.Priority == PriorityLatency }) {
+		t.Fatalf("a holds %+v, want api still there in its class", m.Apps)
+	}
 }
 
 // TestPreemptRepairsPriorityInversion: the quiet-round repair pass

@@ -1,24 +1,24 @@
 package fleet
 
-import "fmt"
+import "repro/internal/ctrlplane"
 
-// Priority classes, ordered system > latency > batch. The class rides
-// on AppSpec/PlacedApp and drives two things: the preemption pass (a
-// higher-class app that cannot be admitted floor-feasibly evicts the
-// cheapest lower-class victims) and the per-app weight under the
-// weighted-priority objective. The member coopd never sees the class —
-// priority is a fleet-level scheduling concept, tracked by the
-// Inventory across polls.
+// Priority classes, ordered system > latency > batch: the ctrlplane
+// vocabulary, which a member coopd checks at registration and keeps on
+// the app's record. The class rides on AppSpec/PlacedApp — a poll reads
+// it back like any other registered field — and drives two things: the
+// preemption pass (a higher-class app that cannot be admitted
+// floor-feasibly evicts the cheapest lower-class victims) and the
+// per-app weight under the weighted-priority objective.
 const (
 	// PrioritySystem is fleet-critical work that outranks everything.
-	PrioritySystem = "system"
+	PrioritySystem = ctrlplane.PrioritySystem
 	// PriorityLatency is latency-sensitive serving work: it outranks
 	// batch and must not be starved while batch holds floor capacity
 	// (the no-priority-inversion property fleetsim checks).
-	PriorityLatency = "latency"
+	PriorityLatency = ctrlplane.PriorityLatency
 	// PriorityBatch is throughput work, the default: preemptible by
 	// the classes above, never preempting anything itself.
-	PriorityBatch = "batch"
+	PriorityBatch = ctrlplane.PriorityBatch
 )
 
 // ClassRank orders priority classes for preemption decisions; the empty
@@ -48,14 +48,4 @@ func classWeight(p string) float64 {
 	default:
 		return 0
 	}
-}
-
-// CheckPriority validates a wire/CLI priority string.
-func CheckPriority(p string) error {
-	switch p {
-	case "", PriorityBatch, PriorityLatency, PrioritySystem:
-		return nil
-	}
-	return fmt.Errorf("fleet: unknown priority %q (have %s, %s, %s)",
-		p, PrioritySystem, PriorityLatency, PriorityBatch)
 }

@@ -164,7 +164,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.Decode(w, r, &spec) {
 		return
 	}
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -126,8 +126,8 @@ func TestServerPlaceNoMembers(t *testing.T) {
 }
 
 // TestServerGangRoundTrip: POST /v1/fleet/gang admits a gang through
-// the typed client, the machine view shows every member with its
-// priority stamped back, and validation rejects bad specs with 400.
+// the typed client, the machine view shows every member with the class
+// its member registry holds, and validation rejects bad specs with 400.
 func TestServerGangRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
@@ -227,9 +227,10 @@ func TestServerRefusesInvalidAppBeforeDeciding(t *testing.T) {
 		{Name: "capped", AI: 0.5, MaxThreads: -1},
 		{Name: "ttl", AI: 0.5, TTLMillis: -1},
 		{Name: strings.Repeat("n", ctrlplane.MaxNameBytes+1), AI: 0.5},
+		{Name: "classy", AI: 0.5, Priority: "urgent"},
 	} {
 		if _, err := fc.Place(ctx, bad); !is400(err) {
-			t.Errorf("place max_threads %d ttl_ms %d name %d bytes: %v, want 400", bad.MaxThreads, bad.TTLMillis, len(bad.Name), err)
+			t.Errorf("place max_threads %d ttl_ms %d name %d bytes priority %q: %v, want 400", bad.MaxThreads, bad.TTLMillis, len(bad.Name), bad.Priority, err)
 		}
 	}
 	_, err := fc.PlaceGang(ctx, GangSpec{

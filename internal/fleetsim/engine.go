@@ -177,14 +177,6 @@ func (e *Engine) register(ctx context.Context, def AppDef, machineID string) err
 		_, _, err := e.placer.Place(ctx, def.AppSpec)
 		return err
 	}
-	// Pinned registration bypasses the Placer, so the fleet would never
-	// learn the class from the member's priority-less registry; teach
-	// the inventory directly and let the next poll stamp it on.
-	if def.Priority != "" {
-		if err := e.inv.RecordPriority(def.Name, def.Priority); err != nil {
-			return err
-		}
-	}
 	req := def.RegisterRequest()
 	var lastErr error
 	for _, cli := range e.clients[machineID] {

@@ -68,10 +68,10 @@ type MachineSpec struct {
 }
 
 // AppDef declares an application a scenario registers: the spec it
-// registers with (AI is the declared intensity; the Priority class
-// reaches the fleet through the Placer for front-door registrations and
-// through RecordPriority for machine-pinned ones — the member coopd
-// never learns it), plus what it really does.
+// registers with (AI is the declared intensity; the Priority class goes
+// on the member's record whether the Placer or a machine-pinned event
+// registers the app, and the fleet's polls read it from there), plus
+// what it really does.
 type AppDef struct {
 	fleet.AppSpec
 	// TrueAI, when positive and different from AI, is the intensity the
@@ -282,7 +282,7 @@ func (sc *Scenario) Validate() error {
 		if a.Prefix == "" || a.AI <= 0 {
 			return fmt.Errorf("fleetsim: scenario %s: arrival needs a prefix and positive ai", sc.Name)
 		}
-		if err := fleet.CheckPriority(a.Priority); err != nil {
+		if err := a.app(0).Validate(); err != nil {
 			return fmt.Errorf("fleetsim: scenario %s: arrival %s: %w", sc.Name, a.Prefix, err)
 		}
 	}
@@ -297,7 +297,7 @@ func (sc *Scenario) Validate() error {
 			if e.App == nil || e.App.Name == "" || e.App.AI <= 0 || e.App.TTLMillis != 0 {
 				return fmt.Errorf("fleetsim: scenario %s: register event needs an app with a name, positive ai and no ttl_ms", sc.Name)
 			}
-			if err := fleet.CheckPriority(e.App.Priority); err != nil {
+			if err := e.App.Validate(); err != nil {
 				return fmt.Errorf("fleetsim: scenario %s: register %s: %w", sc.Name, e.App.Name, err)
 			}
 		case "deregister":
