@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-race fuzz check fmt fmt-check loc
+.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check fmt fmt-check loc
 
 all: check
 
@@ -102,6 +102,11 @@ drift-chaos:
 # the committed one.
 fleet-sim:
 	$(GO) run ./cmd/fleetsim -out fleet-sim-verdicts.json
+
+# fleet-sim, then fail unless the regenerated verdicts equal the
+# committed ones: the gate a refactor that must hold every verdict runs.
+fleet-sim-check: fleet-sim
+	git diff --exit-code fleet-sim-verdicts.json
 
 # The whole corpus again under the race detector (writes no verdicts
 # file): placer, rebalancer, telemetry, storm triage, quarantine

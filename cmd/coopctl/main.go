@@ -214,7 +214,7 @@ func cmdState(ctx context.Context, c *client.Client) error {
 	for _, a := range st.Apps {
 		tracked = tracked || a.Tracker != nil
 	}
-	cols := []string{"id", "name", "AI", "placement", "priority", "ttl (ms)", "idle (ms)", "beats"}
+	cols := []string{"id", "name", "AI", "placement", "priority", "moved", "ttl (ms)", "idle (ms)", "beats"}
 	if tracked {
 		cols = append(cols, "state", "fitted AI", "conf", "rel err %", "windows", "resolves", "applied AI")
 	}
@@ -224,7 +224,7 @@ func cmdState(ctx context.Context, c *client.Client) error {
 		if class == "" {
 			class = ctrlplane.PriorityBatch
 		}
-		row := []any{a.ID, a.Name, a.AI, a.Placement, class, a.TTLMillis, a.IdleMillis, a.Beats}
+		row := []any{a.ID, a.Name, a.AI, a.Placement, class, a.MovedRound, a.TTLMillis, a.IdleMillis, a.Beats}
 		if tracked {
 			row = append(row, trackerCells(a)...)
 		}

@@ -167,8 +167,8 @@ func faultyResilient(t *testing.T, baseURL string, seed int64) (*client.Resilien
 // Table I mix under an injected fault storm, kill the daemon
 // mid-workload, verify clients degrade to cached/local allocations,
 // restart on the same state dir and address, and verify the registry
-// (an app's class included), generations, and the 254/140/128 ranking
-// all survive.
+// (an app's class and move round included), generations, and the
+// 254/140/128 ranking all survive.
 func TestChaosKillRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewSkewedClock(nil)
@@ -178,7 +178,7 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 
 	// Phase 1: the workload, under faults.
 	reqs := tableIRequests()
-	reqs[3].Priority = ctrlplane.PriorityLatency // the fleet's class rides the record
+	reqs[3].Priority, reqs[3].MovedRound = ctrlplane.PriorityLatency, 7 // the fleet's state rides the record
 	apps := make([]*client.Resilient, len(reqs))
 	ids := make([]string, len(reqs))
 	var inj *faultinject.Injector
@@ -263,8 +263,9 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i := slices.IndexFunc(st.Apps, func(a ctrlplane.AppView) bool { return a.ID == ids[3] }); i < 0 || st.Apps[i].Priority != reqs[3].Priority {
-		t.Errorf("state after restart %+v: want %s in class %q", st.Apps, ids[3], reqs[3].Priority)
+	if i := slices.IndexFunc(st.Apps, func(a ctrlplane.AppView) bool { return a.ID == ids[3] }); i < 0 ||
+		st.Apps[i].Priority != reqs[3].Priority || st.Apps[i].MovedRound != reqs[3].MovedRound {
+		t.Errorf("state after restart %+v: want %s in class %q, moved in round %d", st.Apps, ids[3], reqs[3].Priority, reqs[3].MovedRound)
 	}
 	if recovered.Generation < genBeforeCrash {
 		t.Errorf("generation regressed across restart: %d -> %d", genBeforeCrash, recovered.Generation)

@@ -53,6 +53,7 @@ type AppRecord struct {
 	LastBeat     int64   `json:"last_beat_unix_ns"`
 	Beats        uint64  `json:"beats,omitempty"`
 	Priority     string  `json:"priority,omitempty"`
+	MovedRound   uint64  `json:"moved_round,omitempty"`
 
 	// Fitted model (adaptive recalibration), present when FittedAI > 0:
 	// the online-fitted demand that currently replaces the declared one

@@ -29,9 +29,10 @@ type AppSpec struct {
 	Placement  roofline.Placement
 	HomeNode   machine.NodeID
 	MaxThreads int // 0: uncapped
-	// Priority is the registered class (see PrioritySystem), kept for
-	// the fleet: the solver never reads it.
-	Priority string
+	// Priority and MovedRound (see RegisterRequest) are kept for the
+	// fleet: the solver never reads them.
+	Priority   string
+	MovedRound uint64
 }
 
 // FittedModel is an online-fitted demand model (internal/adapt) that
@@ -292,6 +293,7 @@ func stateToRecord(a AppState) persist.AppRecord {
 		LastBeat:     a.LastBeat.UnixNano(),
 		Beats:        a.Beats,
 		Priority:     a.Spec.Priority,
+		MovedRound:   a.Spec.MovedRound,
 	}
 	if a.Fitted != nil {
 		rec.FittedAI = a.Fitted.AI
@@ -312,6 +314,7 @@ func recordToState(rec persist.AppRecord) AppState {
 			HomeNode:   machine.NodeID(rec.HomeNode),
 			MaxThreads: rec.MaxThreads,
 			Priority:   rec.Priority,
+			MovedRound: rec.MovedRound,
 		},
 		TTL:          time.Duration(rec.TTLMillis) * time.Millisecond,
 		RegisteredAt: time.Unix(0, rec.RegisteredAt),

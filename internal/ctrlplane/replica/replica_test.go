@@ -278,7 +278,7 @@ func TestReplicationStreamAndRedirect(t *testing.T) {
 // within one lease TTL (plus its campaign stagger), with a higher
 // fencing epoch and a bumped generation, and the promoted node accepts
 // writes under the replicated IDs without re-registration and serves
-// each app's class.
+// each app's class and move round.
 func TestLeaderKillPromotion(t *testing.T) {
 	ttl := 500 * time.Millisecond
 	leader, follower := startPair(t, haOpts{leaseTTL: ttl})
@@ -286,7 +286,7 @@ func TestLeaderKillPromotion(t *testing.T) {
 	defer cancel()
 
 	lc := client.New(leader.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond})
-	reg, err := lc.Register(ctx, ctrlplane.RegisterRequest{Name: "survivor", AI: 0.5, Priority: ctrlplane.PriorityLatency})
+	reg, err := lc.Register(ctx, ctrlplane.RegisterRequest{Name: "survivor", AI: 0.5, Priority: ctrlplane.PriorityLatency, MovedRound: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +326,8 @@ func TestLeaderKillPromotion(t *testing.T) {
 	if hb.Generation <= genBefore {
 		t.Errorf("generation after failover = %d, want > %d (fencing must stay monotonic)", hb.Generation, genBefore)
 	}
-	if st, err := fc.State(ctx, ctrlplane.StateQuery{}); err != nil || len(st.Apps) != 1 || st.Apps[0].Priority != ctrlplane.PriorityLatency {
-		t.Errorf("promoted leader's state: %+v, %v; want survivor in class latency", st, err)
+	if st, err := fc.State(ctx, ctrlplane.StateQuery{}); err != nil || len(st.Apps) != 1 || st.Apps[0].Priority != ctrlplane.PriorityLatency || st.Apps[0].MovedRound != 3 {
+		t.Errorf("promoted leader's state: %+v, %v; want survivor in class latency, moved in round 3", st, err)
 	}
 }
 

@@ -280,6 +280,7 @@ func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
 		HomeNode:   machine.NodeID(req.HomeNode),
 		MaxThreads: req.MaxThreads,
 		Priority:   req.Priority,
+		MovedRound: req.MovedRound,
 	}, nil
 }
 
@@ -429,6 +430,7 @@ func appViews(apps []AppState, now time.Time, trackers *adapt.Store) []AppView {
 			MaxThreads: a.Spec.MaxThreads,
 			TTLMillis:  a.TTL.Milliseconds(),
 			Priority:   a.Spec.Priority,
+			MovedRound: a.Spec.MovedRound,
 			AgeMillis:  now.Sub(a.RegisteredAt).Milliseconds(),
 			IdleMillis: now.Sub(a.LastBeat).Milliseconds(),
 			Beats:      a.Beats,

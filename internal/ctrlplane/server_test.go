@@ -271,6 +271,7 @@ func TestRegisterValidation(t *testing.T) {
 		{ctrlplane.RegisterRequest{Name: "classy", AI: 1, Priority: "urgent"}, `unknown priority "urgent" (want "system", "latency" or "batch")`},
 		{ctrlplane.RegisterRequest{AI: 1, Placement: ctrlplane.PlacementBad, HomeNode: 3, MaxThreads: 2}, ""},
 		{ctrlplane.RegisterRequest{AI: 1, Priority: ctrlplane.PriorityLatency}, ""},
+		{ctrlplane.RegisterRequest{AI: 1, MovedRound: math.MaxUint64}, ""}, // stored verbatim, never read
 	} {
 		resp, err := c.Register(ctx, tc.req)
 		var ae *client.APIError

@@ -9,6 +9,7 @@ package ctrlplane
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -61,7 +62,7 @@ func sansBeats(s persist.Snapshot) persist.Snapshot {
 // a suffix of the stream twice, as at-least-once delivery allows — and
 // (c) a registry recovered from the leader's state dir without a Close,
 // modulo the LastBeat that recovery re-arms. Every app keeps the class
-// it registered in.
+// and the move round it registered with.
 func TestRegistryThreeWayDifferential(t *testing.T) {
 	seeds := 240
 	if testing.Short() {
@@ -87,7 +88,7 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 		leader.SetObserver(func(r persist.Record) { stream = append(stream, r) })
 
 		var ids []string
-		classes := map[string]string{} // app ID -> the class it registered in
+		specs := map[string]AppSpec{} // app ID -> the spec it registered with
 		pick := func() string {
 			if len(ids) == 0 || rng.Intn(8) == 0 {
 				return "ghost-0"
@@ -110,7 +111,7 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k < 3:
 				spec := AppSpec{Name: fmt.Sprintf("App %d/%d", seed, op), AI: 0.25 + 8*rng.Float64(), MaxThreads: rng.Intn(3) * 4,
-					Priority: []string{"", PriorityBatch, PriorityLatency, PrioritySystem}[rng.Intn(4)]}
+					Priority: []string{"", PriorityBatch, PriorityLatency, PrioritySystem}[rng.Intn(4)], MovedRound: []uint64{0, 1, uint64(op), math.MaxUint64}[rng.Intn(4)]}
 				if rng.Intn(4) == 0 {
 					spec.Placement, spec.HomeNode = roofline.NUMABad, machine.NodeID(rng.Intn(4))
 				}
@@ -120,7 +121,7 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 					t.Fatalf("seed %d: register: %v", seed, err)
 				}
 				ids = append(ids, st.ID)
-				classes[st.ID] = spec.Priority
+				specs[st.ID] = spec
 			case k < 6:
 				clk.Advance(time.Duration(rng.Intn(40)) * time.Millisecond)
 				leader.Heartbeat(HeartbeatRequest{ID: pick(), GFlopRate: 1, GBRate: 2})
@@ -155,8 +156,9 @@ func TestRegistryThreeWayDifferential(t *testing.T) {
 			t.Fatalf("seed %d: leader epoch %d after promotions to %d", seed, want.Epoch, epoch)
 		}
 		for _, a := range want.Apps {
-			if a.Priority != classes[a.ID] {
-				t.Fatalf("seed %d: %s holds class %q, registered in %q", seed, a.ID, a.Priority, classes[a.ID])
+			if a.Priority != specs[a.ID].Priority || a.MovedRound != specs[a.ID].MovedRound {
+				t.Fatalf("seed %d: %s holds class %q and round %d, registered with %q and %d",
+					seed, a.ID, a.Priority, a.MovedRound, specs[a.ID].Priority, specs[a.ID].MovedRound)
 			}
 		}
 		if got := follower.PersistSnapshot(); !reflect.DeepEqual(got, want) {

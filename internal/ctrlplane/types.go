@@ -82,6 +82,8 @@ type RegisterRequest struct {
 	// "batch" (the default; see PrioritySystem). It is journaled,
 	// replicated and echoed on /v1/state, never solved on.
 	Priority string `json:"priority,omitempty"`
+	// MovedRound is the fleet round of the app's last move, kept like Priority.
+	MovedRound uint64 `json:"moved_round,omitempty"`
 	// Solved, when set, offers the optimum the sender (fleetd's placement
 	// decision) already solved for the demand set this machine holds once
 	// the registration lands. It is a cache fill, never state: the server
@@ -164,6 +166,7 @@ type AppView struct {
 	MaxThreads int     `json:"max_threads,omitempty"`
 	TTLMillis  int64   `json:"ttl_ms"`
 	Priority   string  `json:"priority,omitempty"`
+	MovedRound uint64  `json:"moved_round,omitempty"`
 	// AgeMillis and IdleMillis are times since registration and since
 	// the last heartbeat.
 	AgeMillis  int64  `json:"age_ms"`

@@ -16,7 +16,7 @@
 //     acknowledged registers keep it) and tracks health; a member that
 //     fails several consecutive polls is declared dead. It also
 //     holds the fleet's own soft state (stale re-homed IDs, the
-//     cooldown clock) and the executor — register, deregister,
+//     round clock) and the executor — register, deregister,
 //     relocate — the only code that changes what is registered where.
 //   - Placer scores an incoming app against every healthy member and
 //     registers it on the best bin, with anti-affinity for NUMA-bad
@@ -119,12 +119,6 @@ func (s AppSpec) Validate() error {
 // numaBad reports whether the spec pins all data to one home node.
 func (s AppSpec) numaBad() bool { return s.Placement == ctrlplane.PlacementBad }
 
-// placed returns the PlacedApp to record after registering the spec on
-// a machine that assigned it the given ID.
-func (s AppSpec) placed(id string) PlacedApp {
-	return PlacedApp{ID: id, AppSpec: s}
-}
-
 // RegisterRequest converts the spec to the coopd wire form.
 func (s AppSpec) RegisterRequest() ctrlplane.RegisterRequest {
 	return ctrlplane.RegisterRequest{
@@ -139,6 +133,9 @@ func (s AppSpec) RegisterRequest() ctrlplane.RegisterRequest {
 type PlacedApp struct {
 	ID string `json:"id"`
 	AppSpec
+	// MovedRound is the round of the app's last drift, rebalance or
+	// preempt move (0: never), which its cooldown counts from.
+	MovedRound uint64 `json:"moved_round,omitempty"`
 	// FittedAI and Drifted mirror the member coopd's adaptive loop: when
 	// Drifted, FittedAI is the online-recalibrated demand currently
 	// replacing the declared AI on that machine. Fleet scoring and
@@ -167,7 +164,7 @@ func placedFromView(v ctrlplane.AppView) PlacedApp {
 			Name: v.Name, AI: v.AI, HomeNode: v.HomeNode,
 			MaxThreads: v.MaxThreads, TTLMillis: v.TTLMillis, Priority: v.Priority,
 		},
-		FittedAI: v.FittedAI, Drifted: v.Drifted,
+		MovedRound: v.MovedRound, FittedAI: v.FittedAI, Drifted: v.Drifted,
 	}
 	if v.Placement != ctrlplane.PlacementPerfect {
 		p.Placement = v.Placement

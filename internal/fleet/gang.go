@@ -215,7 +215,7 @@ func (p *Placer) executeGang(ctx context.Context, g GangSpec, plan *gangPlan) (*
 	}
 
 	for _, m := range plan.members {
-		placed, err := p.Inv.register(ctx, m.d.Member, m.spec, m.d.solved)
+		placed, err := p.Inv.register(ctx, m.d.Member, m.spec, 0, m.d.solved)
 		if err != nil {
 			return nil, p.rollbackGang(ctx, g, res.Placements,
 				fmt.Errorf("registering %q on %s: %w", m.spec.Name, m.d.Member, err))

@@ -99,7 +99,7 @@ func (w *indexWorld) apply(t *testing.T, twin *indexWorld, op, arg byte) {
 	k := config(op)
 	switch op & 15 % indexEdits {
 	case 0: // the fleet registers an app
-		w.inv.register(ctx, w.who(arg), w.spec(arg), nil)
+		w.inv.register(ctx, w.who(arg), w.spec(arg), 0, nil)
 	case 1: // the fleet deregisters one
 		if id, a, ok := w.cached(arg); ok {
 			w.inv.deregister(ctx, id, a.ID)

@@ -33,9 +33,9 @@ var (
 // Inventory tracks the fleet's member machines: their topology, demand
 // set, and health, refreshed by polling each member's coopd API — plus
 // the fleet's own soft state no member knows: stale re-homed IDs and the
-// cooldown clock. All methods are safe for concurrent use; Poll holds
-// no lock during network calls, so reads stay fast while a member times
-// out.
+// round clock, which a full poll lifts past every app's MovedRound. All
+// methods are safe for concurrent use; Poll holds no lock during network
+// calls, so reads stay fast while a member times out.
 type Inventory struct {
 	cfg    InventoryConfig
 	cfgErr error // what resolving cfg refused, for NewServer to report
@@ -44,11 +44,7 @@ type Inventory struct {
 	members map[string]*member
 	order   []string // member IDs, sorted; polling and snapshots follow it
 
-	// round counts executed rebalance rounds; lastMove records, per app
-	// name, the round in which its last cooldown-starting move executed
-	// (see noteMoved).
-	round    uint64
-	lastMove map[string]uint64
+	round uint64 // the next rebalance round to run; from 1, as MovedRound 0 is never
 
 	// polls counts member polls by outcome (see PollMetrics).
 	polls PollMetrics
@@ -125,7 +121,7 @@ func NewInventory(cfg InventoryConfig) *Inventory {
 		cfg.Clock = time.Now
 	}
 	err := cfg.resolve()
-	return &Inventory{cfg: cfg, cfgErr: err, members: map[string]*member{}}
+	return &Inventory{cfg: cfg, cfgErr: err, members: map[string]*member{}, round: 1}
 }
 
 // now reads the inventory's clock, the one time source of the fleet
@@ -255,6 +251,9 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 			m.topo = st.Machine
 		}
 		m.touch()
+		for _, a := range placed { // how a restarted fleetd resumes its clock
+			inv.round = max(inv.round, a.MovedRound+1, a.MovedRound) // saturating
+		}
 	case m.exact && m.incarnation == held.Incarnation && m.gen == held.Generation:
 		inv.polls.Unchanged++
 	default:
@@ -461,24 +460,24 @@ func (inv *Inventory) Client(id string) (*client.Client, error) {
 // The executor: the only code that changes what is registered where.
 // Every planner's output — a single placement, a gang's members and
 // victims, a rebalance round's moves — is applied through these three,
-// which keep the cached demand sets, the stale lists and the cooldown
-// clock in step with what the member coopds were told.
+// which keep the cached demand sets and the stale lists in step with
+// what the member coopds were told.
 
-// register registers spec on the member's coopd, offering it the solve
-// of the decision that chose the member (nil: none was made), and
-// records the placement, so scoring between polls sees it.
-func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec, solved *ctrlplane.Solved) (PlacedApp, error) {
+// register registers spec with its move round (0: never) on the
+// member's coopd, offering it the solve of the decision that chose the
+// member (nil: none), and records the placement, so scoring sees it.
+func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec, moved uint64, solved *ctrlplane.Solved) (PlacedApp, error) {
 	cli, err := inv.Client(member)
 	if err != nil {
 		return PlacedApp{}, err
 	}
 	req := spec.RegisterRequest()
-	req.Solved = solved
+	req.MovedRound, req.Solved = moved, solved
 	resp, err := cli.Register(ctx, req)
 	if err != nil {
 		return PlacedApp{}, err
 	}
-	placed := spec.placed(resp.ID)
+	placed := PlacedApp{ID: resp.ID, AppSpec: spec, MovedRound: moved}
 	inv.noteRegistered(member, placed, resp)
 	return placed, nil
 }
@@ -510,9 +509,14 @@ func (inv *Inventory) deregister(ctx context.Context, member, appID string) erro
 // or while — the member answers again. If the target refuses an app
 // already drained off its source, the app is put back where it came
 // from rather than left registered nowhere. A drift, rebalance or
-// preempt move starts the app's cooldown.
+// preempt move starts the app's cooldown; the rest carry its round over.
 func (inv *Inventory) relocate(ctx context.Context, mv Move) (PlacedApp, error) {
 	lost := mv.Reason == ReasonMachineLost || mv.Reason == ReasonQuarantine
+	moved := mv.moved
+	switch mv.Reason {
+	case ReasonDrift, ReasonRebalance, ReasonPreempt:
+		moved = inv.clock()
+	}
 	if !lost {
 		if err := inv.deregister(ctx, mv.From, mv.AppID); err != nil {
 			// The source refused the drain; skip the move rather than
@@ -520,11 +524,11 @@ func (inv *Inventory) relocate(ctx context.Context, mv Move) (PlacedApp, error) 
 			return PlacedApp{}, fmt.Errorf("fleet: draining %s from %s: %w", mv.AppID, mv.From, err)
 		}
 	}
-	placed, err := inv.register(ctx, mv.To, mv.App, mv.solved)
+	placed, err := inv.register(ctx, mv.To, mv.App, moved, mv.solved)
 	if err != nil {
 		err = fmt.Errorf("fleet: re-homing %s to %s: %w", mv.AppID, mv.To, err)
 		if !lost {
-			if back, rerr := inv.register(ctx, mv.From, mv.App, nil); rerr != nil {
+			if back, rerr := inv.register(ctx, mv.From, mv.App, mv.moved, nil); rerr != nil {
 				inv.logf("fleet: %s is registered nowhere: restoring it on %s: %v", mv.App.Name, mv.From, rerr)
 			} else {
 				inv.logf("fleet: restored %s on %s as %s", mv.App.Name, mv.From, back.ID)
@@ -532,11 +536,8 @@ func (inv *Inventory) relocate(ctx context.Context, mv Move) (PlacedApp, error) 
 		}
 		return PlacedApp{}, err
 	}
-	switch mv.Reason {
-	case ReasonMachineLost, ReasonQuarantine:
+	if lost {
 		inv.noteStale(mv.From, mv.AppID)
-	case ReasonDrift, ReasonRebalance, ReasonPreempt:
-		inv.noteMoved(mv.App.Name)
 	}
 	return placed, nil
 }
@@ -598,45 +599,17 @@ func (inv *Inventory) noteStale(id, appID string) {
 	}
 }
 
-// The cooldown clock: anti-thrash state keyed by app name, because a
-// move re-registers the app under a fresh machine-local ID. Moved in
-// round k with a cooldown of cd rounds => blocked for rounds k+1..k+cd.
-
-// noteMoved starts the app's cooldown.
-func (inv *Inventory) noteMoved(name string) {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if inv.lastMove == nil {
-		inv.lastMove = map[string]uint64{}
-	}
-	inv.lastMove[name] = inv.round
-}
-
-// endRound advances the cooldown clock; only executed rebalance rounds
-// do, so inspecting a plan has no side effects.
+// endRound advances the round clock, saturating; only executed
+// rebalance rounds do, so inspecting a plan has no side effects.
 func (inv *Inventory) endRound() {
 	inv.mu.Lock()
-	inv.round++
+	inv.round = max(inv.round+1, inv.round)
 	inv.mu.Unlock()
 }
 
-// cooldownView snapshots the cooldowns still active under a cd-round
-// guard as app name -> rounds left (including the next planning round),
-// pruning expired entries. cd 0 disables the guard.
-func (inv *Inventory) cooldownView(cd int) map[string]int {
+// clock returns the number of the next rebalance round to execute.
+func (inv *Inventory) clock() uint64 {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	var out map[string]int
-	for name, last := range inv.lastMove {
-		age := int(inv.round - last)
-		if age > cd || cd == 0 {
-			delete(inv.lastMove, name)
-			continue
-		}
-		if out == nil {
-			out = map[string]int{}
-		}
-		out[name] = cd - age + 1
-	}
-	return out
+	return inv.round
 }

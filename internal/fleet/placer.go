@@ -183,7 +183,7 @@ func (p *Placer) Place(ctx context.Context, spec AppSpec) (*Decision, PlacedApp,
 	if err != nil {
 		return nil, PlacedApp{}, err
 	}
-	placed, err := p.Inv.register(ctx, d.Member, spec, d.solved)
+	placed, err := p.Inv.register(ctx, d.Member, spec, 0, d.solved)
 	if err != nil {
 		return nil, PlacedApp{}, fmt.Errorf("fleet: registering %q on %s: %w", spec.Name, d.Member, err)
 	}

@@ -208,14 +208,14 @@ func TestClassBelongsToItsRegistration(t *testing.T) {
 		return out
 	}
 
-	old, err := w.inv.register(ctx, "a", svc(PriorityLatency), nil)
+	old, err := w.inv.register(ctx, "a", svc(PriorityLatency), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.inv.deregister(ctx, "a", old.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.inv.register(ctx, "a", svc(""), nil); err != nil {
+	if _, err := w.inv.register(ctx, "a", svc(""), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.inv.Poll(ctx)
@@ -223,7 +223,7 @@ func TestClassBelongsToItsRegistration(t *testing.T) {
 		t.Fatalf("after the name was reused: classes %v, want %v: the batch svc is not the latency one", got, want)
 	}
 
-	if _, err := w.inv.register(ctx, "b", svc(PrioritySystem), nil); err != nil {
+	if _, err := w.inv.register(ctx, "b", svc(PrioritySystem), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, inv := range []*Inventory{w.inv, w.newInventory()} {
@@ -316,18 +316,18 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 				if r.Intn(3) == 0 {
 					spec.Priority = PriorityLatency
 				}
-				w.inv.register(ctx, pick(), spec, nil) // a down member refuses: nothing recorded
+				w.inv.register(ctx, pick(), spec, 0, nil) // a down member refuses: nothing recorded
 			case 10: // the fleet moves an app between members it reaches
 				if from, app, ok := cached(up); ok {
 					w.inv.relocate(ctx, Move{AppID: app.ID, App: app.EffectiveSpec(), From: from, To: pickWhere(up), Reason: ReasonRebalance})
 				}
 			case 11: // the fleet re-homes an app off a member it cannot reach
 				if from, app, ok := cached(func(id string) bool { return !up(id) }); ok && !up(from) {
-					w.inv.relocate(ctx, Move{AppID: app.ID, App: app.EffectiveSpec(), From: from, To: pickWhere(up), Reason: ReasonMachineLost})
+					w.inv.relocate(ctx, Move{AppID: app.ID, App: app.EffectiveSpec(), From: from, To: pickWhere(up), Reason: ReasonMachineLost, moved: app.MovedRound})
 				}
 			case 12: // the fleet re-homes an app off a quarantined member: reachable, not asked
 				if from, app, ok := cached(up); ok {
-					w.inv.relocate(ctx, Move{AppID: app.ID, App: app.EffectiveSpec(), From: from, To: pickWhere(up), Reason: ReasonQuarantine})
+					w.inv.relocate(ctx, Move{AppID: app.ID, App: app.EffectiveSpec(), From: from, To: pickWhere(up), Reason: ReasonQuarantine, moved: app.MovedRound})
 				}
 			case 14: // the fleet deregisters (a stale duplicate, say)
 				if id, app, ok := cached(anywhere); ok {
@@ -337,7 +337,7 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 				apps++
 				id := pick()
 				w.direct(id, ctrlplane.AppSpec{Name: fmt.Sprintf("direct-%d", apps), AI: 0.5 * float64(1+r.Intn(8))}, 0)
-				w.inv.register(ctx, id, AppSpec{Name: fmt.Sprintf("placed-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), TTLMillis: testTTL}, nil)
+				w.inv.register(ctx, id, AppSpec{Name: fmt.Sprintf("placed-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), TTLMillis: testTTL}, 0, nil)
 			case 16: // the fleet registers what a read normalises: explicit numa-perfect, default TTL, default name, a cap, a numa-bad home
 				apps++
 				spec := AppSpec{Name: fmt.Sprintf("placed-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), Placement: ctrlplane.PlacementPerfect, HomeNode: r.Intn(4)}
@@ -349,7 +349,7 @@ func TestConditionalPollMatchesFullPoll(t *testing.T) {
 				case 2:
 					spec.Placement = ctrlplane.PlacementBad
 				}
-				w.inv.register(ctx, pick(), spec, nil)
+				w.inv.register(ctx, pick(), spec, 0, nil)
 			case 13: // a register in a class behind the fleet's back, sometimes reusing a cached app's name
 				apps++
 				spec := ctrlplane.AppSpec{Name: fmt.Sprintf("direct-%d", apps), AI: 0.5 * float64(1+r.Intn(8)), Priority: []string{"", PriorityBatch, PriorityLatency, PrioritySystem}[r.Intn(4)]}
@@ -615,7 +615,7 @@ func TestOldMemberEndsInFullReads(t *testing.T) {
 			w.direct("a", ctrlplane.AppSpec{Name: "resident", AI: 0.5}, 0)
 			for step := 0; step < 4; step++ {
 				if step == 2 {
-					if _, err := w.inv.register(ctx, "a", AppSpec{Name: "placed", AI: 10}, nil); err != nil {
+					if _, err := w.inv.register(ctx, "a", AppSpec{Name: "placed", AI: 10}, 0, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -640,7 +640,7 @@ func TestNotModifiedRacingAckedRegisterIsDropped(t *testing.T) {
 	w.inv.Poll(ctx)
 	w.net.served = func(string, *http.Request) {
 		w.net.served = nil
-		if _, err := w.inv.register(ctx, "a", AppSpec{Name: "placed", AI: 10}, nil); err != nil {
+		if _, err := w.inv.register(ctx, "a", AppSpec{Name: "placed", AI: 10}, 0, nil); err != nil {
 			t.Error(err)
 		}
 	}

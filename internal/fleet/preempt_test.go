@@ -34,7 +34,7 @@ func newCoopdOn(t *testing.T, m *machine.Machine) *httptest.Server {
 // Rebalancer.Execute do.
 func registerWithPriority(t *testing.T, inv *Inventory, member string, spec AppSpec) {
 	t.Helper()
-	if _, err := inv.register(context.Background(), member, spec, nil); err != nil {
+	if _, err := inv.register(context.Background(), member, spec, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,11 +153,14 @@ func TestPreemptRepairsPriorityInversion(t *testing.T) {
 	if mv.App.Priority != "" && mv.App.Priority != PriorityBatch {
 		t.Fatalf("preempted the %s-class app %s, want a batch victim", mv.App.Priority, mv.App.Name)
 	}
-	if inv.cooldownView(DefaultCooldownRounds)[mv.App.Name] == 0 {
-		t.Fatalf("victim %s not cooling down after its preemption", mv.App.Name)
-	}
 
 	inv.Poll(ctx)
+	if m, _ := inv.Member("b"); len(m.Apps) != 1 || m.Apps[0].MovedRound != 1 {
+		t.Fatalf("b's registry holds %+v, want the victim with its move's round 1", m.Apps)
+	}
+	if p, err := reb.Plan(ctx); err != nil || p.Cooldowns[mv.App.Name] != DefaultCooldownRounds {
+		t.Fatalf("plan %+v, %v: victim %s not cooling down after its preemption", p, err, mv.App.Name)
+	}
 	if n := appsOn(t, inv, "a"); n != 2 {
 		t.Fatalf("a hosts %d apps after repair, want floor capacity 2", n)
 	}

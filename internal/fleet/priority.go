@@ -39,13 +39,4 @@ func ClassRank(p string) int {
 // to zero — the "unset" weight, scored as 1 — so priority-free fleets
 // produce demand sets, cache keys, and decisions bit-identical to the
 // pre-priority code under the default objective.
-func classWeight(p string) float64 {
-	switch p {
-	case PrioritySystem:
-		return 16
-	case PriorityLatency:
-		return 4
-	default:
-		return 0
-	}
-}
+func classWeight(p string) float64 { return [...]float64{0, 4, 16}[ClassRank(p)] }

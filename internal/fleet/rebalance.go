@@ -55,6 +55,7 @@ type Move struct {
 	// To with the registration (see Decision); nil for a move no decision
 	// stands behind (the imbalance re-pack).
 	solved *ctrlplane.Solved
+	moved  uint64 // the source record's MovedRound
 }
 
 // evacApp is one urgent evacuation candidate: an app still registered
@@ -92,9 +93,10 @@ type Plan struct {
 	// BudgetSpent is how much of it this plan consumes.
 	Budget      int `json:"budget,omitempty"`
 	BudgetSpent int `json:"budget_spent,omitempty"`
-	// Cooldowns maps app names still inside their post-move cooldown to
-	// the number of upcoming rounds (including the planned one) in which
-	// the drift and imbalance passes will not move them again.
+	// Cooldowns maps the names of the snapshot's apps still inside their
+	// post-move cooldown to the number of upcoming rounds (including the
+	// planned one) in which the preempt, drift and imbalance passes will
+	// not move them again (the longest where names repeat).
 	Cooldowns map[string]int `json:"cooldowns,omitempty"`
 	// StormActive marks a degraded-mode round: enough members are down
 	// with un-evacuated apps that urgent moves were triaged under the
@@ -132,9 +134,8 @@ func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
 	cfg := r.cfg
 	s := openSession(r.Scorer, r.Inv, r.Scorer.DomainSpread)
 	defer s.close()
-	s.budget = cfg.MaxMovesPerRound
-	s.cooling = r.Inv.cooldownView(max(cfg.CooldownRounds, 0))
-	plan := &Plan{Budget: cfg.MaxMovesPerRound, Cooldowns: s.cooling, StaleDeregs: s.staleDuplicates()}
+	s.budget, s.round, s.cooldown = cfg.MaxMovesPerRound, r.Inv.clock(), uint64(max(cfg.CooldownRounds, 0))
+	plan := &Plan{Budget: cfg.MaxMovesPerRound, Cooldowns: s.cooldowns(), StaleDeregs: s.staleDuplicates()}
 
 	// Collect the round's evacuations — apps on dead, quarantined, or
 	// draining members — and detect a failure storm: the fraction of
@@ -436,7 +437,7 @@ func (r *Rebalancer) planImbalance(s *session, plan *Plan) {
 	// the fleet at (a bounded prefix of) the re-packed assignment.
 	for i, o := range s.owned {
 		// Damped while cooling down: just moved, let the fleet settle.
-		if out.targets[i] == o.c.id || s.cooling[o.app.Name] > 0 || s.exhausted() {
+		if out.targets[i] == o.c.id || s.frozen(o.c.id, o.app) || s.exhausted() {
 			continue
 		}
 		s.move(o.app, o.c.id, ReasonRebalance, s.cand(out.targets[i]), &Decision{})
@@ -543,7 +544,7 @@ func (r *Rebalancer) Execute(ctx context.Context, plan *Plan) error {
 }
 
 // Round runs one control-loop iteration: poll the fleet, plan, execute.
-// Rounds advance the cooldown clock — Plan alone (the HTTP dry run)
+// Rounds advance the round clock — Plan alone (the HTTP dry run)
 // never does, so inspecting a plan has no side effects.
 func (r *Rebalancer) Round(ctx context.Context) (*Plan, error) {
 	r.Inv.Poll(ctx)

@@ -2,11 +2,15 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/faultinject"
+	"repro/internal/machine"
 )
 
 // twoMachineFleet starts two coopd machines, registers the Table I mix
@@ -137,28 +141,41 @@ func TestRebalanceDrainsMarkedMember(t *testing.T) {
 	}
 }
 
-// TestRebalanceCooldownBlocksRepeatMoves: an app moved by the
-// preempt/drift/imbalance passes in round k is excluded from those
-// passes for rounds k+1..k+CooldownRounds, then becomes movable again.
-// The clock lives in the Inventory and only executed rounds advance it.
+// TestRebalanceCooldownBlocksRepeatMoves: an app whose record says the
+// preempt/drift/imbalance passes moved it in round k is excluded from
+// those passes for rounds k+1..k+CooldownRounds, then becomes movable
+// again; an app with no move round never is. The snapshot's records
+// carry the round, and only executed rounds advance the clock.
 func TestRebalanceCooldownBlocksRepeatMoves(t *testing.T) {
-	inv := NewInventory(InventoryConfig{})
-	inv.noteMoved("app")
+	ctx := context.Background()
+	inv := memInventory([]Member{{ID: "a", Topology: machine.PaperModel(), Apps: []PlacedApp{
+		{ID: "a-1", AppSpec: memSpec("app"), MovedRound: 1}, {ID: "a-2", AppSpec: memSpec("fresh")},
+	}}})
+	cooldowns := func(reb *Rebalancer) map[string]int {
+		t.Helper()
+		plan, err := reb.Plan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Cooldowns
+	}
+	_, reb := planners(t, inv, ServerConfig{CooldownRounds: 2})
 	inv.endRound() // the move's round completes
 	for i := 1; i <= 2; i++ {
-		if cds := inv.cooldownView(2); cds["app"] != 2-i+1 {
-			t.Fatalf("round +%d: cooldownView = %v, want app -> %d", i, cds, 2-i+1)
+		if cds, want := cooldowns(reb), map[string]int{"app": 2 - i + 1}; !reflect.DeepEqual(cds, want) {
+			t.Fatalf("round +%d: cooldowns %v, want %v", i, cds, want)
 		}
 		inv.endRound()
 	}
-	if cds := inv.cooldownView(2); len(cds) != 0 {
+	if cds := cooldowns(reb); len(cds) != 0 {
 		t.Fatalf("app still on cooldown after CooldownRounds elapsed: %v", cds)
 	}
 
-	// Disabled guard: nothing is ever on cooldown.
-	inv.noteMoved("app")
-	inv.endRound()
-	if cds := inv.cooldownView(0); len(cds) != 0 {
+	// Disabled guard: nothing is ever on cooldown, not even an app moved
+	// in the planned round itself, as a gang's victim is between rounds.
+	edit(inv.members["a"]).apps[0].MovedRound = inv.clock()
+	_, off := planners(t, inv, ServerConfig{CooldownRounds: -1})
+	if cds := cooldowns(off); len(cds) != 0 {
 		t.Fatalf("disabled cooldown still blocks moves: %v", cds)
 	}
 }
@@ -214,6 +231,157 @@ func TestRebalanceCooldownDampsImmediateBounce(t *testing.T) {
 				t.Fatalf("round +%d plan does not report %s cooling down: %v", round+1, name, p.Cooldowns)
 			}
 		}
+	}
+}
+
+// behindFleet registers (spec set) or deregisters (spec nil, every app
+// named name) on a member's coopd directly, as a client of that machine
+// would: the fleet learns of it at its next poll.
+func behindFleet(t *testing.T, inv *Inventory, member, name string, spec *AppSpec) {
+	t.Helper()
+	ctx := context.Background()
+	cli, err := inv.Client(member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec != nil {
+		if _, err := cli.Register(ctx, spec.RegisterRequest()); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	m, _ := inv.Member(member)
+	for _, a := range m.Apps {
+		if a.Name == name {
+			if err := cli.Deregister(ctx, a.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// movedNames lists a plan's moves as "name from->to".
+func movedNames(p *Plan) []string {
+	var out []string
+	for _, mv := range p.Moves {
+		out = append(out, mv.App.Name+" "+mv.From+"->"+mv.To)
+	}
+	return out
+}
+
+// TestCooldownBelongsToItsRegistration: a cooldown is the moved
+// registration's, not its name's. The first round moves mem-a and mem-c
+// from the Table I pile on a to b. Both then leave, and fresh apps of
+// the same names register on a: the fleet is back at 254 GFLOPS against
+// a 384 re-pack, nothing is cooling down, and the next plan moves the
+// two again. And while the moved mem-a cools down on b, a second live
+// mem-a, registered on a with mem-d, moves to b with mem-d. A register
+// sent straight to a member with the largest round a uint64 holds
+// saturates the clock: it neither wraps nor panics, and the app stays
+// frozen.
+func TestCooldownBelongsToItsRegistration(t *testing.T) {
+	ctx := context.Background()
+	t.Run("name reused", func(t *testing.T) {
+		inv, reb := twoMachineFleet(t, 4)
+		if _, err := reb.Round(ctx); err != nil {
+			t.Fatal(err)
+		}
+		inv.Poll(ctx)
+		for _, name := range []string{"mem-a", "mem-c"} {
+			behindFleet(t, inv, "b", name, nil)
+			spec := memSpec(name)
+			behindFleet(t, inv, "a", name, &spec)
+		}
+		inv.Poll(ctx)
+		plan, err := reb.Plan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !near(plan.CurrentGFLOPS, 254) || len(plan.Cooldowns) != 0 || len(plan.Moves) != 2 {
+			t.Fatalf("current %g GFLOPS, cooldowns %v, moves %v: want 254, none cooling and two moves",
+				plan.CurrentGFLOPS, plan.Cooldowns, movedNames(plan))
+		}
+	})
+	t.Run("two live apps of one name", func(t *testing.T) {
+		inv, reb := twoMachineFleet(t, 4)
+		if _, err := reb.Round(ctx); err != nil {
+			t.Fatal(err)
+		}
+		inv.Poll(ctx)
+		for _, name := range []string{"mem-a", "mem-d"} {
+			spec := memSpec(name)
+			behindFleet(t, inv, "a", name, &spec)
+		}
+		inv.Poll(ctx)
+		plan, err := reb.Plan(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"mem-a a->b", "mem-d a->b"}; !reflect.DeepEqual(movedNames(plan), want) || plan.Cooldowns["mem-a"] != DefaultCooldownRounds {
+			t.Fatalf("moves %v, cooldowns %v: want %v, the moved mem-a on b cooling down", movedNames(plan), plan.Cooldowns, want)
+		}
+	})
+	t.Run("the last round from outside", func(t *testing.T) {
+		inv, reb := twoMachineFleet(t, 4)
+		cli, err := inv.Client("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := memSpec("late").RegisterRequest()
+		req.MovedRound = math.MaxUint64
+		if _, err := cli.Register(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			plan, err := reb.Round(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := inv.clock(); got != math.MaxUint64 || plan.Cooldowns["late"] != DefaultCooldownRounds+1 || slices.Contains(movedNames(plan), "late a->b") {
+				t.Fatalf("round %d: clock %d, cooldowns %v, moves %v: want the clock saturated and late frozen",
+					i+1, got, plan.Cooldowns, movedNames(plan))
+			}
+		}
+	})
+}
+
+// TestRestartedFleetdKeepsCooldowns: a fleetd started over the same
+// members after a round plans exactly what the running one plans, with
+// the same cooldowns. The first round moves mem-a and mem-c to b; then
+// comp2 registers on a. Both fleetds move comp2 to b, and neither
+// moves mem-c back to a the round after moving it there.
+func TestRestartedFleetdKeepsCooldowns(t *testing.T) {
+	ctx := context.Background()
+	inv, reb := twoMachineFleet(t, 4)
+	if _, err := reb.Round(ctx); err != nil {
+		t.Fatal(err)
+	}
+	spec := compSpec("comp2")
+	behindFleet(t, inv, "a", "comp2", &spec)
+	inv.Poll(ctx)
+	running, err := reb.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewInventory(InventoryConfig{NewClient: fastClients(nil), FailAfter: 2})
+	for _, id := range []string{"a", "b"} {
+		if err := fresh.Add(id, inv.endpoints(id)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh.Poll(ctx)
+	_, freshReb := planners(t, fresh, ServerConfig{MaxMovesPerRound: 4, Logf: t.Logf})
+	restarted, err := freshReb.Plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"comp2 a->b"}; !reflect.DeepEqual(movedNames(running), want) {
+		t.Fatalf("the running fleetd moves %v, want %v", movedNames(running), want)
+	}
+	if !reflect.DeepEqual(restarted, running) {
+		t.Fatalf("a restarted fleetd plans\n  %v, cooldowns %v\nthe running one\n  %v, cooldowns %v",
+			movedNames(restarted), restarted.Cooldowns, movedNames(running), running.Cooldowns)
 	}
 }
 

@@ -221,9 +221,9 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 						next++
 						moved.ID = fmt.Sprintf("%s-%03d", m.id, next)
 						m.apps = append(slices.DeleteFunc(m.apps, func(x PlacedApp) bool { return x.ID == a.ID }), moved)
-					case "cooldown":
+					case "cooldown": // a move's round on a record, same ID
 						_, a := pickApp()
-						inv.noteMoved(a.Name)
+						a.MovedRound = inv.clock()
 					case "tick":
 						inv.endRound()
 					}

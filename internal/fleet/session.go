@@ -218,7 +218,7 @@ type appKey struct{ member, app string }
 // what every planner — single placement, gang admission, the
 // rebalancer's passes — works on: the member view with its
 // stale-duplicate set, the candidate set and its by-ID index, host
-// class ranks, the cooldown view, the pool and demand scratch, and the
+// class ranks, the round clock, the pool and demand scratch, and the
 // move ledger. Planning through a session does no I/O and touches no
 // inventory state; the result is a list of Moves for the executor
 // (Inventory.relocate). Sessions are pooled together with their
@@ -230,14 +230,14 @@ type session struct {
 	cur     candidateSet
 	cands   []*candidate // healthy, non-draining members, ID order
 
-	// dup marks stale duplicates (see staleDuplicates) and cooling maps
-	// app names inside their post-move cooldown to rounds left; both stay
-	// empty outside a rebalance round. byID and ranks are built on first
+	// dup marks stale duplicates (see staleDuplicates); round is the
+	// round being planned and cooldown its CooldownRounds. All three stay
+	// zero outside a rebalance round. byID and ranks are built on first
 	// use.
-	dup     map[appKey]bool
-	cooling map[string]int
-	byID    map[string]*candidate
-	ranks   map[string]int
+	dup             map[appKey]bool
+	round, cooldown uint64
+	byID            map[string]*candidate
+	ranks           map[string]int
 
 	fresh  candidateSet   // the imbalance pass's from-scratch re-pack
 	owned  []ownedApp     // the imbalance pass's apps, in re-pack order
@@ -274,7 +274,7 @@ func openSession(sc *Scorer, inv *Inventory, spread bool) *session {
 // carry copied specs and (immutable) strings only
 // (TestSessionOutputsDoNotAliasSnapshot).
 func (s *session) close() {
-	s.dup, s.cooling, s.byID, s.ranks = nil, nil, nil, nil
+	s.dup, s.round, s.cooldown, s.byID, s.ranks = nil, 0, 0, nil, nil
 	s.moves, s.deferred = nil, 0
 	sessions.Put(s)
 }
@@ -338,7 +338,32 @@ func (s *session) staleDuplicates() []StaleDereg {
 // frozen reports whether the quiet passes must leave the app alone: a
 // stale duplicate awaiting cleanup, or inside its post-move cooldown.
 func (s *session) frozen(member string, a *PlacedApp) bool {
-	return s.dup[appKey{member, a.ID}] || s.cooling[a.Name] > 0
+	return s.dup[appKey{member, a.ID}] || s.roundsLeft(a.MovedRound) > 0
+}
+
+// roundsLeft counts the rounds, the planned one included, the cooldown
+// of an app moved in round moved holds: rounds moved..moved+cooldown.
+func (s *session) roundsLeft(moved uint64) int {
+	if age := s.round - moved; moved != 0 && s.cooldown > 0 && age <= s.cooldown {
+		return int(s.cooldown-age) + 1
+	}
+	return 0
+}
+
+// cooldowns is Plan.Cooldowns; nil when no app is cooling down.
+func (s *session) cooldowns() (out map[string]int) {
+	for i := range s.members {
+		for j := range s.members[i].Apps {
+			a := &s.members[i].Apps[j]
+			if n := s.roundsLeft(a.MovedRound); n > 0 && n > out[a.Name] {
+				if out == nil {
+					out = map[string]int{}
+				}
+				out[a.Name] = n
+			}
+		}
+	}
+	return out
 }
 
 // pick decides spec against the candidates keep admits (nil: all of
@@ -369,7 +394,7 @@ func (s *session) exhausted() bool {
 func (s *session) move(app *PlacedApp, from, reason string, to *candidate, d *Decision) {
 	spec := app.EffectiveSpec()
 	s.moves = append(s.moves, Move{
-		AppID: app.ID, App: spec, From: from, To: to.id, Reason: reason, Score: d.Score, solved: d.solved,
+		AppID: app.ID, App: spec, From: from, To: to.id, Reason: reason, Score: d.Score, solved: d.solved, moved: app.MovedRound,
 	})
 	to.commit(spec, "")
 	s.budget--

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,14 +121,16 @@ func TestFailedRehomeRestoresSource(t *testing.T) {
 // TestPlanDoesNoIO: planning reads one inventory snapshot and nothing
 // else. With every member unreachable after the poll, Plan still
 // answers, answers the same twice, sends no request, and leaves the
-// inventory — members, stale lists, cooldowns — as it found it.
+// inventory — members, stale lists, move rounds, the clock — as it
+// found it.
 func TestPlanDoesNoIO(t *testing.T) {
 	ctx := context.Background()
 	inv, part, hosts, reb := stormFleet(t, ServerConfig{})
 	part.Isolate(hosts[0])
 	inv.Poll(ctx) // a is dead: the plan below is a storm triage
 	inv.noteStale("b", "ghost")
-	inv.noteMoved("t-1")
+	b := edit(inv.members["b"])
+	b.apps[slices.IndexFunc(b.apps, func(a PlacedApp) bool { return a.Name == "t-1" })].MovedRound = inv.clock()
 	inv.endRound()
 	for _, h := range hosts {
 		part.Isolate(h)
@@ -139,7 +142,7 @@ func TestPlanDoesNoIO(t *testing.T) {
 		return n
 	}
 
-	membersBefore, cooldownsBefore, dropsBefore := inv.Snapshot(), inv.cooldownView(DefaultCooldownRounds), drops()
+	membersBefore, roundBefore, dropsBefore := inv.Snapshot(), inv.clock(), drops()
 	first, err := reb.Plan(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -160,8 +163,8 @@ func TestPlanDoesNoIO(t *testing.T) {
 	if got := inv.Snapshot(); !reflect.DeepEqual(got, membersBefore) {
 		t.Fatalf("planning changed the inventory:\n  before %+v\n  after  %+v", membersBefore, got)
 	}
-	if got := inv.cooldownView(DefaultCooldownRounds); !reflect.DeepEqual(got, cooldownsBefore) || got["t-1"] == 0 {
-		t.Fatalf("planning changed the cooldowns: before %v, after %v", cooldownsBefore, got)
+	if got := inv.clock(); got != roundBefore || first.Cooldowns["t-1"] != DefaultCooldownRounds {
+		t.Fatalf("round %d -> %d, cooldowns %v: want the clock kept and t-1 cooling down", roundBefore, got, first.Cooldowns)
 	}
 }
 
