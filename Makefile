@@ -34,10 +34,11 @@ bench:
 
 # Placement-throughput benchmarks (decisions/sec against 100- and
 # 1000-machine fleet snapshots, domain-spread included), the inventory
-# poll of 40 in-process members, unchanged and changed, and a quiet
-# rebalance plan over 40 members (the re-pack memo hit), their
-# allocs/op written to BENCH_fleet.json the same way BENCH_solver.json
-# tracks the single-machine solver.
+# poll of 40 in-process members, unchanged and changed, a quiet
+# rebalance plan over 40 members (the re-pack memo hit) and the cold
+# first quiet round of a rack_loss recovery (the re-pack memo missed),
+# their allocs/op written to BENCH_fleet.json the same way
+# BENCH_solver.json tracks the single-machine solver.
 bench-fleet:
 	$(GO) test -bench 'BenchmarkPlacement|BenchmarkInventoryPoll|BenchmarkRebalance' -benchmem -run '^$$' ./internal/fleet/ \
 		| $(GO) run ./cmd/benchdiff > BENCH_fleet.json

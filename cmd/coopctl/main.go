@@ -489,8 +489,9 @@ func cmdFleetMachines(ctx context.Context, args []string) error {
 }
 
 // cmdFleetStatus prints fleetd's /metricsz: how hard the Scorer's solve
-// cache worked, how the member polls, the planning candidates and the
-// imbalance re-packs went and what every endpoint served.
+// cache worked, how the member polls, the planning candidates, the
+// decisions and the imbalance re-packs went and what every endpoint
+// served.
 func cmdFleetStatus(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("fleet status", flag.ExitOnError)
 	server := fleetFlags(fs)
@@ -503,6 +504,7 @@ func cmdFleetStatus(ctx context.Context, args []string) error {
 	printSolveCache(m.SolveCache)
 	fmt.Printf("  member polls: %d unchanged / %d full / %d failed (%d registers kept the copy exact)\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed, m.Polls.Acked)
 	fmt.Printf("  planning candidates: %d reused / %d rebuilt\n", m.Candidates.Reused, m.Candidates.Rebuilt)
+	fmt.Printf("  decisions: %d, scoring %d class marginals\n", m.Decisions.Count, m.Decisions.Classes)
 	fmt.Printf("  imbalance re-packs: %d reused / %d computed\n", m.Repacks.Reused, m.Repacks.Computed)
 	names := make([]string, 0, len(m.Endpoints))
 	for name := range m.Endpoints {

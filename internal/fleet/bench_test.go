@@ -165,6 +165,47 @@ func BenchmarkRebalanceQuietRound(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalanceRepack times the cold first quiet round of a
+// recovery in the coopbench rack_loss shape: the 30 KNLSNC4 survivors
+// over 3 failure domains, holding the 160 Table I apps of the 40-member
+// fleet (each its own mix plus the lost rack's 40, spread round-robin),
+// domain spread on. One op plans with a fresh Rebalancer over a warm
+// Scorer, so the re-pack memo misses and the imbalance pass decides all
+// 160 apps again, while the solves hit the Scorer's memo: what is timed
+// is the decisions' own work.
+func BenchmarkRebalanceRepack(b *testing.B) {
+	const survivors, domains, apps = 30, 3, 160
+	mix := []AppSpec{{Name: "mem-a", AI: 0.5}, {Name: "mem-b", AI: 0.5}, {Name: "mem-c", AI: 0.5}, {Name: "comp", AI: 10}}
+	members := make([]Member, survivors)
+	for i := range members {
+		id := fmt.Sprintf("m%02d", i)
+		members[i] = Member{ID: id, Domain: fmt.Sprintf("rack%d", i%domains), Topology: machine.KNLSNC4()}
+	}
+	for j := 0; j < apps; j++ {
+		m := &members[j%survivors]
+		spec := mix[j%len(mix)]
+		spec.Name = fmt.Sprintf("%s-%03d", spec.Name, j)
+		m.Apps = append(m.Apps, PlacedApp{ID: fmt.Sprintf("%s-%d", m.ID, len(m.Apps)), AppSpec: spec})
+	}
+	_, reb := planners(b, memInventory(members), ServerConfig{DomainSpread: true})
+	ctx := context.Background()
+	plan := func() {
+		fresh := &Rebalancer{Inv: reb.Inv, Scorer: reb.Scorer, cfg: reb.cfg}
+		if plan, err := fresh.Plan(ctx); err != nil || len(plan.Moves) != 0 || plan.RepackGFLOPS == 0 {
+			b.Fatalf("plan %+v, %v: want a quiet round that re-packed", plan, err)
+		}
+		if m := fresh.Repacks(); m != (RepackMetrics{Computed: 1}) {
+			b.Fatalf("re-packs %+v, want one computed", m)
+		}
+	}
+	plan()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan()
+	}
+}
+
 // benchPollFleet is 40 in-process members behind memberNet, each holding
 // the paper's Table I mix, polled once: what Inventory.Poll faces every
 // PollInterval in a fleet at rest.

@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/machine"
+	"repro/internal/roofline"
 )
 
 // indexWorld is FuzzCandidateIndex's fleet: small in-process members
@@ -150,9 +152,10 @@ func (w *indexWorld) apply(t *testing.T, twin *indexWorld, op, arg byte) {
 
 // check opens a pooled session over world (w or its twin), under the
 // configuration of w the edit names, and holds its snapshot rows and
-// candidates against a cold candidateSet built from Snapshot(). It then
-// decides an app in the session, so its candidates carry class keys on
-// to the next one.
+// candidates, class and domain ids included, against a cold
+// candidateSet built from Snapshot(). It then decides an app in the
+// session, so its candidates carry class keys and ids on to the next
+// one.
 func (w *indexWorld) check(t *testing.T, label string, world *indexWorld, op byte) {
 	t.Helper()
 	sc, inv := w.pls[config(op)].Scorer, world.inv
@@ -173,13 +176,19 @@ func (w *indexWorld) check(t *testing.T, label string, world *indexWorld, op byt
 		t.Fatalf("%s: %d pooled candidates, %d cold", label, len(s.cands), len(cold))
 	}
 	var scratch scoreScratch
+	tab := sc.table()
 	for i, c := range s.cands {
 		d := cold[i]
 		if c.id != d.id || c.member != d.member || c.topo != d.topo || c.snap != d.snap || c.apps != d.apps ||
 			c.bad != d.bad || c.domain != d.domain || !slices.Equal(c.demand, d.demand) || !slices.Equal(c.ids, d.ids) ||
-			(c.groups == nil) != (d.groups == nil) || !maps.Equal(c.groups, d.groups) ||
-			!bytes.Equal(c.classKey(sc, &scratch), d.classKey(sc, &scratch)) {
+			(c.groups == nil) != (d.groups == nil) || !maps.Equal(c.groups, d.groups) {
 			t.Fatalf("%s: pooled candidate\n  %+v\na cold one\n  %+v", label, *c, *d)
+		}
+		// The ids the pooled candidate carries into a decision of sc,
+		// against the ones sc's table gives the cold candidate's key.
+		if !bytes.Equal(c.classKey(sc, &scratch, tab), d.classKey(sc, &scratch, tab)) || c.class != d.class || c.dom != d.dom {
+			t.Fatalf("%s: pooled candidate %s has class %d, domain %d and key %x; a cold one class %d, domain %d and key %x",
+				label, c.id, c.class, c.dom, c.keyBuf, d.class, d.dom, d.keyBuf)
 		}
 	}
 	s.pick(AppSpec{Name: "probe", AI: 2}, nil) // no candidate at all is fine too
@@ -209,7 +218,8 @@ func sameMember(a, b Member) bool {
 // over the fleet, and one over a twin fleet with the same member IDs
 // and other apps, must hold exactly what a cold candidateSet builds
 // from Snapshot(): snapshot rows, and per candidate demand, IDs, snap,
-// app and numa-bad counts, domain, groups and class key.
+// app and numa-bad counts, domain, groups, class key, and the class and
+// domain ids the deciding Scorer's class table gives them.
 func FuzzCandidateIndex(f *testing.F) {
 	for _, ops := range [][]byte{
 		{0, 0x00, 4, 0x00, 1, 0x00, 0, 0x02, 2, 0x02, 4, 0x00},             // register, poll, deregister, stale
@@ -240,4 +250,132 @@ func FuzzCandidateIndex(f *testing.F) {
 			w.check(t, fmt.Sprintf("step %d (edit %#x, arg %#x)", i/2, op, arg), w, op)
 		}
 	})
+}
+
+// TestAlternatingScorersDecideAlike: pooled sessions, and the candidates
+// in them, serve Scorers of different objectives, each numbering classes
+// and domains in a class table of its own. Two Placers, one on the
+// default objective and one on the weighted-priority one, decide in turn
+// over one inventory; each placement is recorded, so the next session
+// rebuilds the member it changed and takes the others as the other
+// Scorer's decision left them. Every decision must equal the same
+// Scorer's decision over a cold candidateSet.
+func TestAlternatingScorersDecideAlike(t *testing.T) {
+	members := make([]Member, 8)
+	for i := range members {
+		members[i] = Member{ID: fmt.Sprintf("m%d", i), Domain: fmt.Sprintf("r%d", i%3), Topology: indexTopos[1]}
+	}
+	inv := memInventory(members)
+	var pls []*Placer
+	for _, cfg := range []ServerConfig{{DomainSpread: true}, {DomainSpread: true, Objective: "weighted-priority"}} {
+		pl, _ := planners(t, inv, cfg)
+		pls = append(pls, pl)
+	}
+	for i := 0; i < 40; i++ {
+		pl := pls[i%2]
+		spec := AppSpec{Name: fmt.Sprintf("%s-%d", []string{"web", "db"}[i/2%2], i), AI: indexAIs[i%3], Priority: indexClasses[i%3]}
+		d, err := pl.Decide(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := pl.Scorer.decide(spec, new(candidateSet).reset(inv.Snapshot(), true, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Member != want.Member || d.Score != want.Score || d.After != want.After {
+			t.Fatalf("decision %d (placer %d): the pooled session chose %s (score %v, after %v), a cold candidate set %s (%v, %v)",
+				i, i%2, d.Member, d.Score, d.After, want.Member, want.Score, want.After)
+		}
+		placed := PlacedApp{ID: fmt.Sprintf("app-%d", i), AppSpec: spec}
+		inv.noteRegistered(d.Member, placed, &ctrlplane.RegisterResponse{ID: placed.ID})
+	}
+}
+
+// churnClasses numbers n distinct one-app classes in the Scorer's class
+// tables, each through the table a decision would take at that moment.
+func churnClasses(sc *Scorer, n int) {
+	var s scoreScratch
+	c := &candidate{topo: indexTopos[0]}
+	for i := 0; i < n; i++ {
+		c.demand = append(c.demand[:0], roofline.App{AI: float64(i + 1)})
+		c.tab = nil
+		c.classKey(sc, &s, sc.table())
+	}
+}
+
+// TestClassTableStaysBounded churns more distinct classes through one
+// Scorer than its class table holds, three times over. A table never
+// holds more than maxClassIDs ids plus what one numbering adds, the
+// decision that finds it full starts a new one, and decisions over
+// candidates numbered in the replaced table match a fresh Scorer's.
+func TestClassTableStaysBounded(t *testing.T) {
+	members := spreadMembers()
+	sc, ref := NewScorer(), NewScorer()
+	sc.DomainSpread, ref.DomainSpread = true, true
+	cands := new(candidateSet).reset(members, true, true)
+	for round := 0; round < 3; round++ {
+		full := sc.table()
+		churnClasses(sc, maxClassIDs-full.size())
+		if n := full.size(); n < maxClassIDs || n > maxClassIDs+2 {
+			t.Fatalf("round %d: the churned table holds %d ids, want %d (+2 at most)", round, n, maxClassIDs)
+		}
+		for _, spec := range spreadSpecs {
+			d, _, err := sc.decide(spec, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := ref.decide(spec, new(candidateSet).reset(members, true, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Member != want.Member || d.Score != want.Score || d.After != want.After {
+				t.Fatalf("round %d, %s: chose %s (score %v, after %v), a fresh Scorer %s (%v, %v)",
+					round, spec.Name, d.Member, d.Score, d.After, want.Member, want.Score, want.After)
+			}
+		}
+		if next := sc.table(); next == full || next.size() > 2*len(cands) {
+			t.Fatalf("round %d: after the full table the decisions numbered in one holding %d ids (replaced: %v)", round, next.size(), next != full)
+		}
+	}
+}
+
+// TestConcurrentDecisionsShareOneScorer: decisions of one Scorer run
+// concurrently, each over candidates of its own, while classes churn
+// through the Scorer's table and replace it under them. Every decision
+// matches a Scorer deciding alone.
+func TestConcurrentDecisionsShareOneScorer(t *testing.T) {
+	members := spreadMembers()
+	want := make([]string, len(spreadSpecs))
+	ref := NewScorer()
+	ref.DomainSpread = true
+	for i, spec := range spreadSpecs {
+		d, _, err := ref.decide(spec, new(candidateSet).reset(members, true, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d.Member
+	}
+	sc := NewScorer()
+	sc.DomainSpread = true
+	first := sc.table()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cands := new(candidateSet).reset(members, true, true)
+			for i := 0; i < 40; i++ {
+				k := (g + i) % len(spreadSpecs)
+				if d, _, err := sc.decide(spreadSpecs[k], cands); err != nil || d.Member != want[k] {
+					t.Errorf("decision %d of goroutine %d: %+v, %v; want %s", i, g, d, err, want[k])
+					return
+				}
+			}
+		}()
+	}
+	churnClasses(sc, maxClassIDs+maxClassIDs/4)
+	wg.Wait()
+	if sc.table() == first {
+		t.Fatal("the churn never replaced the table")
+	}
 }

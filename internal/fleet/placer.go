@@ -9,9 +9,10 @@ import (
 )
 
 // scoreTieEps is the margin within which two placement scores count as
-// tied; ties break to the candidate with fewer apps, then the lower
-// member ID, so repeated placements spread instead of piling onto the
-// first machine.
+// tied; ties break, under domain-spread, to the candidate whose failure
+// domain hosts fewer of the app's cooperating group, then to the one
+// with fewer apps, then to the lower member ID, so repeated placements
+// spread instead of piling onto the first machine.
 const scoreTieEps = 1e-6
 
 // ErrNoCandidate is returned when no healthy, non-draining member can
@@ -63,7 +64,8 @@ func FloorCapacity(m *machine.Machine) int {
 // class scores themselves come from the Scorer's fleet-wide memo, so
 // repeated decisions against an unchanged fleet run solve-free. Under
 // domain-spread the class is still (topology, demand): the domain only
-// breaks score ties, candidate by candidate (tieBreakBetter).
+// breaks score ties, candidate by candidate (tieBreakBetter). Classes
+// and domains are ids in the Scorer's class table (classTable).
 //
 // Anti-affinity: a numa-bad app avoids machines that already host a
 // numa-bad demand set — two such sets on one machine serialize on each
@@ -77,46 +79,49 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 	}
 	s := sc.scratch.Get()
 	defer sc.scratch.Put(s)
+	t := sc.table()
+	s.stamp++
+	bad := spec.numaBad()
 	pool := cands
-	if spec.numaBad() {
+	if bad {
 		if s.clean = keepCands(s.clean[:0], cands, func(c *candidate) bool { return c.bad == 0 }); len(s.clean) > 0 {
 			pool = s.clean
 		}
 	}
 	// Domain-spread: count the app's cooperating group per failure
-	// domain across the whole fleet (not just the filtered pool — group
-	// members on excluded machines still occupy their domain). The
-	// counts drive a tie-break only; score always wins first.
-	var domCount map[string]int
+	// domain over cands, the candidates decide was handed — under a
+	// session.pick keep filter that is the filtered pool, not the whole
+	// fleet — numa-bad hosts included. The counts drive a tie-break
+	// only; score always wins first.
+	var groups []int
 	if sc.DomainSpread {
-		if s.domCount == nil {
-			s.domCount = make(map[string]int, 8)
-		}
-		clear(s.domCount)
-		domCount = s.domCount
 		group := groupOf(spec.Name)
 		for _, c := range cands {
-			domCount[c.domain] += c.groups[group]
+			c.classKey(sc, s, t)
+			s.groups = grow(s.groups, c.dom)
+			s.groups[c.dom] = 0
 		}
+		for _, c := range cands {
+			s.groups[c.dom] += c.groups[group]
+		}
+		groups = s.groups
 	}
-	if s.classes == nil {
-		s.classes = make(map[string]classResult, 4)
-	}
-	clear(s.classes)
-	classes := s.classes
+	scored := 0
 	var best *candidate
 	var bestScore float64
 	var bestWith solveOutcome
 	for _, c := range pool {
-		if spec.numaBad() && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
+		if bad && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
 			continue // home node does not exist on this machine
 		}
-		key := c.classKey(sc, s)
-		r, ok := classes[string(key)] // byte-to-string map lookup: no alloc
-		if !ok {
+		key := c.classKey(sc, s, t)
+		s.classes = grow(s.classes, c.class)
+		r := s.classes[c.class]
+		if r.stamp != s.stamp {
 			score, with, err := sc.marginal(c.topo, c.demand, key, app, s)
-			r = classResult{score: score, with: with, failed: err != nil}
-			classes[string(key)] = r // allocates the key once per class
+			r = classResult{stamp: s.stamp, score: score, with: with, failed: err != nil}
+			s.classes[c.class] = r
+			scored++
 		}
 		if r.failed {
 			continue
@@ -124,7 +129,7 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		switch {
 		case best == nil, r.score > bestScore+scoreTieEps:
 			best, bestScore, bestWith = c, r.score, r.with
-		case r.score > bestScore-scoreTieEps && tieBreakBetter(domCount, c, best):
+		case r.score > bestScore-scoreTieEps && tieBreakBetter(groups, c, best):
 			// Tied score: under domain-spread prefer the domain hosting
 			// the fewest of the app's cooperating group, then the emptier
 			// machine (candidates arrive in ID order, so equal ties keep
@@ -132,6 +137,8 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 			best, bestScore, bestWith = c, r.score, r.with
 		}
 	}
+	sc.decisions.Add(1)
+	sc.scored.Add(uint64(scored))
 	if best == nil {
 		return nil, nil, ErrNoCandidate
 	}
@@ -143,14 +150,22 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 	return d, best, nil
 }
 
-// tieBreakBetter decides score ties: under domain-spread (domCount
-// non-nil) the candidate whose failure domain hosts fewer of the app's
-// cooperating group wins; the fewer-apps rule breaks remaining ties.
-// With domCount nil this is exactly the pre-spread tie-break.
-func tieBreakBetter(domCount map[string]int, c, best *candidate) bool {
-	if domCount != nil {
-		cd, bd := domCount[c.domain], domCount[best.domain]
-		if cd != bd {
+// grow returns xs long enough to index i, new entries zero.
+func grow[T any](xs []T, i int32) []T {
+	if int(i) < len(xs) {
+		return xs
+	}
+	return append(xs, make([]T, int(i)+1-len(xs))...)
+}
+
+// tieBreakBetter decides score ties: under domain-spread (groups, the
+// app's group count per domain id, non-nil) the candidate whose failure
+// domain hosts fewer of the app's cooperating group wins; the fewer-apps
+// rule breaks remaining ties. With groups nil this is exactly the
+// pre-spread tie-break.
+func tieBreakBetter(groups []int, c, best *candidate) bool {
+	if groups != nil {
+		if cd, bd := groups[c.dom], groups[best.dom]; cd != bd {
 			return cd < bd
 		}
 	}

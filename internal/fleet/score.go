@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/ctrlplane"
 	"repro/internal/freelist"
 	"repro/internal/machine"
@@ -25,19 +28,65 @@ type solveOutcome struct {
 	solved *ctrlplane.Solved
 }
 
+// maxClassIDs bounds a Scorer's class table: the class keys and failure
+// domains it has numbered. A decision that finds the table full starts a
+// new one, so a table holds at most this many ids plus what one decision
+// numbers: room for a 10k-machine fleet of distinct classes and domains.
+const maxClassIDs = 1 << 15
+
+// classTable numbers the class keys and failure domains a Scorer's
+// decisions read, so decide indexes its per-decision state by small
+// integers. A table is never cleared, only replaced (Scorer.table), so
+// an id names one key for as long as anything holds it. Candidates are
+// pooled across inventories and Scorers, so each remembers the table its
+// ids came from (candidate.tab), and a decision in another table numbers
+// the candidate again. Safe for concurrent use.
+type classTable struct {
+	mu      sync.Mutex
+	classes map[string]int32
+	domains map[string]int32
+}
+
+// ids numbers a class key and a failure domain, each on first sight.
+func (t *classTable) ids(key []byte, domain string) (class, dom int32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	class, ok := t.classes[string(key)] // byte-to-string map lookup: no alloc
+	if !ok {
+		class = int32(len(t.classes))
+		t.classes[string(key)] = class // allocates the key once per class
+	}
+	if dom, ok = t.domains[domain]; !ok {
+		dom = int32(len(t.domains))
+		t.domains[domain] = dom
+	}
+	return class, dom
+}
+
+// size is the number of ids the table has handed out.
+func (t *classTable) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.classes) + len(t.domains)
+}
+
 // scoreScratch is the per-call reusable state of the scoring hot path,
 // pooled so a placement decision allocates nothing for any of it: the
 // key builder, the demand+app slice, a miss's demand and hint in slot
-// order, and decide's per-decision maps and NUMA-bad candidate filter.
+// order, and decide's per-decision tables and NUMA-bad candidate filter.
 type scoreScratch struct {
 	key   solvecache.Key
 	with  []roofline.App
 	slots []roofline.App
 	hint  []int
 
-	classes  map[string]classResult
-	domCount map[string]int
-	clean    []*candidate
+	// stamp numbers decide's decisions: a classes entry is the current
+	// decision's when it carries the current stamp. classes and groups
+	// are indexed by the ids of the decision's class table.
+	stamp   uint64
+	classes []classResult // by class id
+	groups  []int         // by domain id: the app's cooperating group
+	clean   []*candidate
 }
 
 // Scorer computes placement scores through the same solve the coopd
@@ -67,8 +116,8 @@ type Scorer struct {
 	// loss never takes the whole group. Domain never outranks score —
 	// with the flag off, decisions are bit-identical to the spread-free
 	// path, and both the solve memo below and decide's per-decision class
-	// map are domain-free either way (solves depend only on topology and
-	// demand). Set before use; not safe to flip concurrently with
+	// results are domain-free either way (solves depend only on topology
+	// and demand). Set before use; not safe to flip concurrently with
 	// decisions.
 	DomainSpread bool
 
@@ -86,6 +135,11 @@ type Scorer struct {
 	search  roofline.Search
 	cache   *solvecache.Cache[solveOutcome]
 	scratch freelist.List[scoreScratch]
+	classes atomic.Pointer[classTable]
+
+	// decisions and scored count decide's decisions and the class
+	// marginals they scored (see DecisionMetrics).
+	decisions, scored atomic.Uint64
 }
 
 // NewScorer returns a ready Scorer.
@@ -97,6 +151,27 @@ func NewScorer() *Scorer {
 func (sc *Scorer) CacheStats() (hits, misses uint64) {
 	c := sc.cache.Counters()
 	return c.Hits, c.Misses
+}
+
+// Decisions reports how many decisions the Scorer made and how many
+// class marginals they scored.
+func (sc *Scorer) Decisions() DecisionMetrics {
+	return DecisionMetrics{Count: sc.decisions.Load(), Classes: sc.scored.Load()}
+}
+
+// table returns the class table a decision numbers its candidates in:
+// the current one, or a new one when the current one is full.
+func (sc *Scorer) table() *classTable {
+	for {
+		t := sc.classes.Load()
+		if t != nil && t.size() < maxClassIDs {
+			return t
+		}
+		fresh := &classTable{classes: map[string]int32{}, domains: map[string]int32{}}
+		if sc.classes.CompareAndSwap(t, fresh) {
+			return fresh
+		}
+	}
 }
 
 // objective is the spec every solve of this Scorer runs under.
@@ -215,11 +290,12 @@ func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, key []byte
 	return with.total - before.total, with, nil
 }
 
-// classResult is one equivalence class's scored outcome within a single
-// decision: the marginal and the with-app solve, or the fact that the
-// class's solve failed (its candidates are skipped, matching the
-// per-machine error semantics of the unmemoized path).
+// classResult is one equivalence class's scored outcome within the
+// decision stamp names: the marginal and the with-app solve, or the fact
+// that the class's solve failed (its candidates are skipped, matching
+// the per-machine error semantics of the unmemoized path).
 type classResult struct {
+	stamp  uint64
 	score  float64
 	with   solveOutcome
 	failed bool

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 		{Name: "incoming", AI: 2},
 		{Name: "incoming-mem", AI: 1.0 / 32},
 		{Name: "incoming-bad", AI: 0.25, Placement: "numa-bad", HomeNode: 0},
-	}, false)
+	}, false, nil)
 }
 
 // TestDecideMatchesNaiveSpreadScoring is the domain-spread variant: one
@@ -144,8 +145,16 @@ func TestDecideMatchesNaivePerMachineScoring(t *testing.T) {
 // domain tie-break, and decide — which scores each class once whatever
 // its domains — must still match the per-machine scan bit for bit.
 func TestDecideMatchesNaiveSpreadScoring(t *testing.T) {
+	decideMatchesNaive(t, spreadMembers(), spreadSpecs, true, nil)
+}
+
+// spreadMembers is TestDecideMatchesNaiveSpreadScoring's fleet: one
+// class over three domains hosting different numbers of each incoming
+// app's cooperating group, a heavier class, another topology, a
+// numa-bad host and a member that is its own domain.
+func spreadMembers() []Member {
 	mem := func(id, name string) []PlacedApp { return []PlacedApp{{ID: id, AppSpec: AppSpec{Name: name, AI: 0.5}}} }
-	members := []Member{
+	return []Member{
 		{ID: "a1", Domain: "r1", Topology: machine.PaperModel(), Apps: mem("a1-1", "web-1")},
 		{ID: "a2", Domain: "r1", Topology: machine.PaperModel(), Apps: mem("a2-1", "web-2")},
 		{ID: "a3", Domain: "r2", Topology: machine.PaperModel(), Apps: mem("a3-1", "db-1")},
@@ -159,23 +168,39 @@ func TestDecideMatchesNaiveSpreadScoring(t *testing.T) {
 			{ID: "e-1", AppSpec: AppSpec{Name: "web-bad", AI: 0.5, Placement: "numa-bad", HomeNode: 1}}, {ID: "e-2", AppSpec: AppSpec{Name: "comp", AI: 10}}}},
 		{ID: "f", Topology: machine.PaperModel(), Apps: mem("f-1", "web-5")}, // its own domain
 	}
-	decideMatchesNaive(t, members, []AppSpec{
-		{Name: "web-9", AI: 2},
-		{Name: "db-9", AI: 2},
-		{Name: "etl-1", AI: 1.0 / 32},
-		{Name: "web-10", AI: 0.5},
-		{Name: "db-bad", AI: 0.25, Placement: "numa-bad", HomeNode: 0},
-	}, true)
+}
+
+var spreadSpecs = []AppSpec{
+	{Name: "web-9", AI: 2},
+	{Name: "db-9", AI: 2},
+	{Name: "etl-1", AI: 1.0 / 32},
+	{Name: "web-10", AI: 0.5},
+	{Name: "db-bad", AI: 0.25, Placement: "numa-bad", HomeNode: 0},
+}
+
+// TestDecideMatchesNaiveKeepFilterScoring pins the scope of the domain
+// counts: a session.pick keep filter hands decide the filtered pool, and
+// the counts run over that pool, not the whole fleet. Without a2, r1
+// hosts one web app, not two, so web-9 ties a1 with a3 and goes to a1
+// (the first in ID order); counted over the whole fleet it would go to a3.
+func TestDecideMatchesNaiveKeepFilterScoring(t *testing.T) {
+	decideMatchesNaive(t, spreadMembers(), spreadSpecs, true, func(id string) bool { return id != "a2" })
 }
 
 // decideMatchesNaive decides each spec against the members with and
 // without a warm memo and holds the result to an unmemoized scan over the
 // members applying the selection rule directly: the best score; within
 // scoreTieEps, under spread the domain hosting fewer of the app's
-// cooperating group (counted over every member), then fewer apps; then
-// the first in ID order.
-func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread bool) {
+// cooperating group (counted over every member decide is handed), then
+// fewer apps; then the first in ID order. With keep non-nil the decision
+// runs through a session's pick over the members keep admits, and the
+// scan sees only those.
+func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread bool, keep func(id string) bool) {
 	t.Helper()
+	scan := members
+	if keep != nil {
+		scan = slices.DeleteFunc(slices.Clone(members), func(m Member) bool { return !keep(m.ID) })
+	}
 	domainOf := func(m *Member) string {
 		if m.Domain == "" {
 			return m.ID
@@ -185,22 +210,22 @@ func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread 
 	for _, spec := range specs {
 		app := mustRoofline(t, spec)
 		domCount := map[string]int{}
-		for i := range members {
-			for _, a := range members[i].Apps {
+		for i := range scan {
+			for _, a := range scan[i].Apps {
 				if groupOf(a.Name) == groupOf(spec.Name) {
-					domCount[domainOf(&members[i])]++
+					domCount[domainOf(&scan[i])]++
 				}
 			}
 		}
 		var pool []*Member
-		for i := range members {
-			if !spec.numaBad() || members[i].NUMABadApps() == 0 {
-				pool = append(pool, &members[i])
+		for i := range scan {
+			if !spec.numaBad() || scan[i].NUMABadApps() == 0 {
+				pool = append(pool, &scan[i])
 			}
 		}
 		if len(pool) == 0 {
-			for i := range members {
-				pool = append(pool, &members[i])
+			for i := range scan {
+				pool = append(pool, &scan[i])
 			}
 		}
 		var want *Member
@@ -236,7 +261,15 @@ func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread 
 		sc := NewScorer()
 		sc.DomainSpread = spread
 		for pass := 0; pass < 2; pass++ { // pass 1 runs fully memoized
-			d, _, err := sc.decide(spec, new(candidateSet).reset(members, true, spread))
+			var d *Decision
+			var err error
+			if keep == nil {
+				d, _, err = sc.decide(spec, new(candidateSet).reset(members, true, spread))
+			} else {
+				s := openSession(sc, memInventory(members), spread)
+				d, _, err = s.pick(spec, func(c *candidate) bool { return keep(c.id) })
+				s.close()
+			}
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", spec.Name, pass, err)
 			}

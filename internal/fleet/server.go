@@ -326,6 +326,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Search:        s.pl.Scorer.search.Stats(),
 		Polls:         s.inv.Polls(),
 		Candidates:    s.inv.Candidates(),
+		Decisions:     s.pl.Scorer.Decisions(),
 		Repacks:       s.reb.Repacks(),
 		Endpoints:     s.routes.Metrics(),
 	})

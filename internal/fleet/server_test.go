@@ -409,6 +409,48 @@ func TestServerMetricsz(t *testing.T) {
 	}
 }
 
+// TestServerMetriczCountsDecisions: /metricsz decisions counts each
+// placement decision once and each equivalence class it scored once,
+// however many members the class covers; a refused request decides
+// nothing.
+func TestServerMetriczCountsDecisions(t *testing.T) {
+	ctx := context.Background()
+	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
+	for _, id := range []string{"a", "b", "c"} {
+		url := newCoopd(t).URL
+		if err := inv.Add(id, url); err != nil {
+			t.Fatal(err)
+		}
+		if id == "c" { // a and b run nothing, c one app: two classes
+			if _, err := fastClients(nil)(url).Register(ctx, memSpec("resident").RegisterRequest()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inv.Poll(ctx)
+	_, fc := newFleetServer(t, inv)
+	// Whichever member the first app joins, the second decision again
+	// faces an empty machine and one running a memory-bound app.
+	for i, name := range []string{"web-1", "web-2"} {
+		if _, err := fc.Place(ctx, memSpec(name)); err != nil {
+			t.Fatal(err)
+		}
+		m, err := fc.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (DecisionMetrics{Count: uint64(i + 1), Classes: 2 * uint64(i+1)}); m.Decisions != want {
+			t.Errorf("decisions %+v after %d placements, want %+v", m.Decisions, i+1, want)
+		}
+	}
+	if _, err := fc.Place(ctx, AppSpec{Name: "zero-ai"}); err == nil {
+		t.Fatal("zero-AI spec accepted")
+	}
+	if m, err := fc.Metrics(ctx); err != nil || m.Decisions != (DecisionMetrics{Count: 2, Classes: 4}) {
+		t.Errorf("decisions %+v (%v) after a refused placement, want the two placements' only", m.Decisions, err)
+	}
+}
+
 // TestServerPlaceEndpoints: the place response names the chosen
 // member's endpoints, read straight from the inventory (AddDomain copied
 // them from its caller and nothing changes them), so neither the

@@ -39,13 +39,15 @@ type candidate struct {
 	groupsBuf map[string]int
 
 	// keyBuf holds the candidate's equivalence-class key (topology hash
-	// + objective + sorted demand segments) under the objective named by
-	// keyObj, built lazily into a reused backing array and truncated on
-	// commit — the only invalidation the content-addressed scheme needs.
-	// Empty means unset (a real key is never shorter than the 8
-	// topology-hash bytes).
-	keyBuf []byte
-	keyObj string
+	// + objective + sorted demand segments), built lazily into a reused
+	// backing array, and class and dom number the key and the domain in
+	// tab, the class table of the Scorer that built them. All four hold
+	// only while tab is the deciding Scorer's table: commit, remove and
+	// reset drop tab — the only invalidation the content-addressed scheme
+	// needs — and a full table is replaced (Scorer.table).
+	keyBuf     []byte
+	class, dom int32
+	tab        *classTable
 
 	// version is the demand version (see demandVersions) of the snapshot
 	// row the candidate was loaded from, and spread the domain-spread
@@ -73,12 +75,17 @@ func groupOf(name string) string {
 	return name[:i]
 }
 
-// classKey returns the candidate's equivalence-class key, caching it on
-// the candidate until the next commit changes the demand set.
-func (c *candidate) classKey(sc *Scorer, s *scoreScratch) []byte {
-	if obj := sc.objective().Name(); len(c.keyBuf) == 0 || c.keyObj != obj {
+// classKey returns the candidate's equivalence-class key and numbers it
+// and the candidate's domain in t (c.class, c.dom). All three are cached
+// on the candidate until commit, remove or reset changes what they
+// describe, or a decision reads them from another table: one pooled
+// session serves Scorers of any objective, each with a table of its own.
+func (c *candidate) classKey(sc *Scorer, s *scoreScratch, t *classTable) []byte {
+	if c.tab != t {
 		key, _ := sc.demandKey(&s.key, c.topo, c.demand)
-		c.keyBuf, c.keyObj = append(c.keyBuf[:0], key...), obj
+		c.keyBuf = append(c.keyBuf[:0], key...)
+		c.class, c.dom = t.ids(c.keyBuf, c.domain)
+		c.tab = t
 	}
 	return c.keyBuf
 }
@@ -103,7 +110,7 @@ func (c *candidate) commit(spec AppSpec, id string) {
 	if c.groups != nil {
 		c.groups[groupOf(spec.Name)]++
 	}
-	c.keyBuf, c.version = c.keyBuf[:0], 0
+	c.tab, c.version = nil, 0
 }
 
 // remove is commit's inverse for evictions: it drops the demand entry
@@ -126,7 +133,7 @@ func (c *candidate) remove(i int, spec AppSpec) {
 			delete(c.groups, g)
 		}
 	}
-	c.keyBuf, c.version = c.keyBuf[:0], 0
+	c.tab, c.version = nil, 0
 }
 
 // candidateSet owns reusable scoring candidates, one per snapshot
@@ -173,7 +180,7 @@ func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*cand
 		}
 		cs.rebuilt++
 		c.id, c.topo = m.ID, m.Topology
-		c.demand, c.ids, c.keyBuf = c.demand[:0], c.ids[:0], c.keyBuf[:0]
+		c.demand, c.ids, c.tab = c.demand[:0], c.ids[:0], nil
 		c.apps, c.bad = 0, 0
 		c.domain, c.groups = "", nil
 		if spread {

@@ -151,15 +151,26 @@ type CandidateMetrics struct {
 	Rebuilt uint64 `json:"rebuilt"`
 }
 
+// DecisionMetrics counts the Scorer's placement decisions (Count) and
+// the class marginals they scored (Classes). A decision scores each
+// equivalence class among its candidates once, however many members the
+// class covers, so Classes/Count is the mean number of classes a
+// decision faced.
+type DecisionMetrics struct {
+	Count   uint64 `json:"count"`
+	Classes uint64 `json:"classes"`
+}
+
 // FleetMetricsResponse is the fleet /metricsz body: how hard the Scorer
-// worked, how the member polls, the planning candidates and the
-// imbalance re-packs went and what every endpoint served, in coopd's
-// shapes.
+// worked, how the member polls, the planning candidates, the decisions
+// and the imbalance re-packs went and what every endpoint served, in
+// coopd's shapes.
 type FleetMetricsResponse struct {
 	UptimeSeconds float64             `json:"uptime_s"`
 	SolveCache    solvecache.Counters `json:"solve_cache"`
 	Polls         PollMetrics         `json:"polls"`
 	Candidates    CandidateMetrics    `json:"candidates"`
+	Decisions     DecisionMetrics     `json:"decisions"`
 	Repacks       RepackMetrics       `json:"repacks"`
 	// Endpoints is keyed by the route names NewServer mounts.
 	Endpoints map[string]httpapi.EndpointMetrics `json:"endpoints"`
