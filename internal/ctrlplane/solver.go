@@ -226,16 +226,14 @@ func slotApps(apps []AppState, order []int) []roofline.App {
 // solveSlots solves the demand slots (apps in order) under the policy.
 func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*cachedSolution, error) {
 	rapps := slotApps(apps, order)
-	var al roofline.Allocation
 	if s.policy == PolicyFairShare {
-		al = roofline.FairShareFirst(m, len(rapps))
-	} else {
-		var err error
-		if _, al, _, _, err = s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps); err != nil {
-			return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, len(rapps), err)
-		}
+		return served(m, apps, order, rapps, roofline.FairShareFirst(m, len(rapps)))
 	}
-	return served(m, apps, order, rapps, al)
+	counts, _, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps)
+	if err != nil {
+		return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, len(rapps), err)
+	}
+	return servedCounts(m, apps, order, rapps, counts)
 }
 
 // adopt turns an offered solve into the cache value solveSlots would
@@ -276,8 +274,7 @@ func (s *Solver) logInvalid(key uint64, err error) {
 	log.Printf("ctrlplane: refusing the offered solve of key %016x, solving here instead: %v", key, err)
 }
 
-// adoptSlots validates offered per-slot counts and builds their cache
-// value.
+// adoptSlots is servedCounts for an offer's counts that pass its checks.
 func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) (*cachedSolution, error) {
 	if len(counts) != len(order) {
 		return nil, fmt.Errorf("%d counts for %d apps", len(counts), len(order))
@@ -300,11 +297,7 @@ func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) 
 	if !roofline.Canonical(roofline.ObjTotalGFLOPS, rapps, counts) {
 		return nil, fmt.Errorf("counts %v are not the canonical row of their interchangeable slots", counts)
 	}
-	al, err := roofline.PerNodeCounts(m, counts)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := served(m, apps, order, rapps, al)
+	cs, err := servedCounts(m, apps, order, rapps, counts)
 	if err != nil {
 		return nil, err
 	}
@@ -317,37 +310,43 @@ func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) 
 	return cs, nil
 }
 
+// servedCounts is served for counts[slot] threads of each slot per node.
+func servedCounts(m *machine.Machine, apps []AppState, order []int, rapps []roofline.App, counts []int) (*cachedSolution, error) {
+	al, err := roofline.PerNodeCounts(m, counts)
+	if err != nil {
+		return nil, err
+	}
+	return served(m, apps, order, rapps, al)
+}
+
 // served builds the cache value for an allocation of the demand slots:
 // caps applied, evaluated with the roofline model, with the paper's
 // structured baselines beside it.
 func served(m *machine.Machine, apps []AppState, order []int, rapps []roofline.App, al roofline.Allocation) (*cachedSolution, error) {
-	n := len(order)
 	for slot, idx := range order {
 		trimToCap(al.Threads[slot], apps[idx].Spec.MaxThreads)
 	}
-
 	res, err := roofline.Evaluate(m, rapps, al)
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: evaluating allocation: %w", err)
 	}
-	cs := &cachedSolution{
+	// A baseline is best-effort: 0 when its shape is infeasible for this
+	// app count and machine.
+	baseline := func(shape roofline.Allocation, err error) float64 {
+		if err == nil {
+			if r, err := roofline.Evaluate(m, rapps, shape); err == nil {
+				return r.TotalGFLOPS
+			}
+		}
+		return 0
+	}
+	return &cachedSolution{
 		counts: al.Threads,
 		gflops: append([]float64(nil), res.AppGFLOPS...),
 		total:  res.TotalGFLOPS,
-	}
-	// Structured baselines (best-effort: 0 when the shape is infeasible
-	// for this app count / machine).
-	if eal, err := roofline.Even(m, n); err == nil {
-		if r, err := roofline.Evaluate(m, rapps, eal); err == nil {
-			cs.even = r.TotalGFLOPS
-		}
-	}
-	if nal, err := roofline.NodePerApp(m, n, nil); err == nil {
-		if r, err := roofline.Evaluate(m, rapps, nal); err == nil {
-			cs.npa = r.TotalGFLOPS
-		}
-	}
-	return cs, nil
+		even:   baseline(roofline.Even(m, len(order))),
+		npa:    baseline(roofline.NodePerApp(m, len(order), nil)),
+	}, nil
 }
 
 // trimToCap removes threads round-robin across nodes (from the last

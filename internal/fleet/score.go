@@ -227,17 +227,11 @@ func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, key []b
 				}
 			}
 		}
-		spec := sc.objective()
-		counts, _, res, _, err := sc.search.Solve(spec, s.hint, m, s.slots)
+		// The score is in the objective's own units: GFLOPS, weighted
+		// GFLOPS or min-app GFLOPS.
+		counts, total, _, err := sc.search.Solve(sc.objective(), s.hint, m, s.slots)
 		if err != nil {
 			return solveOutcome{}, err
-		}
-		total := res.TotalGFLOPS
-		if spec != roofline.ObjTotalGFLOPS {
-			// Non-default objectives score in their own units (weighted
-			// GFLOPS, min-app GFLOPS); the default path never builds the
-			// closure.
-			total = spec.Objective(s.slots)(res)
 		}
 		return solveOutcome{total: total, solved: &ctrlplane.Solved{Key: solvecache.Digest(key), Counts: counts}}, nil
 	})

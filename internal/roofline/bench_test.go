@@ -60,7 +60,23 @@ func BenchmarkSolveColdSkylakeDiverse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var s Search
-		if _, _, _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
+		if _, _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveWarmPoolSkylakeDiverse is the same solve the way the
+// fleet Scorer and the control-plane solver run it: through one Search
+// they hold for their lifetime, so every solve after the first finds
+// its worker, model, kernel and branch table pooled.
+func BenchmarkSolveWarmPoolSkylakeDiverse(b *testing.B) {
+	m := machine.SkylakeQuad()
+	apps := skylakeDiverseApps()
+	var s Search
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
 			b.Fatal(err)
 		}
 	}

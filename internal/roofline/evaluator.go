@@ -24,8 +24,9 @@ import (
 // the same outcome whenever their local accessors' counts agree: they
 // share one class. Home nodes are singleton classes.
 //
-// A nodeModel is immutable once built and safe to share: the Evaluator
-// owns one, and Search builds one per solve for all its workers.
+// A nodeModel is read-only between fits and safe to share: the
+// Evaluator fits one of its own, and a solve fits the model its calling
+// goroutine's pooled worker owns and shares it with the solve's workers.
 type nodeModel struct {
 	m    *machine.Machine
 	apps []App
@@ -49,30 +50,33 @@ type nodeModel struct {
 	classRep []int
 }
 
-// newNodeModel validates the inputs exactly as EvaluateOpts does and
-// builds the tables.
-func newNodeModel(m *machine.Machine, apps []App, opt Options) (*nodeModel, error) {
+// fit validates the inputs exactly as EvaluateOpts does and refits the
+// tables to them in place, reusing their backing arrays. On an error
+// it leaves the model as it was.
+func (md *nodeModel) fit(m *machine.Machine, apps []App, opt Options) error {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	for i, a := range apps {
 		if a.AI <= 0 {
-			return nil, fmt.Errorf("roofline: app %d (%s) has non-positive AI %g", i, a.Name, a.AI)
+			return fmt.Errorf("roofline: app %d (%s) has non-positive AI %g", i, a.Name, a.AI)
 		}
 		if a.Placement == NUMABad {
 			if int(a.HomeNode) < 0 || int(a.HomeNode) >= m.NumNodes() {
-				return nil, fmt.Errorf("roofline: app %d (%s) home node %d out of range", i, a.Name, a.HomeNode)
+				return fmt.Errorf("roofline: app %d (%s) home node %d out of range", i, a.Name, a.HomeNode)
 			}
 		}
 	}
 	nApps, nNodes := len(apps), m.NumNodes()
-	md := &nodeModel{
-		m: m, apps: append([]App(nil), apps...), opt: opt,
-		nApps: nApps, nNodes: nNodes,
-		demand:    make([]float64, nApps*nNodes),
-		localApps: make([][]int32, nNodes),
-		homeApps:  make([][]int32, nNodes),
-		classOf:   make([]int, nNodes),
+	md.m, md.apps, md.opt = m, append(md.apps[:0], apps...), opt
+	md.nApps, md.nNodes = nApps, nNodes
+	md.demand = slices.Grow(md.demand[:0], nApps*nNodes)[:nApps*nNodes]
+	md.localApps = slices.Grow(md.localApps[:0], nNodes)[:nNodes]
+	md.homeApps = slices.Grow(md.homeApps[:0], nNodes)[:nNodes]
+	md.classOf = slices.Grow(md.classOf[:0], nNodes)[:nNodes]
+	md.classRep = md.classRep[:0]
+	for h := range md.homeApps {
+		md.homeApps[h] = md.homeApps[h][:0]
 	}
 	for i, a := range apps {
 		for j := 0; j < nNodes; j++ {
@@ -83,7 +87,7 @@ func newNodeModel(m *machine.Machine, apps []App, opt Options) (*nodeModel, erro
 		}
 	}
 	for h := 0; h < nNodes; h++ {
-		md.localApps[h] = make([]int32, 0, nApps)
+		md.localApps[h] = slices.Grow(md.localApps[h][:0], nApps)
 		for i, a := range apps {
 			if a.Placement != NUMABad || int(a.HomeNode) == h {
 				md.localApps[h] = append(md.localApps[h], int32(i))
@@ -106,7 +110,7 @@ func newNodeModel(m *machine.Machine, apps []App, opt Options) (*nodeModel, erro
 		}
 		md.classOf[h] = c
 	}
-	return md, nil
+	return nil
 }
 
 // nodeEval is one memory node's evaluation. The caller gathers the
@@ -316,8 +320,8 @@ func NewEvaluatorOpts(m *machine.Machine, apps []App, opt Options) (*Evaluator, 
 // tuple, forgetting every remembered evaluation. The input validation
 // matches EvaluateOpts.
 func (e *Evaluator) Reset(m *machine.Machine, apps []App, opt Options) error {
-	md, err := newNodeModel(m, apps, opt)
-	if err != nil {
+	md := &nodeModel{}
+	if err := md.fit(m, apps, opt); err != nil {
 		return err
 	}
 	*e = Evaluator{

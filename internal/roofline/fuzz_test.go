@@ -56,6 +56,10 @@ func evaluatorEquivalenceRound(t *testing.T, seed int64) {
 	plateauRound(t, r)
 	// And the margin that makes the bound admissible on the grid.
 	marginRound(t, r)
+	// And the served solve: one Search's pooled tables refitted across
+	// growing and shrinking draws, its counts and kernel score against
+	// the reference solve's.
+	servedRound(t, r)
 }
 
 // fuzzCorpus is every input `go test` replays for

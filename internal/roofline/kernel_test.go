@@ -31,13 +31,14 @@ func paperFixtures() []fixture {
 // floor: per-app and machine totals must be == to Evaluate's.
 func checkKernelMatchesReference(t *testing.T, label string, m *machine.Machine, apps []App, floor int) {
 	t.Helper()
-	md, err := newNodeModel(m, apps, Options{})
-	if err != nil {
-		t.Fatalf("%s: newNodeModel: %v", label, err)
+	var md nodeModel
+	if err := md.fit(m, apps, Options{}); err != nil {
+		t.Fatalf("%s: nodeModel.fit: %v", label, err)
 	}
-	k := newLeafKernel(md)
+	var k leafKernel
+	k.fit(&md)
 	var s leafScratch
-	s.fit(k)
+	s.fit(&k)
 	counts := make([]int, len(apps))
 	leaves := 0
 	var rec func(pos, remaining int)
@@ -226,9 +227,10 @@ func TestSearchLeavesAreValidAllocations(t *testing.T) {
 }
 
 // TestSearchSteadyStateAllocs pins the allocation diet: on a warm
-// Search a solve allocates a small constant — the per-solve tables, the
-// bound, the branch table and the returned reference Result — and
-// nothing per leaf, whether it scores a few dozen leaves or thousands.
+// Search a solve allocates a small constant — the bound, the returned
+// counts, and the allocation and reference Result the wrapper builds
+// from them — and nothing per leaf, whether it scores a few dozen
+// leaves or thousands.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -264,12 +266,15 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 
 // TestSearchRetainedMemory: what a Search keeps between solves is its
 // pooled workers' scratch — O(apps × nodes) of the largest solve each
-// served, and no reference to any solve's machine, apps or tables.
+// served, plus the branch table, O((cores+1) × apps) — and no reference
+// to any solve's machine, apps or objective
+// (TestIdleWorkersHoldNoSolveInputs).
 func TestSearchRetainedMemory(t *testing.T) {
 	var s Search
-	maxCells := 0
+	maxCells, maxBranchCells := 0, 0
 	solve := func(m *machine.Machine, apps []App, floor int) {
 		maxCells = max(maxCells, len(apps)*m.NumNodes())
+		maxBranchCells = max(maxBranchCells, (minCores(m)+1)*len(apps))
 		s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, floor)
 	}
 	fixtures := paperFixtures()
@@ -302,6 +307,22 @@ func TestSearchRetainedMemory(t *testing.T) {
 			int(unsafe.Sizeof(remoteClaim{}))*cap(sc.ev.remote)
 		if limit := 256*maxCells + 1024; bytes > limit {
 			t.Errorf("an idle worker retains %d bytes, want O(apps × nodes) (<= %d for %d cells)", bytes, limit, maxCells)
+		}
+		md := &w.md
+		model := 8*(cap(md.demand)+cap(md.classOf)+cap(md.classRep)) + 4*cap(w.kernel.src) +
+			24*(cap(md.localApps)+cap(md.homeApps)) + int(unsafe.Sizeof(App{}))*cap(md.apps)
+		for _, ids := range md.localApps[:cap(md.localApps)] {
+			model += 4 * cap(ids)
+		}
+		for _, ids := range md.homeApps[:cap(md.homeApps)] {
+			model += 4 * cap(ids)
+		}
+		if limit := 256*maxCells + 1024; model > limit {
+			t.Errorf("an idle worker retains a %d-byte model, want O(apps × nodes) (<= %d for %d cells)", model, limit, maxCells)
+		}
+		table := 8*cap(w.table) + int(unsafe.Sizeof(branchResult{}))*cap(w.branches)
+		if limit := 64*maxBranchCells + 1024; table > limit {
+			t.Errorf("an idle worker retains a %d-byte branch table, want O((cores+1) × apps) (<= %d for %d cells)", table, limit, maxBranchCells)
 		}
 		if sc.res.PerApp != nil || sc.res.PerNode != nil {
 			t.Error("an idle worker retains a Result grid")

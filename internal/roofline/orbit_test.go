@@ -359,11 +359,11 @@ func TestSymmetryBreakingScoresTenTimesFewerLeaves(t *testing.T) {
 		solve := func(spec ObjectiveSpec) ([]int, float64, int) {
 			s, _ := watchedSearch()
 			scored := 0
-			counts, _, res, _, err := s.Solve(leafWatchSpec{spec, func() { scored++ }}, nil, c.m, c.apps)
+			counts, total, _, err := s.Solve(leafWatchSpec{spec, func() { scored++ }}, nil, c.m, c.apps)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			return counts, res.TotalGFLOPS, scored
+			return counts, total, scored
 		}
 		counts, total, _ := solve(ObjTotalGFLOPS)
 		allCounts, allTotal, _ := solve(asymmetricSpec{ObjTotalGFLOPS})

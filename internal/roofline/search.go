@@ -14,9 +14,11 @@ import (
 // Search owns the reusable state of the per-node-counts optimizer: a
 // free list of per-worker scratch. The zero value is ready to use, and
 // one Search can be shared by concurrent solves (the control-plane
-// solver holds one for its whole lifetime). What it retains is bounded:
-// at most freelist's idle cap of scratches, each O(apps × nodes + cores)
-// of the largest solve it served.
+// solver and the fleet Scorer each hold one for their whole lifetime).
+// What it retains is bounded: at most freelist's idle cap of workers,
+// each with the scratch, model and branch table of the largest solve it
+// served — O(apps × nodes + cores) and O((cores+1) × apps) — and no
+// machine, app or objective of any solve.
 type Search struct {
 	// Parallelism caps the worker goroutines fanned out over the
 	// top-level enumeration branches; 0 means GOMAXPROCS.
@@ -30,8 +32,9 @@ type Search struct {
 
 // SearchStats is how hard a Search has worked since it was made.
 type SearchStats struct {
-	// Solves counts the searches run: every BestPerNodeCountsFloorSpec
-	// call whose demand set is non-empty and valid.
+	// Solves counts the searches run: every Solve and
+	// BestPerNodeCountsFloorSpec call whose demand set is non-empty and
+	// valid.
 	Solves uint64 `json:"solves"`
 	// Leaves counts leaf evaluations: the leaves scored through the
 	// objective, warm-start seeds included.
@@ -64,7 +67,7 @@ func NewScoreGrid(m *machine.Machine) ScoreGrid { return ScoreGrid{Q: 0x1p-40 * 
 func (g ScoreGrid) Level(s float64) float64 { return math.Floor(s / g.Q) }
 
 // leafKernel scores one leaf of the search: a uniform per-node counts
-// vector (every app i runs counts[i] threads on every node). Built once
+// vector (every app i runs counts[i] threads on every node). Fitted once
 // per solve and shared read-only by its workers, it evaluates one node
 // per class of the nodeModel — under uniform counts every node of a
 // class sees the same claims — and sums the per-app and machine totals
@@ -88,8 +91,10 @@ type leafScratch struct {
 	res  Result // AppGFLOPS and TotalGFLOPS only
 }
 
-func newLeafKernel(md *nodeModel) *leafKernel {
-	k := &leafKernel{md: md, src: make([]int32, md.nApps*md.nNodes)}
+// fit refits the kernel to md in place, reusing its table.
+func (k *leafKernel) fit(md *nodeModel) {
+	k.md = md
+	k.src = slices.Grow(k.src[:0], md.nApps*md.nNodes)[:md.nApps*md.nNodes]
 	remote := len(md.classRep) * md.nApps
 	for i, a := range md.apps {
 		for j := 0; j < md.nNodes; j++ {
@@ -100,7 +105,6 @@ func newLeafKernel(md *nodeModel) *leafKernel {
 			}
 		}
 	}
-	return k
 }
 
 // fit sizes the scratch for the kernel, reusing its backing arrays.
@@ -191,8 +195,8 @@ func boundMargin(nApps, nNodes int) float64 {
 // paper-sized problems.
 const seqLeafThreshold = 4096
 
-// bnbCtx is the read-only shared state of one BestPerNodeCountsFloorSpec
-// run plus the shared incumbents.
+// bnbCtx is the read-only shared state of one solve plus the shared
+// incumbents.
 type bnbCtx struct {
 	nApps  int
 	floor  int
@@ -255,11 +259,19 @@ type bnbWorker struct {
 	// This solve's leaf and bound evaluations and tie-arm cuts, added to
 	// the Search's counts on release.
 	leaves, bounds, ties uint64
+
+	// What the worker owns for the solves its own goroutine calls,
+	// refitted in place by each: the model and kernel all the solve's
+	// workers read, and the branch results with the counts table their
+	// windows lie in.
+	md       nodeModel
+	kernel   leafKernel
+	branches []branchResult
+	table    []int
 }
 
-// worker takes a pooled worker and fits it to the solve.
-func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
-	w := s.pool.Get()
+// fit fits the worker's scratch to the solve.
+func (w *bnbWorker) fit(ctx *bnbCtx) {
 	w.ctx, w.leaves, w.bounds, w.ties = ctx, 0, 0, 0
 	w.grid, w.margin = NewScoreGrid(ctx.kernel.md.m), boundMargin(ctx.nApps, ctx.kernel.md.nNodes)
 	w.scratch.fit(ctx.kernel)
@@ -267,27 +279,45 @@ func (s *Search) worker(ctx *bnbCtx) *bnbWorker {
 	w.ints = slices.Grow(w.ints[:0], 3*n+ctx.cores+1)[:3*n+ctx.cores+1]
 	w.counts, w.prevSame, w.runLeft = w.ints[:n], w.ints[n:2*n], w.ints[2*n:3*n]
 	linkRuns(ctx.symmetric, ctx.kernel.md.apps, w.prevSame, w.runLeft)
-	return w
+}
+
+// fitBranches readies the worker's branch table for n branches of nApps
+// counts each: every branch without a leaf yet, on no level.
+func (w *bnbWorker) fitBranches(n, nApps int) []branchResult {
+	w.branches = slices.Grow(w.branches[:0], n)[:n]
+	w.table = slices.Grow(w.table[:0], n*nApps)[:n*nApps]
+	for b := range w.branches {
+		r := &w.branches[b]
+		r.level.Store(math.Float64bits(math.Inf(-1)))
+		// A branch's best counts land in its own window of the table.
+		r.counts, r.score = w.table[b*nApps:b*nApps], 0
+	}
+	return w.branches
 }
 
 // release adds the worker's counts to the Search's and pools it without
-// the solve's model, so an idle Search holds scratch only.
+// the solve's machine, apps or objective, so an idle Search holds
+// scratch only.
 func (s *Search) release(w *bnbWorker) {
 	s.leaves.Add(w.leaves)
 	s.bounds.Add(w.bounds)
 	s.ties.Add(w.ties)
 	w.ctx, w.results = nil, nil
+	clear(w.md.apps)
+	w.md.m, w.md.apps = nil, w.md.apps[:0]
 	s.pool.Put(w)
 }
 
-// level scores the leaf w.counts on the grid. Every leaf the search
-// scores — the enumeration's and the warm-start seeds' — has every
-// count >= floor >= 0 and a sum within the smallest node's cores, so the
-// allocation it stands for is valid by construction and is not
-// re-validated per leaf (TestSearchLeavesAreValidAllocations pins this).
-func (w *bnbWorker) level() float64 {
+// score scores the leaf w.counts: the objective's value and its level
+// on the grid. Every leaf the search scores — the enumeration's and the
+// warm-start seeds' — has every count >= floor >= 0 and a sum within
+// the smallest node's cores, so the allocation it stands for is valid
+// by construction and is not re-validated per leaf
+// (TestSearchLeavesAreValidAllocations pins this).
+func (w *bnbWorker) score() (v, level float64) {
 	w.leaves++
-	return w.grid.Level(w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts)))
+	v = w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts))
+	return v, w.grid.Level(v)
 }
 
 // branch is the top-level branch being searched: app 0's count over the
@@ -340,14 +370,14 @@ func (w *bnbWorker) hopeless(pos, rem int) bool {
 // first of its branch on a higher level, publishing that level to the
 // incumbents.
 func (w *bnbWorker) leaf() {
-	l := w.level()
+	v, l := w.score()
 	if !(l > w.branchLevel) { // a NaN score never wins
 		return
 	}
 	w.branchLevel = l
 	b, c := w.branch(), w.ctx
 	r := &w.results[b]
-	r.counts = append(r.counts[:0], w.counts...)
+	r.counts, r.score = append(r.counts[:0], w.counts...), v
 	c.raiseBest(l)
 	r.level.Store(math.Float64bits(l))
 	// This branch becomes the tie arm's incumbent unless one on a higher
@@ -409,17 +439,19 @@ func (w *bnbWorker) rec(pos, remaining int) {
 }
 
 // branchResult is one top-level branch's best candidate, the first of
-// its leaves on the highest level they reached; results are reduced in
-// branch order so the parallel search returns the same
-// first-in-enumeration-order optimum as a sequential scan. The owning
-// worker writes both fields as the level rises; the tie arm of later
-// branches reads level meanwhile, the reduction counts once all are done.
+// its leaves on the highest level they reached, and its objective value;
+// results are reduced in branch order so the parallel search returns the
+// same first-in-enumeration-order optimum as a sequential scan. The
+// owning worker writes every field as the level rises; the tie arm of
+// later branches reads level meanwhile, the reduction the rest once all
+// are done.
 type branchResult struct {
-	level  atomic.Uint64 // Float64bits
+	level  atomic.Uint64 // Float64bits; -Inf while the branch has no leaf
 	counts []int
+	score  float64
 }
 
-// BestPerNodeCountsFloorSpec is the search core: over uniform per-node
+// BestPerNodeCountsFloorSpec is the search: over uniform per-node
 // allocations (every app gets counts[i] threads on every node, each app
 // at least floor) it returns the one maximizing spec's objective, using
 // the leafKernel, goroutine fan-out of the top-level branches and, when
@@ -430,8 +462,9 @@ type branchResult struct {
 // Scores are compared on m's ScoreGrid: the answer is the first leaf in
 // enumeration order on the highest level, so it scores less than one
 // quantum Q below the highest float score, and leaves that differ by the
-// summation order of their totals tie. The returned Result comes from
-// the reference Evaluate.
+// summation order of their totals tie. It returns the winning counts,
+// their allocation (PerNodeCounts) and the reference Evaluate's Result
+// for it; Solve returns the counts alone, with their score.
 //
 // The prune cuts a subtree whose bound b, plus the float-noise margin
 // |b| × boundMargin, lies on a level
@@ -481,40 +514,61 @@ type branchResult struct {
 // Warm-starting cannot change the answer: every seed is an ordinary
 // feasible candidate, so the strict incumbent is only raised to levels
 // the enumeration itself attains, and a seed never feeds the tie arm,
-// which needs a leaf earlier in order. Counts, allocation, and Result
-// are bit-identical to the cold solve — warmstart_test.go and the
+// which needs a leaf earlier in order. Counts, allocation, Result and
+// score are bit-identical to the cold solve — warmstart_test.go and the
 // FuzzEvaluatorEquivalence corpus prove it differentially. A prev of any
 // other length, with a second negative entry, or infeasible under the
 // requested floor, is ignored (the solve degrades to cold, never
 // errors).
 func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, Allocation, *Result, error) {
-	obj := spec.Objective(apps)
-	if floor < 0 {
-		floor = 0
+	counts, _, err := s.solve(spec, prev, m, apps, floor)
+	if err != nil {
+		return nil, Allocation{}, nil, err
 	}
-	nApps := len(apps)
-	if nApps == 0 {
-		// The reference enumeration visits the single empty allocation.
-		al := NewAllocation(0, m.NumNodes())
-		res, err := Evaluate(m, apps, al)
-		if err != nil {
+	// An empty demand set has one allocation, the empty one.
+	al := NewAllocation(0, m.NumNodes())
+	if len(apps) > 0 {
+		if al, err = PerNodeCounts(m, counts); err != nil {
 			return nil, Allocation{}, nil, err
 		}
-		return nil, al, res, nil
 	}
-
-	md, err := newNodeModel(m, apps, Options{})
+	res, err := Evaluate(m, apps, al)
 	if err != nil {
+		return nil, Allocation{}, nil, err
+	}
+	return counts, al, res, nil
+}
+
+// solve is the search of BestPerNodeCountsFloorSpec without its
+// allocation and Result: the winning counts and the objective value the
+// leaf kernel computed for them, which the ObjectiveSpec contract makes
+// bit-identical to spec.Objective(apps) of the reference Evaluate's
+// Result. The model, kernel and branch table live in the calling
+// goroutine's pooled worker, refitted in place, so a solve on a warm
+// Search allocates little beyond the spec's objective and bound and the
+// returned counts. An empty demand set scores 0 without a search.
+func (s *Search) solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, float64, error) {
+	floor = max(floor, 0)
+	nApps := len(apps)
+	if nApps == 0 {
+		return nil, 0, nil
+	}
+	// The calling goroutine's worker owns the solve's shared tables, so
+	// it goes back to the pool only once the reduction has read them.
+	w0 := s.pool.Get()
+	defer s.release(w0)
+	if err := w0.md.fit(m, apps, Options{}); err != nil {
 		// Invalid (machine, apps) inputs: the reference enumeration skips
 		// every candidate and reports no feasible allocation.
-		return nil, Allocation{}, nil, ErrNoAllocation
+		return nil, 0, ErrNoAllocation
 	}
+	w0.kernel.fit(&w0.md)
 	ctx := &bnbCtx{
 		nApps:     nApps,
 		floor:     floor,
 		cores:     minCores(m),
-		kernel:    newLeafKernel(md),
-		obj:       obj,
+		kernel:    &w0.kernel,
+		obj:       spec.Objective(apps),
 		symmetric: spec.Symmetric(),
 		bound:     spec.Bound(m, apps),
 	}
@@ -524,7 +578,7 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 
 	// The calling goroutine's worker seeds the incumbent and sizes the
 	// tree before it searches beside the others.
-	w0 := s.worker(ctx)
+	w0.fit(ctx)
 	if ctx.bound != nil && len(prev) > 0 {
 		w0.seedIncumbent(prev)
 	}
@@ -539,14 +593,8 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 		workers = 1
 	}
 
-	results := make([]branchResult, nBranches)
-	table := make([]int, nBranches*nApps)
-	for b := range results {
-		// A branch's best counts land in its own window of the table.
-		results[b].counts = table[b*nApps : b*nApps]
-	}
+	results := w0.fitBranches(nBranches, nApps)
 	search := func(w *bnbWorker) {
-		defer s.release(w)
 		w.results = results
 		for {
 			b := int(ctx.next.Add(1)) - 1
@@ -566,7 +614,13 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				search(s.worker(ctx))
+				if int(ctx.next.Load()) >= nBranches {
+					return // the others have taken every branch
+				}
+				w := s.pool.Get()
+				w.fit(ctx)
+				defer s.release(w)
+				search(w)
 			}()
 		}
 		search(w0)
@@ -575,28 +629,16 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 
 	// Deterministic reduction in branch order: strict > keeps the first
 	// branch on the highest level, matching the sequential scan.
-	best := math.Inf(-1)
-	var bestCounts []int
+	win, best := -1, math.Inf(-1)
 	for b := range results {
-		if l := math.Float64frombits(results[b].level.Load()); len(results[b].counts) > 0 && l > best {
-			best, bestCounts = l, results[b].counts
+		if l := math.Float64frombits(results[b].level.Load()); l > best {
+			win, best = b, l
 		}
 	}
-	if bestCounts == nil {
-		return nil, Allocation{}, nil, ErrNoAllocation
+	if win < 0 {
+		return nil, 0, ErrNoAllocation
 	}
-	bestCounts = slices.Clone(bestCounts) // not a window into every branch's
-	al, err := PerNodeCounts(m, bestCounts)
-	if err != nil {
-		return nil, Allocation{}, nil, err
-	}
-	// The returned Result comes from the reference model so callers get
-	// reference-bitwise outputs no matter which path found the optimum.
-	res, err := Evaluate(m, apps, al)
-	if err != nil {
-		return nil, Allocation{}, nil, err
-	}
-	return bestCounts, al, res, nil
+	return slices.Clone(results[win].counts), results[win].score, nil
 }
 
 // SolveFloor is the floor Solve searches under for nApps apps on m: the
@@ -615,11 +657,16 @@ func SolveFloor(m *machine.Machine, nApps int) int {
 // over-subscribe a node, i.e. more apps than the smallest node has
 // cores — the unfloored optimum. floor reports which of the two was
 // solved (SolveFloor); prev warm-starts it exactly as in
-// BestPerNodeCountsFloorSpec.
-func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App) (counts []int, al Allocation, res *Result, floor int, err error) {
+// BestPerNodeCountsFloorSpec. It returns the counts
+// BestPerNodeCountsFloorSpec does and their score, bit-identical to
+// spec.Objective(apps) of that call's Result, without building the
+// allocation or evaluating it: a caller that serves the counts builds
+// the allocation with PerNodeCounts. An empty demand set gives nil
+// counts and a score of 0.
+func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App) (counts []int, score float64, floor int, err error) {
 	floor = SolveFloor(m, len(apps))
-	counts, al, res, err = s.BestPerNodeCountsFloorSpec(spec, prev, m, apps, floor)
-	return counts, al, res, floor, err
+	counts, score, err = s.solve(spec, prev, m, apps, floor)
+	return counts, score, floor, err
 }
 
 // seedIncumbent evaluates the warm-start candidates derived from prev
@@ -652,7 +699,8 @@ func (w *bnbWorker) seedIncumbent(prev []int) {
 		return
 	}
 	if gap < 0 {
-		ctx.raiseBest(w.level())
+		_, l := w.score()
+		ctx.raiseBest(l)
 		return
 	}
 	// When the previous optimum saturates the node (the common case when
@@ -674,7 +722,8 @@ func (w *bnbWorker) seedIncumbent(prev []int) {
 	}
 	for c := floor; c <= capCores-used; c++ {
 		w.counts[gap] = c
-		ctx.raiseBest(w.level())
+		_, l := w.score()
+		ctx.raiseBest(l)
 	}
 }
 
