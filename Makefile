@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check fmt fmt-check loc
+.PHONY: all build vet test race bench bench-cores bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check fmt fmt-check loc
 
 all: check
 
@@ -27,10 +27,20 @@ race:
 # the allocation trajectory PR-over-PR. The raw `go test -bench` stream,
 # timings included, still prints (via stderr). `make benchall` is the
 # full unfiltered sweep.
+SOLVER_BENCH = $(GO) test -bench 'BenchmarkSolve|BenchmarkEvaluate|BenchmarkEvaluator|BenchmarkAllocate' \
+	-benchmem -run '^$$' ./internal/roofline/ ./internal/ctrlplane/
+
 bench:
-	$(GO) test -bench 'BenchmarkSolve|BenchmarkEvaluate|BenchmarkEvaluator|BenchmarkAllocate' \
-		-benchmem -run '^$$' ./internal/roofline/ ./internal/ctrlplane/ \
-		| $(GO) run ./cmd/benchdiff > BENCH_solver.json
+	$(SOLVER_BENCH) | $(GO) run ./cmd/benchdiff > BENCH_solver.json
+
+# The solver benchmarks again on one core: fails unless their artifact
+# equals the one `make bench` wrote at the default GOMAXPROCS, so the
+# allocs/op that bench-guard gates do not depend on the runner's cores.
+# Run after `make bench` (CI does).
+bench-cores:
+	GOMAXPROCS=1 $(SOLVER_BENCH) | $(GO) run ./cmd/benchdiff > .bench-cores-solver.json
+	diff BENCH_solver.json .bench-cores-solver.json
+	rm -f .bench-cores-solver.json
 
 # Placement-throughput benchmarks (decisions/sec against 100- and
 # 1000-machine fleet snapshots, domain-spread included), the inventory

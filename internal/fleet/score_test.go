@@ -404,14 +404,10 @@ func TestScorerIsOrderFree(t *testing.T) {
 				demand[i] = mustRoofline(t, s)
 			}
 
-			// The counting Scorers search on one worker: a parallel search
-			// shares its incumbent between branches as their timing falls,
-			// so the leaves it scores vary from run to run.
 			var leaves atomic.Int64
 			counting := func() *Scorer {
 				sc := NewScorer()
 				sc.Objective = leafCountingSpec{roofline.ObjTotalGFLOPS, &leaves}
-				sc.search.Parallelism = 1
 				return sc
 			}
 			// The reference: the set as generated, its without-app solve run
@@ -429,7 +425,6 @@ func TestScorerIsOrderFree(t *testing.T) {
 				walk := func(spec roofline.ObjectiveSpec) int64 {
 					sc := NewScorer()
 					sc.Objective = spec
-					sc.search.Parallelism = 1
 					if _, err := sc.solveDemand(m, demand, nil, nil, &s); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

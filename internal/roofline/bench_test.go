@@ -1,6 +1,7 @@
 package roofline
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -23,7 +24,7 @@ func eightAppMix() []App {
 }
 
 // BenchmarkSolveColdTableI is the paper's Table I search (4 apps,
-// floor 1) through the pruned parallel Search, worker pool cold.
+// floor 1) through the pruned Search, worker pool cold.
 func BenchmarkSolveColdTableI(b *testing.B) {
 	m := machine.PaperModel()
 	apps := paperApps()
@@ -69,7 +70,7 @@ func BenchmarkSolveColdSkylakeDiverse(b *testing.B) {
 // BenchmarkSolveWarmPoolSkylakeDiverse is the same solve the way the
 // fleet Scorer and the control-plane solver run it: through one Search
 // they hold for their lifetime, so every solve after the first finds
-// its worker, model, kernel and branch table pooled.
+// its worker, model, kernel and scratch pooled.
 func BenchmarkSolveWarmPoolSkylakeDiverse(b *testing.B) {
 	m := machine.SkylakeQuad()
 	apps := skylakeDiverseApps()
@@ -104,10 +105,17 @@ func BenchmarkSolveWarmStart8Apps(b *testing.B) {
 
 // BenchmarkSolveNaive8Apps is the pre-PR baseline at the same scale:
 // exhaustive enumeration, every candidate through the reference model.
+// It runs on one P, where its allocs/op is exact: with several Ps the
+// count read around its two or so iterations, each of 600 MB of
+// garbage, varies by up to a dozen from run to run (on Go 1.24), and
+// BENCH_solver.json could not be the same at every GOMAXPROCS.
 func BenchmarkSolveNaive8Apps(b *testing.B) {
 	m := machine.SkylakeQuad()
 	apps := eightAppMix()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer b.StopTimer() // while still on one P
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := naiveBestPerNodeCountsFloor(m, apps, TotalGFLOPS, 1); err != nil {
 			b.Fatal(err)

@@ -7,9 +7,9 @@ import (
 	"repro/internal/machine"
 )
 
-// nodeModel is the model of EvaluateOpts specialised to one (machine,
-// apps, options) tuple: the validated inputs, the tables the per-node
-// arithmetic reads, and the grouping of nodes into classes.
+// nodeModel is the model of Evaluate specialised to one (machine, apps)
+// pair: the validated inputs, the tables the per-node arithmetic reads,
+// and the grouping of nodes into classes.
 //
 // It exploits the model's per-node independence: memory node h's
 // bandwidth split depends only on
@@ -24,13 +24,11 @@ import (
 // the same outcome whenever their local accessors' counts agree: they
 // share one class. Home nodes are singleton classes.
 //
-// A nodeModel is read-only between fits and safe to share: the
-// Evaluator fits one of its own, and a solve fits the model its calling
-// goroutine's pooled worker owns and shares it with the solve's workers.
+// A nodeModel is read-only between fits: the Evaluator fits one of its
+// own, and a solve fits the one its pooled worker owns.
 type nodeModel struct {
 	m    *machine.Machine
 	apps []App
-	opt  Options
 
 	nApps, nNodes int
 
@@ -50,10 +48,10 @@ type nodeModel struct {
 	classRep []int
 }
 
-// fit validates the inputs exactly as EvaluateOpts does and refits the
+// fit validates the inputs exactly as Evaluate does and refits the
 // tables to them in place, reusing their backing arrays. On an error
 // it leaves the model as it was.
-func (md *nodeModel) fit(m *machine.Machine, apps []App, opt Options) error {
+func (md *nodeModel) fit(m *machine.Machine, apps []App) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -68,7 +66,7 @@ func (md *nodeModel) fit(m *machine.Machine, apps []App, opt Options) error {
 		}
 	}
 	nApps, nNodes := len(apps), m.NumNodes()
-	md.m, md.apps, md.opt = m, append(md.apps[:0], apps...), opt
+	md.m, md.apps = m, append(md.apps[:0], apps...)
 	md.nApps, md.nNodes = nApps, nNodes
 	md.demand = slices.Grow(md.demand[:0], nApps*nNodes)[:nApps*nNodes]
 	md.localApps = slices.Grow(md.localApps[:0], nNodes)[:nNodes]
@@ -175,7 +173,7 @@ func (c *remoteClaim) cell() AppNodeResult {
 	}
 }
 
-// compute runs EvaluateOpts' pipeline for memory node h over the claims
+// compute runs Evaluate's pipeline for memory node h over the claims
 // gathered in ev — remote-first service, local baseline + one-round
 // proportional remainder, remote fold — with the reference's operation
 // order, so every float it produces is bit-identical to the
@@ -185,13 +183,8 @@ func (c *remoteClaim) cell() AppNodeResult {
 func (md *nodeModel) compute(ev *nodeEval, perLink []float64, h int) {
 	ev.computed = true
 	bw := md.m.Nodes[h].MemBandwidth
-	if md.opt.LocalFirst {
-		local := md.serveLocal(ev, h, bw)
-		ev.remoteServed = md.serveRemote(ev, perLink, h, bw-local)
-	} else {
-		ev.remoteServed = md.serveRemote(ev, perLink, h, bw)
-		md.serveLocal(ev, h, bw-ev.remoteServed)
-	}
+	ev.remoteServed = md.serveRemote(ev, perLink, h, bw)
+	md.serveLocal(ev, h, bw-ev.remoteServed)
 	for idx := range ev.remote {
 		c := &ev.remote[idx]
 		c.bwPerThread = c.granted / float64(c.threads)
@@ -236,9 +229,6 @@ func (md *nodeModel) serveRemote(ev *nodeEval, perLink []float64, h int, avail f
 
 func (md *nodeModel) serveLocal(ev *nodeEval, h int, avail float64) float64 {
 	baseline := avail / float64(md.m.Nodes[h].Cores)
-	if md.opt.NoBaseline {
-		baseline = 0
-	}
 	ev.baseline = baseline
 
 	claims := ev.local
@@ -278,14 +268,14 @@ func (md *nodeModel) serveLocal(ev *nodeEval, h int, avail float64) float64 {
 }
 
 // Evaluator is a scratch-reusing implementation of the model in
-// EvaluateOpts for optimizer loops that evaluate many allocations over
+// Evaluate for optimizer loops that evaluate many allocations over
 // one (machine, apps) pair. Every node remembers its last evaluation
 // and reuses it while its claims stay the same — a hill-climb move
 // recomputes only the nodes it touches — and a node whose claims equal
 // those of its class's first node (see nodeModel) reuses that node's,
 // so a symmetric allocation on a uniform machine computes one node.
 //
-// Results are bit-identical to EvaluateOpts: the arithmetic (including
+// Results are bit-identical to Evaluate: the arithmetic (including
 // operation order) is replicated exactly, and reused outcomes are the
 // float64 values previously computed. The differential tests in
 // evaluator_test.go and the FuzzEvaluatorEquivalence corpus enforce
@@ -301,27 +291,21 @@ type Evaluator struct {
 	hits, misses uint64
 }
 
-// NewEvaluator builds an evaluator for the machine and apps with
-// default options.
+// NewEvaluator builds an evaluator for the machine and apps.
 func NewEvaluator(m *machine.Machine, apps []App) (*Evaluator, error) {
-	return NewEvaluatorOpts(m, apps, Options{})
-}
-
-// NewEvaluatorOpts builds an evaluator with explicit model options.
-func NewEvaluatorOpts(m *machine.Machine, apps []App, opt Options) (*Evaluator, error) {
 	e := &Evaluator{}
-	if err := e.Reset(m, apps, opt); err != nil {
+	if err := e.Reset(m, apps); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// Reset re-targets the evaluator at a new (machine, apps, options)
-// tuple, forgetting every remembered evaluation. The input validation
-// matches EvaluateOpts.
-func (e *Evaluator) Reset(m *machine.Machine, apps []App, opt Options) error {
+// Reset re-targets the evaluator at a new (machine, apps) pair,
+// forgetting every remembered evaluation. The input validation matches
+// Evaluate.
+func (e *Evaluator) Reset(m *machine.Machine, apps []App) error {
 	md := &nodeModel{}
-	if err := md.fit(m, apps, opt); err != nil {
+	if err := md.fit(m, apps); err != nil {
 		return err
 	}
 	*e = Evaluator{

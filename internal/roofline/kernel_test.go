@@ -32,7 +32,7 @@ func paperFixtures() []fixture {
 func checkKernelMatchesReference(t *testing.T, label string, m *machine.Machine, apps []App, floor int) {
 	t.Helper()
 	var md nodeModel
-	if err := md.fit(m, apps, Options{}); err != nil {
+	if err := md.fit(m, apps); err != nil {
 		t.Fatalf("%s: nodeModel.fit: %v", label, err)
 	}
 	var k leafKernel
@@ -152,11 +152,11 @@ func (s leafWatchSpec) Objective(apps []App) Objective {
 	}
 }
 
-// watchedSearch returns a sequential Search and the one pooled worker
-// every solve on it will use, so a leafWatchSpec can read the counts
-// vector being scored.
+// watchedSearch returns a Search and the one pooled worker every solve
+// on it from one goroutine will use, so a leafWatchSpec can read the
+// counts vector being scored.
 func watchedSearch() (*Search, *bnbWorker) {
-	s := &Search{Parallelism: 1}
+	s := &Search{}
 	w := s.pool.Get()
 	s.pool.Put(w)
 	return s, w
@@ -186,7 +186,7 @@ func TestSearchLeavesAreValidAllocations(t *testing.T) {
 		scored := 0
 		watch := leafWatchSpec{spec, func() {
 			scored++
-			if w.ctx == nil {
+			if w.md.m != m {
 				t.Fatalf("%s: the watched worker is not the one solving", label)
 			}
 			for i, c := range w.counts {
@@ -266,22 +266,20 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 
 // TestSearchRetainedMemory: what a Search keeps between solves is its
 // pooled workers' scratch — O(apps × nodes) of the largest solve each
-// served, plus the branch table, O((cores+1) × apps) — and no reference
-// to any solve's machine, apps or objective
+// served — and no reference to any solve's machine, apps or objective
 // (TestIdleWorkersHoldNoSolveInputs).
 func TestSearchRetainedMemory(t *testing.T) {
 	var s Search
-	maxCells, maxBranchCells := 0, 0
+	maxCells := 0
 	solve := func(m *machine.Machine, apps []App, floor int) {
 		maxCells = max(maxCells, len(apps)*m.NumNodes())
-		maxBranchCells = max(maxBranchCells, (minCores(m)+1)*len(apps))
 		s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, floor)
 	}
 	fixtures := paperFixtures()
 	for i := 0; i < 100; i++ {
 		switch {
 		case i%25 == 0:
-			solve(machine.SkylakeQuad(), eightAppMix(), 1) // parallel: several workers
+			solve(machine.SkylakeQuad(), eightAppMix(), 1)
 		case i%2 == 0:
 			c := fixtures[i/2%len(fixtures)]
 			solve(c.m, c.apps, i%3)
@@ -298,7 +296,7 @@ func TestSearchRetainedMemory(t *testing.T) {
 			break // a new worker: the pool is drained
 		}
 		workers++
-		if w.ctx != nil || w.results != nil {
+		if w.obj != nil || w.bound != nil {
 			t.Error("an idle worker still references its last solve")
 		}
 		sc := &w.scratch
@@ -319,10 +317,6 @@ func TestSearchRetainedMemory(t *testing.T) {
 		}
 		if limit := 256*maxCells + 1024; model > limit {
 			t.Errorf("an idle worker retains a %d-byte model, want O(apps × nodes) (<= %d for %d cells)", model, limit, maxCells)
-		}
-		table := 8*cap(w.table) + int(unsafe.Sizeof(branchResult{}))*cap(w.branches)
-		if limit := 64*maxBranchCells + 1024; table > limit {
-			t.Errorf("an idle worker retains a %d-byte branch table, want O((cores+1) × apps) (<= %d for %d cells)", table, limit, maxBranchCells)
 		}
 		if sc.res.PerApp != nil || sc.res.PerNode != nil {
 			t.Error("an idle worker retains a Result grid")

@@ -25,7 +25,10 @@ type BoundFunc func(counts []int, pos, rem int) float64
 // Search scores candidates on their totals alone: the Result it hands
 // the objective carries AppGFLOPS and TotalGFLOPS (bit-identical to
 // Evaluate's) and nil PerApp and PerNode. An objective used with Search
-// must be a function of those two fields.
+// must be a function of those two fields. A solve calls a spec's
+// Objective and Bound, and the functions they return, from the solving
+// goroutine only, so a returned function needs no synchronisation;
+// concurrent solves that share a spec call its methods concurrently.
 //
 // Symmetric declares that swapping the count rows of two Interchangeable
 // apps cannot change the objective beyond float summation order: the
@@ -79,7 +82,7 @@ type totalGFLOPSSpec struct{}
 func (totalGFLOPSSpec) Name() string              { return "total-gflops" }
 func (totalGFLOPSSpec) Objective([]App) Objective { return TotalGFLOPS }
 func (totalGFLOPSSpec) Bound(m *machine.Machine, apps []App) BoundFunc {
-	return newGreedyBound(m, apps, nil).boundUniform
+	return newGreedyBound(m, apps, nil).bound
 }
 func (totalGFLOPSSpec) Symmetric() bool { return true }
 
@@ -146,15 +149,14 @@ func (boundFreeSpec) Symmetric() bool                         { return false }
 // whole remaining core budget rem at the suffix-maximum density, capped
 // at (suffix-max weight)·rem·Σpeak: any real completion spends suffix
 // bandwidth at no better density and attains no more value, so the
-// pseudo-app dominates it. With all weights 1 this reduces — float for
-// float — to the total-GFLOPS bound the Search has always used.
+// pseudo-app dominates it. The total-GFLOPS spec passes nil weights,
+// which computes the same floats as weights all 1.
 type greedyBound struct {
 	byDensDesc []int     // app indices sorted by density descending
 	dens       []float64 // value density per app: w·AI (AI when unweighted)
 	capPer     []float64 // value cap per granted core: w·Σpeak
 	sufDens    []float64 // suffix maxima of dens in enumeration order
 	sufCapPer  []float64 // suffix maxima of capPer in enumeration order
-	sumPeak    float64   // uniform per-core cap (boundUniform fast path)
 	totalBW    float64
 }
 
@@ -172,7 +174,6 @@ func newGreedyBound(m *machine.Machine, apps []App, weights []float64) *greedyBo
 		sumPeak += n.PeakGFLOPS
 		b.totalBW += n.MemBandwidth
 	}
-	b.sumPeak = sumPeak
 	for i, a := range apps {
 		if weights == nil {
 			b.dens[i] = a.AI
@@ -201,51 +202,6 @@ func newGreedyBound(m *machine.Machine, apps []App, weights []float64) *greedyBo
 		b.sufCapPer[i] = max(b.sufCapPer[i+1], b.capPer[i])
 	}
 	return b
-}
-
-// boundUniform is bound specialized for uniform weights (the
-// total-GFLOPS spec): every capPer entry is sumPeak, so the per-app
-// slice loads collapse to one scalar. Float-for-float identical to
-// bound with nil weights — this is the hot inner function of every
-// default-objective solve, called at each search node.
-func (b *greedyBound) boundUniform(counts []int, pos, rem int) float64 {
-	pool := b.totalBW
-	ub := 0.0
-	pseudoDens := b.sufDens[pos]
-	pseudoCap := float64(rem) * b.sumPeak
-	pseudoDone := pseudoCap <= 0 || pseudoDens <= 0
-	grant := func(cap, dens float64) float64 {
-		need := cap / dens
-		if need <= pool {
-			pool -= need
-			return cap
-		}
-		g := pool * dens
-		pool = 0
-		return g
-	}
-	for _, i := range b.byDensDesc {
-		if pool <= 0 {
-			break
-		}
-		if !pseudoDone && pseudoDens >= b.dens[i] {
-			ub += grant(pseudoCap, pseudoDens)
-			pseudoDone = true
-			if pool <= 0 {
-				break
-			}
-		}
-		if i >= pos {
-			continue // part of the pseudo-app
-		}
-		if cap := float64(counts[i]) * b.sumPeak; cap > 0 {
-			ub += grant(cap, b.dens[i])
-		}
-	}
-	if !pseudoDone && pool > 0 {
-		ub += grant(pseudoCap, pseudoDens)
-	}
-	return ub
 }
 
 func (b *greedyBound) bound(counts []int, pos, rem int) float64 {

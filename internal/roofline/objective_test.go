@@ -2,6 +2,7 @@ package roofline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -174,4 +175,47 @@ func objectiveRound(t *testing.T, r *rand.Rand) {
 		func() ([]int, Allocation, *Result, error) {
 			return s.BestPerNodeCountsFloorSpec(BoundFree(MinAppGFLOPS), nil, m, apps, floor)
 		})
+}
+
+// TestUnweightedPriorityIsTotal: on demand sets that set no weight the
+// weighted-priority spec is the total-GFLOPS spec float for float — the
+// same bound at every search node, the same counts, Result and score,
+// and the same work counted in Stats.
+func TestUnweightedPriorityIsTotal(t *testing.T) {
+	var total, weighted Search
+	check := func(label string, r *rand.Rand, m *machine.Machine, apps []App) {
+		t.Helper()
+		tb, wb := ObjTotalGFLOPS.Bound(m, apps), ObjWeightedPriority.Bound(m, apps)
+		counts := make([]int, len(apps))
+		for k := 0; k < 64; k++ {
+			pos, rem := r.Intn(len(apps)), r.Intn(minCores(m)+1)
+			for i := range counts[:pos] {
+				counts[i] = r.Intn(minCores(m) + 1)
+			}
+			if a, b := tb(counts, pos, rem), wb(counts, pos, rem); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: bound(%v, %d, %d) = %v total-gflops, %v weighted-priority", label, counts[:pos], pos, rem, a, b)
+			}
+		}
+		floor := r.Intn(2)
+		checkSpecMatches(t, label, &weighted, ObjWeightedPriority, m, apps, floor, func() ([]int, Allocation, *Result, error) {
+			return total.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, floor)
+		})
+		tc, ts, _, terr := total.Solve(ObjTotalGFLOPS, nil, m, apps)
+		wc, ws, _, werr := weighted.Solve(ObjWeightedPriority, nil, m, apps)
+		if (terr == nil) != (werr == nil) || !intsEqual(tc, wc) || math.Float64bits(ts) != math.Float64bits(ws) {
+			t.Fatalf("%s: Solve = %v %v %v total-gflops, %v %v %v weighted-priority", label, tc, ts, terr, wc, ws, werr)
+		}
+		if a, b := total.Stats(), weighted.Stats(); a != b {
+			t.Fatalf("%s: Stats() = %+v total-gflops, %+v weighted-priority", label, a, b)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, c := range append(paperFixtures(), largeFixtures()[:2]...) {
+		check(c.name, r, c.m, c.apps)
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := randomMachine(r)
+		check(fmt.Sprintf("seed=%d", seed), r, m, randomApps(r, m))
+	}
 }

@@ -11,14 +11,6 @@ import (
 	"repro/internal/machine"
 )
 
-// leafEstimate is the search's own size estimate for apps under spec
-// with budget cores over the floors.
-func leafEstimate(spec ObjectiveSpec, apps []App, budget int) int {
-	prevSame, runLeft := make([]int, len(apps)), make([]int, len(apps))
-	linkRuns(spec.Symmetric(), apps, prevSame, runLeft)
-	return estimateLeaves(budget, runLeft, make([]int, max(budget, 0)+1))
-}
-
 // asymmetricSpec is spec with its symmetry declaration withdrawn: the
 // search walks every row, as it did before it knew about orbits.
 type asymmetricSpec struct{ ObjectiveSpec }
@@ -106,9 +98,8 @@ func naiveOrbitOptima(m *machine.Machine, apps []App, obj Objective, symmetric b
 // and bits whenever its optimum is a canonical row, and otherwise — a
 // permuted row can only win on the summation order of its total — the
 // same objective value to 1e-9 relative; and the leaves scored without
-// a bound are exactly the canonical rows, which is also what
-// estimateLeaves predicts. It reports whether the unrestricted optimum
-// was canonical.
+// a bound are exactly the canonical rows. It reports whether the
+// unrestricted optimum was canonical.
 func checkOrbitContract(t *testing.T, label string, m *machine.Machine, apps []App, spec ObjectiveSpec, floor int) (exact bool) {
 	t.Helper()
 	obj := spec.Objective(apps)
@@ -155,9 +146,6 @@ func checkOrbitContract(t *testing.T, label string, m *machine.Machine, apps []A
 	// Leaves.
 	if spec.Bound(m, apps) == nil && scored != leaves {
 		t.Fatalf("%s: scored %d leaves unpruned, the canonical rows are %d", label, scored, leaves)
-	}
-	if est := leafEstimate(spec, apps, minCores(m)-floor*len(apps)); est != leaves {
-		t.Fatalf("%s: estimateLeaves = %d, the canonical rows are %d", label, est, leaves)
 	}
 	return exact
 }

@@ -65,7 +65,7 @@ func TestPlateauStopsAtFirstOptimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	objectives, bounds := 0, 0
-	s := &Search{Parallelism: 1}
+	s := &Search{}
 	counts, _, res, err := s.BestPerNodeCountsFloorSpec(countingSpec{ObjTotalGFLOPS, &objectives, &bounds}, nil, m, apps, floor)
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +89,8 @@ func TestPlateauStopsAtFirstOptimum(t *testing.T) {
 	t.Logf("%d leaves scored, %d bound calls, %d tie cuts", objectives, bounds, st.Ties)
 }
 
-// TestSearchStatsAddUp: Stats sums every solve and worker, parallel
-// fan-out and warm-start seeds included, and a bound-free solve makes no
-// bound calls.
+// TestSearchStatsAddUp: Stats sums every solve, warm-start seeds
+// included, and a bound-free solve makes no bound calls.
 func TestSearchStatsAddUp(t *testing.T) {
 	m, apps := machine.SkylakeQuad(), eightAppMix()
 	var s Search
@@ -104,9 +103,6 @@ func TestSearchStatsAddUp(t *testing.T) {
 	if before.Solves != 1 || before.Leaves == 0 || before.Bounds == 0 {
 		t.Fatalf("after one pruned solve Stats() = %+v", before)
 	}
-	// A spec counting through a closure is not safe for parallel
-	// workers; one Search serves both solves below sequentially.
-	s.Parallelism = 1
 	if _, _, _, err := s.BestPerNodeCountsFloorSpec(countingSpec{ObjTotalGFLOPS, &objectives, &bounds}, prev, m, apps, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +117,7 @@ func TestSearchStatsAddUp(t *testing.T) {
 	if got.Ties > got.Bounds {
 		t.Errorf("Stats() = %+v: more tie cuts than bound calls", got)
 	}
-	// A bound-free solve cuts nothing; a parallel plateau solve counts
-	// every worker's cuts.
-	s.Parallelism = 4
+	// A bound-free solve cuts nothing; a plateau solve counts its cuts.
 	noBound := s.Stats()
 	if _, _, _, err := s.BestPerNodeCountsFloorSpec(BoundFree(TotalGFLOPS), nil, machine.PaperModel(), paperApps(), 1); err != nil {
 		t.Fatal(err)
@@ -135,7 +129,7 @@ func TestSearchStatsAddUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Stats(); got.Ties == noBound.Ties {
-		t.Errorf("a parallel plateau solve cut no tie: Stats() = %+v", got)
+		t.Errorf("a plateau solve cut no tie: Stats() = %+v", got)
 	}
 }
 

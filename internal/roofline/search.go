@@ -2,9 +2,7 @@ package roofline
 
 import (
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/freelist"
@@ -12,21 +10,17 @@ import (
 )
 
 // Search owns the reusable state of the per-node-counts optimizer: a
-// free list of per-worker scratch. The zero value is ready to use, and
-// one Search can be shared by concurrent solves (the control-plane
-// solver and the fleet Scorer each hold one for their whole lifetime).
-// What it retains is bounded: at most freelist's idle cap of workers,
-// each with the scratch, model and branch table of the largest solve it
-// served — O(apps × nodes + cores) and O((cores+1) × apps) — and no
-// machine, app or objective of any solve.
+// free list of solve workers. The zero value is ready to use, and one
+// Search can be shared by concurrent solves (the control-plane solver
+// and the fleet Scorer each hold one for their whole lifetime): each
+// solve runs on its calling goroutine with a worker of its own. What
+// it retains is bounded: at most freelist's idle cap of workers, each
+// with the scratch and model of the largest solve it served —
+// O(apps × nodes) — and no machine, app or objective of any solve.
 type Search struct {
-	// Parallelism caps the worker goroutines fanned out over the
-	// top-level enumeration branches; 0 means GOMAXPROCS.
-	Parallelism int
-
 	pool freelist.List[bnbWorker]
-	// The work done so far (see Stats); workers count privately and add
-	// theirs when released.
+	// The work done so far (see Stats); each solve counts on its worker
+	// and adds its counts when it finishes.
 	solves, leaves, bounds, ties atomic.Uint64
 }
 
@@ -68,11 +62,11 @@ func (g ScoreGrid) Level(s float64) float64 { return math.Floor(s / g.Q) }
 
 // leafKernel scores one leaf of the search: a uniform per-node counts
 // vector (every app i runs counts[i] threads on every node). Fitted once
-// per solve and shared read-only by its workers, it evaluates one node
-// per class of the nodeModel — under uniform counts every node of a
-// class sees the same claims — and sums the per-app and machine totals
-// in the reference order, which is all an Objective reads. No
-// Allocation, no Result grid, no allocation per leaf.
+// per solve, it evaluates one node per class of the nodeModel — under
+// uniform counts every node of a class sees the same claims — and sums
+// the per-app and machine totals in the reference order, which is all
+// an Objective reads. No Allocation, no Result grid, no allocation per
+// leaf.
 type leafKernel struct {
 	md *nodeModel
 	// src[i*nNodes+j] indexes leafScratch.rate for app i's threads on
@@ -81,7 +75,7 @@ type leafKernel struct {
 	src []int32
 }
 
-// leafScratch is one worker's mutable state for leafKernel.eval.
+// leafScratch is a solve's mutable state for leafKernel.eval.
 type leafScratch struct {
 	ev      nodeEval
 	perLink []float64
@@ -190,109 +184,67 @@ func boundMargin(nApps, nNodes int) float64 {
 	return float64((nApps+2)*nNodes) * 0x1p-50
 }
 
-// seqLeafThreshold is the candidate count under which the search stays
-// on the calling goroutine; fan-out costs more than it buys on the
-// paper-sized problems.
-const seqLeafThreshold = 4096
-
-// bnbCtx is the read-only shared state of one solve plus the shared
-// incumbents.
-type bnbCtx struct {
-	nApps  int
-	floor  int
-	cores  int // the smallest node's: the per-node budget of a row
-	kernel *leafKernel
-	obj    Objective
-	// symmetric is the spec's declaration (ObjectiveSpec.Symmetric) that
-	// rows of interchangeable apps may be enumerated once per orbit.
-	symmetric bool
+// bnbWorker is one solve's search state, pooled by Search between
+// solves: the solve's inputs, the model and kernel fitted to them, the
+// enumeration's scratch and the incumbents. A solve runs on its calling
+// goroutine with a worker of its own.
+type bnbWorker struct {
+	floor int
+	cores int // the smallest node's: the per-node budget of a row
+	obj   Objective
 	// bound is the objective's admissible upper bound (see
 	// ObjectiveSpec); nil declares the run bound-free and the search
 	// degrades to the unpruned enumeration.
 	bound BoundFunc
 
-	// best is the strict arm's incumbent: Float64bits of the highest
-	// level any leaf reached so far, warm-start seeds included.
-	best atomic.Uint64
-	// first is the tie arm's: the branch that first reached the highest
-	// level any branch has published (its branchResult.level), -1 while
-	// none has. Only later branches may read it.
-	first atomic.Int64
-	next  atomic.Int64 // branch work-stealing cursor
-}
-
-func (c *bnbCtx) bestLevel() float64 { return math.Float64frombits(c.best.Load()) }
-
-func (c *bnbCtx) raiseBest(v float64) {
-	for {
-		old := c.best.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if c.best.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// bnbWorker is one goroutine's private search state, pooled by Search
-// between solves.
-type bnbWorker struct {
-	ctx     *bnbCtx
+	md      nodeModel
+	kernel  leafKernel
 	scratch leafScratch
-	// ints backs the three vectors below and, after them, cores+1
-	// entries of estimateLeaves scratch: one allocation for all.
+	// ints backs the four vectors below: one allocation for all.
 	ints   []int
 	counts []int
 	// The solve's run table (linkRuns): the rows of a run of
 	// interchangeable apps are enumerated non-decreasing.
 	prevSame, runLeft []int
+	// win is the answer so far, the first enumerated leaf on level tie,
+	// and winScore its objective value.
+	win      []int
+	winScore float64
 
 	grid   ScoreGrid
 	margin float64 // boundMargin: relative to the bound
 
-	// The highest level the leaves of the branch being searched reached
-	// so far; results is the solve's table of every branch's best.
-	branchLevel float64
-	results     []branchResult
+	// best is the strict arm's incumbent: the highest level any leaf
+	// reached, warm-start seeds included. tie is the tie arm's: the
+	// highest level an enumerated leaf reached. Both are -Inf while no
+	// leaf has.
+	best, tie float64
 
 	// This solve's leaf and bound evaluations and tie-arm cuts, added to
 	// the Search's counts on release.
 	leaves, bounds, ties uint64
-
-	// What the worker owns for the solves its own goroutine calls,
-	// refitted in place by each: the model and kernel all the solve's
-	// workers read, and the branch results with the counts table their
-	// windows lie in.
-	md       nodeModel
-	kernel   leafKernel
-	branches []branchResult
-	table    []int
 }
 
-// fit fits the worker's scratch to the solve.
-func (w *bnbWorker) fit(ctx *bnbCtx) {
-	w.ctx, w.leaves, w.bounds, w.ties = ctx, 0, 0, 0
-	w.grid, w.margin = NewScoreGrid(ctx.kernel.md.m), boundMargin(ctx.nApps, ctx.kernel.md.nNodes)
-	w.scratch.fit(ctx.kernel)
-	n := ctx.nApps
-	w.ints = slices.Grow(w.ints[:0], 3*n+ctx.cores+1)[:3*n+ctx.cores+1]
-	w.counts, w.prevSame, w.runLeft = w.ints[:n], w.ints[n:2*n], w.ints[2*n:3*n]
-	linkRuns(ctx.symmetric, ctx.kernel.md.apps, w.prevSame, w.runLeft)
-}
-
-// fitBranches readies the worker's branch table for n branches of nApps
-// counts each: every branch without a leaf yet, on no level.
-func (w *bnbWorker) fitBranches(n, nApps int) []branchResult {
-	w.branches = slices.Grow(w.branches[:0], n)[:n]
-	w.table = slices.Grow(w.table[:0], n*nApps)[:n*nApps]
-	for b := range w.branches {
-		r := &w.branches[b]
-		r.level.Store(math.Float64bits(math.Inf(-1)))
-		// A branch's best counts land in its own window of the table.
-		r.counts, r.score = w.table[b*nApps:b*nApps], 0
+// fit refits the worker in place to the solve of spec over (m, apps)
+// under floor. It fails, leaving the worker unfitted, on inputs
+// Evaluate would refuse.
+func (w *bnbWorker) fit(spec ObjectiveSpec, m *machine.Machine, apps []App, floor int) error {
+	if err := w.md.fit(m, apps); err != nil {
+		return err
 	}
-	return w.branches
+	w.kernel.fit(&w.md)
+	w.scratch.fit(&w.kernel)
+	n := len(apps)
+	w.floor, w.cores = floor, minCores(m)
+	w.ints = slices.Grow(w.ints[:0], 4*n)[:4*n]
+	w.counts, w.prevSame, w.runLeft, w.win = w.ints[:n], w.ints[n:2*n], w.ints[2*n:3*n], w.ints[3*n:]
+	w.obj = spec.Objective(apps)
+	linkRuns(spec.Symmetric(), apps, w.prevSame, w.runLeft)
+	w.bound = spec.Bound(m, apps)
+	w.grid, w.margin = NewScoreGrid(m), boundMargin(n, m.NumNodes())
+	w.best, w.tie = math.Inf(-1), math.Inf(-1)
+	w.leaves, w.bounds, w.ties = 0, 0, 0
+	return nil
 }
 
 // release adds the worker's counts to the Search's and pools it without
@@ -302,7 +254,7 @@ func (s *Search) release(w *bnbWorker) {
 	s.leaves.Add(w.leaves)
 	s.bounds.Add(w.bounds)
 	s.ties.Add(w.ties)
-	w.ctx, w.results = nil, nil
+	w.obj, w.bound = nil, nil
 	clear(w.md.apps)
 	w.md.m, w.md.apps = nil, w.md.apps[:0]
 	s.pool.Put(w)
@@ -316,13 +268,16 @@ func (s *Search) release(w *bnbWorker) {
 // (TestSearchLeavesAreValidAllocations pins this).
 func (w *bnbWorker) score() (v, level float64) {
 	w.leaves++
-	v = w.ctx.obj(w.ctx.kernel.eval(&w.scratch, w.counts))
+	v = w.obj(w.kernel.eval(&w.scratch, w.counts))
 	return v, w.grid.Level(v)
 }
 
-// branch is the top-level branch being searched: app 0's count over the
-// floor, where its span starts.
-func (w *bnbWorker) branch() int { return w.counts[0] - w.ctx.floor }
+// raiseBest raises the strict arm's incumbent to level l.
+func (w *bnbWorker) raiseBest(l float64) {
+	if !(w.best >= l) {
+		w.best = l
+	}
+}
 
 // span is the range of counts the enumeration tries for app pos with
 // remaining cores per node left for apps pos..n-1: from the floor — or,
@@ -330,7 +285,7 @@ func (w *bnbWorker) branch() int { return w.counts[0] - w.ctx.floor }
 // previous app — up to an equal share of remaining among the run's apps
 // still to place. An app that is a run of one gets floor..remaining.
 func (w *bnbWorker) span(pos, remaining int) (lo, hi int) {
-	lo, hi = w.ctx.floor, remaining
+	lo, hi = w.floor, remaining
 	if q := w.prevSame[pos]; q >= 0 {
 		lo = w.counts[q]
 	}
@@ -343,74 +298,49 @@ func (w *bnbWorker) span(pos, remaining int) (lo, hi int) {
 // hopeless reports whether no completion of counts[0..pos-1] with at
 // most rem cores per node for apps pos..n-1 can be the answer: the
 // bound, plus its margin, lies on a level below the best one reached
-// (the strict arm), or on one no higher than a leaf earlier in
-// enumeration order reached (the tie arm): the branch's own best so far,
-// or the first branch's to reach the highest level when that branch
-// comes before this one. Seeds are not in order, so only the strict arm
-// sees them.
+// (the strict arm), or on one no higher than an enumerated leaf reached
+// (the tie arm: every such leaf comes earlier in enumeration order).
+// Seeds are not in order, so only the strict arm sees them.
 func (w *bnbWorker) hopeless(pos, rem int) bool {
 	w.bounds++
-	b := w.ctx.bound(w.counts, pos, rem)
+	b := w.bound(w.counts, pos, rem)
 	u := w.grid.Level(b + w.margin*math.Abs(b))
-	if u < w.ctx.bestLevel() {
+	if u < w.best {
 		return true
 	}
-	t := w.branchLevel
-	if f := w.ctx.first.Load(); f >= 0 && int(f) < w.branch() {
-		t = max(t, math.Float64frombits(w.results[f].level.Load()))
-	}
-	if u <= t {
+	if u <= w.tie {
 		w.ties++
 		return true
 	}
 	return false
 }
 
-// leaf scores the completed counts vector and keeps it when it is the
-// first of its branch on a higher level, publishing that level to the
-// incumbents.
+// leaf scores the completed counts vector and keeps it as the answer
+// when it is the first leaf on a level higher than any before it.
 func (w *bnbWorker) leaf() {
 	v, l := w.score()
-	if !(l > w.branchLevel) { // a NaN score never wins
+	if !(l > w.tie) { // a NaN score never wins
 		return
 	}
-	w.branchLevel = l
-	b, c := w.branch(), w.ctx
-	r := &w.results[b]
-	r.counts, r.score = append(r.counts[:0], w.counts...), v
-	c.raiseBest(l)
-	r.level.Store(math.Float64bits(l))
-	// This branch becomes the tie arm's incumbent unless one on a higher
-	// level, or an earlier one on the same, already is. A race that keeps
-	// a worse incumbent costs cuts, never soundness: any branch's
-	// published level was reached by a leaf of that branch.
-	for {
-		f := c.first.Load()
-		if f >= 0 {
-			fl := math.Float64frombits(w.results[f].level.Load())
-			if l < fl || l == fl && int(f) <= b {
-				return
-			}
-		}
-		if c.first.CompareAndSwap(f, int64(b)) {
-			return
-		}
-	}
+	w.tie = l
+	w.raiseBest(l)
+	copy(w.win, w.counts)
+	w.winScore = v
 }
 
 // rec enumerates apps pos..n-1 with remaining cores per node left. It is
 // entered at pos 1: the caller fixes app 0's row, the top-level branch.
 func (w *bnbWorker) rec(pos, remaining int) {
-	c := w.ctx
-	if pos == c.nApps {
+	n := len(w.counts)
+	if pos == n {
 		w.leaf() // a one-app solve: the branch's row is the leaf
 		return
 	}
-	if c.bound != nil && w.hopeless(pos, remaining) {
+	if w.bound != nil && w.hopeless(pos, remaining) {
 		return
 	}
 	lo, hi := w.span(pos, remaining)
-	if pos < c.nApps-1 {
+	if pos < n-1 {
 		for cnt := lo; cnt <= hi; cnt++ {
 			w.counts[pos] = cnt
 			w.rec(pos+1, remaining-cnt)
@@ -424,7 +354,7 @@ func (w *bnbWorker) rec(pos, remaining int) {
 	// order; the check above already covered hi, which is remaining for
 	// the last app. The survivors are scored without a bound of their
 	// own: one that lies below the incumbent's level cannot be the answer.
-	if c.bound != nil {
+	if w.bound != nil {
 		for r := hi - 1; r >= lo; r-- {
 			if w.hopeless(pos, r) {
 				lo = r + 1
@@ -438,26 +368,14 @@ func (w *bnbWorker) rec(pos, remaining int) {
 	}
 }
 
-// branchResult is one top-level branch's best candidate, the first of
-// its leaves on the highest level they reached, and its objective value;
-// results are reduced in branch order so the parallel search returns the
-// same first-in-enumeration-order optimum as a sequential scan. The
-// owning worker writes every field as the level rises; the tie arm of
-// later branches reads level meanwhile, the reduction the rest once all
-// are done.
-type branchResult struct {
-	level  atomic.Uint64 // Float64bits; -Inf while the branch has no leaf
-	counts []int
-	score  float64
-}
-
 // BestPerNodeCountsFloorSpec is the search: over uniform per-node
 // allocations (every app gets counts[i] threads on every node, each app
 // at least floor) it returns the one maximizing spec's objective, using
-// the leafKernel, goroutine fan-out of the top-level branches and, when
-// spec supplies an admissible bound, a branch-and-bound prune. Without a
-// bound every leaf is scored. It returns ErrNoAllocation when the floors
-// alone over-subscribe a node (more apps than cores).
+// the leafKernel and, when spec supplies an admissible bound, a
+// branch-and-bound prune. Without a bound every leaf is scored. It
+// returns ErrNoAllocation when the floors alone over-subscribe a node
+// (more apps than cores). The search walks the top-level branches in
+// order on the calling goroutine.
 //
 // Scores are compared on m's ScoreGrid: the answer is the first leaf in
 // enumeration order on the highest level, so it scores less than one
@@ -470,16 +388,14 @@ type branchResult struct {
 // |b| × boundMargin, lies on a level
 //
 //   - below the highest level any leaf reached (the strict arm), or
-//   - no higher than a leaf earlier in enumeration order reached (the tie
-//     arm: the branch's own first leaf on its highest level, or, for a
-//     later branch, the first branch's to reach the highest level any
-//     branch has published).
+//   - no higher than the highest level an enumerated leaf reached (the
+//     tie arm: every enumerated leaf comes earlier in order than the
+//     subtree).
 //
 // The margin makes the bound admissible on the grid: every completion's
 // float score s has Level(s) <= Level(b + margin). So a strict cut drops
 // only leaves below the answer's level and a tie cut only leaves at most
-// on the level of an earlier one; neither drops the answer, and the
-// parallel search returns what the sequential one does.
+// on the level of an earlier one; neither drops the answer.
 //
 // The enumeration walks one row per orbit of Interchangeable apps. When
 // spec is Symmetric, the rows of a run of such apps (wherever its
@@ -543,102 +459,35 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 // allocation and Result: the winning counts and the objective value the
 // leaf kernel computed for them, which the ObjectiveSpec contract makes
 // bit-identical to spec.Objective(apps) of the reference Evaluate's
-// Result. The model, kernel and branch table live in the calling
-// goroutine's pooled worker, refitted in place, so a solve on a warm
+// Result. It runs on the calling goroutine with a pooled worker whose
+// model, kernel and scratch are refitted in place, so a solve on a warm
 // Search allocates little beyond the spec's objective and bound and the
 // returned counts. An empty demand set scores 0 without a search.
 func (s *Search) solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, float64, error) {
 	floor = max(floor, 0)
-	nApps := len(apps)
-	if nApps == 0 {
+	if len(apps) == 0 {
 		return nil, 0, nil
 	}
-	// The calling goroutine's worker owns the solve's shared tables, so
-	// it goes back to the pool only once the reduction has read them.
-	w0 := s.pool.Get()
-	defer s.release(w0)
-	if err := w0.md.fit(m, apps, Options{}); err != nil {
+	w := s.pool.Get()
+	defer s.release(w)
+	if err := w.fit(spec, m, apps, floor); err != nil {
 		// Invalid (machine, apps) inputs: the reference enumeration skips
 		// every candidate and reports no feasible allocation.
 		return nil, 0, ErrNoAllocation
 	}
-	w0.kernel.fit(&w0.md)
-	ctx := &bnbCtx{
-		nApps:     nApps,
-		floor:     floor,
-		cores:     minCores(m),
-		kernel:    &w0.kernel,
-		obj:       spec.Objective(apps),
-		symmetric: spec.Symmetric(),
-		bound:     spec.Bound(m, apps),
-	}
-	ctx.best.Store(math.Float64bits(math.Inf(-1)))
-	ctx.first.Store(-1)
 	s.solves.Add(1)
-
-	// The calling goroutine's worker seeds the incumbent and sizes the
-	// tree before it searches beside the others.
-	w0.fit(ctx)
-	if ctx.bound != nil && len(prev) > 0 {
-		w0.seedIncumbent(prev)
+	if w.bound != nil && len(prev) > 0 {
+		w.seedIncumbent(prev)
 	}
-	first, last := w0.span(0, ctx.cores)
-	nBranches := max(last-first+1, 0)
-
-	workers := s.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	first, last := w.span(0, w.cores)
+	for c := first; c <= last; c++ {
+		w.counts[0] = c
+		w.rec(1, w.cores-c)
 	}
-	if workers > 1 && estimateLeaves(ctx.cores-floor*nApps, w0.runLeft, w0.ints[3*nApps:]) <= seqLeafThreshold {
-		workers = 1
-	}
-
-	results := w0.fitBranches(nBranches, nApps)
-	search := func(w *bnbWorker) {
-		w.results = results
-		for {
-			b := int(ctx.next.Add(1)) - 1
-			if b >= nBranches {
-				return
-			}
-			w.branchLevel = math.Inf(-1)
-			w.counts[0] = first + b
-			w.rec(1, ctx.cores-(first+b))
-		}
-	}
-	if workers = min(workers, nBranches); workers <= 1 {
-		search(w0)
-	} else {
-		var wg sync.WaitGroup
-		for wi := 1; wi < workers; wi++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if int(ctx.next.Load()) >= nBranches {
-					return // the others have taken every branch
-				}
-				w := s.pool.Get()
-				w.fit(ctx)
-				defer s.release(w)
-				search(w)
-			}()
-		}
-		search(w0)
-		wg.Wait()
-	}
-
-	// Deterministic reduction in branch order: strict > keeps the first
-	// branch on the highest level, matching the sequential scan.
-	win, best := -1, math.Inf(-1)
-	for b := range results {
-		if l := math.Float64frombits(results[b].level.Load()); l > best {
-			win, best = b, l
-		}
-	}
-	if win < 0 {
+	if math.IsInf(w.tie, -1) {
 		return nil, 0, ErrNoAllocation
 	}
-	return slices.Clone(results[win].counts), results[win].score, nil
+	return slices.Clone(w.win), w.winScore, nil
 }
 
 // SolveFloor is the floor Solve searches under for nApps apps on m: the
@@ -677,8 +526,7 @@ func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps 
 // Infeasible hints are silently skipped — seeding is purely an
 // acceleration.
 func (w *bnbWorker) seedIncumbent(prev []int) {
-	ctx := w.ctx
-	nApps, floor, capCores := ctx.nApps, ctx.floor, ctx.cores
+	nApps, floor, capCores := len(w.counts), w.floor, w.cores
 	if len(prev) != nApps && len(prev) != nApps-1 {
 		return // not a ±1 neighbour's counts; nothing usable
 	}
@@ -700,7 +548,7 @@ func (w *bnbWorker) seedIncumbent(prev []int) {
 	}
 	if gap < 0 {
 		_, l := w.score()
-		ctx.raiseBest(l)
+		w.raiseBest(l)
 		return
 	}
 	// When the previous optimum saturates the node (the common case when
@@ -723,34 +571,6 @@ func (w *bnbWorker) seedIncumbent(prev []int) {
 	for c := floor; c <= capCores-used; c++ {
 		w.counts[gap] = c
 		_, l := w.score()
-		ctx.raiseBest(l)
+		w.raiseBest(l)
 	}
-}
-
-// estimateLeaves returns the number of leaves the enumeration visits:
-// rows with at most budget cores over the floors in total,
-// non-decreasing along every run of the table runLeft is of. A run of k
-// apps contributes the partitions of its extra cores into at most k
-// parts, generating function Π_{j=1..k} 1/(1-x^j), and its members'
-// runLeft values are exactly 1..k; one more factor 1/(1-x) sums the
-// coefficients up to budget. ways is scratch of budget+1 entries or
-// more. Exact (orbit_test.go) until it saturates, far above the
-// sequential threshold.
-func estimateLeaves(budget int, runLeft, ways []int) int {
-	if budget < 0 {
-		return 0
-	}
-	ways = ways[:budget+1]
-	clear(ways)
-	ways[0] = 1
-	times := func(j int) { // multiply by 1/(1-x^j)
-		for s := j; s <= budget; s++ {
-			ways[s] = min(ways[s]+ways[s-j], 1<<30)
-		}
-	}
-	for _, j := range runLeft {
-		times(j)
-	}
-	times(1)
-	return ways[budget]
 }

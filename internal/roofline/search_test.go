@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -24,7 +25,7 @@ func (o *naiveOptimum) offer(score float64, counts []int, res *Result) {
 }
 
 // naiveOptima is an independent, deliberately simple reference for the
-// pruned parallel search: plain recursion over per-app counts in the
+// pruned search: plain recursion over per-app counts in the
 // same order, every candidate evaluated with the reference model.
 func naiveOptima(m *machine.Machine, apps []App, obj Objective, floor int) naiveOptimum {
 	if obj == nil {
@@ -287,49 +288,107 @@ func floorSearchRound(t *testing.T, r *rand.Rand) {
 	checkSearchMatchesNaive(t, fmt.Sprintf("floor=%d numa-bad=%d", floor, bad), &s, m, apps, spec, floor)
 }
 
-// TestSearchParallelDeterministic forces the parallel fan-out path and
-// checks it is (a) equal to the naive scan and (b) stable across
-// repeated runs and worker counts, on two fixtures: a wide machine
-// (C(16,8) = 12870 rows, 8518 of them canonical for the s0/s1 pair:
-// over the sequential threshold), and the SkylakeQuad plateau, where
-// the tie arm of every worker reads the branch incumbent of the others.
-func TestSearchParallelDeterministic(t *testing.T) {
-	cases := []struct {
-		name string
-		m    *machine.Machine
-		apps []App
-		pars []int
-	}{
+// largeFixtures are solves of thousands of rows: a wide machine
+// (C(16,8) = 12870 rows, 8518 of them canonical for the s0/s1 pair),
+// the SkylakeQuad plateau, where the tie arm cuts most subtrees, and
+// BenchmarkSolveCold8Apps' eight apps on SkylakeQuad.
+func largeFixtures() []fixture {
+	return []fixture{
 		{"wide", machine.Uniform("wide", 4, 16, 10, 32, 0), []App{
 			{Name: "s0", AI: 0.5}, {Name: "s1", AI: 0.5}, {Name: "s2", AI: 0.25},
 			{Name: "c0", AI: 10}, {Name: "c1", AI: 8},
 			{Name: "m0", AI: 1}, {Name: "m1", AI: 2},
 			{Name: "b0", AI: 0.0625, Placement: NUMABad, HomeNode: 0},
-		}, []int{0, 1, 3, 8}},
-		{"plateau", machine.SkylakeQuad(), skylakeDiverseApps(), []int{1, 2, 4, 8}},
+		}},
+		{"plateau", machine.SkylakeQuad(), skylakeDiverseApps()},
+		{"8-apps", machine.SkylakeQuad(), eightAppMix()},
 	}
-	for _, c := range cases {
-		if got := leafEstimate(ObjTotalGFLOPS, c.apps, minCores(c.m)-len(c.apps)); got <= seqLeafThreshold {
-			t.Fatalf("%s: fixture too small to force the parallel path: %d leaves", c.name, got)
-		}
+}
+
+// TestSearchLargeFixturesMatchNaive holds the wide and plateau fixtures
+// to the naive scan, twice on one Search: the second solve reuses the
+// worker the first one pooled.
+func TestSearchLargeFixturesMatchNaive(t *testing.T) {
+	var s Search
+	for _, c := range largeFixtures()[:2] {
 		wantCounts, wantRes, err := naiveBestPerNodeCountsFloor(c.m, c.apps, TotalGFLOPS, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range c.pars {
-			s := Search{Parallelism: par}
-			for run := 0; run < 2; run++ {
-				gotCounts, _, gotRes, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, c.m, c.apps, 1)
-				if err != nil {
-					t.Fatalf("%s par=%d run=%d: %v", c.name, par, run, err)
-				}
-				if !intsEqual(wantCounts, gotCounts) {
-					t.Fatalf("%s par=%d run=%d: counts = %v, want %v", c.name, par, run, gotCounts, wantCounts)
-				}
-				if d := diffResults(wantRes, gotRes); d != "" {
-					t.Fatalf("%s par=%d run=%d: %s", c.name, par, run, d)
-				}
+		for run := 0; run < 2; run++ {
+			gotCounts, _, gotRes, err := s.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, c.m, c.apps, 1)
+			if err != nil {
+				t.Fatalf("%s run=%d: %v", c.name, run, err)
 			}
+			if !intsEqual(wantCounts, gotCounts) {
+				t.Fatalf("%s run=%d: counts = %v, want %v", c.name, run, gotCounts, wantCounts)
+			}
+			if d := diffResults(wantRes, gotRes); d != "" {
+				t.Fatalf("%s run=%d: %s", c.name, run, d)
+			}
+		}
+	}
+}
+
+// TestSearchWorkIsDeterministic: the work a solve does depends on its
+// inputs alone. On fixtures whose unpruned walk scores thousands of
+// leaves, the same solve adds the same SearchStats on fresh Searches,
+// again and again on one warm Search, and on that Search while copies
+// of it run concurrently.
+func TestSearchWorkIsDeterministic(t *testing.T) {
+	sub := func(a, b SearchStats) SearchStats {
+		return SearchStats{Solves: a.Solves - b.Solves, Leaves: a.Leaves - b.Leaves, Bounds: a.Bounds - b.Bounds, Ties: a.Ties - b.Ties}
+	}
+	for _, c := range largeFixtures() {
+		solve := func(s *Search, spec ObjectiveSpec) error {
+			_, _, _, err := s.BestPerNodeCountsFloorSpec(spec, nil, c.m, c.apps, 1)
+			return err
+		}
+		var unpruned Search
+		if err := solve(&unpruned, strippedSpec{ObjTotalGFLOPS}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rows := unpruned.Stats().Leaves; rows <= 4096 {
+			t.Fatalf("%s: %d rows, want thousands", c.name, rows)
+		}
+		var want SearchStats
+		for run := 0; run < 2; run++ {
+			var fresh Search
+			if err := solve(&fresh, ObjTotalGFLOPS); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if run == 0 {
+				want = fresh.Stats()
+			} else if got := fresh.Stats(); got != want {
+				t.Fatalf("%s: a fresh Search's solve added %+v, another's %+v", c.name, got, want)
+			}
+		}
+		var shared Search
+		for run := 0; run < 3; run++ {
+			before := shared.Stats()
+			if err := solve(&shared, ObjTotalGFLOPS); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := sub(shared.Stats(), before); got != want {
+				t.Fatalf("%s run=%d: a warm Search's solve added %+v, a fresh one's %+v", c.name, run, got, want)
+			}
+		}
+		const copies = 4
+		before := shared.Stats()
+		var wg sync.WaitGroup
+		for g := 0; g < copies; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := solve(&shared, ObjTotalGFLOPS); err != nil {
+					t.Errorf("%s: %v", c.name, err)
+				}
+			}()
+		}
+		wg.Wait()
+		got := sub(shared.Stats(), before)
+		if got != (SearchStats{Solves: copies * want.Solves, Leaves: copies * want.Leaves, Bounds: copies * want.Bounds, Ties: copies * want.Ties}) {
+			t.Fatalf("%s: %d concurrent solves added %+v, one alone %+v", c.name, copies, got, want)
 		}
 	}
 }

@@ -167,10 +167,6 @@ func TestWarmStartPlateauTieLaterInOrder(t *testing.T) {
 			t.Fatalf("hint %v (%v) is not a tie of the answer %v (%v) later in order", hint, hres.TotalGFLOPS, cold, res.TotalGFLOPS)
 		}
 		checkWarmMatchesCold(t, fmt.Sprintf("plateau/hint=%v", hint), &s, m, apps, ObjTotalGFLOPS, 1, hint)
-		for _, p := range []int{1, 4} {
-			par := Search{Parallelism: p}
-			checkWarmMatchesCold(t, fmt.Sprintf("plateau/hint=%v/par=%d", hint, p), &par, m, apps, ObjTotalGFLOPS, 1, hint)
-		}
 	}
 }
 
