@@ -21,13 +21,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Solver-path benchmarks (roofline search/evaluator + control-plane
-# serve path), their allocs/op written to BENCH_solver.json by
+# Solver-path benchmarks (roofline search and reference evaluation +
+# control-plane serve path), their allocs/op written to BENCH_solver.json by
 # cmd/benchdiff (artifact mode: bench output on stdin) so CI tracks
 # the allocation trajectory PR-over-PR. The raw `go test -bench` stream,
 # timings included, still prints (via stderr). `make benchall` is the
 # full unfiltered sweep.
-SOLVER_BENCH = $(GO) test -bench 'BenchmarkSolve|BenchmarkEvaluate|BenchmarkEvaluator|BenchmarkAllocate' \
+SOLVER_BENCH = $(GO) test -bench 'BenchmarkSolve|BenchmarkEvaluate|BenchmarkAllocate' \
 	-benchmem -run '^$$' ./internal/roofline/ ./internal/ctrlplane/
 
 bench:

@@ -124,7 +124,8 @@ func BenchmarkSolveNaive8Apps(b *testing.B) {
 }
 
 // BenchmarkEvaluateReference is one reference-model evaluation of the
-// Table I allocation: the unit of work the Evaluator's reuse saves.
+// Table I allocation: the unit of work of every Evaluator call and of
+// every candidate EnumeratePerNodeCounts hands its callback.
 func BenchmarkEvaluateReference(b *testing.B) {
 	m := machine.PaperModel()
 	apps := paperApps()
@@ -132,29 +133,6 @@ func BenchmarkEvaluateReference(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Evaluate(m, apps, al); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvaluatorMemoHit is the same evaluation through a warmed
-// Evaluator: all four nodes reuse their class's last evaluation, zero
-// allocations.
-func BenchmarkEvaluatorMemoHit(b *testing.B) {
-	m := machine.PaperModel()
-	apps := paperApps()
-	ev, err := NewEvaluator(m, apps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	al := MustPerNodeCounts(m, []int{1, 1, 1, 5})
-	res := &Result{}
-	if err := ev.EvaluateInto(res, al); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := ev.EvaluateInto(res, al); err != nil {
 			b.Fatal(err)
 		}
 	}

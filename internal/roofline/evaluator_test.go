@@ -48,7 +48,7 @@ func diffResults(want, got *Result) string {
 }
 
 // checkEvaluatorMatches asserts the evaluator reproduces the reference
-// bitwise on al, twice (the second pass exercises the memo-hit path).
+// bitwise on al, twice into res (the second pass reuses its arrays).
 func checkEvaluatorMatches(t *testing.T, label string, m *machine.Machine, apps []App, ev *Evaluator, res *Result, al Allocation) {
 	t.Helper()
 	want, err := Evaluate(m, apps, al)
@@ -88,11 +88,6 @@ func TestEvaluatorMatchesPaperTables(t *testing.T) {
 
 	checkEvaluatorMatches(t, "node-per-app", m, apps, ev, res, MustNodePerApp(m, 4, nil))
 	almost(t, "node-per-app total (evaluator)", res.TotalGFLOPS, 128, 1e-9)
-
-	hits, misses := ev.MemoStats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("memo should see both hits and misses on the paper fixtures, got hits=%d misses=%d", hits, misses)
-	}
 
 	// Fig. 3: the NUMA-bad mix on the 60 GB/s machine with 10 GB/s links.
 	mBad := machine.PaperModelNUMABad()
@@ -218,7 +213,7 @@ func randomAllocation(r *rand.Rand, m *machine.Machine, nApps int) Allocation {
 }
 
 // differentialRound drives one (machine, apps) draw: several random
-// allocations, each checked twice (memo-hit path included).
+// allocations, each checked twice into one reused Result.
 func differentialRound(t *testing.T, r *rand.Rand) {
 	t.Helper()
 	m := randomMachine(r)
@@ -237,7 +232,7 @@ func differentialRound(t *testing.T, r *rand.Rand) {
 		al := randomAllocation(r, m, len(apps))
 		checkEvaluatorMatches(t, fmt.Sprintf("random k=%d", k), m, apps, ev, res, al)
 		if prev != nil && r.Intn(2) == 0 {
-			// Revisit an earlier allocation: pure memo-hit evaluation.
+			// Revisit an earlier allocation.
 			checkEvaluatorMatches(t, fmt.Sprintf("random k=%d revisit", k), m, apps, ev, res, *prev)
 		}
 		prev = &al
@@ -254,29 +249,34 @@ func TestEvaluatorMatchesReferenceRandomized(t *testing.T) {
 	}
 }
 
-// TestEvaluatorReset checks a pooled evaluator re-targeted at new
-// inputs behaves like a fresh one (stale memo entries must not leak
-// between incompatible machines or app mixes).
-func TestEvaluatorReset(t *testing.T) {
-	m := machine.PaperModel()
-	apps := paperApps()
-	ev, err := NewEvaluator(m, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEvaluatorResultReuse holds one Result, reused across Evaluators
+// of growing and shrinking (apps, nodes) shapes, to a fresh Evaluate
+// each time: no cell of a larger shape leaks into a smaller one. A pair
+// Evaluate refuses gets no Evaluator.
+func TestEvaluatorResultReuse(t *testing.T) {
 	res := &Result{}
-	checkEvaluatorMatches(t, "before reset", m, apps, ev, res, MustPerNodeCounts(m, []int{1, 1, 1, 5}))
-
-	mBad := machine.PaperModelNUMABad()
-	badApps := numaBadApps()
-	if err := ev.Reset(mBad, badApps); err != nil {
-		t.Fatal(err)
+	r := rand.New(rand.NewSource(7))
+	shapes := []struct {
+		m    *machine.Machine
+		apps []App
+	}{
+		{machine.PaperModel(), paperApps()},
+		{machine.SkylakeQuad(), eightAppMix()},
+		{machine.PaperModelNUMABad(), numaBadApps()},
+		{machine.Uniform("one", 1, 4, 10, 32, 0), paperApps()[:1]},
+		{machine.SkylakeQuad(), tableIIIBadApps()},
+		{machine.Uniform("two", 2, 8, 10, 32, 16), paperApps()[:2]},
+		{machine.SkylakeQuad(), eightAppMix()},
 	}
-	checkEvaluatorMatches(t, "after reset", mBad, badApps, ev, res, MustPerNodeCounts(mBad, []int{2, 2, 2, 2}))
-	almost(t, "after reset total", res.TotalGFLOPS, 138.75, 1e-9)
-
-	if err := ev.Reset(mBad, []App{{Name: "neg", AI: -1}}); err == nil {
-		t.Error("Reset should reject non-positive AI")
+	for k, c := range shapes {
+		ev, err := NewEvaluator(c.m, c.apps)
+		if err != nil {
+			t.Fatalf("shape %d: NewEvaluator: %v", k, err)
+		}
+		checkEvaluatorMatches(t, fmt.Sprintf("shape %d", k), c.m, c.apps, ev, res, randomAllocation(r, c.m, len(c.apps)))
+	}
+	if _, err := NewEvaluator(machine.PaperModel(), []App{{Name: "neg", AI: -1}}); err == nil {
+		t.Error("NewEvaluator should reject non-positive AI")
 	}
 }
 
@@ -298,29 +298,5 @@ func TestEvaluatorValidation(t *testing.T) {
 	over.Threads[0][0] = m.Nodes[0].Cores + 1
 	if err := ev.EvaluateInto(res, over); err == nil {
 		t.Error("EvaluateInto should reject over-subscription")
-	}
-}
-
-// TestEvaluatorSteadyStateAllocs pins the scratch-reuse contract: a
-// memo-hit evaluation into a warm Result performs no heap allocations.
-func TestEvaluatorSteadyStateAllocs(t *testing.T) {
-	m := machine.PaperModel()
-	apps := paperApps()
-	ev, err := NewEvaluator(m, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &Result{}
-	al := MustPerNodeCounts(m, []int{1, 1, 1, 5})
-	if err := ev.EvaluateInto(res, al); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := ev.EvaluateInto(res, al); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("memo-hit EvaluateInto allocates %.2f objects/op, want 0", allocs)
 	}
 }

@@ -16,9 +16,11 @@ var fuzzSeeds = []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 1<
 // FuzzEvaluatorEquivalence is the property test behind the fast path:
 // for any seeded draw of machine (heterogeneous nodes, optional link
 // limits), app mix (including NUMA-bad placements) and allocation
-// sequence, the incremental Evaluator must be bitwise identical to the
-// reference Evaluate. The seed corpus under testdata/fuzz is checked in
-// so `go test` replays it on every run;
+// sequence, the Evaluator, the leaf kernel and every Search built on it
+// must be bitwise identical to the reference Evaluate and the naive
+// enumeration over it. The name predates the kernel and keys the seed
+// corpus under testdata/fuzz, which is checked in so `go test` replays
+// it on every run;
 // `go test -fuzz=FuzzEvaluatorEquivalence ./internal/roofline` explores
 // further.
 func FuzzEvaluatorEquivalence(f *testing.F) {

@@ -31,14 +31,10 @@ func paperFixtures() []fixture {
 // floor: per-app and machine totals must be == to Evaluate's.
 func checkKernelMatchesReference(t *testing.T, label string, m *machine.Machine, apps []App, floor int) {
 	t.Helper()
-	var md nodeModel
-	if err := md.fit(m, apps); err != nil {
-		t.Fatalf("%s: nodeModel.fit: %v", label, err)
-	}
 	var k leafKernel
-	k.fit(&md)
-	var s leafScratch
-	s.fit(&k)
+	if err := k.fit(m, apps); err != nil {
+		t.Fatalf("%s: leafKernel.fit: %v", label, err)
+	}
 	counts := make([]int, len(apps))
 	leaves := 0
 	var rec func(pos, remaining int)
@@ -55,7 +51,7 @@ func checkKernelMatchesReference(t *testing.T, label string, m *machine.Machine,
 		if err != nil {
 			t.Fatalf("%s: reference Evaluate(%v): %v", label, counts, err)
 		}
-		got := k.eval(&s, counts)
+		got := k.eval(counts)
 		if got.TotalGFLOPS != want.TotalGFLOPS {
 			t.Fatalf("%s: counts %v: TotalGFLOPS %v, reference %v", label, counts, got.TotalGFLOPS, want.TotalGFLOPS)
 		}
@@ -186,7 +182,7 @@ func TestSearchLeavesAreValidAllocations(t *testing.T) {
 		scored := 0
 		watch := leafWatchSpec{spec, func() {
 			scored++
-			if w.md.m != m {
+			if w.kernel.m != m {
 				t.Fatalf("%s: the watched worker is not the one solving", label)
 			}
 			for i, c := range w.counts {
@@ -299,26 +295,25 @@ func TestSearchRetainedMemory(t *testing.T) {
 		if w.obj != nil || w.bound != nil {
 			t.Error("an idle worker still references its last solve")
 		}
-		sc := &w.scratch
-		bytes := 8*(cap(w.ints)+cap(sc.perLink)+cap(sc.rate)+cap(sc.res.AppGFLOPS)) +
-			int(unsafe.Sizeof(localClaim{}))*cap(sc.ev.local) +
-			int(unsafe.Sizeof(remoteClaim{}))*cap(sc.ev.remote)
+		k := &w.kernel
+		bytes := 8*(cap(w.ints)+cap(k.perLink)+cap(k.rate)+cap(k.res.AppGFLOPS)) +
+			int(unsafe.Sizeof(localClaim{}))*cap(k.local) +
+			int(unsafe.Sizeof(remoteClaim{}))*cap(k.remote)
 		if limit := 256*maxCells + 1024; bytes > limit {
 			t.Errorf("an idle worker retains %d bytes, want O(apps × nodes) (<= %d for %d cells)", bytes, limit, maxCells)
 		}
-		md := &w.md
-		model := 8*(cap(md.demand)+cap(md.classOf)+cap(md.classRep)) + 4*cap(w.kernel.src) +
-			24*(cap(md.localApps)+cap(md.homeApps)) + int(unsafe.Sizeof(App{}))*cap(md.apps)
-		for _, ids := range md.localApps[:cap(md.localApps)] {
+		model := 8*(cap(k.demand)+cap(k.classRep)) + 4*cap(k.src) +
+			24*(cap(k.localApps)+cap(k.homeApps)) + int(unsafe.Sizeof(App{}))*cap(k.apps)
+		for _, ids := range k.localApps[:cap(k.localApps)] {
 			model += 4 * cap(ids)
 		}
-		for _, ids := range md.homeApps[:cap(md.homeApps)] {
+		for _, ids := range k.homeApps[:cap(k.homeApps)] {
 			model += 4 * cap(ids)
 		}
 		if limit := 256*maxCells + 1024; model > limit {
 			t.Errorf("an idle worker retains a %d-byte model, want O(apps × nodes) (<= %d for %d cells)", model, limit, maxCells)
 		}
-		if sc.res.PerApp != nil || sc.res.PerNode != nil {
+		if k.res.PerApp != nil || k.res.PerNode != nil {
 			t.Error("an idle worker retains a Result grid")
 		}
 	}

@@ -1,6 +1,8 @@
 package roofline
 
 import (
+	"slices"
+
 	"repro/internal/machine"
 )
 
@@ -50,7 +52,8 @@ func WeightedAppGFLOPS(weights []float64) Objective {
 //
 // The search is deterministic. maxIters bounds the number of accepted
 // improvement moves per start (<=0 means a generous default). All
-// starts share one Evaluator and its scratch.
+// starts share one Evaluator and one scratch Result. Inputs Evaluate
+// would refuse return its error.
 func Optimize(m *machine.Machine, apps []App, obj Objective, maxIters int) (Allocation, *Result, error) {
 	if obj == nil {
 		obj = TotalGFLOPS
@@ -58,18 +61,14 @@ func Optimize(m *machine.Machine, apps []App, obj Objective, maxIters int) (Allo
 	if maxIters <= 0 {
 		maxIters = 10000
 	}
-	starts := candidateStarts(m, apps)
-	if len(starts) == 0 {
-		return Allocation{}, nil, ErrNoAllocation
-	}
 	ev, err := NewEvaluator(m, apps)
 	if err != nil {
-		return Allocation{}, nil, ErrNoAllocation
+		return Allocation{}, nil, err
 	}
 	var bestAl Allocation
 	var bestRes *Result
 	bestScore := -1.0
-	for _, s := range starts {
+	for _, s := range candidateStarts(m, apps) {
 		al, res, score, err := hillClimb(m, apps, ev, s, obj, maxIters)
 		if err != nil {
 			continue
@@ -173,10 +172,9 @@ func hillClimb(m *machine.Machine, apps []App, ev *Evaluator, al Allocation, obj
 			break
 		}
 	}
-	// Final result through the reference model, so callers always hold
-	// reference-bitwise outputs.
-	res, err := Evaluate(m, apps, al)
-	if err != nil {
+	// A fresh Result for the caller: scratch may hold a rejected move.
+	res := &Result{}
+	if err := ev.EvaluateInto(res, al); err != nil {
 		return Allocation{}, nil, 0, err
 	}
 	return al.Clone(), res, obj(res), nil
@@ -184,29 +182,17 @@ func hillClimb(m *machine.Machine, apps []App, ev *Evaluator, al Allocation, obj
 
 // EnumeratePerNodeCounts calls fn for every uniform per-node allocation
 // (every app gets the same count on all nodes) whose counts sum to at
-// most the smallest node's core count. It is exhaustive for the paper's
-// small examples. fn returning false stops the enumeration early.
+// most the smallest node's core count, each evaluated by the reference
+// model through one Evaluator. It is exhaustive for the paper's small
+// examples. fn returning false stops the enumeration early. Inputs
+// Evaluate would refuse return its error before any candidate.
 //
 // counts is a fresh copy per candidate; al and r are scratch reused
 // between candidates and are only valid for the duration of the call.
 func EnumeratePerNodeCounts(m *machine.Machine, nApps int, fn func(counts []int, al Allocation, r *Result) bool, apps []App) error {
-	return EnumeratePerNodeCountsFloor(m, nApps, 0, fn, apps)
-}
-
-// EnumeratePerNodeCountsFloor is EnumeratePerNodeCounts restricted to
-// allocations granting every app at least floor threads per node — the
-// no-starvation constraint under which the paper's Table I uneven
-// allocation (1,1,1,5) is the optimum. Candidates are evaluated with
-// the Evaluator (bit-identical to Evaluate), which computes one node per
-// class of identical nodes.
-func EnumeratePerNodeCountsFloor(m *machine.Machine, nApps, floor int, fn func(counts []int, al Allocation, r *Result) bool, apps []App) error {
-	capCores := minCores(m)
-	if floor < 0 {
-		floor = 0
-	}
 	ev, err := NewEvaluator(m, apps)
 	if err != nil {
-		return nil // invalid inputs: no candidates, as before
+		return err
 	}
 	counts := make([]int, nApps)
 	al := NewAllocation(nApps, m.NumNodes())
@@ -214,13 +200,12 @@ func EnumeratePerNodeCountsFloor(m *machine.Machine, nApps, floor int, fn func(c
 	var rec func(pos, remaining int) bool
 	rec = func(pos, remaining int) bool {
 		if pos == nApps {
-			if err := ev.EvaluateInto(res, al); err != nil {
-				return true
+			if err = ev.EvaluateInto(res, al); err != nil {
+				return false
 			}
-			cp := append([]int(nil), counts...)
-			return fn(cp, al, res)
+			return fn(slices.Clone(counts), al, res)
 		}
-		for c := floor; c <= remaining; c++ {
+		for c := 0; c <= remaining; c++ {
 			counts[pos] = c
 			row := al.Threads[pos]
 			for j := range row {
@@ -237,6 +222,6 @@ func EnumeratePerNodeCountsFloor(m *machine.Machine, nApps, floor int, fn func(c
 		}
 		return true
 	}
-	rec(0, capCores)
-	return nil
+	rec(0, minCores(m))
+	return err
 }

@@ -242,32 +242,25 @@ func Evaluate(m *machine.Machine, apps []App, al Allocation) (*Result, error) {
 
 // EvaluateOpts runs the model with explicit options.
 func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*Result, error) {
-	if err := m.Validate(); err != nil {
+	res := &Result{}
+	if err := evaluateInto(res, m, apps, al, opt); err != nil {
 		return nil, err
 	}
-	for i, a := range apps {
-		if a.AI <= 0 {
-			return nil, fmt.Errorf("roofline: app %d (%s) has non-positive AI %g", i, a.Name, a.AI)
-		}
-		if a.Placement == NUMABad {
-			if int(a.HomeNode) < 0 || int(a.HomeNode) >= m.NumNodes() {
-				return nil, fmt.Errorf("roofline: app %d (%s) home node %d out of range", i, a.Name, a.HomeNode)
-			}
-		}
+	return res, nil
+}
+
+// evaluateInto is the reference model: it validates the inputs and
+// overwrites res, reusing its backing arrays.
+func evaluateInto(res *Result, m *machine.Machine, apps []App, al Allocation, opt Options) error {
+	if err := checkInputs(m, apps); err != nil {
+		return err
 	}
 	if err := al.Validate(m, apps); err != nil {
-		return nil, err
+		return err
 	}
 
-	nApps, nNodes := len(apps), m.NumNodes()
-	res := &Result{
-		PerApp:    make([][]AppNodeResult, nApps),
-		PerNode:   make([]NodeResult, nNodes),
-		AppGFLOPS: make([]float64, nApps),
-	}
-	for i := range res.PerApp {
-		res.PerApp[i] = make([]AppNodeResult, nNodes)
-	}
+	nNodes := m.NumNodes()
+	prepareResult(res, len(apps), nNodes)
 
 	// For each memory node h: serve remote accessors (NUMA-bad apps
 	// with home h whose threads run elsewhere, each capped by the
@@ -447,7 +440,7 @@ func EvaluateOpts(m *machine.Machine, apps []App, al Allocation, opt Options) (*
 		}
 		res.TotalGFLOPS += res.AppGFLOPS[i]
 	}
-	return res, nil
+	return nil
 }
 
 // MustEvaluate is Evaluate but panics on error; for tests and examples

@@ -1,6 +1,8 @@
 package roofline
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -322,6 +324,66 @@ func TestOptimizerBeatsEven(t *testing.T) {
 	// that well.
 	if res.TotalGFLOPS < 254-1e-9 {
 		t.Errorf("optimizer found %.3f GFLOPS, want >= 254", res.TotalGFLOPS)
+	}
+}
+
+// TestOptimizeRejectsInvalidInputs: inputs Evaluate refuses come back
+// as Evaluate's error, not as "no feasible allocation".
+func TestOptimizeRejectsInvalidInputs(t *testing.T) {
+	m := machine.PaperModel()
+	apps := []App{{Name: "x", AI: 0}}
+	_, want := Evaluate(m, apps, NewAllocation(1, m.NumNodes()))
+	_, res, err := Optimize(m, apps, TotalGFLOPS, 0)
+	if err == nil || errors.Is(err, ErrNoAllocation) || err.Error() != want.Error() {
+		t.Fatalf("Optimize on an AI-0 app: %v, %v; want Evaluate's error %q", res, err, want)
+	}
+}
+
+// TestEnumeratePerNodeCounts: every uniform row within the smallest
+// node's cores, once, each with the reference Result; an early stop;
+// and inputs Evaluate refuses returned as its error before any
+// candidate.
+func TestEnumeratePerNodeCounts(t *testing.T) {
+	m := machine.PaperModelNUMABad()
+	apps := numaBadApps()
+	seen := map[string]bool{}
+	err := EnumeratePerNodeCounts(m, len(apps), func(counts []int, al Allocation, r *Result) bool {
+		key := fmt.Sprint(counts)
+		if seen[key] {
+			t.Fatalf("%v enumerated twice", counts)
+		}
+		seen[key] = true
+		want, err := Evaluate(m, apps, MustPerNodeCounts(m, counts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffResults(want, r); d != "" {
+			t.Fatalf("%v: %s", counts, d)
+		}
+		return true
+	}, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows of 4 non-negative counts summing to at most 8: C(12, 4).
+	if len(seen) != 495 {
+		t.Errorf("enumerated %d candidates, want 495", len(seen))
+	}
+	calls := 0
+	if err := EnumeratePerNodeCounts(m, len(apps), func([]int, Allocation, *Result) bool {
+		calls++
+		return calls < 3
+	}, apps); err != nil || calls != 3 {
+		t.Errorf("stopping at the third candidate: %d calls, %v", calls, err)
+	}
+	bad := []App{{Name: "x", AI: 0}}
+	_, want := Evaluate(m, bad, NewAllocation(1, m.NumNodes()))
+	err = EnumeratePerNodeCounts(m, 1, func([]int, Allocation, *Result) bool {
+		t.Fatal("a candidate for an AI-0 app")
+		return false
+	}, bad)
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("EnumeratePerNodeCounts on an AI-0 app: %v; want Evaluate's error %q", err, want)
 	}
 }
 

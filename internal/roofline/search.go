@@ -15,7 +15,7 @@ import (
 // and the fleet Scorer each hold one for their whole lifetime): each
 // solve runs on its calling goroutine with a worker of its own. What
 // it retains is bounded: at most freelist's idle cap of workers, each
-// with the scratch and model of the largest solve it served —
+// with the kernel and scratch of the largest solve it served —
 // O(apps × nodes) — and no machine, app or objective of any solve.
 type Search struct {
 	pool freelist.List[bnbWorker]
@@ -60,121 +60,6 @@ func NewScoreGrid(m *machine.Machine) ScoreGrid { return ScoreGrid{Q: 0x1p-40 * 
 // Level is the level s lies on.
 func (g ScoreGrid) Level(s float64) float64 { return math.Floor(s / g.Q) }
 
-// leafKernel scores one leaf of the search: a uniform per-node counts
-// vector (every app i runs counts[i] threads on every node). Fitted once
-// per solve, it evaluates one node per class of the nodeModel — under
-// uniform counts every node of a class sees the same claims — and sums
-// the per-app and machine totals in the reference order, which is all
-// an Objective reads. No Allocation, no Result grid, no allocation per
-// leaf.
-type leafKernel struct {
-	md *nodeModel
-	// src[i*nNodes+j] indexes leafScratch.rate for app i's threads on
-	// node j: the (class of j, i) cell when j serves them locally, the
-	// (i, j) remote cell when i is NUMA-bad and homed elsewhere.
-	src []int32
-}
-
-// leafScratch is a solve's mutable state for leafKernel.eval.
-type leafScratch struct {
-	ev      nodeEval
-	perLink []float64
-	// rate holds GFLOPS cells: nClasses×nApps local cells, then
-	// nApps×nNodes remote cells.
-	rate []float64
-	res  Result // AppGFLOPS and TotalGFLOPS only
-}
-
-// fit refits the kernel to md in place, reusing its table.
-func (k *leafKernel) fit(md *nodeModel) {
-	k.md = md
-	k.src = slices.Grow(k.src[:0], md.nApps*md.nNodes)[:md.nApps*md.nNodes]
-	remote := len(md.classRep) * md.nApps
-	for i, a := range md.apps {
-		for j := 0; j < md.nNodes; j++ {
-			if a.Placement == NUMABad && int(a.HomeNode) != j {
-				k.src[i*md.nNodes+j] = int32(remote + i*md.nNodes + j)
-			} else {
-				k.src[i*md.nNodes+j] = int32(md.classOf[j]*md.nApps + i)
-			}
-		}
-	}
-}
-
-// fit sizes the scratch for the kernel, reusing its backing arrays.
-func (s *leafScratch) fit(k *leafKernel) {
-	md := k.md
-	s.perLink = slices.Grow(s.perLink[:0], md.nNodes)[:md.nNodes]
-	clear(s.perLink)
-	n := (len(md.classRep) + md.nNodes) * md.nApps
-	s.rate = slices.Grow(s.rate[:0], n)[:n]
-	s.res.AppGFLOPS = slices.Grow(s.res.AppGFLOPS[:0], md.nApps)[:md.nApps]
-	// A node's claims at most: every app locally, and every homed app's
-	// threads on every other node.
-	s.ev.local = slices.Grow(s.ev.local[:0], md.nApps)
-	s.ev.remote = slices.Grow(s.ev.remote[:0], md.nApps*(md.nNodes-1))
-}
-
-// eval returns the totals of the allocation PerNodeCounts(m, counts),
-// bit-identical to the reference Evaluate's AppGFLOPS and TotalGFLOPS;
-// PerApp and PerNode stay nil. The caller guarantees what
-// Allocation.Validate would check: len(counts) == nApps, every count
-// >= 0, and their sum within the smallest node's cores.
-func (k *leafKernel) eval(s *leafScratch, counts []int) *Result {
-	md := k.md
-	for c, h := range md.classRep {
-		// The claim arrays were sized by fit; only the fields compute reads
-		// are written, it overwrites the rest.
-		ev := &s.ev
-		local, remote := ev.local[:cap(ev.local)], ev.remote[:cap(ev.remote)]
-		nl, nr := 0, 0
-		for _, i := range md.localApps[h] {
-			if th := counts[i]; th != 0 {
-				local[nl].app, local[nl].threads = i, th
-				nl++
-			}
-		}
-		for _, i := range md.homeApps[h] {
-			if th := counts[i]; th != 0 {
-				for j := 0; j < md.nNodes; j++ {
-					if j != h {
-						remote[nr].app, remote[nr].node, remote[nr].threads = i, int32(j), th
-						nr++
-					}
-				}
-			}
-		}
-		ev.local, ev.remote = local[:nl], remote[:nr]
-		md.compute(ev, s.perLink, h)
-		rate := s.rate[c*md.nApps:]
-		for idx := range ev.local {
-			rate[ev.local[idx].app] = ev.local[idx].gflops
-		}
-		rate = s.rate[len(md.classRep)*md.nApps:]
-		for idx := range ev.remote {
-			cl := &ev.remote[idx]
-			rate[int(cl.app)*md.nNodes+int(cl.node)] = cl.gflops
-		}
-	}
-	// Totals in the reference order: per app, nodes in index order, then
-	// the app total folded into the machine total. An app with threads
-	// has a freshly written cell on every node; one without has none, and
-	// the reference sums its zero cells to zero.
-	total := 0.0
-	for i := range s.res.AppGFLOPS {
-		g := 0.0
-		if counts[i] != 0 {
-			for _, ix := range k.src[i*md.nNodes : (i+1)*md.nNodes] {
-				g += s.rate[ix]
-			}
-		}
-		s.res.AppGFLOPS[i] = g
-		total += g
-	}
-	s.res.TotalGFLOPS = total
-	return &s.res
-}
-
 // boundMargin is the float-noise margin the prune adds to a bound b
 // before it compares it on the grid, relative to |b|: (nApps+2) × nNodes
 // × 2⁻⁵⁰, that is 8 units of roundoff for every per-node rate a leaf
@@ -185,7 +70,7 @@ func boundMargin(nApps, nNodes int) float64 {
 }
 
 // bnbWorker is one solve's search state, pooled by Search between
-// solves: the solve's inputs, the model and kernel fitted to them, the
+// solves: the solve's inputs, the kernel fitted to them, the
 // enumeration's scratch and the incumbents. A solve runs on its calling
 // goroutine with a worker of its own.
 type bnbWorker struct {
@@ -197,9 +82,7 @@ type bnbWorker struct {
 	// degrades to the unpruned enumeration.
 	bound BoundFunc
 
-	md      nodeModel
-	kernel  leafKernel
-	scratch leafScratch
+	kernel leafKernel
 	// ints backs the four vectors below: one allocation for all.
 	ints   []int
 	counts []int
@@ -229,11 +112,9 @@ type bnbWorker struct {
 // under floor. It fails, leaving the worker unfitted, on inputs
 // Evaluate would refuse.
 func (w *bnbWorker) fit(spec ObjectiveSpec, m *machine.Machine, apps []App, floor int) error {
-	if err := w.md.fit(m, apps); err != nil {
+	if err := w.kernel.fit(m, apps); err != nil {
 		return err
 	}
-	w.kernel.fit(&w.md)
-	w.scratch.fit(&w.kernel)
 	n := len(apps)
 	w.floor, w.cores = floor, minCores(m)
 	w.ints = slices.Grow(w.ints[:0], 4*n)[:4*n]
@@ -255,8 +136,8 @@ func (s *Search) release(w *bnbWorker) {
 	s.bounds.Add(w.bounds)
 	s.ties.Add(w.ties)
 	w.obj, w.bound = nil, nil
-	clear(w.md.apps)
-	w.md.m, w.md.apps = nil, w.md.apps[:0]
+	clear(w.kernel.apps)
+	w.kernel.m, w.kernel.apps = nil, w.kernel.apps[:0]
 	s.pool.Put(w)
 }
 
@@ -268,7 +149,7 @@ func (s *Search) release(w *bnbWorker) {
 // (TestSearchLeavesAreValidAllocations pins this).
 func (w *bnbWorker) score() (v, level float64) {
 	w.leaves++
-	v = w.obj(w.kernel.eval(&w.scratch, w.counts))
+	v = w.obj(w.kernel.eval(w.counts))
 	return v, w.grid.Level(v)
 }
 
@@ -460,7 +341,7 @@ func (s *Search) BestPerNodeCountsFloorSpec(spec ObjectiveSpec, prev []int, m *m
 // leaf kernel computed for them, which the ObjectiveSpec contract makes
 // bit-identical to spec.Objective(apps) of the reference Evaluate's
 // Result. It runs on the calling goroutine with a pooled worker whose
-// model, kernel and scratch are refitted in place, so a solve on a warm
+// kernel and scratch are refitted in place, so a solve on a warm
 // Search allocates little beyond the spec's objective and bound and the
 // returned counts. An empty demand set scores 0 without a search.
 func (s *Search) solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App, floor int) ([]int, float64, error) {

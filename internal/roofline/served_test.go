@@ -150,16 +150,16 @@ func TestIdleWorkersHoldNoSolveInputs(t *testing.T) {
 		if w.obj != nil || w.bound != nil {
 			t.Error("an idle worker still references its last solve")
 		}
-		if w.md.m != nil {
+		if w.kernel.m != nil {
 			t.Error("an idle worker still references a machine")
 		}
-		for i, a := range w.md.apps[:cap(w.md.apps)] {
+		for i, a := range w.kernel.apps[:cap(w.kernel.apps)] {
 			if a != (App{}) {
-				t.Errorf("an idle worker's model still holds app %d (%q)", i, a.Name)
+				t.Errorf("an idle worker's kernel still holds app %d (%q)", i, a.Name)
 			}
 		}
-		if w.kernel.md != nil && w.kernel.md != &w.md {
-			t.Error("an idle worker's kernel references another worker's model")
+		if w.kernel.res.PerApp != nil || w.kernel.res.PerNode != nil {
+			t.Error("an idle worker's kernel holds a Result grid")
 		}
 	}
 	if workers == 0 {
