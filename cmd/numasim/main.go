@@ -193,7 +193,7 @@ func runOptimize(m *machine.Machine, apps []roofline.App) {
 		fmt.Println("allocation:", al)
 		fmt.Println(res.Summary(apps))
 	}
-	aal, ares, err := roofline.Anneal(m, apps, nil, roofline.AnnealConfig{Seed: 1})
+	aal, ares, err := roofline.Anneal(m, apps, nil, 1)
 	if err != nil {
 		fail(err)
 	}

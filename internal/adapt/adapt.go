@@ -26,7 +26,7 @@
 //     compares the fitted AI against the declared one. Entry into the
 //     drifted state needs ConfirmWindows consecutive windows above
 //     DriftThreshold; exit needs ConfirmWindows consecutive windows
-//     below ExitRatio×DriftThreshold. Observed throughput flapping
+//     below exitRatio×DriftThreshold. Observed throughput flapping
 //     around the threshold therefore never oscillates the solver.
 //
 // The control plane (ctrlplane) feeds this store from POST /v1/report,
@@ -63,31 +63,33 @@ type Config struct {
 	// DriftThreshold is the relative fitted-vs-declared AI error above
 	// which a window votes "drifted" (default 0.25).
 	DriftThreshold float64
-	// ExitRatio scales DriftThreshold for leaving the drifted state:
-	// exit requires the error below ExitRatio×DriftThreshold, so entry
-	// and exit bands never touch (default 0.5).
-	ExitRatio float64
 	// ConfirmWindows is the hysteresis depth: consecutive windows
 	// needed to confirm entry into — and separately, exit from — the
 	// drifted state (default 3).
 	ConfirmWindows int
-	// PhaseSlack is the CUSUM slack k: per-window relative deviation
-	// from the current fit that is absorbed as noise (default 0.1).
-	PhaseSlack float64
-	// PhaseTrip is the CUSUM decision threshold h: accumulated slack-
+}
+
+const (
+	// exitRatio scales DriftThreshold for leaving the drifted state:
+	// exit requires the error below exitRatio×DriftThreshold, so entry
+	// and exit bands never touch.
+	exitRatio = 0.5
+	// phaseSlack is the CUSUM slack k: per-window relative deviation
+	// from the current fit that is absorbed as noise.
+	phaseSlack = 0.1
+	// phaseTrip is the CUSUM decision threshold h: accumulated slack-
 	// adjusted deviation that declares a phase change, collapsing
-	// confidence and re-anchoring the fit (default 1.0).
-	PhaseTrip float64
-	// MinConfidence gates publication: a fitted model is only
-	// substituted into the solver once its confidence reaches this
-	// (default 0.5).
-	MinConfidence float64
-	// RefitDelta is the minimum relative change of the fitted AI against
+	// confidence and re-anchoring the fit.
+	phaseTrip = 1.0
+	// minConfidence gates publication: a fitted model is only
+	// substituted into the solver once its confidence reaches this.
+	minConfidence = 0.5
+	// refitDelta is the minimum relative change of the fitted AI against
 	// the currently applied one before a fresh substitution is published
 	// — the guard that keeps a drifted app from churning the solver
-	// cache key on every report (default 0.05).
-	RefitDelta float64
-}
+	// cache key on every report.
+	refitDelta = 0.05
+)
 
 // withDefaults fills zero fields with the documented defaults.
 func (c Config) withDefaults() Config {
@@ -100,23 +102,8 @@ func (c Config) withDefaults() Config {
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.25
 	}
-	if c.ExitRatio <= 0 || c.ExitRatio >= 1 {
-		c.ExitRatio = 0.5
-	}
 	if c.ConfirmWindows <= 0 {
 		c.ConfirmWindows = 3
-	}
-	if c.PhaseSlack <= 0 {
-		c.PhaseSlack = 0.1
-	}
-	if c.PhaseTrip <= 0 {
-		c.PhaseTrip = 1.0
-	}
-	if c.MinConfidence <= 0 {
-		c.MinConfidence = 0.5
-	}
-	if c.RefitDelta <= 0 {
-		c.RefitDelta = 0.05
 	}
 	return c
 }

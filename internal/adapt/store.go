@@ -95,10 +95,10 @@ func (st *Store) Report(id string, declaredAI, appliedAI float64, samples []Samp
 		// not itself confirm, so replicated fits survive restarts.)
 		out.Action = ActionClear
 		t.resolves++
-	case t.state == Drifted && t.fit.Confidence >= st.cfg.MinConfidence:
+	case t.state == Drifted && t.fit.Confidence >= minConfidence:
 		// Publish the fitted model — but only when it moved enough from
 		// the applied one to be worth a fresh solve.
-		if appliedAI <= 0 || math.Abs(t.fit.AI-appliedAI)/appliedAI > st.cfg.RefitDelta {
+		if appliedAI <= 0 || math.Abs(t.fit.AI-appliedAI)/appliedAI > refitDelta {
 			out.Action = ActionSet
 			t.resolves++
 			st.refits++

@@ -105,12 +105,12 @@ func (t *tracker) closeWindow() {
 	}
 
 	// CUSUM over the window's relative deviation from the fit: noise
-	// within PhaseSlack is absorbed; a sustained (or large one-shot)
-	// shift accumulates past PhaseTrip and declares a phase change.
+	// within phaseSlack is absorbed; a sustained (or large one-shot)
+	// shift accumulates past phaseTrip and declares a phase change.
 	dev := (aiObs - t.fit.AI) / t.fit.AI
-	t.gPos = math.Max(0, t.gPos+dev-t.cfg.PhaseSlack)
-	t.gNeg = math.Max(0, t.gNeg-dev-t.cfg.PhaseSlack)
-	if t.gPos > t.cfg.PhaseTrip || t.gNeg > t.cfg.PhaseTrip {
+	t.gPos = math.Max(0, t.gPos+dev-phaseSlack)
+	t.gNeg = math.Max(0, t.gNeg-dev-phaseSlack)
+	if t.gPos > phaseTrip || t.gNeg > phaseTrip {
 		// The application changed behaviour: history belongs to the old
 		// phase. Re-anchor the fit on the new window and collapse the
 		// confidence so publication waits for fresh agreement.
@@ -147,7 +147,7 @@ func (t *tracker) relErr() float64 {
 
 // step advances the hysteresis state machine on a closed window.
 // Entry: ConfirmWindows consecutive windows above DriftThreshold.
-// Exit: ConfirmWindows consecutive windows below ExitRatio×threshold.
+// Exit: ConfirmWindows consecutive windows below exitRatio×threshold.
 // The dead band between the two keeps threshold flapping from ever
 // oscillating the published model.
 func (t *tracker) step() {
@@ -173,7 +173,7 @@ func (t *tracker) step() {
 			t.state, t.streak = Steady, 0
 		}
 	case Drifted:
-		if e < t.cfg.ExitRatio*t.cfg.DriftThreshold {
+		if e < exitRatio*t.cfg.DriftThreshold {
 			t.streak++
 			if t.streak >= t.cfg.ConfirmWindows {
 				t.state, t.streak = Steady, 0

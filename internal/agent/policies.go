@@ -189,29 +189,26 @@ func (p *RooflineOptimal) Decide(_ des.Time, m *machine.Machine, infos []Info) [
 //
 // The policy observes for Warmup periods (during which the paper's
 // over-subscribed default or any prior allocation runs), averages the
-// AI estimates, optimizes once, and re-optimizes every Reoptimize
-// periods if the estimates drift by more than 25%.
+// AI estimates, and optimizes once.
 type AdaptiveRoofline struct {
 	// Warmup is the number of observation periods before the first
 	// decision (default 5).
 	Warmup int
-	// Reoptimize re-estimates every N periods; 0 disables.
-	Reoptimize int
-	// MaxAI clamps the estimate for compute-only applications whose
-	// measured traffic is ~0 (default 1e3).
-	MaxAI float64
 	// Placements optionally supplies NUMA placements per client
 	// (default: all NUMA-perfect). AI is always estimated.
 	Placements []AppSpec
 
-	search   roofline.Search
-	ticks    int
-	sumAI    []float64
-	nAI      []int
-	lastAI   []float64
-	counts   []int
-	sinceOpt int
+	search roofline.Search
+	ticks  int
+	sumAI  []float64
+	nAI    []int
+	lastAI []float64
+	counts []int
 }
+
+// maxAI clamps the AI estimate for compute-only applications whose
+// measured traffic is ~0.
+const maxAI = 1e3
 
 // Name implements Policy.
 func (*AdaptiveRoofline) Name() string { return "adaptive-roofline" }
@@ -220,9 +217,6 @@ func (*AdaptiveRoofline) Name() string { return "adaptive-roofline" }
 func (p *AdaptiveRoofline) Decide(_ des.Time, m *machine.Machine, infos []Info) []Command {
 	if p.Warmup <= 0 {
 		p.Warmup = 5
-	}
-	if p.MaxAI <= 0 {
-		p.MaxAI = 1e3
 	}
 	if p.sumAI == nil || len(p.sumAI) != len(infos) {
 		// First call, or the client set changed under us (an app joined
@@ -234,39 +228,24 @@ func (p *AdaptiveRoofline) Decide(_ des.Time, m *machine.Machine, infos []Info) 
 		p.counts = nil
 		p.ticks = 0
 	}
+	if p.counts != nil {
+		return p.commands(m, len(infos))
+	}
 	// Accumulate AI estimates from clients that did measurable work.
 	for i, in := range infos {
 		if in.GFlopRate <= 0 {
 			continue
 		}
-		ai := p.MaxAI
+		ai := maxAI
 		if in.GBRate > 1e-9 {
-			ai = in.GFlopRate / in.GBRate
-			if ai > p.MaxAI {
-				ai = p.MaxAI
-			}
+			ai = min(in.GFlopRate/in.GBRate, maxAI)
 		}
 		p.sumAI[i] += ai
 		p.nAI[i]++
 	}
 	p.ticks++
-	p.sinceOpt++
 	if p.ticks < p.Warmup {
 		return nil
-	}
-	needOpt := p.counts == nil
-	if !needOpt && p.Reoptimize > 0 && p.sinceOpt >= p.Reoptimize {
-		p.sinceOpt = 0
-		for i := range infos {
-			if est, ok := p.estimate(i); ok && p.lastAI[i] > 0 {
-				if est > p.lastAI[i]*1.25 || est < p.lastAI[i]*0.8 {
-					needOpt = true
-				}
-			}
-		}
-	}
-	if !needOpt {
-		return p.commands(m, len(infos))
 	}
 	apps := make([]roofline.App, len(infos))
 	for i := range infos {
@@ -280,8 +259,6 @@ func (p *AdaptiveRoofline) Decide(_ des.Time, m *machine.Machine, infos []Info) 
 			apps[i].Placement = p.Placements[i].Placement
 			apps[i].HomeNode = p.Placements[i].HomeNode
 		}
-		// Reset accumulators so re-optimization sees fresh data.
-		p.sumAI[i], p.nAI[i] = 0, 0
 	}
 	counts, _, _, err := p.search.BestPerNodeCountsFloorSpec(roofline.ObjTotalGFLOPS, nil, m, apps, 0)
 	if err != nil {

@@ -66,7 +66,7 @@ func BenchmarkSolveAdopted8Apps(b *testing.B) {
 		b.Fatal(err)
 	}
 	key, order := s.demandKey(&solvecache.Key{}, m, apps)
-	counts, _, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, slotApps(apps, order))
+	counts, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, slotApps(apps, order))
 	if err != nil {
 		b.Fatal(err)
 	}

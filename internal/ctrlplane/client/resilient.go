@@ -58,17 +58,6 @@ type ResilientConfig struct {
 	// BreakerCooldown is how long a circuit stays open before a
 	// half-open probe (default 2s).
 	BreakerCooldown time.Duration
-	// LocalPolicy is the solver policy for local fallback solves
-	// (default the server's roofline policy).
-	LocalPolicy string
-	// HeartbeatJitter is the fractional spread j applied by
-	// NextHeartbeatIn: each interval is drawn uniformly from
-	// [1-j, 1+j] x nominal, plus a one-shot desync splay after a
-	// failover. Default 0.2; negative disables jitter. Without it,
-	// every client that failed over together heartbeats the new leader
-	// in lockstep — a thundering herd at exactly the moment the
-	// promoted follower is busiest.
-	HeartbeatJitter float64
 	// Rand is the jitter source (nil: math/rand); tests inject a seeded
 	// function for deterministic schedules.
 	Rand func() float64
@@ -136,16 +125,11 @@ func NewResilientEndpoints(endpoints []string, ccfg Config, rcfg ResilientConfig
 }
 
 func newResilient(clients []*Client, cfg ResilientConfig) (*Resilient, error) {
-	if cfg.LocalPolicy == "" {
-		cfg.LocalPolicy = ctrlplane.PolicyRoofline
-	}
-	if cfg.HeartbeatJitter == 0 {
-		cfg.HeartbeatJitter = 0.2
-	}
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Float64
 	}
-	solver, err := ctrlplane.NewSolver(cfg.LocalPolicy)
+	// Local fallback solves use the server's default policy.
+	solver, err := ctrlplane.NewSolver(ctrlplane.PolicyRoofline)
 	if err != nil {
 		return nil, err
 	}
@@ -214,14 +198,22 @@ func (r *Resilient) ReRegisters() uint64 {
 	return r.reRegisters
 }
 
+// heartbeatJitter is the fractional spread j applied by
+// NextHeartbeatIn: each interval is drawn uniformly from [1-j, 1+j] x
+// nominal, plus a one-shot desync splay after a failover. Without it,
+// every client that failed over together heartbeats the new leader in
+// lockstep — a thundering herd at exactly the moment the promoted
+// follower is busiest.
+const heartbeatJitter = 0.2
+
 // NextHeartbeatIn returns how long to wait before the next heartbeat,
-// given the nominal interval: uniformly jittered by HeartbeatJitter,
+// given the nominal interval: uniformly jittered by heartbeatJitter,
 // plus a one-shot extra splay right after a failover so a fleet that
 // switched leaders together does not re-synchronize into a thundering
 // herd against the freshly promoted follower.
 func (r *Resilient) NextHeartbeatIn(interval time.Duration) time.Duration {
-	j := r.cfg.HeartbeatJitter
-	if j < 0 || interval <= 0 {
+	const j = heartbeatJitter
+	if interval <= 0 {
 		return interval
 	}
 	r.mu.Lock()

@@ -184,10 +184,7 @@ func TestNextHeartbeatInJitter(t *testing.T) {
 	seq := []float64{0, 0.5, 1, 0.25}
 	i := 0
 	rnd := func() float64 { v := seq[i%len(seq)]; i++; return v }
-	r, err := NewResilient(New("http://127.0.0.1:1", Config{}), ResilientConfig{
-		HeartbeatJitter: 0.2,
-		Rand:            rnd,
-	})
+	r, err := NewResilient(New("http://127.0.0.1:1", Config{}), ResilientConfig{Rand: rnd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +207,5 @@ func TestNextHeartbeatInJitter(t *testing.T) {
 	i = 0
 	if got, want := r.NextHeartbeatIn(interval), 800*time.Millisecond; got != want {
 		t.Errorf("second post-failover NextHeartbeatIn = %v, want %v (splay is one-shot)", got, want)
-	}
-	// Negative jitter disables.
-	r2, _ := NewResilient(New("http://127.0.0.1:1", Config{}), ResilientConfig{HeartbeatJitter: -1})
-	if got := r2.NextHeartbeatIn(interval); got != interval {
-		t.Errorf("disabled jitter: got %v, want %v", got, interval)
 	}
 }

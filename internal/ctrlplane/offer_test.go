@@ -36,7 +36,7 @@ func offerFor(t *testing.T, m *machine.Machine, demand []roofline.App) *ctrlplan
 	for s, i := range perm {
 		slots[s] = demand[i]
 	}
-	counts, _, _, err := new(roofline.Search).Solve(roofline.ObjTotalGFLOPS, nil, m, slots)
+	counts, _, err := new(roofline.Search).Solve(roofline.ObjTotalGFLOPS, nil, m, slots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,17 +121,19 @@ type Record struct {
 // Options tunes a Store.
 type Options struct {
 	// WriteBehind skips the per-record fsync on sync appends; a
-	// background flusher syncs every FlushInterval instead. Buffered
+	// background flusher syncs every flushInterval instead. Buffered
 	// writes still reach the OS immediately, so only a kernel or power
 	// failure inside the flush window can lose an acknowledged record.
 	WriteBehind bool
-	// FlushInterval is the write-behind sync period (default 200ms;
-	// ignored unless WriteBehind).
-	FlushInterval time.Duration
-	// CompactEvery is the journal length, in records, past which Append
-	// asks its owner for a compaction (default 1024).
-	CompactEvery int
 }
+
+const (
+	// flushInterval is the write-behind sync period.
+	flushInterval = 200 * time.Millisecond
+	// compactEvery is the journal length, in records, past which Append
+	// asks its owner for a compaction.
+	compactEvery = 1024
+)
 
 // Store owns one state directory. All methods are safe for concurrent
 // use.
@@ -165,12 +167,6 @@ type Store struct {
 // file; any other unreadable line fails the open — the records behind
 // it were acknowledged and must not be silently lost.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = 200 * time.Millisecond
-	}
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 1024
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating state dir: %w", err)
 	}
@@ -320,7 +316,7 @@ func (s *Store) Compact(snap Snapshot) error {
 // but a flusher that has already failed refuses sync appends, so a
 // broken disk turns into rejected registrations, never into silently
 // unpersisted acknowledgements). full reports that the journal has
-// reached CompactEvery records: the owner should Compact with a
+// reached compactEvery records: the owner should Compact with a
 // snapshot that includes rec.
 func (s *Store) Append(rec Record, sync bool) (full bool, err error) {
 	s.mu.Lock()
@@ -339,7 +335,7 @@ func (s *Store) Append(rec Record, sync bool) (full bool, err error) {
 		return false, fmt.Errorf("persist: appending journal: %w", err)
 	}
 	s.appended++
-	full = s.appended >= s.opts.CompactEvery
+	full = s.appended >= compactEvery
 	if sync && !s.opts.WriteBehind {
 		if err := s.syncFn(s.journal); err != nil {
 			return full, fmt.Errorf("persist: syncing journal: %w", err)
@@ -361,7 +357,7 @@ func (s *Store) Sync() error {
 // flusher is the write-behind sync loop.
 func (s *Store) flusher() {
 	defer close(s.done)
-	t := time.NewTicker(s.opts.FlushInterval)
+	t := time.NewTicker(flushInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -170,19 +171,21 @@ func TestLongRecordSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestCompaction: Append reports the journal full at CompactEvery
+// TestCompaction: Append reports the journal full at compactEvery
 // records — counting the ones a reopen found — and Compact folds it
-// into the snapshot and truncates.
+// into the snapshot and truncates. Unsynced heartbeats fill the journal
+// cheaply.
 func TestCompaction(t *testing.T) {
+	const n = compactEvery
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{CompactEvery: 8})
+	s := mustOpen(t, dir, Options{})
 	mustAppend(t, s, true, register("a-1", 1, 1))
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 5*n; i++ {
 		full, err := s.Append(heartbeat("a-1", int64(1000+i), uint64(i+1)), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (i+2)%8 == 0; full != want {
+		if want := (i+2)%n == 0; full != want {
 			t.Fatalf("append %d: full = %v, want %v", i+2, full, want)
 		}
 		if full {
@@ -192,21 +195,23 @@ func TestCompaction(t *testing.T) {
 		}
 	}
 	if s.Compactions() != 5 {
-		t.Errorf("compactions = %d, want 5 over 41 appends at CompactEvery=8", s.Compactions())
+		t.Errorf("compactions = %d, want 5 over %d appends", s.Compactions(), 5*n+1)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir, Options{CompactEvery: 3})
+	s2 := mustOpen(t, dir, Options{})
 	snap, recs := s2.Recovered()
-	if len(snap.Apps) != 1 || snap.Apps[0].Beats != 39 || len(recs) != 1 || recs[0].Beats != 40 {
-		t.Errorf("recovered after compaction = %+v + %+v, want beats 39 + one heartbeat", snap.Apps, recs)
+	if len(snap.Apps) != 1 || snap.Apps[0].Beats != 5*n-1 || len(recs) != 1 || recs[0].Beats != 5*n {
+		t.Errorf("recovered after compaction = %+v + %+v, want beats %d + one heartbeat", snap.Apps, recs, 5*n-1)
 	}
-	if full, _ := s2.Append(heartbeat("a-1", 2000, 41), false); full {
-		t.Error("journal of 2 reported full at CompactEvery=3")
+	for i := 2; i < n; i++ {
+		if full, _ := s2.Append(heartbeat("a-1", int64(2000+i), uint64(5*n+i)), false); full {
+			t.Fatalf("journal of %d reported full", i)
+		}
 	}
-	if full, _ := s2.Append(heartbeat("a-1", 2001, 42), false); !full {
-		t.Error("journal of 3 (1 recovered + 2 appended) not reported full at CompactEvery=3")
+	if full, _ := s2.Append(heartbeat("a-1", 3000, 6*n), false); !full {
+		t.Errorf("journal of %d (1 recovered + %d appended) not reported full", n, n-1)
 	}
 }
 
@@ -214,11 +219,25 @@ func TestCompaction(t *testing.T) {
 // clean close, and the background flusher runs without error.
 func TestWriteBehind(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{WriteBehind: true, FlushInterval: 5 * time.Millisecond})
+	s := mustOpen(t, dir, Options{WriteBehind: true})
+	flushed := make(chan struct{}, 1)
+	s.mu.Lock()
+	s.syncFn = func(f *os.File) error {
+		select {
+		case flushed <- struct{}{}:
+		default:
+		}
+		return f.Sync()
+	}
+	s.mu.Unlock()
 	for i := uint64(1); i <= 5; i++ {
 		mustAppend(t, s, true, register("app", i, i))
 	}
-	time.Sleep(25 * time.Millisecond) // let the flusher tick
+	select { // let the flusher tick
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher never synced")
+	}
 	if err := s.FlushErr(); err != nil {
 		t.Fatalf("flusher error: %v", err)
 	}
@@ -232,13 +251,19 @@ func TestWriteBehind(t *testing.T) {
 }
 
 // TestSyncTier: a sync append is fsynced before it returns, a buffered
-// one is not, and write-behind leaves both to the flusher.
+// one is not, and write-behind leaves both to the flusher (whose own
+// syncs are not counted).
 func TestSyncTier(t *testing.T) {
 	for _, wb := range []bool{false, true} {
-		s := mustOpen(t, t.TempDir(), Options{WriteBehind: wb, FlushInterval: time.Hour})
+		s := mustOpen(t, t.TempDir(), Options{WriteBehind: wb})
 		syncs := 0
 		s.mu.Lock()
-		s.syncFn = func(f *os.File) error { syncs++; return f.Sync() }
+		s.syncFn = func(f *os.File) error {
+			if !strings.Contains(string(debug.Stack()), ").flusher(") {
+				syncs++
+			}
+			return f.Sync()
+		}
 		s.mu.Unlock()
 		mustAppend(t, s, false, heartbeat("a-1", 1, 1), heartbeat("a-1", 2, 2))
 		if syncs != 0 {
@@ -302,7 +327,7 @@ func TestClosedStoreRejectsAppends(t *testing.T) {
 // costs one re-armed TTL window, not registry state.
 func TestWriteBehindFlushErrorPoisons(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{WriteBehind: true, FlushInterval: 2 * time.Millisecond})
+	s := mustOpen(t, dir, Options{WriteBehind: true})
 	mustAppend(t, s, true, register("a-1", 1, 1))
 
 	// The disk "dies": every sync now fails.
@@ -346,7 +371,7 @@ func TestWriteBehindFlushErrorPoisons(t *testing.T) {
 // line, and reopen (also write-behind) drops only the torn tail.
 func TestWriteBehindTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{WriteBehind: true, FlushInterval: time.Hour})
+	s := mustOpen(t, dir, Options{WriteBehind: true})
 	mustAppend(t, s, true, register("a-1", 1, 1), register("b-2", 2, 2))
 	mustAppend(t, s, false, heartbeat("a-1", 300, 3))
 	// Crash: no Close. Force the OS-buffered bytes out (the "crash"

@@ -16,15 +16,15 @@ type replLog struct {
 	epoch uint64
 	base  uint64 // sequence of recs[0]; first record ever is seq 1
 	recs  []persist.Record
-	max   int
 }
 
-// newReplLog builds a log retaining at most max records (default 4096).
-func newReplLog(max int) *replLog {
-	if max <= 0 {
-		max = 4096
-	}
-	return &replLog{base: 1, max: max}
+// logRetention bounds the in-memory replication log, in records;
+// followers further behind resync via snapshot.
+const logRetention = 4096
+
+// newReplLog builds an empty log.
+func newReplLog() *replLog {
+	return &replLog{base: 1}
 }
 
 // reset empties the log and stamps it with the new leader's epoch.
@@ -43,7 +43,7 @@ func (l *replLog) append(rec persist.Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.recs = append(l.recs, rec)
-	if over := len(l.recs) - l.max; over > 0 {
+	if over := len(l.recs) - logRetention; over > 0 {
 		l.recs = append(l.recs[:0], l.recs[over:]...)
 		l.base += uint64(over)
 	}

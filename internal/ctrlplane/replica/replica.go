@@ -78,9 +78,6 @@ type Config struct {
 	// LeaseTTL is how long the leader may go silent before a follower
 	// campaigns (default 2s).
 	LeaseTTL time.Duration
-	// RenewInterval is the leader's peer-scan period for detecting a
-	// higher epoch (default LeaseTTL/4).
-	RenewInterval time.Duration
 	// PullInterval is the follower's replication poll period — the
 	// replication lag bound (default LeaseTTL/8).
 	PullInterval time.Duration
@@ -90,9 +87,6 @@ type Config struct {
 	// LeaderHint seeds a follower's view of the current leader
 	// (coopd's -replica-of); discovery via peers fills it otherwise.
 	LeaderHint string
-	// LogRetention bounds the in-memory replication log (default 4096
-	// records); followers further behind resync via snapshot.
-	LogRetention int
 	// Clock is the time source (nil: time.Now), injectable for tests.
 	Clock func() time.Time
 	// Transport is the peer-HTTP transport (nil: default). Fault
@@ -146,9 +140,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Second
 	}
-	if cfg.RenewInterval <= 0 {
-		cfg.RenewInterval = cfg.LeaseTTL / 4
-	}
 	if cfg.PullInterval <= 0 {
 		cfg.PullInterval = cfg.LeaseTTL / 8
 	}
@@ -161,7 +152,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:  cfg,
 		reg:  cfg.Server.Registry(),
-		log:  newReplLog(cfg.LogRetention),
+		log:  newReplLog(),
 		hc:   &http.Client{Transport: cfg.Transport, Timeout: cfg.LeaseTTL / 2},
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -266,7 +257,9 @@ func (n *Node) run() {
 		now := n.cfg.Clock()
 		switch n.Role() {
 		case RoleLeader:
-			if now.Sub(lastScan) >= n.cfg.RenewInterval {
+			// The leader scans its peers for a higher epoch every
+			// LeaseTTL/4.
+			if now.Sub(lastScan) >= n.cfg.LeaseTTL/4 {
 				lastScan = now
 				n.scanPeers()
 			}

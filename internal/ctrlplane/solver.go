@@ -229,7 +229,7 @@ func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*
 	if s.policy == PolicyFairShare {
 		return served(m, apps, order, rapps, roofline.FairShareFirst(m, len(rapps)))
 	}
-	counts, _, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps)
+	counts, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps)
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: policy %s produced no allocation for %d apps: %w", s.policy, len(rapps), err)
 	}

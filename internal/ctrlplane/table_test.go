@@ -77,7 +77,7 @@ func offerOf(t *testing.T, s *Server, req RegisterRequest) *Solved {
 	for slot, i := range perm {
 		slots[slot] = demand[i]
 	}
-	counts, _, _, err := new(roofline.Search).Solve(roofline.ObjTotalGFLOPS, nil, s.cfg.Machine, slots)
+	counts, _, err := new(roofline.Search).Solve(roofline.ObjTotalGFLOPS, nil, s.cfg.Machine, slots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func BenchmarkPlacementWarm100Machines(b *testing.B) {
 	members := benchMembers(100)
 	sc := NewScorer()
 	spec := AppSpec{Name: "incoming", AI: 2}
-	cands := new(candidateSet).reset(members, true, false)
+	cands := new(candidateSet).reset(members, true)
 	if _, _, err := sc.decide(spec, cands); err != nil {
 		b.Fatal(err)
 	}

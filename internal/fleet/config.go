@@ -20,7 +20,6 @@ const (
 	DefaultCooldownRounds    = 2
 
 	DefaultFailAfter         = 3
-	DefaultPollTimeout       = 5 * time.Second
 	DefaultFlapCount         = 4
 	DefaultFlapWindow        = time.Minute
 	DefaultQuarantineBackoff = 30 * time.Second
@@ -28,6 +27,12 @@ const (
 
 // quarantineMaxBackoff caps the doubling quarantine backoff.
 const quarantineMaxBackoff = 10 * time.Minute
+
+// DefaultPollTimeout bounds one member's poll (all endpoint attempts
+// combined) so a single hung coopd cannot stall the whole fleet
+// refresh; polling is sequential, so without it one member dripping
+// bytes delays every member after it in ID order.
+const DefaultPollTimeout = 5 * time.Second
 
 // ServerConfig is the fleet's configuration: every knob of the server,
 // its Placer and its Rebalancer; the inventory's are in InventoryConfig.
@@ -102,11 +107,6 @@ type InventoryConfig struct {
 	// FailAfter is how many consecutive failed polls declare a member
 	// dead.
 	FailAfter int
-	// PollTimeout bounds one member's poll (all endpoint attempts
-	// combined) so a single hung coopd cannot stall the whole fleet
-	// refresh; polling is sequential, so without it one member dripping
-	// bytes delays every member after it in ID order.
-	PollTimeout time.Duration
 	// Clock stamps LastSeen (default time.Now); tests pin it.
 	Clock func() time.Time
 	// FlapCount is the flap detector's trigger: this many alive<->dead
@@ -141,7 +141,6 @@ func (c *ServerConfig) resolve() error {
 func (c *InventoryConfig) resolve() error {
 	return errors.Join(
 		knob("FailAfter", &c.FailAfter, DefaultFailAfter, positive),
-		knob("PollTimeout", &c.PollTimeout, DefaultPollTimeout, positive),
 		knob("FlapCount", &c.FlapCount, DefaultFlapCount, positiveOrOff),
 		knob("FlapWindow", &c.FlapWindow, DefaultFlapWindow, positive),
 		knob("QuarantineBackoff", &c.QuarantineBackoff, DefaultQuarantineBackoff, positive),

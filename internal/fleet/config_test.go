@@ -30,7 +30,6 @@ func TestConfigKnobs(t *testing.T) {
 		{"AdmissionCap", func(c *ServerConfig, _ *InventoryConfig) any { return &c.AdmissionCap }, DefaultAdmissionCap, 1, -1},
 		{"CooldownRounds", func(c *ServerConfig, _ *InventoryConfig) any { return &c.CooldownRounds }, DefaultCooldownRounds, -1, -2},
 		{"FailAfter", func(_ *ServerConfig, c *InventoryConfig) any { return &c.FailAfter }, DefaultFailAfter, 1, -1},
-		{"PollTimeout", func(_ *ServerConfig, c *InventoryConfig) any { return &c.PollTimeout }, float64(DefaultPollTimeout), 1, -1},
 		{"FlapCount", func(_ *ServerConfig, c *InventoryConfig) any { return &c.FlapCount }, DefaultFlapCount, -1, -2},
 		{"FlapWindow", func(_ *ServerConfig, c *InventoryConfig) any { return &c.FlapWindow }, float64(DefaultFlapWindow), 1, -1},
 		{"QuarantineBackoff", func(_ *ServerConfig, c *InventoryConfig) any { return &c.QuarantineBackoff }, float64(DefaultQuarantineBackoff), 1, -1},

@@ -135,10 +135,7 @@ func (p *Placer) PlaceGang(ctx context.Context, g GangSpec) (*GangResult, error)
 // session, without touching any machine.
 func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
 	policy := g.policy()
-	// Domain state is needed whenever the policy spreads, even if the
-	// scorer's global domain tie-break is off.
-	spread := p.Scorer.DomainSpread || policy != GangPack
-	s := openSession(p.Scorer, p.Inv, spread)
+	s := openSession(p.Scorer, p.Inv)
 	defer s.close()
 	if len(s.cands) == 0 {
 		return nil, ErrNoCandidate
@@ -189,9 +186,7 @@ func (p *Placer) planGang(g GangSpec) (*gangPlan, error) {
 		}
 		c.commit(spec, "")
 		chosen[c.id] = true
-		if spread {
-			domUsed[c.domain]++
-		}
+		domUsed[c.domain]++
 		plan.members = append(plan.members, gangMember{spec: spec, d: d})
 	}
 	plan.victims = s.moves

@@ -159,10 +159,9 @@ func (w *indexWorld) apply(t *testing.T, twin *indexWorld, op, arg byte) {
 func (w *indexWorld) check(t *testing.T, label string, world *indexWorld, op byte) {
 	t.Helper()
 	sc, inv := w.pls[config(op)].Scorer, world.inv
-	spread := sc.DomainSpread
 	want := inv.Snapshot()
-	cold := new(candidateSet).reset(want, true, spread)
-	s := openSession(sc, inv, spread)
+	cold := new(candidateSet).reset(want, true)
+	s := openSession(sc, inv)
 	defer s.close()
 	if len(s.members) != len(want) {
 		t.Fatalf("%s: pooled snapshot has %d rows, want %d", label, len(s.members), len(want))
@@ -181,7 +180,7 @@ func (w *indexWorld) check(t *testing.T, label string, world *indexWorld, op byt
 		d := cold[i]
 		if c.id != d.id || c.member != d.member || c.topo != d.topo || c.snap != d.snap || c.apps != d.apps ||
 			c.bad != d.bad || c.domain != d.domain || !slices.Equal(c.demand, d.demand) || !slices.Equal(c.ids, d.ids) ||
-			(c.groups == nil) != (d.groups == nil) || !maps.Equal(c.groups, d.groups) {
+			!maps.Equal(c.groups, d.groups) {
 			t.Fatalf("%s: pooled candidate\n  %+v\na cold one\n  %+v", label, *c, *d)
 		}
 		// The ids the pooled candidate carries into a decision of sc,
@@ -278,7 +277,7 @@ func TestAlternatingScorersDecideAlike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := pl.Scorer.decide(spec, new(candidateSet).reset(inv.Snapshot(), true, true))
+		want, _, err := pl.Scorer.decide(spec, new(candidateSet).reset(inv.Snapshot(), true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +311,7 @@ func TestClassTableStaysBounded(t *testing.T) {
 	members := spreadMembers()
 	sc, ref := NewScorer(), NewScorer()
 	sc.DomainSpread, ref.DomainSpread = true, true
-	cands := new(candidateSet).reset(members, true, true)
+	cands := new(candidateSet).reset(members, true)
 	for round := 0; round < 3; round++ {
 		full := sc.table()
 		churnClasses(sc, maxClassIDs-full.size())
@@ -324,7 +323,7 @@ func TestClassTableStaysBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := ref.decide(spec, new(candidateSet).reset(members, true, true))
+			want, _, err := ref.decide(spec, new(candidateSet).reset(members, true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +348,7 @@ func TestConcurrentDecisionsShareOneScorer(t *testing.T) {
 	ref := NewScorer()
 	ref.DomainSpread = true
 	for i, spec := range spreadSpecs {
-		d, _, err := ref.decide(spec, new(candidateSet).reset(members, true, true))
+		d, _, err := ref.decide(spec, new(candidateSet).reset(members, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +362,7 @@ func TestConcurrentDecisionsShareOneScorer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cands := new(candidateSet).reset(members, true, true)
+			cands := new(candidateSet).reset(members, true)
 			for i := 0; i < 40; i++ {
 				k := (g + i) % len(spreadSpecs)
 				if d, _, err := sc.decide(spreadSpecs[k], cands); err != nil || d.Member != want[k] {

@@ -184,7 +184,7 @@ func (inv *Inventory) Poll(ctx context.Context) {
 
 // pollMember tries the member's endpoints starting at the last one that
 // answered, one GET /v1/state each; the first answer is the poll. The
-// whole attempt runs under PollTimeout: a member that hangs
+// whole attempt runs under DefaultPollTimeout: a member that hangs
 // mid-response burns its own deadline, not the rest of the round's.
 func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	inv.mu.Lock()
@@ -199,7 +199,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	held := ctrlplane.StateQuery{Incarnation: m.incarnation, Generation: m.gen, Conditional: m.exact}
 	inv.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(ctx, inv.cfg.PollTimeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultPollTimeout)
 	defer cancel()
 
 	var st *ctrlplane.StateResponse

@@ -132,8 +132,8 @@ func TestInventoryEndpointFailover(t *testing.T) {
 
 // TestInventoryPollTimeoutBoundsHungMember: one member's coopd hangs
 // (injected transport latency far beyond any test budget) while a
-// second member is healthy. PollTimeout must cut the hung member's poll
-// off so the whole refresh still completes quickly and the healthy
+// second member is healthy. DefaultPollTimeout must cut the hung
+// member's poll off so the whole refresh still completes and the healthy
 // member — polled *after* the hung one in ID order — is reached. The
 // clients deliberately use default (long) request timeouts: the
 // per-member deadline is the only guard under test.
@@ -159,8 +159,7 @@ func TestInventoryPollTimeoutBoundsHungMember(t *testing.T) {
 				MaxAttempts: 1,
 			})
 		},
-		FailAfter:   1,
-		PollTimeout: 100 * time.Millisecond,
+		FailAfter: 1,
 	})
 	// "a-hung" sorts before "b-live": without the per-member deadline the
 	// hung member would stall the sequential round before b is reached.
@@ -173,8 +172,8 @@ func TestInventoryPollTimeoutBoundsHungMember(t *testing.T) {
 
 	start := time.Now()
 	inv.Poll(ctx)
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("poll round took %v despite the 100ms per-member deadline", d)
+	if d := time.Since(start); d > DefaultPollTimeout+2*time.Second {
+		t.Fatalf("poll round took %v despite the %v per-member deadline", d, DefaultPollTimeout)
 	}
 	if m, _ := inv.Member("a-hung"); !m.Dead {
 		t.Fatalf("hung member not declared dead: %+v", m)

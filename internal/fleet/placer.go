@@ -184,7 +184,7 @@ type Placer struct {
 // registering it anywhere (the dry-run behind `coopctl fleet place -n`
 // style tooling).
 func (p *Placer) Decide(spec AppSpec) (*Decision, error) {
-	s := openSession(p.Scorer, p.Inv, p.Scorer.DomainSpread)
+	s := openSession(p.Scorer, p.Inv)
 	defer s.close()
 	d, _, err := s.pick(spec, nil)
 	return d, err

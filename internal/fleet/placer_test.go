@@ -35,7 +35,7 @@ func place(t *testing.T, sc *Scorer, cands []*candidate, spec AppSpec) *Decision
 // is zero instead of costing -28 elsewhere.
 func TestDecideGreedyMarginalPacking(t *testing.T) {
 	sc := NewScorer()
-	cands := new(candidateSet).reset(emptyMembers(3), true, false)
+	cands := new(candidateSet).reset(emptyMembers(3), true)
 	want := []struct {
 		spec   AppSpec
 		member string
@@ -65,7 +65,7 @@ func TestDecideGreedyMarginalPacking(t *testing.T) {
 // rejects — when every machine already hosts one.
 func TestDecideAntiAffinity(t *testing.T) {
 	sc := NewScorer()
-	cands := new(candidateSet).reset(emptyMembers(2), true, false)
+	cands := new(candidateSet).reset(emptyMembers(2), true)
 
 	d := place(t, sc, cands, badSpec("bad-1"))
 	if d.Member != "a" {
@@ -90,7 +90,7 @@ func TestDecideSkipsHomeNodeOutOfRange(t *testing.T) {
 	sc := NewScorer()
 	spec := badSpec("bad")
 	spec.HomeNode = 99
-	if _, _, err := sc.decide(spec, new(candidateSet).reset(emptyMembers(2), true, false)); err != ErrNoCandidate {
+	if _, _, err := sc.decide(spec, new(candidateSet).reset(emptyMembers(2), true)); err != ErrNoCandidate {
 		t.Fatalf("err = %v, want ErrNoCandidate", err)
 	}
 }
@@ -101,12 +101,12 @@ func TestCandidatesExcludeUnhealthyAndDraining(t *testing.T) {
 	members := emptyMembers(3)
 	members[0].Dead = true
 	members[1].Draining = true
-	cands := new(candidateSet).reset(members, true, false)
+	cands := new(candidateSet).reset(members, true)
 	if len(cands) != 1 || cands[0].id != "c" {
 		t.Fatalf("candidates = %v, want only c", cands)
 	}
 	members[2].Topology = nil // never polled successfully
-	if got := new(candidateSet).reset(members, true, false); len(got) != 0 {
+	if got := new(candidateSet).reset(members, true); len(got) != 0 {
 		t.Fatalf("%d candidates from an all-unplaceable fleet, want 0", len(got))
 	}
 	sc := NewScorer()
@@ -128,7 +128,7 @@ func TestDecideDomainSpreadTieBreak(t *testing.T) {
 	members[0].Apps = []PlacedApp{{ID: "x1", AppSpec: AppSpec{Name: "grp-1", AI: 0.5}}}
 
 	off := NewScorer()
-	d, _, err := off.decide(memSpec("grp-2"), new(candidateSet).reset(members, true, false))
+	d, _, err := off.decide(memSpec("grp-2"), new(candidateSet).reset(members, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDecideDomainSpreadTieBreak(t *testing.T) {
 	on := NewScorer()
 	on.DomainSpread = true
 	var cs candidateSet
-	d, c, err := on.decide(memSpec("grp-2"), cs.reset(members, true, true))
+	d, c, err := on.decide(memSpec("grp-2"), cs.reset(members, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDecideDomainSpreadTieBreak(t *testing.T) {
 // TestDecideRejectsInvalidSpec: a non-positive AI cannot be scored.
 func TestDecideRejectsInvalidSpec(t *testing.T) {
 	sc := NewScorer()
-	if _, _, err := sc.decide(AppSpec{Name: "zero"}, new(candidateSet).reset(emptyMembers(1), true, false)); err == nil {
+	if _, _, err := sc.decide(AppSpec{Name: "zero"}, new(candidateSet).reset(emptyMembers(1), true)); err == nil {
 		t.Fatal("zero-AI spec accepted")
 	}
 }

@@ -132,7 +132,7 @@ type Rebalancer struct {
 // earlier moves, so a plan never over-commits one machine.
 func (r *Rebalancer) Plan(ctx context.Context) (*Plan, error) {
 	cfg := r.cfg
-	s := openSession(r.Scorer, r.Inv, r.Scorer.DomainSpread)
+	s := openSession(r.Scorer, r.Inv)
 	defer s.close()
 	s.budget, s.round, s.cooldown = cfg.MaxMovesPerRound, r.Inv.clock(), uint64(max(cfg.CooldownRounds, 0))
 	plan := &Plan{Budget: cfg.MaxMovesPerRound, Cooldowns: s.cooldowns(), StaleDeregs: s.staleDuplicates()}
@@ -487,7 +487,7 @@ func (r *Rebalancer) computeRepack(s *session) (out repack, err error) {
 	// matching the current aggregate above. Mixing declared AI into the
 	// re-pack while the current aggregate reflects measured behaviour
 	// would mis-arm the trigger in both directions.
-	fresh := s.fresh.reset(s.members, false, r.Scorer.DomainSpread)
+	fresh := s.fresh.reset(s.members, false)
 	out.targets = make([]string, len(s.owned))
 	for i, o := range s.owned {
 		spec := o.app.EffectiveSpec()

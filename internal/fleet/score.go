@@ -229,7 +229,7 @@ func (sc *Scorer) solveDemand(m *machine.Machine, demand []roofline.App, key []b
 		}
 		// The score is in the objective's own units: GFLOPS, weighted
 		// GFLOPS or min-app GFLOPS.
-		counts, total, _, err := sc.search.Solve(sc.objective(), s.hint, m, s.slots)
+		counts, total, err := sc.search.Solve(sc.objective(), s.hint, m, s.slots)
 		if err != nil {
 			return solveOutcome{}, err
 		}
@@ -251,22 +251,14 @@ func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64
 	return out.total, err
 }
 
-// Marginal returns the placement score of adding app to a machine with
+// marginal returns the placement score of adding app to a machine with
 // the given demand set: solved aggregate after minus before. It can be
 // negative — a memory-bound app joining a compute-heavy machine drags
 // the optimum down — and the Placer uses exactly that to steer the app
-// to the bin where it costs the least (or helps the most).
-func (sc *Scorer) Marginal(m *machine.Machine, demand []roofline.App, app roofline.App) (marginal, after float64, err error) {
-	s := sc.scratch.Get()
-	defer sc.scratch.Put(s)
-	marginal, with, err := sc.marginal(m, demand, nil, app, s)
-	return marginal, with.total, err
-}
-
-// marginal is Marginal on the caller's scratch; decide scores one
-// representative per equivalence class through it, passing the class
-// key as the before-solve's key, and keeps the with-app solve for the
-// decision to ship.
+// to the bin where it costs the least (or helps the most). decide
+// scores one representative per equivalence class through it, passing
+// the class key as the before-solve's key, and keeps the with-app solve
+// for the decision to ship.
 func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, key []byte, app roofline.App, s *scoreScratch) (marginal float64, with solveOutcome, err error) {
 	before, err := sc.solveDemand(m, demand, key, nil, s)
 	if err != nil {

@@ -75,21 +75,22 @@ func TestScorerMarginal(t *testing.T) {
 	m := machine.PaperModel()
 	sc := NewScorer()
 	base := []roofline.App{mustRoofline(t, memSpec("mem"))}
+	var s scoreScratch
 
-	marginal, after, err := sc.Marginal(m, base, mustRoofline(t, compSpec("comp")))
+	marginal, with, err := sc.marginal(m, base, nil, mustRoofline(t, compSpec("comp")), &s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !near(marginal, 256) || !near(after, 320) {
-		t.Errorf("comp onto {mem}: marginal %g after %g, want ~256 / ~320", marginal, after)
+	if !near(marginal, 256) || !near(with.total, 320) {
+		t.Errorf("comp onto {mem}: marginal %g after %g, want ~256 / ~320", marginal, with.total)
 	}
 
-	marginal, after, err = sc.Marginal(m, base, mustRoofline(t, memSpec("mem-2")))
+	marginal, with, err = sc.marginal(m, base, nil, mustRoofline(t, memSpec("mem-2")), &s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !near(marginal, 0) || !near(after, 64) {
-		t.Errorf("mem onto {mem}: marginal %g after %g, want ~0 / ~64", marginal, after)
+	if !near(marginal, 0) || !near(with.total, 64) {
+		t.Errorf("mem onto {mem}: marginal %g after %g, want ~0 / ~64", marginal, with.total)
 	}
 }
 
@@ -264,9 +265,9 @@ func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread 
 			var d *Decision
 			var err error
 			if keep == nil {
-				d, _, err = sc.decide(spec, new(candidateSet).reset(members, true, spread))
+				d, _, err = sc.decide(spec, new(candidateSet).reset(members, true))
 			} else {
-				s := openSession(sc, memInventory(members), spread)
+				s := openSession(sc, memInventory(members))
 				d, _, err = s.pick(spec, func(c *candidate) bool { return keep(c.id) })
 				s.close()
 			}
@@ -299,14 +300,14 @@ func TestScorerClassDedup(t *testing.T) {
 		sc := NewScorer()
 		sc.DomainSpread = spread
 		spec := AppSpec{Name: "incoming", AI: 2}
-		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, spread)); err != nil {
+		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true)); err != nil {
 			t.Fatal(err)
 		}
 		hits, misses := sc.CacheStats()
 		if misses != 2 { // one before-solve, one after-solve for the single class
 			t.Errorf("spread=%v: first decision: %d memo misses, want 2 (hits %d)", spread, misses, hits)
 		}
-		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true, spread)); err != nil {
+		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true)); err != nil {
 			t.Fatal(err)
 		}
 		hits2, misses2 := sc.CacheStats()

@@ -28,15 +28,12 @@ type candidate struct {
 	apps int
 	bad  int // numa-bad registrations
 
-	// domain and groups exist only under domain-spread: the member's
-	// failure domain and its per-cooperating-group app counts (group =
-	// app name with the trailing "-<n>" replica suffix stripped). nil
-	// groups means spread is off and the candidate carries zero extra
-	// state. groupsBuf is the map itself, kept with the pooled candidate
-	// between sessions.
-	domain    string
-	groups    map[string]int
-	groupsBuf map[string]int
+	// domain is the member's failure domain and groups its
+	// per-cooperating-group app counts (group = app name with the
+	// trailing "-<n>" replica suffix stripped); the map is kept with the
+	// pooled candidate between sessions.
+	domain string
+	groups map[string]int
 
 	// keyBuf holds the candidate's equivalence-class key (topology hash
 	// + objective + sorted demand segments), built lazily into a reused
@@ -50,13 +47,11 @@ type candidate struct {
 	tab        *classTable
 
 	// version is the demand version (see demandVersions) of the snapshot
-	// row the candidate was loaded from, and spread the domain-spread
-	// setting it was loaded under: the next reset takes the candidate as
-	// it is for a row of the same member at the same version under the
-	// same spread. 0 means never: loaded without demand, or changed since
-	// by commit or remove.
+	// row the candidate was loaded from: the next reset takes the
+	// candidate as it is for a row of the same member at the same
+	// version. 0 means never: loaded without demand, or changed since by
+	// commit or remove.
 	version uint64
-	spread  bool
 }
 
 // groupOf derives an app's cooperating-group label from its name: one
@@ -107,9 +102,7 @@ func (c *candidate) commit(spec AppSpec, id string) {
 	if spec.numaBad() {
 		c.bad++
 	}
-	if c.groups != nil {
-		c.groups[groupOf(spec.Name)]++
-	}
+	c.groups[groupOf(spec.Name)]++
 	c.tab, c.version = nil, 0
 }
 
@@ -125,13 +118,11 @@ func (c *candidate) remove(i int, spec AppSpec) {
 	if spec.numaBad() {
 		c.bad--
 	}
-	if c.groups != nil {
-		g := groupOf(spec.Name)
-		if n := c.groups[g]; n > 1 {
-			c.groups[g] = n - 1
-		} else {
-			delete(c.groups, g)
-		}
+	g := groupOf(spec.Name)
+	if n := c.groups[g]; n > 1 {
+		c.groups[g] = n - 1
+	} else {
+		delete(c.groups, g)
 	}
 	c.tab, c.version = nil, 0
 }
@@ -153,15 +144,14 @@ type candidateSet struct {
 // reset rebuilds the set from healthy, non-draining members (ID order
 // preserved from the snapshot). withDemand=false leaves every
 // candidate's demand set empty — the imbalance re-pack's from-scratch
-// starting state. spread additionally loads each candidate's failure
-// domain and per-group app counts for the domain-spread tie-break;
-// with it off the candidates carry no domain state at all.
+// starting state. Every candidate carries its failure domain and
+// per-group app counts.
 //
 // A candidate loaded with demand from the same member at the same
-// demand version under the same spread is reused as it is — demand,
-// IDs, counts, groups and cached class key — since everything it holds
-// derives from what that version names.
-func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*candidate {
+// demand version is reused as it is — demand, IDs, counts, groups and
+// cached class key — since everything it holds derives from what that
+// version names.
+func (cs *candidateSet) reset(members []Member, withDemand bool) []*candidate {
 	cs.out, cs.reused, cs.rebuilt = cs.out[:0], 0, 0
 	for len(cs.all) < len(members) {
 		cs.all = append(cs.all, &candidate{})
@@ -174,7 +164,7 @@ func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*cand
 		c := cs.all[i]
 		c.member = i
 		cs.out = append(cs.out, c)
-		if withDemand && m.version != 0 && c.version == m.version && c.id == m.ID && c.spread == spread {
+		if withDemand && m.version != 0 && c.version == m.version && c.id == m.ID {
 			cs.reused++
 			continue
 		}
@@ -182,25 +172,21 @@ func (cs *candidateSet) reset(members []Member, withDemand, spread bool) []*cand
 		c.id, c.topo = m.ID, m.Topology
 		c.demand, c.ids, c.tab = c.demand[:0], c.ids[:0], nil
 		c.apps, c.bad = 0, 0
-		c.domain, c.groups = "", nil
-		if spread {
-			c.domain = m.Domain
-			if c.domain == "" {
-				c.domain = m.ID // every machine its own domain by default
-			}
-			if c.groupsBuf == nil {
-				c.groupsBuf = map[string]int{}
-			}
-			clear(c.groupsBuf)
-			c.groups = c.groupsBuf
+		c.domain = m.Domain
+		if c.domain == "" {
+			c.domain = m.ID // every machine its own domain by default
 		}
+		if c.groups == nil {
+			c.groups = map[string]int{}
+		}
+		clear(c.groups)
 		if withDemand {
 			for _, a := range m.Apps {
 				c.commit(a.EffectiveSpec(), a.ID)
 			}
 		}
 		c.snap = len(c.demand)
-		c.version, c.spread = 0, spread
+		c.version = 0
 		if withDemand {
 			c.version = m.version
 		}
@@ -262,12 +248,11 @@ type session struct {
 var sessions freelist.List[session]
 
 // openSession starts a planning session over the inventory's current
-// snapshot with an unlimited ledger. spread loads failure-domain state
-// into the candidates. Callers must close the session.
-func openSession(sc *Scorer, inv *Inventory, spread bool) *session {
+// snapshot with an unlimited ledger. Callers must close the session.
+func openSession(sc *Scorer, inv *Inventory) *session {
 	s := sessions.Get()
 	s.sc, s.members = sc, inv.snapshotInto(s.members)
-	s.cands = s.cur.reset(s.members, true, spread)
+	s.cands = s.cur.reset(s.members, true)
 	inv.reused.Add(uint64(s.cur.reused))
 	inv.rebuilt.Add(uint64(s.cur.rebuilt))
 	s.budget = math.MaxInt

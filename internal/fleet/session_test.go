@@ -183,7 +183,7 @@ func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 	inv.members["b"].stale = []string{inv.members["b"].apps[0].ID}
 	inv.mu.Unlock()
 
-	s := openSession(reb.Scorer, inv, false)
+	s := openSession(reb.Scorer, inv)
 	buf := &s.members[0]
 	s.close()
 
@@ -217,7 +217,7 @@ func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s = openSession(reb.Scorer, inv, false)
+	s = openSession(reb.Scorer, inv)
 	if &s.members[0] != buf {
 		t.Error("the pooled session did not keep its snapshot buffer")
 	}

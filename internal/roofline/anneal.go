@@ -7,16 +7,13 @@ import (
 	"repro/internal/machine"
 )
 
-// AnnealConfig tunes the simulated-annealing search.
-type AnnealConfig struct {
-	// Seed drives the deterministic random walk.
-	Seed int64
-	// Iters is the number of proposal steps (default 20000).
-	Iters int
-	// StartTemp and EndTemp bound the geometric cooling schedule,
-	// in objective units (defaults 10 and 0.01).
-	StartTemp, EndTemp float64
-}
+const (
+	// annealIters is the number of proposal steps.
+	annealIters = 20000
+	// annealStartTemp and annealEndTemp bound the geometric cooling
+	// schedule, in objective units.
+	annealStartTemp, annealEndTemp = 10, 0.01
+)
 
 // Anneal searches the full space of (non-uniform) allocations with
 // simulated annealing: random single-thread moves — shifting one
@@ -26,20 +23,12 @@ type AnnealConfig struct {
 // they do not. Unlike BestPerNodeCounts it can express asymmetric
 // optima (e.g. giving a NUMA-bad application threads only on its home
 // node), and unlike Optimize's hill climbing it escapes local optima.
-func Anneal(m *machine.Machine, apps []App, obj Objective, cfg AnnealConfig) (Allocation, *Result, error) {
+// seed drives the deterministic random walk.
+func Anneal(m *machine.Machine, apps []App, obj Objective, seed int64) (Allocation, *Result, error) {
 	if obj == nil {
 		obj = TotalGFLOPS
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 20000
-	}
-	if cfg.StartTemp <= 0 {
-		cfg.StartTemp = 10
-	}
-	if cfg.EndTemp <= 0 || cfg.EndTemp >= cfg.StartTemp {
-		cfg.EndTemp = cfg.StartTemp / 1000
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	nApps, nNodes := len(apps), m.NumNodes()
 	if nApps == 0 {
 		return Allocation{}, nil, ErrNoAllocation
@@ -55,10 +44,10 @@ func Anneal(m *machine.Machine, apps []App, obj Objective, cfg AnnealConfig) (Al
 	bestRes := res
 	bestScore := curScore
 
-	cooling := math.Pow(cfg.EndTemp/cfg.StartTemp, 1/float64(cfg.Iters))
-	temp := cfg.StartTemp
+	cooling := math.Pow(annealEndTemp/annealStartTemp, 1/float64(annealIters))
+	temp := float64(annealStartTemp)
 
-	for it := 0; it < cfg.Iters; it++ {
+	for it := 0; it < annealIters; it++ {
 		temp *= cooling
 		// Propose a random single-thread move.
 		i := rng.Intn(nApps)

@@ -9,7 +9,7 @@ import (
 func TestAnnealReachesTableIOptimum(t *testing.T) {
 	m := machine.PaperModel()
 	apps := paperApps()
-	_, res, err := Anneal(m, apps, TotalGFLOPS, AnnealConfig{Seed: 1, Iters: 8000})
+	_, res, err := Anneal(m, apps, TotalGFLOPS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAnnealFindsAsymmetricOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	al, res, err := Anneal(m, apps, TotalGFLOPS, AnnealConfig{Seed: 3, Iters: 15000})
+	al, res, err := Anneal(m, apps, TotalGFLOPS, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAnnealDeterministic(t *testing.T) {
 	m := machine.PaperModel()
 	apps := paperApps()
 	run := func() float64 {
-		_, res, err := Anneal(m, apps, nil, AnnealConfig{Seed: 42, Iters: 2000})
+		_, res, err := Anneal(m, apps, nil, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,20 +69,19 @@ func TestAnnealDeterministic(t *testing.T) {
 
 func TestAnnealValidation(t *testing.T) {
 	m := machine.PaperModel()
-	if _, _, err := Anneal(m, nil, nil, AnnealConfig{Seed: 1, Iters: 10}); err == nil {
+	if _, _, err := Anneal(m, nil, nil, 1); err == nil {
 		t.Error("expected error for empty app list")
 	}
-	// Defaults fill in.
-	_, res, err := Anneal(m, []App{{Name: "a", AI: 1}}, nil, AnnealConfig{})
+	_, res, err := Anneal(m, []App{{Name: "a", AI: 1}}, nil, 0)
 	if err != nil || res == nil {
-		t.Errorf("defaults failed: %v", err)
+		t.Errorf("one app failed: %v", err)
 	}
 }
 
 func TestAnnealRespectsConstraints(t *testing.T) {
 	m := machine.PaperModel()
 	apps := paperApps()
-	al, _, err := Anneal(m, apps, nil, AnnealConfig{Seed: 9, Iters: 5000})
+	al, _, err := Anneal(m, apps, nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func BenchmarkSolveColdSkylakeDiverse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var s Search
-		if _, _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
+		if _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkSolveWarmPoolSkylakeDiverse(b *testing.B) {
 	var s Search
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
+		if _, _, err := s.Solve(ObjTotalGFLOPS, nil, m, apps); err != nil {
 			b.Fatal(err)
 		}
 	}

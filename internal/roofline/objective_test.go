@@ -200,8 +200,8 @@ func TestUnweightedPriorityIsTotal(t *testing.T) {
 		checkSpecMatches(t, label, &weighted, ObjWeightedPriority, m, apps, floor, func() ([]int, Allocation, *Result, error) {
 			return total.BestPerNodeCountsFloorSpec(ObjTotalGFLOPS, nil, m, apps, floor)
 		})
-		tc, ts, _, terr := total.Solve(ObjTotalGFLOPS, nil, m, apps)
-		wc, ws, _, werr := weighted.Solve(ObjWeightedPriority, nil, m, apps)
+		tc, ts, terr := total.Solve(ObjTotalGFLOPS, nil, m, apps)
+		wc, ws, werr := weighted.Solve(ObjWeightedPriority, nil, m, apps)
 		if (terr == nil) != (werr == nil) || !intsEqual(tc, wc) || math.Float64bits(ts) != math.Float64bits(ws) {
 			t.Fatalf("%s: Solve = %v %v %v total-gflops, %v %v %v weighted-priority", label, tc, ts, terr, wc, ws, werr)
 		}

@@ -347,7 +347,7 @@ func TestSymmetryBreakingScoresTenTimesFewerLeaves(t *testing.T) {
 		solve := func(spec ObjectiveSpec) ([]int, float64, int) {
 			s, _ := watchedSearch()
 			scored := 0
-			counts, total, _, err := s.Solve(leafWatchSpec{spec, func() { scored++ }}, nil, c.m, c.apps)
+			counts, total, err := s.Solve(leafWatchSpec{spec, func() { scored++ }}, nil, c.m, c.apps)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

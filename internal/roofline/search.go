@@ -385,18 +385,15 @@ func SolveFloor(m *machine.Machine, nApps int) int {
 // optimum under the no-starvation floor of one thread per app per node
 // (the paper's Table I optimum), or — when those floors alone
 // over-subscribe a node, i.e. more apps than the smallest node has
-// cores — the unfloored optimum. floor reports which of the two was
-// solved (SolveFloor); prev warm-starts it exactly as in
-// BestPerNodeCountsFloorSpec. It returns the counts
+// cores — the unfloored optimum (SolveFloor says which); prev
+// warm-starts it exactly as in BestPerNodeCountsFloorSpec. It returns the counts
 // BestPerNodeCountsFloorSpec does and their score, bit-identical to
 // spec.Objective(apps) of that call's Result, without building the
 // allocation or evaluating it: a caller that serves the counts builds
 // the allocation with PerNodeCounts. An empty demand set gives nil
 // counts and a score of 0.
-func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App) (counts []int, score float64, floor int, err error) {
-	floor = SolveFloor(m, len(apps))
-	counts, score, err = s.solve(spec, prev, m, apps, floor)
-	return counts, score, floor, err
+func (s *Search) Solve(spec ObjectiveSpec, prev []int, m *machine.Machine, apps []App) (counts []int, score float64, err error) {
+	return s.solve(spec, prev, m, apps, SolveFloor(m, len(apps)))
 }
 
 // seedIncumbent evaluates the warm-start candidates derived from prev

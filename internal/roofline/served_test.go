@@ -66,7 +66,7 @@ func servedDraw(r *rand.Rand, step int) (*machine.Machine, []App) {
 // across a sequence of draws whose apps, nodes, node classes and
 // NUMA-bad homes grow and shrink, each warm-started from the previous
 // draw's counts (ignored unless they are a neighbour's). Under every
-// spec, Solve must return the counts and floor a fresh Search's
+// spec, Solve must return the counts a fresh Search's
 // BestPerNodeCountsFloorSpec(…, SolveFloor) does, and a score
 // bit-identical to spec.Objective(apps) of that call's Result and to a
 // fresh Search's Solve. Wired into FuzzEvaluatorEquivalence so the
@@ -79,14 +79,11 @@ func servedRound(t *testing.T, r *rand.Rand) {
 		m, apps := servedDraw(r, step)
 		for si, spec := range servedSpecs {
 			label := fmt.Sprintf("step %d (%d apps, %d nodes)/%s", step, len(apps), m.NumNodes(), spec.Name())
-			counts, score, floor, err := s.Solve(spec, prev[si], m, apps)
+			counts, score, err := s.Solve(spec, prev[si], m, apps)
 			if err != nil {
 				t.Fatalf("%s: Solve: %v", label, err)
 			}
-			if want := SolveFloor(m, len(apps)); floor != want {
-				t.Fatalf("%s: floor %d, SolveFloor %d", label, floor, want)
-			}
-			wantCounts, _, res, err := new(Search).BestPerNodeCountsFloorSpec(spec, nil, m, apps, floor)
+			wantCounts, _, res, err := new(Search).BestPerNodeCountsFloorSpec(spec, nil, m, apps, SolveFloor(m, len(apps)))
 			if err != nil {
 				t.Fatalf("%s: BestPerNodeCountsFloorSpec: %v", label, err)
 			}
@@ -96,7 +93,7 @@ func servedRound(t *testing.T, r *rand.Rand) {
 			if want := spec.Objective(apps)(res); math.Float64bits(score) != math.Float64bits(want) {
 				t.Fatalf("%s: score %v, the objective of the reference Result %v", label, score, want)
 			}
-			freshCounts, freshScore, _, err := new(Search).Solve(spec, nil, m, apps)
+			freshCounts, freshScore, err := new(Search).Solve(spec, nil, m, apps)
 			if err != nil || !intsEqual(freshCounts, counts) || math.Float64bits(freshScore) != math.Float64bits(score) {
 				t.Fatalf("%s: reused Search %v scoring %v, fresh one %v scoring %v (%v)", label, counts, score, freshCounts, freshScore, err)
 			}
@@ -107,15 +104,15 @@ func servedRound(t *testing.T, r *rand.Rand) {
 
 // TestSolveEmptyDemand pins Solve's contract on an empty demand set,
 // which both daemons return before asking today: nil counts, a score
-// of 0 under every built-in spec, SolveFloor's floor, and no search and
+// of 0 under every built-in spec, and no search and
 // no Evaluate — nothing allocated at all.
 func TestSolveEmptyDemand(t *testing.T) {
 	m := machine.PaperModel()
 	for _, spec := range []ObjectiveSpec{ObjTotalGFLOPS, ObjWeightedPriority, ObjMaxMinGFLOPS} {
 		var s Search
-		counts, score, floor, err := s.Solve(spec, nil, m, nil)
-		if counts != nil || score != 0 || floor != SolveFloor(m, 0) || err != nil {
-			t.Errorf("%s: Solve(no apps) = %v, %v, %d, %v; want nil, 0, %d, nil", spec.Name(), counts, score, floor, err, SolveFloor(m, 0))
+		counts, score, err := s.Solve(spec, nil, m, nil)
+		if counts != nil || score != 0 || err != nil {
+			t.Errorf("%s: Solve(no apps) = %v, %v, %v; want nil, 0, nil", spec.Name(), counts, score, err)
 		}
 		allocs := testing.AllocsPerRun(10, func() { s.Solve(spec, nil, m, []App{}) })
 		if allocs != 0 {
