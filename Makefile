@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-cores bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check fmt fmt-check loc
+.PHONY: all build vet test test-times race bench bench-cores bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check fmt fmt-check loc
 
 all: check
 
@@ -20,6 +20,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Tier-1 uncached, one line per package: its wall time as go test
+# reports it, its outcome and its path, slowest first, so growth in the
+# gate shows up in review. Reports only: no budget is enforced here.
+test-times:
+	@$(GO) test -count=1 ./... | awk '($$1 == "ok" || $$1 == "FAIL") && NF >= 3 { printf "%10s  %-4s  %s\n", $$3, $$1, $$2 }' | sort -rn
 
 # Solver-path benchmarks (roofline search and reference evaluation +
 # control-plane serve path), their allocs/op written to BENCH_solver.json by

@@ -59,7 +59,7 @@ func benchPlacement(b *testing.B, nMachines, domains int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := inv.order[i/2%nMachines]
+		id := inv.recs[i/2%nMachines].id
 		if i%2 == 0 {
 			inv.noteRegistered(id, extra, ack)
 		} else {

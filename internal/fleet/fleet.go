@@ -215,10 +215,11 @@ type Member struct {
 	QuarantineUntil time.Time
 	Quarantines     int
 
-	// version is the member's demand version when the snapshot was taken
-	// (see demandVersions); 0 for a member nothing has changed yet and
-	// for a Member the inventory did not make.
-	version uint64
+	// version and record are the member's demand and record versions
+	// when the snapshot was taken (see versions); 0 for a Member the
+	// inventory did not make, and version 0 for a member whose apps and
+	// topology nothing has changed yet.
+	version, record uint64
 }
 
 // Healthy reports whether the member can accept placements: alive,

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/machine"
@@ -86,7 +87,7 @@ func (w *indexWorld) cached(arg byte) (string, PlacedApp, bool) {
 }
 
 // indexEdits is the number of edits apply knows.
-const indexEdits = 13
+const indexEdits = 15
 
 // config is the Placer (and Rebalancer) index an edit's first byte
 // names.
@@ -147,6 +148,16 @@ func (w *indexWorld) apply(t *testing.T, twin *indexWorld, op, arg byte) {
 		w.pls[k].Place(ctx, w.spec(arg))
 	case 12: // the pooled session plans over the twin in between
 		w.check(t, "twin", twin, op)
+	case 13: // a flap: four partition edges, the fourth transition quarantines the member
+		id := w.who(arg)
+		for i := 0; i < 4; i++ {
+			w.net.down[id] = !w.net.down[id]
+			w.inv.Poll(ctx)
+			w.inv.Poll(ctx)
+		}
+	case 14: // time passes, then a poll: a quarantine ends, or a flap window forgives
+		w.now = w.now.Add(time.Duration(1+arg>>6) * 40 * time.Second)
+		w.inv.Poll(ctx)
 	}
 }
 
@@ -212,23 +223,31 @@ func sameMember(a, b Member) bool {
 // demand set the member no longer has. Each input byte pair is one edit
 // of an in-process fleet: registers, deregisters, stale re-homes, full
 // and unchanged polls, classed registers behind the fleet's back, a
-// member joining, drains, partitions and deaths, committing gang and
-// rebalance sessions, and placements. After every edit a pooled session
+// member joining, drains and undrains, partitions and deaths, flaps into
+// quarantine and the time that ends it, committing gang and rebalance
+// sessions, and placements. After every edit a pooled session
 // over the fleet, and one over a twin fleet with the same member IDs
 // and other apps, must hold exactly what a cold candidateSet builds
 // from Snapshot(): snapshot rows, and per candidate demand, IDs, snap,
 // app and numa-bad counts, domain, groups, class key, and the class and
-// domain ids the deciding Scorer's class table gives them.
+// domain ids the deciding Scorer's class table gives them. A snapshot row
+// is compared field for field, record and demand versions included: a
+// pooled row is left alone while its member's record version is the one
+// it was copied at, so a missed bump on any write — a poll outcome, a
+// drain or undrain, a quarantine entered or left — shows as a row that
+// differs from the cold one.
 func FuzzCandidateIndex(f *testing.F) {
 	for _, ops := range [][]byte{
-		{0, 0x00, 4, 0x00, 1, 0x00, 0, 0x02, 2, 0x02, 4, 0x00},             // register, poll, deregister, stale
-		{4, 0x00, 3, 0x02, 4, 0x00, 3, 0x44, 4, 0x01},                      // full polls after registers behind the back
-		{0, 0x10, 4, 0x00, 5, 0x30, 4, 0x00, 5, 0x20, 5, 0x31},             // classed apps arrive behind the back, each then polled
-		{9, 0x00, 9, 0x13, 11, 0x00, 9, 0x21, 11, 0x01, 9, 0x04},           // gangs commit, placements register
-		{0, 0x00, 0, 0x00, 0, 0x10, 10, 0x00, 10, 0x00, 4, 0x00},           // a latency app starved: preemption evicts
-		{6, 0x00, 4, 0x00, 7, 0x02, 11, 0x00, 7, 0x02, 8, 0x04},            // a member joins, a drain comes and goes
-		{8, 0x04, 11, 0x00, 8, 0x04, 10, 0x00, 0x1a, 0x00, 0x2b, 0x02},     // death, evacuation plans, revival
-		{4, 0x00, 0x14, 0x00, 0x24, 0x00, 0x2b, 0x00, 4, 0x00, 0x1c, 0x00}, // one fleet, three configurations, the twin
+		{0, 0x00, 4, 0x00, 1, 0x00, 0, 0x02, 2, 0x02, 4, 0x00},               // register, poll, deregister, stale
+		{4, 0x00, 3, 0x02, 4, 0x00, 3, 0x44, 4, 0x01},                        // full polls after registers behind the back
+		{0, 0x10, 4, 0x00, 5, 0x30, 4, 0x00, 5, 0x20, 5, 0x31},               // classed apps arrive behind the back, each then polled
+		{9, 0x00, 9, 0x13, 11, 0x00, 9, 0x21, 11, 0x01, 9, 0x04},             // gangs commit, placements register
+		{0, 0x00, 0, 0x00, 0, 0x10, 10, 0x00, 10, 0x00, 4, 0x00},             // a latency app starved: preemption evicts
+		{6, 0x00, 4, 0x00, 7, 0x02, 11, 0x00, 7, 0x02, 8, 0x04},              // a member joins, a drain comes and goes
+		{8, 0x04, 11, 0x00, 8, 0x04, 10, 0x00, 0x1a, 0x00, 0x2b, 0x02},       // death, evacuation plans, revival
+		{4, 0x00, 0x14, 0x00, 0x24, 0x00, 0x2b, 0x00, 4, 0x00, 0x1c, 0x00},   // one fleet, three configurations, the twin
+		{7, 0x00, 13, 0x00, 11, 0x00, 10, 0x00, 14, 0x00, 7, 0x00, 11, 0x00}, // drained, quarantined, re-admitted, undrained
+		{13, 0x02, 0x1a, 0x00, 14, 0xc0, 13, 0x02, 14, 0x00, 14, 0xc0},       // quarantined, re-admitted, quarantined again
 	} {
 		f.Add(ops)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,25 +41,27 @@ type Inventory struct {
 
 	mu      sync.Mutex
 	members map[string]*member
-	order   []string // member IDs, sorted; polling and snapshots follow it
+	recs    []*member // the same members sorted by ID; polling and snapshots follow it
 
 	round uint64 // the next rebalance round to run; from 1, as MovedRound 0 is never
 
 	// polls counts member polls by outcome (see PollMetrics).
 	polls PollMetrics
 
-	// reused and rebuilt count the planning sessions' candidates (see
-	// CandidateMetrics). Atomics: sessions count them outside inv.mu.
-	reused, rebuilt atomic.Uint64
+	// reused and rebuilt count the planning sessions' candidates, and
+	// rowsCopied the snapshot rows they copied (see CandidateMetrics).
+	// Atomics: sessions count them outside inv.mu.
+	reused, rebuilt, rowsCopied atomic.Uint64
 }
 
-// demandVersions numbers every change to what a planning candidate is
-// built from: a member's apps and its topology. The counter is
+// versions numbers every change to a member record: its demand version
+// (apps and topology, what a planning candidate is built from) and its
+// record version (every field a Member snapshot carries). The counter is
 // process-wide, not per inventory, because sessions are pooled
 // package-wide: one session's snapshot rows and candidates serve every
 // inventory in the process, and only a number no other member ever held
-// keeps a (member ID, version) pair from naming two demand sets.
-var demandVersions atomic.Uint64
+// keeps a (member ID, version) pair from naming two records.
+var versions atomic.Uint64
 
 // member is the mutable record behind a Member snapshot.
 type member struct {
@@ -84,10 +85,12 @@ type member struct {
 	incarnation string
 	gen         uint64
 	exact       bool
-	// version is the member's demand version (see demandVersions): touch
-	// draws a fresh one whenever apps or topo change. 0 until the first
-	// change, while the member has neither.
-	version uint64
+	// version is the member's demand version (see versions): touch draws
+	// a fresh one whenever apps or topo change. 0 until the first change,
+	// while the member has neither. record is its record version: AddDomain
+	// draws the first, and every write to a field snapshotInto copies
+	// draws another, through touch or changed.
+	version, record uint64
 
 	failures int
 	dead     bool
@@ -164,9 +167,10 @@ func (inv *Inventory) AddDomain(id, domain string, endpoints ...string) error {
 	for _, ep := range endpoints {
 		m.clis = append(m.clis, inv.cfg.NewClient(ep))
 	}
+	m.changed()
 	inv.members[id] = m
-	inv.order = append(inv.order, id)
-	sort.Strings(inv.order)
+	at, _ := slices.BinarySearchFunc(inv.recs, id, func(r *member, id string) int { return strings.Compare(r.id, id) })
+	inv.recs = slices.Insert(inv.recs, at, m)
 	return nil
 }
 
@@ -175,10 +179,10 @@ func (inv *Inventory) AddDomain(id, domain string, endpoints ...string) error {
 // never blocks Snapshot or placement reads.
 func (inv *Inventory) Poll(ctx context.Context) {
 	inv.mu.Lock()
-	ids := append([]string(nil), inv.order...)
+	recs := slices.Clone(inv.recs)
 	inv.mu.Unlock()
-	for _, id := range ids {
-		inv.pollMember(ctx, id)
+	for _, m := range recs {
+		inv.pollMember(ctx, m.id)
 	}
 }
 
@@ -235,6 +239,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	switch {
 	case answered < 0:
 		inv.polls.Failed++
+		m.changed()
 		m.exact = false
 		m.failures++
 		if !m.dead && m.failures >= inv.cfg.FailAfter {
@@ -256,6 +261,7 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		}
 	case m.exact && m.incarnation == held.Incarnation && m.gen == held.Generation:
 		inv.polls.Unchanged++
+		m.changed()
 	default:
 		// The 304 answered a validator that no longer names the copy: a
 		// local edit withdrew it, or an acknowledged register moved it on,
@@ -295,7 +301,7 @@ func (inv *Inventory) Polls() PollMetrics {
 // Candidates returns how the planning sessions over this inventory came
 // by their candidates so far.
 func (inv *Inventory) Candidates() CandidateMetrics {
-	return CandidateMetrics{Reused: inv.reused.Load(), Rebuilt: inv.rebuilt.Load()}
+	return CandidateMetrics{Reused: inv.reused.Load(), Rebuilt: inv.rebuilt.Load(), RowsCopied: inv.rowsCopied.Load()}
 }
 
 // pruneTransitions drops transition stamps older than the window and
@@ -340,16 +346,28 @@ func (inv *Inventory) noteTransition(m *member, now time.Time) {
 		m.id, backoff, inv.cfg.FlapCount, inv.cfg.FlapWindow, m.quarantines)
 }
 
-// touch gives the member a fresh demand version. Caller holds inv.mu
-// (or owns the member outright).
-func (m *member) touch() { m.version = demandVersions.Add(1) }
+// touch gives the member a fresh demand version, and the record the
+// same number as its record version. Caller holds inv.mu (or owns the
+// member outright).
+func (m *member) touch() {
+	m.version = versions.Add(1)
+	m.record = m.version
+}
+
+// changed gives the member a fresh record version: a field a snapshot
+// carries changed, but not its apps or topology. Caller holds inv.mu.
+func (m *member) changed() { m.record = versions.Add(1) }
 
 // snapshotInto copies one member into dst, reusing the backing arrays
-// of dst's slices. Apps are copied only when dst does not already hold
-// this member's demand version: a pooled session's row of a member
-// nothing changed keeps the copy an earlier session made. Caller holds
-// inv.mu.
-func (m *member) snapshotInto(dst *Member) {
+// of dst's slices, and reports whether it wrote dst. A dst that already
+// holds this member's record version is left alone, and apps are copied
+// only when dst does not hold its demand version: a pooled session's row
+// of a member nothing changed keeps the copy an earlier session made.
+// Caller holds inv.mu.
+func (m *member) snapshotInto(dst *Member) bool {
+	if dst.ID == m.id && dst.record == m.record {
+		return false
+	}
 	apps := dst.Apps
 	if dst.ID != m.id || dst.version != m.version {
 		apps = append(apps[:0], m.apps...)
@@ -361,6 +379,7 @@ func (m *member) snapshotInto(dst *Member) {
 		Topology:  m.topo,
 		Apps:      apps,
 		version:   m.version,
+		record:    m.record,
 
 		TotalGFLOPS: m.total,
 		Generation:  m.gen,
@@ -374,26 +393,32 @@ func (m *member) snapshotInto(dst *Member) {
 		QuarantineUntil: m.quarantineUntil,
 		Quarantines:     m.quarantines,
 	}
+	return true
 }
 
 // Snapshot returns every member, sorted by ID, in memory the caller
 // owns.
 func (inv *Inventory) Snapshot() []Member {
-	return inv.snapshotInto(nil)
+	out, _ := inv.snapshotInto(nil)
+	return out
 }
 
 // snapshotInto is Snapshot into dst's memory: the Member array and each
 // element's Endpoints, Apps and Stale backing arrays are reused, so a
 // planning session that keeps its snapshot buffer between decisions
-// copies the fleet without allocating. Whatever dst held is overwritten.
-func (inv *Inventory) snapshotInto(dst []Member) []Member {
+// copies the fleet without allocating, and copies only the rows whose
+// record changed since. Whatever dst held is overwritten. copied counts
+// the rows written.
+func (inv *Inventory) snapshotInto(dst []Member) (out []Member, copied int) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	dst = slices.Grow(dst[:0], len(inv.order))[:len(inv.order)]
-	for i, id := range inv.order {
-		inv.members[id].snapshotInto(&dst[i])
+	dst = slices.Grow(dst[:0], len(inv.recs))[:len(inv.recs)]
+	for i, m := range inv.recs {
+		if m.snapshotInto(&dst[i]) {
+			copied++
+		}
 	}
-	return dst
+	return dst, copied
 }
 
 // Member returns one member's snapshot.
@@ -440,6 +465,7 @@ func (inv *Inventory) SetDraining(id string, draining bool) error {
 	}
 	if m.draining != draining {
 		m.draining = draining
+		m.changed()
 		inv.logf("fleet: member %s draining=%v", id, draining)
 	}
 	return nil
@@ -495,7 +521,7 @@ func (inv *Inventory) deregister(ctx context.Context, member, appID string) erro
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	if m, ok := inv.members[member]; ok {
-		m.dropApp(appID)
+		m.dropApp(appID) // its fresh versions cover the stale edit too
 		m.stale = slices.DeleteFunc(m.stale, func(id string) bool { return id == appID })
 	}
 	return nil
@@ -594,7 +620,7 @@ func (inv *Inventory) noteStale(id, appID string) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	if m, ok := inv.members[id]; ok {
-		m.dropApp(appID)
+		m.dropApp(appID) // its fresh versions cover the stale edit too
 		m.stale = append(m.stale, appID)
 	}
 }

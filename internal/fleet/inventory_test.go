@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/url"
 	"sync"
@@ -448,5 +449,63 @@ func TestInventoryAddValidation(t *testing.T) {
 	}
 	if err := inv.SetDraining("ghost", true); !errors.Is(err, ErrUnknownMember) {
 		t.Fatalf("SetDraining on an unknown member: got %v, want ErrUnknownMember", err)
+	}
+}
+
+// TestSnapshotCopiesOnlyChangedRows: a decision after one register on an
+// N-member fleet copies one snapshot row into its pooled session — the
+// member the register changed — and rebuilds that member's candidate
+// only.
+func TestSnapshotCopiesOnlyChangedRows(t *testing.T) {
+	ctx := context.Background()
+	const n = 16
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%02d", i)
+	}
+	w := newPollWorld(t, ids...)
+	w.inv.Poll(ctx)
+	pl, _ := planners(t, w.inv, ServerConfig{})
+	if _, err := pl.Decide(memSpec("warm-up")); err != nil {
+		t.Fatal(err)
+	}
+	before := w.inv.Candidates()
+	if _, err := w.inv.register(ctx, "m03", memSpec("web-1"), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Decide(memSpec("web-2")); err != nil {
+		t.Fatal(err)
+	}
+	after := w.inv.Candidates()
+	got := CandidateMetrics{
+		Reused:     after.Reused - before.Reused,
+		Rebuilt:    after.Rebuilt - before.Rebuilt,
+		RowsCopied: after.RowsCopied - before.RowsCopied,
+	}
+	if want := (CandidateMetrics{Reused: n - 1, Rebuilt: 1, RowsCopied: 1}); got != want {
+		t.Fatalf("decision after one register on %d members: %+v, want %+v", n, got, want)
+	}
+}
+
+// TestSnapshotRowsOfUnpolledMembers: members no poll has reached yet
+// still carry a record version of their own, so a pooled row copied
+// from one inventory's member is not taken for another inventory's
+// member of the same ID, and a second copy from the same inventory
+// writes nothing.
+func TestSnapshotRowsOfUnpolledMembers(t *testing.T) {
+	a, b := NewInventory(InventoryConfig{}), NewInventory(InventoryConfig{})
+	if err := a.AddDomain("m", "rack-a", "http://a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDomain("m", "rack-b", "http://b"); err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := a.snapshotInto(nil)
+	rows, copied := b.snapshotInto(rows)
+	if want := b.Snapshot(); copied != 1 || !sameMember(rows[0], want[0]) {
+		t.Fatalf("row after b's copy (%d written): %+v, want %+v", copied, rows[0], want[0])
+	}
+	if _, copied = b.snapshotInto(rows); copied != 0 {
+		t.Fatalf("a second copy of an unchanged inventory wrote %d rows, want 0", copied)
 	}
 }

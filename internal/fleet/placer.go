@@ -114,11 +114,11 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		if bad && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
 			continue // home node does not exist on this machine
 		}
-		key := c.classKey(sc, s, t)
+		c.classKey(sc, s, t)
 		s.classes = grow(s.classes, c.class)
 		r := s.classes[c.class]
 		if r.stamp != s.stamp {
-			score, with, err := sc.marginal(c.topo, c.demand, key, app, s)
+			score, with, err := sc.marginal(c, t, app, s)
 			r = classResult{stamp: s.stamp, score: score, with: with, failed: err != nil}
 			s.classes[c.class] = r
 			scored++

@@ -24,18 +24,20 @@ func memInventory(members []Member) *Inventory {
 		if domain == "" {
 			domain = m.ID
 		}
-		inv.members[m.ID] = edit(&member{id: m.ID, domain: domain, topo: m.Topology, apps: m.Apps})
-		inv.order = append(inv.order, m.ID)
+		rec := edit(&member{id: m.ID, domain: domain, topo: m.Topology, apps: m.Apps})
+		inv.members[m.ID] = rec
+		inv.recs = append(inv.recs, rec)
 	}
 	return inv
 }
 
-// edit is how a test changes an inventory member's apps, topology or
-// domain behind the inventory's back: it draws the member a fresh demand
-// version, as every edit the inventory makes itself does, so pooled
-// sessions re-derive the member. Call it before (or after) the write,
-// never instead of it; a test that writes without it plans against the
-// candidates of the demand set it replaced.
+// edit is how a test changes a field of an inventory member that a
+// snapshot carries behind the inventory's back: it draws the member a
+// fresh demand and record version, as every edit of apps or topology the
+// inventory makes itself does, so pooled sessions copy its row and
+// re-derive its candidate. Call it before (or after) the write, never
+// instead of it; a test that writes without it plans against the row and
+// candidate of the record it replaced.
 func edit(m *member) *member {
 	m.touch()
 	return m
@@ -101,13 +103,7 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 					}
 					edit(m).apps = append(m.apps, a) // IDs grow, so apps stay sorted
 				}
-				members := func() []*member {
-					out := make([]*member, len(inv.order))
-					for i, id := range inv.order {
-						out[i] = inv.members[id]
-					}
-					return out
-				}()
+				members := slices.Clone(inv.recs)
 				for i := 0; i < 4; i++ {
 					register(members[0]) // the pile the re-pack wants to spread
 				}
@@ -188,10 +184,10 @@ func TestRepackMemoMatchesFreshRepack(t *testing.T) {
 									}
 								}
 							}
-							m.dead, m.quarantined, m.draining = false, false, false
+							edit(m).dead, m.quarantined, m.draining = false, false, false
 						}
 						out = j
-						switch m := members[j]; how {
+						switch m := edit(members[j]); how {
 						case 0:
 							out = -1
 						case 1:

@@ -72,10 +72,11 @@ func (t *classTable) size() int {
 
 // scoreScratch is the per-call reusable state of the scoring hot path,
 // pooled so a placement decision allocates nothing for any of it: the
-// key builder, the demand+app slice, a miss's demand and hint in slot
+// key builders, the demand+app slice, a miss's demand and hint in slot
 // order, and decide's per-decision tables and NUMA-bad candidate filter.
 type scoreScratch struct {
 	key   solvecache.Key
+	ins   solvecache.Key // the with-app key, the class key plus the app
 	with  []roofline.App
 	slots []roofline.App
 	hint  []int
@@ -196,8 +197,8 @@ func (sc *Scorer) demandKey(k *solvecache.Key, m *machine.Machine, demand []roof
 
 // solveDemand is the memoized fleet-semantics solve. key, when
 // non-nil, is the demand's class key the caller already holds (a
-// candidate's cached classKey): the slot order is then sorted only on a
-// miss. without, when non-nil, is the per-slot optimum of demand minus
+// candidate's cached classKey, or that key with an app inserted): the
+// slot order is then sorted only on a miss. without, when non-nil, is the per-slot optimum of demand minus
 // its last app; a cache miss warm-starts from it (it cannot change the
 // result — see roofline.Search.BestPerNodeCountsFloorSpec). The sort is
 // stable, so the other apps keep their relative slot order when the
@@ -251,29 +252,33 @@ func (sc *Scorer) SolveTotal(m *machine.Machine, demand []roofline.App) (float64
 	return out.total, err
 }
 
-// marginal returns the placement score of adding app to a machine with
-// the given demand set: solved aggregate after minus before. It can be
-// negative — a memory-bound app joining a compute-heavy machine drags
+// marginal returns the placement score of adding app to candidate c,
+// its class numbered in t: solved aggregate after minus before. It can
+// be negative — a memory-bound app joining a compute-heavy machine drags
 // the optimum down — and the Placer uses exactly that to steer the app
 // to the bin where it costs the least (or helps the most). decide
-// scores one representative per equivalence class through it, passing
-// the class key as the before-solve's key, and keeps the with-app solve
-// for the decision to ship.
-func (sc *Scorer) marginal(m *machine.Machine, demand []roofline.App, key []byte, app roofline.App, s *scoreScratch) (marginal float64, with solveOutcome, err error) {
-	before, err := sc.solveDemand(m, demand, key, nil, s)
-	if err != nil {
-		return 0, solveOutcome{}, err
+// scores one representative per equivalence class through it and keeps
+// the with-app solve for the decision to ship. The before-solve is
+// looked up under c's class key once and kept on c (candidate.before);
+// the with-app key is the class key with the app's segment inserted, so
+// a hit sorts nothing.
+func (sc *Scorer) marginal(c *candidate, t *classTable, app roofline.App, s *scoreScratch) (marginal float64, with solveOutcome, err error) {
+	key := c.classKey(sc, s, t)
+	if c.before.solved == nil {
+		if c.before, err = sc.solveDemand(c.topo, c.demand, key, nil, s); err != nil {
+			return 0, solveOutcome{}, err
+		}
 	}
 	var without []int
-	if before.solved != nil {
-		without = before.solved.Counts
+	if c.before.solved != nil {
+		without = c.before.solved.Counts
 	}
-	s.with = append(append(s.with[:0], demand...), app)
-	with, err = sc.solveDemand(m, s.with, nil, without, s)
+	s.with = append(append(s.with[:0], c.demand...), app)
+	with, err = sc.solveDemand(c.topo, s.with, s.ins.Insert(key, &app, 0), without, s)
 	if err != nil {
 		return 0, solveOutcome{}, err
 	}
-	return with.total - before.total, with, nil
+	return with.total - c.before.total, with, nil
 }
 
 // classResult is one equivalence class's scored outcome within the

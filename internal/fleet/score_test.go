@@ -77,7 +77,7 @@ func TestScorerMarginal(t *testing.T) {
 	base := []roofline.App{mustRoofline(t, memSpec("mem"))}
 	var s scoreScratch
 
-	marginal, with, err := sc.marginal(m, base, nil, mustRoofline(t, compSpec("comp")), &s)
+	marginal, with, err := sc.marginal(&candidate{topo: m, demand: base}, sc.table(), mustRoofline(t, compSpec("comp")), &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestScorerMarginal(t *testing.T) {
 		t.Errorf("comp onto {mem}: marginal %g after %g, want ~256 / ~320", marginal, with.total)
 	}
 
-	marginal, with, err = sc.marginal(m, base, nil, mustRoofline(t, memSpec("mem-2")), &s)
+	marginal, with, err = sc.marginal(&candidate{topo: m, demand: base}, sc.table(), mustRoofline(t, memSpec("mem-2")), &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,11 @@ func decideMatchesNaive(t *testing.T, members []Member, specs []AppSpec, spread 
 // TestScorerClassDedup pins the memo behaviour decide relies on: a
 // fleet of interchangeable machines costs one solve pair on the first
 // decision (every further candidate hits the per-decision class map),
-// and a repeat decision against the unchanged fleet is solve-free —
-// pure LRU hits, two of them. Spreading the machines over four failure
-// domains changes neither: the class is (topology, demand), not the
-// domain, so the repeat still costs two hits, not one pair per domain.
+// and a repeat decision over the same candidates is solve-free — one
+// LRU hit per class, the with-app solve, as the class's before-solve
+// stays on the candidate that scored it. Spreading the machines over
+// four failure domains changes neither: the class is (topology, demand),
+// not the domain, so the repeat still costs one hit, not one per domain.
 func TestScorerClassDedup(t *testing.T) {
 	for _, spread := range []bool{false, true} {
 		members := make([]Member, 16)
@@ -300,22 +301,23 @@ func TestScorerClassDedup(t *testing.T) {
 		sc := NewScorer()
 		sc.DomainSpread = spread
 		spec := AppSpec{Name: "incoming", AI: 2}
-		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true)); err != nil {
+		cands := new(candidateSet).reset(members, true)
+		if _, _, err := sc.decide(spec, cands); err != nil {
 			t.Fatal(err)
 		}
 		hits, misses := sc.CacheStats()
 		if misses != 2 { // one before-solve, one after-solve for the single class
 			t.Errorf("spread=%v: first decision: %d memo misses, want 2 (hits %d)", spread, misses, hits)
 		}
-		if _, _, err := sc.decide(spec, new(candidateSet).reset(members, true)); err != nil {
+		if _, _, err := sc.decide(spec, cands); err != nil {
 			t.Fatal(err)
 		}
 		hits2, misses2 := sc.CacheStats()
 		if misses2 != misses {
 			t.Errorf("spread=%v: repeat decision re-solved: misses %d -> %d", spread, misses, misses2)
 		}
-		if hits2 != hits+2 {
-			t.Errorf("spread=%v: repeat decision: hits %d -> %d, want +2", spread, hits, hits2)
+		if hits2 != hits+1 { // the with-app solve; the before-solve is kept on the candidate
+			t.Errorf("spread=%v: repeat decision: hits %d -> %d, want +1", spread, hits, hits2)
 		}
 	}
 }
@@ -436,7 +438,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 					t.Errorf("%s: scored %d leaves, %d walking every row: the replicas' orbits are not merged", label, orbits, all)
 				}
 			}
-			_, wantWith, err := ref.marginal(m, demand, nil, newcomer, &s)
+			_, wantWith, err := ref.marginal(&candidate{topo: m, demand: demand}, ref.table(), newcomer, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -464,7 +466,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 				// The memo now holds the without-app solve as this order filled
 				// it; the marginal of the generated order hits it.
 				leaves.Store(0)
-				_, gotWith, err := sc.marginal(m, demand, nil, newcomer, &s)
+				_, gotWith, err := sc.marginal(&candidate{topo: m, demand: demand}, sc.table(), newcomer, &s)
 				if err != nil {
 					t.Fatalf("%s: order %v: %v", label, p, err)
 				}

@@ -507,8 +507,9 @@ func TestServerPlaceEndpoints(t *testing.T) {
 }
 
 // TestServerMetricszCandidates: on a 64-member fleet a placement changes
-// one member, so after a warm-up every placement's session rebuilds that
-// one candidate and reuses the other 63, and /metricsz says so.
+// one member, so after a warm-up every placement's session copies that
+// one snapshot row, rebuilds its candidate and reuses the other 63, and
+// /metricsz says so.
 func TestServerMetricszCandidates(t *testing.T) {
 	ctx := context.Background()
 	ids := make([]string, 64)
@@ -541,8 +542,12 @@ func TestServerMetricszCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := CandidateMetrics{Reused: after.Candidates.Reused - before.Candidates.Reused, Rebuilt: after.Candidates.Rebuilt - before.Candidates.Rebuilt}
-	if want := (CandidateMetrics{Reused: 63 * n, Rebuilt: n}); got != want {
+	got := CandidateMetrics{
+		Reused:     after.Candidates.Reused - before.Candidates.Reused,
+		Rebuilt:    after.Candidates.Rebuilt - before.Candidates.Rebuilt,
+		RowsCopied: after.Candidates.RowsCopied - before.Candidates.RowsCopied,
+	}
+	if want := (CandidateMetrics{Reused: 63 * n, Rebuilt: n, RowsCopied: n}); got != want {
 		t.Fatalf("%d placements: candidates %+v, want %+v", n, got, want)
 	}
 }

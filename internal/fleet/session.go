@@ -38,13 +38,16 @@ type candidate struct {
 	// keyBuf holds the candidate's equivalence-class key (topology hash
 	// + objective + sorted demand segments), built lazily into a reused
 	// backing array, and class and dom number the key and the domain in
-	// tab, the class table of the Scorer that built them. All four hold
-	// only while tab is the deciding Scorer's table: commit, remove and
-	// reset drop tab — the only invalidation the content-addressed scheme
-	// needs — and a full table is replaced (Scorer.table).
+	// tab, the class table of the Scorer that built them. before is that
+	// Scorer's solve of the class, once a marginal read it (its solved is
+	// nil until then, and for the empty demand set). All five hold only
+	// while tab is the deciding Scorer's table: commit, remove and reset
+	// drop tab and before — the only invalidation the content-addressed
+	// scheme needs — and a full table is replaced (Scorer.table).
 	keyBuf     []byte
 	class, dom int32
 	tab        *classTable
+	before     solveOutcome
 
 	// version is the demand version (see demandVersions) of the snapshot
 	// row the candidate was loaded from: the next reset takes the
@@ -80,7 +83,7 @@ func (c *candidate) classKey(sc *Scorer, s *scoreScratch, t *classTable) []byte 
 		key, _ := sc.demandKey(&s.key, c.topo, c.demand)
 		c.keyBuf = append(c.keyBuf[:0], key...)
 		c.class, c.dom = t.ids(c.keyBuf, c.domain)
-		c.tab = t
+		c.tab, c.before = t, solveOutcome{}
 	}
 	return c.keyBuf
 }
@@ -103,7 +106,7 @@ func (c *candidate) commit(spec AppSpec, id string) {
 		c.bad++
 	}
 	c.groups[groupOf(spec.Name)]++
-	c.tab, c.version = nil, 0
+	c.tab, c.before, c.version = nil, solveOutcome{}, 0
 }
 
 // remove is commit's inverse for evictions: it drops the demand entry
@@ -124,7 +127,7 @@ func (c *candidate) remove(i int, spec AppSpec) {
 	} else {
 		delete(c.groups, g)
 	}
-	c.tab, c.version = nil, 0
+	c.tab, c.before, c.version = nil, solveOutcome{}, 0
 }
 
 // candidateSet owns reusable scoring candidates, one per snapshot
@@ -170,7 +173,7 @@ func (cs *candidateSet) reset(members []Member, withDemand bool) []*candidate {
 		}
 		cs.rebuilt++
 		c.id, c.topo = m.ID, m.Topology
-		c.demand, c.ids, c.tab = c.demand[:0], c.ids[:0], nil
+		c.demand, c.ids, c.tab, c.before = c.demand[:0], c.ids[:0], nil, solveOutcome{}
 		c.apps, c.bad = 0, 0
 		c.domain = m.Domain
 		if c.domain == "" {
@@ -251,8 +254,11 @@ var sessions freelist.List[session]
 // snapshot with an unlimited ledger. Callers must close the session.
 func openSession(sc *Scorer, inv *Inventory) *session {
 	s := sessions.Get()
-	s.sc, s.members = sc, inv.snapshotInto(s.members)
+	var copied int
+	s.sc = sc
+	s.members, copied = inv.snapshotInto(s.members)
 	s.cands = s.cur.reset(s.members, true)
+	inv.rowsCopied.Add(uint64(copied))
 	inv.reused.Add(uint64(s.cur.reused))
 	inv.rebuilt.Add(uint64(s.cur.rebuilt))
 	s.budget = math.MaxInt

@@ -180,7 +180,7 @@ func TestSessionOutputsDoNotAliasSnapshot(t *testing.T) {
 	part.Isolate(hosts[0])
 	inv.Poll(ctx) // a is dead: its three apps are evacuated under the storm brake
 	inv.mu.Lock()
-	inv.members["b"].stale = []string{inv.members["b"].apps[0].ID}
+	edit(inv.members["b"]).stale = []string{inv.members["b"].apps[0].ID}
 	inv.mu.Unlock()
 
 	s := openSession(reb.Scorer, inv)

@@ -144,11 +144,15 @@ type RepackMetrics struct {
 // they came from. Reused candidates were taken as an earlier session left
 // them, their member's demand unchanged since; Rebuilt ones were derived
 // from the member's snapshot row again (first sight, a change on the
-// member, or a session that committed onto the candidate). A placement
-// on a fleet otherwise at rest rebuilds one: the member it changed.
+// member, or a session that committed onto the candidate). RowsCopied
+// counts the snapshot rows the sessions copied from member records that
+// changed since their pooled row was written. A placement on a fleet
+// otherwise at rest copies one row and rebuilds one candidate: the
+// member it changed.
 type CandidateMetrics struct {
-	Reused  uint64 `json:"reused"`
-	Rebuilt uint64 `json:"rebuilt"`
+	Reused     uint64 `json:"reused"`
+	Rebuilt    uint64 `json:"rebuilt"`
+	RowsCopied uint64 `json:"rows_copied"`
 }
 
 // DecisionMetrics counts the Scorer's placement decisions (Count) and

@@ -76,7 +76,8 @@ func TopologyHash(m *machine.Machine) uint64 {
 }
 
 // Key builds one demand set's cache key in a reused buffer: Reset, one
-// Add per app, then Sort. The zero value is ready to use.
+// Add per app, then Sort — or Insert of one app into another finished
+// key. The zero value is ready to use.
 type Key struct {
 	buf  []byte
 	segs int // offset of the first segment in buf
@@ -94,11 +95,40 @@ func (k *Key) Reset(topoHash uint64, tag string) {
 
 // Add appends one app's segment; maxThreads 0 means uncapped.
 func (k *Key) Add(a *roofline.App, maxThreads int) {
-	k.buf = binary.BigEndian.AppendUint64(k.buf, math.Float64bits(a.AI))
-	k.buf = append(k.buf, byte(a.Placement))
-	k.buf = binary.BigEndian.AppendUint32(k.buf, uint32(int32(a.HomeNode)))
-	k.buf = binary.BigEndian.AppendUint64(k.buf, math.Float64bits(a.Weight))
-	k.buf = binary.BigEndian.AppendUint32(k.buf, uint32(maxThreads))
+	k.buf = appendSeg(k.buf, a, maxThreads)
+}
+
+func appendSeg(buf []byte, a *roofline.App, maxThreads int) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.AI))
+	buf = append(buf, byte(a.Placement))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(a.HomeNode)))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.Weight))
+	return binary.BigEndian.AppendUint32(buf, uint32(maxThreads))
+}
+
+// Insert builds into k the key of key's demand set plus one app: key, a
+// finished key (not k's own), with the app's segment inserted after
+// every segment that does not sort above it. That is byte for byte the
+// key Reset, one Add per app with this one last, and Sort build, found
+// by a binary search over the sorted segments instead of a sort and
+// without hashing the topology again. The result is valid until the
+// next Reset or Insert; it is a finished key, not one to Add to.
+func (k *Key) Insert(key []byte, a *roofline.App, maxThreads int) []byte {
+	var seg [SegBytes]byte
+	appendSeg(seg[:0], a, maxThreads)
+	segs := 9 + int(key[8]) // hash, tag length, tag
+	lo, hi := 0, (len(key)-segs)/SegBytes
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if at := segs + mid*SegBytes; bytes.Compare(key[at:at+SegBytes], seg[:]) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	at := segs + lo*SegBytes
+	k.buf = append(append(append(k.buf[:0], key[:at]...), seg[:]...), key[at:]...)
+	return k.buf
 }
 
 // Sort puts the segments into canonical order and returns the finished

@@ -3,6 +3,8 @@ package solvecache
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/roofline"
@@ -83,6 +85,62 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestKeyInsertMatchesSort: over random demand sets drawn from a small
+// vocabulary, so that runs of equal segments are common, Insert of one
+// more app into the sorted key of the set is byte for byte the key
+// Reset, Add of the set and the app last, and Sort build, and so is its
+// Digest. Covered: the empty set, an app equal to a whole run, and tags
+// of every length from empty to the 255-byte limit. Insert leaves the
+// key it reads alone.
+func TestKeyInsertMatchesSort(t *testing.T) {
+	vocab := []roofline.App{
+		{AI: 0.5}, {AI: 2}, {AI: 10}, {AI: 0.5, Weight: 4},
+		{AI: 0.5, Placement: roofline.NUMABad, HomeNode: 1},
+		{AI: 0.5, Placement: roofline.NUMABad, HomeNode: -1},
+	}
+	tags := []string{"", "t", "weighted-priority", strings.Repeat("x", 255)}
+	r := rand.New(rand.NewSource(1))
+	var sorted, ins Key
+	for trial := 0; trial < 2000; trial++ {
+		tag, hash := tags[trial%len(tags)], r.Uint64()
+		demand := make([]roofline.App, r.Intn(10)) // empty in a tenth of the trials
+		caps := make([]int, len(demand)+1)
+		for i := range demand {
+			demand[i], caps[i] = vocab[r.Intn(len(vocab))], r.Intn(2)*3
+		}
+		app, appCap := vocab[r.Intn(len(vocab))], r.Intn(2)*3
+		if len(demand) > 0 && r.Intn(3) == 0 { // equal to a segment the set holds
+			i := r.Intn(len(demand))
+			app, appCap = demand[i], caps[i]
+		}
+		caps[len(demand)] = appCap
+
+		sorted.Reset(hash, tag)
+		for i := range demand {
+			sorted.Add(&demand[i], caps[i])
+		}
+		key, _ := sorted.Sort(nil)
+		key, orig := bytes.Clone(key), bytes.Clone(key)
+		got := ins.Insert(key, &app, appCap)
+
+		sorted.Reset(hash, tag)
+		for i := range demand {
+			sorted.Add(&demand[i], caps[i])
+		}
+		sorted.Add(&app, appCap)
+		want, _ := sorted.Sort(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: %d apps + %+v (cap %d) under tag %q:\n inserted %x\n sorted   %x", trial, len(demand), app, appCap, tag, got, want)
+		}
+		if Digest(got) != Digest(want) {
+			t.Fatalf("trial %d: digests %x and %x of equal keys", trial, Digest(got), Digest(want))
+		}
+		if !bytes.Equal(key, orig) {
+			t.Fatalf("trial %d: Insert changed the key it read", trial)
+		}
+	}
 }
 
 // TestDoErrorsAreNotCached: a failed solve is reported, counted as a
