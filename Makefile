@@ -49,7 +49,9 @@ bench-cores:
 	rm -f .bench-cores-solver.json
 
 # Placement-throughput benchmarks (decisions/sec against 100- and
-# 1000-machine fleet snapshots, domain-spread included), the inventory
+# 1000-machine fleet snapshots, domain-spread included, and a cold-memo
+# sequence of diverse apps on five topologies, the path a decision's
+# bar prunes), the inventory
 # poll of 40 in-process members, unchanged and changed, a quiet
 # rebalance plan over 40 members (the re-pack memo hit) and the cold
 # first quiet round of a rack_loss recovery (the re-pack memo missed),

@@ -504,7 +504,8 @@ func cmdFleetStatus(ctx context.Context, args []string) error {
 	printSolveCache(m.SolveCache)
 	fmt.Printf("  member polls: %d unchanged / %d full / %d failed (%d registers kept the copy exact)\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed, m.Polls.Acked)
 	fmt.Printf("  planning candidates: %d reused / %d rebuilt (%d snapshot rows copied)\n", m.Candidates.Reused, m.Candidates.Rebuilt, m.Candidates.RowsCopied)
-	fmt.Printf("  decisions: %d, scoring %d class marginals\n", m.Decisions.Count, m.Decisions.Classes)
+	fmt.Printf("  decisions: %d, scoring %d class marginals (%d pruned by the ceiling, %d solved below the bar)\n",
+		m.Decisions.Count, m.Decisions.Classes, m.Decisions.Ceiling, m.Decisions.BelowBar)
 	fmt.Printf("  imbalance re-packs: %d reused / %d computed\n", m.Repacks.Reused, m.Repacks.Computed)
 	names := make([]string, 0, len(m.Endpoints))
 	for name := range m.Endpoints {

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -132,6 +134,67 @@ func BenchmarkPlacementWarm100Machines(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
+}
+
+// diverseFleet is coopbench place_diverse's fleet without its coopds:
+// ten empty members, two of each of five topologies, in five failure
+// domains.
+func diverseFleet() []Member {
+	topos := []func() *machine.Machine{
+		machine.PaperModel, machine.SkylakeQuad, machine.KNLSNC4, machine.PaperModelNUMABad,
+		func() *machine.Machine { return machine.Uniform("uniform-2x16", 2, 16, 5, 80, 20) },
+	}
+	members := make([]Member, 10)
+	for i := range members {
+		members[i] = Member{ID: fmt.Sprintf("m%02d", i), Domain: fmt.Sprintf("z%d", i/2), Topology: topos[i%len(topos)]()}
+	}
+	return members
+}
+
+// diverseSpecs is a place_diverse-like arrival sequence: n apps sharing
+// next to nothing — AI log-uniform in [1/32, 16] from a fixed seed, 15 %
+// NUMA-bad, 15 % latency and 5 % system priority.
+func diverseSpecs(n int) []AppSpec {
+	r := rand.New(rand.NewSource(20200518))
+	specs := make([]AppSpec, n)
+	for i := range specs {
+		specs[i] = AppSpec{Name: fmt.Sprintf("svc%d-%03d", i%6, i), AI: math.Exp(math.Log(1.0/32) + r.Float64()*math.Log(16*32))}
+	}
+	for i := 0; i < n*15/100; i++ {
+		specs[i].Placement, specs[i].HomeNode = ctrlplane.PlacementBad, i%2
+		specs[n-1-i].Priority = PriorityLatency
+	}
+	for i := 0; i < n*5/100; i++ {
+		specs[n/2+i].Priority = PrioritySystem
+	}
+	return specs
+}
+
+// BenchmarkPlacementDiverse is the decision side of coopbench
+// place_diverse: one op places 33 diverse apps, one after another, onto
+// diverseFleet with a cold Scorer, each decision committed to the
+// candidate it chose. Nearly every class misses the memo, so the op is
+// the with-app searches and what the decisions' bar saves of them: the
+// ceiling prunes and the solves that stop below the bar.
+func BenchmarkPlacementDiverse(b *testing.B) {
+	members, specs := diverseFleet(), diverseSpecs(33)
+	var cs candidateSet
+	place := func() {
+		sc, cands := NewScorer(), cs.reset(members, true)
+		for _, spec := range specs {
+			_, c, err := sc.decide(spec, cands)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.commit(spec, "")
+		}
+	}
+	place()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		place()
+	}
 }
 
 // BenchmarkRebalanceQuietRound plans a quiet round over 40 KNLSNC4

@@ -67,6 +67,19 @@ func FloorCapacity(m *machine.Machine) int {
 // breaks score ties, candidate by candidate (tieBreakBetter). Classes
 // and domains are ids in the Scorer's class table (classTable).
 //
+// The scan is a branch-and-bound across classes, in candidate order.
+// Once a best exists, a class is scored against a bar, the best score
+// minus 2 × scoreTieEps: a marginal below it can neither replace the
+// best (it would need to beat it by scoreTieEps) nor tie it (it would
+// need to lie within scoreTieEps), so the class's with-app solve need
+// only prove it lies below (Scorer.marginal), and the class is skipped
+// as the unbarred scan skips it. The second scoreTieEps absorbs the
+// roundoff of moving the bar between score and total units. A tie can
+// lower the best score, so a class cut against a higher bar is scored
+// again when a later candidate of it meets a lower one. The decision —
+// member, score, After and the shipped solve — is the unbarred one bit
+// for bit (DESIGN.md §4.1).
+//
 // Anti-affinity: a numa-bad app avoids machines that already host a
 // numa-bad demand set — two such sets on one machine serialize on each
 // other's home-node bandwidth (the paper's Section III reversal). The
@@ -110,6 +123,7 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 	var best *candidate
 	var bestScore float64
 	var bestWith solveOutcome
+	bar := noBar
 	for _, c := range pool {
 		if bad && (spec.HomeNode < 0 || spec.HomeNode >= c.topo.NumNodes()) {
 			continue // home node does not exist on this machine
@@ -117,13 +131,15 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 		c.classKey(sc, s, t)
 		s.classes = grow(s.classes, c.class)
 		r := s.classes[c.class]
-		if r.stamp != s.stamp {
-			score, with, err := sc.marginal(c, t, app, s)
-			r = classResult{stamp: s.stamp, score: score, with: with, failed: err != nil}
+		if fresh := r.stamp != s.stamp; fresh || r.with.below && bar < r.bar {
+			score, with, err := sc.marginal(c, t, app, bar, s)
+			r = classResult{stamp: s.stamp, score: score, with: with, bar: bar, failed: err != nil}
 			s.classes[c.class] = r
-			scored++
+			if fresh {
+				scored++
+			}
 		}
-		if r.failed {
+		if r.failed || r.with.below {
 			continue
 		}
 		switch {
@@ -135,6 +151,9 @@ func (sc *Scorer) decide(spec AppSpec, cands []*candidate) (*Decision, *candidat
 			// machine (candidates arrive in ID order, so equal ties keep
 			// the first, lowest ID).
 			best, bestScore, bestWith = c, r.score, r.with
+		}
+		if !sc.barless {
+			bar = bestScore - 2*scoreTieEps
 		}
 	}
 	sc.decisions.Add(1)

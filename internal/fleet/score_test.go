@@ -77,7 +77,7 @@ func TestScorerMarginal(t *testing.T) {
 	base := []roofline.App{mustRoofline(t, memSpec("mem"))}
 	var s scoreScratch
 
-	marginal, with, err := sc.marginal(&candidate{topo: m, demand: base}, sc.table(), mustRoofline(t, compSpec("comp")), &s)
+	marginal, with, err := sc.marginal(&candidate{topo: m, demand: base}, sc.table(), mustRoofline(t, compSpec("comp")), noBar, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestScorerMarginal(t *testing.T) {
 		t.Errorf("comp onto {mem}: marginal %g after %g, want ~256 / ~320", marginal, with.total)
 	}
 
-	marginal, with, err = sc.marginal(&candidate{topo: m, demand: base}, sc.table(), mustRoofline(t, memSpec("mem-2")), &s)
+	marginal, with, err = sc.marginal(&candidate{topo: m, demand: base}, sc.table(), mustRoofline(t, memSpec("mem-2")), noBar, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 			// for the marginal itself.
 			ref := counting()
 			var s scoreScratch
-			want, err := ref.solveDemand(m, demand, nil, nil, &s)
+			want, err := ref.solveDemand(m, demand, nil, nil, noBar, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -428,7 +428,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 				walk := func(spec roofline.ObjectiveSpec) int64 {
 					sc := NewScorer()
 					sc.Objective = spec
-					if _, err := sc.solveDemand(m, demand, nil, nil, &s); err != nil {
+					if _, err := sc.solveDemand(m, demand, nil, nil, noBar, &s); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					return leaves.Swap(0)
@@ -438,7 +438,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 					t.Errorf("%s: scored %d leaves, %d walking every row: the replicas' orbits are not merged", label, orbits, all)
 				}
 			}
-			_, wantWith, err := ref.marginal(&candidate{topo: m, demand: demand}, ref.table(), newcomer, &s)
+			_, wantWith, err := ref.marginal(&candidate{topo: m, demand: demand}, ref.table(), newcomer, noBar, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -452,7 +452,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 				}
 				sc := counting()
 				leaves.Store(0)
-				got, err := sc.solveDemand(m, permuted, nil, nil, &s)
+				got, err := sc.solveDemand(m, permuted, nil, nil, noBar, &s)
 				if err != nil {
 					t.Fatalf("%s: order %v: %v", label, p, err)
 				}
@@ -466,7 +466,7 @@ func TestScorerIsOrderFree(t *testing.T) {
 				// The memo now holds the without-app solve as this order filled
 				// it; the marginal of the generated order hits it.
 				leaves.Store(0)
-				_, gotWith, err := sc.marginal(&candidate{topo: m, demand: demand}, sc.table(), newcomer, &s)
+				_, gotWith, err := sc.marginal(&candidate{topo: m, demand: demand}, sc.table(), newcomer, noBar, &s)
 				if err != nil {
 					t.Fatalf("%s: order %v: %v", label, p, err)
 				}

@@ -411,8 +411,8 @@ func TestServerMetricsz(t *testing.T) {
 
 // TestServerMetriczCountsDecisions: /metricsz decisions counts each
 // placement decision once and each equivalence class it scored once,
-// however many members the class covers; a refused request decides
-// nothing.
+// however many members the class covers, and the classes the bar cut
+// short; a refused request decides nothing.
 func TestServerMetriczCountsDecisions(t *testing.T) {
 	ctx := context.Background()
 	inv := NewInventory(InventoryConfig{NewClient: fastClients(nil)})
@@ -430,7 +430,12 @@ func TestServerMetriczCountsDecisions(t *testing.T) {
 	inv.Poll(ctx)
 	_, fc := newFleetServer(t, inv)
 	// Whichever member the first app joins, the second decision again
-	// faces an empty machine and one running a memory-bound app.
+	// faces an empty machine and one running a memory-bound app. The
+	// first decision scores a (empty) in full, and c's class — a second
+	// memory-bound app, which a's lone one already saturates the bandwidth
+	// of — falls to the ceiling test against a's marginal. The second
+	// decision scores a (now one memory-bound app) in full, and b (empty)
+	// against it: b wins, and c is a's class.
 	for i, name := range []string{"web-1", "web-2"} {
 		if _, err := fc.Place(ctx, memSpec(name)); err != nil {
 			t.Fatal(err)
@@ -439,14 +444,14 @@ func TestServerMetriczCountsDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (DecisionMetrics{Count: uint64(i + 1), Classes: 2 * uint64(i+1)}); m.Decisions != want {
+		if want := (DecisionMetrics{Count: uint64(i + 1), Classes: 2 * uint64(i+1), Ceiling: 1}); m.Decisions != want {
 			t.Errorf("decisions %+v after %d placements, want %+v", m.Decisions, i+1, want)
 		}
 	}
 	if _, err := fc.Place(ctx, AppSpec{Name: "zero-ai"}); err == nil {
 		t.Fatal("zero-AI spec accepted")
 	}
-	if m, err := fc.Metrics(ctx); err != nil || m.Decisions != (DecisionMetrics{Count: 2, Classes: 4}) {
+	if m, err := fc.Metrics(ctx); err != nil || m.Decisions != (DecisionMetrics{Count: 2, Classes: 4, Ceiling: 1}) {
 		t.Errorf("decisions %+v (%v) after a refused placement, want the two placements' only", m.Decisions, err)
 	}
 }

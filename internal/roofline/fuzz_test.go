@@ -62,6 +62,9 @@ func evaluatorEquivalenceRound(t *testing.T, seed int64) {
 	// growing and shrinking draws, its counts and kernel score against
 	// the reference solve's.
 	servedRound(t, r)
+	// And the bar: a solve against a bar answers what the unbarred one
+	// does wherever the optimum reaches the bar, and below-bar elsewhere.
+	barRound(t, r)
 }
 
 // fuzzCorpus is every input `go test` replays for

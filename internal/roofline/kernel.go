@@ -85,13 +85,10 @@ type remoteClaim struct {
 	gflops    float64
 }
 
-// fit validates the inputs exactly as Evaluate does and refits the
-// tables and scratch to them in place, reusing their backing arrays.
-// On an error it leaves the kernel as it was.
-func (k *leafKernel) fit(m *machine.Machine, apps []App) error {
-	if err := checkInputs(m, apps); err != nil {
-		return err
-	}
+// fit refits the tables and scratch in place to inputs the caller has
+// validated as Evaluate does (checkInputs), reusing their backing
+// arrays.
+func (k *leafKernel) fit(m *machine.Machine, apps []App) {
 	nApps, nNodes := len(apps), m.NumNodes()
 	k.m, k.apps = m, append(k.apps[:0], apps...)
 	k.nApps, k.nNodes = nApps, nNodes
@@ -146,7 +143,6 @@ func (k *leafKernel) fit(m *machine.Machine, apps []App) error {
 	// threads on every other node.
 	k.local = slices.Grow(k.local[:0], nApps)
 	k.remote = slices.Grow(k.remote[:0], nApps*(nNodes-1))
-	return nil
 }
 
 // eval returns the totals of the allocation PerNodeCounts(m, counts),

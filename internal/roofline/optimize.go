@@ -30,17 +30,20 @@ func MinAppGFLOPS(r *Result) float64 {
 // WeightedAppGFLOPS returns an objective computing a weighted sum of
 // per-application rates, e.g. to prioritize a latency-critical app.
 func WeightedAppGFLOPS(weights []float64) Objective {
-	return func(r *Result) float64 {
-		s := 0.0
-		for i, g := range r.AppGFLOPS {
-			w := 1.0
-			if i < len(weights) {
-				w = weights[i]
-			}
-			s += w * g
+	return func(r *Result) float64 { return weightedSum(weights, r) }
+}
+
+// weightedSum is WeightedAppGFLOPS(weights)(r).
+func weightedSum(weights []float64, r *Result) float64 {
+	s := 0.0
+	for i, g := range r.AppGFLOPS {
+		w := 1.0
+		if i < len(weights) {
+			w = weights[i]
 		}
-		return s
+		s += w * g
 	}
+	return s
 }
 
 // Optimize searches for the allocation maximizing obj, starting from a
