@@ -183,7 +183,7 @@ func (s *Solver) solveInto(sol *Solution, m *machine.Machine, apps []AppState, o
 	if offer != nil {
 		adopt = func() (*cachedSolution, bool) { return s.adopt(m, apps, order, key, offer) }
 	}
-	cached, fromCache, err := s.cache.Do(key, adopt, func() (*cachedSolution, error) {
+	cached, fromCache, err := s.cache.Do(key, nil, adopt, func() (*cachedSolution, error) {
 		if s.testSolveDelay != nil {
 			s.testSolveDelay()
 		}
