@@ -502,7 +502,7 @@ func cmdFleetStatus(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("fleetd up %.1fs\n", m.UptimeSeconds)
 	printSolveCache(m.SolveCache)
-	fmt.Printf("  member polls: %d unchanged / %d full / %d failed (%d registers kept the copy exact)\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed, m.Polls.Acked)
+	fmt.Printf("  member polls: %d unchanged / %d full / %d failed (%d registers kept the copy exact, %d stale replica answers fenced)\n", m.Polls.Unchanged, m.Polls.Full, m.Polls.Failed, m.Polls.Acked, m.Polls.Fenced)
 	fmt.Printf("  planning candidates: %d reused / %d rebuilt (%d snapshot rows copied)\n", m.Candidates.Reused, m.Candidates.Rebuilt, m.Candidates.RowsCopied)
 	fmt.Printf("  decisions: %d, scoring %d class marginals (%d pruned by the ceiling, %d solved below the bar)\n",
 		m.Decisions.Count, m.Decisions.Classes, m.Decisions.Ceiling, m.Decisions.BelowBar)

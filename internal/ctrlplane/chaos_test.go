@@ -5,11 +5,9 @@ package ctrlplane_test
 // with injected faults, killed mid-workload, and restarted on the same
 // address with the same state dir. The paper's Table I result — the
 // uneven (1,1,1,5)-style optimum at ~254 GFLOPS beating the even split
-// (140) and node-per-app (128) — must survive the whole ordeal, client
-// generations must never regress, and while the daemon is down clients
-// must keep serving a cached or locally solved allocation instead of
-// erroring. Run via `make chaos` (or the normal test suite; schedules
-// are short).
+// (140) and node-per-app (128) — must survive the whole ordeal, and
+// client generations must never regress. Run via `make chaos` (or the
+// normal test suite; schedules are short).
 
 import (
 	"context"
@@ -131,11 +129,10 @@ func assertTableIRanking(t *testing.T, resp *ctrlplane.AllocationsResponse, labe
 	}
 }
 
-// faultyResilient builds a Resilient client whose transport injects a
-// seeded fault storm on idempotent paths (register is spared — a blind
-// retry there would duplicate the app and change the demand mix).
-func faultyResilient(t *testing.T, baseURL string, seed int64) (*client.Resilient, *faultinject.Injector) {
-	t.Helper()
+// faultyClient builds a client whose transport injects a seeded fault
+// storm on idempotent paths (register is spared — a blind retry there
+// would duplicate the app and change the demand mix).
+func faultyClient(baseURL string, seed int64) (*client.Client, *faultinject.Injector) {
 	inj := faultinject.NewInjector(faultinject.Seeded(seed, faultinject.Mix{
 		Drop:       0.05,
 		Latency:    0.20,
@@ -153,22 +150,14 @@ func faultyResilient(t *testing.T, baseURL string, seed int64) (*client.Resilien
 		MaxBackoff:     20 * time.Millisecond,
 		RequestTimeout: 5 * time.Second,
 	})
-	r, err := client.NewResilient(c, client.ResilientConfig{
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, inj
+	return c, inj
 }
 
 // TestChaosKillRestartRecovery is the acceptance scenario: register the
 // Table I mix under an injected fault storm, kill the daemon
-// mid-workload, verify clients degrade to cached/local allocations,
-// restart on the same state dir and address, and verify the registry
-// (an app's class and move round included), generations, and the
-// 254/140/128 ranking all survive.
+// mid-workload, restart on the same state dir and address, and verify
+// the registry (an app's class and move round included), generations,
+// and the 254/140/128 ranking all survive.
 func TestChaosKillRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewSkewedClock(nil)
@@ -179,11 +168,11 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 	// Phase 1: the workload, under faults.
 	reqs := tableIRequests()
 	reqs[3].Priority, reqs[3].MovedRound = ctrlplane.PriorityLatency, 7 // the fleet's state rides the record
-	apps := make([]*client.Resilient, len(reqs))
+	apps := make([]*client.Client, len(reqs))
 	ids := make([]string, len(reqs))
 	var inj *faultinject.Injector
 	for i, req := range reqs {
-		apps[i], inj = faultyResilient(t, d.url(), int64(1000+i))
+		apps[i], inj = faultyClient(d.url(), int64(1000+i))
 		resp, err := apps[i].Register(ctx, req)
 		if err != nil {
 			t.Fatalf("register %s: %v", req.Name, err)
@@ -192,71 +181,34 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for i := range apps {
-			if _, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{Workers: 4}); err != nil {
+			if _, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[i], Workers: 4}); err != nil {
 				t.Fatalf("heartbeat %s round %d: %v", ids[i], round, err)
 			}
 		}
 	}
-	live, src, err := apps[0].Allocations(ctx)
-	if err != nil || src != client.SourceLive {
-		t.Fatalf("live allocations: src %v, err %v", src, err)
+	live, err := apps[0].Allocations(ctx)
+	if err != nil {
+		t.Fatalf("live allocations: %v", err)
 	}
 	assertTableIRanking(t, live, "live before crash")
 	genBeforeCrash := live.Generation
 
-	// Phase 2: crash. Clients degrade instead of erroring.
+	// Phase 2: crash, then restart with the same state dir on the same
+	// address.
 	d.kill()
-	cached, src, err := apps[0].Allocations(ctx)
-	if err != nil {
-		t.Fatalf("allocations during outage: %v", err)
-	}
-	if src != client.SourceCached {
-		t.Fatalf("outage source = %v, want cached", src)
-	}
-	assertTableIRanking(t, cached, "cached during outage")
-	if cached.Generation != genBeforeCrash {
-		t.Errorf("cached generation = %d, want last-known %d", cached.Generation, genBeforeCrash)
-	}
-
-	// A client with no cache degrades to a local solve over the known
-	// demand and still reproduces the ranking. (Clean transport: the
-	// daemon is already dead, and an injector-synthesized 5xx would
-	// correctly read as "server alive" and suppress degradation.)
-	fresh, err := client.NewResilient(
-		client.New(d.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond}),
-		client.ResilientConfig{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.SetMachine(machine.PaperModel())
-	fresh.SetLocalDemand(reqs)
-	local, src, err := fresh.Allocations(ctx)
-	if err != nil {
-		t.Fatalf("local fallback during outage: %v", err)
-	}
-	if src != client.SourceLocal {
-		t.Fatalf("fresh-client outage source = %v, want local", src)
-	}
-	assertTableIRanking(t, local, "local solve during outage")
-
-	// Phase 3: restart with the same state dir on the same address.
 	d2 := startChaosDaemon(t, dir, d.addr, clock, 30*time.Second)
 	if d2.srv.RestoredApps() != 4 {
 		t.Fatalf("restored %d apps, want 4", d2.srv.RestoredApps())
 	}
 	// Old IDs keep working: heartbeats land without re-registration.
 	for i := range apps {
-		if _, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{Workers: 4}); err != nil {
+		if _, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[i], Workers: 4}); err != nil {
 			t.Fatalf("heartbeat %s after restart: %v", ids[i], err)
 		}
-		if apps[i].ReRegisters() != 0 {
-			t.Errorf("app %s re-registered after restart; recovery should have kept its state", ids[i])
-		}
 	}
-	recovered, src, err := apps[0].Allocations(ctx)
-	if err != nil || src != client.SourceLive {
-		t.Fatalf("allocations after restart: src %v, err %v", src, err)
+	recovered, err := apps[0].Allocations(ctx)
+	if err != nil {
+		t.Fatalf("allocations after restart: %v", err)
 	}
 	assertTableIRanking(t, recovered, "live after restart")
 	st, err := client.New(d2.url(), client.Config{}).State(ctx, ctrlplane.StateQuery{})
@@ -272,11 +224,11 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 	}
 	lastGen := recovered.Generation
 
-	// Phase 4: churn after recovery stays monotonic and reallocates.
-	if err := apps[3].Deregister(ctx); err != nil {
+	// Phase 3: churn after recovery stays monotonic and reallocates.
+	if err := apps[3].Deregister(ctx, ids[3]); err != nil {
 		t.Fatalf("deregister comp: %v", err)
 	}
-	after, err := apps[0].Client().WaitForReallocation(ctx, lastGen, 10*time.Millisecond)
+	after, err := apps[0].WaitForReallocation(ctx, lastGen, 10*time.Millisecond)
 	if err != nil {
 		t.Fatalf("waiting for reallocation: %v", err)
 	}
@@ -297,9 +249,9 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 }
 
 // TestChaosClockSkewEviction: a clock-skewed TTL expiry evicts a silent
-// app; its next heartbeat gets the typed unknown_app error and the
-// resilient client transparently re-registers. Generations never
-// regress through eviction + re-registration.
+// app; its next heartbeat gets the typed unknown_app error and the app
+// registers again under a fresh ID. Generations never regress through
+// eviction + re-registration.
 func TestChaosClockSkewEviction(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewSkewedClock(nil)
@@ -308,11 +260,8 @@ func TestChaosClockSkewEviction(t *testing.T) {
 	defer cancel()
 
 	c := client.New(d.url(), client.Config{MaxAttempts: 3, BaseBackoff: time.Millisecond})
-	r, err := client.NewResilient(c, client.ResilientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := r.Register(ctx, ctrlplane.RegisterRequest{Name: "skewed", AI: 1})
+	req := ctrlplane.RegisterRequest{Name: "skewed", AI: 1}
+	reg, err := c.Register(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +290,19 @@ func TestChaosClockSkewEviction(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The heartbeat hits unknown_app and auto re-registers.
-	if _, err := r.Heartbeat(ctx, ctrlplane.HeartbeatRequest{}); err != nil {
-		t.Fatalf("heartbeat across eviction: %v", err)
+	// The heartbeat hits unknown_app, and the app registers again.
+	if _, err := c.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: firstID}); !client.IsUnknownApp(err) {
+		t.Fatalf("heartbeat across eviction: %v, want unknown_app", err)
 	}
-	if r.ReRegisters() != 1 {
-		t.Errorf("re-registers = %d, want 1", r.ReRegisters())
+	again, err := c.Register(ctx, req)
+	if err != nil {
+		t.Fatalf("re-registering after eviction: %v", err)
 	}
-	if r.ID() == firstID || r.ID() == "" {
-		t.Errorf("id after eviction = %q, want a fresh one (was %q)", r.ID(), firstID)
+	if again.ID == firstID || again.ID == "" {
+		t.Errorf("id after eviction = %q, want a fresh one (was %q)", again.ID, firstID)
+	}
+	if _, err := c.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: again.ID}); err != nil {
+		t.Fatalf("heartbeat under the fresh id: %v", err)
 	}
 	h, err := c.Health(ctx)
 	if err != nil {

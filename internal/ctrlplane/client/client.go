@@ -1,6 +1,6 @@
-// Package client is the typed Go client for the ctrlplane HTTP API:
-// registration, heartbeats, deregistration, and allocation reads, with
-// exponential-backoff retries and context-based timeouts.
+// Package client is the typed Go client for the ctrlplane HTTP API, with
+// exponential-backoff retries and context-based timeouts: Client talks
+// to one coopd endpoint, Group to a coopd through all its replicas.
 package client
 
 import (
@@ -12,18 +12,14 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/httpapi"
 )
 
-// ErrUnknownApp is the client-side sentinel for the server's
-// "unknown_app" error code: the ID was evicted (or never existed) and
-// the application must re-register. Detect it with errors.Is (or the
-// IsUnknownApp helper); the Resilient wrapper re-registers on it
-// automatically.
+// ErrUnknownApp is the server's "unknown_app" error code: the ID was
+// evicted (or never existed) and the application must re-register.
 var ErrUnknownApp = httpapi.ErrUnknownApp
 
 // ErrNotModified is State's answer when the state the caller presented
@@ -43,8 +39,7 @@ func IsNotFound(err error) bool {
 }
 
 // IsUnknownApp reports whether the server rejected the request because
-// the application ID is not registered (typed via the wire error code,
-// so callers never have to parse messages).
+// the application ID is not registered.
 func IsUnknownApp(err error) bool {
 	return errors.Is(err, ErrUnknownApp)
 }
@@ -89,11 +84,6 @@ type Client struct {
 	// rnd is the jitter source (the shared math/rand default); tests
 	// swap in a seeded function for deterministic schedules.
 	rnd func() float64
-	// lastEpoch / lastLeader mirror the X-Coop-Epoch / X-Coop-Leader
-	// response headers a replica stamps on every reply; the Resilient
-	// multi-endpoint wrapper fences and fails over with them.
-	lastEpoch  atomic.Uint64
-	lastLeader atomic.Pointer[string]
 }
 
 // New creates a client for the server at baseURL (e.g.
@@ -120,55 +110,55 @@ func New(baseURL string, cfg Config) *Client {
 // do performs one API call with retries. in (may be nil) is marshaled
 // as the JSON body; out (may be nil) receives the decoded response.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.doIf(ctx, method, path, "", in, out)
+	_, err := c.exchange(ctx, method, path, "", in, out)
+	return err
 }
 
-// doIf is do presenting a validator (see httpapi.Call): a 304 to it
-// returns httpapi.ErrNotModified at once, never retried.
-func (c *Client) doIf(ctx context.Context, method, path, validator string, in, out any) error {
+// exchange is do presenting a validator (see httpapi.Call): a 304 to it
+// returns httpapi.ErrNotModified at once, never retried. It also returns
+// the X-Coop-Epoch of the answer (0 from a standalone daemon), the
+// replica epoch a Group fences on. Transport errors and 5xx answers are
+// retried; 4xx ones are not.
+func (c *Client) exchange(ctx context.Context, method, path, validator string, in, out any) (epoch uint64, err error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
 		defer cancel()
 	}
-	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepBackoff(ctx, c.backoff(attempt)); err != nil {
-				return fmt.Errorf("ctrlplane: giving up after %d attempts: %w (last error: %v)", attempt, err, lastErr)
+			if serr := sleepBackoff(ctx, c.backoff(attempt)); serr != nil {
+				return 0, fmt.Errorf("ctrlplane: giving up after %d attempts: %w (last error: %v)", attempt, serr, err)
 			}
 		}
-		retryable, err := c.once(ctx, method, path, validator, in, out)
-		if err == nil {
-			return nil
+		var hdr http.Header
+		hdr, err = httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, validator, in, out)
+		if hdr == nil && err != nil && ctx.Err() != nil {
+			// No response and the caller's context is done: another
+			// attempt cannot fare better.
+			return 0, ctx.Err()
 		}
-		lastErr = err
-		if !retryable {
-			return err
+		if err == nil || !httpapi.Retryable(err) {
+			if v := hdr.Get(ctrlplane.HeaderEpoch); v != "" { // standalone daemons send none
+				epoch, _ = strconv.ParseUint(v, 10, 64)
+			}
+			return epoch, err
 		}
 	}
-	return fmt.Errorf("ctrlplane: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return 0, fmt.Errorf("ctrlplane: giving up after %d attempts: %w", c.cfg.MaxAttempts, err)
 }
 
 // backoff returns the full-jitter delay before the given attempt:
-// uniform over (0, ceiling], where the ceiling doubles from BaseBackoff
-// and saturates at MaxBackoff. Deterministic backoff would send every
-// app's retry at the same instant when a restarted daemon comes back —
-// a synchronized stampede; the jitter spreads the herd.
+// uniform over (0, ceiling], the ceiling doubling from BaseBackoff up to
+// MaxBackoff, so apps retrying a restarted daemon do not stampede it.
 func (c *Client) backoff(attempt int) time.Duration {
 	ceiling := c.cfg.BaseBackoff << (attempt - 1)
 	if ceiling > c.cfg.MaxBackoff || ceiling <= 0 {
 		ceiling = c.cfg.MaxBackoff
 	}
 	d := time.Duration(c.rnd() * float64(ceiling))
-	if d < time.Millisecond {
-		// Floor keeps a tiny draw from turning retries into a hot loop.
-		d = time.Millisecond
-	}
-	if d > ceiling {
-		d = ceiling
-	}
-	return d
+	// The floor keeps a tiny draw from turning retries into a hot loop.
+	return min(max(d, time.Millisecond), ceiling)
 }
 
 func sleepBackoff(ctx context.Context, d time.Duration) error {
@@ -180,49 +170,6 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// once performs a single HTTP exchange. It reports whether a failure is
-// worth retrying (transport errors and 5xx: yes; 4xx: no).
-func (c *Client) once(ctx context.Context, method, path, validator string, in, out any) (retryable bool, err error) {
-	hdr, err := httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, validator, in, out)
-	c.observeReplicaHeaders(hdr)
-	if err == nil {
-		return false, nil
-	}
-	if hdr == nil && ctx.Err() != nil {
-		// No response and the caller's context is done: another attempt
-		// cannot fare better.
-		return false, ctx.Err()
-	}
-	return httpapi.Retryable(err), err
-}
-
-// observeReplicaHeaders records the replica metadata a HA server stamps
-// on every response (standalone servers send neither header).
-func (c *Client) observeReplicaHeaders(hdr http.Header) {
-	if v := hdr.Get(ctrlplane.HeaderEpoch); v != "" {
-		if epoch, err := strconv.ParseUint(v, 10, 64); err == nil {
-			c.lastEpoch.Store(epoch)
-		}
-	}
-	if v := hdr.Get(ctrlplane.HeaderLeader); v != "" {
-		leader := v // only a stamped header pays for the escaping copy
-		c.lastLeader.Store(&leader)
-	}
-}
-
-// LastEpoch returns the fencing epoch from the most recent response (0
-// when talking to a standalone server).
-func (c *Client) LastEpoch() uint64 { return c.lastEpoch.Load() }
-
-// LastLeader returns the leader URL from the most recent response (""
-// when unknown or standalone).
-func (c *Client) LastLeader() string {
-	if p := c.lastLeader.Load(); p != nil {
-		return *p
-	}
-	return ""
 }
 
 // BaseURL returns the endpoint this client targets.
@@ -247,10 +194,8 @@ func (c *Client) Heartbeat(ctx context.Context, req ctrlplane.HeartbeatRequest) 
 }
 
 // Report delivers observed throughput samples to the adaptive
-// recalibration loop. The response carries the app's tracker after the
-// samples. Fails (404) against a daemon running without
-// -recalibrate; IsNotFound(err) with code unknown_app means the app was
-// evicted.
+// recalibration loop and returns the app's tracker after them (404
+// without -recalibrate, or unknown_app for an evicted app).
 func (c *Client) Report(ctx context.Context, req ctrlplane.ReportRequest) (*ctrlplane.ReportResponse, error) {
 	return httpapi.Typed[ctrlplane.ReportResponse](ctx, c.do, http.MethodPost, "/v1/report", req)
 }
@@ -266,25 +211,30 @@ func (c *Client) Allocations(ctx context.Context) (*ctrlplane.AllocationsRespons
 }
 
 // State is the one registry read: the live apps, their solved total and
-// the topology in one exchange, presenting what the caller already holds
-// (the zero StateQuery: nothing, so the answer is complete). The
-// incarnation rides the query, and a full answer to a current one leaves
-// the machine out; a Conditional query also presents StateETag of the
-// pair as If-None-Match, and while both are current the answer is a 304,
-// which State returns as ErrNotModified.
+// the topology, presenting what the caller holds (the zero StateQuery:
+// nothing). A full answer to a current incarnation leaves the machine
+// out; a Conditional query also presents StateETag of the pair, and
+// while both are current the 304 is returned as ErrNotModified.
 func (c *Client) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
-	path, validator := "/v1/state", ""
+	path, validator := stateRequest(held)
+	out := new(ctrlplane.StateResponse)
+	if _, err := c.exchange(ctx, http.MethodGet, path, validator, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// stateRequest is the path and validator of a /v1/state read presenting
+// held.
+func stateRequest(held ctrlplane.StateQuery) (path, validator string) {
+	path = "/v1/state"
 	if held.Incarnation != "" {
 		path += "?incarnation=" + url.QueryEscape(held.Incarnation)
 		if held.Conditional {
 			validator = ctrlplane.StateETag(held.Incarnation, held.Generation)
 		}
 	}
-	out := new(ctrlplane.StateResponse)
-	if err := c.doIf(ctx, http.MethodGet, path, validator, nil, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return path, validator
 }
 
 // Health reads /healthz.

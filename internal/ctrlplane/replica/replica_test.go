@@ -377,40 +377,29 @@ func TestPartitionFencingAndHeal(t *testing.T) {
 		t.Fatalf("epochs: new %d vs old %d, want new > old", b.node.Epoch(), a.node.Epoch())
 	}
 
-	// A multi-endpoint client that saw the new epoch refuses the stale
-	// leader: cut its link to B so only A answers, and the response is
-	// fenced — degraded to cache, never a regressed generation.
+	// A group that saw the new epoch refuses the stale leader: cut its
+	// link to B so only A answers, and the answer is fenced — refused,
+	// never a regressed generation.
 	cpart := faultinject.NewPartition()
-	r, err := client.NewResilientEndpoints(
-		[]string{b.url(), a.url()},
-		client.Config{
-			HTTPClient:  &http.Client{Transport: cpart.Transport(nil)},
-			MaxAttempts: 2, BaseBackoff: time.Millisecond, RequestTimeout: 2 * time.Second,
-		},
-		client.ResilientConfig{BreakerThreshold: 100},
-	)
+	ccfg := client.Config{
+		HTTPClient:  &http.Client{Transport: cpart.Transport(nil)},
+		MaxAttempts: 2, BaseBackoff: time.Millisecond, RequestTimeout: 2 * time.Second,
+	}
+	g := client.NewGroup(client.New(b.url(), ccfg), client.New(a.url(), ccfg))
+	live, err := g.Allocations(ctx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	live, src, err := r.Allocations(ctx)
-	if err != nil || src != client.SourceLive {
-		t.Fatalf("allocations from new leader: src %v, err %v", src, err)
-	}
-	if r.Epoch() != b.node.Epoch() {
-		t.Fatalf("client epoch watermark = %d, want %d", r.Epoch(), b.node.Epoch())
+		t.Fatalf("allocations from new leader: %v", err)
 	}
 	cpart.Isolate(b.url())
-	fenced, src, err := r.Allocations(ctx)
-	if err != nil {
-		t.Fatalf("allocations with only the stale leader reachable: %v", err)
-	}
-	if src == client.SourceLive {
-		t.Fatalf("stale leader's answer served live; fencing failed")
-	}
-	if fenced.Generation < live.Generation {
-		t.Errorf("generation regressed through the stale leader: %d -> %d", live.Generation, fenced.Generation)
+	fenced, err := g.Allocations(ctx)
+	if !errors.Is(err, client.ErrStaleReplica) || g.Fenced() != 1 {
+		t.Fatalf("allocations with only the stale leader reachable: %+v, err %v, %d fenced; want the one answer refused", fenced, err, g.Fenced())
 	}
 	cpart.Heal(b.url())
+	again, err := g.Allocations(ctx)
+	if err != nil || again.Generation < live.Generation {
+		t.Fatalf("allocations after the heal: %+v, err %v; want generation >= %d", again, err, live.Generation)
+	}
 	if partA.Drops(urlB)+partB.Drops(urlA) == 0 {
 		t.Error("partition never dropped a request; the test partitioned nothing")
 	}
@@ -431,11 +420,10 @@ func TestPartitionFencingAndHeal(t *testing.T) {
 	}
 }
 
-// stormClient builds a multi-endpoint resilient client whose transport
-// injects a seeded fault storm on idempotent paths (register spared — a
-// blind retry there would duplicate the app and change the demand mix).
-func stormClient(t *testing.T, endpoints []string, seed int64) (*client.Resilient, *faultinject.Injector) {
-	t.Helper()
+// stormGroup builds a group over the endpoints whose transport injects
+// a seeded fault storm on idempotent paths (register spared — a blind
+// retry there would duplicate the app and change the demand mix).
+func stormGroup(endpoints []string, seed int64) (*client.Group, *faultinject.Injector) {
 	inj := faultinject.NewInjector(faultinject.Seeded(seed, faultinject.Mix{
 		Drop:       0.05,
 		Latency:    0.20,
@@ -453,15 +441,11 @@ func stormClient(t *testing.T, endpoints []string, seed int64) (*client.Resilien
 		MaxBackoff:     20 * time.Millisecond,
 		RequestTimeout: 5 * time.Second,
 	}
-	r, err := client.NewResilientEndpoints(endpoints, ccfg, client.ResilientConfig{
-		BreakerThreshold: 4,
-		BreakerCooldown:  50 * time.Millisecond,
-		Rand:             seededRand(seed),
-	})
-	if err != nil {
-		t.Fatal(err)
+	clis := make([]*client.Client, len(endpoints))
+	for i, e := range endpoints {
+		clis[i] = client.New(e, ccfg)
 	}
-	return r, inj
+	return client.NewGroup(clis...), inj
 }
 
 // seededRand is a deterministic jitter source.
@@ -490,23 +474,27 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 	defer cancel()
 
 	reqs := tableIRequests()
-	apps := make([]*client.Resilient, len(reqs))
+	apps := make([]*client.Group, len(reqs))
+	ids := make([]string, len(reqs))
 	var inj *faultinject.Injector
 	for i, req := range reqs {
-		apps[i], inj = stormClient(t, endpoints, int64(4000+i))
-		if _, err := apps[i].Register(ctx, req); err != nil {
+		apps[i], inj = stormGroup(endpoints, int64(4000+i))
+		resp, err := apps[i].Register(ctx, req)
+		if err != nil {
 			t.Fatalf("register %s: %v", req.Name, err)
 		}
+		ids[i] = resp.ID
 	}
 	waitFor(t, 5*time.Second, "replication of the mix", func() bool {
 		apps, err := client.New(follower.url(), client.Config{MaxAttempts: 2, BaseBackoff: time.Millisecond}).State(ctx, ctrlplane.StateQuery{})
 		return err == nil && len(apps.Apps) == 4
 	})
 
-	// The storm: every app heartbeats on a jittered interval; the
-	// heartbeat path is under fault injection the whole time. maxGen
-	// tracks the highest generation each client observed; it must never
-	// regress, through faults, failover, or the stale window.
+	// The storm: every app heartbeats on an interval jittered over
+	// [0.8, 1.2] x 20ms from its own seeded source; the heartbeat path is
+	// under fault injection the whole time. maxGen tracks the highest
+	// generation each client observed; it must never regress, through
+	// faults, failover, or the stale window.
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, len(apps))
@@ -515,13 +503,14 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			jitter := seededRand(int64(4000 + i))
 			for {
 				select {
 				case <-stop:
 					return
-				case <-time.After(apps[i].NextHeartbeatIn(20 * time.Millisecond)):
+				case <-time.After(time.Duration((0.8 + 0.4*jitter()) * float64(20*time.Millisecond))):
 				}
-				hb, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{Workers: 4})
+				hb, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[i], Workers: 4})
 				if err != nil {
 					// The kill window legitimately produces transient
 					// failures (both endpoints briefly unusable while the
@@ -559,8 +548,8 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 
 	// Every client failed over and kept beating the survivor.
 	for i := range apps {
-		if apps[i].Failovers() == 0 {
-			t.Errorf("client %d never failed over despite the leader dying", i)
+		if got := apps[i].Client().BaseURL(); got != follower.url() {
+			t.Errorf("client %d prefers %s after the leader died, want the survivor %s", i, got, follower.url())
 		}
 		if maxGens[i] == 0 {
 			t.Errorf("client %d never landed a heartbeat", i)
@@ -569,10 +558,10 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 
 	// The survivor serves the full mix with the Table I ranking intact,
 	// at a generation above everything the dead leader issued.
-	r, _ := stormClient(t, []string{follower.url()}, 9999)
-	alloc, src, err := r.Allocations(ctx)
-	if err != nil || src != client.SourceLive {
-		t.Fatalf("allocations from survivor: src %v, err %v", src, err)
+	r, _ := stormGroup([]string{follower.url()}, 9999)
+	alloc, err := r.Allocations(ctx)
+	if err != nil {
+		t.Fatalf("allocations from survivor: %v", err)
 	}
 	assertTableIRanking(t, alloc, "survivor after failover")
 	for i := range maxGens {

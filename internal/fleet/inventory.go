@@ -68,8 +68,7 @@ type member struct {
 	id        string
 	domain    string // failure domain (rack/zone); defaults to the id
 	endpoints []string
-	clis      []*client.Client
-	preferred int // index of the endpoint that last answered
+	grp       *client.Group // one client per endpoint, the fence and the preferred one
 
 	topo  *machine.Machine
 	apps  []PlacedApp
@@ -163,10 +162,11 @@ func (inv *Inventory) AddDomain(id, domain string, endpoints ...string) error {
 	if _, ok := inv.members[id]; ok {
 		return fmt.Errorf("fleet: duplicate member %q", id)
 	}
-	m := &member{id: id, domain: domain, endpoints: append([]string(nil), endpoints...)}
-	for _, ep := range endpoints {
-		m.clis = append(m.clis, inv.cfg.NewClient(ep))
+	clis := make([]*client.Client, len(endpoints))
+	for i, ep := range endpoints {
+		clis[i] = inv.cfg.NewClient(ep)
 	}
+	m := &member{id: id, domain: domain, endpoints: append([]string(nil), endpoints...), grp: client.NewGroup(clis...)}
 	m.changed()
 	inv.members[id] = m
 	at, _ := slices.BinarySearchFunc(inv.recs, id, func(r *member, id string) int { return strings.Compare(r.id, id) })
@@ -186,8 +186,10 @@ func (inv *Inventory) Poll(ctx context.Context) {
 	}
 }
 
-// pollMember tries the member's endpoints starting at the last one that
-// answered, one GET /v1/state each; the first answer is the poll. The
+// pollMember reads the member's state through its group: one GET
+// /v1/state per endpoint at most, the preferred one first, and the first
+// answer the group's fence takes is the poll. An answer the fence
+// refuses (a lagging follower, a deposed leader) counts as none. The
 // whole attempt runs under DefaultPollTimeout: a member that hangs
 // mid-response burns its own deadline, not the rest of the round's.
 func (inv *Inventory) pollMember(ctx context.Context, id string) {
@@ -199,25 +201,15 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	}
 	m.pollSeq++
 	seq := m.pollSeq
-	clis, preferred := m.clis, m.preferred
 	held := ctrlplane.StateQuery{Incarnation: m.incarnation, Generation: m.gen, Conditional: m.exact}
+	version := m.version
 	inv.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(ctx, DefaultPollTimeout)
 	defer cancel()
 
-	var st *ctrlplane.StateResponse
-	answered := -1 // st stays nil when the answer was a 304
-	for k := 0; k < len(clis) && answered < 0; k++ {
-		i := (preferred + k) % len(clis)
-		resp, err := clis[i].State(ctx, held)
-		switch {
-		case err == nil:
-			st, answered = resp, i
-		case held.Conditional && errors.Is(err, client.ErrNotModified):
-			answered = i
-		}
-	}
+	st, err := m.grp.State(ctx, held) // st is nil when the answer was a 304
+	answered := err == nil || errors.Is(err, client.ErrNotModified)
 	var placed []PlacedApp
 	if st != nil {
 		placed = make([]PlacedApp, 0, len(st.Apps))
@@ -237,7 +229,13 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		return
 	}
 	switch {
-	case answered < 0:
+	case !answered && m.version != version:
+		// The fleet changed the member's demand while the poll was in
+		// flight: an acknowledged register can fence off every answer
+		// the poll gets. The member just answered a write, so no news is
+		// not a failure. A miss, like the raced 304 below.
+		return
+	case !answered:
 		inv.polls.Failed++
 		m.changed()
 		m.exact = false
@@ -269,7 +267,6 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 		// whatever the copy is now.
 		return
 	}
-	m.preferred = answered
 	m.failures = 0
 	now := inv.now()
 	m.lastSeen = now
@@ -291,11 +288,16 @@ func (inv *Inventory) pollMember(ctx context.Context, id string) {
 	}
 }
 
-// Polls returns how many member polls ended in each outcome so far.
+// Polls returns how many member polls ended in each outcome so far, and
+// how many member answers the fence refused.
 func (inv *Inventory) Polls() PollMetrics {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	return inv.polls
+	p := inv.polls
+	for _, m := range inv.recs {
+		p.Fenced += m.grp.Fenced()
+	}
+	return p
 }
 
 // Candidates returns how the planning sessions over this inventory came
@@ -471,16 +473,25 @@ func (inv *Inventory) SetDraining(id string, draining bool) error {
 	return nil
 }
 
-// Client returns the member's preferred coopd client, for registration
-// and deregistration calls.
-func (inv *Inventory) Client(id string) (*client.Client, error) {
+// group returns the member's endpoint group.
+func (inv *Inventory) group(id string) (*client.Group, error) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	m, ok := inv.members[id]
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown member %q", id)
 	}
-	return m.clis[m.preferred], nil
+	return m.grp, nil
+}
+
+// Client returns the client of the member's preferred endpoint: the one
+// whose answer its group last took.
+func (inv *Inventory) Client(id string) (*client.Client, error) {
+	grp, err := inv.group(id)
+	if err != nil {
+		return nil, err
+	}
+	return grp.Client(), nil
 }
 
 // The executor: the only code that changes what is registered where.
@@ -493,13 +504,13 @@ func (inv *Inventory) Client(id string) (*client.Client, error) {
 // member's coopd, offering it the solve of the decision that chose the
 // member (nil: none), and records the placement, so scoring sees it.
 func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec, moved uint64, solved *ctrlplane.Solved) (PlacedApp, error) {
-	cli, err := inv.Client(member)
+	grp, err := inv.group(member)
 	if err != nil {
 		return PlacedApp{}, err
 	}
 	req := spec.RegisterRequest()
 	req.MovedRound, req.Solved = moved, solved
-	resp, err := cli.Register(ctx, req)
+	resp, err := grp.Register(ctx, req)
 	if err != nil {
 		return PlacedApp{}, err
 	}
@@ -511,11 +522,11 @@ func (inv *Inventory) register(ctx context.Context, member string, spec AppSpec,
 // deregister drops an app from the member's coopd, its cached demand
 // set, and its stale list.
 func (inv *Inventory) deregister(ctx context.Context, member, appID string) error {
-	cli, err := inv.Client(member)
+	grp, err := inv.group(member)
 	if err != nil {
 		return err
 	}
-	if err := cli.Deregister(ctx, appID); err != nil {
+	if err := grp.Deregister(ctx, appID); err != nil {
 		return err
 	}
 	inv.mu.Lock()

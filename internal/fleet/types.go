@@ -123,12 +123,16 @@ type FleetHealthResponse struct {
 // after a failed one); Failed polls got no answer from any endpoint.
 // Acked counts the fleet's own registers whose answer kept the copy
 // exact, so the poll after them need not re-read what the fleet just
-// wrote. A fleet at rest should be nearly all Unchanged.
+// wrote. Fenced counts member answers — to polls and to the fleet's own
+// calls — refused because they came from a replica older than one
+// already heard (a lagging follower or a deposed leader; see
+// client.Group). A fleet at rest should be nearly all Unchanged.
 type PollMetrics struct {
 	Unchanged uint64 `json:"unchanged"`
 	Full      uint64 `json:"full"`
 	Failed    uint64 `json:"failed"`
 	Acked     uint64 `json:"acked"`
+	Fenced    uint64 `json:"fenced"`
 }
 
 // RepackMetrics counts the imbalance pass's re-packs by outcome.

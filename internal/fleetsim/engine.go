@@ -28,7 +28,7 @@ type Engine struct {
 	reb     *fleet.Rebalancer
 	upg     *fleet.Upgrader
 	members map[string]*simMember
-	clients map[string][]*client.Client // member ID -> one client per endpoint
+	groups  map[string]*client.Group // member ID -> its endpoints, as the inventory reaches them
 
 	trueAI map[string]float64 // app name -> measured intensity (0: honest)
 	pools  map[string][]string
@@ -64,7 +64,7 @@ func NewEngine(sc *Scenario, cfg EngineConfig) (*Engine, error) {
 		logf:           cfg.Logf,
 		part:           faultinject.NewPartition(),
 		members:        map[string]*simMember{},
-		clients:        map[string][]*client.Client{},
+		groups:         map[string]*client.Group{},
 		trueAI:         map[string]float64{},
 		pools:          map[string][]string{},
 		lastPerturb:    -1,
@@ -141,9 +141,11 @@ func (e *Engine) addMachine(ms MachineSpec) error {
 		return fmt.Errorf("fleetsim: starting member %s: %w", ms.ID, err)
 	}
 	e.members[ms.ID] = m
+	clis := make([]*client.Client, 0, len(m.procs))
 	for _, ep := range m.endpoints() {
-		e.clients[ms.ID] = append(e.clients[ms.ID], e.newClient(ep))
+		clis = append(clis, e.newClient(ep))
 	}
+	e.groups[ms.ID] = client.NewGroup(clis...)
 	if err := e.inv.AddDomain(ms.ID, ms.Domain, m.endpoints()...); err != nil {
 		return err
 	}
@@ -177,16 +179,10 @@ func (e *Engine) register(ctx context.Context, def AppDef, machineID string) err
 		_, _, err := e.placer.Place(ctx, def.AppSpec)
 		return err
 	}
-	req := def.RegisterRequest()
-	var lastErr error
-	for _, cli := range e.clients[machineID] {
-		if _, err := cli.Register(ctx, req); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
+	if _, err := e.groups[machineID].Register(ctx, def.RegisterRequest()); err != nil {
+		return fmt.Errorf("fleetsim: registering %s on %s: %w", def.Name, machineID, err)
 	}
-	return fmt.Errorf("fleetsim: registering %s on %s: %w", def.Name, machineID, lastErr)
+	return nil
 }
 
 // deregister removes an app by name wherever the inventory sees it
@@ -201,15 +197,10 @@ func (e *Engine) deregister(ctx context.Context, name string) error {
 			if a.Name != name || stale[a.ID] {
 				continue
 			}
-			var lastErr error
-			for _, cli := range e.clients[m.ID] {
-				if err := cli.Deregister(ctx, a.ID); err != nil {
-					lastErr = err
-					continue
-				}
-				return nil
+			if err := e.groups[m.ID].Deregister(ctx, a.ID); err != nil {
+				return fmt.Errorf("fleetsim: deregistering %s from %s: %w", name, m.ID, err)
 			}
-			return fmt.Errorf("fleetsim: deregistering %s from %s: %w", name, m.ID, lastErr)
+			return nil
 		}
 	}
 	return fmt.Errorf("fleetsim: deregistering %s: not found on any member", name)
@@ -340,41 +331,30 @@ func (e *Engine) streamTelemetry(ctx context.Context, round int) {
 		if sm == nil || !sm.spec.Recalibrate || !m.Healthy() || len(m.Apps) == 0 {
 			continue
 		}
-		clis := e.clients[m.ID]
-		var alloc *ctrlplane.AllocationsResponse
-		for _, cli := range clis {
-			a, err := cli.Allocations(ctx)
-			if err != nil {
-				continue
-			}
-			alloc = a
-			break
-		}
-		if alloc == nil {
+		grp := e.groups[m.ID]
+		alloc, err := grp.Allocations(ctx)
+		if err != nil {
 			continue
 		}
 		seed := e.sc.Seed*1_000_003 + int64(round)*101 + int64(idx)
 		rates := simulateMember(m, alloc, trueAI, seed, e.sc.simSeconds())
-		if err := reportRates(ctx, clis, rates); err != nil {
+		if err := reportRates(ctx, grp, rates); err != nil {
 			e.log("fleetsim[%s] round %d: telemetry to %s: %v", e.sc.Name, round, m.ID, err)
 		}
-		for _, cli := range clis {
-			st, err := cli.State(ctx, ctrlplane.StateQuery{})
-			if err != nil {
+		st, err := grp.State(ctx, ctrlplane.StateQuery{})
+		if err != nil {
+			continue
+		}
+		for _, v := range st.Apps {
+			if !v.Drifted || v.FittedAI <= 0 {
 				continue
 			}
-			for _, v := range st.Apps {
-				if !v.Drifted || v.FittedAI <= 0 {
-					continue
-				}
-				prev, seen := e.fittedSeen[v.Name]
-				if !seen || math.Abs(prev-v.FittedAI) > 0.01*prev {
-					e.fittedSeen[v.Name] = v.FittedAI
-					e.driftConfirmed[v.Name] = v.FittedAI
-					e.perturb(round, "drift confirmed: %s fitted AI %.3g", v.Name, v.FittedAI)
-				}
+			prev, seen := e.fittedSeen[v.Name]
+			if !seen || math.Abs(prev-v.FittedAI) > 0.01*prev {
+				e.fittedSeen[v.Name] = v.FittedAI
+				e.driftConfirmed[v.Name] = v.FittedAI
+				e.perturb(round, "drift confirmed: %s fitted AI %.3g", v.Name, v.FittedAI)
 			}
-			break
 		}
 	}
 }

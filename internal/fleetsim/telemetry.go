@@ -95,29 +95,18 @@ func simulateMember(m fleet.Member, alloc *ctrlplane.AllocationsResponse, trueAI
 	return rates
 }
 
-// reportRates streams the rates to the member's coopd /v1/report,
-// trying each endpoint in order: a follower of an HA pair answers
-// writes with 421 not_leader, so the loop walks on until the leader
-// (or, for plain members, the only endpoint) accepts.
-func reportRates(ctx context.Context, clis []*client.Client, rates []appRate) error {
+// reportRates streams the rates to the member's coopd /v1/report
+// through its group, which takes a write an HA follower refuses with
+// 421 not_leader to the leader.
+func reportRates(ctx context.Context, grp *client.Group, rates []appRate) error {
 	var firstErr error
 	for _, r := range rates {
 		req := ctrlplane.ReportRequest{
 			ID:      r.id,
 			Samples: []ctrlplane.ReportSample{{GFLOPS: r.gflops, GBps: r.gbps, Threads: r.threads}},
 		}
-		reported := false
-		var lastErr error
-		for _, cli := range clis {
-			if _, err := cli.Report(ctx, req); err != nil {
-				lastErr = err
-				continue
-			}
-			reported = true
-			break
-		}
-		if !reported && firstErr == nil {
-			firstErr = fmt.Errorf("fleetsim: reporting %s: %w", r.id, lastErr)
+		if _, err := grp.Report(ctx, req); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("fleetsim: reporting %s: %w", r.id, err)
 		}
 	}
 	return firstErr

@@ -20,7 +20,6 @@ var coneConfigs = []struct{ dir, typ string }{
 	{"internal/ctrlplane/persist", "Options"},
 	{"internal/ctrlplane/replica", "Config"},
 	{"internal/ctrlplane/client", "Config"},
-	{"internal/ctrlplane/client", "ResilientConfig"},
 	{"internal/fleet", "ServerConfig"},
 	{"internal/fleet", "InventoryConfig"},
 	{"internal/adapt", "Config"},
@@ -33,16 +32,13 @@ var coneConfigs = []struct{ dir, typ string }{
 // that field in every cone struct; "pkg.Type.Field" covers one.
 var knobExceptions = map[string]string{
 	"Clock":      "seam: tests pin the time source",
-	"Rand":       "seam: tests inject a seeded jitter source",
 	"Transport":  "seam: fault injection hooks the peer transport",
 	"HTTPClient": "seam: tests and benchmarks supply the HTTP transport",
 	"NewClient":  "seam: tests inject fault-injecting member clients",
 	"Logf":       "seam: the caller's log sink",
 
-	"client.Config.BaseBackoff":               "the chaos suites' retry timing depends on it",
-	"client.Config.MaxBackoff":                "the chaos suites' retry timing depends on it",
-	"client.ResilientConfig.BreakerThreshold": "the chaos suites' breaker timing depends on it",
-	"client.ResilientConfig.BreakerCooldown":  "the chaos suites' breaker timing depends on it",
+	"client.Config.BaseBackoff": "the chaos suites' retry timing depends on it",
+	"client.Config.MaxBackoff":  "the chaos suites' retry timing depends on it",
 
 	"roofline.Options.NoBaseline": "ablation: the reference model variant tests compare against",
 	"roofline.Options.LocalFirst": "ablation: the reference model variant tests compare against",
