@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-times race bench bench-cores bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check fmt fmt-check loc
+.PHONY: all build vet test test-times race bench bench-cores bench-fleet bench-guard bench-smoke benchall chaos fleet-chaos drift-chaos fleet-sim fleet-sim-check fleet-sim-race fuzz check flake-check fmt fmt-check loc
 
 all: check
 
@@ -142,6 +142,12 @@ fuzz:
 	$(GO) test -fuzz FuzzCandidateIndex -fuzztime 30s -run '^$$' ./internal/fleet/
 
 check: fmt-check build vet race bench-smoke
+
+# The shedder's admission test and the /tracez window test, 20 runs
+# each: a timing assumption in either fails here rather than once in a
+# while in `make check`.
+flake-check:
+	$(GO) test -count=20 -run '^(TestServerShedsAndCounts|TestTracezShowsNewestRequests)$$' ./internal/ctrlplane/
 
 # Non-test Go lines under internal/ and cmd/: the total, then each
 # package directory, largest first. The LoC figures ROADMAP.md and

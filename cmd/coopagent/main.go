@@ -93,7 +93,7 @@ func main() {
 		fmt.Printf("agent decisions: %d, commands applied: %d\n", ag.Decisions(), ag.Commands())
 	}
 	if tr != nil {
-		data, err := tr.ChromeJSON()
+		data, err := trace.ChromeJSON(tr.Spans(), tr.Instants())
 		if err != nil {
 			fmt.Println("trace export failed:", err)
 			return

@@ -45,8 +45,8 @@
 // Endpoints: POST /v1/register, POST /v1/heartbeat, POST /v1/report,
 // DELETE /v1/apps/{id}, GET /v1/allocations, GET /v1/state (the one
 // registry read: apps, total and topology; conditional for fleetd's
-// polls), GET /healthz, GET /metricsz, GET /tracez. See cmd/coopctl for
-// a CLI.
+// polls), GET /healthz, GET /metricsz, GET /tracez (each endpoint's last
+// 1024 requests as Chrome trace spans). See cmd/coopctl for a CLI.
 package main
 
 import (

@@ -68,10 +68,6 @@ type Server struct {
 	routes *httpapi.Routes
 	start  time.Time
 
-	trMu  sync.Mutex
-	tr    *trace.Trace
-	trSeq atomic.Int64
-
 	started  atomic.Bool
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -140,7 +136,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		solver: solver,
 		routes: httpapi.NewRoutes(cfg.Clock, cfg.MaxInFlight),
 		start:  cfg.Clock(),
-		tr:     trace.New(),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -152,15 +147,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Recalibrate {
 		s.adapt = adapt.NewStore(cfg.Adapt)
 	}
-	s.handle("POST /v1/register", "register", s.handleRegister)
-	s.handle("POST /v1/heartbeat", "heartbeat", s.handleHeartbeat)
-	s.handle("POST /v1/report", "report", s.handleReport)
-	s.handle("DELETE /v1/apps/{id}", "deregister", s.handleDeregister)
-	s.handle("GET /v1/allocations", "allocations", s.handleAllocations)
-	s.handle("GET /v1/state", "state", s.handleState)
-	s.handle("GET /healthz", "healthz", s.handleHealthz)
-	s.handle("GET /metricsz", "metricsz", s.handleMetricsz)
-	s.handle("GET /tracez", "tracez", s.handleTracez)
+	s.routes.Handle("POST /v1/register", "register", s.handleRegister)
+	s.routes.Handle("POST /v1/heartbeat", "heartbeat", s.handleHeartbeat)
+	s.routes.Handle("POST /v1/report", "report", s.handleReport)
+	s.routes.Handle("DELETE /v1/apps/{id}", "deregister", s.handleDeregister)
+	s.routes.Handle("GET /v1/allocations", "allocations", s.handleAllocations)
+	s.routes.Handle("GET /v1/state", "state", s.handleState)
+	s.routes.Handle("GET /healthz", "healthz", s.handleHealthz)
+	s.routes.Handle("GET /metricsz", "metricsz", s.handleMetricsz)
+	s.routes.Handle("GET /tracez", "tracez", s.handleTracez)
 	return s, nil
 }
 
@@ -209,31 +204,6 @@ func (s *Server) Close() {
 	if s.started.Load() {
 		<-s.done
 	}
-}
-
-// maxTraceSpans bounds the /tracez buffer.
-const maxTraceSpans = 4096
-
-// handle mounts a route on the shared scaffold (shed, then metered)
-// with coopd's own request span around the handler: one trace lane per
-// request, pid = endpoint name.
-func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
-	s.routes.Handle(pattern, name, func(w http.ResponseWriter, r *http.Request) {
-		// Past maxTraceSpans the span is dropped so a long-lived
-		// daemon's trace stays bounded.
-		lane := int(s.trSeq.Add(1))
-		if lane > maxTraceSpans {
-			h(w, r)
-			return
-		}
-		s.trMu.Lock()
-		s.tr.Begin(r.Method+" "+r.URL.Path, name, lane, s.cfg.Clock().Sub(s.start).Seconds())
-		s.trMu.Unlock()
-		h(w, r)
-		s.trMu.Lock()
-		s.tr.End(name, lane, s.cfg.Clock().Sub(s.start).Seconds())
-		s.trMu.Unlock()
-	})
 }
 
 // Spec checks a registration against a machine of nodes NUMA nodes and
@@ -693,13 +663,10 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	s.trMu.Lock()
-	data, err := s.tr.ChromeJSON()
-	s.trMu.Unlock()
+	data, err := trace.ChromeJSON(s.routes.Spans(), nil)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "encoding trace: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	httpapi.WriteEncoded(w, http.StatusOK, data)
 }

@@ -4,25 +4,41 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/ctrlplane"
 	"repro/internal/ctrlplane/client"
+	"repro/internal/machine"
 )
 
 // TestServerShedsAndCounts: a server with MaxInFlight=1 sheds the
 // overlapping request with a typed 503 and surfaces the count in
 // /metricsz. The in-flight slot is held deterministically by parking a
 // register request mid-body (the admitted handler blocks reading it),
-// so the probe on the same endpoint must be shed.
+// and the probe on the same endpoint goes out only once the server has
+// reported that admission, so it must be shed.
 func TestServerShedsAndCounts(t *testing.T) {
-	_, c := startServer(t, ctrlplane.ServerConfig{MaxInFlight: 1})
+	srv, err := ctrlplane.NewServer(ctrlplane.ServerConfig{Machine: machine.PaperModel(), MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := make(chan string, 1) // the first admission; later ones are dropped
+	ctrlplane.OnAdmit(srv, func(name string) {
+		select {
+		case admitted <- name:
+		default:
+		}
+	})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	c := client.New(hs.URL, client.Config{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	pr, pw := io.Pipe()
-	slowReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL()+"/v1/register", pr)
+	slowReq, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/register", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +54,19 @@ func TestServerShedsAndCounts(t *testing.T) {
 	if _, err := pw.Write([]byte(`{"name":"slow`)); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case name := <-admitted:
+		if name != "register" {
+			t.Fatalf("first admitted request went to %q, want register", name)
+		}
+	case <-ctx.Done():
+		t.Fatal("the parked register was never admitted")
+	}
 
 	// The parked request holds the register endpoint's only slot; a
-	// probe register must come back 503 + overloaded once the handler
-	// has been admitted (poll for the admission race only).
-	var probeErr error
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, probeErr = c.Register(ctx, ctrlplane.RegisterRequest{Name: "probe", AI: 1})
-		if client.IsOverloaded(probeErr) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !client.IsOverloaded(probeErr) {
-		t.Fatalf("probe register err = %v, want typed overloaded 503", probeErr)
+	// probe register must come back 503 + overloaded.
+	if _, err := c.Register(ctx, ctrlplane.RegisterRequest{Name: "probe", AI: 1}); !client.IsOverloaded(err) {
+		t.Fatalf("probe register err = %v, want typed overloaded 503", err)
 	}
 
 	// Unpark: the held request completes normally — admitted work is

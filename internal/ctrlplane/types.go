@@ -23,7 +23,7 @@
 //	GET    /v1/state                         -> StateResponse, ETag (If-None-Match: 304)
 //	GET    /healthz                          -> HealthResponse
 //	GET    /metricsz                         -> MetricsResponse
-//	GET    /tracez                           -> Chrome trace-event JSON
+//	GET    /tracez                           -> Chrome trace-event JSON: each route's last 1024 requests
 //
 // See internal/ctrlplane/client for the typed Go client.
 package ctrlplane

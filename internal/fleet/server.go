@@ -23,9 +23,8 @@ type Server struct {
 	pl  *Placer
 	reb *Rebalancer
 	upg *Upgrader
-	// routes meters every endpoint for /metricsz. It records no request
-	// spans: coopd's 4096-span buffer, tried here, cost place_uniform
-	// +11 % live heap.
+	// routes meters every endpoint for /metricsz; fleetd mounts no /tracez
+	// (a request-span buffer, tried here, cost place_uniform +11 % heap).
 	routes *httpapi.Routes
 	start  time.Time
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // MaxBodyBytes bounds request bodies: the largest request (a gang spec,
@@ -106,21 +107,27 @@ type EndpointMetrics struct {
 	Shed uint64 `json:"shed,omitempty"`
 }
 
-// latWindow is how many of an endpoint's most recent request latencies
-// its quantiles are computed over. The window is a ring that stops
-// growing at this size, so a daemon's memory does not grow with the
-// requests it has served.
+// latWindow is how many of an endpoint's newest requests its quantiles
+// and /tracez cover: a ring that stops growing at this size, so a
+// daemon's memory does not grow with the requests it has served.
 const latWindow = 1024
 
-// endpointStats meters one endpoint: request count, error count, the
-// all-time maximum latency and a ring of the last latWindow latencies
-// (milliseconds) for the quantiles.
+// request is one entry of an endpoint's window: when the request was
+// admitted, since its route table was built, and how long it took. 16
+// bytes, so a full window is 16 KiB per endpoint.
+type request struct{ start, took time.Duration }
+
+// endpointStats meters one endpoint, mounted at pattern under name:
+// request count, error count, the all-time maximum latency and a ring of
+// the last latWindow requests for the quantiles and the spans.
 type endpointStats struct {
-	mu     sync.Mutex
-	count  uint64
-	errors uint64
-	maxMs  float64
-	lat    []float64 // ring once len reaches latWindow
+	name, pattern string
+
+	mu      sync.Mutex
+	count   uint64
+	errors  uint64
+	maxTook time.Duration
+	win     []request // ring once len reaches latWindow
 
 	// sem bounds the endpoint's in-flight requests (nil: unbounded) and
 	// shed counts the ones refused because it was full.
@@ -128,19 +135,15 @@ type endpointStats struct {
 	shed atomic.Uint64
 }
 
-func (e *endpointStats) record(d time.Duration, isErr bool) {
-	ms := d.Seconds() * 1e3
+func (e *endpointStats) record(start, took time.Duration, isErr bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.lat) < latWindow {
-		e.lat = append(e.lat, ms)
-	} else {
-		e.lat[e.count%latWindow] = ms
+	if len(e.win) < latWindow {
+		e.win = append(e.win, request{})
 	}
+	e.win[e.count%latWindow] = request{start, took}
 	e.count++
-	if ms > e.maxMs {
-		e.maxMs = ms
-	}
+	e.maxTook = max(e.maxTook, took)
 	if isErr {
 		e.errors++
 	}
@@ -148,8 +151,11 @@ func (e *endpointStats) record(d time.Duration, isErr bool) {
 
 func (e *endpointStats) view() EndpointMetrics {
 	e.mu.Lock()
-	recent := append([]float64(nil), e.lat...) // sorted outside the lock
-	m := EndpointMetrics{Count: e.count, Errors: e.errors, MaxMs: e.maxMs, Shed: e.shed.Load()}
+	recent := make([]float64, len(e.win)) // sorted outside the lock
+	for i, r := range e.win {
+		recent[i] = r.took.Seconds() * 1e3
+	}
+	m := EndpointMetrics{Count: e.count, Errors: e.errors, MaxMs: e.maxTook.Seconds() * 1e3, Shed: e.shed.Load()}
 	e.mu.Unlock()
 	sort.Float64s(recent)
 	m.P50Ms = metrics.Percentile(recent, 0.50)
@@ -195,27 +201,33 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 type Routes struct {
 	mux         *http.ServeMux
 	clock       func() time.Time
+	epoch       time.Time // when the table was built: span time 0
 	maxInFlight int
+	admitted    func(name string) // see OnAdmit
 
 	mu  sync.Mutex
-	eps map[string]*endpointStats
+	eps []*endpointStats // in mount order
 }
 
 // NewRoutes builds an empty route table. clock times the requests;
 // maxInFlight bounds concurrently served requests per route, excess
 // requests being shed with 503 + Retry-After (0: unbounded).
 func NewRoutes(clock func() time.Time, maxInFlight int) *Routes {
-	return &Routes{mux: http.NewServeMux(), clock: clock, maxInFlight: maxInFlight, eps: map[string]*endpointStats{}}
+	return &Routes{mux: http.NewServeMux(), clock: clock, epoch: clock(), maxInFlight: maxInFlight}
 }
+
+// OnAdmit makes f called with a route's name once a request to it is
+// admitted, before its handler runs: a test's view of the shedder.
+func (rt *Routes) OnAdmit(f func(name string)) { rt.admitted = f }
 
 // Handle mounts h at a "METHOD /path" pattern and meters it under name.
 func (rt *Routes) Handle(pattern, name string, h http.HandlerFunc) {
-	ep := &endpointStats{}
+	ep := &endpointStats{name: name, pattern: pattern}
 	if rt.maxInFlight > 0 {
 		ep.sem = make(chan struct{}, rt.maxInFlight)
 	}
 	rt.mu.Lock()
-	rt.eps[name] = ep
+	rt.eps = append(rt.eps, ep)
 	rt.mu.Unlock()
 	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sw := w.(*statusWriter) // ServeHTTP is the only way in
@@ -239,13 +251,16 @@ func (rt *Routes) Handle(pattern, name string, h http.HandlerFunc) {
 				return
 			}
 		}
+		if rt.admitted != nil {
+			rt.admitted(name)
+		}
 		t0 := rt.clock()
 		if r.ContentLength > MaxBodyBytes {
 			WriteError(w, http.StatusRequestEntityTooLarge, "request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes)
 		} else {
 			h(w, r)
 		}
-		ep.record(rt.clock().Sub(t0), sw.status >= 400)
+		ep.record(t0.Sub(rt.epoch), rt.clock().Sub(t0), sw.status >= 400)
 	})
 }
 
@@ -263,8 +278,27 @@ func (rt *Routes) Metrics() map[string]EndpointMetrics {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	out := make(map[string]EndpointMetrics, len(rt.eps))
-	for name, ep := range rt.eps {
-		out[name] = ep.view()
+	for _, ep := range rt.eps {
+		out[ep.name] = ep.view()
 	}
 	return out
+}
+
+// Spans returns every route's window, oldest first, as trace spans named
+// by the route pattern: pid the route's name, tid the request's number on
+// its route, times in seconds since the table was built.
+func (rt *Routes) Spans() []trace.Span {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var spans []trace.Span
+	for _, e := range rt.eps {
+		e.mu.Lock()
+		for n := e.count - uint64(len(e.win)); n < e.count; n++ {
+			r := e.win[n%latWindow]
+			spans = append(spans, trace.Span{Name: e.pattern, PID: e.name, TID: int(n + 1),
+				Start: r.start.Seconds(), End: (r.start + r.took).Seconds()})
+		}
+		e.mu.Unlock()
+	}
+	return spans
 }

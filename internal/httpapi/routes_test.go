@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // parkedRoutes mounts one route ("GET /slow", metered as "slow") whose
@@ -78,7 +80,8 @@ func TestShedderBound(t *testing.T) {
 	}
 }
 
-// TestShedderUnbounded: the zero bound admits everything.
+// TestShedderUnbounded: the zero bound admits everything, and the
+// window's spans can be read while the requests complete.
 func TestShedderUnbounded(t *testing.T) {
 	const n = 100
 	release := make(chan struct{})
@@ -94,31 +97,34 @@ func TestShedderUnbounded(t *testing.T) {
 	}
 	admitted.Wait() // all n in flight at once
 	close(release)
+	for len(rt.Spans()) < n { // read the window while the handlers record into it
+	}
 	wg.Wait()
 	if m := rt.Metrics()["slow"]; m.Shed != 0 || m.Count != n {
 		t.Errorf("metrics = %+v, want shed 0 and count %d", m, n)
 	}
 }
 
-// TestEndpointStatsBoundedMemory: an endpoint's latency record stops
-// growing at latWindow samples, so the next 100k requests retain no
-// more memory (record no longer allocates), and the quantiles describe
-// the last latWindow requests while max_ms stays all-time.
+// TestEndpointStatsBoundedMemory: an endpoint's window of requests stops
+// growing at latWindow entries, so the next 100k requests retain no more
+// memory (record no longer allocates), the quantiles describe the last
+// latWindow requests while max_ms stays all-time, and the spans are that
+// window's requests, oldest first, each in the lane of its number.
 func TestEndpointStatsBoundedMemory(t *testing.T) {
-	ep := &endpointStats{}
+	ep := &endpointStats{name: "x", pattern: "POST /x"}
 	// AllocsPerRun's warm-up call fills the ring; the measured one must
 	// find it full.
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 100_000; i++ {
-			ep.record(5*time.Second, i%10 == 0)
+			ep.record(time.Duration(i)*time.Second, 5*time.Second, i%10 == 0)
 		}
 	})
-	if allocs != 0 || cap(ep.lat) > 2*latWindow {
-		t.Errorf("100k recorded requests allocated %.0f objects and retain %d samples, want 0 and <= %d",
-			allocs, cap(ep.lat), 2*latWindow)
+	if allocs != 0 || cap(ep.win) > 2*latWindow {
+		t.Errorf("100k recorded requests allocated %.0f objects and retain %d entries, want 0 and <= %d",
+			allocs, cap(ep.win), 2*latWindow)
 	}
 	for i := 1; i <= latWindow; i++ {
-		ep.record(time.Duration(i)*time.Millisecond, false)
+		ep.record(time.Duration(i)*time.Second, time.Duration(i)*time.Millisecond, false)
 	}
 	m := ep.view()
 	want := EndpointMetrics{
@@ -128,6 +134,21 @@ func TestEndpointStatsBoundedMemory(t *testing.T) {
 	if m.Count != want.Count || m.Errors != want.Errors || m.MaxMs != want.MaxMs ||
 		math.Abs(m.P50Ms-want.P50Ms) > 1e-9 || math.Abs(m.P95Ms-want.P95Ms) > 1e-9 {
 		t.Errorf("view = %+v, want %+v", m, want)
+	}
+	spans := (&Routes{eps: []*endpointStats{ep}}).Spans()
+	if len(spans) != latWindow {
+		t.Fatalf("%d spans, want the window's %d", len(spans), latWindow)
+	}
+	for i, s := range spans {
+		n := i + 1
+		want := trace.Span{Name: "POST /x", PID: "x", TID: 200_000 + n, Start: float64(n), End: float64(n) + float64(n)/1e3}
+		if math.Abs(s.End-want.End) > 1e-9 {
+			t.Fatalf("span %d = %+v, want %+v", i, s, want)
+		}
+		s.End = want.End
+		if s != want {
+			t.Fatalf("span %d = %+v, want %+v", i, s, want)
+		}
 	}
 }
 

@@ -102,19 +102,19 @@ type chromeEvent struct {
 	S    string  `json:"s,omitempty"`
 }
 
-// ChromeJSON renders the trace in Chrome trace-event format
-// ("X" complete events for spans, "i" instants), timestamps in
-// microseconds of simulated time.
-func (tr *Trace) ChromeJSON() ([]byte, error) {
-	var events []chromeEvent
-	for _, s := range tr.Spans() {
+// ChromeJSON renders spans and instants in Chrome trace-event format
+// ("X" complete events for spans, "i" instants), times in seconds becoming
+// microseconds. No events is "[]", which trace viewers load, not null.
+func ChromeJSON(spans []Span, instants []Instant) ([]byte, error) {
+	events := make([]chromeEvent, 0, len(spans)+len(instants))
+	for _, s := range spans {
 		events = append(events, chromeEvent{
 			Name: s.Name, Ph: "X",
 			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6,
 			PID: s.PID, TID: s.TID,
 		})
 	}
-	for _, in := range tr.instants {
+	for _, in := range instants {
 		events = append(events, chromeEvent{
 			Name: in.Name, Ph: "i", Ts: in.T * 1e6, PID: in.PID, S: "g",
 		})

@@ -71,7 +71,7 @@ func TestChromeJSON(t *testing.T) {
 	tr.Begin("task", "app", 2, 0.001)
 	tr.End("app", 2, 0.003)
 	tr.Mark("command", "agent", 0.002)
-	data, err := tr.ChromeJSON()
+	data, err := ChromeJSON(tr.Spans(), tr.Instants())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,23 @@ func TestChromeJSON(t *testing.T) {
 	if events[1]["ph"] != "i" {
 		t.Errorf("instant event wrong: %v", events[1])
 	}
+}
+
+// TestChromeJSONEmpty: a trace with no events is the empty array, which
+// trace viewers load, not JSON null.
+func TestChromeJSONEmpty(t *testing.T) {
+	for _, data := range [][]byte{must(ChromeJSON(nil, nil)), must(ChromeJSON(New().Spans(), New().Instants()))} {
+		if string(data) != "[]" {
+			t.Errorf("no events encode as %q, want []", data)
+		}
+	}
+}
+
+func must(data []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return data
 }
 
 func TestSummary(t *testing.T) {
@@ -149,7 +166,7 @@ func TestIntegrationWithRuntime(t *testing.T) {
 			t.Errorf("span lane wrong: %+v", s)
 		}
 	}
-	if _, err := tr.ChromeJSON(); err != nil {
+	if _, err := ChromeJSON(tr.Spans(), tr.Instants()); err != nil {
 		t.Error(err)
 	}
 	// The tracer interface is satisfied structurally.
