@@ -93,7 +93,8 @@ func main() {
 		fmt.Printf("agent decisions: %d, commands applied: %d\n", ag.Decisions(), ag.Commands())
 	}
 	if tr != nil {
-		data, err := trace.ChromeJSON(tr.Spans(), tr.Instants())
+		spans := tr.Spans()
+		data, err := trace.ChromeJSON(spans)
 		if err != nil {
 			fmt.Println("trace export failed:", err)
 			return
@@ -102,7 +103,7 @@ func main() {
 			fmt.Println("trace write failed:", err)
 			return
 		}
-		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", len(tr.Spans())+len(tr.Instants()), *traceOut)
+		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", len(spans), *traceOut)
 		fmt.Println()
 		fmt.Print(tr.Summary())
 	}

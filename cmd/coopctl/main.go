@@ -194,9 +194,8 @@ func cmdReport(ctx context.Context, c *client.Client, args []string) error {
 	return nil
 }
 
-// cmdState prints the daemon's one registry read: the machine topology
-// (what resilient clients cache for a local fallback solve), the
-// registered applications and the model's total for them. When any app
+// cmdState prints the daemon's one registry read: the machine topology,
+// the registered applications and the model's total for them. When any app
 // has an adaptive-loop tracker (coopd runs -recalibrate), the table
 // gains its columns.
 func cmdState(ctx context.Context, c *client.Client) error {

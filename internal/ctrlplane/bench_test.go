@@ -55,9 +55,10 @@ func BenchmarkAllocateCold8Apps(b *testing.B) {
 }
 
 // BenchmarkSolveAdopted8Apps is the same fill satisfied by an offered
-// solve: digest compare, validation, one Evaluate per table — what a
-// member pays at register time when fleetd shipped the optimum, against
-// BenchmarkAllocateCold8Apps when it did not.
+// solve: digest compare, validation, the leaf kernel on the counts and
+// on the even split — what a member pays at register time when fleetd
+// shipped the optimum, against BenchmarkAllocateCold8Apps when it did
+// not.
 func BenchmarkSolveAdopted8Apps(b *testing.B) {
 	m := machine.SkylakeQuad()
 	apps := eightAppStates()

@@ -91,12 +91,19 @@ type Server struct {
 // function of (incarnation, generation), and the machine and policy are
 // fixed per server, so every request that reads that version is
 // answered from it. Immutable once installed, but for each app's
-// heartbeat answer, encoded on first use.
+// heartbeat answer, encoded on first use, and the paper's baselines,
+// computed on the first allocation read.
 type servedTable struct {
 	incarnation string
 	generation  uint64
 	sol         Solution // PerApp sorted by ID, as the registry snapshot was
 	answers     []atomic.Pointer[[]byte]
+
+	// apps is the snapshot sol was solved from, kept until refOnce
+	// evaluates ref (nil: no baseline fits) from it.
+	apps    []AppState
+	refOnce sync.Once
+	ref     *ReferenceAllocations
 }
 
 // serveScratch is one request's reusable serve-path memory.
@@ -210,10 +217,9 @@ func (s *Server) Close() {
 // converts it to the registry's spec: an empty name becomes "app", and a
 // name over MaxNameBytes, an AI <= 0, an unknown placement, a numa-bad
 // home node the machine lacks, a negative thread cap, a negative TTL or
-// an unknown priority class is refused. The register handler, the
-// client's local fallback solve, fleetd's request check and fleetsim's
-// scenario check all use it, so a demand coopd refuses is never solved
-// locally nor decided on by the fleet.
+// an unknown priority class is refused. The register handler, fleetd's
+// request check and fleetsim's scenario check all use it, so a demand
+// coopd refuses is never decided on by the fleet.
 func (req RegisterRequest) Spec(nodes int) (AppSpec, error) {
 	if req.Name == "" {
 		req.Name = "app"
@@ -330,9 +336,8 @@ func (s *Server) servedTable() (t *servedTable, hit bool, err error) {
 		return t, true, nil
 	}
 	t = &servedTable{}
-	var apps []AppState
-	apps, t.incarnation, t.generation = s.reg.SnapshotInto(nil)
-	if err := s.solver.SolveInto(&t.sol, s.cfg.Machine, apps); err != nil {
+	t.apps, t.incarnation, t.generation = s.reg.SnapshotInto(nil)
+	if err := s.solver.SolveInto(&t.sol, s.cfg.Machine, t.apps); err != nil {
 		return nil, false, err
 	}
 	t.answers = make([]atomic.Pointer[[]byte], len(t.sol.PerApp))
@@ -479,7 +484,8 @@ func (s *Server) handleAllocations(w http.ResponseWriter, r *http.Request) {
 
 // Allocations renders the served table of the registry's current
 // version as the machine-wide allocation table (also used by embedders
-// that skip HTTP).
+// that skip HTTP). Its Reference is shared by every read of the version:
+// the caller must not modify it.
 func (s *Server) Allocations() (*AllocationsResponse, error) {
 	t, hit, err := s.servedTable()
 	if err != nil {
@@ -487,14 +493,18 @@ func (s *Server) Allocations() (*AllocationsResponse, error) {
 	}
 	resp := t.sol.Table(s.cfg.Machine.Name, s.solver.Policy(), t.generation)
 	resp.CacheHit = resp.CacheHit || hit
+	t.refOnce.Do(func() {
+		t.ref = s.solver.Reference(s.cfg.Machine, t.apps)
+		t.apps = nil
+	})
+	resp.Reference = t.ref
 	return resp, nil
 }
 
 // Table renders the solution as the machine-wide allocation table: every
-// app's slice with its thread total, and the paper's baselines when
-// either is feasible. The table's slices are its own: sol may be shared
-// or reused. coopd serves it, and the client's local fallback serves the
-// same table under its own policy tag.
+// app's slice with its thread total. The table's slices are its own: sol
+// may be shared or reused. The paper's baselines are the caller's to add
+// (Solver.Reference).
 func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsResponse {
 	resp := &AllocationsResponse{
 		Generation:  gen,
@@ -507,9 +517,6 @@ func (sol *Solution) Table(machineName, policy string, gen uint64) *AllocationsR
 	for i := range sol.PerApp {
 		resp.Apps[i] = appAllocation(&sol.PerApp[i])
 		resp.Apps[i].PerNode = slices.Clone(resp.Apps[i].PerNode)
-	}
-	if sol.EvenGFLOPS > 0 || sol.NodePerAppGFLOPS > 0 {
-		resp.Reference = &ReferenceAllocations{EvenGFLOPS: sol.EvenGFLOPS, NodePerAppGFLOPS: sol.NodePerAppGFLOPS}
 	}
 	return resp
 }
@@ -663,7 +670,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	data, err := trace.ChromeJSON(s.routes.Spans(), nil)
+	data, err := trace.ChromeJSON(s.routes.Spans())
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "encoding trace: %v", err)
 		return

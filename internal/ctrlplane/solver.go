@@ -32,25 +32,18 @@ type AppSolution struct {
 type Solution struct {
 	PerApp      []AppSolution
 	TotalGFLOPS float64
-	// EvenGFLOPS and NodePerAppGFLOPS are the paper's structured
-	// baselines for the same demand mix (0 when infeasible).
-	EvenGFLOPS       float64
-	NodePerAppGFLOPS float64
 	// FromCache reports whether the roofline solve was skipped.
 	FromCache bool
 }
 
 // cachedSolution is the solver's cache value: counts and rates per
 // demand slot (the key's sorted segment order), so any permutation of
-// equivalent apps maps onto it, plus the aggregate and the paper's
-// baselines. Immutable once inserted (concurrent readers copy out of it
-// without a lock).
+// equivalent apps maps onto it, plus the aggregate. Immutable once
+// inserted (concurrent readers copy out of it without a lock).
 type cachedSolution struct {
 	counts [][]int
 	gflops []float64
 	total  float64
-	even   float64
-	npa    float64
 }
 
 // Solver computes per-NUMA-node allocations and memoizes them in a
@@ -170,7 +163,7 @@ func (s *Solver) SolveInto(sol *Solution, m *machine.Machine, apps []AppState) e
 // and validates (see adopt).
 func (s *Solver) solveInto(sol *Solution, m *machine.Machine, apps []AppState, offer *Solved) error {
 	sol.PerApp = sol.PerApp[:0]
-	sol.TotalGFLOPS, sol.EvenGFLOPS, sol.NodePerAppGFLOPS = 0, 0, 0
+	sol.TotalGFLOPS = 0
 	sol.FromCache = false
 	if len(apps) == 0 {
 		return nil
@@ -195,8 +188,6 @@ func (s *Solver) solveInto(sol *Solution, m *machine.Machine, apps []AppState, o
 
 	n := len(apps)
 	sol.TotalGFLOPS = cached.total
-	sol.EvenGFLOPS = cached.even
-	sol.NodePerAppGFLOPS = cached.npa
 	sol.FromCache = fromCache
 	if cap(sol.PerApp) < n {
 		sol.PerApp = make([]AppSolution, n)
@@ -223,11 +214,30 @@ func slotApps(apps []AppState, order []int) []roofline.App {
 	return rapps
 }
 
+// uniformCores reports whether every node of m has the same cores, and
+// how many the smallest has.
+func uniformCores(m *machine.Machine) (least int, uniform bool) {
+	least, most := m.Nodes[0].Cores, m.Nodes[0].Cores
+	for _, n := range m.Nodes[1:] {
+		least, most = min(least, n.Cores), max(most, n.Cores)
+	}
+	return least, least == most
+}
+
 // solveSlots solves the demand slots (apps in order) under the policy.
 func (s *Solver) solveSlots(m *machine.Machine, apps []AppState, order []int) (*cachedSolution, error) {
 	rapps := slotApps(apps, order)
 	if s.policy == PolicyFairShare {
-		return served(m, apps, order, rapps, roofline.FairShareFirst(m, len(rapps)))
+		al := roofline.FairShareFirst(m, len(rapps))
+		var counts []int
+		if _, uniform := uniformCores(m); uniform {
+			// Every node splits alike, as node 0 does.
+			counts = make([]int, len(rapps))
+			for slot, row := range al.Threads {
+				counts[slot] = row[0]
+			}
+		}
+		return served(m, apps, order, rapps, al, counts)
 	}
 	counts, _, err := s.search.Solve(roofline.ObjTotalGFLOPS, nil, m, rapps)
 	if err != nil {
@@ -279,10 +289,7 @@ func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) 
 	if len(counts) != len(order) {
 		return nil, fmt.Errorf("%d counts for %d apps", len(counts), len(order))
 	}
-	least, most := m.Nodes[0].Cores, m.Nodes[0].Cores
-	for _, n := range m.Nodes[1:] {
-		least, most = min(least, n.Cores), max(most, n.Cores)
-	}
+	least, uniform := uniformCores(m)
 	floor, sum := roofline.SolveFloor(m, len(order)), 0
 	for slot, c := range counts {
 		if c < floor {
@@ -298,14 +305,25 @@ func adoptSlots(m *machine.Machine, apps []AppState, order []int, counts []int) 
 		return nil, fmt.Errorf("counts %v are not the canonical row of their interchangeable slots", counts)
 	}
 	cs, err := servedCounts(m, apps, order, rapps, counts)
-	if err != nil {
-		return nil, err
+	if err != nil || !uniform {
+		return cs, err
 	}
 	// Where every node has the same cores the even split is itself a
 	// leaf of the search, so no optimum lies on a lower level of the
-	// grid the search compares on.
-	if g := roofline.NewScoreGrid(m); least == most && g.Level(cs.total) < g.Level(cs.even) {
-		return nil, fmt.Errorf("total %g GFLOPS is below the even split's %g", cs.total, cs.even)
+	// grid the search compares on. It is infeasible, and no bar, when
+	// the cores do not divide among the slots.
+	even := 0.0
+	if least%len(counts) == 0 {
+		split := make([]int, len(counts))
+		for slot := range split {
+			split[slot] = least / len(counts)
+		}
+		if _, even, err = roofline.EvaluateCounts(m, rapps, split); err != nil {
+			return nil, err
+		}
+	}
+	if g := roofline.NewScoreGrid(m); g.Level(cs.total) < g.Level(even) {
+		return nil, fmt.Errorf("total %g GFLOPS is below the even split's %g", cs.total, even)
 	}
 	return cs, nil
 }
@@ -316,22 +334,42 @@ func servedCounts(m *machine.Machine, apps []AppState, order []int, rapps []roof
 	if err != nil {
 		return nil, err
 	}
-	return served(m, apps, order, rapps, al)
+	return served(m, apps, order, rapps, al, counts)
 }
 
-// served builds the cache value for an allocation of the demand slots:
-// caps applied, evaluated with the roofline model, with the paper's
-// structured baselines beside it.
-func served(m *machine.Machine, apps []AppState, order []int, rapps []roofline.App, al roofline.Allocation) (*cachedSolution, error) {
+// served builds the cache value for an allocation of the demand slots,
+// caps applied. counts, when not nil, is the per-node row al was built
+// from (PerNodeCounts): while no cap trims a row the leaf kernel scores
+// it, and the reference model evaluates every other allocation.
+func served(m *machine.Machine, apps []AppState, order []int, rapps []roofline.App, al roofline.Allocation, counts []int) (*cachedSolution, error) {
 	for slot, idx := range order {
-		trimToCap(al.Threads[slot], apps[idx].Spec.MaxThreads)
+		if trimToCap(al.Threads[slot], apps[idx].Spec.MaxThreads) {
+			counts = nil // no longer the same count on every node
+		}
 	}
-	res, err := roofline.Evaluate(m, rapps, al)
+	res := &roofline.Result{}
+	var err error
+	if counts != nil {
+		res.AppGFLOPS, res.TotalGFLOPS, err = roofline.EvaluateCounts(m, rapps, counts)
+	} else {
+		res, err = roofline.Evaluate(m, rapps, al)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: evaluating allocation: %w", err)
 	}
-	// A baseline is best-effort: 0 when its shape is infeasible for this
-	// app count and machine.
+	return &cachedSolution{counts: al.Threads, gflops: res.AppGFLOPS, total: res.TotalGFLOPS}, nil
+}
+
+// Reference evaluates the paper's structured baselines for apps on m,
+// the demand slots in the order a solve of them takes: the even split
+// and one node per app, each 0 where its shape does not fit the app
+// count and machine, and nil when neither does.
+func (s *Solver) Reference(m *machine.Machine, apps []AppState) *ReferenceAllocations {
+	if len(apps) == 0 {
+		return nil
+	}
+	_, order := s.demandKey(&solvecache.Key{}, m, apps)
+	rapps := slotApps(apps, order)
 	baseline := func(shape roofline.Allocation, err error) float64 {
 		if err == nil {
 			if r, err := roofline.Evaluate(m, rapps, shape); err == nil {
@@ -340,28 +378,30 @@ func served(m *machine.Machine, apps []AppState, order []int, rapps []roofline.A
 		}
 		return 0
 	}
-	return &cachedSolution{
-		counts: al.Threads,
-		gflops: append([]float64(nil), res.AppGFLOPS...),
-		total:  res.TotalGFLOPS,
-		even:   baseline(roofline.Even(m, len(order))),
-		npa:    baseline(roofline.NodePerApp(m, len(order), nil)),
-	}, nil
+	ref := ReferenceAllocations{
+		EvenGFLOPS:       baseline(roofline.Even(m, len(rapps))),
+		NodePerAppGFLOPS: baseline(roofline.NodePerApp(m, len(rapps), nil)),
+	}
+	if ref == (ReferenceAllocations{}) {
+		return nil
+	}
+	return &ref
 }
 
 // trimToCap removes threads round-robin across nodes (from the last
-// node backwards) until the total is within the app's requested cap.
-// cap <= 0 means uncapped. An application demanding more threads than
-// the machine has cores is thus served the solver's optimum, never
-// more than exists.
-func trimToCap(perNode []int, cap int) {
+// node backwards) until the total is within the app's requested cap,
+// and reports whether it removed any. cap <= 0 means uncapped. An
+// application demanding more threads than the machine has cores is
+// thus served the solver's optimum, never more than exists.
+func trimToCap(perNode []int, cap int) bool {
 	if cap <= 0 {
-		return
+		return false
 	}
 	total := 0
 	for _, c := range perNode {
 		total += c
 	}
+	trimmed := total > cap
 	for j := len(perNode) - 1; total > cap; j-- {
 		if j < 0 {
 			j = len(perNode) - 1
@@ -371,4 +411,5 @@ func trimToCap(perNode []int, cap int) {
 			total--
 		}
 	}
+	return trimmed
 }

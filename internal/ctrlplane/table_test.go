@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -50,7 +51,9 @@ func uncached(t *testing.T, s *Server) (answers map[string][]byte, table *Alloca
 		httpapi.WriteJSON(rec, http.StatusOK, HeartbeatResponse{Generation: gen, Allocation: &alloc})
 		answers[alloc.ID] = rec.Body.Bytes()
 	}
-	return answers, sol.Table(s.cfg.Machine.Name, s.solver.Policy(), gen)
+	table = sol.Table(s.cfg.Machine.Name, s.solver.Policy(), gen)
+	table.Reference = s.solver.Reference(s.cfg.Machine, apps)
+	return answers, table
 }
 
 // offerOf solves the live set plus req the way fleetd's Scorer does and
@@ -294,8 +297,9 @@ func TestHeartbeatAnswerFromTableNoAllocs(t *testing.T) {
 	}
 }
 
-// TestServedTableConcurrent heartbeats a steady set of apps from several
-// goroutines while others register and deregister, under -race in `make
+// TestServedTableConcurrent heartbeats a steady set of apps, and reads
+// the allocation table, from several goroutines while others register
+// and deregister, under -race in `make
 // check`. Each goroutine's answers never go back a generation, and once
 // the churn stops every answer equals the uncached one.
 func TestServedTableConcurrent(t *testing.T) {
@@ -331,6 +335,12 @@ func TestServedTableConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("heartbeat of %s answered generation %d after %d", id, hb.Generation, last)
 					return
 				}
+				if i%10 == 0 { // the baselines are computed on a table other readers share
+					if _, err := s.Allocations(); err != nil {
+						errs <- err
+						return
+					}
+				}
 				last = hb.Generation
 			}
 		}(g)
@@ -362,6 +372,72 @@ func TestServedTableConcurrent(t *testing.T) {
 		code, body := serveRaw(s, "POST", "/v1/heartbeat", HeartbeatRequest{ID: id})
 		if code != http.StatusOK || !bytes.Equal(body, w) {
 			t.Errorf("%s after the churn: %d\n%s want\n%s", id, code, body, w)
+		}
+	}
+}
+
+// TestAllocationsBaselines: /v1/allocations answers the paper's
+// baselines bit for bit as they were served when every solve computed
+// them (Tables I and III, the NUMA-bad row of III included), and only
+// the first allocation read of a registry version computes them: not
+// the registers, not the heartbeat that built the version's table, and
+// not a second read, which allocates what rendering the table does and
+// nothing more.
+func TestAllocationsBaselines(t *testing.T) {
+	iii := []RegisterRequest{{Name: "mem1", AI: 1.0 / 32}, {Name: "mem2", AI: 1.0 / 32}, {Name: "mem3", AI: 1.0 / 32}, {Name: "comp", AI: 1}}
+	iiiBad := append(iii[:3:3], RegisterRequest{Name: "bad", AI: 1.0 / 16, Placement: PlacementBad, HomeNode: 0})
+	for _, tc := range []struct {
+		m         *machine.Machine
+		reqs      []RegisterRequest
+		even, npa uint64 // float64 bits
+	}{
+		{machine.PaperModel(), []RegisterRequest{{Name: "mem-a", AI: 0.5}, {Name: "mem-b", AI: 0.5}, {Name: "mem-c", AI: 0.5}, {Name: "comp", AI: 10}},
+			0x4061800000000000, 0x4060000000000000}, // 140, 128
+		{machine.SkylakeQuad(), iii, 0x40321e6666666667, 0x402e59999999999a},    // 18.12, 15.18
+		{machine.SkylakeQuad(), iiiBad, 0x402bf7ffffffffff, 0x4023600000000000}, // 13.98, 9.69
+	} {
+		s, err := NewServer(ServerConfig{Machine: tc.m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var id string
+		for _, req := range tc.reqs {
+			code, body := serveRaw(s, "POST", "/v1/register", req)
+			var resp RegisterResponse
+			if code != http.StatusOK || json.Unmarshal(body, &resp) != nil {
+				t.Fatalf("register: %d %s", code, body)
+			}
+			id = resp.ID
+		}
+		if code, body := serveRaw(s, "POST", "/v1/heartbeat", HeartbeatRequest{ID: id}); code != http.StatusOK {
+			t.Fatalf("heartbeat: %d %s", code, body)
+		}
+		tab := s.table.Load()
+		if tab == nil || tab.ref != nil || tab.apps == nil {
+			t.Fatalf("%s: the heartbeat left no table awaiting its baselines: %+v", tc.m.Name, tab)
+		}
+		got, err := s.Allocations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.table.Load() != tab {
+			t.Fatalf("%s: the allocation read solved a new table", tc.m.Name)
+		}
+		if got.Reference == nil || math.Float64bits(got.Reference.EvenGFLOPS) != tc.even || math.Float64bits(got.Reference.NodePerAppGFLOPS) != tc.npa {
+			t.Errorf("%s: baselines %+v, want even %v and node-per-app %v", tc.m.Name, got.Reference,
+				math.Float64frombits(tc.even), math.Float64frombits(tc.npa))
+		}
+		if tab.apps != nil {
+			t.Errorf("%s: the table keeps its snapshot after its baselines were computed", tc.m.Name)
+		}
+		render := testing.AllocsPerRun(20, func() { tab.sol.Table(tc.m.Name, s.solver.Policy(), tab.generation) })
+		second := testing.AllocsPerRun(20, func() {
+			if _, err := s.Allocations(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if second != render {
+			t.Errorf("%s: a second allocation read allocates %v objects, rendering the table %v", tc.m.Name, second, render)
 		}
 	}
 }

@@ -131,13 +131,10 @@ func TestAdoptedRegistersServeWhatTheMemberWouldSolve(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: allocations on %s: %v", label, host, err)
 				}
-				var even, npa float64
-				if got.Reference != nil {
-					even, npa = got.Reference.EvenGFLOPS, got.Reference.NodePerAppGFLOPS
-				}
-				if got.TotalGFLOPS != want.TotalGFLOPS || even != want.EvenGFLOPS || npa != want.NodePerAppGFLOPS {
-					t.Errorf("%s: %s serves total %v (even %v, node-per-app %v) after registering %s, a fresh solver %v (%v, %v)",
-						label, host, got.TotalGFLOPS, even, npa, req.Name, want.TotalGFLOPS, want.EvenGFLOPS, want.NodePerAppGFLOPS)
+				wantRef := fresh.Reference(srv.Machine(), states)
+				if got.TotalGFLOPS != want.TotalGFLOPS || !reflect.DeepEqual(got.Reference, wantRef) {
+					t.Errorf("%s: %s serves total %v (baselines %+v) after registering %s, a fresh solver %v (%+v)",
+						label, host, got.TotalGFLOPS, got.Reference, req.Name, want.TotalGFLOPS, wantRef)
 				}
 				for i, a := range got.Apps {
 					w := want.PerApp[i]

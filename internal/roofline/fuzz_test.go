@@ -65,6 +65,9 @@ func evaluatorEquivalenceRound(t *testing.T, seed int64) {
 	// And the bar: a solve against a bar answers what the unbarred one
 	// does wherever the optimum reaches the bar, and below-bar elsewhere.
 	barRound(t, r)
+	// And EvaluateCounts, the leaf kernel outside a search: valid and
+	// invalid count vectors against Evaluate(PerNodeCounts).
+	countsRound(t, r)
 }
 
 // fuzzCorpus is every input `go test` replays for

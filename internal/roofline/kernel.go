@@ -1,8 +1,10 @@
 package roofline
 
 import (
+	"fmt"
 	"slices"
 
+	"repro/internal/freelist"
 	"repro/internal/machine"
 )
 
@@ -29,7 +31,8 @@ import (
 // reference order, which is all an Objective reads. No Allocation, no
 // Result grid, no allocation per leaf.
 //
-// A solve fits the kernel its pooled worker owns.
+// A solve fits the kernel its pooled worker owns; EvaluateCounts fits
+// one of kernels.
 type leafKernel struct {
 	m    *machine.Machine
 	apps []App
@@ -143,6 +146,48 @@ func (k *leafKernel) fit(m *machine.Machine, apps []App) {
 	// threads on every other node.
 	k.local = slices.Grow(k.local[:0], nApps)
 	k.remote = slices.Grow(k.remote[:0], nApps*(nNodes-1))
+}
+
+// unfit drops the fitted machine and apps, so an idle kernel holds
+// scratch only.
+func (k *leafKernel) unfit() {
+	clear(k.apps)
+	k.m, k.apps = nil, k.apps[:0]
+}
+
+// kernels holds EvaluateCounts' idle kernels for the whole process, so
+// a process keeps at most freelist's idle cap of them however many
+// solvers it runs, not one per solver.
+var kernels freelist.List[leafKernel]
+
+// EvaluateCounts scores the uniform per-node allocation PerNodeCounts(m,
+// counts) with the leaf kernel: each app's GFLOPS and the machine
+// total, bit-identical to the AppGFLOPS and TotalGFLOPS of Evaluate(m,
+// apps, PerNodeCounts(m, counts)). It refuses invalid (machine, apps)
+// inputs (checkInputs), a count vector whose length is not the app
+// count, a negative count and counts whose sum exceeds the smallest
+// node's cores. It is no search: no Search's Stats count it.
+func EvaluateCounts(m *machine.Machine, apps []App, counts []int) (rates []float64, total float64, err error) {
+	if err := checkInputs(m, apps); err != nil {
+		return nil, 0, err
+	}
+	if len(counts) != len(apps) {
+		return nil, 0, fmt.Errorf("roofline: %d counts for %d apps", len(counts), len(apps))
+	}
+	least, sum := minCores(m), 0
+	for _, c := range counts {
+		if c < 0 || c > least-sum { // not sum+c > least, which may overflow
+			return nil, 0, fmt.Errorf("roofline: per-node counts %v are negative or exceed the smallest node's %d cores", counts, least)
+		}
+		sum += c
+	}
+	k := kernels.Get()
+	k.fit(m, apps)
+	res := k.eval(counts)
+	rates, total = slices.Clone(res.AppGFLOPS), res.TotalGFLOPS
+	k.unfit()
+	kernels.Put(k)
+	return rates, total, nil
 }
 
 // eval returns the totals of the allocation PerNodeCounts(m, counts),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -28,9 +29,10 @@ func paperFixtures() []fixture {
 	}
 }
 
-// checkKernelMatchesReference holds the leaf kernel to the reference
-// model on every leaf of the per-node-counts enumeration at the given
-// floor: per-app and machine totals must be == to Evaluate's.
+// checkKernelMatchesReference holds the leaf kernel, fitted directly and
+// through EvaluateCounts, to the reference model on every
+// leaf of the per-node-counts enumeration at the given floor: per-app
+// and machine totals must be == to Evaluate's.
 func checkKernelMatchesReference(t *testing.T, label string, m *machine.Machine, apps []App, floor int) {
 	t.Helper()
 	var k leafKernel
@@ -65,6 +67,11 @@ func checkKernelMatchesReference(t *testing.T, label string, m *machine.Machine,
 		}
 		if got.PerApp != nil || got.PerNode != nil {
 			t.Fatalf("%s: kernel result carries a grid; the Objective contract says totals only", label)
+		}
+		rates, total, err := EvaluateCounts(m, apps, counts)
+		if err != nil || total != want.TotalGFLOPS || !slices.Equal(rates, want.AppGFLOPS) {
+			t.Fatalf("%s: counts %v: EvaluateCounts gives %v (total %v, %v), reference %v (total %v)",
+				label, counts, rates, total, err, want.AppGFLOPS, want.TotalGFLOPS)
 		}
 	}
 	rec(0, minCores(m))
@@ -133,6 +140,123 @@ func kernelRound(t *testing.T, r *rand.Rand) {
 func TestKernelMatchesReferenceRandomized(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		kernelRound(t, rand.New(rand.NewSource(seed)))
+	}
+}
+
+// countsRound is the fuzz limb for EvaluateCounts: on servedDraw's
+// machines and demand sets (shared and singleton node classes, NUMA-bad
+// homes, weights, some with no app at all), count vectors up to the
+// smallest node's cores, zero rows included, must score bit-identical
+// to Evaluate(PerNodeCounts); a vector of the wrong length, with a
+// negative count or over the smallest node, and a non-positive AI, must
+// be refused as the reference refuses them.
+// Wired into FuzzEvaluatorEquivalence so the checked-in corpus replays
+// it.
+func countsRound(t *testing.T, r *rand.Rand) {
+	t.Helper()
+	for step := 0; step < 4; step++ {
+		m, apps := servedDraw(r, step)
+		least := minCores(m)
+		for i := 0; i < 12; i++ {
+			counts, left := make([]int, len(apps)), least
+			for j := range counts {
+				if r.Intn(3) > 0 {
+					counts[j] = r.Intn(left + 1)
+					left -= counts[j]
+				}
+			}
+			r.Shuffle(len(counts), func(a, b int) { counts[a], counts[b] = counts[b], counts[a] })
+			as := apps
+			switch i % 6 {
+			case 1:
+				counts = append(counts, 1)
+			case 2:
+				if len(counts) > 0 {
+					counts[r.Intn(len(counts))] = -1 - r.Intn(2)
+				}
+			case 3:
+				if len(counts) > 0 {
+					counts[r.Intn(len(counts))] += left + 1
+				}
+			case 4:
+				if len(apps) > 0 {
+					as = slices.Clone(apps)
+					as[r.Intn(len(as))].AI = 0
+				}
+			}
+			label := fmt.Sprintf("step %d: %d apps on %d nodes, counts %v", step, len(as), m.NumNodes(), counts)
+			var want *Result
+			al, err := PerNodeCounts(m, counts)
+			if err == nil {
+				want, err = Evaluate(m, as, al)
+			}
+			rates, total, gotErr := EvaluateCounts(m, as, counts)
+			if (gotErr == nil) != (err == nil) {
+				t.Fatalf("%s: EvaluateCounts error %v, reference %v", label, gotErr, err)
+			}
+			if err != nil {
+				continue
+			}
+			if len(rates) != len(as) {
+				t.Fatalf("%s: %d rates for %d apps", label, len(rates), len(as))
+			}
+			for j, g := range rates {
+				if math.Float64bits(g) != math.Float64bits(want.AppGFLOPS[j]) {
+					t.Fatalf("%s: app %d rate %v, reference %v", label, j, g, want.AppGFLOPS[j])
+				}
+			}
+			if math.Float64bits(total) != math.Float64bits(want.TotalGFLOPS) {
+				t.Fatalf("%s: total %v, reference %v", label, total, want.TotalGFLOPS)
+			}
+		}
+	}
+}
+
+func TestEvaluateCountsMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		countsRound(t, rand.New(rand.NewSource(seed)))
+	}
+}
+
+// TestEvaluateCountsSharedKernels: EvaluateCounts fits a kernel from one
+// list the whole process shares, so a warm call allocates the rates it
+// returns and nothing else however many callers there are, concurrent
+// callers each score their own inputs (run under -race), and an idle
+// kernel holds no machine or apps.
+func TestEvaluateCountsSharedKernels(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, f := range paperFixtures() {
+		want := MustEvaluate(f.m, f.apps, MustPerNodeCounts(f.m, []int{1, 1, 1, 2}))
+		wg.Add(1)
+		go func(f fixture) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rates, total, err := EvaluateCounts(f.m, f.apps, []int{1, 1, 1, 2})
+				if err != nil || total != want.TotalGFLOPS || !slices.Equal(rates, want.AppGFLOPS) {
+					t.Errorf("%s: concurrent EvaluateCounts gives %v (total %v, %v), reference %v (total %v)",
+						f.name, rates, total, err, want.AppGFLOPS, want.TotalGFLOPS)
+					return
+				}
+			}
+		}(f)
+	}
+	wg.Wait()
+
+	m, apps := machine.SkylakeQuad(), eightAppMix()
+	counts := []int{1, 1, 1, 5, 5, 2, 2, 1}
+	if _, _, err := EvaluateCounts(m, apps, counts); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { EvaluateCounts(m, apps, counts) }); n != 1 {
+		t.Errorf("a warm EvaluateCounts allocates %v objects, want 1 (the rates)", n)
+	}
+	k := kernels.Get()
+	defer kernels.Put(k)
+	if cap(k.demand) == 0 {
+		t.Fatal("EvaluateCounts pooled no kernel")
+	}
+	if k.m != nil || len(k.apps) != 0 {
+		t.Error("an idle kernel still references its last machine or apps")
 	}
 }
 

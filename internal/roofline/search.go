@@ -149,8 +149,7 @@ func (s *Search) release(w *bnbWorker) {
 	s.bounds.Add(w.bounds)
 	s.ties.Add(w.ties)
 	w.obj, w.bound = nil, nil
-	clear(w.kernel.apps)
-	w.kernel.m, w.kernel.apps = nil, w.kernel.apps[:0]
+	w.kernel.unfit()
 	s.pool.Put(w)
 }
 

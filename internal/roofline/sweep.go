@@ -51,71 +51,3 @@ func Ridge(m *machine.Machine) float64 {
 	n := m.Nodes[0]
 	return n.PeakGFLOPS / (n.MemBandwidth / float64(n.Cores))
 }
-
-// CrossoverResult describes where two allocation strategies swap rank
-// as one application's arithmetic intensity varies.
-type CrossoverResult struct {
-	// Found reports whether a crossover exists in the scanned range.
-	Found bool
-	// AI is the intensity where the ranking flips (midpoint of the
-	// bracketing interval).
-	AI float64
-	// BelowWinner and AboveWinner name the strategy that wins below
-	// and above the crossover ("A" or "B").
-	BelowWinner, AboveWinner string
-}
-
-// Crossover scans the arithmetic intensity of app appIdx over
-// [minAI, maxAI] (log-uniform, points samples) and finds where
-// allocation A stops beating allocation B (or vice versa) on total
-// GFLOPS. It generalizes the paper's observation that the best
-// allocation depends on the application mix: e.g. even-vs-node-per-app
-// flips as the fourth app moves from memory- to compute-bound.
-func Crossover(m *machine.Machine, apps []App, appIdx int, alA, alB Allocation, minAI, maxAI float64, points int) (CrossoverResult, error) {
-	if points < 2 {
-		points = 16
-	}
-	if appIdx < 0 || appIdx >= len(apps) {
-		return CrossoverResult{}, ErrNoAllocation
-	}
-	name := func(diff float64) string {
-		if diff > 0 {
-			return "A"
-		}
-		return "B"
-	}
-	const tie = 1e-9
-	res := CrossoverResult{}
-	prevDiff, prevAI := 0.0, 0.0
-	for i := 0; i < points; i++ {
-		ai := minAI * math.Pow(maxAI/minAI, float64(i)/float64(points-1))
-		probe := append([]App(nil), apps...)
-		probe[appIdx].AI = ai
-		rA, err := Evaluate(m, probe, alA)
-		if err != nil {
-			return CrossoverResult{}, err
-		}
-		rB, err := Evaluate(m, probe, alB)
-		if err != nil {
-			return CrossoverResult{}, err
-		}
-		diff := rA.TotalGFLOPS - rB.TotalGFLOPS
-		if math.Abs(diff) <= tie {
-			continue // dead heat: no information
-		}
-		if prevDiff == 0 {
-			prevDiff, prevAI = diff, ai
-			res.BelowWinner = name(diff)
-			continue
-		}
-		if (diff > 0) != (prevDiff > 0) {
-			res.Found = true
-			res.AI = math.Sqrt(prevAI * ai) // log midpoint of the bracket
-			res.AboveWinner = name(diff)
-			return res, nil
-		}
-		prevDiff, prevAI = diff, ai
-	}
-	res.AboveWinner = res.BelowWinner
-	return res, nil
-}

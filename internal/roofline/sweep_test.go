@@ -63,104 +63,3 @@ func TestRidgeSplitsCurve(t *testing.T) {
 		t.Error("above ridge should be at peak")
 	}
 }
-
-// TestCrossoverEvenVsNodePerApp generalizes the paper's Tables I/II vs
-// Fig. 3 finding: sweeping the fourth application's AI, the even
-// allocation beats node-per-app at high AI (Table I/II regime), and
-// they converge as everything becomes memory-bound.
-func TestCrossoverEvenVsNodePerApp(t *testing.T) {
-	m := machine.PaperModel()
-	apps := []App{{AI: 0.5}, {AI: 0.5}, {AI: 0.5}, {AI: 10}}
-	even := MustPerNodeCounts(m, []int{2, 2, 2, 2})
-	npa := MustNodePerApp(m, 4, nil)
-
-	// At the paper's AI=10 the even allocation wins (140 vs 128).
-	rEven := MustEvaluate(m, apps, even)
-	rNPA := MustEvaluate(m, apps, npa)
-	if rEven.TotalGFLOPS <= rNPA.TotalGFLOPS {
-		t.Fatalf("precondition: even should win at AI=10")
-	}
-
-	res, err := Crossover(m, apps, 3, even, npa, 0.01, 100, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With all NUMA-perfect apps, sharing nodes never loses in this
-	// model: at very low AI the two allocations tie and everywhere else
-	// the even split (A) wins — no crossover.
-	if res.Found {
-		t.Errorf("unexpected crossover at AI=%.3f", res.AI)
-	}
-	if res.BelowWinner != "A" || res.AboveWinner != "A" {
-		t.Errorf("winners = %s/%s, want A/A", res.BelowWinner, res.AboveWinner)
-	}
-}
-
-// TestCrossoverNUMABad: for the NUMA-bad mix the ranking flips twice as
-// the bad app's intensity changes. At very low AI even sharing wins
-// (the bad app gets almost nothing either way, and the memory-bound
-// apps prefer the shared remainder); around AI~1 — the paper's Fig. 3
-// case — isolating the bad app on its home node wins; at high AI the
-// bad app turns compute-bound and sharing wins again.
-func TestCrossoverNUMABad(t *testing.T) {
-	m := machine.PaperModelNUMABad()
-	apps := []App{
-		{AI: 0.5}, {AI: 0.5}, {AI: 0.5},
-		{AI: 1, Placement: NUMABad, HomeNode: 0},
-	}
-	even := MustPerNodeCounts(m, []int{2, 2, 2, 2})
-	npa := MustNodePerApp(m, 4, []machine.NodeID{1, 2, 3, 0})
-
-	// Paper's point: at AI=1 node-per-app (B) wins.
-	rEven := MustEvaluate(m, apps, even)
-	rNPA := MustEvaluate(m, apps, npa)
-	if rNPA.TotalGFLOPS <= rEven.TotalGFLOPS {
-		t.Fatalf("precondition: node-per-app should win at AI=1 (%.1f vs %.1f)", rNPA.TotalGFLOPS, rEven.TotalGFLOPS)
-	}
-
-	// First crossover: even (A) below, node-per-app (B) above.
-	first, err := Crossover(m, apps, 3, even, npa, 0.1, 1000, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.Found {
-		t.Fatal("expected a first crossover for the NUMA-bad mix")
-	}
-	if first.BelowWinner != "A" || first.AboveWinner != "B" {
-		t.Errorf("first crossover winners: %s/%s, want A/B", first.BelowWinner, first.AboveWinner)
-	}
-	if first.AI >= 1 {
-		t.Errorf("first crossover at AI=%.3f, want below the paper's AI=1 regime", first.AI)
-	}
-	// Second crossover above AI=1: back to even (A) as the bad app
-	// turns compute-bound.
-	second, err := Crossover(m, apps, 3, even, npa, 1, 1000, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Found || second.BelowWinner != "B" || second.AboveWinner != "A" {
-		t.Errorf("second crossover: found=%v %s/%s, want B->A", second.Found, second.BelowWinner, second.AboveWinner)
-	}
-	// Verify the middle regime by sampling around AI=1.
-	check := func(ai float64, wantA bool) {
-		probe := append([]App(nil), apps...)
-		probe[3].AI = ai
-		a := MustEvaluate(m, probe, even).TotalGFLOPS
-		bv := MustEvaluate(m, probe, npa).TotalGFLOPS
-		if (a > bv) != wantA {
-			t.Errorf("at AI=%.2f: even=%.1f npa=%.1f, wantA=%v", ai, a, bv, wantA)
-		}
-	}
-	check(0.13, true)        // low AI: even wins
-	check(1, false)          // Fig. 3 regime: isolate wins
-	check(second.AI*4, true) // compute-bound: even wins again
-}
-
-func TestCrossoverBadIndex(t *testing.T) {
-	m := machine.PaperModel()
-	apps := []App{{AI: 1}}
-	al := MustPerNodeCounts(m, []int{1})
-	if _, err := Crossover(m, apps, 5, al, al, 0.1, 10, 8); err == nil {
-		t.Error("expected error for bad app index")
-	}
-}

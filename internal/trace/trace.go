@@ -2,8 +2,7 @@
 // runs and exports them as Chrome trace-event JSON (load chrome://
 // tracing or https://ui.perfetto.dev) or as a text summary. It is the
 // observability layer a runtime developer uses to inspect scheduling
-// decisions — which worker ran which task when, and where the agent's
-// thread-control commands landed.
+// decisions — which worker ran which task when.
 package trace
 
 import (
@@ -26,18 +25,10 @@ type Span struct {
 	End   float64 `json:"end"`
 }
 
-// Instant is a point event (e.g. an agent command).
-type Instant struct {
-	Name string  `json:"name"`
-	PID  string  `json:"pid"`
-	T    float64 `json:"t"`
-}
-
-// Trace accumulates spans and instants.
+// Trace accumulates spans.
 type Trace struct {
-	spans    []Span
-	instants []Instant
-	open     map[spanKey]int // index of open span
+	spans []Span
+	open  map[spanKey]int // index of open span
 }
 
 type spanKey struct {
@@ -70,11 +61,6 @@ func (tr *Trace) End(pid string, tid int, at float64) {
 	}
 }
 
-// Mark records an instant event.
-func (tr *Trace) Mark(name, pid string, at float64) {
-	tr.instants = append(tr.instants, Instant{Name: name, PID: pid, T: at})
-}
-
 // Spans returns completed spans (open spans are excluded).
 func (tr *Trace) Spans() []Span {
 	out := make([]Span, 0, len(tr.spans))
@@ -86,11 +72,6 @@ func (tr *Trace) Spans() []Span {
 	return out
 }
 
-// Instants returns the recorded point events.
-func (tr *Trace) Instants() []Instant {
-	return append([]Instant(nil), tr.instants...)
-}
-
 // chromeEvent is the Chrome trace-event JSON schema (subset).
 type chromeEvent struct {
 	Name string  `json:"name"`
@@ -99,24 +80,18 @@ type chromeEvent struct {
 	Dur  float64 `json:"dur,omitempty"`
 	PID  string  `json:"pid"`
 	TID  int     `json:"tid"`
-	S    string  `json:"s,omitempty"`
 }
 
-// ChromeJSON renders spans and instants in Chrome trace-event format
-// ("X" complete events for spans, "i" instants), times in seconds becoming
-// microseconds. No events is "[]", which trace viewers load, not null.
-func ChromeJSON(spans []Span, instants []Instant) ([]byte, error) {
-	events := make([]chromeEvent, 0, len(spans)+len(instants))
+// ChromeJSON renders spans in Chrome trace-event format ("X" complete
+// events), times in seconds becoming microseconds. No spans is "[]",
+// which trace viewers load, not null.
+func ChromeJSON(spans []Span) ([]byte, error) {
+	events := make([]chromeEvent, 0, len(spans))
 	for _, s := range spans {
 		events = append(events, chromeEvent{
 			Name: s.Name, Ph: "X",
 			Ts: s.Start * 1e6, Dur: (s.End - s.Start) * 1e6,
 			PID: s.PID, TID: s.TID,
-		})
-	}
-	for _, in := range instants {
-		events = append(events, chromeEvent{
-			Name: in.Name, Ph: "i", Ts: in.T * 1e6, PID: in.PID, S: "g",
 		})
 	}
 	return json.Marshal(events)
@@ -172,6 +147,6 @@ func (tr *Trace) Summary() string {
 		}
 		fmt.Fprintf(&b, "%-16s %6d %8d %12.4f %11.1f%%\n", l.PID, l.TID, l.Spans, l.BusyTime, util*100)
 	}
-	fmt.Fprintf(&b, "total spans: %d, instants: %d\n", len(tr.Spans()), len(tr.instants))
+	fmt.Fprintf(&b, "total spans: %d\n", len(tr.Spans()))
 	return b.String()
 }

@@ -70,8 +70,7 @@ func TestChromeJSON(t *testing.T) {
 	tr := New()
 	tr.Begin("task", "app", 2, 0.001)
 	tr.End("app", 2, 0.003)
-	tr.Mark("command", "agent", 0.002)
-	data, err := ChromeJSON(tr.Spans(), tr.Instants())
+	data, err := ChromeJSON(tr.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +78,18 @@ func TestChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &events); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("events = %d, want 2", len(events))
+	if len(events) != 1 {
+		t.Fatalf("events = %d, want 1", len(events))
 	}
 	if events[0]["ph"] != "X" || events[0]["ts"].(float64) != 1000 || events[0]["dur"].(float64) != 2000 {
 		t.Errorf("span event wrong: %v", events[0])
-	}
-	if events[1]["ph"] != "i" {
-		t.Errorf("instant event wrong: %v", events[1])
 	}
 }
 
 // TestChromeJSONEmpty: a trace with no events is the empty array, which
 // trace viewers load, not JSON null.
 func TestChromeJSONEmpty(t *testing.T) {
-	for _, data := range [][]byte{must(ChromeJSON(nil, nil)), must(ChromeJSON(New().Spans(), New().Instants()))} {
+	for _, data := range [][]byte{must(ChromeJSON(nil)), must(ChromeJSON(New().Spans()))} {
 		if string(data) != "[]" {
 			t.Errorf("no events encode as %q, want []", data)
 		}
@@ -119,14 +115,6 @@ func TestSummary(t *testing.T) {
 	}
 	if !strings.Contains(out, "100.0%") {
 		t.Errorf("utilization missing:\n%s", out)
-	}
-}
-
-func TestInstants(t *testing.T) {
-	tr := New()
-	tr.Mark("x", "p", 1)
-	if len(tr.Instants()) != 1 {
-		t.Error("instant lost")
 	}
 }
 
@@ -166,7 +154,7 @@ func TestIntegrationWithRuntime(t *testing.T) {
 			t.Errorf("span lane wrong: %+v", s)
 		}
 	}
-	if _, err := ChromeJSON(tr.Spans(), tr.Instants()); err != nil {
+	if _, err := ChromeJSON(tr.Spans()); err != nil {
 		t.Error(err)
 	}
 	// The tracer interface is satisfied structurally.
