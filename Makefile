@@ -52,7 +52,8 @@ bench-cores:
 # 1000-machine fleet snapshots, domain-spread included, and a cold-memo
 # sequence of diverse apps on five topologies, the path a decision's
 # bar prunes), the inventory
-# poll of 40 in-process members, unchanged and changed, a quiet
+# poll of 40 in-process members, unchanged, changed and with one rack
+# of 10 dead (the failed polls a rack_loss recovery pays), a quiet
 # rebalance plan over 40 members (the re-pack memo hit) and the cold
 # first quiet round of a rack_loss recovery (the re-pack memo missed),
 # their allocs/op written to BENCH_fleet.json the same way
@@ -134,12 +135,15 @@ fleet-sim-race:
 	$(GO) run -race ./cmd/fleetsim
 
 # 30s coverage-guided smokes over the incremental-evaluator equivalence
-# property and the candidate-index differential (a pooled planning
-# session must hold what a cold one builds, whatever edited the fleet);
-# regressions in either fast path show up as counterexamples.
+# property, the candidate-index differential (a pooled planning
+# session must hold what a cold one builds, whatever edited the fleet)
+# and the decoder-reuse differential (a pooled strict decoder must
+# decode a body as a fresh one does, whatever it read before);
+# regressions in any of these fast paths show up as counterexamples.
 fuzz:
 	$(GO) test -fuzz FuzzEvaluatorEquivalence -fuzztime 30s -run '^$$' ./internal/roofline/
 	$(GO) test -fuzz FuzzCandidateIndex -fuzztime 30s -run '^$$' ./internal/fleet/
+	$(GO) test -fuzz FuzzDecodeReuse -fuzztime 30s -run '^$$' ./internal/httpapi/
 
 check: fmt-check build vet race bench-smoke
 

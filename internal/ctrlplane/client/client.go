@@ -128,7 +128,7 @@ func (c *Client) exchange(ctx context.Context, method, path, validator string, i
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if serr := sleepBackoff(ctx, c.backoff(attempt)); serr != nil {
-				return 0, fmt.Errorf("ctrlplane: giving up after %d attempts: %w (last error: %v)", attempt, serr, err)
+				return 0, &giveUpError{attempt, serr, err}
 			}
 		}
 		var hdr http.Header
@@ -145,8 +145,25 @@ func (c *Client) exchange(ctx context.Context, method, path, validator string, i
 			return epoch, err
 		}
 	}
-	return 0, fmt.Errorf("ctrlplane: giving up after %d attempts: %w", c.cfg.MaxAttempts, err)
+	return 0, &giveUpError{c.cfg.MaxAttempts, err, nil}
 }
+
+// giveUpError is exchange's failure after attempts tries: err is the
+// last attempt's failure, or, with last set, the end of the context a
+// backoff was waiting in. Its text is formatted only when read.
+type giveUpError struct {
+	attempts  int
+	err, last error
+}
+
+func (e *giveUpError) Error() string {
+	if e.last != nil {
+		return fmt.Sprintf("ctrlplane: giving up after %d attempts: %v (last error: %v)", e.attempts, e.err, e.last)
+	}
+	return fmt.Sprintf("ctrlplane: giving up after %d attempts: %v", e.attempts, e.err)
+}
+
+func (e *giveUpError) Unwrap() error { return e.err }
 
 // backoff returns the full-jitter delay before the given attempt:
 // uniform over (0, ceiling], the ceiling doubling from BaseBackoff up to

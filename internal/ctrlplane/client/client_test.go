@@ -62,6 +62,9 @@ func TestRetryExhaustion(t *testing.T) {
 	if !asAPIError(err, &ae) || ae.Status != http.StatusInternalServerError {
 		t.Errorf("err = %v, want wrapped 500 APIError", err)
 	}
+	if want := "ctrlplane: giving up after 3 attempts: server returned 500: down"; err.Error() != want {
+		t.Errorf("err text %q, want %q", err, want)
+	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d calls, want MaxAttempts=3", got)
 	}
@@ -125,8 +128,11 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	cancel()
 	select {
 	case err := <-done:
-		if err == nil || ctx.Err() == nil {
+		if !errors.Is(err, context.Canceled) || ctx.Err() == nil {
 			t.Errorf("err = %v after cancel", err)
+		}
+		if want := "ctrlplane: giving up after 1 attempts: context canceled (last error: server returned 500: down)"; err.Error() != want {
+			t.Errorf("err text %q, want %q", err, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("request did not abort after context cancellation")
@@ -278,7 +284,8 @@ func asAPIError(err error, target **APIError) bool {
 // alone in the query while the caller's copy is not exact, and
 // StateETag of the pair as If-None-Match besides once it is. The 304 a
 // current validator earns is ErrNotModified, never retried; a coopd
-// without the route is an error, not a fallback.
+// without the route is an error, not a fallback. A Group, which keeps
+// the last query it built, sends the same, each query twice in a row.
 func TestStateQueryOnTheWire(t *testing.T) {
 	var got []string
 	c, _ := newTestClient(t, func(w http.ResponseWriter, r *http.Request) {
@@ -295,6 +302,7 @@ func TestStateQueryOnTheWire(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(ctrlplane.StateResponse{Incarnation: "1f", Generation: 7})
 	}, Config{MaxAttempts: 3})
+	g := NewGroup(c)
 	for _, tc := range []struct {
 		held        ctrlplane.StateQuery
 		want        string
@@ -307,17 +315,19 @@ func TestStateQueryOnTheWire(t *testing.T) {
 		{ctrlplane.StateQuery{Incarnation: "1f", Generation: 6, Conditional: true}, `GET /v1/state?incarnation=1f "1f.6"`, false},
 		{ctrlplane.StateQuery{Incarnation: "a&generation=7", Conditional: true}, `GET /v1/state?incarnation=a%26generation%3D7 "a&generation=7.0"`, false},
 	} {
-		got = nil
-		st, err := c.State(context.Background(), tc.held)
-		if tc.notModified {
-			if !errors.Is(err, ErrNotModified) || st != nil {
-				t.Fatalf("%+v: %+v, %v; want ErrNotModified", tc.held, st, err)
+		for _, state := range []func(context.Context, ctrlplane.StateQuery) (*ctrlplane.StateResponse, error){c.State, g.State, g.State} {
+			got = nil
+			st, err := state(context.Background(), tc.held)
+			if tc.notModified {
+				if !errors.Is(err, ErrNotModified) || st != nil {
+					t.Fatalf("%+v: %+v, %v; want ErrNotModified", tc.held, st, err)
+				}
+			} else if err != nil || st.Generation != 7 {
+				t.Fatalf("%+v: %+v, %v", tc.held, st, err)
 			}
-		} else if err != nil || st.Generation != 7 {
-			t.Fatalf("%+v: %+v, %v", tc.held, st, err)
-		}
-		if len(got) != 1 || got[0] != tc.want {
-			t.Errorf("%+v went out as %q, want %q once", tc.held, got, tc.want)
+			if len(got) != 1 || got[0] != tc.want {
+				t.Errorf("%+v went out as %q, want %q once", tc.held, got, tc.want)
+			}
 		}
 	}
 	if _, err := c.State(context.Background(), ctrlplane.StateQuery{Incarnation: "old daemon"}); !IsNotFound(err) {

@@ -35,6 +35,10 @@ type Group struct {
 	preferred  int
 	epoch, gen uint64 // the fence
 	fenced     atomic.Uint64
+	// The last State query's path and validator, and the query they
+	// present: a poller presents the same query round after round.
+	held            ctrlplane.StateQuery
+	path, validator string
 }
 
 // NewGroup builds a group over one client per endpoint, at least one.
@@ -58,7 +62,13 @@ func (g *Group) Fenced() uint64 { return g.fenced.Load() }
 // State is Client.State through the group. A 304 stands for the
 // generation the query presented.
 func (g *Group) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
-	path, validator := stateRequest(held)
+	g.mu.Lock()
+	if g.path == "" || held != g.held {
+		g.held = held
+		g.path, g.validator = stateRequest(held)
+	}
+	path, validator := g.path, g.validator
+	g.mu.Unlock()
 	out := new(ctrlplane.StateResponse)
 	if err := g.call(ctx, http.MethodGet, path, validator, held.Generation, nil, out); err != nil {
 		return nil, err

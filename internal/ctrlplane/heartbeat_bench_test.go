@@ -21,14 +21,15 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// BenchmarkAllocateHeartbeat measures the request coopd serves most: a
-// heartbeat of one of eight apps on SkylakeQuad (Table III's mix twice)
-// against a registry that does not change, through the typed client, so
-// every answer comes from the served table.
-func BenchmarkAllocateHeartbeat(b *testing.B) {
+// heartbeater registers Table III's mix twice (eight apps) on a
+// SkylakeQuad coopd served in process, through the typed client, and
+// returns a heartbeat of the i-th app mod 8 after warming every app's
+// answer: a registry that does not change, so every answer comes from
+// the served table.
+func heartbeater(tb testing.TB) (beat func(i int)) {
 	srv, err := ctrlplane.NewServer(ctrlplane.ServerConfig{Machine: machine.SkylakeQuad()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cli := client.New("http://coopd", client.Config{HTTPClient: &http.Client{Transport: handlerTransport{srv.Handler()}}, MaxAttempts: 1})
 	ctx := context.Background()
@@ -37,23 +38,45 @@ func BenchmarkAllocateHeartbeat(b *testing.B) {
 		for _, ai := range []float64{1.0 / 32, 1.0 / 32, 1.0 / 32, 1} {
 			resp, err := cli.Register(ctx, ctrlplane.RegisterRequest{Name: "app", AI: ai})
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			ids = append(ids, resp.ID)
 		}
 	}
-	beat := func(i int) {
+	beat = func(i int) {
 		resp, err := cli.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[i%len(ids)], Running: 4, Workers: 8, GFlopRate: 1.5, GBRate: 48})
 		if err != nil || resp.Allocation == nil {
-			b.Fatalf("heartbeat: %+v, %v", resp, err)
+			tb.Fatalf("heartbeat: %+v, %v", resp, err)
 		}
 	}
 	for i := range ids {
-		beat(i) // the table and each app's answer
+		beat(i)
 	}
+	return beat
+}
+
+// BenchmarkAllocateHeartbeat measures the request coopd serves most: a
+// heartbeat through the typed client, answered from the served table.
+func BenchmarkAllocateHeartbeat(b *testing.B) {
+	beat := heartbeater(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		beat(i)
+	}
+}
+
+// TestHeartbeatExchangeAllocs holds one warm heartbeat exchange, both
+// ends of it, under a ceiling: the client hands the request to the
+// transport (no http.Client.Do and its header clone) and coopd decodes
+// it with a pooled strict decoder.
+func TestHeartbeatExchangeAllocs(t *testing.T) {
+	const ceiling = 53
+	beat := heartbeater(t)
+	i := 0
+	n := testing.AllocsPerRun(200, func() { beat(i); i++ })
+	t.Logf("a warm heartbeat exchange allocates %.1f objects", n)
+	if n > ceiling {
+		t.Errorf("a warm heartbeat exchange allocates %.1f objects, ceiling %d", n, ceiling)
 	}
 }

@@ -45,10 +45,12 @@ type announceResponse struct {
 // replicas; mutations on a follower are redirected with 421 +
 // not_leader instead of being served.
 func (n *Node) Handler() http.Handler {
+	// The peer routes are not metered: no surface publishes their
+	// windows, and a follower pulls /v1/replicate four times a second.
 	own := httpapi.NewRoutes(n.cfg.Clock, 0)
-	own.Handle("GET /v1/replica/status", "replica_status", n.handleStatus)
-	own.Handle("POST /v1/replica/announce", "replica_announce", n.handleAnnounce)
-	own.Handle("GET /v1/replicate", "replicate", n.handleReplicate)
+	own.Handle("GET /v1/replica/status", "", n.handleStatus)
+	own.Handle("POST /v1/replica/announce", "", n.handleAnnounce)
+	own.Handle("GET /v1/replicate", "", n.handleReplicate)
 	// The replica's paths go to its own route table whatever the method
 	// (so a wrong one is 405 there, not a 404 from the wrapped server);
 	// everything else is the wrapped server's, behind the write gate.

@@ -481,9 +481,7 @@ func (n *Node) announce() {
 // peerDo makes one exchange with a peer replica, bounded by the peer
 // client's timeout; a non-2xx reply is an *httpapi.APIError.
 func (n *Node) peerDo(method, base, path string, in, out any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.hc.Timeout)
-	defer cancel()
-	_, err := httpapi.Call(ctx, n.hc, method, strings.TrimRight(base, "/")+path, "", in, out)
+	_, err := httpapi.Call(context.Background(), n.hc, method, strings.TrimRight(base, "/")+path, "", in, out)
 	return err
 }
 

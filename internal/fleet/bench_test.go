@@ -269,15 +269,15 @@ func BenchmarkRebalanceRepack(b *testing.B) {
 	}
 }
 
-// benchPollFleet is 40 in-process members behind memberNet, each holding
+// benchPollFleet is n in-process members behind memberNet, each holding
 // the paper's Table I mix, polled once: what Inventory.Poll faces every
 // PollInterval in a fleet at rest.
-func benchPollFleet(b *testing.B) *pollWorld {
-	ids := make([]string, 40)
+func benchPollFleet(tb testing.TB, n int) *pollWorld {
+	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("m%02d", i)
 	}
-	w := newPollWorld(b, ids...)
+	w := newPollWorld(tb, ids...)
 	for _, id := range ids {
 		for i, ai := range []float64{0.5, 0.5, 0.5, 10} {
 			w.direct(id, ctrlplane.AppSpec{Name: fmt.Sprintf("app-%d", i), AI: ai}, 0)
@@ -287,10 +287,27 @@ func benchPollFleet(b *testing.B) *pollWorld {
 	return w
 }
 
+// TestPollUnchangedAllocs holds one warm 304 member poll, both ends of
+// it, under a ceiling: the group re-uses the query it built for the
+// member last time, and the exchange goes straight to the transport.
+func TestPollUnchangedAllocs(t *testing.T) {
+	const ceiling = 29
+	w := benchPollFleet(t, 1)
+	ctx := context.Background()
+	n := testing.AllocsPerRun(100, func() { w.inv.Poll(ctx) })
+	t.Logf("a warm 304 member poll allocates %.1f objects", n)
+	if p := w.inv.Polls(); p.Unchanged != 101 {
+		t.Fatalf("polls %+v, want every timed poll unchanged", p)
+	}
+	if n > ceiling {
+		t.Errorf("a warm 304 member poll allocates %.1f objects, ceiling %d", n, ceiling)
+	}
+}
+
 // BenchmarkInventoryPollUnchanged is the hit path: one op polls 40
 // members none of which changed, one conditional GET /v1/state each.
 func BenchmarkInventoryPollUnchanged(b *testing.B) {
-	w := benchPollFleet(b)
+	w := benchPollFleet(b, 40)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -303,12 +320,37 @@ func BenchmarkInventoryPollUnchanged(b *testing.B) {
 	}
 }
 
+// BenchmarkInventoryPollDead is the round a rack_loss recovery polls
+// through: one op polls 40 members of which one rack of 10 refuses every
+// connection and is already dead, so 30 polls are 304s and 10 fail.
+func BenchmarkInventoryPollDead(b *testing.B) {
+	w := benchPollFleet(b, 40)
+	for i := 30; i < 40; i++ {
+		w.net.down[fmt.Sprintf("m%02d", i)] = true
+	}
+	ctx := context.Background()
+	w.inv.Poll(ctx)
+	w.inv.Poll(ctx) // FailAfter 2: the rack is dead
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.inv.Poll(ctx)
+	}
+	b.StopTimer()
+	if p := w.inv.Polls(); p.Failed != uint64(10*(b.N+2)) || p.Unchanged != uint64(30*(b.N+2)) {
+		b.Fatalf("polls %+v, want 30 unchanged and 10 failed per poll", p)
+	}
+	if m := w.member("m39"); !m.Dead {
+		b.Fatalf("member m39 %+v, want dead", m)
+	}
+}
+
 // BenchmarkInventoryPollChanged is the miss path: every member's
 // generation moves between polls (a promote record: no app changes, so
 // the member's solver answers from its cache), and one op re-reads all
 // 40 in full.
 func BenchmarkInventoryPollChanged(b *testing.B) {
-	w := benchPollFleet(b)
+	w := benchPollFleet(b, 40)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -70,8 +71,9 @@ func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args
 // field v does not declare — a misspelt field is an error, not a
 // default — and at most MaxBodyBytes, whether or not the request
 // declared its length (Routes refuses a declared one over the cap before
-// the handler runs). On failure it answers 400, or 413 for a body over
-// the cap, and reports false.
+// the handler runs). Like json.Decoder.Decode it reads the first JSON
+// value and ignores anything after it. On failure it answers 400, or 413
+// for a body over the cap, and reports false.
 func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getBuffer()
 	defer putBuffer(buf)
@@ -86,13 +88,45 @@ func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", MaxBodyBytes)
 		return false
 	}
-	dec := json.NewDecoder(buf)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decoders.Get().decode(buf.Bytes(), v); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// strictDecoder is Decode's json.Decoder, refusing unknown fields, kept
+// between requests with the bytes.Reader it reads each body through.
+type strictDecoder struct {
+	r   bytes.Reader
+	dec *json.Decoder
+	fed int64 // bytes of every body dec was given
+}
+
+// decoders holds the strict decoders whose last decode was clean.
+var decoders freelist.List[strictDecoder]
+
+// decode decodes body's first JSON value into v and returns d to
+// decoders only if the decode was clean: no error (it is sticky), the
+// decoder's offset at the end of every byte it was fed, so nothing is
+// left buffered or unread (a byte after the value, whitespace included,
+// would be read ahead of the next body), and a body no larger than
+// maxPooledBuffer. The offset alone tells whether anything is left;
+// More would refill, and grow, the buffer of a decoder about to be
+// dropped. The caller must not use d afterwards.
+func (d *strictDecoder) decode(body []byte, v any) error {
+	if d.dec == nil {
+		d.dec = json.NewDecoder(&d.r)
+		d.dec.DisallowUnknownFields()
+	}
+	d.r.Reset(body)
+	d.fed += int64(len(body))
+	err := d.dec.Decode(v)
+	if err == nil && d.dec.InputOffset() == d.fed && len(body) <= maxPooledBuffer {
+		d.r.Reset(nil)
+		decoders.Put(d)
+	}
+	return err
 }
 
 // EndpointMetrics summarizes one endpoint's request history.
@@ -221,14 +255,18 @@ func NewRoutes(clock func() time.Time, maxInFlight int) *Routes {
 func (rt *Routes) OnAdmit(f func(name string)) { rt.admitted = f }
 
 // Handle mounts h at a "METHOD /path" pattern and meters it under name.
+// A route mounted with no name is served the same way but not metered:
+// it is for a surface that publishes no window of its own.
 func (rt *Routes) Handle(pattern, name string, h http.HandlerFunc) {
 	ep := &endpointStats{name: name, pattern: pattern}
 	if rt.maxInFlight > 0 {
 		ep.sem = make(chan struct{}, rt.maxInFlight)
 	}
-	rt.mu.Lock()
-	rt.eps = append(rt.eps, ep)
-	rt.mu.Unlock()
+	if name != "" {
+		rt.mu.Lock()
+		rt.eps = append(rt.eps, ep)
+		rt.mu.Unlock()
+	}
 	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		sw := w.(*statusWriter) // ServeHTTP is the only way in
 		sw.routed = true
@@ -260,7 +298,9 @@ func (rt *Routes) Handle(pattern, name string, h http.HandlerFunc) {
 		} else {
 			h(w, r)
 		}
-		ep.record(t0.Sub(rt.epoch), rt.clock().Sub(t0), sw.status >= 400)
+		if name != "" {
+			ep.record(t0.Sub(rt.epoch), rt.clock().Sub(t0), sw.status >= 400)
+		}
 	})
 }
 

@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/freelist"
 )
@@ -193,15 +195,28 @@ func (b *bodyReader) Close() error {
 }
 
 // Call performs one JSON exchange. in (nil: no body) is encoded as the
-// request body; validator, when not "", is sent as If-None-Match, and a
-// 304 answer returns ErrNotModified with the body left unread; at most
-// MaxResponseBytes of any other response are read; a status >= 400 is
-// returned as an *APIError, filled from the ErrorResponse body when there
-// is one; any other body is unmarshalled into out (nil: discarded), and
-// an empty one is an error when out wants a value and the status is not
-// 204. The response header is returned whenever a response arrived,
-// failed calls included.
+// request body, without the encoder's trailing newline; validator, when
+// not "", is sent as If-None-Match, and a 304 answer returns
+// ErrNotModified with the body left unread; at most MaxResponseBytes of
+// any other response are read; any other status >= 300 is returned as an
+// *APIError, filled from the ErrorResponse body when there is one; any
+// other body is unmarshalled into out (nil: discarded), and an empty one
+// is an error when out wants a value and the status is not 204. The
+// response header is returned whenever a response arrived, failed calls
+// included.
+//
+// The request goes straight to hc's transport (http.DefaultTransport
+// when it has none): no daemon here redirects, so Call follows no
+// redirect, and hc.Timeout bounds the exchange as a context deadline,
+// added only when ctx has none as early.
 func Call(ctx context.Context, hc *http.Client, method, url, validator string, in, out any) (http.Header, error) {
+	if hc.Timeout > 0 {
+		if d, ok := ctx.Deadline(); !ok || time.Until(d) > hc.Timeout {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, hc.Timeout)
+			defer cancel()
+		}
+	}
 	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return nil, fmt.Errorf("building request: %w", err)
@@ -212,6 +227,7 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 		if err := json.NewEncoder(body.buf).Encode(in); err != nil {
 			return nil, fmt.Errorf("encoding request: %w", err)
 		}
+		body.buf.Truncate(body.buf.Len() - 1) // one JSON value, nothing after it
 		req.ContentLength = int64(body.buf.Len())
 		req.Body, _ = body.open()
 		req.GetBody = body.open
@@ -220,9 +236,18 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 	if validator != "" {
 		req.Header.Set("If-None-Match", validator)
 	}
-	resp, err := hc.Do(req)
+	rt := hc.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
-		return nil, &transportError{err}
+		if req.Body != nil {
+			req.Body.Close() // a transport that failed may not have
+		}
+		// The text http.Client.Do gave the same failure.
+		op := req.Method[:1] + strings.ToLower(req.Method[1:])
+		return nil, &transportError{&neturl.Error{Op: op, URL: url, Err: err}}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
@@ -233,7 +258,7 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 	if _, err := data.ReadFrom(io.LimitReader(resp.Body, MaxResponseBytes)); err != nil {
 		return resp.Header, &transportError{fmt.Errorf("reading response: %w", err)}
 	}
-	if resp.StatusCode >= 400 {
+	if resp.StatusCode >= 300 {
 		ae := &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(data.String())}
 		var er ErrorResponse
 		if json.Unmarshal(data.Bytes(), &er) == nil && er.Error != "" {

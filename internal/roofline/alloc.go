@@ -37,10 +37,13 @@ func MustEven(m *machine.Machine, nApps int) Allocation {
 // an error if the counts over-subscribe any node.
 func PerNodeCounts(m *machine.Machine, counts []int) (Allocation, error) {
 	al := NewAllocation(len(counts), m.NumNodes())
-	total := 0
+	total, fits := 0, minCores(m)
 	for _, c := range counts {
 		if c < 0 {
 			return Allocation{}, fmt.Errorf("roofline: negative per-node count %d", c)
+		}
+		if c > fits { // checked before the sum, which it could wrap
+			return Allocation{}, fmt.Errorf("roofline: per-node count %d > %d cores of the smallest node", c, fits)
 		}
 		total += c
 	}

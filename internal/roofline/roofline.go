@@ -155,6 +155,9 @@ func (al Allocation) Validate(m *machine.Machine, apps []App) error {
 			if c < 0 {
 				return fmt.Errorf("roofline: app %d node %d has negative thread count %d", i, j, c)
 			}
+			if c > m.Nodes[j].Cores { // checked before the node's sum, which it could wrap
+				return fmt.Errorf("roofline: node %d over-subscribed: app %d alone has %d threads > %d cores", j, i, c, m.Nodes[j].Cores)
+			}
 		}
 	}
 	for j := 0; j < m.NumNodes(); j++ {

@@ -209,6 +209,20 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
+// TestThreadCountsCannotWrap: counts whose sum overflows int are
+// refused, not summed to a small number that fits the node.
+func TestThreadCountsCannotWrap(t *testing.T) {
+	m := machine.PaperModel()
+	if al, err := PerNodeCounts(m, []int{math.MaxInt, math.MaxInt, 3}); err == nil {
+		t.Errorf("PerNodeCounts({MaxInt, MaxInt, 3}) = %v, want an error", al)
+	}
+	al := NewAllocation(3, m.NumNodes())
+	al.Threads[0][0], al.Threads[1][0], al.Threads[2][0] = math.MaxInt, math.MaxInt, 3
+	if err := al.Validate(m, []App{{AI: 1}, {AI: 1}, {AI: 1}}); err == nil {
+		t.Errorf("Validate(%v) passed, want an error", al)
+	}
+}
+
 func TestAllocationHelpers(t *testing.T) {
 	m := machine.PaperModel()
 	al := MustEven(m, 4)
