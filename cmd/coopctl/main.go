@@ -398,7 +398,7 @@ func cmdStatus(ctx context.Context, c *client.Client, args []string) error {
 		return err
 	}
 	printSolveCache(mt.Solver)
-	fmt.Printf("  served table: %d answers from it, %d solves installed it\n", mt.Table.Hits, mt.Table.Solves)
+	fmt.Printf("  served table: %d answers from it, %d solves installed it, %d heartbeats held theirs\n", mt.Table.Hits, mt.Table.Solves, mt.Table.Held)
 	if a := mt.Adapt; a != nil {
 		fmt.Printf("  adaptive loop: threshold %.0f%%, %d tracked, %d drifted, %d applied; confirmed %d, cleared %d, refits %d, phase changes %d\n",
 			a.Threshold*100, a.Tracked, a.Drifted, a.Applied, a.DriftsConfirmed, a.DriftsCleared, a.Refits, a.PhaseChanges)

@@ -157,7 +157,10 @@ func faultyClient(baseURL string, seed int64) (*client.Client, *faultinject.Inje
 // Table I mix under an injected fault storm, kill the daemon
 // mid-workload, restart on the same state dir and address, and verify
 // the registry (an app's class and move round included), generations,
-// and the 254/140/128 ranking all survive.
+// and the 254/140/128 ranking all survive. The clients hold their apps'
+// answers across the crash: the restarted daemon is a new incarnation,
+// so the first heartbeat of each is a full answer at its version, never
+// a 204.
 func TestChaosKillRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := faultinject.NewSkewedClock(nil)
@@ -192,6 +195,9 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 	}
 	assertTableIRanking(t, live, "live before crash")
 	genBeforeCrash := live.Generation
+	if m, err := client.New(d.url(), client.Config{}).Metrics(ctx); err != nil || m.Table.Held == 0 {
+		t.Fatalf("metrics before the crash: %+v, %v; want heartbeats answered held", m, err)
+	}
 
 	// Phase 2: crash, then restart with the same state dir on the same
 	// address.
@@ -200,11 +206,20 @@ func TestChaosKillRestartRecovery(t *testing.T) {
 	if d2.srv.RestoredApps() != 4 {
 		t.Fatalf("restored %d apps, want 4", d2.srv.RestoredApps())
 	}
-	// Old IDs keep working: heartbeats land without re-registration.
+	// Old IDs keep working: heartbeats land without re-registration, each
+	// a full answer at the restarted daemon's version.
+	_, genAfterRestart := d2.srv.Registry().Version()
 	for i := range apps {
-		if _, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[i], Workers: 4}); err != nil {
+		hb, err := apps[i].Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[i], Workers: 4})
+		if err != nil {
 			t.Fatalf("heartbeat %s after restart: %v", ids[i], err)
 		}
+		if hb.Generation != genAfterRestart || hb.Allocation == nil {
+			t.Errorf("heartbeat %s after restart: %+v, want an allocation at generation %d", ids[i], hb, genAfterRestart)
+		}
+	}
+	if m, err := client.New(d2.url(), client.Config{}).Metrics(ctx); err != nil || m.Table.Held != 0 {
+		t.Errorf("metrics after the first heartbeats since the restart: %+v, %v; want none answered held", m, err)
 	}
 	recovered, err := apps[0].Allocations(ctx)
 	if err != nil {

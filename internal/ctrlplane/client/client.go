@@ -84,6 +84,9 @@ type Client struct {
 	// rnd is the jitter source (the shared math/rand default); tests
 	// swap in a seeded function for deterministic schedules.
 	rnd func() float64
+	// held is each app's last full heartbeat answer, which Heartbeat
+	// presents.
+	held heldAnswers
 }
 
 // New creates a client for the server at baseURL (e.g.
@@ -110,42 +113,51 @@ func New(baseURL string, cfg Config) *Client {
 // do performs one API call with retries. in (may be nil) is marshaled
 // as the JSON body; out (may be nil) receives the decoded response.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	_, err := c.exchange(ctx, method, path, "", in, out)
+	_, err := c.exchange(ctx, method, path, nil, in, out)
 	return err
 }
 
-// exchange is do presenting a validator (see httpapi.Call): a 304 to it
-// returns httpapi.ErrNotModified at once, never retried. It also returns
-// the X-Coop-Epoch of the answer (0 from a standalone daemon), the
-// replica epoch a Group fences on. Transport errors and 5xx answers are
-// retried; 4xx ones are not.
-func (c *Client) exchange(ctx context.Context, method, path, validator string, in, out any) (epoch uint64, err error) {
+// exchange is do sending the request header hdr (nil: the plain one; see
+// httpapi.Call), which presents what the caller holds: an answer saying
+// that it stands (304, or a heartbeat's 204) returns
+// httpapi.ErrNotModified at once, never retried. It also returns the
+// answer's header, whose X-Coop-Epoch a Group fences on. Transport
+// errors and 5xx answers are retried; 4xx ones are not.
+func (c *Client) exchange(ctx context.Context, method, path string, hdr http.Header, in, out any) (http.Header, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
 		defer cancel()
 	}
+	var err error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if serr := sleepBackoff(ctx, c.backoff(attempt)); serr != nil {
-				return 0, &giveUpError{attempt, serr, err}
+				return nil, &giveUpError{attempt, serr, err}
 			}
 		}
-		var hdr http.Header
-		hdr, err = httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, validator, in, out)
-		if hdr == nil && err != nil && ctx.Err() != nil {
+		var resp http.Header
+		resp, err = httpapi.Call(ctx, c.cfg.HTTPClient, method, c.base+path, hdr, in, out)
+		if resp == nil && err != nil && ctx.Err() != nil {
 			// No response and the caller's context is done: another
 			// attempt cannot fare better.
-			return 0, ctx.Err()
+			return nil, ctx.Err()
 		}
 		if err == nil || !httpapi.Retryable(err) {
-			if v := hdr.Get(ctrlplane.HeaderEpoch); v != "" { // standalone daemons send none
-				epoch, _ = strconv.ParseUint(v, 10, 64)
-			}
-			return epoch, err
+			return resp, err
 		}
 	}
-	return 0, &giveUpError{c.cfg.MaxAttempts, err, nil}
+	return nil, &giveUpError{c.cfg.MaxAttempts, err, nil}
+}
+
+// epochOf reads an answer's X-Coop-Epoch: 0 from a standalone daemon,
+// which sends none.
+func epochOf(resp http.Header) uint64 {
+	var epoch uint64
+	if v := resp.Get(ctrlplane.HeaderEpoch); v != "" {
+		epoch, _ = strconv.ParseUint(v, 10, 64)
+	}
+	return epoch
 }
 
 // giveUpError is exchange's failure after attempts tries: err is the
@@ -205,9 +217,14 @@ func (c *Client) Register(ctx context.Context, req ctrlplane.RegisterRequest) (*
 }
 
 // Heartbeat refreshes the app's liveness deadline and returns its
-// current allocation. IsNotFound(err) means the app was evicted.
+// current allocation. IsNotFound(err) means the app was evicted. It
+// presents the answer it holds for the app, and while that answer
+// stands coopd says so with no body; the caller gets a copy either way.
 func (c *Client) Heartbeat(ctx context.Context, req ctrlplane.HeartbeatRequest) (*ctrlplane.HeartbeatResponse, error) {
-	return httpapi.Typed[ctrlplane.HeartbeatResponse](ctx, c.do, http.MethodPost, "/v1/heartbeat", req)
+	e := c.held.get(req.ID)
+	out := new(ctrlplane.HeartbeatResponse)
+	resp, err := c.exchange(ctx, http.MethodPost, "/v1/heartbeat", e.header(), req, out)
+	return c.held.settle(req.ID, e, resp, out, err)
 }
 
 // Report delivers observed throughput samples to the adaptive
@@ -219,6 +236,7 @@ func (c *Client) Report(ctx context.Context, req ctrlplane.ReportRequest) (*ctrl
 
 // Deregister removes an application, releasing its cores.
 func (c *Client) Deregister(ctx context.Context, id string) error {
+	c.held.drop(id)
 	return c.do(ctx, http.MethodDelete, "/v1/apps/"+url.PathEscape(id), nil, nil)
 }
 
@@ -233,25 +251,25 @@ func (c *Client) Allocations(ctx context.Context) (*ctrlplane.AllocationsRespons
 // out; a Conditional query also presents StateETag of the pair, and
 // while both are current the 304 is returned as ErrNotModified.
 func (c *Client) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
-	path, validator := stateRequest(held)
+	path, hdr := stateRequest(held)
 	out := new(ctrlplane.StateResponse)
-	if _, err := c.exchange(ctx, http.MethodGet, path, validator, nil, out); err != nil {
+	if _, err := c.exchange(ctx, http.MethodGet, path, hdr, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// stateRequest is the path and validator of a /v1/state read presenting
-// held.
-func stateRequest(held ctrlplane.StateQuery) (path, validator string) {
+// stateRequest is the path and request header of a /v1/state read
+// presenting held: If-None-Match for a Conditional query, else nil.
+func stateRequest(held ctrlplane.StateQuery) (path string, hdr http.Header) {
 	path = "/v1/state"
 	if held.Incarnation != "" {
 		path += "?incarnation=" + url.QueryEscape(held.Incarnation)
 		if held.Conditional {
-			validator = ctrlplane.StateETag(held.Incarnation, held.Generation)
+			hdr = http.Header{"If-None-Match": {ctrlplane.StateETag(held.Incarnation, held.Generation)}}
 		}
 	}
-	return path, validator
+	return path, hdr
 }
 
 // Health reads /healthz.

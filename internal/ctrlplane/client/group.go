@@ -35,10 +35,14 @@ type Group struct {
 	preferred  int
 	epoch, gen uint64 // the fence
 	fenced     atomic.Uint64
-	// The last State query's path and validator, and the query they
-	// present: a poller presents the same query round after round.
-	held            ctrlplane.StateQuery
-	path, validator string
+	// The last State query's path and request header, and the query
+	// they present: a poller presents the same query round after round.
+	query     ctrlplane.StateQuery
+	queryPath string
+	queryHdr  http.Header
+
+	// held is each app's last full heartbeat answer, as Client holds it.
+	held heldAnswers
 }
 
 // NewGroup builds a group over one client per endpoint, at least one.
@@ -63,14 +67,14 @@ func (g *Group) Fenced() uint64 { return g.fenced.Load() }
 // generation the query presented.
 func (g *Group) State(ctx context.Context, held ctrlplane.StateQuery) (*ctrlplane.StateResponse, error) {
 	g.mu.Lock()
-	if g.path == "" || held != g.held {
-		g.held = held
-		g.path, g.validator = stateRequest(held)
+	if g.queryPath == "" || held != g.query {
+		g.query = held
+		g.queryPath, g.queryHdr = stateRequest(held)
 	}
-	path, validator := g.path, g.validator
+	path, hdr := g.queryPath, g.queryHdr
 	g.mu.Unlock()
 	out := new(ctrlplane.StateResponse)
-	if err := g.call(ctx, http.MethodGet, path, validator, held.Generation, nil, out); err != nil {
+	if _, err := g.call(ctx, http.MethodGet, path, hdr, held.Generation, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -83,12 +87,21 @@ func (g *Group) Register(ctx context.Context, req ctrlplane.RegisterRequest) (*c
 
 // Deregister is Client.Deregister through the group.
 func (g *Group) Deregister(ctx context.Context, id string) error {
+	g.held.drop(id)
 	return g.do(ctx, http.MethodDelete, "/v1/apps/"+url.PathEscape(id), nil, nil)
 }
 
-// Heartbeat is Client.Heartbeat through the group.
+// Heartbeat is Client.Heartbeat through the group. A 204 stands for the
+// held answer's generation.
 func (g *Group) Heartbeat(ctx context.Context, req ctrlplane.HeartbeatRequest) (*ctrlplane.HeartbeatResponse, error) {
-	return httpapi.Typed[ctrlplane.HeartbeatResponse](ctx, g.do, http.MethodPost, "/v1/heartbeat", req)
+	e := g.held.get(req.ID)
+	var gen uint64
+	if e != nil {
+		gen = e.resp.Generation
+	}
+	out := new(ctrlplane.HeartbeatResponse)
+	resp, err := g.call(ctx, http.MethodPost, "/v1/heartbeat", e.header(), gen, req, out)
+	return g.held.settle(req.ID, e, resp, out, err)
 }
 
 // Report is Client.Report through the group.
@@ -101,34 +114,37 @@ func (g *Group) Allocations(ctx context.Context) (*ctrlplane.AllocationsResponse
 	return httpapi.Typed[ctrlplane.AllocationsResponse](ctx, g.do, http.MethodGet, "/v1/allocations", nil)
 }
 
-// do is call presenting no validator.
+// do is call presenting nothing.
 func (g *Group) do(ctx context.Context, method, path string, in, out any) error {
-	return g.call(ctx, method, path, "", 0, in, out)
+	_, err := g.call(ctx, method, path, nil, 0, in, out)
+	return err
 }
 
 // call makes one exchange with the group, asking each endpoint at most
-// once, and returns the first answer the fence takes; a 304 to validator
-// answers at generation held. An API error other than not_leader ends
-// the call: that daemon is alive and said no.
-func (g *Group) call(ctx context.Context, method, path, validator string, held uint64, in, out any) error {
+// once, and returns the first answer the fence takes, with its header.
+// hdr, when not nil, presents what the caller holds, and an answer that
+// it stands (ErrNotModified) counts as one at generation held. An API
+// error other than not_leader ends the call: that daemon is alive and
+// said no.
+func (g *Group) call(ctx context.Context, method, path string, hdr http.Header, held uint64, in, out any) (http.Header, error) {
 	g.mu.Lock()
 	i := g.preferred
 	g.mu.Unlock()
 	var lastErr error
 	for range g.clis {
-		epoch, err := g.clis[i].exchange(ctx, method, path, validator, in, out)
-		if err == nil || (validator != "" && errors.Is(err, ErrNotModified)) {
+		resp, err := g.clis[i].exchange(ctx, method, path, hdr, in, out)
+		if err == nil || (hdr != nil && errors.Is(err, ErrNotModified)) {
 			gen, hasGen := held, true
 			if err == nil {
 				gen, hasGen = generation(out)
 			}
-			if g.take(i, epoch, gen, hasGen) {
-				return err
+			if g.take(i, epochOf(resp), gen, hasGen) {
+				return resp, err
 			}
 			err = ErrStaleReplica
 		} else if ae := (*APIError)(nil); errors.As(err, &ae) { // ae escapes: declared on error paths only
 			if ae.Code != ctrlplane.ErrCodeNotLeader {
-				return err
+				return nil, err
 			}
 			if j := g.index(ae.Leader); j >= 0 && j != i {
 				lastErr, i = err, j
@@ -138,7 +154,7 @@ func (g *Group) call(ctx context.Context, method, path, validator string, held u
 		lastErr = err
 		i = (i + 1) % len(g.clis)
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // take passes endpoint i's answer at epoch (and generation gen, if

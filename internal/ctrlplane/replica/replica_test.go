@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,10 +421,47 @@ func TestPartitionFencingAndHeal(t *testing.T) {
 	}
 }
 
+// answerLog is a transport that records every heartbeat answer it
+// passes: which endpoint gave it, what the request presented, its
+// status and its tag.
+type answerLog struct {
+	mu      sync.Mutex
+	answers []loggedAnswer
+}
+
+type loggedAnswer struct {
+	host, presented, tag string
+	status               int
+}
+
+func (l *answerLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Path == "/v1/heartbeat" {
+		l.mu.Lock()
+		l.answers = append(l.answers, loggedAnswer{req.URL.Host, req.Header.Get(ctrlplane.HeaderHeld), resp.Header.Get("ETag"), resp.StatusCode})
+		l.mu.Unlock()
+	}
+	return resp, err
+}
+
+// first returns the first heartbeat answer from host that was served, a
+// 200 or a 204 (a follower answers 421), and whether there is one.
+func (l *answerLog) first(host string) (loggedAnswer, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, a := range l.answers {
+		if a.host == host && (a.status == http.StatusOK || a.status == http.StatusNoContent) {
+			return a, true
+		}
+	}
+	return loggedAnswer{}, false
+}
+
 // stormGroup builds a group over the endpoints whose transport injects
 // a seeded fault storm on idempotent paths (register spared — a blind
-// retry there would duplicate the app and change the demand mix).
-func stormGroup(endpoints []string, seed int64) (*client.Group, *faultinject.Injector) {
+// retry there would duplicate the app and change the demand mix), over
+// log when it is not nil.
+func stormGroup(endpoints []string, seed int64, log *answerLog) (*client.Group, *faultinject.Injector) {
 	inj := faultinject.NewInjector(faultinject.Seeded(seed, faultinject.Mix{
 		Drop:       0.05,
 		Latency:    0.20,
@@ -431,11 +469,15 @@ func stormGroup(endpoints []string, seed int64) (*client.Group, *faultinject.Inj
 		Err5xx:     0.10,
 		MaxLatency: 5 * time.Millisecond,
 	}))
+	ft := &faultinject.Transport{
+		Inj:    inj,
+		Filter: func(r *http.Request) bool { return r.URL.Path != "/v1/register" },
+	}
+	if log != nil {
+		ft.Base = log
+	}
 	ccfg := client.Config{
-		HTTPClient: &http.Client{Transport: &faultinject.Transport{
-			Inj:    inj,
-			Filter: func(r *http.Request) bool { return r.URL.Path != "/v1/register" },
-		}},
+		HTTPClient:     &http.Client{Transport: ft},
 		MaxAttempts:    6,
 		BaseBackoff:    time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,
@@ -464,8 +506,11 @@ func seededRand(seed int64) func() float64 {
 // the Table I mix heartbeats both replicas through a fault-injecting
 // transport, the leader is killed mid-storm, and afterwards (a) the
 // follower was promoted within one lease TTL, (b) no client ever
-// observed a regressed generation (epoch fencing), and (c) the
-// surviving leader still reproduces the 254/140/128 ranking.
+// observed a regressed generation (epoch fencing), (c) the surviving
+// leader still reproduces the 254/140/128 ranking, and (d) the first
+// heartbeat the survivor served each client, one that held the dead
+// leader's answer through the failover included, was a full answer at
+// the survivor's version, never a 204.
 func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 	ttl := 500 * time.Millisecond
 	leader, follower := startPair(t, haOpts{leaseTTL: ttl})
@@ -475,10 +520,12 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 
 	reqs := tableIRequests()
 	apps := make([]*client.Group, len(reqs))
+	logs := make([]*answerLog, len(reqs))
 	ids := make([]string, len(reqs))
 	var inj *faultinject.Injector
 	for i, req := range reqs {
-		apps[i], inj = stormGroup(endpoints, int64(4000+i))
+		logs[i] = &answerLog{}
+		apps[i], inj = stormGroup(endpoints, int64(4000+i), logs[i])
 		resp, err := apps[i].Register(ctx, req)
 		if err != nil {
 			t.Fatalf("register %s: %v", req.Name, err)
@@ -527,6 +574,20 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 		}(i)
 	}
 
+	// The holder heartbeats the first app twice, holding the leader's
+	// answer, and then not again until the follower has been promoted.
+	holdLog := &answerLog{}
+	hcfg := client.Config{HTTPClient: &http.Client{Transport: holdLog}, MaxAttempts: 1}
+	holder := client.NewGroup(client.New(leader.url(), hcfg), client.New(follower.url(), hcfg))
+	for beat := 0; beat < 2; beat++ {
+		if _, err := holder.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[0]}); err != nil {
+			t.Fatalf("holder's heartbeat %d: %v", beat, err)
+		}
+	}
+	if a := holdLog.answers[1]; a.status != http.StatusNoContent || a.presented == "" {
+		t.Fatalf("holder's second heartbeat before the kill: %+v, want a 204 to the answer it held", a)
+	}
+
 	time.Sleep(300 * time.Millisecond) // let the storm run against the original leader
 	killedAt := time.Now()
 	leader.kill()
@@ -536,6 +597,14 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 	promotedIn := time.Since(killedAt)
 	if promotedIn > 2*ttl {
 		t.Errorf("promotion took %v, want within one lease TTL (%v) of the kill", promotedIn, ttl)
+	}
+	if _, err := holder.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[0]}); err != nil {
+		t.Fatalf("holder's heartbeat after the promotion: %v", err)
+	}
+	survivor := strings.TrimPrefix(follower.url(), "http://")
+	inc, gen := follower.srv.Registry().Version()
+	if a, ok := holdLog.first(survivor); !ok || a.status != http.StatusOK || a.presented == "" || a.tag != ctrlplane.StateETag(inc, gen) {
+		t.Errorf("the survivor's first answer to the holder: %+v (%v); want a 200 to the dead leader's tag, tagged %s", a, ok, ctrlplane.StateETag(inc, gen))
 	}
 	time.Sleep(500 * time.Millisecond) // storm continues against the promoted leader
 	close(stop)
@@ -551,6 +620,9 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 		if got := apps[i].Client().BaseURL(); got != follower.url() {
 			t.Errorf("client %d prefers %s after the leader died, want the survivor %s", i, got, follower.url())
 		}
+		if a, ok := logs[i].first(survivor); !ok || a.status != http.StatusOK {
+			t.Errorf("client %d: the survivor's first heartbeat answer %+v (%v), want a 200", i, a, ok)
+		}
 		if maxGens[i] == 0 {
 			t.Errorf("client %d never landed a heartbeat", i)
 		}
@@ -558,7 +630,7 @@ func TestChaosLeaderKillDuringHeartbeatStorm(t *testing.T) {
 
 	// The survivor serves the full mix with the Table I ranking intact,
 	// at a generation above everything the dead leader issued.
-	r, _ := stormGroup([]string{follower.url()}, 9999)
+	r, _ := stormGroup([]string{follower.url()}, 9999, nil)
 	alloc, err := r.Allocations(ctx)
 	if err != nil {
 		t.Fatalf("allocations from survivor: %v", err)

@@ -81,9 +81,9 @@ type Server struct {
 	// table is the allocation last served to heartbeats and allocation
 	// reads, with the registry version it was solved at; tableHits and
 	// tableSolves count the answers it gave and the solves that
-	// installed it.
-	table                  atomic.Pointer[servedTable]
-	tableHits, tableSolves atomic.Uint64
+	// installed it, tableHeld the heartbeats answered 204 without it.
+	table                             atomic.Pointer[servedTable]
+	tableHits, tableSolves, tableHeld atomic.Uint64
 }
 
 // servedTable is the allocation served for one registry version. The
@@ -96,6 +96,7 @@ type Server struct {
 type servedTable struct {
 	incarnation string
 	generation  uint64
+	etag        []string // the ETag header's value: StateETag of the version
 	sol         Solution // PerApp sorted by ID, as the registry snapshot was
 	answers     []atomic.Pointer[[]byte]
 
@@ -308,22 +309,40 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteErrorCode(w, http.StatusNotFound, ErrCodeUnknownApp, "%s: %v (evicted after missing its heartbeat deadline, or never registered)", req.ID, err)
 		return
 	}
-	body, err := s.heartbeatAnswer(req.ID)
+	if s.holdsCurrent(r.Header.Get(HeaderHeld)) {
+		s.tableHeld.Add(1)
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	body, etag, err := s.heartbeatAnswer(req.ID)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, "solving allocation: %v", err)
 		return
 	}
+	w.Header()["Etag"] = etag // the canonical form of ETag
 	httpapi.WriteEncoded(w, http.StatusOK, body)
 }
 
+// holdsCurrent reports whether tag, a heartbeat's HeaderHeld, is the
+// StateETag of the registry's current version.
+func (s *Server) holdsCurrent(tag string) bool {
+	if tag == "" {
+		return false
+	}
+	inc, gen := s.reg.Version()
+	return isStateETag(tag, inc, gen)
+}
+
 // heartbeatAnswer is the encoded HeartbeatResponse for app id at the
-// registry's current version, from the served table.
-func (s *Server) heartbeatAnswer(id string) ([]byte, error) {
+// registry's current version, from the served table, and the value of
+// its ETag header.
+func (s *Server) heartbeatAnswer(id string) (body []byte, etag []string, err error) {
 	t, _, err := s.servedTable()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return t.answer(id)
+	body, err = t.answer(id)
+	return body, t.etag, err
 }
 
 // servedTable returns the table of the registry's current version: the
@@ -341,6 +360,7 @@ func (s *Server) servedTable() (t *servedTable, hit bool, err error) {
 		return nil, false, err
 	}
 	t.answers = make([]atomic.Pointer[[]byte], len(t.sol.PerApp))
+	t.etag = []string{StateETag(t.incarnation, t.generation)}
 	s.tableSolves.Add(1)
 	s.table.Store(t)
 	return t, false, nil
@@ -447,13 +467,10 @@ func appTracker(v adapt.TrackerView) AppTracker {
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	s.sweep()
 	inc, gen := s.reg.Version()
-	if v := r.Header.Get("If-None-Match"); v != "" {
-		var buf [64]byte
-		if string(appendStateETag(buf[:0], inc, gen)) == v {
-			w.Header().Set("ETag", v)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	if v := r.Header.Get("If-None-Match"); v != "" && isStateETag(v, inc, gen) {
+		w.Header().Set("ETag", v)
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	sc := s.serve.Get()
 	defer s.serve.Put(sc)
@@ -628,7 +645,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Evictions:     s.reg.Evictions(),
 		Solver:        s.solver.Metrics(),
 		SolverSearch:  s.solver.search.Stats(),
-		Table:         TableMetrics{Hits: s.tableHits.Load(), Solves: s.tableSolves.Load()},
+		Table:         TableMetrics{Hits: s.tableHits.Load(), Solves: s.tableSolves.Load(), Held: s.tableHeld.Load()},
 		Endpoints:     s.routes.Metrics(),
 	}
 	if s.cfg.Store != nil {

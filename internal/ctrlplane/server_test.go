@@ -381,7 +381,7 @@ func TestNUMABadPlacement(t *testing.T) {
 func TestMetricsAndHealth(t *testing.T) {
 	_, c := startServer(t, ctrlplane.ServerConfig{})
 	ctx := context.Background()
-	registerTableIMix(t, c)
+	ids := registerTableIMix(t, c)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Allocations(ctx); err != nil {
 			t.Fatalf("allocations: %v", err)
@@ -420,6 +420,29 @@ func TestMetricsAndHealth(t *testing.T) {
 	// best tie an earlier leaf (a bound call each).
 	if sc := m.SolverSearch; sc.Solves != m.Solver.Misses || sc.Leaves < sc.Solves || sc.Bounds == 0 || sc.Ties == 0 || sc.Ties > sc.Bounds {
 		t.Errorf("solver_search = %+v, want %d solves with a leaf each, some bound calls and some tie cuts among them", sc, m.Solver.Misses)
+	}
+
+	// A client's first heartbeat of an app is a full answer from the
+	// table; its second presents that answer, which stands, and is
+	// counted held. A fresh client presents nothing.
+	fresh := client.New(c.BaseURL(), client.Config{})
+	for i, step := range []struct {
+		cli  *client.Client
+		want ctrlplane.TableMetrics
+	}{
+		{c, ctrlplane.TableMetrics{Hits: 3, Solves: 1}},
+		{c, ctrlplane.TableMetrics{Hits: 3, Solves: 1, Held: 1}},
+		{fresh, ctrlplane.TableMetrics{Hits: 4, Solves: 1, Held: 1}},
+	} {
+		if _, err := step.cli.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: ids[0]}); err != nil {
+			t.Fatalf("heartbeat %d: %v", i, err)
+		}
+		if m, err = c.Metrics(ctx); err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		if m.Table != step.want {
+			t.Errorf("table after heartbeat %d = %+v, want %+v", i, m.Table, step.want)
+		}
 	}
 }
 
@@ -470,8 +493,9 @@ func TestCacheAcrossPermutation(t *testing.T) {
 }
 
 // TestConcurrentRegistryStress hammers register/heartbeat/deregister
-// concurrently through real HTTP; run under -race this is the
-// registry's and solver's concurrency certification.
+// concurrently through real HTTP and one client; run under -race this is
+// the concurrency certification of the registry, the solver and the
+// client's held heartbeat answers.
 func TestConcurrentRegistryStress(t *testing.T) {
 	_, c := startServer(t, ctrlplane.ServerConfig{
 		Policy:        ctrlplane.PolicyFairShare, // cheap solves: stress the locking, not the optimizer
@@ -498,9 +522,11 @@ func TestConcurrentRegistryStress(t *testing.T) {
 					errc <- fmt.Errorf("worker %d register: %w", w, err)
 					return
 				}
-				if _, err := c.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: resp.ID, Workers: 4}); err != nil && !client.IsNotFound(err) {
-					errc <- fmt.Errorf("worker %d heartbeat: %w", w, err)
-					return
+				for beat := 0; beat < 2; beat++ { // the second presents the answer the client holds
+					if _, err := c.Heartbeat(ctx, ctrlplane.HeartbeatRequest{ID: resp.ID, Workers: 4}); err != nil && !client.IsNotFound(err) {
+						errc <- fmt.Errorf("worker %d heartbeat %d: %w", w, beat, err)
+						return
+					}
 				}
 				if _, err := c.Allocations(ctx); err != nil {
 					errc <- fmt.Errorf("worker %d allocations: %w", w, err)

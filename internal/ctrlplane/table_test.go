@@ -87,17 +87,17 @@ func offerOf(t *testing.T, s *Server, req RegisterRequest) *Solved {
 	return &Solved{Key: solvecache.Digest(key), Counts: counts}
 }
 
-// TestServedTableMatchesUncachedSolve drives seeded op sequences —
-// registers with and without an offer, deregisters, heartbeats, TTL
-// evictions under a clock stepped both ways, fitted models set and
-// cleared through /v1/report, promotions, snapshot installs at the
-// current generation with other apps (a resync onto a diverged leader),
-// restarts from the state dir — and after every op requires each live
-// app's heartbeat answer to be byte-equal to the uncached snapshot +
-// solve + encode at the same version, generation included, and the
-// allocation table equal to the uncached one. A version is solved at
-// most once: answering every app twice over adds at most one solve.
-func TestServedTableMatchesUncachedSolve(t *testing.T) {
+// ServedOps drives seeded op sequences — registers with and without an
+// offer, deregisters, heartbeats, TTL evictions under a clock stepped
+// both ways, fitted models set and cleared through /v1/report,
+// promotions, snapshot installs at the current generation with other
+// apps (a resync onto a diverged leader), restarts from the state dir —
+// and calls check after every op with the server of the moment (a
+// restart replaces it), the op's label and the body of the op's own
+// heartbeat answer (nil: the op was no heartbeat, or was refused). It
+// fails the test unless the sequences set, clear and install at least
+// once each.
+func ServedOps(t *testing.T, check func(s *Server, label string, hbBody []byte)) {
 	m := machine.PaperModel()
 	ais := []float64{0.5, 0.5, 2, 10}
 	var fitted, cleared, installs int
@@ -223,42 +223,8 @@ func TestServedTableMatchesUncachedSolve(t *testing.T) {
 				}
 				open()
 			}
-			label += " (" + op + ")"
 			ops[op]++
-
-			want, wantTable := uncached(t, s)
-			if hbBody != nil {
-				var hb HeartbeatResponse
-				if err := json.Unmarshal(hbBody, &hb); err != nil || hb.Allocation == nil {
-					t.Fatalf("%s: heartbeat answered %q (%v)", label, hbBody, err)
-				}
-				if !bytes.Equal(hbBody, want[hb.Allocation.ID]) {
-					t.Fatalf("%s: heartbeat of %s answered\n%s want\n%s", label, hb.Allocation.ID, hbBody, want[hb.Allocation.ID])
-				}
-			}
-			solves := s.tableSolves.Load()
-			for pass := 0; pass < 2; pass++ {
-				for id, w := range want {
-					got, err := s.heartbeatAnswer(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, w) {
-						t.Fatalf("%s: %s's answer from the table\n%s want\n%s", label, id, got, w)
-					}
-				}
-			}
-			gotTable, err := s.Allocations()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotTable.CacheHit, wantTable.CacheHit = false, false
-			if !reflect.DeepEqual(gotTable, wantTable) {
-				t.Fatalf("%s: allocation table\n%+v want\n%+v", label, gotTable, wantTable)
-			}
-			if n := s.tableSolves.Load() - solves; n > 1 {
-				t.Fatalf("%s: answering %d apps twice and the table ran %d solves for one version, want at most 1", label, len(want), n)
-			}
+			check(s, label+" ("+op+")", hbBody)
 		}
 		s.Close()
 		store.Close()
@@ -267,6 +233,50 @@ func TestServedTableMatchesUncachedSolve(t *testing.T) {
 	if fitted == 0 || cleared == 0 || installs == 0 {
 		t.Errorf("%d fitted models set, %d cleared, %d snapshot installs: the sequences do not exercise every op", fitted, cleared, installs)
 	}
+}
+
+// TestServedTableMatchesUncachedSolve requires, after every op of
+// ServedOps, each live app's heartbeat answer to be byte-equal to the
+// uncached snapshot + solve + encode at the same version, generation
+// included, and the allocation table equal to the uncached one. A
+// version is solved at most once: answering every app twice over adds
+// at most one solve.
+func TestServedTableMatchesUncachedSolve(t *testing.T) {
+	ServedOps(t, func(s *Server, label string, hbBody []byte) {
+		want, wantTable := uncached(t, s)
+		if hbBody != nil {
+			var hb HeartbeatResponse
+			if err := json.Unmarshal(hbBody, &hb); err != nil || hb.Allocation == nil {
+				t.Fatalf("%s: heartbeat answered %q (%v)", label, hbBody, err)
+			}
+			if !bytes.Equal(hbBody, want[hb.Allocation.ID]) {
+				t.Fatalf("%s: heartbeat of %s answered\n%s want\n%s", label, hb.Allocation.ID, hbBody, want[hb.Allocation.ID])
+			}
+		}
+		solves := s.tableSolves.Load()
+		for pass := 0; pass < 2; pass++ {
+			for id, w := range want {
+				got, _, err := s.heartbeatAnswer(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, w) {
+					t.Fatalf("%s: %s's answer from the table\n%s want\n%s", label, id, got, w)
+				}
+			}
+		}
+		gotTable, err := s.Allocations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTable.CacheHit, wantTable.CacheHit = false, false
+		if !reflect.DeepEqual(gotTable, wantTable) {
+			t.Fatalf("%s: allocation table\n%+v want\n%+v", label, gotTable, wantTable)
+		}
+		if n := s.tableSolves.Load() - solves; n > 1 {
+			t.Fatalf("%s: answering %d apps twice and the table ran %d solves for one version, want at most 1", label, len(want), n)
+		}
+	})
 }
 
 // TestHeartbeatAnswerFromTableNoAllocs: once a version's table holds an
@@ -284,11 +294,11 @@ func TestHeartbeatAnswerFromTableNoAllocs(t *testing.T) {
 		}
 		id = st.ID
 	}
-	if _, err := s.heartbeatAnswer(id); err != nil {
+	if _, _, err := s.heartbeatAnswer(id); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.heartbeatAnswer(id); err != nil {
+		if _, _, err := s.heartbeatAnswer(id); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -147,7 +147,9 @@ type HeartbeatRequest struct {
 	GBRate    float64 `json:"gb_rate,omitempty"`
 }
 
-// HeartbeatResponse acknowledges a heartbeat.
+// HeartbeatResponse acknowledges a heartbeat. It comes with ETag
+// StateETag of the version it was solved at, which a later heartbeat
+// of the same app presents as HeaderHeld.
 type HeartbeatResponse struct {
 	// Generation is the registry generation Allocation was solved at.
 	Generation uint64 `json:"generation"`
@@ -265,6 +267,13 @@ func StateETag(incarnation string, generation uint64) string {
 	return string(appendStateETag(buf[:0], incarnation, generation))
 }
 
+// isStateETag reports whether tag is StateETag(incarnation, generation),
+// comparing without allocating.
+func isStateETag(tag, incarnation string, generation uint64) bool {
+	var buf [64]byte
+	return string(appendStateETag(buf[:0], incarnation, generation)) == tag
+}
+
 // appendStateETag appends StateETag(incarnation, generation) to b.
 func appendStateETag(b []byte, incarnation string, generation uint64) []byte {
 	b = append(b, '"')
@@ -379,12 +388,14 @@ type AdaptMetrics struct {
 }
 
 // TableMetrics counts how heartbeats and allocation reads were answered:
-// from the table served for the registry's current version (Hits), or
-// by a snapshot and solve that installed a new one (Solves). The solver
-// counters see only the solves.
+// from the table served for the registry's current version (Hits), by a
+// snapshot and solve that installed a new one (Solves), or, for a
+// heartbeat presenting the current version's answer, with a 204 that
+// reads no table at all (Held). The solver counters see only the solves.
 type TableMetrics struct {
 	Hits   uint64 `json:"hits"`
 	Solves uint64 `json:"solves"`
+	Held   uint64 `json:"held"`
 }
 
 // MetricsResponse is the /metricsz body. SolverSearch is how hard the
@@ -427,6 +438,15 @@ const (
 	// hint for multi-endpoint clients.
 	HeaderLeader = "X-Coop-Leader"
 )
+
+// HeaderHeld is the heartbeat request header naming the answer the
+// caller holds, by the ETag of the full answer it came with. The
+// heartbeat is recorded either way; while the tag still names the
+// registry's version the answer is a 204 with no body, which says that
+// the held answer stands. It is not If-None-Match: a POST whose
+// If-None-Match matches must not be performed (RFC 9110 §13.1.2), and a
+// heartbeat always is.
+const HeaderHeld = "X-Coop-Held"
 
 // ReplicaStatusResponse is the /v1/replica/status body: one replica's
 // view of the HA pair — its role, the lease, and how far behind the

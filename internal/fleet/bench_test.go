@@ -288,10 +288,11 @@ func benchPollFleet(tb testing.TB, n int) *pollWorld {
 }
 
 // TestPollUnchangedAllocs holds one warm 304 member poll, both ends of
-// it, under a ceiling: the group re-uses the query it built for the
-// member last time, and the exchange goes straight to the transport.
+// it, under a ceiling: the group re-uses the query and the request
+// header it built for the member last time, and the exchange goes
+// straight to the transport.
 func TestPollUnchangedAllocs(t *testing.T) {
-	const ceiling = 29
+	const ceiling = 25
 	w := benchPollFleet(t, 1)
 	ctx := context.Background()
 	n := testing.AllocsPerRun(100, func() { w.inv.Poll(ctx) })

@@ -31,7 +31,7 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // *httpapi.APIError, so callers tell 404 (unknown machine) from 409
 // (dead member, upgrade running) from 503 (no candidate) by status.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	_, err := httpapi.Call(ctx, c.hc, method, c.base+path, "", in, out)
+	_, err := httpapi.Call(ctx, c.hc, method, c.base+path, nil, in, out)
 	return err
 }
 

@@ -30,7 +30,7 @@ func TestCallRefusesRedirect(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 	var out map[string]int
-	_, err := Call(context.Background(), hs.Client(), http.MethodGet, hs.URL+"/moved", "", nil, &out)
+	_, err := Call(context.Background(), hs.Client(), http.MethodGet, hs.URL+"/moved", nil, nil, &out)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusFound || Retryable(err) || out != nil {
 		t.Errorf("302: err %v (retryable %v), out %v; want a permanent *APIError with status 302 and out untouched", err, Retryable(err), out)
@@ -58,7 +58,7 @@ func TestCallTimeoutIsDeadline(t *testing.T) {
 	bt := blockTransport{make(chan time.Time, 1)}
 	hc := &http.Client{Transport: bt, Timeout: 20 * time.Millisecond}
 	start := time.Now()
-	_, err := Call(context.Background(), hc, http.MethodPost, "http://peer/x", "", map[string]int{"a": 1}, nil)
+	_, err := Call(context.Background(), hc, http.MethodPost, "http://peer/x", nil, map[string]int{"a": 1}, nil)
 	took := time.Since(start)
 	d := <-bt.deadline
 	if !errors.Is(err, context.DeadlineExceeded) || !Retryable(err) {
@@ -83,7 +83,7 @@ func TestCallEarlierDeadlineWins(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	want, _ := ctx.Deadline()
-	_, err := Call(ctx, &http.Client{Transport: bt, Timeout: time.Hour}, http.MethodGet, "http://peer/x", "", nil, nil)
+	_, err := Call(ctx, &http.Client{Transport: bt, Timeout: time.Hour}, http.MethodGet, "http://peer/x", nil, nil, nil)
 	if got := <-bt.deadline; !got.Equal(want) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("earlier context deadline: the request carried %v (err %v), want the context's %v", got, err, want)
 	}
@@ -91,7 +91,7 @@ func TestCallEarlierDeadlineWins(t *testing.T) {
 	late, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	start := time.Now()
-	_, err = Call(late, &http.Client{Transport: bt, Timeout: 20 * time.Millisecond}, http.MethodGet, "http://peer/x", "", nil, nil)
+	_, err = Call(late, &http.Client{Transport: bt, Timeout: 20 * time.Millisecond}, http.MethodGet, "http://peer/x", nil, nil, nil)
 	if got := <-bt.deadline; got.After(start.Add(time.Second)) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("later context deadline: the request carried %v (err %v), want about 20ms after %v", got, err, start)
 	}
@@ -112,7 +112,7 @@ func TestCallSendsOneValue(t *testing.T) {
 	})
 	hs := httptest.NewServer(rt)
 	defer hs.Close()
-	if _, err := Call(context.Background(), hs.Client(), http.MethodPost, hs.URL+"/echo", "", map[string]int{"a": 1}, nil); err != nil {
+	if _, err := Call(context.Background(), hs.Client(), http.MethodPost, hs.URL+"/echo", nil, map[string]int{"a": 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != `{"a":1}` || length != int64(len(got)) {

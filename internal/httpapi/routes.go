@@ -48,10 +48,16 @@ func Encode(v any) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
+// jsonContentType is the Content-Type of every JSON answer and request
+// body. A response header belongs to the server, so only the value can
+// be shared there; a writer that adds to it appends past its capacity
+// and copies.
+var jsonContentType = []string{"application/json"}
+
 // WriteEncoded writes body, a JSON encoding as Encode produces it, with
 // the given status.
 func WriteEncoded(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }

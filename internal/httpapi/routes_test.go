@@ -57,7 +57,7 @@ func TestShedderBound(t *testing.T) {
 	admitted.Wait()
 
 	// The next request is shed, not queued.
-	hdr, err := Call(context.Background(), http.DefaultClient, http.MethodGet, hs.URL+"/slow", "", nil, nil)
+	hdr, err := Call(context.Background(), http.DefaultClient, http.MethodGet, hs.URL+"/slow", nil, nil, nil)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Code != ErrCodeOverloaded {
 		t.Fatalf("err = %v, want a 503 APIError with code %q", err, ErrCodeOverloaded)
@@ -178,7 +178,7 @@ func TestCallErrors(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	ctx := context.Background()
 	call := func(path string, in, out any) error {
-		_, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+path, "", in, out)
+		_, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+path, nil, in, out)
 		return err
 	}
 
@@ -208,7 +208,7 @@ func TestCallErrors(t *testing.T) {
 	}
 
 	hs.Close()
-	hdr, err := Call(ctx, http.DefaultClient, http.MethodGet, hs.URL+"/echo", "", nil, nil)
+	hdr, err := Call(ctx, http.DefaultClient, http.MethodGet, hs.URL+"/echo", nil, nil, nil)
 	if err == nil || hdr != nil || !Retryable(err) {
 		t.Errorf("dead peer: hdr %v, err %v, want a retryable transport error and no header", hdr, err)
 	}
@@ -232,14 +232,14 @@ func TestCallNotModified(t *testing.T) {
 	ctx := context.Background()
 
 	out := map[string]int{"kept": 1}
-	hdr, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/doc", `"v2"`, nil, &out)
+	hdr, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/doc", http.Header{"If-None-Match": {`"v2"`}}, nil, &out)
 	if !errors.Is(err, ErrNotModified) || Retryable(err) || hdr.Get("ETag") != `"v2"` || !reflect.DeepEqual(out, map[string]int{"kept": 1}) {
 		t.Fatalf("current validator: err %v (retryable %v), etag %q, out %v; want ErrNotModified, permanent, out untouched", err, Retryable(err), hdr.Get("ETag"), out)
 	}
-	for _, validator := range []string{`"v1"`, ""} {
+	for _, hdr := range []http.Header{{"If-None-Match": {`"v1"`}}, nil} {
 		out = nil
-		if _, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/doc", validator, nil, &out); err != nil || out["v"] != 2 {
-			t.Fatalf("validator %q: out %v, err %v; want the body", validator, out, err)
+		if _, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/doc", hdr, nil, &out); err != nil || out["v"] != 2 {
+			t.Fatalf("header %v: out %v, err %v; want the body", hdr, out, err)
 		}
 	}
 	if m := rt.Metrics()["doc"]; m.Count != 3 || m.Errors != 0 {
@@ -258,9 +258,10 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 }
 
-// TestCallEmptyBody: an empty 2xx body is an error for a caller that
-// wants a value, unless the status is 204; a caller that wants none
-// takes either.
+// TestCallEmptyBody: an empty 200 body is an error for a caller that
+// wants a value, and a 204 says that what the caller holds stands
+// (ErrNotModified, out untouched); a caller that wants none takes
+// either.
 func TestCallEmptyBody(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/empty", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
@@ -269,18 +270,21 @@ func TestCallEmptyBody(t *testing.T) {
 	defer hs.Close()
 	ctx := context.Background()
 	call := func(path string, out any) error {
-		_, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+path, "", nil, out)
+		_, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+path, nil, nil, out)
 		return err
 	}
 	var out map[string]int
-	if err := call("/empty", &out); err == nil || Retryable(err) {
+	if err := call("/empty", &out); err == nil || errors.Is(err, ErrNotModified) || Retryable(err) {
 		t.Errorf("empty 200 into a value: err %v, want a permanent error", err)
 	}
-	if err := call("/gone", &out); err != nil {
-		t.Errorf("204 into a value: %v", err)
+	out = map[string]int{"kept": 1}
+	if err := call("/gone", &out); !errors.Is(err, ErrNotModified) || Retryable(err) || out["kept"] != 1 {
+		t.Errorf("204 into a value: err %v, out %v; want ErrNotModified with out untouched", err, out)
 	}
-	if err := call("/empty", nil); err != nil {
-		t.Errorf("empty 200, no value wanted: %v", err)
+	for _, path := range []string{"/empty", "/gone"} {
+		if err := call(path, nil); err != nil {
+			t.Errorf("%s, no value wanted: %v", path, err)
+		}
 	}
 }
 
@@ -319,12 +323,12 @@ func TestPooledBuffersStayCapped(t *testing.T) {
 
 	pad := strings.Repeat("x", MaxBodyBytes-64)
 	var got map[string]int
-	if _, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+"/echo", "", map[string]string{"pad": pad}, &got); err != nil || got["len"] != len(pad) {
+	if _, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+"/echo", nil, map[string]string{"pad": pad}, &got); err != nil || got["len"] != len(pad) {
 		t.Fatalf("a request under the cap: %v %v", got, err)
 	}
 	var ae *APIError
 	over := map[string]string{"pad": pad + strings.Repeat("x", 128)}
-	if _, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+"/echo", "", over, nil); !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge {
+	if _, err := Call(ctx, hs.Client(), http.MethodPost, hs.URL+"/echo", nil, over, nil); !errors.As(err, &ae) || ae.Status != http.StatusRequestEntityTooLarge {
 		t.Errorf("a declared body over the cap: %v, want 413", err)
 	}
 	body, _ := json.Marshal(over)
@@ -337,7 +341,7 @@ func TestPooledBuffersStayCapped(t *testing.T) {
 		t.Errorf("a chunked body over the cap: %d, want 413", resp.StatusCode)
 	}
 	var big map[string]string
-	if _, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/big", "", nil, &big); err != nil || len(big["pad"]) != 3<<20 {
+	if _, err := Call(ctx, hs.Client(), http.MethodGet, hs.URL+"/big", nil, nil, &big); err != nil || len(big["pad"]) != 3<<20 {
 		t.Fatalf("a multi-MiB answer: %d bytes, %v", len(big["pad"]), err)
 	}
 	hs.CloseClientConnections() // the transport has closed every request body
@@ -371,7 +375,7 @@ func (rt replayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestCallBodyReplays(t *testing.T) {
 	hc := &http.Client{Transport: replayTransport{t}}
 	var out map[string]int
-	if _, err := Call(context.Background(), hc, http.MethodPost, "http://peer/echo", "", map[string]int{"a": 1}, &out); err != nil || out["a"] != 1 {
+	if _, err := Call(context.Background(), hc, http.MethodPost, "http://peer/echo", nil, map[string]int{"a": 1}, &out); err != nil || out["a"] != 1 {
 		t.Fatalf("out %v, err %v", out, err)
 	}
 }

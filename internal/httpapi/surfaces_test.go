@@ -1,10 +1,12 @@
 package httpapi_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,4 +179,37 @@ func TestRouteTable(t *testing.T) {
 	if n := coopd.Registry().Len() + wrapped.Registry().Len(); n != 0 {
 		t.Errorf("%d apps registered by requests that were all refused", n)
 	}
+
+	// Every exchange shares the plain request headers and the JSON
+	// Content-Type value: no route of any surface writes to them.
+	shared := []http.Header{httpapi.JSONHeader, httpapi.NoHeader, {"Content-Type": httpapi.JSONContentType}}
+	want := make([]http.Header, len(shared))
+	for i, h := range shared {
+		want[i] = h.Clone()
+	}
+	for _, s := range surfaces {
+		hc := &http.Client{Transport: handlerTransport{s.h}}
+		for _, rt := range s.routes {
+			var in any
+			if rt.body {
+				in = struct{}{}
+			}
+			httpapi.Call(context.Background(), hc, rt.method, "http://"+s.name+rt.path, nil, in, nil)
+		}
+	}
+	for i := range shared {
+		if !reflect.DeepEqual(shared[i], want[i]) {
+			t.Errorf("a shared header reads %v after every route was served, want %v", shared[i], want[i])
+		}
+	}
+}
+
+// handlerTransport serves every request in process through h, handing
+// the handler the very request, header included, that Call built.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
 }

@@ -104,10 +104,11 @@ func Retryable(err error) bool {
 	return errors.As(err, &te)
 }
 
-// ErrNotModified is Call's answer to a 304: the validator it presented
-// still names the server's current representation, so nothing was read
-// and out is untouched. It is an outcome, not a failure: Retryable
-// reports false, and callers branch on it with errors.Is.
+// ErrNotModified is Call's answer to a 304, and to a 204 when out wants
+// a value: what the request presented still names the server's current
+// answer, so nothing was read and out is untouched. It is an outcome,
+// not a failure: Retryable reports false, and callers branch on it with
+// errors.Is.
 var ErrNotModified = errors.New("not modified")
 
 // maxPooledBuffer caps the buffers the exchange keeps between uses: one
@@ -194,22 +195,34 @@ func (b *bodyReader) Close() error {
 	return nil
 }
 
-// Call performs one JSON exchange. in (nil: no body) is encoded as the
-// request body, without the encoder's trailing newline; validator, when
-// not "", is sent as If-None-Match, and a 304 answer returns
-// ErrNotModified with the body left unread; at most MaxResponseBytes of
-// any other response are read; any other status >= 300 is returned as an
+// jsonHeader is the request header of every exchange that sends a JSON
+// body and presents nothing else, and noHeader of every one that sends
+// neither. Every such request shares them, so neither is ever written:
+// Call hands them to the transport, which only reads them.
+var (
+	jsonHeader = http.Header{"Content-Type": jsonContentType}
+	noHeader   = http.Header{}
+)
+
+// Call performs one JSON exchange. hdr is the request header, which
+// Call and the transport only read, so a caller may hand the same one to
+// every request it makes; nil sends the shared plain one, Content-Type
+// JSON when there is a body. in (nil: no body) is encoded as the request
+// body, without the encoder's trailing newline. A 304, or a 204 when out
+// wants a value, returns ErrNotModified with the body left unread: the
+// answer the request presented (as If-None-Match, or as a heartbeat's
+// held answer) still stands. At most MaxResponseBytes of any other
+// response are read; any other status >= 300 is returned as an
 // *APIError, filled from the ErrorResponse body when there is one; any
 // other body is unmarshalled into out (nil: discarded), and an empty one
-// is an error when out wants a value and the status is not 204. The
-// response header is returned whenever a response arrived, failed calls
-// included.
+// is an error when out wants a value. The response header is returned
+// whenever a response arrived, failed calls included.
 //
 // The request goes straight to hc's transport (http.DefaultTransport
 // when it has none): no daemon here redirects, so Call follows no
 // redirect, and hc.Timeout bounds the exchange as a context deadline,
 // added only when ctx has none as early.
-func Call(ctx context.Context, hc *http.Client, method, url, validator string, in, out any) (http.Header, error) {
+func Call(ctx context.Context, hc *http.Client, method, url string, hdr http.Header, in, out any) (http.Header, error) {
 	if hc.Timeout > 0 {
 		if d, ok := ctx.Deadline(); !ok || time.Until(d) > hc.Timeout {
 			var cancel context.CancelFunc
@@ -221,6 +234,14 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 	if err != nil {
 		return nil, fmt.Errorf("building request: %w", err)
 	}
+	switch {
+	case hdr != nil:
+	case in != nil:
+		hdr = jsonHeader
+	default:
+		hdr = noHeader
+	}
+	req.Header = hdr
 	if in != nil {
 		body := &pooledBody{buf: getBuffer(), refs: 1}
 		defer body.release()
@@ -231,10 +252,6 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 		req.ContentLength = int64(body.buf.Len())
 		req.Body, _ = body.open()
 		req.GetBody = body.open
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if validator != "" {
-		req.Header.Set("If-None-Match", validator)
 	}
 	rt := hc.Transport
 	if rt == nil {
@@ -250,7 +267,7 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 		return nil, &transportError{&neturl.Error{Op: op, URL: url, Err: err}}
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotModified {
+	if resp.StatusCode == http.StatusNotModified || (resp.StatusCode == http.StatusNoContent && out != nil) {
 		return resp.Header, ErrNotModified
 	}
 	data := getBuffer()
@@ -270,9 +287,6 @@ func Call(ctx context.Context, hc *http.Client, method, url, validator string, i
 		return resp.Header, nil
 	}
 	if data.Len() == 0 {
-		if resp.StatusCode == http.StatusNoContent {
-			return resp.Header, nil
-		}
 		return resp.Header, fmt.Errorf("decoding response: empty %d body", resp.StatusCode)
 	}
 	if err := json.Unmarshal(data.Bytes(), out); err != nil {
